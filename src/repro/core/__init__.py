@@ -15,7 +15,7 @@ liveness, synchronization), :class:`~repro.core.server.MemoryServer`
 (the application-facing library).
 """
 
-from repro.core.client import IoBatch, Mapping, OpFuture, RStoreClient
+from repro.core.client import RStoreClient
 from repro.core.config import RStoreConfig
 from repro.core.errors import (
     AllocationError,
@@ -27,7 +27,9 @@ from repro.core.errors import (
     RegionUnavailableError,
     RStoreError,
 )
+from repro.core.mapping import Mapping
 from repro.core.master import Master
+from repro.core.pipeline import IoBatch, OpFuture
 from repro.core.region import RegionDesc, StripeDesc, StripeReplica
 from repro.core.repair import RepairPlanner, RepairTask
 from repro.core.server import MemoryServer

@@ -110,3 +110,15 @@ class DeadlineExceededError(FatalError):
 
 class RetryBudgetExceededError(DeadlineExceededError):
     """The operation's retry budget drained before it could complete."""
+
+
+def translated(exc):
+    """The local twin of a remote failure.
+
+    An ``RpcRemoteError`` carries the remote exception's class name; if
+    it names one of the errors above, return that class built from the
+    remote message so callers catch real types, else return *exc*.
+    """
+    if exc.error_type in __all__:
+        return globals()[exc.error_type](exc.remote_message)
+    return exc

@@ -27,11 +27,11 @@ from __future__ import annotations
 import pickle
 
 from repro.coord.base import Backoff
-from repro.core.client import _translated
 from repro.core.errors import (
     RetryBudgetExceededError,
     RStoreError,
     StaleEpochError,
+    translated,
 )
 from repro.datapath import ops
 from repro.rpc.channel import ChannelClosed
@@ -110,7 +110,7 @@ class DataPathRouter:
             "op": op,
             "region": mapping.name,
             "shard": mapping.shard,
-            "epoch": client._epochs.get(mapping.shard, 0),
+            "epoch": client._meta.epochs.get(mapping.shard, 0),
             "actor": client._rsan_actor,
             "deposit": None,
         }
@@ -126,7 +126,7 @@ class DataPathRouter:
             try:
                 reply = yield from rpc.call("dp_exec", request)
             except RpcRemoteError as exc:
-                raise _translated(exc) from None
+                raise translated(exc) from None
             except (RpcError, ChannelClosed):
                 client._mem_channel_drop(host_id)
                 if attempt >= self.config.data_retry_limit:
@@ -140,13 +140,10 @@ class DataPathRouter:
     def _refresh(self, mapping):
         """Stale-epoch recovery (generator): learn the shard's current
         epoch, refetch the descriptor, and retarget the mapping."""
-        client = self.client
-        client._m_retries_fenced.inc()
-        stats = yield from client._master_call("cluster_stats",
-                                               shard=mapping.shard)
-        client._note_epoch(stats["epoch"], mapping.shard)
-        client._meta_evict(mapping.name)
-        mapping.desc = yield from client.lookup(mapping.name)
+        meta = self.client._meta
+        yield from meta.resync(mapping.shard)
+        meta.evict(mapping.name)
+        mapping.desc = yield from self.client.lookup(mapping.name)
 
     def _locate_slot(self, desc, slot_off: int, slot_size: int):
         """``(host_id, arena_addr)`` of one slot (never straddles)."""
@@ -246,14 +243,15 @@ class DataPathRouter:
 
     # -- kv operations -------------------------------------------------------
 
-    def kv_get(self, store, key: bytes, fetch: bool = False):
-        """Server-side probe-chain lookup (generator)."""
+    def _redrive(self, verb: str, once, store, key: bytes, arg):
+        """Run ``once(store, hash, key, arg)`` until it neither finds a
+        locked slot (back off) nor a stale epoch (refresh), within the
+        retry budget (generator)."""
         base = ops.hash64(key)
         self._busy_backoff.reset()
         for _attempt in range(self.config.data_retry_limit + _BUSY_BUDGET):
             try:
-                result = yield from self._kv_get_once(store, base, key,
-                                                      fetch)
+                result = yield from once(store, base, key, arg)
                 return result
             except _BusySlot:
                 self._m_busy_retries.inc()
@@ -261,7 +259,11 @@ class DataPathRouter:
             except StaleEpochError:
                 yield from self._refresh(store.mapping)
         raise RetryBudgetExceededError(
-            f"kv get of {key!r} kept racing writers")
+            f"kv {verb} of {key!r} kept racing writers")
+
+    def kv_get(self, store, key: bytes, fetch: bool = False):
+        """Server-side probe-chain lookup (generator)."""
+        return self._redrive("get", self._kv_get_once, store, key, fetch)
 
     def _kv_get_once(self, store, base: int, key: bytes, fetch: bool):
         for host_id, slots in self._probe_runs(store.mapping.desc, store,
@@ -287,20 +289,7 @@ class DataPathRouter:
         ``fetch`` degrades to plain server-op — a store's reply is a
         status tuple, so there is nothing worth depositing.
         """
-        base = ops.hash64(key)
-        self._busy_backoff.reset()
-        for _attempt in range(self.config.data_retry_limit + _BUSY_BUDGET):
-            try:
-                stored = yield from self._kv_put_once(store, base, key,
-                                                      value)
-                return stored
-            except _BusySlot:
-                self._m_busy_retries.inc()
-                yield from self._busy_backoff.pause()
-            except StaleEpochError:
-                yield from self._refresh(store.mapping)
-        raise RetryBudgetExceededError(
-            f"kv put of {key!r} kept racing writers")
+        return self._redrive("put", self._kv_put_once, store, key, value)
 
     def _kv_put_once(self, store, base: int, key: bytes, value: bytes):
         for host_id, slots in self._probe_runs(store.mapping.desc, store,

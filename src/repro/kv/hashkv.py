@@ -17,8 +17,9 @@ linear probing keeps finding later entries.
 from __future__ import annotations
 
 from repro.coord import Backoff, CoordError, SeqLock
-from repro.core.client import Mapping, RStoreClient
+from repro.core.client import RStoreClient
 from repro.core.errors import RStoreError
+from repro.core.mapping import Mapping
 from repro.datapath import ops
 from repro.datapath.policy import AdaptiveSelector, PathPolicy
 
@@ -159,9 +160,6 @@ class RKVStore:
             max_read_retries=_READ_RETRIES,
         )
 
-    # kept for callers written against the pre-txn private name
-    _slot_lock = slot_lock
-
     def _parse_body(self, body: bytes):
         """Split a slot body (everything after the version word)."""
         return ops.parse_body(body, self.key_size)
@@ -189,7 +187,7 @@ class RKVStore:
 
     def _read_slot(self, index: int):
         """Optimistically read one consistent slot snapshot (generator)."""
-        lock = self._slot_lock(index)
+        lock = self.slot_lock(index)
         # slot views share one registry counter per slot, so fold in the
         # *delta* this view added, not its cumulative value
         before = lock.read_retries
@@ -277,7 +275,7 @@ class RKVStore:
                     f"no slot for key within {_PROBE_LIMIT} probes"
                 )
             index, version = target
-            lock = self._slot_lock(index)
+            lock = self.slot_lock(index)
             locked = yield from lock.try_lock(version)
             if not locked:
                 # lost the race; pause, then re-probe from scratch
@@ -445,7 +443,7 @@ class RKVStore:
             if found is None:
                 return False
             index, version = found
-            lock = self._slot_lock(index)
+            lock = self.slot_lock(index)
             locked = yield from lock.try_lock(version)
             if not locked:
                 self._m_lock_retries.inc()

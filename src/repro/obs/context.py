@@ -6,14 +6,13 @@ every constructor would churn the whole API.  Instead each
 :class:`~repro.simnet.kernel.Simulator` owns exactly one
 :class:`Observability` — components call ``obs_for(self.sim)`` at
 construction and land on the same registry and tracer as everything
-else in that simulation.  The mapping is weak: contexts die with their
-simulators, and two simulations never share instruments (fresh
-``build_cluster`` ⇒ fresh counters ⇒ deterministic replay).
+else in that simulation.  The context hangs on the simulator's ``obs``
+attribute, so it is freed with the simulator, and two simulations never
+share instruments (fresh ``build_cluster`` ⇒ fresh counters ⇒
+deterministic replay).
 """
 
 from __future__ import annotations
-
-from weakref import WeakKeyDictionary
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
@@ -30,13 +29,9 @@ class Observability:
         self.tracer = Tracer(sim, registry=self.metrics)
 
 
-_contexts: "WeakKeyDictionary" = WeakKeyDictionary()
-
-
 def obs_for(sim) -> Observability:
     """The :class:`Observability` context of *sim* (created lazily)."""
-    ctx = _contexts.get(sim)
+    ctx = sim.obs
     if ctx is None:
-        ctx = Observability(sim)
-        _contexts[sim] = ctx
+        ctx = sim.obs = Observability(sim)
     return ctx

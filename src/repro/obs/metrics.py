@@ -12,25 +12,47 @@ namespace while keeping per-host series separable::
 
 Histograms are HDR-style log-bucketed: bucket boundaries grow
 geometrically, so a fixed number of integer buckets covers nanoseconds
-to seconds with bounded relative error.  Summaries reuse
-:class:`repro.metrics.stats.Summary`, the same shape every benchmark
-reports.
+to seconds with bounded relative error.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
-from repro.metrics.stats import Summary
-
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "Summary"]
 
 Labels = tuple[tuple[str, str], ...]
 
 
 def _freeze(labels: dict) -> Labels:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
+
+
+@dataclass
+class Summary:
+    """Standard summary of a latency sample set (seconds)."""
+
+    count: int
+    mean: float
+    p50: float
+    p95: float
+    p99: float
+    minimum: float
+    maximum: float
+
+    def scaled(self, factor: float) -> "Summary":
+        """The same summary in another unit (e.g. 1e6 for microseconds)."""
+        return Summary(
+            count=self.count,
+            mean=self.mean * factor,
+            p50=self.p50 * factor,
+            p95=self.p95 * factor,
+            p99=self.p99 * factor,
+            minimum=self.minimum * factor,
+            maximum=self.maximum * factor,
+        )
 
 
 class Counter:

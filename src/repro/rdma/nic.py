@@ -67,8 +67,8 @@ class RNic:
         self._engine_busy_until = 0.0
         #: rkey -> MemoryRegion, the NIC's translation/permission table
         self.mr_by_rkey: dict[int, MemoryRegion] = {}
-        # -- observability: registry instruments labelled by host; the
-        # legacy attribute names live on as read-only properties
+        # -- observability: registry instruments labelled by host, read
+        # back through the properties below
         self.obs = obs_for(sim)
         self.rsan = rsan_for(sim)
         _m = self.obs.metrics
@@ -119,9 +119,9 @@ class RNic:
 
     @property
     def doorbells_rung(self) -> int:
-        """One per ``submit`` call and one per ``submit_many`` *list* —
-        ``doorbells_rung < ops_posted`` is the proof that doorbell
-        batching is happening."""
+        """One per ``submit_many`` *list* (a single ``post_send`` is a
+        list of one) — ``doorbells_rung < ops_posted`` is the proof
+        that doorbell batching is happening."""
         return self._m_doorbells.value
 
     # ------------------------------------------------------------------
@@ -212,28 +212,9 @@ class RNic:
     # data path (event-driven, no generators: the NIC is offloaded)
     # ------------------------------------------------------------------
 
-    def submit(self, qp: QueuePair, wr: SendWR) -> None:
-        """Accept a posted WQE; called by :meth:`QueuePair.post_send`."""
-        self._m_ops_posted.inc()
-        self._m_doorbells.inc()
-        wr._wc_raised = False
-        if self.obs.tracer.enabled:
-            wr._obs_posted = self.sim.now
-        if self.rsan.enabled:
-            self.rsan.on_post(wr, self.host.host_id)
-        model = self.model
-        earliest = self.sim.now + model.doorbell_s
-        processing = model.wqe_processing_s
-        if wr.inline_data is not None and len(wr.inline_data) <= model.max_inline:
-            processing = max(0.0, processing - model.inline_saving_s)
-        start = max(earliest, self._engine_busy_until)
-        self._engine_busy_until = start + processing
-        self._after(
-            self._engine_busy_until - self.sim.now, lambda: self._launch(qp, wr)
-        )
-
     def submit_many(self, qp: QueuePair, wrs: list[SendWR]) -> None:
-        """Accept a doorbell batch; called by ``post_send_many``.
+        """Accept a doorbell batch; called by
+        :meth:`QueuePair.post_send_many`.
 
         The MMIO doorbell is paid once for the whole list; the engine
         then processes the WQEs back to back, so per-op cost collapses
@@ -242,25 +223,24 @@ class RNic:
         """
         self._m_ops_posted.inc(len(wrs))
         self._m_doorbells.inc()
+        model = self.model
+        now = self.sim.now
+        tracing = self.obs.tracer.enabled
+        rsan = self.rsan if self.rsan.enabled else None
+        start = max(now + model.doorbell_s, self._engine_busy_until)
         for wr in wrs:
             wr._wc_raised = False
-        if self.obs.tracer.enabled:
-            for wr in wrs:
-                wr._obs_posted = self.sim.now
-        if self.rsan.enabled:
-            for wr in wrs:
-                self.rsan.on_post(wr, self.host.host_id)
-        model = self.model
-        earliest = self.sim.now + model.doorbell_s
-        start = max(earliest, self._engine_busy_until)
-        for wr in wrs:
+            if tracing:
+                wr._obs_posted = now
+            if rsan is not None:
+                rsan.on_post(wr, self.host.host_id)
             processing = model.wqe_processing_s
             if (wr.inline_data is not None
                     and len(wr.inline_data) <= model.max_inline):
                 processing = max(0.0, processing - model.inline_saving_s)
             start += processing
             self._after(
-                start - self.sim.now,
+                start - now,
                 lambda qp=qp, wr=wr: self._launch(qp, wr),
             )
         self._engine_busy_until = start

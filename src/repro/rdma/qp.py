@@ -69,27 +69,13 @@ class QueuePair:
     # -- posting -------------------------------------------------------------
 
     def post_send(self, wr: SendWR) -> None:
-        """Queue a work request on the send queue.
+        """Queue one work request: a doorbell batch of one.
 
         Raises synchronously for caller bugs (bad WR, wrong state, full
         SQ); transport/remote failures surface asynchronously as error
         completions, exactly like the verbs contract.
         """
-        if self.state is QpState.ERROR:
-            raise QpError(f"QP {self.qp_num} is in error state: {self.error_reason}")
-        if self.state is not QpState.CONNECTED:
-            raise RdmaError(f"QP {self.qp_num} is not connected")
-        if self._inflight >= self.sq_depth:
-            raise RdmaError(
-                f"send queue full ({self.sq_depth} in flight); poll the CQ"
-            )
-        wr.validate()
-        if wr.local_mr is not None and wr.local_mr.pd is not self.pd:
-            raise RdmaError("local MR belongs to a different protection domain")
-        self._inflight += 1
-        wr._wc = None
-        self._order.append(wr)
-        self.nic.submit(self, wr)
+        self.post_send_many([wr])
 
     def post_send_many(self, wrs: list[SendWR]) -> None:
         """Post a list of work requests with a single doorbell.
@@ -108,7 +94,7 @@ class QueuePair:
             raise RdmaError(f"QP {self.qp_num} is not connected")
         if self._inflight + len(wrs) > self.sq_depth:
             raise RdmaError(
-                f"send queue cannot admit {len(wrs)} work requests "
+                f"send queue full: cannot admit {len(wrs)} work request(s) "
                 f"({self._inflight} of {self.sq_depth} in flight); poll the CQ"
             )
         for wr in wrs:

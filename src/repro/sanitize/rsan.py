@@ -75,7 +75,6 @@ with it on or off, and the disabled path costs one attribute check.
 from __future__ import annotations
 
 import traceback
-from weakref import WeakKeyDictionary
 
 __all__ = [
     "Access",
@@ -97,6 +96,8 @@ _CONFLICTS = {
 #: stack frames from these path fragments are plumbing, not app code
 _PLUMBING = (
     "/repro/core/client.py",
+    "/repro/core/mapping.py",
+    "/repro/core/pipeline.py",
     "/repro/sanitize/",
     "/repro/coord/",
     "/repro/rdma/",
@@ -435,13 +436,9 @@ class RaceSanitizer:
         return "\n".join(lines)
 
 
-_contexts: "WeakKeyDictionary" = WeakKeyDictionary()
-
-
 def rsan_for(sim) -> RaceSanitizer:
     """The :class:`RaceSanitizer` of *sim* (created lazily, disabled)."""
-    ctx = _contexts.get(sim)
+    ctx = sim.rsan
     if ctx is None:
-        ctx = RaceSanitizer(sim)
-        _contexts[sim] = ctx
+        ctx = sim.rsan = RaceSanitizer(sim)
     return ctx

@@ -309,6 +309,10 @@ class Simulator:
         self._queue: list[tuple[float, int, Event]] = []
         self._seq = 0
         self._active_process: Optional[Process] = None
+        #: per-simulation contexts (``repro.obs.obs_for``,
+        #: ``repro.sanitize.rsan_for``), freed with the simulator
+        self.obs = None
+        self.rsan = None
 
     @property
     def now(self) -> float:

@@ -1,5 +1,8 @@
 """Cluster builder options and wiring."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.cluster import build_cluster
@@ -75,3 +78,25 @@ def test_network_bytes_accounting():
 
     cluster.run_app(app())
     assert cluster.network_bytes() > before
+
+
+@pytest.mark.parametrize("sanitize", [False, True])
+def test_a_dropped_cluster_is_garbage(sanitize):
+    """Nothing process-global may keep a finished simulation alive:
+    its event queue, cluster and server arenas go with it."""
+    cluster = build_cluster(num_machines=4, server_capacity=16 * MiB,
+                            config=RStoreConfig(sanitize=sanitize))
+    client = cluster.client(1)
+
+    def app():
+        yield from client.alloc("t", 64 * KiB)
+        mapping = yield from client.map("t")
+        yield from mapping.write(0, b"abc")
+        data = yield from mapping.read(0, 3)
+        return data
+
+    assert cluster.run_app(app()) == b"abc"
+    sim = weakref.ref(cluster.sim)
+    del cluster, client, app
+    gc.collect()
+    assert sim() is None

@@ -191,10 +191,11 @@ def test_stale_era_refusal_is_evicted_at_serve_time():
         yield from owner.alloc("victim", 128 * KiB)
         # replay lookup()'s late-reply interleaving by hand: the bump
         # is observed first, then the refusal (issued under epoch 0)
-        # lands and is cached — after _note_epoch already swept, so
+        # lands and is cached — after note_epoch already swept, so
         # only the serve-time staleness check can catch it
-        client._note_epoch(client._epochs.get(0, 0) + 1, shard=0)
-        client._meta_store_negative("victim", 0, as_of=0)
+        meta = client._meta
+        meta.note_epoch(meta.epochs.get(0, 0) + 1, shard=0)
+        meta.store_negative("victim", 0, as_of=0)
         misses = client.metadata_cache_misses
         mapping = yield from client.map("victim")
         assert mapping is not None
