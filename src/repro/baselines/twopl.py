@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from repro.coord import Backoff
 from repro.core.errors import DeadlineExceededError, RecoverableError
-from repro.kv.hashkv import _PROBE_LIMIT, _TOMBSTONE, KvError, _hash64
+from repro.datapath import ops
+from repro.kv.hashkv import KvError
 
 __all__ = ["TwoPhaseLocking", "TwoPLError"]
 
@@ -66,16 +67,10 @@ class TwoPhaseLocking:
         """The slot holding *key* (generator); 2PL cannot insert —
         every declared key must already exist."""
         store._check_key(key)
-        base = _hash64(key)
-        for probe in range(_PROBE_LIMIT):
-            index = (base + probe) % store.slots
-            version, key_len, slot_key, _value = (
-                yield from store.snapshot_slot(index)
-            )
-            if key_len == 0:
-                break
-            if key_len != _TOMBSTONE and slot_key == key:
-                return index
+        outcome, index, _snapshot, _reusable = yield from ops.walk(
+            key, store.chain(key), store.snapshot_slot)
+        if outcome == ops.HIT:
+            return index
         raise TwoPLError(
             f"declared key {key!r} not present — the naive 2PL runner "
             "only updates existing keys"
@@ -145,7 +140,7 @@ class TwoPhaseLocking:
                 _version, key_len, slot_key, value = (
                     yield from store.snapshot_slot(index)
                 )
-                if key_len in (0, _TOMBSTONE) or slot_key != key:
+                if ops.classify(key_len, slot_key, key) != ops.HIT:
                     raise TwoPLError(
                         f"slot {index} no longer holds {key!r} — it was "
                         "deleted between probe and lock"
@@ -160,7 +155,8 @@ class TwoPhaseLocking:
             # -- write + shrinking phase: publish changed, restore rest
             for lock, word, key, _index in held:
                 if key in updates:
-                    body = store._encode_body(key, updates[key])
+                    body = ops.encode_body(key, updates[key],
+                                           store.key_size, store.value_size)
                     yield from self._replay(
                         lambda lock=lock, word=word, body=body:
                             lock.publish(token, body,

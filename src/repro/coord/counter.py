@@ -14,7 +14,7 @@ hammering the hosting NIC.
 from __future__ import annotations
 
 from repro.coord.base import read_word, region_name
-from repro.datapath.policy import AdaptiveSelector, PathPolicy
+from repro.datapath.policy import ModeChooser, PathPolicy
 
 __all__ = ["AtomicCounter"]
 
@@ -36,8 +36,8 @@ class AtomicCounter:
         #: last value observed by this handle (post-op for ``add``)
         self.cached = 0
         self._cached_at = float("-inf")
-        #: lazily built burst-mode chooser (adaptive policy only)
-        self._selector = None
+        self._selector = ModeChooser(client, mapping.path_policy,
+                                     modes=_BURST_MODES)
 
     # -- setup (control path) ------------------------------------------------
 
@@ -96,24 +96,7 @@ class AtomicCounter:
         deltas = list(deltas)
         if not deltas:
             return []
-        policy = self.mapping.path_policy
-        started_at = None
-        if policy == PathPolicy.ADAPTIVE:
-            if self._selector is None:
-                cfg = self.client.config
-                self._selector = AdaptiveSelector(
-                    modes=_BURST_MODES,
-                    probe_every=cfg.datapath_probe_every,
-                    hysteresis=cfg.datapath_hysteresis,
-                    patience=cfg.datapath_patience,
-                    alpha=cfg.datapath_ewma_alpha,
-                )
-            mode = self._selector.choose("burst")
-            started_at = (self.client.sim.now, self.client.setup_events)
-        elif policy == PathPolicy.ONE_SIDED:
-            mode = PathPolicy.ONE_SIDED
-        else:
-            mode = PathPolicy.SERVER_OP
+        mode, token = self._selector.pick("burst")
         if mode == PathPolicy.ONE_SIDED:
             values = []
             for delta in deltas:
@@ -124,12 +107,7 @@ class AtomicCounter:
                 self, deltas
             )
             self._observe(values[-1])
-        if started_at is not None:
-            t0, setup_before = started_at
-            self._selector.observe(
-                "burst", mode, self.client.sim.now - t0,
-                cold=self.client.setup_events != setup_before,
-            )
+        self._selector.done("burst", mode, token)
         return values
 
     def fetch(self, delta: int):

@@ -399,7 +399,7 @@ class RStoreClient:
 
         ``path_policy`` selects how composite ops over the mapping run
         (``one_sided`` | ``server_op`` | ``remote_fetch`` |
-        ``adaptive``); ``None`` takes ``config.datapath_policy``.
+        ``adaptive``); ``None`` means ``one_sided``.
         """
         span = self.obs.tracer.span("control.client.map", kind="control",
                                     host=self.nic.host.host_id)

@@ -128,25 +128,12 @@ class RStoreConfig:
     #: arena space; tenants absent from the dict are unlimited.  Each
     #: shard enforces an even share (see ``core/shard.py``).
     tenant_quota_bytes: Optional[dict[str, int]] = field(default=None)
-    #: default data-path policy for new mappings: "one_sided" (the
-    #: classic client-driven path), "server_op" (composite ops execute
-    #: on the owning server), "remote_fetch" (server computes, client
-    #: READs the deposited result), or "adaptive" (per-op-class pick
-    #: from observed latency — see ``repro.datapath.policy``)
-    datapath_policy: str = "one_sided"
     #: size of each per-(client, server) remote-fetch deposit buffer;
     #: results larger than this fail loudly instead of truncating
     datapath_fetch_bytes: int = 256 * KiB
     #: adaptive selector: every Nth op per class re-samples a
     #: non-current mode so regime shifts are eventually observed
     datapath_probe_every: int = 32
-    #: adaptive selector: a challenger must beat the current mode by
-    #: this relative margin before a switch is even considered
-    datapath_hysteresis: float = 0.2
-    #: adaptive selector: consecutive challenger wins required to switch
-    datapath_patience: int = 3
-    #: adaptive selector: EWMA smoothing factor for observed latency
-    datapath_ewma_alpha: float = 0.3
 
     #: service ids on the fabric
     master_service: str = "rstore-master"
@@ -182,23 +169,10 @@ class RStoreConfig:
             raise ValueError("meta_lease_s must be positive")
         if self.meta_negative_ttl_s < 0:
             raise ValueError("meta_negative_ttl_s cannot be negative")
-        # a literal tuple, not repro.datapath.PathPolicy: config must
-        # stay importable without dragging in the data-path package
-        if self.datapath_policy not in ("one_sided", "server_op",
-                                        "remote_fetch", "adaptive"):
-            raise ValueError(
-                f"unknown datapath_policy {self.datapath_policy!r}"
-            )
         if self.datapath_fetch_bytes <= 0:
             raise ValueError("datapath_fetch_bytes must be positive")
         if self.datapath_probe_every < 2:
             raise ValueError("datapath_probe_every must be at least 2")
-        if not 0 <= self.datapath_hysteresis < 1:
-            raise ValueError("datapath_hysteresis must be in [0, 1)")
-        if self.datapath_patience < 1:
-            raise ValueError("datapath_patience must be at least 1")
-        if not 0 < self.datapath_ewma_alpha <= 1:
-            raise ValueError("datapath_ewma_alpha must be in (0, 1]")
         if self.tenant_quota_bytes is not None:
             for tenant, quota in self.tenant_quota_bytes.items():
                 if not tenant or "/" in tenant:

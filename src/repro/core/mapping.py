@@ -55,8 +55,7 @@ class Mapping:
         #: read/write/atomic calls are always one-sided; data
         #: structures (kv, coord) consult this to route their ops.
         self.path_policy = PathPolicy.validate(
-            path_policy if path_policy is not None
-            else client.config.datapath_policy
+            path_policy if path_policy is not None else PathPolicy.ONE_SIDED
         )
         self.active = True
         #: host_id -> connected data QP (borrowed from the client cache)

@@ -298,14 +298,18 @@ class Master:
                 f"request epoch {epoch} is behind cluster epoch {self.epoch}"
             )
 
+    def _replicas_on_host(self, host_id: int):
+        """``(addr, length)`` of every replica the metadata places on
+        *host_id*."""
+        for region in self.regions.values():
+            for stripe in region.stripes:
+                for replica in stripe.replicas:
+                    if replica.host_id == host_id:
+                        yield replica.addr, stripe.length
+
     def _bytes_on_host(self, host_id: int) -> int:
-        return sum(
-            stripe.length
-            for region in self.regions.values()
-            for stripe in region.stripes
-            for replica in stripe.replicas
-            if replica.host_id == host_id
-        )
+        return sum(length for _addr, length in
+                   self._replicas_on_host(host_id))
 
     # -- sharding & tenancy ---------------------------------------------------
 
@@ -418,13 +422,7 @@ class Master:
                 last_heartbeat=self.sim.now,
                 epoch=prev_epoch,
             )
-            live = sorted(
-                (replica.addr, stripe.length)
-                for region in self.regions.values()
-                for stripe in region.stripes
-                for replica in stripe.replicas
-                if replica.host_id == host_id
-            )
+            live = sorted(self._replicas_on_host(host_id))
             self.repair._note(
                 f"server {host_id} re-registered after master recovery"
             )
@@ -516,24 +514,18 @@ class Master:
             self._server_rpc[host_id] = client
         return client
 
-    def _alloc(self, name, size, stripe_size=None, preferred_host=None,
-               replication=None, epoch=None):
-        self._fence(epoch)
-        self._owned(name)
-        yield from self._ready()
-        if name in self.regions:
-            raise RegionExistsError(f"region {name!r} already exists")
-        stripe_size = stripe_size or self.config.stripe_size
-        replication = replication or self.config.default_replication
-        tenant = tenant_of(name)
-        # admission before placement: a quota denial must not consume
-        # placement RNG state or server reservations
-        self._check_quota(tenant, size * replication)
-        lengths = split_into_stripes(size, stripe_size)
+    def _reserve_stripes(self, what: str, lengths, replication: int,
+                         base_index: int = 0, preferred_host=None):
+        """Place and reserve one stripe per length (generator).
+
+        Returns the :class:`StripeDesc` list, indexed from
+        *base_index*.  All-or-nothing: a failure at any server releases
+        what the others already reserved and the allocator's tracked
+        capacity, then raises :class:`AllocationError` naming *what*.
+        """
         placement = self.allocator.place(
             lengths, preferred_host=preferred_host, replication=replication
         )
-
         # One reservation RPC per involved server, batched over every
         # copy that lands there.
         by_host: dict[int, list[int]] = {}
@@ -556,11 +548,12 @@ class Master:
             for copies, length in zip(placement, lengths):
                 for host_id in copies:
                     self.allocator.release(host_id, length)
-            raise AllocationError(f"allocation of {name!r} failed: {exc}") from exc
+            raise AllocationError(f"{what} failed: {exc}") from exc
 
         cursors = {h: 0 for h in by_host}
         stripes = []
-        for index, (copies, length) in enumerate(zip(placement, lengths)):
+        for index, (copies, length) in enumerate(zip(placement, lengths),
+                                                 base_index):
             replicas = []
             for host_id in copies:
                 addrs, rkey = reserved[host_id]
@@ -576,6 +569,25 @@ class Master:
                 StripeDesc(index=index, length=length,
                            replicas=tuple(replicas))
             )
+        return stripes
+
+    def _alloc(self, name, size, stripe_size=None, preferred_host=None,
+               replication=None, epoch=None):
+        self._fence(epoch)
+        self._owned(name)
+        yield from self._ready()
+        if name in self.regions:
+            raise RegionExistsError(f"region {name!r} already exists")
+        stripe_size = stripe_size or self.config.stripe_size
+        replication = replication or self.config.default_replication
+        tenant = tenant_of(name)
+        # admission before placement: a quota denial must not consume
+        # placement RNG state or server reservations
+        self._check_quota(tenant, size * replication)
+        stripes = yield from self._reserve_stripes(
+            f"allocation of {name!r}", split_into_stripes(size, stripe_size),
+            replication, preferred_host=preferred_host,
+        )
         region = RegionDesc(
             region_id=self._next_region_id,
             name=name,
@@ -627,50 +639,16 @@ class Master:
                 f"cannot grow {name!r}: its size {region.size} is not a "
                 f"multiple of the stripe size {region.stripe_size}"
             )
-        old_stripes = list(region.stripes)
         grown = new_size - region.size
         replication = region.target_replication
         tenant = tenant_of(name)
         self._check_quota(tenant, grown * replication)
-        lengths = split_into_stripes(grown, region.stripe_size)
-        placement = self.allocator.place(lengths, replication=replication)
-        by_host: dict[int, list[int]] = {}
-        for copies, length in zip(placement, lengths):
-            for host_id in copies:
-                by_host.setdefault(host_id, []).append(length)
-        reserved: dict[int, tuple[list[int], int]] = {}
-        try:
-            for host_id, host_lengths in by_host.items():
-                client = yield from self._server_client(host_id)
-                addrs, rkey = yield from client.call(
-                    "reserve_batch", host_lengths, self.shard_id
-                )
-                reserved[host_id] = (addrs, rkey)
-        except Exception as exc:
-            for host_id, (addrs, _rkey) in reserved.items():
-                client = yield from self._server_client(host_id)
-                yield from client.call("release_batch", addrs, self.shard_id)
-            for copies, length in zip(placement, lengths):
-                for host_id in copies:
-                    self.allocator.release(host_id, length)
-            raise AllocationError(f"resize of {name!r} failed: {exc}") from exc
-        cursors = {h: 0 for h in by_host}
-        new_stripes = []
-        base_index = len(old_stripes)
-        for offset, (copies, length) in enumerate(zip(placement, lengths)):
-            replicas = []
-            for host_id in copies:
-                addrs, rkey = reserved[host_id]
-                replicas.append(
-                    StripeReplica(host_id=host_id,
-                                  addr=addrs[cursors[host_id]], rkey=rkey)
-                )
-                cursors[host_id] += 1
-            new_stripes.append(
-                StripeDesc(index=base_index + offset, length=length,
-                           replicas=tuple(replicas))
-            )
-        region.stripes = old_stripes + new_stripes
+        new_stripes = yield from self._reserve_stripes(
+            f"resize of {name!r}",
+            split_into_stripes(grown, region.stripe_size), replication,
+            base_index=len(region.stripes),
+        )
+        region.stripes = list(region.stripes) + new_stripes
         region.size = new_size
         region.version += 1
         region.epoch = self.epoch

@@ -1,9 +1,12 @@
-"""The slot codec shared by both ends of the kv data path.
+"""The hash table's slot codec and probe protocol.
 
-``repro.kv.hashkv`` pioneered this layout inline; the server-op
-executor (:mod:`repro.datapath.server_exec`) must parse and encode the
-exact same bytes against the arena, so the codec lives here — pure
-functions over ``bytes``, no simulation or client dependencies.
+Every prober of a ``hashkv`` table — the one-sided client
+(:mod:`repro.kv.hashkv`), the transaction runtimes (:mod:`repro.txn`,
+:mod:`repro.baselines.twopl`) and the server-op executor
+(:mod:`repro.datapath.server_exec`) — must parse the same bytes and
+agree on which slot ends a chain, which is skipped, which is a hit and
+which may be claimed.  Both live here: pure functions over ``bytes``
+plus one generator, no simulation or client dependencies.
 
 Slot layout (all fields 8-byte aligned)::
 
@@ -12,6 +15,18 @@ Slot layout (all fields 8-byte aligned)::
 The version word is the SeqLock word (``0`` never written, even =
 stable, odd = writer in flight); ``key_len`` of ``2**63 - 1`` marks a
 tombstone so linear probing keeps finding later entries.
+
+**Probe protocol.**  A key's chain is the :data:`PROBE_LIMIT` slots
+from its hash onward (:func:`chain`).  :func:`classify` sorts a slot
+into one of four classes and :func:`walk` visits slots in chain order
+through a caller-supplied *reader*, so each prober keeps its own cost
+model (validated SeqLock read, raw snapshot, local arena read) while
+the policy is written once.  The store rule every writer follows:
+walk to a hit or to the end of the chain; overwrite on a hit;
+otherwise claim the *first* reusable slot the walk crossed — the
+earliest tombstone, else the never-used slot that ended the chain.  A
+tombstone is never claimed before the rest of the chain has been
+searched, or a key living behind it would be stored twice.
 """
 
 from __future__ import annotations
@@ -19,12 +34,24 @@ from __future__ import annotations
 import hashlib
 
 __all__ = [
-    "WORD", "TOMBSTONE", "hash64", "pad", "slot_size",
-    "parse_body", "encode_body",
+    "WORD", "TOMBSTONE", "PROBE_LIMIT", "hash64", "pad", "slot_size",
+    "parse_key", "parse_body", "encode_body",
+    "HIT", "FREE", "DEAD", "OTHER", "CONTINUE", "chain", "classify", "walk",
 ]
 
 WORD = 8
 TOMBSTONE = (1 << 63) - 1
+#: linear-probe window before declaring the table full for a key
+PROBE_LIMIT = 16
+
+# slot classes (``classify``); the first two are also walk outcomes
+HIT = "hit"            # holds the key
+FREE = "free"          # never used: the chain ends here, claimable
+DEAD = "dead"          # tombstone: claimable, the chain goes on
+OTHER = "other"        # holds another key: the chain goes on
+#: walk outcome: handles exhausted without a hit or a chain end.  The
+#: three outcomes double as the ``dp_exec`` reply tags of a probe run.
+CONTINUE = "continue"
 
 
 def hash64(key: bytes) -> int:
@@ -44,14 +71,18 @@ def slot_size(key_size: int, value_size: int) -> int:
     return WORD + WORD + pad(key_size) + WORD + pad(value_size)
 
 
-def parse_body(body: bytes, key_size: int):
-    """Split a slot body (everything after the version word).
-
-    Returns ``(key_len, key, value)``; the key is empty for free and
-    tombstoned slots.
-    """
+def parse_key(body: bytes):
+    """``(key_len, key)`` from the front of a slot body; the key is
+    empty for free and tombstoned slots."""
     key_len = int.from_bytes(body[0:WORD], "little")
     key = body[WORD:WORD + key_len] if key_len not in (0, TOMBSTONE) else b""
+    return key_len, key
+
+
+def parse_body(body: bytes, key_size: int):
+    """Split a slot body (everything after the version word) into
+    ``(key_len, key, value)``."""
+    key_len, key = parse_key(body)
     val_off = WORD + pad(key_size)
     val_len = int.from_bytes(body[val_off:val_off + WORD], "little")
     value = body[val_off + WORD:val_off + WORD + val_len]
@@ -67,3 +98,46 @@ def encode_body(key: bytes, value: bytes, key_size: int, value_size: int,
     body += len(value).to_bytes(WORD, "little")
     body += value.ljust(pad(value_size), b"\0")
     return body
+
+
+def chain(base: int, slots: int) -> list:
+    """Slot indices of the probe chain for hash *base*, in probe order."""
+    return [(base + probe) % slots for probe in range(PROBE_LIMIT)]
+
+
+def classify(key_len: int, slot_key: bytes, key: bytes) -> str:
+    """The class of a slot holding ``(key_len, slot_key)`` for a prober
+    looking for *key*: :data:`FREE`, :data:`DEAD`, :data:`HIT` or
+    :data:`OTHER`."""
+    if key_len == 0:
+        return FREE
+    if key_len == TOMBSTONE:
+        return DEAD
+    return HIT if slot_key == key else OTHER
+
+
+def walk(key: bytes, handles, reader):
+    """Probe *handles* in order for *key* (generator).
+
+    *handles* are opaque slot names in chain order — a whole chain or
+    one run of it; ``reader(handle)`` is a generator returning a tuple
+    that starts ``(version, key_len, slot_key)``.  Whatever the reader
+    raises (a busy slot, an exhausted retry budget) ends the walk.
+
+    Returns ``(outcome, handle, snapshot, reusable)``: :data:`HIT` or
+    :data:`FREE` with the slot that settled it and the reader's tuple
+    for it, or :data:`CONTINUE` with two ``None``; *reusable* lists
+    ``(handle, version)`` for every claimable slot crossed, in chain
+    order — tombstones, then the never-used slot that ended the chain.
+    """
+    reusable = []
+    for handle in handles:
+        snapshot = yield from reader(handle)
+        found = classify(snapshot[1], snapshot[2], key)
+        if found == HIT:
+            return HIT, handle, snapshot, reusable
+        if found != OTHER:
+            reusable.append((handle, snapshot[0]))
+            if found == FREE:
+                return FREE, handle, snapshot, reusable
+    return CONTINUE, None, None, reusable

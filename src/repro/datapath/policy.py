@@ -18,11 +18,14 @@ Three concrete modes plus the adaptive chooser:
 EWMA of observed latency per mode, with deterministic round-robin
 probing and hysteresis + patience so the choice cannot flap on noise.
 It draws no randomness (repro-lint RL002: seeded replay must hold).
+:class:`ModeChooser` is what a data structure holds: the selector
+bound to one handle's client and policy, which also takes the
+measurement.
 """
 
 from __future__ import annotations
 
-__all__ = ["PathPolicy", "AdaptiveSelector"]
+__all__ = ["PathPolicy", "AdaptiveSelector", "ModeChooser"]
 
 
 class PathPolicy:
@@ -163,3 +166,36 @@ class AdaptiveSelector:
                 self.switches += 1
         else:
             st.streak = 0
+
+
+class ModeChooser(AdaptiveSelector):
+    """The per-op mode choice of one client handle (a table, a counter).
+
+    A fixed policy is its own mode and is never timed.  Under
+    ``adaptive`` the selector picks, and ``pick`` hands out a
+    ``(now, setup_events)`` token that ``done`` turns into the
+    observed latency — cold when the client did set-up work (a dial, a
+    fetch-buffer allocation) in between.
+    """
+
+    def __init__(self, client, policy: str, modes=PathPolicy.MODES):
+        super().__init__(modes,
+                         probe_every=client.config.datapath_probe_every)
+        self.client = client
+        self.policy = policy
+
+    def pick(self, op_class: str, modes=None):
+        """``(mode, token)`` for the next *op_class* operation."""
+        if self.policy != PathPolicy.ADAPTIVE:
+            return self.policy, None
+        return (self.choose(op_class, modes),
+                (self.client.sim.now, self.client.setup_events))
+
+    def done(self, op_class: str, mode: str, token) -> None:
+        """Close the measurement ``pick`` opened (no-op without one)."""
+        if token is not None:
+            started_at, setup_before = token
+            self.observe(
+                op_class, mode, self.client.sim.now - started_at,
+                cold=self.client.setup_events != setup_before,
+            )

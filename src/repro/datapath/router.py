@@ -7,11 +7,16 @@ outcome: busy slots back off and re-drive, stale epochs refresh the
 descriptor and retry, dead channels redial — all bounded by the same
 ``data_retry_limit`` the one-sided path honours.
 
-**Probe-run segmentation.**  A probe chain of up to ``probe_limit``
-slots may span stripe boundaries; consecutive same-host slots group
-into *runs* and each run is one ``dp_exec``.  A run answering
+**Probe-run segmentation.**  A probe chain (``ops.chain``) may span
+stripe boundaries; consecutive same-host slots group into *runs* and
+each run is one ``dp_exec`` — the server walks it with the same
+``ops.walk`` every prober uses and answers with the walk's outcome.
 ``("continue",)`` hands the chain to the next run, exactly as the
-one-sided prober walks slot by slot.
+one-sided prober walks slot by slot.  A store that crosses a
+tombstone in a run the chain outlives (``("reusable",)``) cannot be
+decided on one host — overwrite-if-present needs the rest of the
+chain, first-reusable needs this run — and falls back to the
+one-sided store.
 
 **Remote fetch (RFP).**  Per server host, the router lazily allocates
 a small fetch region *placed on that server*; a remote-fetch op asks
@@ -42,10 +47,6 @@ __all__ = ["DataPathRouter"]
 #: extra re-drives allowed for benign slot contention ("busy" replies)
 #: on top of the fault retry budget — contention is not a fault
 _BUSY_BUDGET = 256
-
-
-class _BusySlot(Exception):
-    """Internal: a server-op observed a locked slot; re-drive the op."""
 
 
 class _FetchBuffer:
@@ -154,8 +155,7 @@ class DataPathRouter:
     def _probe_runs(self, desc, store, base: int):
         """The probe chain as maximal same-host runs, in probe order."""
         runs: list[tuple[int, list]] = []
-        for probe in range(store.probe_limit):
-            index = (base + probe) % store.slots
+        for index in ops.chain(base, store.slots):
             slot_off = index * store.slot_size
             host_id, addr = self._locate_slot(desc, slot_off,
                                               store.slot_size)
@@ -243,69 +243,60 @@ class DataPathRouter:
 
     # -- kv operations -------------------------------------------------------
 
-    def _redrive(self, verb: str, once, store, key: bytes, arg):
-        """Run ``once(store, hash, key, arg)`` until it neither finds a
-        locked slot (back off) nor a stale epoch (refresh), within the
-        retry budget (generator)."""
+    def _kv_runs(self, op: str, store, base: int, key: bytes, fetch: bool,
+                 fields: dict):
+        """Ship *op* to the chain's runs in probe order (generator)
+        until one settles it; returns that run's reply, or the last
+        ``("continue",)`` when the probe window is exhausted."""
+        mapping = store.mapping
+        for host_id, slots in self._probe_runs(mapping.desc, store, base):
+            request = self._request(
+                op, mapping, key=key, **fields, slots=slots,
+                key_size=store.key_size, value_size=store.value_size,
+            )
+            reply = yield from self._exec(host_id, request, fetch)
+            if reply[0] != ops.CONTINUE:
+                break
+        return reply
+
+    def _kv_op(self, op: str, store, key: bytes, fetch: bool = False,
+               **fields):
+        """Drive one kv server-op to a settled reply (generator): a
+        locked slot backs off and re-walks, a stale epoch refreshes the
+        descriptor, both within the retry budget."""
         base = ops.hash64(key)
         self._busy_backoff.reset()
         for _attempt in range(self.config.data_retry_limit + _BUSY_BUDGET):
             try:
-                result = yield from once(store, base, key, arg)
-                return result
-            except _BusySlot:
-                self._m_busy_retries.inc()
-                yield from self._busy_backoff.pause()
+                reply = yield from self._kv_runs(op, store, base, key,
+                                                 fetch, fields)
             except StaleEpochError:
                 yield from self._refresh(store.mapping)
+                continue
+            if reply[0] != "busy":
+                return reply
+            self._m_busy_retries.inc()
+            yield from self._busy_backoff.pause()
         raise RetryBudgetExceededError(
-            f"kv {verb} of {key!r} kept racing writers")
+            f"{op} of {key!r} kept racing writers")
 
     def kv_get(self, store, key: bytes, fetch: bool = False):
         """Server-side probe-chain lookup (generator)."""
-        return self._redrive("get", self._kv_get_once, store, key, fetch)
-
-    def _kv_get_once(self, store, base: int, key: bytes, fetch: bool):
-        for host_id, slots in self._probe_runs(store.mapping.desc, store,
-                                               base):
-            request = self._request(
-                "kv_get", store.mapping, key=key, slots=slots,
-                key_size=store.key_size, value_size=store.value_size,
-            )
-            reply = yield from self._exec(host_id, request, fetch)
-            tag = reply[0]
-            if tag == "hit":
-                return reply[1]
-            if tag == "free":
-                return None
-            if tag == "busy":
-                raise _BusySlot()
-            # ("continue",): the chain spills into the next run
-        return None  # probe window exhausted without a match
+        reply = yield from self._kv_op("kv_get", store, key, fetch)
+        return reply[1] if reply[0] == ops.HIT else None
 
     def kv_put(self, store, key: bytes, value: bytes, fetch: bool = False):
-        """Server-side probe-chain store (generator).
+        """Server-side probe-chain store (generator); ``False`` when the
+        probe window holds no reusable slot.
 
         ``fetch`` degrades to plain server-op — a store's reply is a
         status tuple, so there is nothing worth depositing.
         """
-        return self._redrive("put", self._kv_put_once, store, key, value)
-
-    def _kv_put_once(self, store, base: int, key: bytes, value: bytes):
-        for host_id, slots in self._probe_runs(store.mapping.desc, store,
-                                               base):
-            request = self._request(
-                "kv_put", store.mapping, key=key, value=value, slots=slots,
-                key_size=store.key_size, value_size=store.value_size,
-            )
-            reply = yield from self._call(host_id, request)
-            tag = reply[0]
-            if tag == "stored":
-                return True
-            if tag == "busy":
-                raise _BusySlot()
-            # ("continue",): no eligible slot in this run
-        return False  # probe window exhausted: table full for this key
+        reply = yield from self._kv_op("kv_put", store, key, value=value)
+        if reply[0] == "reusable":
+            yield from store._put_one_sided(key, value)
+            return True
+        return reply[0] == "stored"
 
     def kv_multi_get(self, store, keys: list, fetch: bool = False):
         """Batched server-side lookups (generator), values in key order.

@@ -45,6 +45,10 @@ __all__ = ["ServerOpExecutor"]
 _DEPOSITABLE = ("hit", "multi", "counted")
 
 
+class _BusySlot(Exception):
+    """A slot reader found a writer's odd version word."""
+
+
 class ServerOpExecutor:
     """Applies composite client ops against one server's arena."""
 
@@ -120,117 +124,100 @@ class ServerOpExecutor:
 
     # -- kv ops --------------------------------------------------------------
 
-    def _probe(self, req: dict, key: bytes, slots):
-        """Walk one probe run (generator).
+    def _reader(self, req: dict, length: int):
+        """The probe walk's slot reader over the local arena.
 
-        This is where server-side execution earns its keep on deep
-        chains: the prober touches only the slot *header* (version +
-        key) per hop — local memory, a few dozen bytes — and pays for
-        the value exactly once, on the matching slot.  The one-sided
-        equivalent must READ the full slot every hop because it cannot
-        know a slot misses until the bytes arrive.
-
-        Yields CPU charges; returns one of::
-
-            ("hit", slot_off, version, value)   key found, read validated
-            ("free", ...)                       never-used slot ends chain
-            ("busy",)                           a writer holds a slot word
-            ("continue",)                       run exhausted, chain goes on
+        Each hop charges the CPU for *length* bytes, snapshots them in
+        one yield-free block, refuses a slot a writer holds, and
+        acquires the slot's version key on the client's actor — the
+        edge the one-sided prober's validated read would have taken.
+        *length* is what separates the two walks: a lookup touches only
+        the slot *header* (version + key) per hop and pays for the
+        value once, on the hit — the one-sided prober must READ the
+        full slot every hop because it cannot know a slot misses until
+        the bytes arrive — while a store reads whole slots.
         """
+        def read(slot):
+            slot_off, addr = slot
+            yield from self.cpu.copy(length)
+            blob = self._snapshot(addr, length)  # consistent: no yield
+            version = int.from_bytes(blob[:ops.WORD], "little")
+            if version % 2 == 1:
+                raise _BusySlot()
+            self.rsan.sync_acquire(
+                req["actor"], self._sync_key(req, slot_off, version))
+            return (version, *ops.parse_key(blob[ops.WORD:]))
+        return read
+
+    def _kv_get(self, req: dict):
+        """One probe run of a lookup: ``("hit", value)``, ``("busy",)``
+        or the walk's bare outcome."""
         key_size = req["key_size"]
         head = ops.WORD + ops.WORD + ops.pad(key_size)
         size = ops.slot_size(key_size, req["value_size"])
-        for slot_off, addr in slots:
-            yield from self.cpu.copy(head)
-            header = self._snapshot(addr, head)  # consistent: no yield
-            version = int.from_bytes(header[:ops.WORD], "little")
-            if version % 2 == 1:
-                return ("busy",)
-            key_len = int.from_bytes(header[ops.WORD:2 * ops.WORD],
-                                     "little")
-            slot_key = (header[2 * ops.WORD:2 * ops.WORD + key_len]
-                        if key_len not in (0, ops.TOMBSTONE) else b"")
-            if key_len != 0 and (key_len == ops.TOMBSTONE
-                                 or slot_key != key):
-                # validated observation of a non-matching slot: the
-                # one-sided prober acquires its version key too
-                self.rsan.sync_acquire(
-                    req["actor"], self._sync_key(req, slot_off, version))
-                continue  # occupied by someone else: keep probing
-            if key_len == 0:
-                # never-used slot ends the chain; its version key is
-                # what the one-sided prober would have validated
-                self.rsan.sync_acquire(
-                    req["actor"], self._sync_key(req, slot_off, version))
-                return ("free", slot_off, version, None)
-            # key match: now pay for the value and re-validate — the
-            # CPU charge yields, so the slot may have changed under us
-            yield from self.cpu.copy(size - head)
-            blob = self._snapshot(addr, size)  # consistent: no yield
-            cur_version = int.from_bytes(blob[:ops.WORD], "little")
-            if cur_version % 2 == 1 or cur_version != version:
-                return ("busy",)  # racing writer: caller re-drives
-            # the one-sided prober acquires the validated snapshot's
-            # version key (SeqLock.read) — mirror it at the validated
-            # instant
-            self.rsan.sync_acquire(req["actor"],
-                                   self._sync_key(req, slot_off, version))
-            _len, _key, value = ops.parse_body(blob[ops.WORD:], key_size)
-            return ("hit", slot_off, version, value)
-        return ("continue",)
-
-    def _kv_get(self, req: dict):
-        outcome = yield from self._probe(req, req["key"], req["slots"])
-        if outcome[0] == "hit":
-            return ("hit", outcome[3])
-        if outcome[0] == "free":
-            return ("free",)
-        return outcome  # ("busy",) or ("continue",)
+        try:
+            outcome, slot, snapshot, _reusable = yield from ops.walk(
+                req["key"], req["slots"], self._reader(req, head))
+        except _BusySlot:
+            return ("busy",)
+        if outcome != ops.HIT:
+            return (outcome,)
+        # now pay for the value and re-validate — the CPU charge
+        # yields, so the slot may have changed under us
+        yield from self.cpu.copy(size - head)
+        blob = self._snapshot(slot[1], size)  # consistent: no yield
+        if int.from_bytes(blob[:ops.WORD], "little") != snapshot[0]:
+            return ("busy",)  # racing writer: caller re-drives
+        _len, _key, value = ops.parse_body(blob[ops.WORD:], key_size)
+        return (ops.HIT, value)
 
     def _kv_put(self, req: dict):
-        key, value = req["key"], req["value"]
+        """One probe run of a store.
+
+        ``("stored", version)`` when the run settles it — the key is
+        here, or the chain ends here and the first reusable slot is
+        claimed.  ``("reusable",)`` when the run is exhausted but
+        crossed a tombstone: the key may still live further down the
+        chain, on another host, so the store cannot be decided here.
+        Otherwise ``("busy",)`` or ``("continue",)``.
+        """
+        key = req["key"]
         key_size, value_size = req["key_size"], req["value_size"]
         size = ops.slot_size(key_size, value_size)
-        body = ops.encode_body(key, value, key_size, value_size,
-                               tombstone=req.get("tombstone", False))
-        for slot_off, addr in req["slots"]:
-            yield from self.cpu.copy(size)
-            blob = self._snapshot(addr, size)
-            version = int.from_bytes(blob[:ops.WORD], "little")
-            if version % 2 == 1:
-                return ("busy",)
-            self.rsan.sync_acquire(req["actor"],
-                                   self._sync_key(req, slot_off, version))
-            key_len, slot_key, _val = ops.parse_body(blob[ops.WORD:],
-                                                     key_size)
-            if key_len not in (0, ops.TOMBSTONE) and slot_key != key:
-                continue  # occupied by another key: keep probing
-            # claim this slot.  Charge the publish copy first (it
-            # yields), then re-validate + write in one atomic block.
-            yield from self.cpu.copy(size)
-            blob = self._snapshot(addr, size)
-            cur_version = int.from_bytes(blob[:ops.WORD], "little")
-            if cur_version % 2 == 1:
-                return ("busy",)
-            cur_len, cur_key, _val = ops.parse_body(blob[ops.WORD:],
-                                                    key_size)
-            if cur_len not in (0, ops.TOMBSTONE) and cur_key != key:
-                return ("busy",)  # a racer claimed it for another key
-            new_version = cur_version + 2
-            actor = req["actor"]
-            # lock + publish edges at the apply instant — identical to
-            # the one-sided try_lock/publish pair, with no observable
-            # odd-version window because nothing yields in between
-            self.rsan.sync_acquire(
-                actor, self._sync_key(req, slot_off, cur_version))
-            self.rsan.sync_release(
-                actor, self._sync_key(req, slot_off, new_version))
-            self.mr.buffer.write(
-                self.mr.offset_of(addr),
-                new_version.to_bytes(ops.WORD, "little") + body,
-            )
-            return ("stored", new_version)
-        return ("continue",)
+        try:
+            outcome, slot, _snapshot, reusable = yield from ops.walk(
+                key, req["slots"], self._reader(req, size))
+        except _BusySlot:
+            return ("busy",)
+        if outcome == ops.CONTINUE:
+            return ("reusable",) if reusable else (ops.CONTINUE,)
+        if outcome == ops.FREE:
+            slot = reusable[0][0]
+        slot_off, addr = slot
+        # claim this slot.  Charge the publish copy first (it yields),
+        # then re-validate + write in one atomic block.
+        yield from self.cpu.copy(size)
+        blob = self._snapshot(addr, size)
+        cur_version = int.from_bytes(blob[:ops.WORD], "little")
+        cur_len, cur_key = ops.parse_key(blob[ops.WORD:])
+        if (cur_version % 2 == 1
+                or ops.classify(cur_len, cur_key, key) == ops.OTHER):
+            return ("busy",)  # locked, or a racer claimed it for another key
+        new_version = cur_version + 2
+        actor = req["actor"]
+        # lock + publish edges at the apply instant — identical to the
+        # one-sided try_lock/publish pair, with no observable
+        # odd-version window because nothing yields in between
+        self.rsan.sync_acquire(
+            actor, self._sync_key(req, slot_off, cur_version))
+        self.rsan.sync_release(
+            actor, self._sync_key(req, slot_off, new_version))
+        self.mr.buffer.write(
+            self.mr.offset_of(addr),
+            new_version.to_bytes(ops.WORD, "little")
+            + ops.encode_body(key, req["value"], key_size, value_size),
+        )
+        return ("stored", new_version)
 
     def _kv_multi_get(self, req: dict):
         """Batched lookups whose whole probe chain lives on this host."""
@@ -238,7 +225,7 @@ class ServerOpExecutor:
         for key, slots in req["entries"]:
             sub = dict(req, key=key, slots=slots)
             outcome = yield from self._kv_get(sub)
-            if outcome[0] == "free" or outcome[0] == "continue":
+            if outcome[0] in (ops.FREE, ops.CONTINUE):
                 # a full single-host chain that ends or exhausts is a
                 # definitive miss — same verdict the one-sided prober
                 # reaches after its probe window

@@ -6,12 +6,13 @@ Slot layout (all fields 8-byte aligned)::
 
 Each slot is one :class:`~repro.coord.SeqLock` record: the version
 word carries the writer lock (odd = locked) and the optimistic-read
-validation (readers snapshot the slot, then re-check the word).  The
-protocol used to be inlined here; it now lives in ``repro.coord`` and
-this table is its heaviest user — one SeqLock view per slot, writer
-contention paced by the shared :class:`~repro.coord.Backoff`
-discipline.  Deletes leave a tombstone (``key_len`` of ``2**63-1``) so
-linear probing keeps finding later entries.
+validation (readers snapshot the slot, then re-check the word) —
+one SeqLock view per slot, writer contention paced by the shared
+:class:`~repro.coord.Backoff` discipline.  Deletes leave a tombstone
+(``key_len`` of ``2**63-1``) so linear probing keeps finding later
+entries.  The slot codec and the probe protocol — chain order, slot
+classes, the store rule — live in :mod:`repro.datapath.ops`; this
+module supplies the one-sided slot readers and the lock/publish steps.
 """
 
 from __future__ import annotations
@@ -21,14 +22,10 @@ from repro.core.client import RStoreClient
 from repro.core.errors import RStoreError
 from repro.core.mapping import Mapping
 from repro.datapath import ops
-from repro.datapath.policy import AdaptiveSelector, PathPolicy
+from repro.datapath.policy import ModeChooser, PathPolicy
 
 __all__ = ["RKVStore", "KvError", "KvFullError"]
 
-_WORD = ops.WORD
-_TOMBSTONE = ops.TOMBSTONE
-#: linear-probe window before declaring the table full for a key
-_PROBE_LIMIT = 16
 #: optimistic-read retries before giving up (a writer livelocking us
 #: this long means something is deeply wrong in simulation)
 _READ_RETRIES = 64
@@ -43,18 +40,18 @@ class KvError(RStoreError):
 
 
 class KvFullError(KvError):
-    """No free slot within the probe window for this key."""
+    """No reusable slot within the probe window for this key."""
 
-
-#: module-level alias kept for the txn/baseline importers
-_hash64 = ops.hash64
+    def __init__(self, message: str = (
+            f"no slot for key within {ops.PROBE_LIMIT} probes")):
+        super().__init__(message)
 
 
 class RKVStore:
     """A fixed-capacity hash table shared by any number of clients."""
 
-    #: linear-probe window, exposed for the data-path router's planner
-    probe_limit = _PROBE_LIMIT
+    #: the linear-probe window (``ops.PROBE_LIMIT``), readable off a table
+    probe_limit = ops.PROBE_LIMIT
 
     def __init__(self, client: RStoreClient, name: str, mapping: Mapping,
                  slots: int, key_size: int, value_size: int):
@@ -64,18 +61,9 @@ class RKVStore:
         self.slots = slots
         self.key_size = key_size
         self.value_size = value_size
-        self.slot_size = self._slot_size(key_size, value_size)
+        self.slot_size = ops.slot_size(key_size, value_size)
         self._backoff = Backoff.for_client(client, f"kv-{name}")
-        cfg = client.config
-        #: per-op-class mode chooser, only under the adaptive policy
-        self._selector = None
-        if mapping.path_policy == PathPolicy.ADAPTIVE:
-            self._selector = AdaptiveSelector(
-                probe_every=cfg.datapath_probe_every,
-                hysteresis=cfg.datapath_hysteresis,
-                patience=cfg.datapath_patience,
-                alpha=cfg.datapath_ewma_alpha,
-            )
+        self._selector = ModeChooser(client, mapping.path_policy)
         # -- client-local metrics
         _labels = dict(table=name, host=client.nic.host.host_id)
         self._m_read_retries = client.obs.metrics.counter(
@@ -95,10 +83,6 @@ class RKVStore:
 
     # -- construction ----------------------------------------------------------
 
-    @staticmethod
-    def _slot_size(key_size: int, value_size: int) -> int:
-        return ops.slot_size(key_size, value_size)
-
     @classmethod
     def create(cls, client: RStoreClient, name: str, slots: int,
                key_size: int = 32, value_size: int = 128,
@@ -106,7 +90,7 @@ class RKVStore:
         """Allocate and map a fresh table (generator)."""
         if slots < 1:
             raise KvError("need at least one slot")
-        slot_size = cls._slot_size(key_size, value_size)
+        slot_size = ops.slot_size(key_size, value_size)
         # stripe on a slot boundary so no slot (and no version word)
         # ever straddles two memory servers
         base_stripe = max(client.config.stripe_size, slot_size)
@@ -156,17 +140,13 @@ class RKVStore:
         return SeqLock(
             self.mapping,
             self._slot_offset(index),
-            self.slot_size - _WORD,
+            self.slot_size - ops.WORD,
             max_read_retries=_READ_RETRIES,
         )
 
-    def _parse_body(self, body: bytes):
-        """Split a slot body (everything after the version word)."""
-        return ops.parse_body(body, self.key_size)
-
-    def _encode_body(self, key: bytes, value: bytes, tombstone=False) -> bytes:
-        return ops.encode_body(key, value, self.key_size, self.value_size,
-                               tombstone=tombstone)
+    def chain(self, key: bytes) -> list:
+        """The slot indices *key* may live in, in probe order."""
+        return ops.chain(ops.hash64(key), self.slots)
 
     def snapshot_slot(self, index: int):
         """One raw slot snapshot in a single one-sided READ (generator).
@@ -181,8 +161,8 @@ class RKVStore:
         blob = yield from self.mapping.read(
             self._slot_offset(index), self.slot_size
         )
-        version = int.from_bytes(blob[:_WORD], "little")
-        key_len, key, value = self._parse_body(blob[_WORD:])
+        version = int.from_bytes(blob[:ops.WORD], "little")
+        key_len, key, value = ops.parse_body(blob[ops.WORD:], self.key_size)
         return version, key_len, key, value
 
     def _read_slot(self, index: int):
@@ -199,7 +179,7 @@ class RKVStore:
             ) from exc
         finally:
             self._m_read_retries.inc(lock.read_retries - before)
-        key_len, key, value = self._parse_body(body)
+        key_len, key, value = ops.parse_body(body, self.key_size)
         return version, key_len, key, value
 
     # -- the API -------------------------------------------------------------------
@@ -221,25 +201,6 @@ class RKVStore:
             deadline=deadline,
         )
 
-    # -- mode dispatch (see repro.datapath) ----------------------------------
-
-    def _pick(self, op_class: str, modes=PathPolicy.MODES):
-        """``(mode, token)`` for the next *op_class* operation; the
-        timing token is only taken under the adaptive policy."""
-        policy = self.mapping.path_policy
-        if policy == PathPolicy.ADAPTIVE:
-            return (self._selector.choose(op_class, modes),
-                    (self.client.sim.now, self.client.setup_events))
-        return policy, None
-
-    def _done(self, op_class: str, mode: str, token) -> None:
-        if token is not None:
-            started_at, setup_before = token
-            self._selector.observe(
-                op_class, mode, self.client.sim.now - started_at,
-                cold=self.client.setup_events != setup_before,
-            )
-
     def put(self, key: bytes, value: bytes):
         """Insert or overwrite (generator)."""
         self._check_key(key)
@@ -248,33 +209,26 @@ class RKVStore:
                 f"value of {len(value)} bytes exceeds slot value size "
                 f"{self.value_size}"
             )
-        mode, started_at = self._pick("put", modes=_PUT_MODES)
+        mode, token = self._selector.pick("put", modes=_PUT_MODES)
         if mode == PathPolicy.ONE_SIDED:
             yield from self._put_one_sided(key, value)
         else:
             stored = yield from self.client.datapath.kv_put(self, key, value)
             if not stored:
-                raise KvFullError(
-                    f"no slot for key within {_PROBE_LIMIT} probes"
-                )
-        self._done("put", mode, started_at)
+                raise KvFullError()
+        self._selector.done("put", mode, token)
 
     def _put_one_sided(self, key: bytes, value: bytes):
-        base = _hash64(key)
         self._backoff.reset()
         while True:
-            target = None
-            for probe in range(_PROBE_LIMIT):
-                index = (base + probe) % self.slots
-                version, key_len, slot_key, _v = yield from self._read_slot(index)
-                if key_len == 0 or key_len == _TOMBSTONE or slot_key == key:
-                    target = (index, version)
-                    break
-            if target is None:
-                raise KvFullError(
-                    f"no slot for key within {_PROBE_LIMIT} probes"
-                )
-            index, version = target
+            outcome, index, snapshot, reusable = yield from ops.walk(
+                key, self.chain(key), self._read_slot)
+            if outcome == ops.HIT:
+                version = snapshot[0]
+            elif reusable:
+                index, version = reusable[0]
+            else:
+                raise KvFullError()
             lock = self.slot_lock(index)
             locked = yield from lock.try_lock(version)
             if not locked:
@@ -285,45 +239,36 @@ class RKVStore:
             # guard against a racing writer having claimed the slot for
             # a different key between our read and our lock
             body = yield from self.mapping.read(
-                self._slot_offset(index) + _WORD, self.slot_size - _WORD
+                self._slot_offset(index) + ops.WORD,
+                self.slot_size - ops.WORD
             )
-            cur_len, cur_key, _val = self._parse_body(body)
-            if cur_len not in (0, _TOMBSTONE) and cur_key != key:
+            cur_len, cur_key = ops.parse_key(body)
+            if ops.classify(cur_len, cur_key, key) == ops.OTHER:
                 # a racing writer claimed this slot for another key
                 # between our probe and our lock: back out (contents
                 # untouched) and re-probe
                 yield from lock.abort(version)
                 continue
             yield from lock.publish(
-                version + 1, self._encode_body(key, value)
+                version + 1,
+                ops.encode_body(key, value, self.key_size, self.value_size)
             )
             return
 
     def get(self, key: bytes):
         """Lookup (generator); returns the value or ``None``."""
         self._check_key(key)
-        mode, started_at = self._pick("get")
+        mode, token = self._selector.pick("get")
         if mode == PathPolicy.ONE_SIDED:
-            value = yield from self._get_one_sided(key)
+            outcome, _index, snapshot, _reusable = yield from ops.walk(
+                key, self.chain(key), self._read_slot)
+            value = snapshot[3] if outcome == ops.HIT else None
         else:
             value = yield from self.client.datapath.kv_get(
                 self, key, fetch=(mode == PathPolicy.REMOTE_FETCH)
             )
-        self._done("get", mode, started_at)
+        self._selector.done("get", mode, token)
         return value
-
-    def _get_one_sided(self, key: bytes):
-        base = _hash64(key)
-        for probe in range(_PROBE_LIMIT):
-            index = (base + probe) % self.slots
-            _version, key_len, slot_key, value = yield from self._read_slot(index)
-            if key_len == 0:
-                return None  # never-used slot terminates the probe chain
-            if key_len == _TOMBSTONE:
-                continue
-            if slot_key == key:
-                return value
-        return None
 
     def multi_get(self, keys: list):
         """Batched lookup (generator); values (or ``None``) in key order.
@@ -341,26 +286,25 @@ class RKVStore:
         """
         for key in keys:
             self._check_key(key)
-        mode, started_at = self._pick("multi_get")
-        if mode != PathPolicy.ONE_SIDED:
+        mode, token = self._selector.pick("multi_get")
+        if mode == PathPolicy.ONE_SIDED:
+            values = yield from self._multi_get_one_sided(keys)
+        else:
             values = yield from self.client.datapath.kv_multi_get(
                 self, keys, fetch=(mode == PathPolicy.REMOTE_FETCH)
             )
-            self._done("multi_get", mode, started_at)
-            return values
-        values = yield from self._multi_get_one_sided(keys)
-        self._done("multi_get", mode, started_at)
+        self._selector.done("multi_get", mode, token)
         return values
 
     def _multi_get_one_sided(self, keys: list):
         results: list = [None] * len(keys)
         probes = [0] * len(keys)
         tries = [0] * len(keys)
-        bases = [_hash64(key) for key in keys]
+        chains = [self.chain(key) for key in keys]
         pending = list(range(len(keys)))
 
         def slot_of(i):
-            return (bases[i] + probes[i]) % self.slots
+            return chains[i][probes[i]]
 
         def raced(i):
             # same budget and failure mode as _read_slot
@@ -384,7 +328,7 @@ class RKVStore:
             snapshots = {}
             for i in pending:
                 blob = yield from futs[i].wait()
-                version = int.from_bytes(blob[:_WORD], "little")
+                version = int.from_bytes(blob[:ops.WORD], "little")
                 if version % 2 == 1:
                     raced(i)  # writer mid-publish: re-probe next round
                     continue
@@ -395,7 +339,7 @@ class RKVStore:
             vfuts = {}
             for i in snapshots:
                 vfuts[i] = yield from check.read(
-                    self.mapping, self._slot_offset(slot_of(i)), _WORD
+                    self.mapping, self._slot_offset(slot_of(i)), ops.WORD
                 )
             yield from check.flush()
             settled = []
@@ -404,16 +348,18 @@ class RKVStore:
                 if int.from_bytes(word, "little") != version:
                     raced(i)  # a writer published between the reads
                     continue
-                key_len, slot_key, value = self._parse_body(blob[_WORD:])
-                if key_len == 0:
-                    settled.append(i)  # never-used slot ends the chain
-                elif key_len != _TOMBSTONE and slot_key == keys[i]:
+                key_len, slot_key, value = ops.parse_body(
+                    blob[ops.WORD:], self.key_size)
+                found = ops.classify(key_len, slot_key, keys[i])
+                if found == ops.HIT:
                     results[i] = value
                     settled.append(i)
+                elif found == ops.FREE:
+                    settled.append(i)  # never-used slot ends the chain
                 else:
                     probes[i] += 1
                     tries[i] = 0
-                    if probes[i] >= _PROBE_LIMIT:
+                    if probes[i] >= len(chains[i]):
                         settled.append(i)
             for i in settled:
                 pending.remove(i)
@@ -428,21 +374,13 @@ class RKVStore:
         must never claim a fresh slot.
         """
         self._check_key(key)
-        base = _hash64(key)
         self._backoff.reset()
         while True:
-            found = None
-            for probe in range(_PROBE_LIMIT):
-                index = (base + probe) % self.slots
-                version, key_len, slot_key, _v = yield from self._read_slot(index)
-                if key_len == 0:
-                    return False
-                if key_len != _TOMBSTONE and slot_key == key:
-                    found = (index, version)
-                    break
-            if found is None:
+            outcome, index, snapshot, _reusable = yield from ops.walk(
+                key, self.chain(key), self._read_slot)
+            if outcome != ops.HIT:
                 return False
-            index, version = found
+            version = snapshot[0]
             lock = self.slot_lock(index)
             locked = yield from lock.try_lock(version)
             if not locked:
@@ -450,7 +388,9 @@ class RKVStore:
                 yield from self._backoff.pause()
                 continue
             yield from lock.publish(
-                version + 1, self._encode_body(b"", b"", tombstone=True)
+                version + 1,
+                ops.encode_body(b"", b"", self.key_size, self.value_size,
+                                tombstone=True)
             )
             return True
 

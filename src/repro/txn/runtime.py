@@ -37,6 +37,8 @@ so exhaustion raises the *typed* ``DeadlineExceededError`` /
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.coord import Backoff, SeqLock
 from repro.coord.base import read_word
 from repro.core.errors import (
@@ -45,7 +47,8 @@ from repro.core.errors import (
     RecoverableError,
     RStoreError,
 )
-from repro.kv.hashkv import _PROBE_LIMIT, _TOMBSTONE, KvError, KvFullError, _hash64
+from repro.datapath import ops
+from repro.kv.hashkv import KvError, KvFullError
 
 __all__ = ["Txn", "TxnRuntime", "TxnError", "TxnConflictError",
            "TxnMisuseError"]
@@ -186,7 +189,7 @@ class Txn:
             )
             if version % 2 == 0:
                 self._note_read(store.slot_lock(index), version)
-                return key_len, key, value
+                return version, key_len, key, value
             self.runtime._m_read_retries.inc()
             yield from self._read_backoff.pause()
         raise TxnConflictError(
@@ -202,33 +205,18 @@ class Txn:
         state = self._keys.get(skey)
         if state is not None:
             return state
-        base = _hash64(key)
-        frees = []
-        state = None
-        for probe in range(_PROBE_LIMIT):
-            index = (base + probe) % store.slots
-            key_len, slot_key, value = yield from self._snapshot_slot(
-                store, index
-            )
-            if key_len == 0:
-                frees.append((index, self._slot_version(store, index)))
-                break  # a never-used slot terminates the probe chain
-            if key_len == _TOMBSTONE:
-                frees.append((index, self._slot_version(store, index)))
-                continue
-            if slot_key == key:
-                state = _KeyState(store, key, index,
-                                  self._slot_version(store, index),
-                                  True, value, frees)
-                break
-        if state is None:
+        # the chain's reusable slots are the insert candidates; every
+        # slot crossed is in the read-set, so a racing insert anywhere
+        # on the chain invalidates this lookup at commit
+        outcome, index, snapshot, frees = yield from ops.walk(
+            key, store.chain(key), partial(self._snapshot_slot, store))
+        if outcome == ops.HIT:
+            state = _KeyState(store, key, index, snapshot[0], True,
+                              snapshot[3], frees)
+        else:
             state = _KeyState(store, key, None, None, False, None, frees)
         self._keys[skey] = state
         return state
-
-    def _slot_version(self, store, index):
-        return self._reads[(store.mapping.name,
-                            store.slot_lock(index).offset)].version
 
     # -- buffered table ops ---------------------------------------------------
 
@@ -259,9 +247,7 @@ class Txn:
                     self._insert_taken.add((store.mapping.name, index))
                     break
             else:
-                raise KvFullError(
-                    f"no slot for key within {_PROBE_LIMIT} probes"
-                )
+                raise KvFullError()
         state.pending = ("put", bytes(value))
 
     def delete(self, store, key: bytes):
@@ -328,11 +314,14 @@ class Txn:
         for state in self._keys.values():
             if state.pending is None:
                 continue
-            lock = state.store.slot_lock(state.index)
+            store = state.store
+            lock = store.slot_lock(state.index)
             if state.pending[0] == "put":
-                body = state.store._encode_body(state.key, state.pending[1])
+                body = ops.encode_body(state.key, state.pending[1],
+                                       store.key_size, store.value_size)
             else:
-                body = state.store._encode_body(b"", b"", tombstone=True)
+                body = ops.encode_body(b"", b"", store.key_size,
+                                       store.value_size, tombstone=True)
             writes.append(_WriteEntry(
                 lock, (lock.mapping.name, lock.offset), state.version, body
             ))

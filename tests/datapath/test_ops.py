@@ -60,12 +60,81 @@ def test_hash64_is_deterministic_64_bit_and_spreads():
     assert len(draws) == 1000  # no collisions over a small set
 
 
-def test_codec_matches_the_tables_inline_layout():
-    # the kv store and the server-op executor must speak one layout;
-    # RKVStore delegates here, so divergence would break mixed-mode
-    # clusters mid-flight
-    import repro.core  # noqa: F401 -- kv cannot be the first entry into core
-    from repro.kv.hashkv import RKVStore, _hash64
+def test_chain_is_the_probe_window_from_the_hash_wrapping_at_the_end():
+    assert ops.chain(5, 1000) == list(range(5, 5 + ops.PROBE_LIMIT))
+    assert ops.chain(1 << 40, 7) == [((1 << 40) + p) % 7
+                                    for p in range(ops.PROBE_LIMIT)]
 
-    assert RKVStore._slot_size(32, 128) == ops.slot_size(32, 128)
-    assert _hash64(b"same-stream") == ops.hash64(b"same-stream")
+
+def test_classify_names_the_four_slot_classes():
+    assert ops.classify(0, b"", b"k") == ops.FREE
+    assert ops.classify(ops.TOMBSTONE, b"", b"k") == ops.DEAD
+    assert ops.classify(1, b"k", b"k") == ops.HIT
+    assert ops.classify(1, b"j", b"k") == ops.OTHER
+
+
+class _Busy(Exception):
+    pass
+
+
+def _walk(slots, key=b"k", handles=None):
+    """Drive ``ops.walk`` over an in-memory slot list; a slot is
+    ``(version, key_len, key, value)`` or ``None`` for write-locked."""
+    read = []
+
+    def reader(handle):
+        read.append(handle)
+        if slots[handle] is None:
+            raise _Busy()
+        return slots[handle]
+        yield  # pragma: no cover -- makes this a generator
+
+    walker = ops.walk(key, range(len(slots)) if handles is None else handles,
+                      reader)
+    try:
+        next(walker)
+    except StopIteration as done:
+        return done.value, read
+    raise AssertionError("an in-memory reader never yields")
+
+
+_FREE = (0, 0, b"", b"")
+_DEAD = (4, ops.TOMBSTONE, b"", b"")
+_MINE = (2, 1, b"k", b"v")
+_THEIRS = (6, 1, b"j", b"w")
+
+
+@pytest.mark.parametrize("slots,outcome,handle,reusable,reads", [
+    # hit on the home slot: nothing else is read
+    ([_MINE, _FREE], ops.HIT, 0, [], 1),
+    # other keys are stepped over
+    ([_THEIRS, _THEIRS, _MINE], ops.HIT, 2, [], 3),
+    # a never-used slot ends the chain and is itself claimable
+    ([_THEIRS, _FREE, _MINE], ops.FREE, 1, [(1, 0)], 2),
+    # a tombstone does not end the chain: the key behind it is found,
+    # and the tombstone is reported, not claimed
+    ([_DEAD, _MINE], ops.HIT, 1, [(0, 4)], 2),
+    # reusable slots come back in chain order, tombstones first
+    ([_DEAD, _THEIRS, _DEAD, _FREE], ops.FREE, 3,
+     [(0, 4), (2, 4), (3, 0)], 4),
+    # handles exhausted: the run (or window) is over, the chain is not
+    ([_THEIRS, _DEAD, _THEIRS], ops.CONTINUE, None, [(1, 4)], 3),
+    ([], ops.CONTINUE, None, [], 0),
+])
+def test_walk_outcomes(slots, outcome, handle, reusable, reads):
+    (got, got_handle, snapshot, got_reusable), read = _walk(slots)
+    assert (got, got_handle, got_reusable) == (outcome, handle, reusable)
+    assert snapshot == (slots[handle] if handle is not None else None)
+    assert read == list(range(reads))
+
+
+def test_walk_follows_the_handles_it_is_given_not_slot_order():
+    slots = [_MINE, _THEIRS, _FREE]
+    (outcome, handle, _snap, _reusable), read = _walk(slots,
+                                                      handles=[1, 2, 0])
+    assert (outcome, handle, read) == (ops.FREE, 2, [1, 2])
+
+
+def test_walk_lets_the_readers_refusal_through():
+    with pytest.raises(_Busy):
+        _walk([_THEIRS, None, _MINE])

@@ -172,6 +172,51 @@ def test_chain_straddling_stripes_still_resolves_every_key():
     cluster.run_app(app())
 
 
+def test_store_with_a_tombstone_on_an_earlier_host_finds_the_key_behind_it():
+    # the key lives in the chain's second run and a tombstone sits in
+    # the first: the first host can neither claim the tombstone (the
+    # key may be further down) nor see the rest of the chain, so the
+    # store must fall back rather than leave two copies of the key
+    cluster = fresh_cluster(stripe_size=8 * KiB)
+    client = cluster.client(1)
+
+    def home_key(index, slots):
+        return next(key for key in (b"f%d-%d" % (index, i)
+                                    for i in range(100_000))
+                    if ops.hash64(key) % slots == index)
+
+    def app():
+        store = yield from RKVStore.create(client, "behind", slots=400,
+                                           key_size=16, value_size=64,
+                                           path_policy="server_op")
+        router = client.datapath
+        key, first_run = next(
+            (key, runs[0][1])
+            for key in (b"k%d" % i for i in range(10_000))
+            for runs in [router._probe_runs(store.mapping.desc, store,
+                                            ops.hash64(key))]
+            if len(runs) > 1
+        )
+        fillers = [home_key(slot_off // store.slot_size, store.slots)
+                   for slot_off, _addr in first_run]
+        for filler in fillers:
+            yield from store.put(filler, b"filler")
+        yield from store.put(key, b"v1")          # lands in the second run
+        assert (yield from store.delete(fillers[0])) is True
+        shipped = router.server_ops
+        yield from store.put(key, b"v2")
+        # the first host answered "reusable"; the rest went one-sided
+        assert router.server_ops == shipped + 1
+        assert (yield from store.get(key)) == b"v2"
+        # an absent key sharing the chain reuses the tombstone
+        yield from store.put(fillers[0], b"back")
+        assert (yield from store.get(fillers[0])) == b"back"
+        assert (yield from store.delete(key)) is True
+        assert (yield from store.get(key)) is None
+
+    cluster.run_app(app())
+
+
 def test_stale_epoch_refreshes_and_retries():
     cluster = fresh_cluster()
     client = cluster.client(1)

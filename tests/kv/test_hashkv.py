@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import build_cluster
 from repro.core import RStoreConfig
+from repro.datapath import ops
 from repro.kv import KvError, KvFullError, RKVStore
 from repro.simnet.config import KiB, MiB
 
@@ -78,6 +79,32 @@ def test_delete_and_tombstone_probing(cluster):
     assert missing is None
     assert survivors == [b"v-a", b"v-c"]
     assert d == b"v-d"
+
+
+@pytest.mark.parametrize("path_policy", [None, "server_op"])
+def test_store_behind_a_tombstone_overwrites_instead_of_duplicating(
+        cluster, path_policy):
+    # a and b share a home slot, so b lives behind a; once a is a
+    # tombstone, a store of b must still find b further down the chain
+    # — claiming the tombstone first would leave two copies of b, and
+    # deleting one would resurrect the other
+    slots = 64
+    store = make_store(cluster, f"resurrect-{path_policy}", slots=slots,
+                       path_policy=path_policy)
+    a = b"key-0"
+    b = next(key for key in (b"key-%d" % i for i in range(1, 10_000))
+             if ops.hash64(key) % slots == ops.hash64(a) % slots)
+
+    def app():
+        yield from store.put(a, b"A")
+        yield from store.put(b, b"B1")
+        yield from store.delete(a)
+        yield from store.put(b, b"B2")
+        assert (yield from store.get(b)) == b"B2"
+        assert (yield from store.delete(b)) is True
+        assert (yield from store.get(b)) is None
+
+    cluster.run_app(app())
 
 
 def test_delete_missing_returns_false(cluster):
@@ -310,7 +337,8 @@ def test_multi_get_snapshots_validate_under_concurrent_writers():
     assert rsan_for(sim).races == [], rsan_for(sim).report()
 
 
-@settings(max_examples=20, deadline=None)
+@pytest.mark.parametrize("path_policy", [None, "server_op"])
+@settings(max_examples=40, deadline=None)
 @given(
     ops=st.lists(
         st.tuples(
@@ -321,8 +349,10 @@ def test_multi_get_snapshots_validate_under_concurrent_writers():
         max_size=40,
     )
 )
-def test_matches_dict_reference(ops):
-    """Property: the table behaves like a dict under any op sequence."""
+def test_matches_dict_reference(path_policy, ops):
+    """Property: the table behaves like a dict under any op sequence —
+    16 keys in 24 slots, so chains collide and tombstones sit inside
+    them."""
     cluster = build_cluster(
         num_machines=2,
         config=RStoreConfig(stripe_size=64 * KiB),
@@ -332,7 +362,8 @@ def test_matches_dict_reference(ops):
     reference: dict[bytes, bytes] = {}
 
     def app():
-        store = yield from RKVStore.create(client, "model", slots=128)
+        store = yield from RKVStore.create(client, "model", slots=24,
+                                           path_policy=path_policy)
         for op, key_id, value in ops:
             key = f"key-{key_id}".encode()
             if op == "put":

@@ -9,8 +9,8 @@ from repro.core.errors import (
     DeadlineExceededError,
     RetryBudgetExceededError,
 )
+from repro.datapath.ops import hash64 as _hash64
 from repro.kv import KvFullError, RKVStore
-from repro.kv.hashkv import _hash64
 from repro.simnet.config import KiB, MiB
 from repro.txn import TxnConflictError, TxnMisuseError
 
