@@ -225,6 +225,7 @@ class RNic:
         self._m_doorbells.inc()
         model = self.model
         now = self.sim.now
+        call_later = self.sim.call_later
         tracing = self.obs.tracer.enabled
         rsan = self.rsan if self.rsan.enabled else None
         start = max(now + model.doorbell_s, self._engine_busy_until)
@@ -239,10 +240,7 @@ class RNic:
                     and len(wr.inline_data) <= model.max_inline):
                 processing = max(0.0, processing - model.inline_saving_s)
             start += processing
-            self._after(
-                start - now,
-                lambda qp=qp, wr=wr: self._launch(qp, wr),
-            )
+            call_later(start - now, self._launch, qp, wr)
         self._engine_busy_until = start
 
     def kill(self) -> None:
@@ -250,9 +248,6 @@ class RNic:
         self.alive = False
 
     # -- internal helpers ----------------------------------------------------
-
-    def _after(self, delay: float, fn: Callable[[], None]) -> None:
-        self.sim.timeout(delay).add_callback(lambda _e: fn())
 
     def _launch(self, qp: QueuePair, wr: SendWR) -> None:
         if not self.alive:
@@ -269,7 +264,7 @@ class RNic:
             if detail:
                 # injected wire fault: the op times out and errors the QP,
                 # exactly like losing the peer mid-flight
-                self._after(
+                self.sim.call_later(
                     self.model.retry_timeout_s,
                     lambda: self._complete(
                         qp, wr, WcStatus.RETRY_EXC_ERR, detail=detail
@@ -282,7 +277,7 @@ class RNic:
             # model the RC transport retry timer — if no completion has
             # been raised by then, the op fails with RETRY_EXC_ERR.
             # First completion wins (see the guard in ``_complete``).
-            self._after(
+            self.sim.call_later(
                 self.model.retry_timeout_s,
                 lambda: self._complete(
                     qp, wr, WcStatus.RETRY_EXC_ERR,
@@ -371,7 +366,7 @@ class RNic:
 
     def _schedule_retry_failure(self, qp: QueuePair, wr: SendWR) -> None:
         """The peer is unreachable: complete with RETRY_EXC after timeout."""
-        self._after(
+        self.sim.call_later(
             self.model.retry_timeout_s,
             lambda: self._complete(
                 qp,
@@ -404,7 +399,7 @@ class RNic:
         """Remote-side rejection: error response after a round trip."""
         remote._send_control(
             self,
-            lambda: self._after(
+            lambda: self.sim.call_later(
                 self.model.completion_s,
                 lambda: self._complete(
                     qp, wr, WcStatus.REM_ACCESS_ERR, detail=detail
@@ -442,7 +437,7 @@ class RNic:
                                            qp, wr)
                 remote._send_control(
                     self,
-                    lambda: self._after(
+                    lambda: self.sim.call_later(
                         self.model.completion_s,
                         lambda: self._complete(
                             qp, wr, WcStatus.SUCCESS, byte_len=wr.length
@@ -450,7 +445,7 @@ class RNic:
                     ),
                 )
 
-            self._after(remote.model.remote_dma_s, do_dma)
+            self.sim.call_later(remote.model.remote_dma_s, do_dma)
 
         self._transmit(remote, wr.bytes_on_wire, on_data_arrival)
 
@@ -479,7 +474,7 @@ class RNic:
                         wr.local_mr.buffer.write(
                             wr.local_mr.offset_of(wr.local_addr), data
                         )
-                    self._after(
+                    self.sim.call_later(
                         self.model.completion_s,
                         lambda: self._complete(
                             qp, wr, WcStatus.SUCCESS, byte_len=wr.length
@@ -495,7 +490,7 @@ class RNic:
                     on_delivered=on_response_arrival,
                 )
 
-            self._after(remote.model.remote_dma_s, do_dma)
+            self.sim.call_later(remote.model.remote_dma_s, do_dma)
 
         self._send_control(remote, on_request_arrival)
 
@@ -537,7 +532,7 @@ class RNic:
                                          8, "atomic", wr)
                 remote._send_control(
                     self,
-                    lambda: self._after(
+                    lambda: self.sim.call_later(
                         self.model.completion_s,
                         lambda: self._complete(
                             qp,
@@ -549,7 +544,7 @@ class RNic:
                     ),
                 )
 
-            self._after(
+            self.sim.call_later(
                 remote.model.remote_dma_s + remote.model.atomic_extra_s, do_atomic
             )
 
@@ -593,7 +588,7 @@ class RNic:
         if kind == "imm":
             # data already landed one-sidedly; the receive just carries
             # the immediate and the byte count
-            self._after(
+            self.sim.call_later(
                 self.model.completion_s,
                 lambda: dst_qp.recv_cq.push(
                     WorkCompletion(
@@ -622,7 +617,7 @@ class RNic:
             dst_qp.set_error("receive buffer too small")
             self._send_control(
                 src_nic,
-                lambda: src_nic._after(
+                lambda: src_nic.sim.call_later(
                     src_nic.model.completion_s,
                     lambda: src_nic._complete(
                         src_qp,
@@ -634,7 +629,7 @@ class RNic:
             )
             return
         rwr.local_mr.buffer.write(rwr.local_mr.offset_of(rwr.local_addr), payload)
-        self._after(
+        self.sim.call_later(
             self.model.completion_s,
             lambda: dst_qp.recv_cq.push(
                 WorkCompletion(
@@ -648,7 +643,7 @@ class RNic:
         )
         self._send_control(
             src_nic,
-            lambda: src_nic._after(
+            lambda: src_nic.sim.call_later(
                 src_nic.model.completion_s,
                 lambda: src_nic._complete(
                     src_qp, swr, WcStatus.SUCCESS, byte_len=swr.length

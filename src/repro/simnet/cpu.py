@@ -36,13 +36,17 @@ class Cpu:
         """Occupy one core for *seconds* (generator)."""
         if seconds < 0:
             raise ValueError(f"negative CPU time {seconds}")
-        req = self._res.request()
-        yield req
+        res = self._res
+        slot = res.try_acquire()
+        if slot is None:
+            # every core is busy: queue FIFO behind the other waiters
+            slot = res.request()
+            yield slot
         try:
             yield self.sim.timeout(seconds)
             self.busy_seconds += seconds
         finally:
-            self._res.release(req)
+            res.release(slot)
 
     def copy(self, nbytes: int):
         """Charge a memory copy of *nbytes* on one core (generator)."""

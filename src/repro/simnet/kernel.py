@@ -15,6 +15,10 @@ Design notes
   simulations are fully deterministic.
 * A failed event whose exception is never delivered to a waiting process
   re-raises out of :meth:`Simulator.run` — errors never pass silently.
+* A queue entry is either an :class:`Event` or a *bare call*
+  (:meth:`Simulator.call_later`): a callable plus its arguments, for a
+  timer nothing can wait on, cancel or read a value from.  Both draw
+  from one sequence counter, so they interleave FIFO.
 """
 
 from __future__ import annotations
@@ -123,7 +127,7 @@ class Event:
         being lost — this makes already-completed events safe to wait on.
         """
         if self._processed:
-            self.sim._schedule_call(callback, self)
+            self.sim.call_later(0.0, callback, self)
         else:
             assert self.callbacks is not None
             self.callbacks.append(callback)
@@ -145,11 +149,28 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        super().__init__(sim)
-        self.delay = delay
-        self._ok = True
+        # Event.__init__ and Simulator._schedule, inlined: a timeout is
+        # born triggered, and this is the kernel's hottest constructor.
+        self.sim = sim
+        self.callbacks = []
         self._value = value
-        sim._schedule(self, delay=delay)
+        self._ok = True
+        self._processed = False
+        self.defused = False
+        self.delay = delay
+        sim._seq = seq = sim._seq + 1
+        heapq.heappush(sim._queue, (sim._now + delay, seq, self, None))
+
+
+class _Start:
+    """What a new process is first resumed with: success, no value."""
+
+    __slots__ = ()
+    _ok = True
+    _value = None
+
+
+_START = _Start()
 
 
 class Process(Event):
@@ -171,12 +192,9 @@ class Process(Event):
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self._waiting_on: Optional[Event] = None
+        sim.processes_spawned += 1
         # Kick the process off at the current instant.
-        init = Event(sim)
-        init._ok = True
-        init._value = None
-        sim._schedule(init, delay=0.0)
-        init.add_callback(self._resume)
+        sim.call_later(0.0, self._resume, _START)
 
     @property
     def is_alive(self) -> bool:
@@ -306,9 +324,12 @@ class Simulator:
 
     def __init__(self):
         self._now = 0.0
-        self._queue: list[tuple[float, int, Event]] = []
+        #: ``(when, seq, event, None)`` or ``(when, seq, fn, args)``
+        self._queue: list[tuple] = []
         self._seq = 0
         self._active_process: Optional[Process] = None
+        #: processes ever started on this simulator
+        self.processes_spawned = 0
         #: per-simulation contexts (``repro.obs.obs_for``,
         #: ``repro.sanitize.rsan_for``), freed with the simulator
         self.obs = None
@@ -322,6 +343,17 @@ class Simulator:
     @property
     def active_process(self) -> Optional[Process]:
         return self._active_process
+
+    @property
+    def events_scheduled(self) -> int:
+        """Queue entries ever pushed (events and bare calls alike)."""
+        return self._seq
+
+    @property
+    def events_processed(self) -> int:
+        """Queue entries :meth:`step` has run: nothing is ever cancelled,
+        so it is what was pushed minus what is still queued."""
+        return self._seq - len(self._queue)
 
     # -- event construction ------------------------------------------------
 
@@ -345,23 +377,31 @@ class Simulator:
 
     def _schedule(self, event: Event, delay: float) -> None:
         self._seq += 1
-        heapq.heappush(self._queue, (self._now + delay, self._seq, event))
+        heapq.heappush(self._queue, (self._now + delay, self._seq, event, None))
 
-    def _schedule_call(self, callback: Callable[[Event], None], event: Event) -> None:
-        """Schedule a bare callback invocation at the current instant."""
-        proxy = Event(self)
-        proxy._ok = event._ok
-        proxy._value = event._value
-        proxy.defused = True
-        self._schedule(proxy, delay=0.0)
-        proxy.add_callback(lambda _e: callback(event))
+    def call_later(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
+        """Run ``fn(*args)`` after *delay* simulated seconds.
+
+        The cheap timer: no :class:`Event`, so nothing can wait on it,
+        cancel it or read a value from it — use :meth:`timeout` when
+        something must.  It takes its turn among same-instant events in
+        FIFO order like any other entry, and an exception *fn* raises
+        surfaces from :meth:`run`.
+        """
+        if delay < 0:
+            raise ValueError(f"negative delay {delay}")
+        self._seq += 1
+        heapq.heappush(self._queue, (self._now + delay, self._seq, fn, args))
 
     # -- execution ---------------------------------------------------------
 
     def step(self) -> None:
-        """Process the next scheduled event."""
-        when, _seq, event = heapq.heappop(self._queue)
+        """Process the next queue entry: an event or a bare call."""
+        when, _seq, event, args = heapq.heappop(self._queue)
         self._now = when
+        if args is not None:
+            event(*args)
+            return
         callbacks = event.callbacks
         event.callbacks = None
         event._processed = True

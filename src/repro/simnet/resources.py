@@ -54,7 +54,7 @@ class Resource:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.sim = sim
         self.capacity = capacity
-        self._users: set[Request] = set()
+        self._users: set[object] = set()
         self._waiting: deque[Request] = deque()
 
     @property
@@ -76,7 +76,23 @@ class Resource:
             self._waiting.append(req)
         return req
 
-    def release(self, request: Request) -> None:
+    def try_acquire(self) -> Optional[object]:
+        """Take a free slot at once, with no event to wait on.
+
+        Returns the holder token to hand to :meth:`release`, or ``None``
+        when every slot is held (then :meth:`request` and queue).  A
+        slot is only ever free when nobody is waiting, so this never
+        jumps the FIFO.
+        """
+        if len(self._users) >= self.capacity:
+            return None
+        slot = object()
+        self._users.add(slot)
+        return slot
+
+    def release(self, request: object) -> None:
+        """Give back a slot held by a granted :meth:`request` or by a
+        :meth:`try_acquire` token."""
         if request not in self._users:
             raise SimulationError("releasing a request that holds no slot")
         self._users.remove(request)

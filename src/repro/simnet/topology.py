@@ -117,12 +117,13 @@ class Network:
         src: Host,
         dst: Host,
         nbytes: int,
-        on_delivered: Optional[Callable[[], None]] = None,
-    ) -> Event:
+        on_delivered: Optional[Callable[..., None]] = None,
+        args: tuple = (),
+    ) -> Optional[Event]:
         """Send one unfragmented frame from *src* to *dst*."""
         return self.transmit_message(
             src, dst, nbytes, frame_size=max(nbytes, 1),
-            on_delivered=on_delivered,
+            on_delivered=on_delivered, args=args,
         )
 
     def transmit_message(
@@ -132,82 +133,87 @@ class Network:
         nbytes: int,
         frame_size: Optional[int] = None,
         header_bytes: int = 0,
-        on_delivered: Optional[Callable[[], None]] = None,
-    ) -> Event:
-        """Send a whole message, fragmented into frames; one event fires
-        when the **last** frame is delivered.
+        on_delivered: Optional[Callable[..., None]] = None,
+        args: tuple = (),
+    ) -> Optional[Event]:
+        """Send a whole message, fragmented into frames.
+
+        Delivery of the **last** frame either calls
+        ``on_delivered(*args)`` straight from the delivery timer (and
+        nothing is returned), or, without ``on_delivered``, fires the
+        returned event — the form for a caller that waits on it.
 
         The egress chain is computed analytically at send time (no
         per-frame simulator events).  The *ingress* reservation is
         deferred to the first frame's arrival: receiver-side channel
         time is claimed in arrival order, so concurrent senders share a
         hot receiver fairly instead of in send-call order.  Cost: two
-        simulator events per message regardless of frame count.
+        simulator events per message regardless of frame count (one
+        over loopback; one more for the returned event).
         """
         if nbytes < 0:
             raise ValueError(f"negative message size {nbytes}")
         sim = self.sim
+        done = None
+        if on_delivered is None:
+            done = Event(sim)
+            on_delivered = done.succeed
         if (
             self.fault_filter is not None
             and src is not dst
             and self.fault_filter(src.host_id, dst.host_id)
         ):
             # partitioned: the message vanishes in the fabric; no bytes
-            # are accounted and the returned event never fires — loss is
-            # the caller's (transport's) problem, as on a real network
+            # are accounted and delivery never happens — loss is the
+            # caller's (transport's) problem, as on a real network
             self.messages_dropped += 1
-            return Event(sim)
+            return done
         frame_size = frame_size or self.config.frame_size
         nframes = max(1, -(-nbytes // frame_size))
         wire_bytes = nbytes + nframes * header_bytes
         self.bytes_carried += wire_bytes
         self.frames_carried += nframes
-        done = Event(sim)
+        now = sim.now
         if src is dst:
-            finish = src.loopback.reserve(nbytes, earliest=sim.now)
-            sim.timeout(finish - sim.now).add_callback(
-                lambda _e: done.succeed()
-            )
+            finish = src.loopback.reserve(nbytes, earliest=now)
+            sim.call_later(finish - now, on_delivered, *args)
+            return done
+        src_rack = self.rack_of(src)
+        dst_rack = self.rack_of(dst)
+        base = self.one_way_base_delay
+        if src_rack is dst_rack:
+            dst_rack = None
         else:
-            src_rack = self.rack_of(src)
-            dst_rack = self.rack_of(dst)
-            cross_rack = src_rack is not dst_rack
-            base = self.one_way_base_delay
-            if cross_rack:
-                # two extra hops: ToR -> spine -> ToR
-                base += 2 * self.config.link_prop_delay_s + \
-                    self.config.switch_latency_s
-            frames = []
-            remaining = nbytes
-            for _ in range(nframes):
-                payload = min(frame_size, remaining)
-                remaining -= payload
-                frame_bytes = payload + header_bytes
-                # sender-side chain: host egress, then the rack uplink
-                out_done = src.egress.reserve(frame_bytes, earliest=sim.now)
-                if cross_rack:
-                    out_done = src_rack.up.reserve(frame_bytes,
-                                                   earliest=out_done)
-                frames.append((frame_bytes, out_done))
-            first_arrival = frames[0][1] + base
-
-            def claim_ingress(_event):
-                # receiver-side chain, claimed in arrival order: the
-                # rack downlink (cross-rack only), then host ingress
-                last = sim.now
-                for frame_bytes, out_done in frames:
-                    at = out_done + base
-                    if cross_rack:
-                        at = dst_rack.down.reserve(frame_bytes, earliest=at)
-                    last = dst.ingress.reserve(frame_bytes, earliest=at)
-                sim.timeout(last - sim.now).add_callback(
-                    lambda _e: done.succeed()
-                )
-
-            sim.timeout(first_arrival - sim.now).add_callback(claim_ingress)
-        if on_delivered is not None:
-            done.add_callback(lambda _e: on_delivered())
+            # two extra hops: ToR -> spine -> ToR
+            base += 2 * self.config.link_prop_delay_s + \
+                self.config.switch_latency_s
+        frames = []
+        remaining = nbytes
+        for _ in range(nframes):
+            payload = min(frame_size, remaining)
+            remaining -= payload
+            frame_bytes = payload + header_bytes
+            # sender-side chain: host egress, then the rack uplink
+            out_done = src.egress.reserve(frame_bytes, earliest=now)
+            if dst_rack is not None:
+                out_done = src_rack.up.reserve(frame_bytes,
+                                               earliest=out_done)
+            frames.append((frame_bytes, out_done + base))
+        sim.call_later(frames[0][1] - now, self._claim_ingress,
+                       frames, dst, dst_rack, on_delivered, args)
         return done
+
+    def _claim_ingress(self, frames, dst: Host, dst_rack: Optional[Rack],
+                       on_delivered, args) -> None:
+        """First frame reached the receiver side: claim its chain in
+        arrival order — the rack downlink (cross-rack only, *dst_rack*
+        set), then host ingress — and time the delivery."""
+        now = last = self.sim.now
+        for frame_bytes, at in frames:
+            if dst_rack is not None:
+                at = dst_rack.down.reserve(frame_bytes, earliest=at)
+            last = dst.ingress.reserve(frame_bytes, earliest=at)
+        self.sim.call_later(last - now, on_delivered, *args)
 
     def aggregate_bandwidth_bps(self, since: float = 0.0) -> float:
         """Total payload bandwidth carried since *since* (bits/s)."""
