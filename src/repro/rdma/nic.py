@@ -248,15 +248,19 @@ class RNic:
         self.alive = False
 
     # -- internal helpers ----------------------------------------------------
+    #
+    # Every stage below runs on the *requesting* NIC (``self``) and is a
+    # bound method scheduled with ``sim.call_later`` or handed to the
+    # fabric as a delivery callback, its state travelling as arguments:
+    # an op in flight is a chain of bare timers, not of closures.
 
     def _launch(self, qp: QueuePair, wr: SendWR) -> None:
         if not self.alive:
             return  # a dead host sends nothing and nobody is listening
         tracer = self.obs.tracer
         if tracer.enabled:
-            posted = getattr(wr, "_obs_posted", None)
-            if posted is not None:
-                tracer.record("data.qp.post", posted,
+            if wr._obs_posted is not None:
+                tracer.record("data.qp.post", wr._obs_posted,
                               host=self.host.host_id, op=wr.opcode.name)
             wr._obs_launched = self.sim.now
         if self.fault_hook is not None:
@@ -264,12 +268,7 @@ class RNic:
             if detail:
                 # injected wire fault: the op times out and errors the QP,
                 # exactly like losing the peer mid-flight
-                self.sim.call_later(
-                    self.model.retry_timeout_s,
-                    lambda: self._complete(
-                        qp, wr, WcStatus.RETRY_EXC_ERR, detail=detail
-                    ),
-                )
+                self._retry_failure(qp, wr, detail)
                 return
         if self.network.fault_filter is not None:
             # partitions are armed: any leg of this op (request, remote
@@ -277,24 +276,25 @@ class RNic:
             # model the RC transport retry timer — if no completion has
             # been raised by then, the op fails with RETRY_EXC_ERR.
             # First completion wins (see the guard in ``_complete``).
-            self.sim.call_later(
-                self.model.retry_timeout_s,
-                lambda: self._complete(
-                    qp, wr, WcStatus.RETRY_EXC_ERR,
-                    detail="transport retries exhausted (partitioned?)",
-                ),
-            )
+            self._retry_failure(
+                qp, wr, "transport retries exhausted (partitioned?)")
         remote_qp = qp.remote
         assert remote_qp is not None, "connected QP lost its peer"
         opcode = wr.opcode
-        if opcode in (Opcode.RDMA_WRITE, Opcode.RDMA_WRITE_IMM):
-            self._launch_write(qp, wr, remote_qp)
-        elif opcode is Opcode.RDMA_READ:
-            self._launch_read(qp, wr, remote_qp)
+        if opcode is Opcode.RDMA_READ:
+            self._send_control(remote_qp.nic, self._read_arrived,
+                               qp, wr, remote_qp.nic)
+        elif opcode in (Opcode.RDMA_WRITE, Opcode.RDMA_WRITE_IMM):
+            self._transmit(remote_qp.nic, wr.bytes_on_wire,
+                           self._write_arrived, qp, wr, remote_qp,
+                           self._snapshot_payload(wr))
         elif opcode in (Opcode.ATOMIC_CAS, Opcode.ATOMIC_FAA):
-            self._launch_atomic(qp, wr, remote_qp)
+            self._send_control(remote_qp.nic, self._atomic_arrived,
+                               qp, wr, remote_qp.nic)
         elif opcode is Opcode.SEND:
-            self._launch_send(qp, wr, remote_qp)
+            self._transmit(remote_qp.nic, wr.bytes_on_wire,
+                           self._send_arrived, qp, wr, remote_qp,
+                           self._snapshot_payload(wr))
         else:  # pragma: no cover - guarded by WR validation
             raise RdmaError(f"unsupported opcode {opcode}")
 
@@ -307,7 +307,8 @@ class RNic:
         offset = wr.local_mr.offset_of(wr.local_addr)
         return wr.local_mr.buffer.read(offset, wr.length)
 
-    def _transmit(self, dst: "RNic", nbytes: int, on_delivered: Callable[[], None]):
+    def _transmit(self, dst: "RNic", nbytes: int,
+                  on_delivered: Callable[..., None], *args) -> None:
         self._m_bytes_sent.inc(nbytes)
         self.network.transmit_message(
             self.host,
@@ -315,10 +316,13 @@ class RNic:
             nbytes,
             header_bytes=self.model.frame_header_bytes,
             on_delivered=on_delivered,
+            args=args,
         )
 
-    def _send_control(self, dst: "RNic", on_delivered: Callable[[], None]):
-        self._transmit(dst, self.model.control_message_bytes, on_delivered)
+    def _send_control(self, dst: "RNic",
+                      on_delivered: Callable[..., None], *args) -> None:
+        self._transmit(dst, self.model.control_message_bytes,
+                       on_delivered, *args)
 
     def _complete(
         self,
@@ -329,7 +333,7 @@ class RNic:
         atomic_result: Optional[int] = None,
         detail: str = "",
     ) -> None:
-        if getattr(wr, "_wc_raised", False):
+        if wr._wc_raised:
             # the partition watchdog and the real outcome can both try
             # to complete one WR; whichever fires first is the truth
             return
@@ -345,9 +349,8 @@ class RNic:
         self._m_ops_completed.inc()
         tracer = self.obs.tracer
         if tracer.enabled:
-            launched = getattr(wr, "_obs_launched", None)
-            if launched is not None:
-                tracer.record("data.nic.wire", launched,
+            if wr._obs_launched is not None:
+                tracer.record("data.nic.wire", wr._obs_launched,
                               host=self.host.host_id, op=wr.opcode.name,
                               status=status.value, nbytes=byte_len)
         wc = WorkCompletion(
@@ -364,214 +367,157 @@ class RNic:
             wc._obs_raised = self.sim.now
         qp._complete_send(wr, wc)
 
-    def _schedule_retry_failure(self, qp: QueuePair, wr: SendWR) -> None:
-        """The peer is unreachable: complete with RETRY_EXC after timeout."""
-        self.sim.call_later(
-            self.model.retry_timeout_s,
-            lambda: self._complete(
-                qp,
-                wr,
-                WcStatus.RETRY_EXC_ERR,
-                detail="remote host unreachable",
-            ),
-        )
+    def _acked(self, qp: QueuePair, wr: SendWR, status: WcStatus,
+               byte_len: int = 0, atomic_result: Optional[int] = None,
+               detail: str = "") -> None:
+        """The responder's ack (or NAK) reached this NIC: raise the
+        completion once the CQE is written."""
+        self.sim.call_later(self.model.completion_s, self._complete,
+                            qp, wr, status, byte_len, atomic_result, detail)
 
-    def _remote_lookup(
-        self, remote: "RNic", wr: SendWR, need: Access
-    ) -> tuple[Optional[MemoryRegion], str]:
-        epoch = getattr(wr, "epoch", None)
-        if epoch is not None:
-            fence = remote.fence_for(getattr(wr, "shard", 0))
-            if epoch < fence:
-                return None, (
-                    f"stale epoch {epoch} fenced (server is at epoch "
-                    f"{fence})"
-                )
-        mr = remote.mr_by_rkey.get(wr.rkey)
-        if mr is None:
-            return None, f"no memory region with rkey {wr.rkey}"
-        err = mr.check_remote(wr.remote_addr, wr.length, need)
-        if err:
-            return None, err
-        return mr, ""
+    def _retry_failure(self, qp: QueuePair, wr: SendWR, detail: str) -> None:
+        """Complete with RETRY_EXC after the transport retry timeout."""
+        self.sim.call_later(self.model.retry_timeout_s, self._complete, qp,
+                            wr, WcStatus.RETRY_EXC_ERR, 0, None, detail)
 
     def _nak(self, qp: QueuePair, wr: SendWR, remote: "RNic", detail: str) -> None:
         """Remote-side rejection: error response after a round trip."""
-        remote._send_control(
-            self,
-            lambda: self.sim.call_later(
-                self.model.completion_s,
-                lambda: self._complete(
-                    qp, wr, WcStatus.REM_ACCESS_ERR, detail=detail
-                ),
-            ),
-        )
+        remote._send_control(self, self._acked, qp, wr,
+                             WcStatus.REM_ACCESS_ERR, 0, None, detail)
+
+    def _admit(self, qp: QueuePair, wr: SendWR, remote: "RNic",
+               need: Access) -> Optional[MemoryRegion]:
+        """A one-sided request reached *remote*: the region it may touch,
+        or ``None`` once its failure (dead peer, stale epoch, bad rkey,
+        bounds, permission) is on its way back."""
+        if not remote.alive:
+            self._retry_failure(qp, wr, "remote host unreachable")
+            return None
+        epoch = wr.epoch
+        if epoch is not None:
+            fence = remote.fence_for(wr.shard)
+            if epoch < fence:
+                self._nak(qp, wr, remote,
+                          f"stale epoch {epoch} fenced (server is at epoch "
+                          f"{fence})")
+                return None
+        mr = remote.mr_by_rkey.get(wr.rkey)
+        if mr is None:
+            self._nak(qp, wr, remote, f"no memory region with rkey {wr.rkey}")
+            return None
+        err = mr.check_remote(wr.remote_addr, wr.length, need)
+        if err:
+            self._nak(qp, wr, remote, err)
+            return None
+        return mr
 
     # -- RDMA WRITE ------------------------------------------------------------
 
-    def _launch_write(self, qp: QueuePair, wr: SendWR, remote_qp: QueuePair) -> None:
+    def _write_arrived(self, qp: QueuePair, wr: SendWR, remote_qp: QueuePair,
+                       payload: bytes) -> None:
         remote = remote_qp.nic
-        payload = self._snapshot_payload(wr)
+        mr = self._admit(qp, wr, remote, Access.REMOTE_WRITE)
+        if mr is not None:
+            self.sim.call_later(remote.model.remote_dma_s, self._write_dma,
+                                qp, wr, remote_qp, mr, payload)
 
-        def on_data_arrival():
-            if not remote.alive:
-                self._schedule_retry_failure(qp, wr)
-                return
-            mr, err = self._remote_lookup(remote, wr, Access.REMOTE_WRITE)
-            if mr is None:
-                self._nak(qp, wr, remote, err)
-                return
-
-            def do_dma():
-                mr.buffer.write(mr.offset_of(wr.remote_addr), payload)
-                if remote.rsan.enabled:
-                    remote.rsan.on_apply(remote.host.host_id, wr.remote_addr,
-                                         wr.length, "write", wr)
-                if wr.opcode is Opcode.RDMA_WRITE_IMM:
-                    # the immediate consumes a receive WQE at the target
-                    rwr = remote_qp._take_recv()
-                    if rwr is None:
-                        remote_qp._park_arrival(("imm", None, qp, wr))
-                    else:
-                        remote._match_recv(remote_qp, rwr, "imm", None,
-                                           qp, wr)
-                remote._send_control(
-                    self,
-                    lambda: self.sim.call_later(
-                        self.model.completion_s,
-                        lambda: self._complete(
-                            qp, wr, WcStatus.SUCCESS, byte_len=wr.length
-                        ),
-                    ),
-                )
-
-            self.sim.call_later(remote.model.remote_dma_s, do_dma)
-
-        self._transmit(remote, wr.bytes_on_wire, on_data_arrival)
+    def _write_dma(self, qp: QueuePair, wr: SendWR, remote_qp: QueuePair,
+                   mr: MemoryRegion, payload: bytes) -> None:
+        remote = remote_qp.nic
+        mr.buffer.write(mr.offset_of(wr.remote_addr), payload)
+        if remote.rsan.enabled:
+            remote.rsan.on_apply(remote.host.host_id, wr.remote_addr,
+                                 wr.length, "write", wr)
+        if wr.opcode is Opcode.RDMA_WRITE_IMM:
+            # the immediate consumes a receive WQE at the target
+            rwr = remote_qp._take_recv()
+            if rwr is None:
+                remote_qp._park_arrival(("imm", None, qp, wr))
+            else:
+                remote._match_recv(remote_qp, rwr, "imm", None, qp, wr)
+        remote._send_control(self, self._acked, qp, wr,
+                             WcStatus.SUCCESS, wr.length)
 
     # -- RDMA READ -------------------------------------------------------------
 
-    def _launch_read(self, qp: QueuePair, wr: SendWR, remote_qp: QueuePair) -> None:
-        remote = remote_qp.nic
+    def _read_arrived(self, qp: QueuePair, wr: SendWR, remote: "RNic") -> None:
+        mr = self._admit(qp, wr, remote, Access.REMOTE_READ)
+        if mr is not None:
+            self.sim.call_later(remote.model.remote_dma_s, self._read_dma,
+                                qp, wr, remote, mr)
 
-        def on_request_arrival():
-            if not remote.alive:
-                self._schedule_retry_failure(qp, wr)
-                return
-            mr, err = self._remote_lookup(remote, wr, Access.REMOTE_READ)
-            if mr is None:
-                self._nak(qp, wr, remote, err)
-                return
+    def _read_dma(self, qp: QueuePair, wr: SendWR, remote: "RNic",
+                  mr: MemoryRegion) -> None:
+        data = mr.buffer.read(mr.offset_of(wr.remote_addr), wr.length)
+        if remote.rsan.enabled:
+            remote.rsan.on_apply(remote.host.host_id, wr.remote_addr,
+                                 wr.length, "read", wr)
+        remote._transmit(self, wr.bytes_on_wire, self._read_response_arrived,
+                         qp, wr, data)
 
-            def do_dma():
-                data = mr.buffer.read(mr.offset_of(wr.remote_addr), wr.length)
-                if remote.rsan.enabled:
-                    remote.rsan.on_apply(remote.host.host_id, wr.remote_addr,
-                                         wr.length, "read", wr)
-
-                def on_response_arrival():
-                    if wr.local_mr is not None and wr.length:
-                        wr.local_mr.buffer.write(
-                            wr.local_mr.offset_of(wr.local_addr), data
-                        )
-                    self.sim.call_later(
-                        self.model.completion_s,
-                        lambda: self._complete(
-                            qp, wr, WcStatus.SUCCESS, byte_len=wr.length
-                        ),
-                    )
-
-                remote._m_bytes_sent.inc(wr.bytes_on_wire)
-                remote.network.transmit_message(
-                    remote.host,
-                    self.host,
-                    wr.bytes_on_wire,
-                    header_bytes=remote.model.frame_header_bytes,
-                    on_delivered=on_response_arrival,
-                )
-
-            self.sim.call_later(remote.model.remote_dma_s, do_dma)
-
-        self._send_control(remote, on_request_arrival)
+    def _read_response_arrived(self, qp: QueuePair, wr: SendWR,
+                               data: bytes) -> None:
+        if wr.local_mr is not None and wr.length:
+            wr.local_mr.buffer.write(
+                wr.local_mr.offset_of(wr.local_addr), data
+            )
+        self._acked(qp, wr, WcStatus.SUCCESS, wr.length)
 
     # -- atomics -----------------------------------------------------------------
 
-    def _launch_atomic(self, qp: QueuePair, wr: SendWR, remote_qp: QueuePair) -> None:
-        remote = remote_qp.nic
+    def _atomic_arrived(self, qp: QueuePair, wr: SendWR, remote: "RNic") -> None:
+        mr = self._admit(qp, wr, remote, Access.REMOTE_ATOMIC)
+        if mr is None:
+            return
+        if wr.remote_addr % 8 != 0:
+            self._nak(qp, wr, remote, "atomic target not 8-byte aligned")
+            return
+        self.sim.call_later(
+            remote.model.remote_dma_s + remote.model.atomic_extra_s,
+            self._atomic_dma, qp, wr, remote, mr,
+        )
 
-        def on_request_arrival():
-            if not remote.alive:
-                self._schedule_retry_failure(qp, wr)
-                return
-            mr, err = self._remote_lookup(remote, wr, Access.REMOTE_ATOMIC)
-            if mr is None:
-                self._nak(qp, wr, remote, err)
-                return
-            if wr.remote_addr % 8 != 0:
-                self._nak(qp, wr, remote, "atomic target not 8-byte aligned")
-                return
-
-            def do_atomic():
-                offset = mr.offset_of(wr.remote_addr)
-                old = int.from_bytes(mr.buffer.read(offset, 8), "little")
-                if wr.opcode is Opcode.ATOMIC_CAS:
-                    if old == wr.compare:
-                        mr.buffer.write(
-                            offset, wr.swap.to_bytes(8, "little", signed=False)
-                        )
-                else:  # fetch-and-add, wrapping at 2^64 like hardware
-                    new = (old + wr.compare) % (1 << 64)
-                    mr.buffer.write(offset, new.to_bytes(8, "little"))
-                if wr.local_mr is not None:
-                    wr.local_mr.buffer.write(
-                        wr.local_mr.offset_of(wr.local_addr),
-                        old.to_bytes(8, "little"),
-                    )
-                if remote.rsan.enabled:
-                    remote.rsan.on_apply(remote.host.host_id, wr.remote_addr,
-                                         8, "atomic", wr)
-                remote._send_control(
-                    self,
-                    lambda: self.sim.call_later(
-                        self.model.completion_s,
-                        lambda: self._complete(
-                            qp,
-                            wr,
-                            WcStatus.SUCCESS,
-                            byte_len=8,
-                            atomic_result=old,
-                        ),
-                    ),
+    def _atomic_dma(self, qp: QueuePair, wr: SendWR, remote: "RNic",
+                    mr: MemoryRegion) -> None:
+        offset = mr.offset_of(wr.remote_addr)
+        old = int.from_bytes(mr.buffer.read(offset, 8), "little")
+        if wr.opcode is Opcode.ATOMIC_CAS:
+            if old == wr.compare:
+                mr.buffer.write(
+                    offset, wr.swap.to_bytes(8, "little", signed=False)
                 )
-
-            self.sim.call_later(
-                remote.model.remote_dma_s + remote.model.atomic_extra_s, do_atomic
+        else:  # fetch-and-add, wrapping at 2^64 like hardware
+            new = (old + wr.compare) % (1 << 64)
+            mr.buffer.write(offset, new.to_bytes(8, "little"))
+        if wr.local_mr is not None:
+            wr.local_mr.buffer.write(
+                wr.local_mr.offset_of(wr.local_addr),
+                old.to_bytes(8, "little"),
             )
-
-        self._send_control(remote, on_request_arrival)
+        if remote.rsan.enabled:
+            remote.rsan.on_apply(remote.host.host_id, wr.remote_addr,
+                                 8, "atomic", wr)
+        remote._send_control(self, self._acked, qp, wr,
+                             WcStatus.SUCCESS, 8, old)
 
     # -- SEND / RECV ---------------------------------------------------------------
 
-    def _launch_send(self, qp: QueuePair, wr: SendWR, remote_qp: QueuePair) -> None:
+    def _send_arrived(self, qp: QueuePair, wr: SendWR, remote_qp: QueuePair,
+                      payload: bytes) -> None:
         remote = remote_qp.nic
-        payload = self._snapshot_payload(wr)
-
-        def on_data_arrival():
-            if not remote.alive:
-                self._schedule_retry_failure(qp, wr)
-                return
-            if remote_qp.state is not QpState.CONNECTED:
-                self._nak(qp, wr, remote, "remote QP not in connected state")
-                return
-            rwr = remote_qp._take_recv()
-            if rwr is None:
-                # RC would RNR-retry; we park the message until a receive
-                # is posted, at which point matching resumes.
-                remote_qp._park_arrival(("send", payload, qp, wr))
-                return
-            remote._match_recv(remote_qp, rwr, "send", payload, qp, wr)
-
-        self._transmit(remote, wr.bytes_on_wire, on_data_arrival)
+        if not remote.alive:
+            self._retry_failure(qp, wr, "remote host unreachable")
+            return
+        if remote_qp.state is not QpState.CONNECTED:
+            self._nak(qp, wr, remote, "remote QP not in connected state")
+            return
+        rwr = remote_qp._take_recv()
+        if rwr is None:
+            # RC would RNR-retry; we park the message until a receive
+            # is posted, at which point matching resumes.
+            remote_qp._park_arrival(("send", payload, qp, wr))
+            return
+        remote._match_recv(remote_qp, rwr, "send", payload, qp, wr)
 
     def _match_recv(
         self,
@@ -590,15 +536,14 @@ class RNic:
             # the immediate and the byte count
             self.sim.call_later(
                 self.model.completion_s,
-                lambda: dst_qp.recv_cq.push(
-                    WorkCompletion(
-                        wr_id=rwr.wr_id,
-                        status=WcStatus.SUCCESS,
-                        opcode=Opcode.RECV_RDMA_WITH_IMM,
-                        byte_len=swr.length,
-                        qp=dst_qp,
-                        imm_data=swr.imm_data,
-                    )
+                dst_qp.recv_cq.push,
+                WorkCompletion(
+                    wr_id=rwr.wr_id,
+                    status=WcStatus.SUCCESS,
+                    opcode=Opcode.RECV_RDMA_WITH_IMM,
+                    byte_len=swr.length,
+                    qp=dst_qp,
+                    imm_data=swr.imm_data,
                 ),
             )
             return
@@ -616,37 +561,22 @@ class RNic:
             )
             dst_qp.set_error("receive buffer too small")
             self._send_control(
-                src_nic,
-                lambda: src_nic.sim.call_later(
-                    src_nic.model.completion_s,
-                    lambda: src_nic._complete(
-                        src_qp,
-                        swr,
-                        WcStatus.REM_INV_REQ_ERR,
-                        detail="remote receive buffer too small",
-                    ),
-                ),
+                src_nic, src_nic._acked, src_qp, swr,
+                WcStatus.REM_INV_REQ_ERR, 0, None,
+                "remote receive buffer too small",
             )
             return
         rwr.local_mr.buffer.write(rwr.local_mr.offset_of(rwr.local_addr), payload)
         self.sim.call_later(
             self.model.completion_s,
-            lambda: dst_qp.recv_cq.push(
-                WorkCompletion(
-                    wr_id=rwr.wr_id,
-                    status=WcStatus.SUCCESS,
-                    opcode=Opcode.RECV,
-                    byte_len=len(payload),
-                    qp=dst_qp,
-                )
+            dst_qp.recv_cq.push,
+            WorkCompletion(
+                wr_id=rwr.wr_id,
+                status=WcStatus.SUCCESS,
+                opcode=Opcode.RECV,
+                byte_len=len(payload),
+                qp=dst_qp,
             ),
         )
-        self._send_control(
-            src_nic,
-            lambda: src_nic.sim.call_later(
-                src_nic.model.completion_s,
-                lambda: src_nic._complete(
-                    src_qp, swr, WcStatus.SUCCESS, byte_len=swr.length
-                ),
-            ),
-        )
+        self._send_control(src_nic, src_nic._acked, src_qp, swr,
+                           WcStatus.SUCCESS, swr.length)

@@ -12,7 +12,7 @@ the byte copy moves the real payload.  It defaults to the real length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.rdma.memory import MemoryRegion
@@ -45,6 +45,21 @@ class SendWR:
     imm_data: int = 0
     #: logical size on the wire; defaults to ``length`` (see module doc)
     wire_length: Optional[int] = None
+    #: era stamp: the target NIC NAKs a one-sided WR whose ``epoch`` is
+    #: older than its fence for control shard ``shard`` (None: unfenced)
+    epoch: Optional[int] = None
+    shard: int = 0
+    #: race-sanitizer stamp of the client op this WR belongs to, and the
+    #: "ordered by other means" mark for raw WRs (see repro.sanitize)
+    rsan: Any = None
+    rsan_sync: bool = False
+    # -- the posting NIC's progress notes, reset on every post
+    _wc_raised: bool = field(default=False, init=False, repr=False,
+                             compare=False)
+    _obs_posted: Optional[float] = field(default=None, init=False,
+                                         repr=False, compare=False)
+    _obs_launched: Optional[float] = field(default=None, init=False,
+                                           repr=False, compare=False)
 
     def validate(self) -> None:
         if self.opcode is Opcode.RECV:

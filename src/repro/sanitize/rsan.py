@@ -262,13 +262,12 @@ class RaceSanitizer:
         per-QP pump may defer posting, and the clock must reflect what
         the actor had synchronized *when the WR hit the wire*.
         """
-        stamp = getattr(wr, "rsan", None)
+        stamp = wr.rsan
         if stamp is None:
             # raw WR outside the client op layer (control RPC send,
             # repair copy).  Stamp it for bookkeeping but never track
             # it in ``outstanding`` — nothing will ever wait on it.
-            sync = bool(getattr(wr, "rsan_sync", False))
-            stamp = OpStamp(default_actor, "raw", "<internal>", sync)
+            stamp = OpStamp(default_actor, "raw", "<internal>", wr.rsan_sync)
             wr.rsan = stamp
         act = self.actor(stamp.actor)
         act.posted += 1
