@@ -74,7 +74,7 @@ with it on or off, and the disabled path costs one attribute check.
 
 from __future__ import annotations
 
-import traceback
+import sys
 
 __all__ = [
     "Access",
@@ -105,14 +105,20 @@ _PLUMBING = (
 
 
 def _site_of() -> str:
-    """The innermost non-plumbing frame, as ``dir/file.py:line``."""
-    for frame in reversed(traceback.extract_stack()):
-        fname = frame.filename.replace("\\", "/")
-        if any(part in fname for part in _PLUMBING):
-            continue
-        parts = fname.rsplit("/", 2)
-        short = "/".join(parts[-2:]) if len(parts) > 1 else fname
-        return f"{short}:{frame.lineno}"
+    """The innermost non-plumbing frame, as ``dir/file.py:line``.
+
+    Walks raw frames and formats only the one it returns: this runs once
+    per stamped op, and ``traceback.extract_stack`` would build a
+    summary (with a source-line lookup) for every frame on the stack.
+    """
+    frame = sys._getframe(1)
+    while frame is not None:
+        fname = frame.f_code.co_filename.replace("\\", "/")
+        if not any(part in fname for part in _PLUMBING):
+            parts = fname.rsplit("/", 2)
+            short = "/".join(parts[-2:]) if len(parts) > 1 else fname
+            return f"{short}:{frame.f_lineno}"
+        frame = frame.f_back
     return "<unknown>"
 
 

@@ -13,6 +13,8 @@ precedes its writes, so nothing it later does is published to client 2
 not order them.
 """
 
+import sys
+
 import pytest
 
 from repro.cluster import build_cluster
@@ -242,3 +244,29 @@ def test_report_formats_both_sites(cluster):
     assert "1 data race(s)" in text
     assert text.count("test_races.py") == 2
     assert "write by client 1" in text and "write by client 2" in text
+
+
+
+def test_site_is_the_innermost_app_line_as_dir_file_line(cluster):
+    """A site is exactly ``dir/file.py:line`` of the app line that
+    issued the op, found through ``yield from`` helpers above it and
+    the client/coord/rdma plumbing frames below it."""
+    rsan = rsan_for(cluster.sim)
+    lines = []
+
+    def issue(mapping, payload):
+        lines.append(sys._getframe().f_lineno + 1)
+        yield from mapping.write(0, payload)
+
+    def app():
+        _c1, _c2, m1, m2 = yield from _two_mappings(cluster)
+        yield from issue(m1, b"a" * 16)
+        yield from issue(m2, b"b" * 16)
+        return True
+
+    cluster.run_app(app())
+    assert len(rsan.races) == 1, rsan.report()
+    race = rsan.races[0]
+    assert lines[0] == lines[1]
+    assert race.first.site == race.second.site == (
+        f"sanitize/test_races.py:{lines[0]}")
