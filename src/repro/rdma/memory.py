@@ -39,12 +39,15 @@ def reset_key_counter() -> None:
 class Buffer:
     """A contiguous allocation in a host's virtual address space."""
 
-    __slots__ = ("addr", "data", "host_id")
+    __slots__ = ("addr", "data", "host_id", "_view")
 
     def __init__(self, addr: int, length: int, host_id: int):
         self.addr = addr
         self.data = bytearray(length)
         self.host_id = host_id
+        #: reads slice this, not ``data``: a bytearray slice is itself a
+        #: copy, so ``bytes(data[a:b])`` would move every byte twice
+        self._view = memoryview(self.data)
 
     def __len__(self) -> int:
         return len(self.data)
@@ -67,7 +70,7 @@ class Buffer:
                 f"read of {length} bytes at offset {offset} exceeds buffer "
                 f"of {len(self.data)} bytes"
             )
-        return bytes(self.data[offset : offset + length])
+        return self._view[offset : offset + length].tobytes()
 
 
 class SparseBuffer(Buffer):
@@ -88,7 +91,9 @@ class SparseBuffer(Buffer):
         self.addr = addr
         self.host_id = host_id
         self._length = length
-        self._blocks: dict[int, bytearray] = {}
+        #: block number -> view of that block's bytearray (a view, for
+        #: the same single-copy reads as the dense buffer)
+        self._blocks: dict[int, memoryview] = {}
 
     def __len__(self) -> int:
         return self._length
@@ -113,7 +118,7 @@ class SparseBuffer(Buffer):
             take = min(self.BLOCK - block_off, len(payload) - pos)
             block = self._blocks.get(block_no)
             if block is None:
-                block = bytearray(self.BLOCK)
+                block = memoryview(bytearray(self.BLOCK))
                 self._blocks[block_no] = block
             block[block_off : block_off + take] = payload[pos : pos + take]
             pos += take
@@ -124,18 +129,23 @@ class SparseBuffer(Buffer):
                 f"read of {length} bytes at offset {offset} exceeds buffer "
                 f"of {self._length} bytes"
             )
+        # each part is a view; the one copy happens in tobytes()/join()
         parts = []
         pos = 0
         while pos < length:
             block_no, block_off = divmod(offset + pos, self.BLOCK)
             take = min(self.BLOCK - block_off, length - pos)
-            block = self._blocks.get(block_no)
-            if block is None:
-                parts.append(bytes(take))
-            else:
-                parts.append(bytes(block[block_off : block_off + take]))
+            block = self._blocks.get(block_no, _ZERO_BLOCK)
+            part = block[block_off : block_off + take]
+            if take == length:
+                return part.tobytes()  # within one block: nothing to join
+            parts.append(part)
             pos += take
         return b"".join(parts)
+
+
+#: what every never-written block of a sparse buffer reads as
+_ZERO_BLOCK = memoryview(bytes(SparseBuffer.BLOCK))
 
 
 class HostMemory:
