@@ -5,10 +5,11 @@ model is deliberately simple: every host has a full-duplex link to one
 switch with an uncongested backplane.  Congestion therefore happens
 exactly where it does on such a pod — at host egress and host ingress.
 
-A frame's journey is computed analytically at send time (one simulator
-event per frame): serialize on the sender's egress channel, cross two
-propagation hops plus the switch latency, serialize on the receiver's
-ingress channel.
+A message's journey is computed analytically: its frames serialize on
+the sender's egress channel at send time, cross two propagation hops
+plus the switch latency, and serialize on the receiver's ingress
+channel, claimed when the first frame arrives — two kernel queue
+entries per message however many frames it has.
 """
 
 from __future__ import annotations

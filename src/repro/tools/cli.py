@@ -310,7 +310,8 @@ def _traced_run(args):
     ``args.shards`` metadata shards.  Returns ``(cluster, obs,
     baseline)`` where *baseline* holds the post-warm-up census
     snapshots plus the warm-cache re-map RPC count, so the steady-state
-    delta isolates the pure data path per shard.
+    delta isolates the pure data path per shard, and ``kernel``: the
+    ``(events, processes)`` the simulator spent on the steady state.
     """
     from repro.obs import obs_for
     from repro.obs.report import call_census, shard_census
@@ -328,6 +329,9 @@ def _traced_run(args):
     def offset(i):
         return ((i * 37) % (region // (8 * KiB))) * 8 * KiB
 
+    def kernel():
+        return cluster.sim.events_processed, cluster.sim.processes_spawned
+
     def app():
         # -- setup (control path): alloc, map, connect, warm every QP
         mappings = []
@@ -343,6 +347,7 @@ def _traced_run(args):
         }
         # -- steady state (data path): batched one-sided reads spread
         # across both tenants' regions
+        started = kernel()
         done = 0
         while done < args.ops:
             batch = client.batch()
@@ -352,6 +357,8 @@ def _traced_run(args):
             yield from batch.flush()
             yield from batch.wait_all()
             done += window
+        baseline["kernel"] = tuple(
+            after - before for before, after in zip(started, kernel()))
         # -- warm-cache proof: re-mapping under a live lease must not
         # issue a single control RPC
         before = client.master_calls
@@ -383,6 +390,11 @@ def cmd_stats(args) -> int:
         ["layer", "n", "p50", "p95", "p99", "max"],
         layer_breakdown(obs.metrics),
     ))
+    events, processes = baseline["kernel"]
+    print(f"\nsimulator cost of the steady state: "
+          f"{events / args.ops:.2f} kernel events/op, "
+          f"{processes / args.ops:.3f} processes/op "
+          f"({events} events, {processes} processes)")
     steady = call_census(obs.metrics, baseline=baseline["census"])
     print("\ncontrol vs data census (steady state, after warm-up):")
     for key, value in steady.items():

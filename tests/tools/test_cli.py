@@ -69,6 +69,8 @@ def test_stats_proves_zero_steady_state_master_rpcs(capsys):
     assert "master_rpcs = 0" in out
     assert "zero steady-state master RPCs" in out
     assert "data_ops = 48" in out
+    # the simulator's own cost of that steady state, next to the layers
+    assert "kernel events/op" in out and "processes/op" in out
 
 
 def test_stats_proves_per_shard_census_and_tenant_isolation(capsys):
