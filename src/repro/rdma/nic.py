@@ -348,11 +348,10 @@ class RNic:
                 detail = injected
         self._m_ops_completed.inc()
         tracer = self.obs.tracer
-        if tracer.enabled:
-            if wr._obs_launched is not None:
-                tracer.record("data.nic.wire", wr._obs_launched,
-                              host=self.host.host_id, op=wr.opcode.name,
-                              status=status.value, nbytes=byte_len)
+        if tracer.enabled and wr._obs_launched is not None:
+            tracer.record("data.nic.wire", wr._obs_launched,
+                          host=self.host.host_id, op=wr.opcode.name,
+                          status=status.value, nbytes=byte_len)
         wc = WorkCompletion(
             wr_id=wr.wr_id,
             status=status,

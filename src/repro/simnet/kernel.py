@@ -397,11 +397,12 @@ class Simulator:
 
     def step(self) -> None:
         """Process the next queue entry: an event or a bare call."""
-        when, _seq, event, args = heapq.heappop(self._queue)
+        when, _seq, target, args = heapq.heappop(self._queue)
         self._now = when
         if args is not None:
-            event(*args)
+            target(*args)
             return
+        event = target
         callbacks = event.callbacks
         event.callbacks = None
         event._processed = True

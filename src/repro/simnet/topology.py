@@ -118,13 +118,12 @@ class Network:
         src: Host,
         dst: Host,
         nbytes: int,
-        on_delivered: Optional[Callable[..., None]] = None,
-        args: tuple = (),
+        on_delivered: Optional[Callable[[], None]] = None,
     ) -> Optional[Event]:
         """Send one unfragmented frame from *src* to *dst*."""
         return self.transmit_message(
             src, dst, nbytes, frame_size=max(nbytes, 1),
-            on_delivered=on_delivered, args=args,
+            on_delivered=on_delivered,
         )
 
     def transmit_message(

@@ -228,9 +228,9 @@ class TestDeliveryCallback:
         sim = Simulator()
         net = Network(sim, 2)
         seen = []
-        net.transmit_frame(net.host(0), net.host(1), 64,
-                           on_delivered=lambda *a: seen.append(a),
-                           args=("wr", 7))
+        net.transmit_message(net.host(0), net.host(1), 64,
+                             on_delivered=lambda *a: seen.append(a),
+                             args=("wr", 7))
         sim.run()
         assert seen == [("wr", 7)]
 
