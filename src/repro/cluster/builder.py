@@ -47,11 +47,7 @@ class Cluster:
         #: the durable metadata logs, one WAL per shard — owned here so
         #: they outlive master instances across crash/restart cycles
         self.metalogs: list[MetaLog] = [
-            MetaLog(
-                sim,
-                append_latency_s=config.metalog_append_s,
-                checkpoint_every=config.metalog_checkpoint_every,
-            )
+            MetaLog(sim, checkpoint_every=config.metalog_checkpoint_every)
             for _ in range(config.control_shards)
         ]
         self.servers: dict[int, MemoryServer] = {}

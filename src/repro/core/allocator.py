@@ -1,16 +1,10 @@
 """Master-side stripe placement.
 
 The allocator decides which memory server hosts each stripe of a new
-region.  Policies:
-
-``round_robin``
-    Walk the server ring, one stripe per server — maximises the number
-    of NICs serving a sequential scan (the aggregate-bandwidth story).
-``random``
-    Uniform random server per stripe (seeded, reproducible).
-``spread``
-    Always the server with the most free capacity — balances usage
-    when regions have skewed sizes.
+region: primaries walk the server ring, one stripe per server, which
+maximises the number of NICs serving a sequential scan (the
+aggregate-bandwidth story); replicas and repair replacements go to the
+live server with the most free capacity.
 
 The allocator tracks free capacity conservatively; the server's arena
 allocator is the ground truth at reservation time.
@@ -18,7 +12,6 @@ allocator is the ground truth at reservation time.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -44,11 +37,9 @@ class ServerSlot:
 class StripeAllocator:
     """Chooses a memory server for every stripe of a region."""
 
-    def __init__(self, policy: str = "round_robin", seed: int = 7):
-        self.policy = policy
+    def __init__(self):
         self._servers: dict[int, ServerSlot] = {}
         self._ring_pos = 0
-        self._rng = random.Random(seed)
 
     # -- membership -----------------------------------------------------------
 
@@ -113,7 +104,6 @@ class StripeAllocator:
                 f"need {sum(stripe_lengths) * replication} bytes, cluster "
                 f"has {self.total_free} free"
             )
-        chooser = getattr(self, f"_choose_{self.policy}")
         placement: list[tuple[int, ...]] = []
         charged: list[tuple[ServerSlot, int]] = []
 
@@ -140,7 +130,7 @@ class StripeAllocator:
                     charge(slot, length)
                     copies.append(preferred_host)
                 else:
-                    slot = chooser(length)
+                    slot = self._choose_round_robin(length)
                     if slot is None:
                         raise OutOfMemoryError(
                             f"no server can hold a {length}-byte stripe"
@@ -194,8 +184,6 @@ class StripeAllocator:
         if slot is not None:
             slot.free = min(slot.capacity, slot.free + nbytes)
 
-    # -- policies ---------------------------------------------------------------
-
     def _choose_round_robin(self, length: int):
         alive = self.alive_servers
         for attempt in range(len(alive)):
@@ -204,15 +192,3 @@ class StripeAllocator:
                 self._ring_pos = (self._ring_pos + attempt + 1) % len(alive)
                 return slot
         return None
-
-    def _choose_random(self, length: int):
-        candidates = [s for s in self.alive_servers if s.free >= length]
-        if not candidates:
-            return None
-        return self._rng.choice(candidates)
-
-    def _choose_spread(self, length: int):
-        candidates = [s for s in self.alive_servers if s.free >= length]
-        if not candidates:
-            return None
-        return max(candidates, key=lambda s: (s.free, -s.host_id))

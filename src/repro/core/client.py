@@ -35,7 +35,7 @@ from repro.core.errors import (
 )
 from repro.core.mapping import Mapping
 from repro.core.metacache import MetadataCache
-from repro.core.pipeline import IoBatch, OpPipeline
+from repro.core.pipeline import DATA_SQ_DEPTH, IoBatch, OpPipeline
 from repro.core.pool import LocalBufferPool
 from repro.core.region import RegionDesc
 from repro.core.shard import ShardRouter
@@ -47,10 +47,15 @@ from repro.rdma.types import QpState, RdmaError
 from repro.rpc.channel import ChannelClosed
 from repro.rpc.endpoint import RpcClient, RpcError, RpcRemoteError, RpcTimeout
 from repro.sanitize import rsan_for
+from repro.simnet.config import MiB
 from repro.simnet.kernel import Simulator
 from repro.simnet.rand import derive_rng
 
 __all__ = ["RStoreClient"]
+
+#: size of the client's registered staging pool for the convenience
+#: byte-oriented read/write API
+STAGING_POOL_BYTES = 16 * MiB
 
 #: control methods that legitimately park at the master (coordination
 #: rendezvous) — they get crash-tolerant redial but no deadline
@@ -106,6 +111,8 @@ class RStoreClient:
         self._m_master_calls = _m.counter("client.master_calls", host=_host)
         self._m_master_redials = _m.counter("client.master_redials",
                                             host=_host)
+        self._m_deadlines_missed = _m.counter("client.deadlines_missed",
+                                              host=_host)
         #: per-shard epochs and leased descriptors
         self._meta = MetadataCache(self)
         #: submission windows, completion dispatcher, retry worker
@@ -137,8 +144,8 @@ class RStoreClient:
 
     @property
     def deadlines_missed(self) -> int:
-        """Control calls or data ops that ran out of deadline budget."""
-        return self._io.m_deadlines_missed.value
+        """Control calls that ran out of deadline budget."""
+        return self._m_deadlines_missed.value
 
     @property
     def master_redials(self) -> int:
@@ -165,7 +172,7 @@ class RStoreClient:
         self._pd = yield from self.nic.alloc_pd()
         self._io.cq = yield from self.nic.create_cq(depth=1 << 16)
         staging_mr = yield from self.nic.reg_mr(
-            self._pd, length=self.config.staging_pool_bytes
+            self._pd, length=STAGING_POOL_BYTES
         )
         self._staging = LocalBufferPool(self.sim, staging_mr)
         yield from self._router.connect_all()
@@ -257,7 +264,7 @@ class RStoreClient:
             if deadline is not None:
                 timeout = deadline - self.sim.now
                 if timeout <= 0:
-                    self._io.m_deadlines_missed.inc()
+                    self._m_deadlines_missed.inc()
                     raise DeadlineExceededError(
                         f"control call {method!r} missed its "
                         f"{self.config.control_deadline_s}s deadline"
@@ -267,7 +274,7 @@ class RStoreClient:
                 result = yield from master.call(method, *args,
                                                 timeout=timeout)
             except RpcTimeout:
-                self._io.m_deadlines_missed.inc()
+                self._m_deadlines_missed.inc()
                 raise DeadlineExceededError(
                     f"control call {method!r} missed its "
                     f"{self.config.control_deadline_s}s deadline"
@@ -301,7 +308,7 @@ class RStoreClient:
         try:
             yield from self._router.redial(shard, deadline, self._retry_rng)
         except DeadlineExceededError:
-            self._io.m_deadlines_missed.inc()
+            self._m_deadlines_missed.inc()
             raise MasterUnavailableError(
                 "master unreachable within the control deadline"
             ) from None
@@ -449,7 +456,7 @@ class RStoreClient:
                     self.config.data_service,
                     self._pd,
                     self._io.cq,
-                    sq_depth=self.config.data_sq_depth,
+                    sq_depth=DATA_SQ_DEPTH,
                 )
                 self._data_qps[host_id] = qp
                 self.setup_events += 1

@@ -28,77 +28,30 @@ class RStoreConfig:
     #: DRAM each memory server donates (sparse-backed, so large values
     #: are cheap until written)
     server_capacity: int = 4096 * MiB
-    #: stripe placement policy: "round_robin", "random" or "spread"
-    allocation_policy: str = "round_robin"
     #: copies per stripe: 1 (the paper's volatile store) or more — an
     #: availability extension: writes fan to every replica, reads hit
     #: the primary, and the master promotes replicas when servers die
     default_replication: int = 1
-    #: send-queue depth of client data QPs
-    data_sq_depth: int = 256
-    #: outstanding work requests per data QP: a small window keeps
-    #: servers interleaving between clients (large bursts convoy a
-    #: server's egress behind one client); real RNIC flow control
-    #: behaves the same way
-    data_window_per_qp: int = 8
-    #: outstanding work requests per data QP for explicit ``IoBatch``
-    #: submissions — callers who opted into batching asked for depth,
-    #: so their window is deeper than the synchronous default (still
-    #: capped well under ``data_sq_depth`` to leave room for
-    #: stragglers of a broken batch)
-    data_batch_window_per_qp: int = 32
-    #: size of the client's registered staging pool for the convenience
-    #: byte-oriented read/write API
-    staging_pool_bytes: int = 16 * MiB
-    #: control-plane RPC message size limit
-    msg_size: int = 64 * KiB
-    #: client-side software cost to issue one data operation (address
-    #: translation, WQE setup) — what RStore adds over raw verbs
-    issue_overhead_s: float = 0.2e-6
-    #: ceiling on the wire size of one work request: larger transfers
-    #: split into multiple WRs so concurrent flows interleave on the
-    #: fabric at this granularity instead of convoying behind
-    #: multi-megabyte messages
-    max_wire_chunk: int = 1 * MiB
     #: memory-server heartbeat period
     heartbeat_interval_s: float = 0.1
     #: master declares a server dead after this long without a heartbeat
     lease_timeout_s: float = 0.35
-    #: root seed for every derived deterministic RNG stream (placement
-    #: randomness, client retry jitter, fault injection defaults)
+    #: root seed for every derived deterministic RNG stream (client
+    #: retry jitter, coordination backoff, server rejoin)
     seed: int = 7
-    #: concurrent stripe repairs the master's planner drives after a
-    #: server death (each repair is one server→server stripe copy)
-    repair_parallelism: int = 4
-    #: how many times a repair task is re-attempted (fresh target/source)
-    #: before the planner abandons the stripe as unrepairable for now
-    repair_attempt_limit: int = 5
     #: data-path retries (remap + replay of failed sub-operations)
     #: before an error surfaces to the application
     data_retry_limit: int = 6
-    #: first retry backoff; doubles per attempt (with jitter) up to the cap
-    retry_backoff_base_s: float = 0.02
-    retry_backoff_max_s: float = 0.3
     #: deadline for one control-plane call (connect + RPC + bounded
     #: reconnects); a client whose master is partitioned away fails with
     #: :class:`~repro.core.errors.DeadlineExceededError` once this drains
     control_deadline_s: float = 2.0
-    #: optional end-to-end deadline for one data operation (map/read/
-    #: write/atomic including every internal replay); ``None`` keeps the
-    #: attempt-count bound (``data_retry_limit``) as the only budget
-    op_deadline_s: float | None = None
-    #: simulated latency of one metadata-log append (the fsync the
-    #: master pays before acknowledging a mutating control RPC)
-    metalog_append_s: float = 5e-6
     #: the master checkpoints its metadata and truncates the log every
     #: this many appended records
     metalog_checkpoint_every: int = 64
     #: how long a restarted master waits for servers to re-register
     #: before declaring the stragglers dead and re-queueing repairs
     recovery_grace_s: float = 0.5
-    #: how long a server keeps re-trying to reach a crashed master
-    #: before giving up and shutting down
-    server_rejoin_deadline_s: float = 5.0
     #: ablation (E9): resolve region metadata at the master on every IO
     #: instead of caching it in the mapping
     resolve_per_io: bool = False
@@ -143,22 +96,10 @@ class RStoreConfig:
     def __post_init__(self):
         if self.stripe_size <= 0:
             raise ValueError("stripe_size must be positive")
-        if self.allocation_policy not in ("round_robin", "random", "spread"):
-            raise ValueError(
-                f"unknown allocation policy {self.allocation_policy!r}"
-            )
-        if self.repair_parallelism < 1:
-            raise ValueError("repair_parallelism must be at least 1")
         if self.data_retry_limit < 0:
             raise ValueError("data_retry_limit cannot be negative")
-        if self.data_batch_window_per_qp < 1:
-            raise ValueError("data_batch_window_per_qp must be at least 1")
-        if self.retry_backoff_base_s < 0 or self.retry_backoff_max_s < 0:
-            raise ValueError("retry backoff durations cannot be negative")
         if self.control_deadline_s <= 0:
             raise ValueError("control_deadline_s must be positive")
-        if self.op_deadline_s is not None and self.op_deadline_s <= 0:
-            raise ValueError("op_deadline_s must be positive when set")
         if self.metalog_checkpoint_every < 1:
             raise ValueError("metalog_checkpoint_every must be at least 1")
         if self.recovery_grace_s < 0:

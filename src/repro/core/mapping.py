@@ -28,13 +28,22 @@ from repro.core.errors import (
     RegionUnavailableError,
     RStoreError,
 )
-from repro.core.pipeline import OPS, OpFuture, _WrToken
+from repro.coord.base import Backoff
+from repro.core.pipeline import (
+    ISSUE_OVERHEAD_S,
+    MAX_WIRE_CHUNK,
+    OPS,
+    OpFuture,
+    _WrToken,
+)
 from repro.core.region import RegionDesc
+from repro.core.shard import RETRY_BACKOFF_BASE_S, RETRY_BACKOFF_MAX_S
 from repro.datapath.policy import PathPolicy
 from repro.rdma.memory import MemoryRegion
 from repro.rdma.qp import QueuePair
 from repro.rdma.types import Opcode, QpState, RdmaError
 from repro.rdma.wr import SendWR
+from repro.rpc.channel import MSG_SIZE
 from repro.rpc.endpoint import RpcRemoteError
 
 __all__ = ["Mapping"]
@@ -259,7 +268,7 @@ class Mapping:
         span = client.obs.tracer.span("data.client.submit",
                                       trace_id=fut.trace_id, op=fut.kind)
         if batch is None and not fut.is_atomic:
-            yield from client.nic.host.cpu.run(config.issue_overhead_s)
+            yield from client.nic.host.cpu.run(ISSUE_OVERHEAD_S)
         desc = self.desc
         if config.resolve_per_io:
             # ablation: a fresh descriptor for every IO
@@ -280,7 +289,7 @@ class Mapping:
     def _plan_pieces(self, desc: RegionDesc, fut: OpFuture) -> list[tuple]:
         # split stripe pieces further so no single WR exceeds the wire
         # chunk ceiling (keeps concurrent flows interleaving fairly)
-        chunk = max(1, self.client.config.max_wire_chunk // fut.wire_scale)
+        chunk = max(1, MAX_WIRE_CHUNK // fut.wire_scale)
         pieces = []
         cursor = fut.local_addr
         for stripe, stripe_off, take in desc.locate(fut.offset, fut.length):
@@ -353,7 +362,7 @@ class Mapping:
         over messaging instead of one-sided RDMA (a process)."""
         client = self.client
         local_mr = fut.local_mr
-        chunk_limit = max(1024, client.config.msg_size // 2)
+        chunk_limit = max(1024, MSG_SIZE // 2)
         cursor = fut.local_addr
         try:
             for stripe, stripe_off, take in desc.locate(fut.offset,
@@ -392,14 +401,13 @@ class Mapping:
         op fast.
         """
         client = self.client
-        cfg = client.config
         if not immediate:
-            delay = min(
-                cfg.retry_backoff_max_s,
-                cfg.retry_backoff_base_s * (2 ** (attempt - 1)),
-            )
-            delay *= 0.5 + client._retry_rng.random()
-            yield client.sim.timeout(delay)
+            backoff = Backoff(client.sim, client._retry_rng,
+                              RETRY_BACKOFF_BASE_S, RETRY_BACKOFF_MAX_S)
+            # the future, not the mapping, counts attempts: resume the
+            # doubling where this op's earlier replays left it
+            backoff.attempt = attempt - 1
+            yield from backoff.pause()
         try:
             desc = yield from client.lookup(self.name)
         except (RecoverableError, RpcRemoteError):

@@ -89,18 +89,14 @@ class Master:
                 f"shard_id {shard_id} out of range for "
                 f"{self.shard_map.num_shards} control shards"
             )
-        self.allocator = StripeAllocator(
-            policy=self.config.allocation_policy, seed=self.config.seed
-        )
+        self.allocator = StripeAllocator()
         self.repair = RepairPlanner(self)
         self.regions: dict[str, RegionDesc] = {}
         # `is not None`, not truthiness: an *empty* MetaLog is falsy
         # (len == 0) yet is exactly the durable log a first boot must
         # adopt so later restarts replay it
         self.metalog = metalog if metalog is not None else MetaLog(
-            sim,
-            append_latency_s=self.config.metalog_append_s,
-            checkpoint_every=self.config.metalog_checkpoint_every,
+            sim, checkpoint_every=self.config.metalog_checkpoint_every
         )
         #: the cluster epoch: bumped on every master recovery and every
         #: server death; descriptors and server slots carry it, stale
@@ -133,7 +129,7 @@ class Master:
             yield from self._begin_recovery(state)
         self._rpc = RpcServer(
             self.sim, self.nic, self.cm,
-            shard_service(cfg.master_service, self.shard_id), cfg.msg_size
+            shard_service(cfg.master_service, self.shard_id)
         )
         for method in (
             "register_server",

@@ -14,8 +14,8 @@ Durability discipline:
   as live object references — a replayed record reflects the state at
   the moment of the append, not whatever the master mutated later.
   That is what makes "append before reply" a real commit point.
-* ``append`` is a generator charging :attr:`RStoreConfig.metalog_append_s`
-  of simulated latency — the fsync the control RPC pays.
+* ``append`` is a generator charging :data:`APPEND_LATENCY_S` of
+  simulated latency — the fsync the control RPC pays.
 * Every ``metalog_checkpoint_every`` appends the master serializes its
   full state and truncates the tail, bounding replay time.
 
@@ -40,6 +40,10 @@ from typing import Any
 
 __all__ = ["MetaLog", "RecoveredState"]
 
+#: simulated latency of one metadata-log append (the fsync the
+#: master pays before acknowledging a mutating control RPC)
+APPEND_LATENCY_S = 5e-6
+
 
 @dataclass
 class RecoveredState:
@@ -60,7 +64,7 @@ class RecoveredState:
 class MetaLog:
     """The durable metadata log.  Owned by the cluster, outlives masters."""
 
-    def __init__(self, sim, append_latency_s: float = 5e-6,
+    def __init__(self, sim, append_latency_s: float = APPEND_LATENCY_S,
                  checkpoint_every: int = 64):
         self.sim = sim
         self.append_latency_s = append_latency_s

@@ -33,19 +33,39 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, NamedTuple, Optional
 
-from repro.core.errors import (
-    DeadlineExceededError,
-    RegionUnavailableError,
-    StaleEpochError,
-)
+from repro.core.errors import RegionUnavailableError, StaleEpochError
 from repro.rdma.memory import MemoryRegion
 from repro.rdma.qp import QueuePair
 from repro.rdma.types import Opcode, RdmaError
 from repro.rdma.wr import SendWR
+from repro.simnet.config import MiB
 
 __all__ = ["OPS", "OpFuture", "IoBatch", "OpPipeline"]
 
 _ATOMIC_OPS = (Opcode.ATOMIC_FAA, Opcode.ATOMIC_CAS)
+
+#: send-queue depth of data QPs (client data paths and the servers'
+#: repair copies dial with the same depth)
+DATA_SQ_DEPTH = 256
+#: outstanding work requests per data QP: a small window keeps
+#: servers interleaving between clients (large bursts convoy a
+#: server's egress behind one client); real RNIC flow control
+#: behaves the same way
+DATA_WINDOW_PER_QP = 8
+#: outstanding work requests per data QP for explicit ``IoBatch``
+#: submissions — callers who opted into batching asked for depth,
+#: so their window is deeper than the synchronous default (still
+#: capped well under ``DATA_SQ_DEPTH`` to leave room for
+#: stragglers of a broken batch)
+DATA_BATCH_WINDOW_PER_QP = 32
+#: client-side software cost to issue one data operation (address
+#: translation, WQE setup) — what RStore adds over raw verbs
+ISSUE_OVERHEAD_S = 0.2e-6
+#: ceiling on the wire size of one work request: larger transfers
+#: split into multiple WRs so concurrent flows interleave on the
+#: fabric at this granularity instead of convoying behind
+#: multi-megabyte messages
+MAX_WIRE_CHUNK = 1 * MiB
 
 
 class OpDef(NamedTuple):
@@ -100,7 +120,7 @@ class OpFuture:
         "wire_scale", "fan_out", "is_atomic", "idempotent", "compare",
         "swap",
         "local_mr", "local_addr", "done", "value", "error", "resolved_at",
-        "deadline", "resolve_index", "_event", "_chunk",
+        "resolve_index", "_event", "_chunk",
         "_remaining", "_failure", "_failed", "_last_wc",
         "_flush_ambiguous", "_attempts", "trace_id", "_span", "_rsan",
     )
@@ -128,11 +148,6 @@ class OpFuture:
         self.done = False
         self.value = None
         self.error: Optional[Exception] = None
-        #: absolute retry budget: once past it, no replay round starts
-        self.deadline: Optional[float] = (
-            client.sim.now + client.config.op_deadline_s
-            if client.config.op_deadline_s is not None else None
-        )
         #: simulated time the future resolved (diagnostics/tests)
         self.resolved_at: Optional[float] = None
         #: client-wide resolution sequence number — futures resolving at
@@ -323,13 +338,13 @@ class _QpPump:
     __slots__ = ("qp", "queue", "inflight", "capacity", "batch_capacity",
                  "waiters")
 
-    def __init__(self, qp: QueuePair, window: int, batch_window: int):
+    def __init__(self, qp: QueuePair):
         self.qp = qp
         self.queue: deque[SendWR] = deque()
         self.inflight = 0
-        self.capacity = max(1, min(window, qp.sq_depth - 8))
+        self.capacity = max(1, min(DATA_WINDOW_PER_QP, qp.sq_depth - 8))
         self.batch_capacity = max(
-            self.capacity, min(batch_window, qp.sq_depth // 2)
+            self.capacity, min(DATA_BATCH_WINDOW_PER_QP, qp.sq_depth // 2)
         )
         self.waiters: list = []
 
@@ -363,7 +378,7 @@ class _QpPump:
             wr.wr_id.retire(error=RegionUnavailableError(str(exc)))
 
 
-def _coalesce(wrs: list[SendWR], max_wire_chunk: int) -> list[SendWR]:
+def _coalesce(wrs: list[SendWR]) -> list[SendWR]:
     """Merge adjacent pieces into single WRs where the wire allows it.
 
     Two consecutive WRs merge when they are the same kind of one-sided
@@ -386,7 +401,7 @@ def _coalesce(wrs: list[SendWR], max_wire_chunk: int) -> list[SendWR]:
                 and (wr.wire_length is None
                      or wr.wire_length * last.length
                      == last.wire_length * wr.length)
-                and last.bytes_on_wire + wr.bytes_on_wire <= max_wire_chunk):
+                and last.bytes_on_wire + wr.bytes_on_wire <= MAX_WIRE_CHUNK):
             last.length += wr.length
             if last.wire_length is not None:
                 last.wire_length += wr.wire_length
@@ -487,7 +502,7 @@ class IoBatch:
         queues, self._queues = self._queues, {}
         posted = 0
         for qp, wrs in queues.items():
-            merged = _coalesce(wrs, self.client.config.max_wire_chunk)
+            merged = _coalesce(wrs)
             posted += len(merged)
             yield from io.post_batch(qp, merged)
         span.finish(wrs=posted)
@@ -543,8 +558,6 @@ class OpPipeline:
         self.m_retries = _m.counter("client.retries", host=_host)
         self.m_pieces_replayed = _m.counter("client.pieces_replayed",
                                             host=_host)
-        self.m_deadlines_missed = _m.counter("client.deadlines_missed",
-                                             host=_host)
 
     def start(self) -> None:
         """Spawn the dispatcher and the retry worker."""
@@ -556,9 +569,7 @@ class OpPipeline:
     def pump_for(self, qp: QueuePair) -> _QpPump:
         pump = self._pumps.get(qp)
         if pump is None:
-            pump = self._pumps[qp] = _QpPump(
-                qp, self.config.data_window_per_qp,
-                self.config.data_batch_window_per_qp)
+            pump = self._pumps[qp] = _QpPump(qp)
         return pump
 
     def post_batch(self, qp: QueuePair, wrs: list[SendWR]):
@@ -579,7 +590,7 @@ class OpPipeline:
                 continue
             group = wrs[idx:idx + take]
             idx += take
-            yield from self.nic.host.cpu.run(self.config.issue_overhead_s)
+            yield from self.nic.host.cpu.run(ISSUE_OVERHEAD_S)
             self._ring_doorbell(qp, pump, group)
 
     def _ring_doorbell(self, qp: QueuePair, pump: _QpPump,
@@ -682,16 +693,6 @@ class OpPipeline:
             fut._fail(err)
             return
         fut._attempts += 1
-        if fut.deadline is not None and self.sim.now >= fut.deadline:
-            self.m_deadlines_missed.inc()
-            err = DeadlineExceededError(
-                f"{fut.kind} on {mapping.name!r} missed its "
-                f"{self.config.op_deadline_s}s deadline after "
-                f"{fut._attempts} attempt(s): {fut._failure}"
-            )
-            err.__cause__ = fut._failure
-            fut._fail(err)
-            return
         if fut._attempts > self.config.data_retry_limit:
             err = RegionUnavailableError(
                 f"{OPS[fut.kind].access} on {mapping.name!r} failed after "

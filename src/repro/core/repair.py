@@ -7,7 +7,7 @@ than the region asked for).  The planner here closes that gap entirely
 on the control path:
 
 1. degraded stripes are queued as :class:`RepairTask`\\ s;
-2. a pool of ``repair_parallelism`` workers picks a replacement server
+2. a pool of ``REPAIR_PARALLELISM`` workers picks a replacement server
    (live, not already holding a copy, deterministic most-free choice),
    reserves a slot there, and drives a server→server ``copy_stripe``
    RPC — the *destination* pulls the stripe out of a surviving replica's
@@ -38,6 +38,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.master import Master
 
 __all__ = ["RepairTask", "RepairPlanner"]
+
+#: concurrent stripe repairs the planner drives after a server death
+#: (each repair is one server→server stripe copy)
+REPAIR_PARALLELISM = 4
+#: how many times a repair task is re-attempted (fresh target/source)
+#: before the planner abandons the stripe as unrepairable for now
+REPAIR_ATTEMPT_LIMIT = 5
 
 
 @dataclass
@@ -102,7 +109,7 @@ class RepairPlanner:
 
     def start(self) -> None:
         """Spawn the worker pool (called from ``Master.start``)."""
-        for idx in range(self.master.config.repair_parallelism):
+        for idx in range(REPAIR_PARALLELISM):
             self.sim.process(self._worker(), name=f"repair-worker-{idx}")
 
     def enqueue_degraded(self, region) -> None:
@@ -158,7 +165,7 @@ class RepairPlanner:
 
     def _retry_or_abandon(self, task: RepairTask, reason: str) -> None:
         task.attempts += 1
-        if task.attempts >= self.master.config.repair_attempt_limit:
+        if task.attempts >= REPAIR_ATTEMPT_LIMIT:
             self._stats.abandoned += 1
             self._note(f"abandoned {task}: {reason}")
         else:

@@ -32,6 +32,7 @@ from typing import Optional
 from repro.core.arena import Arena
 from repro.core.config import RStoreConfig
 from repro.core.errors import DeadlineExceededError, RStoreError
+from repro.core.pipeline import DATA_SQ_DEPTH, MAX_WIRE_CHUNK
 from repro.core.shard import ShardRouter
 from repro.rdma.cm import ConnectionManager
 from repro.rdma.nic import RNic
@@ -43,6 +44,10 @@ from repro.simnet.kernel import Simulator
 from repro.simnet.rand import derive_rng
 
 __all__ = ["MemoryServer"]
+
+#: how long a server keeps re-trying to reach a crashed master
+#: before giving up and shutting down
+SERVER_REJOIN_DEADLINE_S = 5.0
 
 
 class _CopyOp:
@@ -126,7 +131,7 @@ class MemoryServer:
             self._reset_shard_arena(shard_id)
 
         self._rpc = RpcServer(
-            self.sim, self.nic, self.cm, f"{cfg.mem_service}", cfg.msg_size
+            self.sim, self.nic, self.cm, f"{cfg.mem_service}"
         )
         self._rpc.register("reserve_batch", self._reserve_batch)
         self._rpc.register("release_batch", self._release_batch)
@@ -230,10 +235,10 @@ class MemoryServer:
                 self.config.data_service,
                 self._data_pd,
                 self._copy_cq,
-                sq_depth=self.config.data_sq_depth,
+                sq_depth=DATA_SQ_DEPTH,
             )
             self._peer_qps[src_host] = qp
-        chunk = self.config.max_wire_chunk
+        chunk = MAX_WIRE_CHUNK
         pieces = [
             (pos, min(chunk, length - pos)) for pos in range(0, length, chunk)
         ]
@@ -392,7 +397,7 @@ class MemoryServer:
     def _rejoin_master(self, shard_id: int):
         """Reconnect to one (restarted) metadata shard (generator).
 
-        Retries with backoff until ``server_rejoin_deadline_s`` drains,
+        Retries with backoff until ``SERVER_REJOIN_DEADLINE_S`` drains,
         then returns False — the caller retires this shard, though the
         NIC stays up so in-flight one-sided traffic still completes
         until the shard buries us and clients remap away.
@@ -404,7 +409,7 @@ class MemoryServer:
         label = (f"server-rejoin-{self.host_id}" if shard_id == 0
                  else f"server-rejoin-{self.host_id}-s{shard_id}")
         rng = derive_rng(cfg.seed, label)
-        deadline = self.sim.now + cfg.server_rejoin_deadline_s
+        deadline = self.sim.now + SERVER_REJOIN_DEADLINE_S
         while self.alive:
             try:
                 yield from self._router.redial(shard_id, deadline, rng)

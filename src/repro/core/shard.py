@@ -52,6 +52,11 @@ __all__ = [
 #: tenant owning bare (un-prefixed) region names
 DEFAULT_TENANT = "default"
 
+#: first retry backoff of a control redial or a data-path replay;
+#: doubles per attempt (with jitter) up to the cap
+RETRY_BACKOFF_BASE_S = 0.02
+RETRY_BACKOFF_MAX_S = 0.3
+
 #: virtual ring points per shard — enough to keep the key split within
 #: a few percent of even at 8 shards, cheap enough to rebuild anywhere
 _VNODES = 64
@@ -178,8 +183,8 @@ class ShardRouter:
         self.drop(shard_id)
         backoff = Backoff(
             self.sim, rng,
-            base_s=cfg.retry_backoff_base_s,
-            max_s=cfg.retry_backoff_max_s,
+            base_s=RETRY_BACKOFF_BASE_S,
+            max_s=RETRY_BACKOFF_MAX_S,
             deadline=deadline,
         )
         service = shard_service(cfg.master_service, shard_id)

@@ -18,7 +18,11 @@ from repro.rdma.wr import RecvWR, SendWR
 from repro.simnet.config import KiB
 from repro.simnet.resources import Resource
 
-__all__ = ["RdmaMsgChannel", "ChannelClosed", "MessageTooLarge"]
+__all__ = ["MSG_SIZE", "RdmaMsgChannel", "ChannelClosed", "MessageTooLarge"]
+
+#: message size limit of a channel unless its two ends agree on another
+#: (RStore's control plane and memory services all run at this default)
+MSG_SIZE = 64 * KiB
 
 
 class ChannelClosed(Exception):
@@ -36,7 +40,7 @@ class RdmaMsgChannel:
     number of processes may :meth:`send` (serialized by a lock).
     """
 
-    def __init__(self, nic: RNic, qp: QueuePair, msg_size: int = 64 * KiB,
+    def __init__(self, nic: RNic, qp: QueuePair, msg_size: int = MSG_SIZE,
                  credits: int = 32):
         self.nic = nic
         self.qp = qp
@@ -67,7 +71,7 @@ class RdmaMsgChannel:
         nic: RNic,
         remote_host_id: int,
         service_id: str,
-        msg_size: int = 64 * KiB,
+        msg_size: int = MSG_SIZE,
         credits: int = 32,
     ):
         """Full client-side setup (generator): PD, CQs, connect, buffers."""

@@ -20,9 +20,9 @@ from typing import Callable, Optional
 from repro.rdma.cm import ConnectionManager
 from repro.rdma.nic import RNic
 from repro.rdma.qp import QueuePair
-from repro.rpc.channel import ChannelClosed, RdmaMsgChannel
+from repro.rpc.channel import MSG_SIZE, ChannelClosed, RdmaMsgChannel
 from repro.rpc.message import RpcRequest, RpcResponse
-from repro.simnet.config import KiB, us
+from repro.simnet.config import us
 from repro.simnet.kernel import Event, Simulator
 
 __all__ = [
@@ -97,7 +97,7 @@ class RpcServer(_HandlerRegistry):
     """RPC service over RDMA SEND/RECV (the control-plane transport)."""
 
     def __init__(self, sim: Simulator, nic: RNic, cm: ConnectionManager,
-                 service_id: str, msg_size: int = 64 * KiB):
+                 service_id: str, msg_size: int = MSG_SIZE):
         super().__init__()
         self.sim = sim
         self.nic = nic
@@ -200,7 +200,7 @@ class RpcClient:
         self.calls_made = 0
 
     def connect(self, remote_host_id: int, service_id: str,
-                msg_size: int = 64 * KiB):
+                msg_size: int = MSG_SIZE):
         """Establish the connection (generator)."""
         self._channel = yield from RdmaMsgChannel.connect(
             self.cm, self.nic, remote_host_id, service_id, msg_size=msg_size

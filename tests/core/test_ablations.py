@@ -4,8 +4,6 @@ These modes exist to quantify what RStore's separation philosophy buys
 (experiment E9); the tests pin their semantics and their cost ordering.
 """
 
-import pytest
-
 from repro.core import RStoreConfig
 from repro.cluster import build_cluster
 from repro.simnet.config import KiB, MiB
@@ -66,8 +64,3 @@ def test_two_sided_burns_server_cpu_one_sided_does_not():
         )
 
     assert server_cpu(two_sided) > 3 * server_cpu(one_sided)
-
-
-def test_invalid_policy_rejected():
-    with pytest.raises(ValueError):
-        RStoreConfig(allocation_policy="hotspot")

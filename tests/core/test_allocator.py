@@ -1,4 +1,4 @@
-"""Stripe placement policy tests."""
+"""Stripe placement tests."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +8,8 @@ from repro.core.allocator import ServerSlot, StripeAllocator
 from repro.core.errors import OutOfMemoryError
 
 
-def make_allocator(policy="round_robin", servers=3, capacity=1000):
-    alloc = StripeAllocator(policy=policy)
+def make_allocator(servers=3, capacity=1000):
+    alloc = StripeAllocator()
     for host in range(servers):
         alloc.add_server(ServerSlot(host_id=host, capacity=capacity,
                                     free=capacity))
@@ -17,38 +17,23 @@ def make_allocator(policy="round_robin", servers=3, capacity=1000):
 
 
 def test_round_robin_cycles_servers():
-    alloc = make_allocator("round_robin", servers=3)
+    alloc = make_allocator(servers=3)
     placement = alloc.place([10] * 6)
     assert placement == [(0,), (1,), (2,), (0,), (1,), (2,)]
 
 
 def test_round_robin_continues_across_calls():
-    alloc = make_allocator("round_robin", servers=3)
+    alloc = make_allocator(servers=3)
     first = alloc.place([10] * 2)
     second = alloc.place([10] * 2)
     assert first + second == [(0,), (1,), (2,), (0,)]
 
 
 def test_round_robin_skips_full_server():
-    alloc = make_allocator("round_robin", servers=3, capacity=100)
+    alloc = make_allocator(servers=3, capacity=100)
     alloc.server(1).free = 5
     placement = alloc.place([10] * 4)
     assert all(1 not in copies for copies in placement)
-
-
-def test_spread_prefers_most_free():
-    alloc = make_allocator("spread", servers=3)
-    alloc.server(0).free = 100
-    alloc.server(1).free = 900
-    alloc.server(2).free = 500
-    placement = alloc.place([50])
-    assert placement == [(1,)]
-
-
-def test_random_is_seeded_deterministic():
-    a = make_allocator("random")
-    b = make_allocator("random")
-    assert a.place([10] * 8) == b.place([10] * 8)
 
 
 def test_out_of_memory_total():
@@ -58,7 +43,7 @@ def test_out_of_memory_total():
 
 
 def test_out_of_memory_rolls_back_capacity():
-    alloc = make_allocator("round_robin", servers=2, capacity=100)
+    alloc = make_allocator(servers=2, capacity=100)
     before = alloc.total_free
     # fits in total but no single server can hold a 150-byte stripe
     with pytest.raises(OutOfMemoryError):
@@ -95,13 +80,12 @@ def test_release_clamps_at_capacity():
 
 @settings(max_examples=150, deadline=None)
 @given(
-    policy=st.sampled_from(["round_robin", "random", "spread"]),
     stripes=st.lists(st.integers(min_value=1, max_value=50), min_size=1,
                      max_size=30),
 )
-def test_placement_respects_capacity(policy, stripes):
+def test_placement_respects_capacity(stripes):
     """Property: placement never over-commits any server."""
-    alloc = make_allocator(policy, servers=4, capacity=200)
+    alloc = make_allocator(servers=4, capacity=200)
     try:
         placement = alloc.place(stripes)
     except OutOfMemoryError:
@@ -116,7 +100,7 @@ def test_placement_respects_capacity(policy, stripes):
 
 
 def test_replicated_placement_uses_distinct_servers():
-    alloc = make_allocator("round_robin", servers=4, capacity=1000)
+    alloc = make_allocator(servers=4, capacity=1000)
     placement = alloc.place([10] * 3, replication=2)
     for copies in placement:
         assert len(copies) == 2

@@ -7,6 +7,8 @@ untouched, and resolve every future — deterministically under a fixed
 seed.
 """
 
+import pytest
+
 from repro.cluster import build_cluster
 from repro.core import RStoreConfig
 from repro.simnet.config import KiB, MiB
@@ -70,3 +72,40 @@ def test_faulted_batch_is_deterministic():
     first = _run_faulted_batch()
     second = _run_faulted_batch()
     assert first == second
+
+
+def test_replay_backoff_sequence_is_pinned():
+    """One, two and three consecutive wire faults on a single read: the
+    time to resolution is the doubling backoff (base 20 ms, jittered
+    from the client's retry stream, one draw per pause) plus a fixed
+    remap.  Pinned from the commit before ``_remap_with_backoff`` moved
+    onto ``Backoff``, so a changed delay line or an extra draw shows."""
+    faults = FaultInjector(seed=23)
+    for n in (1, 2, 3):
+        faults.fail_wire(1, start=5.0 * n, duration=4.5, times=n)
+    cluster = build_cluster(
+        num_machines=4,
+        config=RStoreConfig(stripe_size=4 * KiB),
+        server_capacity=16 * MiB,
+        faults=faults,
+    )
+    client = cluster.client(1)
+    sim = cluster.sim
+
+    def app():
+        yield from client.alloc("replayed", 64 * KiB)
+        mapping = yield from client.map("replayed")
+        yield from mapping.write(0, b"x" * 1024)
+        deltas = []
+        for n in (1, 2, 3):
+            yield sim.timeout(5.0 * n + 0.1 - sim.now)
+            started = sim.now
+            fut = yield from mapping.read_async(0, 1024)
+            yield from fut.wait()
+            assert fut._attempts == n
+            deltas.append(fut.resolved_at - started)
+        return deltas
+
+    assert cluster.run_app(app()) == pytest.approx(
+        [0.5246890741533718, 1.0584300661067871, 1.621521246521107],
+        rel=0, abs=1e-12)

@@ -1,16 +1,19 @@
 """RStoreConfig validation and defaults."""
 
+import ast
+import dataclasses
+from pathlib import Path
+
 import pytest
 
 from repro.core import RStoreConfig
-from repro.simnet.config import KiB, MiB
+from repro.simnet.config import MiB
 
 
 def test_defaults_match_design_doc():
     config = RStoreConfig()
     assert config.master_host == 0
     assert config.stripe_size == 1 * MiB
-    assert config.allocation_policy == "round_robin"
     assert config.default_replication == 1
     assert not config.resolve_per_io
     assert not config.two_sided_data_path
@@ -23,16 +26,6 @@ def test_invalid_stripe_size_rejected():
         RStoreConfig(stripe_size=-4096)
 
 
-def test_invalid_policy_rejected():
-    with pytest.raises(ValueError, match="policy"):
-        RStoreConfig(allocation_policy="first-touch")
-
-
-def test_all_policies_accepted():
-    for policy in ("round_robin", "random", "spread"):
-        assert RStoreConfig(allocation_policy=policy).allocation_policy == policy
-
-
 def test_ablation_flags_independent():
     config = RStoreConfig(resolve_per_io=True)
     assert config.resolve_per_io and not config.two_sided_data_path
@@ -40,8 +33,25 @@ def test_ablation_flags_independent():
     assert config.two_sided_data_path and not config.resolve_per_io
 
 
-def test_window_and_chunk_defaults():
-    config = RStoreConfig()
-    assert config.data_window_per_qp == 8
-    assert config.max_wire_chunk == 1 * MiB
-    assert config.issue_overhead_s > 0
+#: fields that name *where* a deployment lives rather than how the
+#: system behaves — they stay configurable without a mover
+DEPLOYMENT_IDENTIFIERS = {"master_host", "master_service", "mem_service",
+                          "data_service", "seed"}
+
+
+def test_every_knob_has_a_mover():
+    """A field nobody sets is untested surface: every behavioural knob
+    must be passed as a keyword by some test, benchmark, bench workload
+    or example other than this file, or it becomes a module constant."""
+    root = Path(__file__).resolve().parents[2]
+    passed = set()
+    for top in ("tests", "benchmarks", "bench", "examples"):
+        for path in (root / top).rglob("*.py"):
+            if path == Path(__file__).resolve():
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    passed.update(kw.arg for kw in node.keywords)
+    knobs = {f.name for f in dataclasses.fields(RStoreConfig)}
+    assert knobs - DEPLOYMENT_IDENTIFIERS - passed == set()
+    assert len(knobs) <= 25
