@@ -59,14 +59,14 @@ STAGING_POOL_BYTES = 16 * MiB
 
 #: control methods that legitimately park at the master (coordination
 #: rendezvous) — they get crash-tolerant redial but no deadline
-_BLOCKING_CONTROL = frozenset({"barrier", "allreduce", "wait_note"})
+_BLOCKING_CONTROL = frozenset({"barrier", "wait_note"})
 
 #: control methods whose first argument is a name the shard map routes;
 #: everything else (stats, membership) defaults to shard 0 so existing
 #: single-master callers keep working unchanged
 _NAME_ROUTED = frozenset({
     "alloc", "lookup", "resize", "free",
-    "barrier", "allreduce", "notify", "wait_note",
+    "barrier", "notify", "wait_note",
 })
 
 
@@ -226,7 +226,7 @@ class RStoreClient:
         channel triggers a redial of the (possibly restarted) shard,
         and when the budget drains a typed error surfaces instead of
         an unbounded hang — a partitioned client fails fast.
-        Coordination rendezvous (barrier/allreduce/wait_note) park at
+        Coordination rendezvous (barrier/wait_note) park at
         the master by design, so they skip the deadline but keep the
         bounded redial.
         """
@@ -471,10 +471,6 @@ class RStoreClient:
     def barrier(self, name: str, count: int):
         """Wait at a named cluster barrier (generator)."""
         return self._master_call("barrier", name, count)
-
-    def allreduce(self, name: str, count: int, value):
-        """Sum *value* across *count* participants (generator)."""
-        return self._master_call("allreduce", name, count, value)
 
     def notify(self, name: str, payload=None):
         """Publish a named notification (generator)."""

@@ -142,7 +142,6 @@ class Master:
             "cluster_stats",
             "repair_status",
             "barrier",
-            "allreduce",
             "notify",
             "wait_note",
         ):
@@ -744,30 +743,6 @@ class Master:
         entry["waiters"].append(event)
         result = yield event
         return result
-
-    def _allreduce(self, name, count, value):
-        """Sum *value* across *count* participants; all get the total."""
-        entry = self._barriers.get(("allreduce", name))
-        if entry is None:
-            entry = {"values": [], "count": count, "waiters": []}
-            self._barriers[("allreduce", name)] = entry
-        if entry["count"] != count:
-            raise RStoreError(
-                f"allreduce {name!r} size mismatch: {entry['count']} != {count}"
-            )
-        entry["values"].append(value)
-        if len(entry["values"]) >= count:
-            total = sum(entry["values"])
-            waiters = entry["waiters"]
-            del self._barriers[("allreduce", name)]
-            for waiter in waiters:
-                waiter.succeed(total)
-            yield self.sim.timeout(0)
-            return total
-        event = self.sim.event()
-        entry["waiters"].append(event)
-        total = yield event
-        return total
 
     def _notify(self, name, payload=None):
         # a note is control-plane metadata like any region descriptor:

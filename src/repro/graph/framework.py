@@ -17,9 +17,9 @@ gather the full state vector with one-sided reads (striped over every
 memory server — the aggregate-bandwidth path), apply the vertex program
 (explicit CPU cost), scatter their slice, and detect convergence
 entirely on one-sided atomics — a :class:`~repro.coord.SenseBarrier`
-plus a cumulative :class:`~repro.coord.AtomicCounter` replace the old
-per-superstep allreduce RPC through the master.  After setup the master
-is never contacted again; ``stats.steady_state_master_calls`` (asserted
+plus a cumulative :class:`~repro.coord.AtomicCounter`, no per-superstep
+reduction RPC through the master.  After setup the master is never
+contacted again; ``stats.steady_state_master_calls`` (asserted
 zero in tests) proves it.
 
 The convergence protocol per superstep: every worker FAAs its change

@@ -1,4 +1,4 @@
-"""Master-side synchronization: barriers, allreduce, notifications."""
+"""Master-side synchronization: barriers and notifications."""
 
 import pytest
 
@@ -51,45 +51,6 @@ def test_barrier_size_mismatch_rejected(cluster):
         yield sim.all_of([p1, p2])
 
     cluster.run_app(app())
-
-
-def test_allreduce_sums_across_participants(cluster):
-    sim = cluster.sim
-    totals = []
-
-    def worker(host, value):
-        total = yield from cluster.client(host).allreduce("sum1", 3, value)
-        totals.append(total)
-
-    def app():
-        procs = [
-            cluster.spawn(worker(h, v))
-            for h, v in ((0, 10), (1, 20), (2, 12))
-        ]
-        yield sim.all_of(procs)
-
-    cluster.run_app(app())
-    assert totals == [42, 42, 42]
-
-
-def test_allreduce_rounds_are_independent(cluster):
-    sim = cluster.sim
-    results = []
-
-    def worker(host, a, b):
-        first = yield from cluster.client(host).allreduce("r0", 2, a)
-        second = yield from cluster.client(host).allreduce("r1", 2, b)
-        results.append((first, second))
-
-    def app():
-        procs = [
-            cluster.spawn(worker(0, 1, 100)),
-            cluster.spawn(worker(1, 2, 200)),
-        ]
-        yield sim.all_of(procs)
-
-    cluster.run_app(app())
-    assert results == [(3, 300), (3, 300)]
 
 
 def test_notify_before_wait_is_not_lost(cluster):
