@@ -109,8 +109,10 @@ class TwoPhaseLocking:
                                     base_s=1e-3, max_s=50e-3)
         start = sim.now
         # -- growing phase: resolve slots, lock them in global order
+        # dedupe in declaration order: a set would issue the probe READs
+        # in bytes-hash order, which moves with PYTHONHASHSEED
         slots = {}
-        for key in set(keys):
+        for key in dict.fromkeys(keys):
             index = yield from self._find_slot(store, key)
             slots[(store.mapping.name, store.slot_lock(index).offset)] = (
                 key, index
