@@ -19,9 +19,10 @@ not in how.
 from __future__ import annotations
 
 from repro.coord import Backoff
-from repro.core.errors import DeadlineExceededError, RecoverableError
+from repro.core.errors import DeadlineExceededError
 from repro.datapath import ops
 from repro.kv.hashkv import KvError
+from repro.txn.runtime import replay_idempotent
 
 __all__ = ["TwoPhaseLocking", "TwoPLError"]
 
@@ -29,8 +30,6 @@ _WORD = 8
 #: per-slot lock acquisition attempts before giving up (each waits on
 #: the shared backoff, which also enforces the caller's deadline)
 _LOCK_ATTEMPTS = 4096
-#: replays of one idempotent publish/abort write under faults
-_APPLY_ATTEMPTS = 64
 #: 2PL tokens share the transaction token space (far above versions)
 _TOKEN_BASE = (1 << 62) | (1 << 61)
 
@@ -74,20 +73,6 @@ class TwoPhaseLocking:
         raise TwoPLError(
             f"declared key {key!r} not present — the naive 2PL runner "
             "only updates existing keys"
-        )
-
-    def _replay(self, op_factory, backoff):
-        """Drive one idempotent publish/abort write through faults
-        (generator) — same post-decision discipline as repro.txn."""
-        for _attempt in range(_APPLY_ATTEMPTS):
-            try:
-                yield from op_factory()
-                return
-            except RecoverableError:
-                yield from backoff.pause()
-        raise TwoPLError(
-            f"idempotent 2PL write did not land within "
-            f"{_APPLY_ATTEMPTS} attempts"
         )
 
     def run(self, store, keys, fn, deadline: float = None):
@@ -159,14 +144,14 @@ class TwoPhaseLocking:
                 if key in updates:
                     body = ops.encode_body(key, updates[key],
                                            store.key_size, store.value_size)
-                    yield from self._replay(
+                    yield from replay_idempotent(
                         lambda lock=lock, word=word, body=body:
                             lock.publish(token, body,
                                          new_version=word + 2),
                         replay,
                     )
                 else:
-                    yield from self._replay(
+                    yield from replay_idempotent(
                         lambda lock=lock, word=word: lock.abort(word),
                         replay,
                     )
@@ -176,7 +161,7 @@ class TwoPhaseLocking:
             return updates
         except BaseException:
             for lock, word, _key, _index in held:
-                yield from self._replay(
+                yield from replay_idempotent(
                     lambda lock=lock, word=word: lock.abort(word), replay
                 )
             raise

@@ -259,38 +259,43 @@ class DataPathRouter:
                 break
         return reply
 
-    def _kv_op(self, op: str, store, key: bytes, fetch: bool = False,
-               **fields):
-        """Drive one kv server-op to a settled reply (generator): a
-        locked slot backs off and re-walks, a stale epoch refreshes the
-        descriptor, both within the retry budget."""
-        base = ops.hash64(key)
+    def _drive(self, mapping, attempt, what: str):
+        """Run ``attempt()`` (a generator returning a reply) to a
+        settled reply (generator): a stale epoch refreshes the
+        descriptor and re-drives, a ``busy`` reply (a locked slot)
+        backs off and re-drives, both within the retry budget."""
         self._busy_backoff.reset()
         for _attempt in range(self.config.data_retry_limit + _BUSY_BUDGET):
             try:
-                reply = yield from self._kv_runs(op, store, base, key,
-                                                 fetch, fields)
+                reply = yield from attempt()
             except StaleEpochError:
-                yield from self._refresh(store.mapping)
+                yield from self._refresh(mapping)
                 continue
             if reply[0] != "busy":
                 return reply
             self._m_busy_retries.inc()
             yield from self._busy_backoff.pause()
         raise RetryBudgetExceededError(
-            f"{op} of {key!r} kept racing writers")
+            f"{what} kept racing writers or stale epochs")
+
+    def _kv_op(self, op: str, store, key: bytes, fetch: bool = False,
+               **fields):
+        """Drive one kv server-op over its probe runs (generator)."""
+        base = ops.hash64(key)
+        return self._drive(
+            store.mapping,
+            lambda: self._kv_runs(op, store, base, key, fetch, fields),
+            f"{op} of {key!r}")
 
     def kv_get(self, store, key: bytes, fetch: bool = False):
         """Server-side probe-chain lookup (generator)."""
         reply = yield from self._kv_op("kv_get", store, key, fetch)
         return reply[1] if reply[0] == ops.HIT else None
 
-    def kv_put(self, store, key: bytes, value: bytes, fetch: bool = False):
+    def kv_put(self, store, key: bytes, value: bytes):
         """Server-side probe-chain store (generator); ``False`` when the
-        probe window holds no reusable slot.
-
-        ``fetch`` degrades to plain server-op — a store's reply is a
-        status tuple, so there is nothing worth depositing.
+        probe window holds no reusable slot.  Never deposits: a store's
+        reply is a status tuple, so there is nothing worth fetching.
         """
         reply = yield from self._kv_op("kv_put", store, key, value=value)
         if reply[0] == "reusable":
@@ -334,20 +339,18 @@ class DataPathRouter:
 
     # -- counters ------------------------------------------------------------
 
-    def counter_burst(self, counter, deltas: list, fetch: bool = False):
+    def counter_burst(self, counter, deltas: list):
         """A burst of FAA deltas applied server-side (generator);
         returns the post-add values in delta order."""
         mapping = counter.mapping
-        for _attempt in range(self.config.data_retry_limit + 1):
+
+        def attempt():
             host_id, addr = self._locate_slot(mapping.desc, counter.offset,
                                               ops.WORD)
             request = self._request("counter_burst", mapping, addr=addr,
                                     deltas=list(deltas))
-            try:
-                reply = yield from self._exec(host_id, request, fetch)
-            except StaleEpochError:
-                yield from self._refresh(mapping)
-                continue
-            return reply[1]
-        raise RetryBudgetExceededError(
-            f"counter burst on {mapping.name!r} kept hitting stale epochs")
+            return self._exec(host_id, request, fetch=False)
+
+        reply = yield from self._drive(
+            mapping, attempt, f"counter burst on {mapping.name!r}")
+        return reply[1]

@@ -182,6 +182,40 @@ class RKVStore:
         key_len, key, value = ops.parse_body(body, self.key_size)
         return version, key_len, key, value
 
+    def _read_slots(self, indices: list):
+        """Validated snapshots of many slots in two shared flushes
+        (generator): one batch snapshots every slot, a second re-reads
+        the version words of the stable ones — the SeqLock optimistic
+        read, amortized.  Returns one ``_read_slot``-shaped tuple per
+        index, or ``None`` where a writer raced the read (odd version,
+        or the word moved between the two reads)."""
+        snap = self.client.batch()
+        futs = []
+        for index in indices:
+            futs.append((yield from snap.read(
+                self.mapping, self._slot_offset(index), self.slot_size)))
+        yield from snap.flush()
+        stable = {}
+        for pos, fut in enumerate(futs):
+            blob = yield from fut.wait()
+            version = int.from_bytes(blob[:ops.WORD], "little")
+            if version % 2 == 0:
+                stable[pos] = (version, blob)
+        snapshots: list = [None] * len(indices)
+        if not stable:
+            return snapshots
+        check = self.client.batch()
+        for pos in stable:
+            futs[pos] = yield from check.read(
+                self.mapping, self._slot_offset(indices[pos]), ops.WORD)
+        yield from check.flush()
+        for pos, (version, blob) in stable.items():
+            word = yield from futs[pos].wait()
+            if int.from_bytes(word, "little") == version:
+                snapshots[pos] = (version, *ops.parse_body(
+                    blob[ops.WORD:], self.key_size))
+        return snapshots
+
     # -- the API -------------------------------------------------------------------
 
     def txn(self, label: str = None, retries: int = None,
@@ -297,72 +331,35 @@ class RKVStore:
         return values
 
     def _multi_get_one_sided(self, keys: list):
+        """Drive one ``ops.walk`` per key in lockstep (generator): each
+        walk yields the slot it wants, one batched read serves every
+        pending walk per round, and the answer is sent back in."""
+
+        def ask(index):
+            # same budget and failure mode as _read_slot: a raced slot
+            # (answered ``None``) is simply asked for again
+            for _try in range(_READ_RETRIES):
+                snapshot = yield index
+                if snapshot is not None:
+                    return snapshot
+                self._m_read_retries.inc()
+            raise KvError(
+                f"slot {index} kept changing under {_READ_RETRIES} reads"
+            )
+
         results: list = [None] * len(keys)
-        probes = [0] * len(keys)
-        tries = [0] * len(keys)
-        chains = [self.chain(key) for key in keys]
-        pending = list(range(len(keys)))
-
-        def slot_of(i):
-            return chains[i][probes[i]]
-
-        def raced(i):
-            # same budget and failure mode as _read_slot
-            self._m_read_retries.inc()
-            tries[i] += 1
-            if tries[i] >= _READ_RETRIES:
-                raise KvError(
-                    f"slot {slot_of(i)} kept changing under "
-                    f"{_READ_RETRIES} reads"
-                )
-
-        while pending:
-            snap = self.client.batch()
-            futs = {}
-            for i in pending:
-                futs[i] = yield from snap.read(
-                    self.mapping, self._slot_offset(slot_of(i)),
-                    self.slot_size,
-                )
-            yield from snap.flush()
-            snapshots = {}
-            for i in pending:
-                blob = yield from futs[i].wait()
-                version = int.from_bytes(blob[:ops.WORD], "little")
-                if version % 2 == 1:
-                    raced(i)  # writer mid-publish: re-probe next round
-                    continue
-                snapshots[i] = (version, blob)
-            if not snapshots:
-                continue
-            check = self.client.batch()
-            vfuts = {}
-            for i in snapshots:
-                vfuts[i] = yield from check.read(
-                    self.mapping, self._slot_offset(slot_of(i)), ops.WORD
-                )
-            yield from check.flush()
-            settled = []
-            for i, (version, blob) in snapshots.items():
-                word = yield from vfuts[i].wait()
-                if int.from_bytes(word, "little") != version:
-                    raced(i)  # a writer published between the reads
-                    continue
-                key_len, slot_key, value = ops.parse_body(
-                    blob[ops.WORD:], self.key_size)
-                found = ops.classify(key_len, slot_key, keys[i])
-                if found == ops.HIT:
-                    results[i] = value
-                    settled.append(i)
-                elif found == ops.FREE:
-                    settled.append(i)  # never-used slot ends the chain
-                else:
-                    probes[i] += 1
-                    tries[i] = 0
-                    if probes[i] >= len(chains[i]):
-                        settled.append(i)
-            for i in settled:
-                pending.remove(i)
+        walks = [ops.walk(key, self.chain(key), ask) for key in keys]
+        wanted = {i: next(walk) for i, walk in enumerate(walks)}
+        while wanted:
+            snapshots = yield from self._read_slots(list(wanted.values()))
+            for i, snapshot in zip(list(wanted), snapshots):
+                try:
+                    wanted[i] = walks[i].send(snapshot)
+                except StopIteration as done:
+                    del wanted[i]
+                    outcome, _index, hit, _reusable = done.value
+                    if outcome == ops.HIT:
+                        results[i] = hit[3]
         return results
 
     def delete(self, key: bytes):

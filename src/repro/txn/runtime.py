@@ -51,7 +51,7 @@ from repro.datapath import ops
 from repro.kv.hashkv import KvError, KvFullError
 
 __all__ = ["Txn", "TxnRuntime", "TxnError", "TxnConflictError",
-           "TxnMisuseError"]
+           "TxnMisuseError", "replay_idempotent"]
 
 _WORD = 8
 #: snapshot retries while a writer holds a slot (matches hashkv)
@@ -75,6 +75,23 @@ class TxnConflictError(TxnError, RecoverableError):
 
 class TxnMisuseError(TxnError, FatalError):
     """API misuse: operating on a transaction that already finished."""
+
+
+def replay_idempotent(op_factory, backoff):
+    """Drive one idempotent post-decision write to completion
+    (generator): publishes and lock releases are plain writes, so
+    replaying them through faults is safe and *required* — the
+    decision is already made.  Shared with the 2PL baseline."""
+    for _attempt in range(_APPLY_ATTEMPTS):
+        try:
+            yield from op_factory()
+            return
+        except RecoverableError:
+            yield from backoff.pause()
+    raise TxnError(
+        f"idempotent commit write did not land within "
+        f"{_APPLY_ATTEMPTS} attempts"
+    )
 
 
 class _ReadEntry:
@@ -334,22 +351,6 @@ class Txn:
         writes.sort(key=lambda w: w.rkey)
         return writes
 
-    def _replay(self, op_factory, backoff):
-        """Drive one idempotent post-decision write to completion
-        (generator): publishes and lock releases are plain writes, so
-        replaying them through faults is safe and *required* — the
-        decision is already made."""
-        for _attempt in range(_APPLY_ATTEMPTS):
-            try:
-                yield from op_factory()
-                return
-            except RecoverableError:
-                yield from backoff.pause()
-        raise TxnError(
-            f"idempotent commit write did not land within "
-            f"{_APPLY_ATTEMPTS} attempts"
-        )
-
     def _acquire(self, entry: _WriteEntry):
         """Take write intent on one slot (generator) — exactly-once
         even when the CAS completion *and* the disambiguating read are
@@ -456,7 +457,7 @@ class Txn:
                                    read_keys=read_keys,
                                    write_keys=write_keys)
             for w in writes:
-                yield from self._replay(
+                yield from replay_idempotent(
                     lambda w=w: w.lock.publish(self.token, w.body,
                                                new_version=w.version + 2),
                     replay,
@@ -473,7 +474,7 @@ class Txn:
             client.rsan.txn_abort(client._rsan_actor)
             if not decided:
                 for entry in held:
-                    yield from self._replay(
+                    yield from replay_idempotent(
                         lambda entry=entry: entry.lock.abort(entry.version),
                         replay,
                     )

@@ -203,14 +203,22 @@ def test_concurrent_writers_same_key_last_write_wins(cluster):
     assert final.startswith(b"worker-") and final.endswith(b"-9")
 
 
-def test_multi_get_matches_sequential_gets(cluster):
-    store = make_store(cluster, "mget")
+PATH_POLICIES = ["one_sided", "server_op", "remote_fetch"]
+
+
+@pytest.mark.parametrize("path_policy", PATH_POLICIES)
+def test_multi_get_matches_sequential_gets(cluster, path_policy):
+    store = make_store(cluster, f"mget-{path_policy}",
+                       path_policy=path_policy)
 
     def app():
         for i in range(12):
             yield from store.put(f"key-{i}".encode(), f"val-{i}".encode())
         yield from store.delete(b"key-5")
-        keys = [f"key-{i}".encode() for i in range(12)] + [b"ghost", b"key-5"]
+        # present, absent (a never-used slot ends the chain), deleted,
+        # and the same key twice in one batch
+        keys = [f"key-{i}".encode() for i in range(12)] + [
+            b"ghost", b"key-5", b"key-0", b"ghost"]
         batched = yield from store.multi_get(keys)
         singles = []
         for key in keys:
@@ -219,20 +227,40 @@ def test_multi_get_matches_sequential_gets(cluster):
 
     batched, singles = cluster.run_app(app())
     assert batched == singles
-    assert batched[0] == b"val-0" and batched[-2] is None and batched[-1] is None
+    assert batched[0] == b"val-0" == batched[-2]
+    assert batched[12] is None and batched[13] is None
 
 
-def test_multi_get_probes_past_tombstones(cluster):
-    # tiny table forces collisions and probe chains, like the delete test
-    store = make_store(cluster, "mget-tomb", slots=4)
+@pytest.mark.parametrize("path_policy", PATH_POLICIES)
+@pytest.mark.parametrize("slots", [4, ops.PROBE_LIMIT])
+def test_multi_get_probes_past_tombstones(cluster, path_policy, slots):
+    # a table no larger than the probe window: every key collides with
+    # every other.  4 slots leave one never-used terminator behind the
+    # tombstone; 16 fill the whole window, so a miss walks all of it
+    store = make_store(cluster, f"mget-tomb-{slots}-{path_policy}",
+                       slots=slots, path_policy=path_policy)
+    present = [bytes([ord("a") + i]) for i in range(slots - 1)]
 
     def app():
-        for key in (b"a", b"b", b"c"):
+        for key in present:
             yield from store.put(key, b"v-" + key)
+        if slots == ops.PROBE_LIMIT:
+            yield from store.put(b"last", b"v-last")  # window now full
         yield from store.delete(b"b")
-        return (yield from store.multi_get([b"a", b"b", b"c", b"nope"]))
+        keys = present + [b"nope", b"last", b"a", b"b"]
+        batched = yield from store.multi_get(keys)
+        singles = []
+        for key in keys:
+            singles.append((yield from store.get(key)))
+        return keys, batched, singles
 
-    assert cluster.run_app(app()) == [b"v-a", None, b"v-c", None]
+    keys, batched, singles = cluster.run_app(app())
+    assert batched == singles
+    found = dict(zip(keys, batched))
+    assert found[b"a"] == b"v-a" and found[b"c"] == b"v-c"
+    assert found[b"b"] is None and found[b"nope"] is None
+    assert found[b"last"] == (b"v-last" if slots == ops.PROBE_LIMIT
+                              else None)
 
 
 def test_multi_get_empty_and_batching_metric(cluster):
