@@ -88,6 +88,8 @@ class RStoreClient:
         self._staging: Optional[LocalBufferPool] = None
         #: the only path to a master: one cached channel per shard
         self._router = ShardRouter(sim, nic, cm, self.config)
+        #: server host -> connected data QP; the one QP table, shared
+        #: by every mapping of this client
         self._data_qps: dict[int, QueuePair] = {}
         self._mem_rpc: dict[int, RpcClient] = {}
         #: lazily built DataPathRouter (see the ``datapath`` property)
@@ -422,7 +424,7 @@ class RStoreClient:
                     raise RegionUnavailableError(desc.unavailable_reason)
                 mapping = Mapping(self, desc, path_policy=path_policy)
                 try:
-                    yield from self._ensure_qps(desc, mapping._qps)
+                    yield from self._ensure_qps(desc)
                 except RdmaError:
                     # a hosting server is unreachable; if the descriptor
                     # came from the cache it may simply be a stale lease
@@ -440,12 +442,13 @@ class RStoreClient:
         span.finish(region=desc.name, hosts=len(desc.hosts))
         return mapping
 
-    def _ensure_qps(self, desc: RegionDesc, table: dict) -> None:
+    def _ensure_qps(self, desc: RegionDesc):
         """Connected data QP to every host of *desc* (generator).
 
         Reconnects cached QPs that have gone to ERROR (server death or
         injected fault), so a remap after a retry really gets a usable
-        path.  Updates both the client-wide cache and *table*.
+        path.  The client-wide ``_data_qps`` is the only QP table:
+        every mapping posts through it.
         """
         for host_id in desc.hosts:
             qp = self._data_qps.get(host_id)
@@ -460,7 +463,6 @@ class RStoreClient:
                 )
                 self._data_qps[host_id] = qp
                 self.setup_events += 1
-            table[host_id] = qp
 
     def alloc_local(self, length: int):
         """Register a private local buffer for zero-copy IO (generator)."""

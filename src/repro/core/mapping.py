@@ -40,7 +40,6 @@ from repro.core.region import RegionDesc
 from repro.core.shard import RETRY_BACKOFF_BASE_S, RETRY_BACKOFF_MAX_S
 from repro.datapath.policy import PathPolicy
 from repro.rdma.memory import MemoryRegion
-from repro.rdma.qp import QueuePair
 from repro.rdma.types import Opcode, QpState, RdmaError
 from repro.rdma.wr import SendWR
 from repro.rpc.channel import MSG_SIZE
@@ -67,8 +66,6 @@ class Mapping:
             path_policy if path_policy is not None else PathPolicy.ONE_SIDED
         )
         self.active = True
-        #: host_id -> connected data QP (borrowed from the client cache)
-        self._qps: dict[int, QueuePair] = {}
         #: futures submitted and not yet resolved
         self._inflight: set = set()
 
@@ -313,6 +310,7 @@ class Mapping:
                      batch=None) -> None:
         """Post (or stage) sub-requests for *pieces* on behalf of *fut*."""
         io = self.client._io
+        qps = self.client._data_qps
         plans = []
         total = 0
         for piece in pieces:
@@ -326,7 +324,7 @@ class Mapping:
         for piece, targets in plans:
             _index, stripe_off, take, cursor = piece
             for replica in targets:
-                qp = self._qps.get(replica.host_id)
+                qp = qps.get(replica.host_id)
                 if qp is None or qp.state is not QpState.CONNECTED:
                     fut._sub_retired(piece, error=NotMappedError(
                         f"no usable data QP for server {replica.host_id}"
@@ -415,7 +413,7 @@ class Mapping:
         if not desc.available:
             raise RegionUnavailableError(desc.unavailable_reason)
         try:
-            yield from client._ensure_qps(desc, self._qps)
+            yield from client._ensure_qps(desc)
         except RdmaError:
             # a hosting server is unreachable but the master has not
             # noticed yet; keep the old layout and let the next attempt

@@ -41,6 +41,7 @@ from repro.core.errors import (
 from repro.datapath import ops
 from repro.rpc.channel import ChannelClosed
 from repro.rpc.endpoint import RpcError, RpcRemoteError
+from repro.simnet.resources import Resource
 
 __all__ = ["DataPathRouter"]
 
@@ -52,7 +53,7 @@ _BUSY_BUDGET = 256
 class _FetchBuffer:
     """One per-server deposit region owned by this client."""
 
-    __slots__ = ("mapping", "addr", "capacity", "usable", "busy", "waiters")
+    __slots__ = ("mapping", "addr", "capacity", "usable", "lock", "holder")
 
     def __init__(self, mapping, addr: int, capacity: int, usable: bool):
         self.mapping = mapping
@@ -60,8 +61,9 @@ class _FetchBuffer:
         self.capacity = capacity
         #: placement hint honoured — deposits actually land server-local
         self.usable = usable
-        self.busy = False
-        self.waiters: list = []
+        #: one op at a time deposits into and picks up from the buffer
+        self.lock = Resource(mapping.client.sim, capacity=1)
+        self.holder = None
 
 
 class DataPathRouter:
@@ -195,20 +197,17 @@ class DataPathRouter:
             self._fetch_bufs[server_host] = buf
         if not buf.usable:
             return None
-        while buf.busy:
-            event = self.sim.event()
-            buf.waiters.append(event)
-            yield event
-        buf.busy = True
+        holder = buf.lock.try_acquire()
+        if holder is None:
+            holder = buf.lock.request()
+            yield holder
+        buf.holder = holder
         return buf
 
     @staticmethod
     def _fetch_release(buf) -> None:
-        if buf is None:
-            return
-        buf.busy = False
-        if buf.waiters:
-            buf.waiters.pop(0).succeed(None)
+        if buf is not None:
+            buf.lock.release(buf.holder)
 
     def _collect(self, buf, reply):
         """Resolve a deposited reply (generator): one-sided pickup READ
