@@ -71,7 +71,6 @@ class DataPathRouter:
 
     def __init__(self, client):
         self.client = client
-        self.sim = client.sim
         self.config = client.config
         #: server host -> lazily opened fetch buffer
         self._fetch_bufs: dict[int, _FetchBuffer] = {}

@@ -205,12 +205,13 @@ class RKVStore:
         if not stable:
             return snapshots
         check = self.client.batch()
+        words = {}
         for pos in stable:
-            futs[pos] = yield from check.read(
+            words[pos] = yield from check.read(
                 self.mapping, self._slot_offset(indices[pos]), ops.WORD)
         yield from check.flush()
         for pos, (version, blob) in stable.items():
-            word = yield from futs[pos].wait()
+            word = yield from words[pos].wait()
             if int.from_bytes(word, "little") == version:
                 snapshots[pos] = (version, *ops.parse_body(
                     blob[ops.WORD:], self.key_size))
