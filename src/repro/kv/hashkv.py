@@ -308,16 +308,11 @@ class RKVStore:
     def multi_get(self, keys: list):
         """Batched lookup (generator); values (or ``None``) in key order.
 
-        Every outstanding probe rides shared :class:`IoBatch` flushes
-        instead of blocking per slot: one round snapshots each pending
-        key's candidate slot, a second batched round re-reads the
-        version words to validate the snapshots — the SeqLock
-        optimistic-read protocol, amortized across all keys.  Keys that
-        race a writer (odd or changed version) re-probe the same slot
-        next round; the per-slot retry budget matches :meth:`get`.
-
-        Under a server-side policy the whole batch ships as per-host
-        composite ops instead (see ``DataPathRouter.kv_multi_get``).
+        One-sided, every outstanding probe rides shared :class:`IoBatch`
+        flushes instead of blocking per slot (:meth:`_read_slots`), with
+        :meth:`get`'s per-slot retry budget.  Under a server-side policy
+        the whole batch ships as per-host composite ops instead (see
+        ``DataPathRouter.kv_multi_get``).
         """
         for key in keys:
             self._check_key(key)
