@@ -24,7 +24,7 @@ from repro.rdma.nic import RNic
 from repro.rdma.pd import reset_pd_counter
 from repro.rdma.qp import reset_qpn_counter
 from repro.sanitize import rsan_for
-from repro.simnet.config import NetworkConfig
+from repro.simnet.config import MiB, NetworkConfig
 from repro.simnet.kernel import Simulator
 from repro.simnet.topology import Network
 
@@ -136,14 +136,14 @@ def build_cluster(
     net_config: Optional[NetworkConfig] = None,
     server_hosts: Optional[Iterable[int]] = None,
     client_hosts: Optional[Iterable[int]] = None,
-    server_capacity: Optional[int] = None,
+    server_capacity: int = 4096 * MiB,
     faults=None,
 ) -> Cluster:
     """Construct and boot a cluster; returns it ready for use.
 
     By default the master runs on machine 0, every machine (including
-    0) donates DRAM, and every machine gets a started client — matching
-    the paper's co-located deployment.
+    0) donates ``server_capacity`` bytes of DRAM, and every machine gets
+    a started client — matching the paper's co-located deployment.
 
     ``faults`` takes a :class:`~repro.simnet.faults.FaultInjector`; its
     schedule is armed right after boot (windows count from that point).

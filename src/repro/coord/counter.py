@@ -18,17 +18,14 @@ from repro.datapath.policy import ModeChooser, PathPolicy
 
 __all__ = ["AtomicCounter"]
 
-#: burst substrates: remote-fetch degrades to server-op for counters
-#: (post-add values are tiny), so the chooser only weighs these two
-_BURST_MODES = (PathPolicy.ONE_SIDED, PathPolicy.SERVER_OP)
-
 
 class AtomicCounter:
     """A shared 64-bit counter driven by one-sided FAA."""
 
     REGION_SIZE = 8
 
-    def __init__(self, client, name: str, mapping, offset: int = 0):
+    def __init__(self, client, name: str, mapping, offset: int = 0,
+                 path_policy=None):
         self.client = client
         self.name = name
         self.mapping = mapping
@@ -36,8 +33,9 @@ class AtomicCounter:
         #: last value observed by this handle (post-op for ``add``)
         self.cached = 0
         self._cached_at = float("-inf")
-        self._selector = ModeChooser(client, mapping.path_policy,
-                                     modes=_BURST_MODES)
+        #: how ``add_burst`` runs; a burst is a handful of words either
+        #: way, so no mode is ever too small for it
+        self._selector = ModeChooser(client, path_policy)
 
     # -- setup (control path) ------------------------------------------------
 
@@ -48,8 +46,8 @@ class AtomicCounter:
         region = region_name(name)
         yield from client.alloc(region, cls.REGION_SIZE, replication=1,
                                 preferred_host=preferred_host)
-        mapping = yield from client.map(region, path_policy=path_policy)
-        counter = cls(client, name, mapping)
+        mapping = yield from client.map(region)
+        counter = cls(client, name, mapping, path_policy=path_policy)
         if initial:
             yield from counter.mapping.write(
                 0, initial.to_bytes(8, "little")
@@ -60,9 +58,8 @@ class AtomicCounter:
     @classmethod
     def open(cls, client, name: str, path_policy=None):
         """Map an existing counter from another client (generator)."""
-        mapping = yield from client.map(region_name(name),
-                                        path_policy=path_policy)
-        return cls(client, name, mapping)
+        mapping = yield from client.map(region_name(name))
+        return cls(client, name, mapping, path_policy=path_policy)
 
     # -- steady state (data path) --------------------------------------------
 
@@ -87,11 +84,11 @@ class AtomicCounter:
     def add_burst(self, deltas, idempotent: bool = False):
         """Apply several deltas (generator); post-add values in order.
 
-        The FAA-heavy burst shape from the crossover study: under the
-        ``server_op`` (or adaptive) path policy the whole burst ships
-        to the hosting server as one composite op — one round trip
-        instead of ``len(deltas)`` FAAs.  ``remote_fetch`` degrades to
-        server-op (the result is a handful of integers).
+        The FAA-heavy burst shape from the crossover study: under a
+        server-side (or adaptive) path policy the whole burst ships to
+        the hosting server as one composite op — one round trip instead
+        of ``len(deltas)`` FAAs (``policy.ALLOWED_MODES``: never a
+        remote fetch).
         """
         deltas = list(deltas)
         if not deltas:

@@ -52,9 +52,13 @@ class SeqLock:
         self.offset = offset
         self.body_size = body_size
         self.max_read_retries = max_read_retries
-        # -- metrics
+        #: snapshot reads *this view* reran because a writer was in
+        #: flight (the registry counters below are per region and host:
+        #: a table makes a view per slot it touches, so a per-record
+        #: label would grow the registry with the key space)
+        self.read_retries = 0
         _m = mapping.client.obs.metrics
-        _labels = dict(region=mapping.name, offset=offset,
+        _labels = dict(region=mapping.name,
                        host=mapping.client.nic.host.host_id)
         self._m_read_retries = _m.counter("coord.seqlock.read_retries",
                                           **_labels)
@@ -66,16 +70,6 @@ class SeqLock:
         reader of version *v* joins whatever the writer that published
         *v* released."""
         return ("seqlock", self.mapping.name, self.offset, version)
-
-    @property
-    def read_retries(self) -> int:
-        """Snapshot reads rerun because a writer was in flight."""
-        return int(self._m_read_retries.value)
-
-    @property
-    def lock_failures(self) -> int:
-        """CAS lock attempts that lost the version race."""
-        return int(self._m_lock_failures.value)
 
     @property
     def record_size(self) -> int:
@@ -116,17 +110,21 @@ class SeqLock:
                                                     self.record_size)
                 version = int.from_bytes(blob[:_WORD], "little")
                 if version % 2 == 1:
-                    self._m_read_retries.inc()
+                    self._raced()
                     continue
                 check = yield from self.mapping.read(self.offset, _WORD)
             if int.from_bytes(check, "little") == version:
                 rsan.sync_acquire(client._rsan_actor, self._sync_key(version))
                 return version, blob[_WORD:]
-            self._m_read_retries.inc()
+            self._raced()
         raise CoordError(
             f"record at offset {self.offset} kept changing under "
             f"{self.max_read_retries} reads"
         )
+
+    def _raced(self) -> None:
+        self.read_retries += 1
+        self._m_read_retries.inc()
 
     # -- writers (data path) ---------------------------------------------------
 

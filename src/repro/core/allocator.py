@@ -46,9 +46,6 @@ class StripeAllocator:
     def add_server(self, slot: ServerSlot) -> None:
         self._servers[slot.host_id] = slot
 
-    def remove_server(self, host_id: int) -> None:
-        self._servers.pop(host_id, None)
-
     def server(self, host_id: int) -> ServerSlot:
         return self._servers[host_id]
 

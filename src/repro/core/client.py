@@ -395,8 +395,7 @@ class RStoreClient:
             names.extend(owned)
         return sorted(names)
 
-    def map(self, region: Union[RegionDesc, str],
-            path_policy: Optional[str] = None):
+    def map(self, region: Union[RegionDesc, str]):
         """Map a region for data-path access (generator).
 
         Resolves the descriptor (if given a name) — through the leased
@@ -405,10 +404,6 @@ class RStoreClient:
         data QP to every hosting server.  QPs are cached across
         mappings, so only first contact with a server pays the
         connection cost.
-
-        ``path_policy`` selects how composite ops over the mapping run
-        (``one_sided`` | ``server_op`` | ``remote_fetch`` |
-        ``adaptive``); ``None`` means ``one_sided``.
         """
         span = self.obs.tracer.span("control.client.map", kind="control",
                                     host=self.nic.host.host_id)
@@ -422,7 +417,7 @@ class RStoreClient:
                                       self._router.shard_of(desc.name))
                 if not desc.available:
                     raise RegionUnavailableError(desc.unavailable_reason)
-                mapping = Mapping(self, desc, path_policy=path_policy)
+                mapping = Mapping(self, desc)
                 try:
                     yield from self._ensure_qps(desc)
                 except RdmaError:

@@ -25,9 +25,6 @@ class RStoreConfig:
     #: striping unit: a region is cut into stripes of this size, each
     #: placed on one memory server
     stripe_size: int = 1 * MiB
-    #: DRAM each memory server donates (sparse-backed, so large values
-    #: are cheap until written)
-    server_capacity: int = 4096 * MiB
     #: copies per stripe: 1 (the paper's volatile store) or more — an
     #: availability extension: writes fan to every replica, reads hit
     #: the primary, and the master promotes replicas when servers die
@@ -81,8 +78,9 @@ class RStoreConfig:
     #: arena space; tenants absent from the dict are unlimited.  Each
     #: shard enforces an even share (see ``core/shard.py``).
     tenant_quota_bytes: Optional[dict[str, int]] = field(default=None)
-    #: size of each per-(client, server) remote-fetch deposit buffer;
-    #: results larger than this fail loudly instead of truncating
+    #: size of each per-(client, server) remote-fetch deposit buffer; a
+    #: table whose slots outgrow it is refused the ``remote_fetch``
+    #: policy, and ``adaptive`` stops considering that mode for it
     datapath_fetch_bytes: int = 256 * KiB
     #: adaptive selector: every Nth op per class re-samples a
     #: non-current mode so regime shifts are eventually observed

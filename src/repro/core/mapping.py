@@ -38,7 +38,6 @@ from repro.core.pipeline import (
 )
 from repro.core.region import RegionDesc
 from repro.core.shard import RETRY_BACKOFF_BASE_S, RETRY_BACKOFF_MAX_S
-from repro.datapath.policy import PathPolicy
 from repro.rdma.memory import MemoryRegion
 from repro.rdma.types import Opcode, QpState, RdmaError
 from repro.rdma.wr import SendWR
@@ -51,20 +50,12 @@ __all__ = ["Mapping"]
 class Mapping:
     """A mapped region: the data-path handle."""
 
-    def __init__(self, client, desc: RegionDesc,
-                 path_policy: Optional[str] = None):
+    def __init__(self, client, desc: RegionDesc):
         self.client = client
         self.desc = desc
         #: the metadata shard owning this region's name — stamped onto
         #: every WR so servers fence against the right shard's epoch
         self.shard = client._router.shard_of(desc.name)
-        #: how composite ops over this mapping run (see repro.datapath):
-        #: one_sided | server_op | remote_fetch | adaptive.  Raw
-        #: read/write/atomic calls are always one-sided; data
-        #: structures (kv, coord) consult this to route their ops.
-        self.path_policy = PathPolicy.validate(
-            path_policy if path_policy is not None else PathPolicy.ONE_SIDED
-        )
         self.active = True
         #: futures submitted and not yet resolved
         self._inflight: set = set()
@@ -166,28 +157,10 @@ class Mapping:
         return self._start("write", offset, len(payload), wire_scale,
                            payload=payload)
 
-    def read_into_async(self, local_mr: MemoryRegion, local_addr: int,
-                        offset: int, length: int, wire_scale: int = 1):
-        """Submit a zero-copy read (generator); returns its future."""
-        return self._start("read_into", offset, length, wire_scale,
-                           local_mr, local_addr)
-
-    def write_from_async(self, local_mr: MemoryRegion, local_addr: int,
-                         offset: int, length: int, wire_scale: int = 1):
-        """Submit a zero-copy write (generator); returns its future."""
-        return self._start("write_from", offset, length, wire_scale,
-                           local_mr, local_addr)
-
     def faa_async(self, offset: int, delta: int, idempotent: bool = False):
         """Submit a fetch-and-add (generator); returns its future."""
         return self._start("faa", offset, 8, idempotent=idempotent,
                            compare=delta)
-
-    def cas_async(self, offset: int, expected: int, desired: int,
-                  idempotent: bool = False):
-        """Submit a compare-and-swap (generator); returns its future."""
-        return self._start("cas", offset, 8, idempotent=idempotent,
-                           compare=expected, swap=desired)
 
     # -- the one path under every op -----------------------------------------
 

@@ -112,7 +112,6 @@ class Master:
         #: True between restart and the end of the re-registration grace
         #: period; mutating RPCs park until recovery finishes
         self.recovering = False
-        self.recovered_at: Optional[float] = None
         self._recovery_waiters: list = []
         self._awaiting_rejoin: set[int] = set()
         self.obs = obs_for(sim)
@@ -273,7 +272,6 @@ class Master:
             ):
                 self.repair.enqueue_degraded(region)
         self.recovering = False
-        self.recovered_at = self.sim.now
         self.repair._note(f"master recovered at epoch {self.epoch}")
         waiters, self._recovery_waiters = self._recovery_waiters, []
         for waiter in waiters:

@@ -90,13 +90,16 @@ class MemoryServer:
         nic: RNic,
         cm: ConnectionManager,
         config: Optional[RStoreConfig] = None,
-        capacity: Optional[int] = None,
+        *,
+        capacity: int,
     ):
         self.sim = sim
         self.nic = nic
         self.cm = cm
         self.config = config or RStoreConfig()
-        self.capacity = capacity or self.config.server_capacity
+        #: DRAM this server donates (sparse-backed, so large values are
+        #: cheap until written)
+        self.capacity = capacity
         self.host_id = nic.host.host_id
         #: one sub-arena slice per metadata shard (a single dict entry
         #: spanning the whole donation when control_shards == 1)
@@ -305,22 +308,16 @@ class MemoryServer:
     def _heartbeat_loop(self, shard_id: int):
         assert self._router is not None
         while self.alive and shard_id not in self._dead_shards:
-            extra_delay = 0.0
-            if self.faults is not None:
-                action, extra_delay = self.faults.heartbeat_action(self.host_id)
-                if action == "drop":
-                    yield self.sim.timeout(self.config.heartbeat_interval_s)
-                    continue
-            if extra_delay > 0.0:
-                yield self.sim.timeout(extra_delay)
-                if not self.alive:
-                    return
+            if (self.faults is not None
+                    and self.faults.drops_heartbeat(self.host_id)):
+                yield self.sim.timeout(self.config.heartbeat_interval_s)
+                continue
             unreachable = False
             try:
                 master = yield from self._router.client_for(shard_id)
-                # the timeout matters under one-way partitions: the
-                # heartbeat arrives but the reply never comes back, and
-                # without a bound this loop would hang forever
+                # the timeout matters under partitions: the heartbeat or
+                # its reply vanishes, and without a bound this loop
+                # would hang forever
                 reply = yield from master.call(
                     "heartbeat", self.host_id,
                     timeout=self.config.lease_timeout_s,

@@ -1,4 +1,4 @@
-"""Per-mapping data-path policy: which substrate runs an operation.
+"""Data-path policy: which substrate runs a composite operation.
 
 Three concrete modes plus the adaptive chooser:
 
@@ -14,18 +14,22 @@ Three concrete modes plus the adaptive chooser:
   with a one-sided READ, so large results never ride the (pickled,
   CPU-charged) message channel.
 
-:class:`AdaptiveSelector` implements ``adaptive``: a per-op-class
-EWMA of observed latency per mode, with deterministic round-robin
-probing and hysteresis + patience so the choice cannot flap on noise.
-It draws no randomness (repro-lint RL002: seeded replay must hold).
-:class:`ModeChooser` is what a data structure holds: the selector
-bound to one handle's client and policy, which also takes the
-measurement.
+:data:`ALLOWED_MODES` is the op × mode matrix, declared here and
+nowhere else.  :class:`AdaptiveSelector` implements ``adaptive``: a
+per-op-class EWMA of observed latency per mode, with deterministic
+round-robin probing and hysteresis + patience so the choice cannot
+flap on noise.  It draws no randomness (repro-lint RL002: seeded
+replay must hold).  :class:`ModeChooser` is what a data structure
+holds: the selector bound to one handle's client, policy and payload
+sizes, which also takes the measurement.
 """
 
 from __future__ import annotations
 
-__all__ = ["PathPolicy", "AdaptiveSelector", "ModeChooser"]
+from repro.rpc.channel import MSG_SIZE
+from repro.simnet.config import KiB
+
+__all__ = ["PathPolicy", "ALLOWED_MODES", "AdaptiveSelector", "ModeChooser"]
 
 
 class PathPolicy:
@@ -36,9 +40,10 @@ class PathPolicy:
     REMOTE_FETCH = "remote_fetch"
     ADAPTIVE = "adaptive"
 
-    #: the concrete substrates an op can actually run on
+    #: the concrete substrates an op can actually run on, least server
+    #: involvement first
     MODES = (ONE_SIDED, SERVER_OP, REMOTE_FETCH)
-    #: everything a mapping may be opened with
+    #: everything a handle may be opened with
     POLICIES = MODES + (ADAPTIVE,)
 
     @classmethod
@@ -51,8 +56,32 @@ class PathPolicy:
         return policy
 
 
+#: The op × mode matrix: the modes each composite op may run on, in
+#: ``PathPolicy.MODES`` order.  A fixed policy runs an op in its own
+#: mode where the row allows it, else in the row's last (the nearest
+#: below it); ``adaptive`` chooses within the row.  ``get`` is the one
+#: op whose reply is worth a deposit; ``put`` and ``burst`` reply with a
+#: status or a few integers.  ``delete`` is rare, needs the
+#: found-vs-absent answer the server-op store protocol does not carry,
+#: and must never claim a fresh slot.  ``multi_get`` already turns N
+#: probes into two flushes per hop by doorbell batching, and no
+#: workload measures a server-side batch winning.
+ALLOWED_MODES = {
+    "get": (PathPolicy.ONE_SIDED, PathPolicy.SERVER_OP,
+            PathPolicy.REMOTE_FETCH),
+    "put": (PathPolicy.ONE_SIDED, PathPolicy.SERVER_OP),
+    "burst": (PathPolicy.ONE_SIDED, PathPolicy.SERVER_OP),
+    "delete": (PathPolicy.ONE_SIDED,),
+    "multi_get": (PathPolicy.ONE_SIDED,),
+}
+
+#: what the pickled ``dp_exec`` request adds around an op's payload —
+#: op fields, region name, a full 16-slot probe run; ~0.4 KiB measured
+_ENVELOPE = 1 * KiB
+
+
 class _ClassState:
-    """Selector state for one op class (get/put/multi_get/burst)."""
+    """Selector state for one op class (a row of the matrix)."""
 
     __slots__ = ("ewma", "samples", "current", "streak", "count",
                  "probe_cursor")
@@ -171,31 +200,63 @@ class AdaptiveSelector:
 class ModeChooser(AdaptiveSelector):
     """The per-op mode choice of one client handle (a table, a counter).
 
-    A fixed policy is its own mode and is never timed.  Under
-    ``adaptive`` the selector picks, and ``pick`` hands out a
-    ``(now, setup_events)`` token that ``done`` turns into the
-    observed latency — cold when the client did set-up work (a dial, a
-    fetch-buffer allocation) in between.
+    *sizes* maps an op to the largest ``(request, reply)`` payload
+    bytes the handle sends and gets back (absent: negligible).  Of each
+    row of :data:`ALLOWED_MODES` only the modes whose transport fits
+    are kept: a server-side request rides the RPC channel, the reply
+    rides it too (``server_op``) or the fetch buffer
+    (``remote_fetch``); one-sided IO carries anything.  A fixed policy
+    one of whose ops does not fit raises ``ValueError`` here, before
+    the first op; ``adaptive`` chooses among what is left.
+
+    A row of one is returned as is and never timed.  Otherwise the
+    selector picks, and ``pick`` hands out a ``(now, setup_events)``
+    token that ``done`` turns into the observed latency — cold when the
+    client did set-up work (a dial, a fetch-buffer allocation) in
+    between.
     """
 
-    def __init__(self, client, policy: str, modes=PathPolicy.MODES):
-        super().__init__(modes,
-                         probe_every=client.config.datapath_probe_every)
+    def __init__(self, client, policy, sizes=None):
+        super().__init__(probe_every=client.config.datapath_probe_every)
         self.client = client
-        self.policy = policy
+        self.policy = PathPolicy.validate(
+            policy if policy is not None else PathPolicy.ONE_SIDED)
+        channel = MSG_SIZE - _ENVELOPE
+        fetch_bytes = client.config.datapath_fetch_bytes
+        reply_room = {PathPolicy.SERVER_OP: channel,
+                      PathPolicy.REMOTE_FETCH: fetch_bytes}
+        sizes = sizes or {}
+        #: op -> the modes its next call may run on
+        self._candidates: dict[str, tuple] = {}
+        for op, allowed in ALLOWED_MODES.items():
+            request, reply = sizes.get(op, (0, 0))
+            fits = tuple(
+                mode for mode in allowed if mode == PathPolicy.ONE_SIDED
+                or (request <= channel and reply <= reply_room[mode]))
+            if self.policy != PathPolicy.ADAPTIVE:
+                mode = self.policy if self.policy in allowed else allowed[-1]
+                if mode not in fits:
+                    raise ValueError(
+                        f"path policy {self.policy!r} runs {op} as {mode}, "
+                        f"which cannot carry its {request}-byte request "
+                        f"and {reply}-byte reply (channel {channel}, "
+                        f"datapath_fetch_bytes {fetch_bytes})")
+                fits = (mode,)
+            self._candidates[op] = fits
 
-    def pick(self, op_class: str, modes=None):
-        """``(mode, token)`` for the next *op_class* operation."""
-        if self.policy != PathPolicy.ADAPTIVE:
-            return self.policy, None
-        return (self.choose(op_class, modes),
+    def pick(self, op: str):
+        """``(mode, token)`` for the next *op* operation."""
+        modes = self._candidates[op]
+        if len(modes) == 1:
+            return modes[0], None
+        return (self.choose(op, modes),
                 (self.client.sim.now, self.client.setup_events))
 
-    def done(self, op_class: str, mode: str, token) -> None:
+    def done(self, op: str, mode: str, token) -> None:
         """Close the measurement ``pick`` opened (no-op without one)."""
         if token is not None:
             started_at, setup_before = token
             self.observe(
-                op_class, mode, self.client.sim.now - started_at,
+                op, mode, self.client.sim.now - started_at,
                 cold=self.client.setup_events != setup_before,
             )

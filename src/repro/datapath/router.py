@@ -292,48 +292,12 @@ class DataPathRouter:
 
     def kv_put(self, store, key: bytes, value: bytes):
         """Server-side probe-chain store (generator); ``False`` when the
-        probe window holds no reusable slot.  Never deposits: a store's
-        reply is a status tuple, so there is nothing worth fetching.
-        """
+        probe window holds no reusable slot."""
         reply = yield from self._kv_op("kv_put", store, key, value=value)
         if reply[0] == "reusable":
             yield from store._put_one_sided(key, value)
             return True
         return reply[0] == "stored"
-
-    def kv_multi_get(self, store, keys: list, fetch: bool = False):
-        """Batched server-side lookups (generator), values in key order.
-
-        Keys whose entire probe chain lives on one host batch into one
-        ``dp_exec`` per host; chain-straddling keys fall back to
-        :meth:`kv_get`.  Busy keys re-drive individually.
-        """
-        results: list = [None] * len(keys)
-        per_host: dict[int, list] = {}
-        scattered: list[int] = []
-        desc = store.mapping.desc
-        for i, key in enumerate(keys):
-            runs = self._probe_runs(desc, store, ops.hash64(key))
-            if len(runs) == 1:
-                host_id, slots = runs[0]
-                per_host.setdefault(host_id, []).append((i, key, slots))
-            else:
-                scattered.append(i)
-        for host_id, batch in per_host.items():
-            request = self._request(
-                "kv_multi_get", store.mapping,
-                entries=[(key, slots) for _i, key, slots in batch],
-                key_size=store.key_size, value_size=store.value_size,
-            )
-            reply = yield from self._exec(host_id, request, fetch)
-            for (i, key, _slots), outcome in zip(batch, reply[1]):
-                if outcome[0] == "hit":
-                    results[i] = outcome[1]
-                elif outcome[0] == "busy":
-                    scattered.append(i)  # re-drive with busy handling
-        for i in scattered:
-            results[i] = yield from self.kv_get(store, keys[i], fetch=fetch)
-        return results
 
     # -- counters ------------------------------------------------------------
 

@@ -40,10 +40,6 @@ from repro.sanitize.rsan import rsan_for
 
 __all__ = ["ServerOpExecutor"]
 
-#: results that carry a payload worth depositing; pure statuses always
-#: return inline (a deposited "busy" would waste the pickup READ)
-_DEPOSITABLE = ("hit", "multi", "counted")
-
 
 class _BusySlot(Exception):
     """A slot reader found a writer's odd version word."""
@@ -68,7 +64,6 @@ class ServerOpExecutor:
         self._ops = {
             "kv_get": self._kv_get,
             "kv_put": self._kv_put,
-            "kv_multi_get": self._kv_multi_get,
             "counter_burst": self._counter_burst,
         }
 
@@ -89,7 +84,10 @@ class ServerOpExecutor:
         result = yield from handler(request)
         self._m_applied.inc()
         deposit = request.get("deposit")
-        if deposit is not None and result[0] in _DEPOSITABLE:
+        # only a lookup is ever offered a deposit (policy.ALLOWED_MODES)
+        # and only its hit carries a payload: a status returns inline
+        # (a deposited "busy" would waste the pickup READ)
+        if deposit is not None and result[0] == ops.HIT:
             result = yield from self._deposit(deposit, result)
         return result
 
@@ -218,20 +216,6 @@ class ServerOpExecutor:
             + ops.encode_body(key, req["value"], key_size, value_size),
         )
         return ("stored", new_version)
-
-    def _kv_multi_get(self, req: dict):
-        """Batched lookups whose whole probe chain lives on this host."""
-        results = []
-        for key, slots in req["entries"]:
-            sub = dict(req, key=key, slots=slots)
-            outcome = yield from self._kv_get(sub)
-            if outcome[0] in (ops.FREE, ops.CONTINUE):
-                # a full single-host chain that ends or exhausts is a
-                # definitive miss — same verdict the one-sided prober
-                # reaches after its probe window
-                outcome = ("miss",)
-            results.append(outcome)
-        return ("multi", results)
 
     # -- counters ------------------------------------------------------------
 

@@ -23,6 +23,7 @@ import numpy as np
 from repro.cluster.builder import Cluster
 from repro.graph.framework import GraphComputeModel
 from repro.graph.loader import Graph, partition_by_edges
+from repro.net.mesh import build_full_mesh
 
 __all__ = ["MessagePassingEngine"]
 
@@ -54,7 +55,14 @@ class MessagePassingEngine:
     def run(self, program):
         """Execute *program* to convergence (generator); see RStore engine."""
         sim = self.cluster.sim
-        sockets = yield from self._build_mesh()
+        # untimed setup, before t0 like the engines' connection caches
+        stacks = {
+            rank: self.cluster.tcp_stacks[host]
+            for rank, host in enumerate(self.worker_hosts)
+        }
+        # stable per-tag port (str.hash is randomized across processes)
+        port = _BASE_PORT + sum(self.tag.encode()) % 97
+        sockets = yield from build_full_mesh(sim, stacks, port)
         results: dict[int, np.ndarray] = {}
         stats = SimpleNamespace(values=None, iterations=0, elapsed=0.0)
         t0 = sim.now
@@ -71,49 +79,6 @@ class MessagePassingEngine:
             [results[r] for r in range(self.num_workers)]
         )
         return stats
-
-    def _build_mesh(self):
-        """Pairwise sockets between workers (generator); untimed setup
-        happens before t0 just like the engines' connection caches."""
-        sim = self.cluster.sim
-        stacks = {
-            rank: self.cluster.tcp_stacks[host]
-            for rank, host in enumerate(self.worker_hosts)
-        }
-        sockets: dict[int, dict[int, object]] = {
-            rank: {} for rank in range(self.num_workers)
-        }
-        # stable per-tag port (str.hash is randomized across processes)
-        port = _BASE_PORT + sum(self.tag.encode()) % 97
-        listeners = {}
-        accepts = []
-        for rank in range(self.num_workers):
-            listeners[rank] = stacks[rank].listen(port)
-
-        def accept_side(rank, expected):
-            for _ in range(expected):
-                sock = yield from listeners[rank].accept()
-                peer = yield from sock.recv()  # hello carries the rank
-                sockets[rank][peer] = sock
-
-        for rank in range(self.num_workers):
-            # rank accepts one connection from every lower-ranked worker
-            accepts.append(
-                sim.process(accept_side(rank, rank))
-            )
-
-        def dial():
-            # each worker dials every higher-ranked worker
-            for lo in range(self.num_workers):
-                for hi in range(lo + 1, self.num_workers):
-                    sock = yield from stacks[lo].connect(stacks[hi], port)
-                    yield from sock.send(lo)
-                    sockets[lo][hi] = sock
-
-        yield sim.all_of([sim.process(dial()), *accepts])
-        for listener in listeners.values():
-            listener.close()
-        return sockets
 
     def _worker(self, rank, program, sockets, results, stats):
         cpu = self.cluster.net.host(self.worker_hosts[rank]).cpu

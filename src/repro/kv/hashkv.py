@@ -30,10 +30,6 @@ __all__ = ["RKVStore", "KvError", "KvFullError"]
 #: this long means something is deeply wrong in simulation)
 _READ_RETRIES = 64
 
-#: store ops never remote-fetch: a put's reply is a status tuple, so
-#: the deposit path has nothing to save over plain server-op
-_PUT_MODES = (PathPolicy.ONE_SIDED, PathPolicy.SERVER_OP)
-
 
 class KvError(RStoreError):
     """Key-value layer failure."""
@@ -54,7 +50,8 @@ class RKVStore:
     probe_limit = ops.PROBE_LIMIT
 
     def __init__(self, client: RStoreClient, name: str, mapping: Mapping,
-                 slots: int, key_size: int, value_size: int):
+                 slots: int, key_size: int, value_size: int,
+                 path_policy: str = None):
         self.client = client
         self.name = name
         self.mapping = mapping
@@ -63,7 +60,8 @@ class RKVStore:
         self.value_size = value_size
         self.slot_size = ops.slot_size(key_size, value_size)
         self._backoff = Backoff.for_client(client, f"kv-{name}")
-        self._selector = ModeChooser(client, mapping.path_policy)
+        self._selector = self._chooser(client, path_policy, key_size,
+                                       value_size)
         # -- client-local metrics
         _labels = dict(table=name, host=client.nic.host.host_id)
         self._m_read_retries = client.obs.metrics.counter(
@@ -83,6 +81,20 @@ class RKVStore:
 
     # -- construction ----------------------------------------------------------
 
+    @staticmethod
+    def _chooser(client, path_policy, key_size: int, value_size: int):
+        """The table's mode chooser; :class:`KvError` when *path_policy*
+        is unknown or cannot carry this table's slots.  A lookup sends
+        a key and may bring a whole slot back; a store sends one."""
+        slot_size = ops.slot_size(key_size, value_size)
+        try:
+            return ModeChooser(client, path_policy, {
+                "get": (key_size, slot_size),
+                "put": (slot_size, 0),
+            })
+        except ValueError as exc:
+            raise KvError(str(exc)) from None
+
     @classmethod
     def create(cls, client: RStoreClient, name: str, slots: int,
                key_size: int = 32, value_size: int = 128,
@@ -90,6 +102,8 @@ class RKVStore:
         """Allocate and map a fresh table (generator)."""
         if slots < 1:
             raise KvError("need at least one slot")
+        # refuse an unfit policy before anything is allocated
+        cls._chooser(client, path_policy, key_size, value_size)
         slot_size = ops.slot_size(key_size, value_size)
         # stripe on a slot boundary so no slot (and no version word)
         # ever straddles two memory servers
@@ -98,9 +112,9 @@ class RKVStore:
         region_size = slots * slot_size
         yield from client.alloc(f"kv.{name}", region_size,
                                 stripe_size=stripe_size)
-        mapping = yield from client.map(f"kv.{name}",
-                                        path_policy=path_policy)
-        store = cls(client, name, mapping, slots, key_size, value_size)
+        mapping = yield from client.map(f"kv.{name}")
+        store = cls(client, name, mapping, slots, key_size, value_size,
+                    path_policy)
         yield from client.notify(
             f"kv.{name}.meta",
             {"slots": slots, "key_size": key_size, "value_size": value_size},
@@ -111,10 +125,9 @@ class RKVStore:
     def open(cls, client: RStoreClient, name: str, path_policy: str = None):
         """Map an existing table from another client (generator)."""
         meta = yield from client.wait_note(f"kv.{name}.meta")
-        mapping = yield from client.map(f"kv.{name}",
-                                        path_policy=path_policy)
+        mapping = yield from client.map(f"kv.{name}")
         return cls(client, name, mapping, meta["slots"], meta["key_size"],
-                   meta["value_size"])
+                   meta["value_size"], path_policy)
 
     # -- helpers -----------------------------------------------------------------
 
@@ -168,9 +181,6 @@ class RKVStore:
     def _read_slot(self, index: int):
         """Optimistically read one consistent slot snapshot (generator)."""
         lock = self.slot_lock(index)
-        # slot views share one registry counter per slot, so fold in the
-        # *delta* this view added, not its cumulative value
-        before = lock.read_retries
         try:
             version, body = yield from lock.read()
         except CoordError as exc:
@@ -178,7 +188,7 @@ class RKVStore:
                 f"slot {index} kept changing under {_READ_RETRIES} reads"
             ) from exc
         finally:
-            self._m_read_retries.inc(lock.read_retries - before)
+            self._m_read_retries.inc(lock.read_retries)
         key_len, key, value = ops.parse_body(body, self.key_size)
         return version, key_len, key, value
 
@@ -244,7 +254,7 @@ class RKVStore:
                 f"value of {len(value)} bytes exceeds slot value size "
                 f"{self.value_size}"
             )
-        mode, token = self._selector.pick("put", modes=_PUT_MODES)
+        mode, token = self._selector.pick("put")
         if mode == PathPolicy.ONE_SIDED:
             yield from self._put_one_sided(key, value)
         else:
@@ -308,28 +318,15 @@ class RKVStore:
     def multi_get(self, keys: list):
         """Batched lookup (generator); values (or ``None``) in key order.
 
-        One-sided, every outstanding probe rides shared :class:`IoBatch`
-        flushes instead of blocking per slot (:meth:`_read_slots`), with
-        :meth:`get`'s per-slot retry budget.  Under a server-side policy
-        the whole batch ships as per-host composite ops instead (see
-        ``DataPathRouter.kv_multi_get``).
+        One-sided under every path policy (``policy.ALLOWED_MODES``).
+        Drives one ``ops.walk`` per key in lockstep: each walk yields
+        the slot it wants, one batched read serves every pending walk
+        per round (:meth:`_read_slots` — shared :class:`IoBatch`
+        flushes instead of a blocking read per slot), and the answer is
+        sent back in, under :meth:`get`'s per-slot retry budget.
         """
         for key in keys:
             self._check_key(key)
-        mode, token = self._selector.pick("multi_get")
-        if mode == PathPolicy.ONE_SIDED:
-            values = yield from self._multi_get_one_sided(keys)
-        else:
-            values = yield from self.client.datapath.kv_multi_get(
-                self, keys, fetch=(mode == PathPolicy.REMOTE_FETCH)
-            )
-        self._selector.done("multi_get", mode, token)
-        return values
-
-    def _multi_get_one_sided(self, keys: list):
-        """Drive one ``ops.walk`` per key in lockstep (generator): each
-        walk yields the slot it wants, one batched read serves every
-        pending walk per round, and the answer is sent back in."""
 
         def ask(index):
             # same budget and failure mode as _read_slot: a raced slot
@@ -361,10 +358,8 @@ class RKVStore:
     def delete(self, key: bytes):
         """Remove (generator); returns whether the key existed.
 
-        Always one-sided regardless of the mapping's path policy:
-        deletes are rare, need the found-vs-absent distinction the
-        server-op store protocol does not carry, and tombstone writes
-        must never claim a fresh slot.
+        One-sided under every path policy (``policy.ALLOWED_MODES``
+        says why).
         """
         self._check_key(key)
         self._backoff.reset()
@@ -386,8 +381,3 @@ class RKVStore:
                                 tombstone=True)
             )
             return True
-
-    def contains(self, key: bytes):
-        """Membership test (generator)."""
-        value = yield from self.get(key)
-        return value is not None

@@ -19,7 +19,6 @@ Payloads are pickled Python objects, so baselines compute real results;
 
 from __future__ import annotations
 
-import itertools
 import pickle
 from dataclasses import dataclass
 from typing import Any, Optional
@@ -30,8 +29,6 @@ from repro.simnet.resources import Store
 from repro.simnet.topology import Host, Network
 
 __all__ = ["TcpModel", "TcpStack", "Socket", "TcpError"]
-
-_conn_ids = itertools.count(1)
 
 
 class TcpError(Exception):
@@ -93,9 +90,8 @@ class TcpStack:
         # SYN / SYN-ACK / ACK plus socket setup.
         rtt = 2 * self.network.one_way_base_delay
         yield self.sim.timeout(1.5 * rtt + self.model.connect_overhead_s)
-        conn = next(_conn_ids)
-        client = Socket(self, remote_stack, conn)
-        server = Socket(remote_stack, self, conn)
+        client = Socket(self, remote_stack)
+        server = Socket(remote_stack, self)
         client._peer = server
         server._peer = client
         backlog.put(server)
@@ -134,10 +130,9 @@ _EOF = _Eof()
 class Socket:
     """One end of an established connection."""
 
-    def __init__(self, stack: TcpStack, remote_stack: TcpStack, conn_id: int):
+    def __init__(self, stack: TcpStack, remote_stack: TcpStack):
         self.stack = stack
         self.remote_stack = remote_stack
-        self.conn_id = conn_id
         self._peer: Optional["Socket"] = None
         self._rx: Store = Store(stack.sim)
         self.closed = False

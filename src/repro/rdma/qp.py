@@ -127,10 +127,6 @@ class QueuePair:
     def inflight(self) -> int:
         return self._inflight
 
-    @property
-    def posted_recvs(self) -> int:
-        return len(self._rq)
-
     def _take_recv(self) -> Optional[RecvWR]:
         return self._rq.popleft() if self._rq else None
 

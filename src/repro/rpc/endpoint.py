@@ -20,7 +20,12 @@ from typing import Callable, Optional
 from repro.rdma.cm import ConnectionManager
 from repro.rdma.nic import RNic
 from repro.rdma.qp import QueuePair
-from repro.rpc.channel import MSG_SIZE, ChannelClosed, RdmaMsgChannel
+from repro.rpc.channel import (
+    MSG_SIZE,
+    ChannelClosed,
+    MessageTooLarge,
+    RdmaMsgChannel,
+)
 from repro.rpc.message import RpcRequest, RpcResponse
 from repro.simnet.config import us
 from repro.simnet.kernel import Event, Simulator
@@ -182,7 +187,17 @@ class RpcServer(_HandlerRegistry):
             response = yield from self.dispatch(request)
         self.requests_served += 1
         try:
-            yield from channel.send(response, wire_size=response.wire_size)
+            try:
+                yield from channel.send(response,
+                                        wire_size=response.wire_size)
+            except MessageTooLarge as exc:
+                # the handler ran but its reply cannot ride the channel:
+                # the caller must still hear, as a remote error
+                yield from channel.send(RpcResponse(
+                    call_id=request.call_id,
+                    error=str(exc),
+                    error_type=type(exc).__name__,
+                ))
         except ChannelClosed:
             pass  # client died mid-call; nothing to deliver the reply to
 

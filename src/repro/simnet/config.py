@@ -74,7 +74,3 @@ class NetworkConfig:
     #: memory copy bandwidth per core (bytes/s) — used by the sockets
     #: stack and by applications that touch every byte
     copy_bandwidth_Bps: float = 3.2e9
-
-    def frame_time(self, nbytes: int) -> float:
-        """Serialization delay of *nbytes* on one link direction."""
-        return nbytes * 8.0 / self.link_rate_bps

@@ -6,14 +6,14 @@ it.  Everything is driven by the simulated clock and a seeded RNG
 stream, so a fault scenario replays bit-for-bit from its seed:
 
 * **server crashes** — kill a memory server's host at a chosen time;
-* **heartbeat drops / delays** — make a healthy server look dead to the
-  master (false-positive death), then let it resume and rejoin;
+* **heartbeat drops** — make a healthy server look dead to the master
+  (false-positive death), then let it resume and rejoin;
 * **master crashes** — fail-stop the master at a chosen time and
   optionally restart it later; the restarted master replays its
   metadata log (see ``core/metalog.py``) and re-learns the membership;
-* **network partitions** — split the fabric into groups (or one-way
-  splits) whose cross-traffic silently vanishes; transports time out,
-  clients fail fast against their deadlines;
+* **network partitions** — split the fabric into groups whose
+  cross-traffic silently vanishes; transports time out, clients fail
+  fast against their deadlines;
 * **transient RPC failures** — a control-plane call fails with a remote
   ``RStoreError`` without running its handler (callers must retry);
 * **wire faults** — a one-sided data operation launched by a chosen
@@ -62,9 +62,6 @@ class _Window:
 
     start: float
     end: float
-    #: heartbeat windows: "drop" or "delay"; delay seconds for "delay"
-    mode: str = "drop"
-    delay: float = 0.0
     #: rpc/wire windows: which method (None = all) and how likely
     method: Optional[str] = None
     probability: float = 1.0
@@ -133,8 +130,7 @@ class FaultInjector:
         messages during ``[start, start + duration)``.
 
         *groups* is a list of host-id lists.  Hosts not listed in any
-        group keep full connectivity.  The split is symmetric; see
-        :meth:`partition_oneway` for asymmetric loss.
+        group keep full connectivity.  The split is symmetric.
         """
         membership: dict[int, int] = {}
         for index, group in enumerate(groups):
@@ -155,42 +151,12 @@ class FaultInjector:
         )
         return self
 
-    def partition_oneway(self, src_hosts, dst_hosts, start: float,
-                         duration: float) -> "FaultInjector":
-        """Asymmetric split: messages from *src_hosts* to *dst_hosts*
-        vanish; the reverse direction still flows.
-
-        Blocking only the reply direction (the server side as *srcs*)
-        yields the nasty case: requests arrive and are applied, but
-        the acknowledgements never come back — initiators see ambiguous
-        timeouts on operations that actually happened.
-        """
-        srcs = frozenset(src_hosts)
-        dsts = frozenset(dst_hosts)
-
-        def blocked(src: int, dst: int) -> bool:
-            return src in srcs and dst in dsts
-
-        self._partitions.append(
-            (_Window(start, start + duration), blocked,
-             f"one-way partition {sorted(srcs)} -> {sorted(dsts)}")
-        )
-        return self
-
     def drop_heartbeats(self, host_id: int, start: float,
                         duration: float) -> "FaultInjector":
         """Silently skip every heartbeat in the window — the server
         stays healthy but the master's lease expires."""
         self._heartbeat.setdefault(host_id, []).append(
-            _Window(start, start + duration, mode="drop")
-        )
-        return self
-
-    def delay_heartbeats(self, host_id: int, start: float, duration: float,
-                         delay: float) -> "FaultInjector":
-        """Add *delay* seconds in front of each heartbeat in the window."""
-        self._heartbeat.setdefault(host_id, []).append(
-            _Window(start, start + duration, mode="delay", delay=delay)
+            _Window(start, start + duration)
         )
         return self
 
@@ -268,23 +234,16 @@ class FaultInjector:
 
     # -- hooks (consulted by the components) ---------------------------------
 
-    def heartbeat_action(self, host_id: int) -> tuple[str, float]:
-        """What should this heartbeat round do?  ``("drop", 0)``,
-        ``("delay", extra_seconds)``, or ``("send", 0)``."""
+    def drops_heartbeat(self, host_id: int) -> bool:
+        """Should this heartbeat round be skipped?"""
         now = self._now()
         for window in self._heartbeat.get(host_id, ()):
             if window.open_at(now):
                 window.fired += 1
                 self.injected["heartbeats"] += 1
-                if window.mode == "drop":
-                    self._note(f"dropped heartbeat from server {host_id}")
-                    return "drop", 0.0
-                self._note(
-                    f"delayed heartbeat from server {host_id} "
-                    f"by {window.delay}s"
-                )
-                return "delay", window.delay
-        return "send", 0.0
+                self._note(f"dropped heartbeat from server {host_id}")
+                return True
+        return False
 
     def _rpc_hook(self, host_id: int):
         def hook(service_id: str, method: str) -> str:

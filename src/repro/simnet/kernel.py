@@ -144,7 +144,7 @@ class Event:
 class Timeout(Event):
     """An event that fires after a fixed delay."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if delay < 0:
@@ -157,7 +157,6 @@ class Timeout(Event):
         self._ok = True
         self._processed = False
         self.defused = False
-        self.delay = delay
         sim._seq = seq = sim._seq + 1
         heapq.heappush(sim._queue, (sim._now + delay, seq, self, None))
 
@@ -196,10 +195,6 @@ class Process(Event):
         # Kick the process off at the current instant.
         sim.call_later(0.0, self._resume, _START)
 
-    @property
-    def is_alive(self) -> bool:
-        return not self.triggered
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current instant."""
         if self.triggered:
@@ -235,7 +230,6 @@ class Process(Event):
                 event.defused = True
             return
         self._waiting_on = None
-        self.sim._active_process = self
         try:
             if event._ok:
                 target = self.generator.send(event._value)
@@ -243,16 +237,13 @@ class Process(Event):
                 event.defused = True
                 target = self.generator.throw(event._value)
         except StopIteration as stop:
-            self.sim._active_process = None
             self.succeed(stop.value)
             return
         except BaseException as exc:
-            self.sim._active_process = None
             self._ok = False
             self._value = exc
             self.sim._schedule(self, delay=0.0)
             return
-        self.sim._active_process = None
         if not isinstance(target, Event):
             exc = SimulationError(
                 f"process {self.name!r} yielded {target!r}; processes may "
@@ -327,7 +318,6 @@ class Simulator:
         #: ``(when, seq, event, None)`` or ``(when, seq, fn, args)``
         self._queue: list[tuple] = []
         self._seq = 0
-        self._active_process: Optional[Process] = None
         #: processes ever started on this simulator
         self.processes_spawned = 0
         #: per-simulation contexts (``repro.obs.obs_for``,
@@ -339,10 +329,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        return self._active_process
 
     @property
     def events_scheduled(self) -> int:

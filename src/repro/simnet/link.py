@@ -56,10 +56,6 @@ class Channel:
         self.busy_seconds += tx_time
         return finish
 
-    @property
-    def busy_until(self) -> float:
-        return self._busy_until
-
     def utilization(self, since: float = 0.0) -> float:
         """Fraction of time spent transmitting since *since*."""
         elapsed = self.sim.now - since

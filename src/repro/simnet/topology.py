@@ -214,10 +214,3 @@ class Network:
                 at = dst_rack.down.reserve(frame_bytes, earliest=at)
             last = dst.ingress.reserve(frame_bytes, earliest=at)
         self.sim.call_later(last - now, on_delivered, *args)
-
-    def aggregate_bandwidth_bps(self, since: float = 0.0) -> float:
-        """Total payload bandwidth carried since *since* (bits/s)."""
-        elapsed = self.sim.now - since
-        if elapsed <= 0:
-            return 0.0
-        return self.bytes_carried * 8.0 / elapsed

@@ -11,7 +11,7 @@ scenarios without writing simulation code:
 * ``kv``                  — the one-sided KV table vs a sockets KV
 * ``stats``               — traced run: per-layer latency + call census
 * ``trace``               — traced run: the raw span timeline
-* ``lint``                — repro-lint: per-file invariants (RL001-7)
+* ``lint``                — repro-lint: per-file invariants (RL001-7, RL012)
 * ``analyze``             — whole-program call-graph rules (RL008-11)
 
 All numbers printed are simulated time/throughput.

@@ -1,6 +1,6 @@
 """repro-lint: AST checks for invariants ruff cannot express.
 
-Seven rule families, each guarding a design contract of this repo:
+Eight rule families, each guarding a design contract of this repo:
 
 * **RL001 — control-path isolation.**  Data-path modules (any file
   under a ``coord``, ``graph``, ``sort``, ``kv`` or ``txn`` directory)
@@ -43,6 +43,13 @@ Seven rule families, each guarding a design contract of this repo:
   control endpoint turns a data op into a hidden control RPC — a
   deadlock risk (the master may be mid-recovery while data ops flow)
   and a violation of the separation thesis at its sharpest point.
+* **RL012 — no hash-ordered simulated work.**  A ``for`` directly over
+  a ``set(...)`` / ``frozenset(...)`` / set literal / set comprehension
+  visits its elements in hash order, which for ``bytes`` and ``str``
+  moves with ``PYTHONHASHSEED``.  If the loop body yields to the
+  simulator or posts work (``*_async``, ``post_*``), the order of
+  simulated events — and every number downstream — changes from run to
+  run.  Dedupe with ``dict.fromkeys`` or iterate ``sorted(...)``.
 
 Findings print as ``path:line: RLxxx message``; the process exits
 nonzero if any survive.  Suppress a deliberate finding with a trailing
@@ -206,6 +213,34 @@ def _mentions_bound(node) -> bool:
     return False
 
 
+def _is_set_expr(node) -> bool:
+    """A set built in place: ``set(..)``/``frozenset(..)``, ``{a, b}``
+    or a set comprehension."""
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return True
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("set", "frozenset"))
+
+
+def _does_simulated_work(stmts) -> bool:
+    """True if *stmts* yield to the simulator or post work, outside any
+    nested function definition."""
+    todo = list(stmts)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            continue
+        if isinstance(node, (ast.Yield, ast.YieldFrom)):
+            return True
+        if isinstance(node, ast.Call):
+            name = _attr_name(node.func)
+            if name.endswith("_async") or name.startswith("post_"):
+                return True
+        todo.extend(ast.iter_child_nodes(node))
+    return False
+
+
 def _unwrap_awaitable(node):
     """The call inside ``await x()`` / ``yield from x()`` / ``x()``."""
     if isinstance(node, ast.Await):
@@ -295,6 +330,17 @@ class _Checker(ast.NodeVisitor):
                           "continues with no deadline, budget, or attempt "
                           "bound in sight — a partition spins this loop "
                           "forever")
+        self.generic_visit(node)
+
+    # -- RL012: hash-ordered iteration around simulated work -----------------
+
+    def visit_For(self, node):
+        if _is_set_expr(node.iter) and _does_simulated_work(node.body):
+            self.flag(node, "RL012",
+                      "iterates a set around a yield or a posted op — the "
+                      "visit order (hence the simulated event order) "
+                      "moves with PYTHONHASHSEED; dedupe with "
+                      "dict.fromkeys(...) or iterate sorted(...)")
         self.generic_visit(node)
 
     # -- RL006: direct master endpoint naming --------------------------------

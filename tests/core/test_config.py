@@ -54,4 +54,4 @@ def test_every_knob_has_a_mover():
                     passed.update(kw.arg for kw in node.keywords)
     knobs = {f.name for f in dataclasses.fields(RStoreConfig)}
     assert knobs - DEPLOYMENT_IDENTIFIERS - passed == set()
-    assert len(knobs) <= 25
+    assert len(knobs) <= 23

@@ -1,8 +1,18 @@
-"""PathPolicy vocabulary and the adaptive selector's control law."""
+"""PathPolicy vocabulary, the op × mode matrix and the adaptive
+selector's control law."""
+
+from types import SimpleNamespace
 
 import pytest
 
-from repro.datapath.policy import AdaptiveSelector, PathPolicy
+from repro.core import RStoreConfig
+from repro.datapath.policy import (
+    ALLOWED_MODES,
+    AdaptiveSelector,
+    ModeChooser,
+    PathPolicy,
+)
+from repro.simnet.config import KiB
 
 
 def test_policy_vocabulary():
@@ -14,6 +24,82 @@ def test_policy_vocabulary():
         PathPolicy.validate("two_sided")
     with pytest.raises(ValueError):
         PathPolicy.validate(None)
+
+
+def _chooser(policy, sizes=None, **config):
+    client = SimpleNamespace(config=RStoreConfig(**config),
+                             sim=SimpleNamespace(now=0.0), setup_events=0)
+    return ModeChooser(client, policy, sizes)
+
+
+def test_a_handle_validates_its_policy():
+    assert _chooser(None).policy == "one_sided"
+    with pytest.raises(ValueError, match="unknown path policy"):
+        _chooser("two_sided")
+
+
+def test_the_matrix_is_what_the_design_says():
+    one, srv, rfp = PathPolicy.MODES
+    assert ALLOWED_MODES == {
+        "get": (one, srv, rfp),
+        "put": (one, srv),
+        "burst": (one, srv),
+        "delete": (one,),
+        "multi_get": (one,),
+    }
+
+
+@pytest.mark.parametrize("policy, ran_as", [
+    (None, dict.fromkeys(ALLOWED_MODES, "one_sided")),
+    ("one_sided", dict.fromkeys(ALLOWED_MODES, "one_sided")),
+    ("server_op", {"get": "server_op", "put": "server_op",
+                   "burst": "server_op", "delete": "one_sided",
+                   "multi_get": "one_sided"}),
+    ("remote_fetch", {"get": "remote_fetch", "put": "server_op",
+                      "burst": "server_op", "delete": "one_sided",
+                      "multi_get": "one_sided"}),
+])
+def test_a_fixed_policy_runs_each_op_in_its_nearest_allowed_mode(policy,
+                                                                 ran_as):
+    chooser = _chooser(policy)
+    # never timed: a fixed policy has nothing to learn
+    assert {op: chooser.pick(op) for op in ALLOWED_MODES} == {
+        op: (mode, None) for op, mode in ran_as.items()}
+
+
+def test_adaptive_chooses_within_the_row_and_times_only_a_choice():
+    chooser = _chooser("adaptive")
+    for op, allowed in ALLOWED_MODES.items():
+        for _ in range(3 * len(allowed)):
+            mode, token = chooser.pick(op)
+            assert mode in allowed
+            assert (token is None) == (len(allowed) == 1)
+            chooser.done(op, mode, token)
+
+
+def test_sizes_narrow_adaptive_and_refuse_a_fixed_policy():
+    slot = 96 * KiB  # over the 64 KiB channel, under the fetch buffer
+    sizes = {"get": (16, slot), "put": (slot, 0)}
+    chooser = _chooser("adaptive", sizes)
+    assert chooser.pick("put") == ("one_sided", None)
+    seen = set()
+    for _ in range(8):
+        mode, token = chooser.pick("get")
+        seen.add(mode)
+        chooser.done("get", mode, token)
+    assert seen == {"one_sided", "remote_fetch"}
+    # a slot over the fetch buffer too leaves a lookup one candidate
+    small = _chooser("adaptive", sizes, datapath_fetch_bytes=64 * KiB)
+    assert small.pick("get") == ("one_sided", None)
+    with pytest.raises(ValueError, match="get as server_op"):
+        _chooser("server_op", sizes)
+    # remote_fetch stores as a server-op, which cannot carry the slot
+    with pytest.raises(ValueError, match="put as server_op"):
+        _chooser("remote_fetch", sizes)
+    # a big key is a big *request* in every server-side mode
+    with pytest.raises(ValueError, match="get as remote_fetch"):
+        _chooser("remote_fetch", {"get": (slot, 64)})
+    assert _chooser("one_sided", sizes).pick("put") == ("one_sided", None)
 
 
 def test_selector_rejects_bad_parameters():

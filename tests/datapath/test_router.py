@@ -6,7 +6,7 @@ from repro.cluster import build_cluster
 from repro.core import RStoreConfig
 from repro.datapath import ops
 from repro.datapath.router import _FetchBuffer
-from repro.kv.hashkv import KvFullError, RKVStore
+from repro.kv.hashkv import KvError, KvFullError, RKVStore
 from repro.rdma.cm import ConnectError
 from repro.rpc.channel import ChannelClosed
 from repro.rpc.endpoint import RpcError
@@ -108,6 +108,8 @@ def test_miss_and_full_table_verdicts_match_the_one_sided_path():
 
 
 def test_multi_get_returns_values_in_key_order_with_misses():
+    # a batched lookup is one-sided under every policy: under the
+    # server-side ones it must answer the same and ship nothing
     cluster = fresh_cluster()
     client = cluster.client(1)
 
@@ -120,8 +122,10 @@ def test_multi_get_returns_values_in_key_order_with_misses():
             for i in range(12):
                 yield from store.put(b"m%d" % i, b"val%d" % i)
             keys = [b"m3", b"nope", b"m7", b"m0", b"also-nope"]
+            shipped = client.datapath.server_ops
             values = yield from store.multi_get(keys)
             assert values == [b"val3", None, b"val7", b"val0", None], policy
+            assert client.datapath.server_ops == shipped, policy
 
     cluster.run_app(app())
 
@@ -351,42 +355,6 @@ def test_dead_server_exhausts_the_redial_budget():
     cluster.run_app(app())
 
 
-def test_multi_get_redrives_busy_keys_individually():
-    cluster = fresh_cluster()
-    client = cluster.client(1)
-
-    def app():
-        store = yield from RKVStore.create(client, "busy-batch", slots=64,
-                                           key_size=16, value_size=64,
-                                           path_policy="server_op")
-        yield from store.put(b"k", b"v1")
-        yield from store.put(b"other", b"w")
-        index = ops.hash64(b"k") % store.slots
-        lock = store.slot_lock(index)
-        version, _body = yield from lock.read()
-        locked = yield from lock.try_lock(version)
-        assert locked
-
-        got = []
-
-        def batch_reader():
-            values = yield from store.multi_get([b"k", b"other"])
-            got.append(values)
-
-        proc = cluster.sim.process(batch_reader(), name="busy-batch")
-        yield cluster.sim.timeout(0.001)  # let it hit the locked slot
-        body = ops.encode_body(b"k", b"v2", store.key_size,
-                               store.value_size)
-        yield from lock.publish(version + 1, body)
-        yield proc
-        # the unlocked key resolved in the batch; the busy one was
-        # re-driven alone and saw the published value
-        assert got == [[b"v2", b"w"]]
-        assert client.datapath.busy_retries > 0
-
-    cluster.run_app(app())
-
-
 def test_counter_burst_refreshes_a_stale_epoch():
     cluster = fresh_cluster()
     client = cluster.client(1)
@@ -438,5 +406,73 @@ def test_adaptive_policy_converges_and_stays_correct():
                                        "remote_fetch")
         # puts never leave their restricted substrate set
         assert set(sel._classes["put"].ewma) <= {"one_sided", "server_op"}
+
+    cluster.run_app(app())
+
+
+BIG = 96 * KiB  # a value no RPC message (64 KiB) can carry
+
+
+def test_fixed_policy_whose_slots_outgrow_its_transport_is_refused():
+    # at the parent both tables opened fine and the first op died with
+    # an untyped MessageTooLarge (inside the server's RPC handler for a
+    # get: the whole simulation went down with it)
+    cluster = fresh_cluster(datapath_fetch_bytes=64 * KiB)
+    client = cluster.client(1)
+
+    def app():
+        for policy, knob in (("server_op", "channel"),
+                             ("remote_fetch", "datapath_fetch_bytes")):
+            with pytest.raises(KvError, match=knob):
+                yield from RKVStore.create(client, "big", slots=8,
+                                           key_size=16, value_size=BIG,
+                                           path_policy=policy)
+        # nothing was allocated by the refused creates, and one-sided
+        # IO carries any slot
+        store = yield from RKVStore.create(client, "big", slots=8,
+                                           key_size=16, value_size=BIG)
+        yield from store.put(b"k", b"v" * BIG)
+        for policy in ("server_op", "remote_fetch"):
+            with pytest.raises(KvError):
+                yield from RKVStore.open(client, "big", path_policy=policy)
+
+    cluster.run_app(app())
+
+
+@pytest.mark.parametrize("fetch_bytes, get_modes", [
+    (256 * KiB, {"one_sided", "remote_fetch"}),  # a slot fits the buffer
+    (64 * KiB, {"one_sided"}),                   # nothing server-side fits
+])
+def test_adaptive_only_considers_modes_its_slots_fit(fetch_bytes, get_modes):
+    cluster = fresh_cluster(datapath_fetch_bytes=fetch_bytes,
+                            datapath_probe_every=4)
+    client = cluster.client(1)
+
+    def app():
+        store = yield from RKVStore.create(client, "big", slots=64,
+                                           key_size=16, value_size=BIG,
+                                           path_policy="adaptive")
+        model = {}
+        for i in range(64):
+            key = b"k%d" % (i // 4 % 4)  # put, get, get, multi_get each
+            if i % 4 == 0:
+                model[key] = bytes([i]) * BIG
+                yield from store.put(key, model[key])
+            elif i % 4 == 3:
+                values = yield from store.multi_get([key, b"ghost"])
+                assert values == [model.get(key), None]
+            else:
+                assert (yield from store.get(key)) == model.get(key)
+        sel = store._selector
+        assert set(sel._candidates["get"]) == get_modes
+        # a store's request never fits the channel: nothing to choose
+        assert sel._candidates["put"] == ("one_sided",)
+        router = client.datapath
+        if "remote_fetch" in get_modes:
+            # both candidates were sampled, and values came back by pickup
+            assert set(sel._classes["get"].ewma) == get_modes
+            assert router.remote_fetches > 0
+        else:
+            assert router.server_ops == 0
 
     cluster.run_app(app())

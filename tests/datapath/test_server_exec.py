@@ -119,16 +119,25 @@ def test_probe_walks_tombstones_and_free_slots():
 
 
 def test_deposit_overflow_names_the_knob():
+    # a table whose slots outgrow the fetch buffer is refused before
+    # anything is allocated (the name is free for the second create),
+    # and the executor still refuses a deposit that does not fit — a
+    # hand-built request, since the chooser never offers one
     cluster = fresh_cluster(datapath_fetch_bytes=64)
     client = cluster.client(1)
 
     def app():
-        store = yield from RKVStore.create(client, "big", slots=64,
-                                           key_size=16, value_size=512,
-                                           path_policy="remote_fetch")
-        yield from store.put(b"k", b"x" * 512)
         with pytest.raises(RStoreError, match="datapath_fetch_bytes"):
-            yield from store.get(b"k")
+            yield from RKVStore.create(client, "big", slots=64,
+                                       key_size=16, value_size=512,
+                                       path_policy="remote_fetch")
+        store = yield from RKVStore.create(client, "big", slots=64,
+                                           key_size=16, value_size=512)
+        yield from store.put(b"k", b"x" * 512)
+        server, request = _owner(cluster, client, store, b"k")
+        request["deposit"] = (0, 64)
+        with pytest.raises(RStoreError, match="datapath_fetch_bytes"):
+            yield from server._dp.execute(request)
 
     cluster.run_app(app())
 

@@ -207,14 +207,41 @@ PATH_POLICIES = ["one_sided", "server_op", "remote_fetch"]
 
 
 @pytest.mark.parametrize("path_policy", PATH_POLICIES)
-def test_multi_get_matches_sequential_gets(cluster, path_policy):
-    store = make_store(cluster, f"mget-{path_policy}",
-                       path_policy=path_policy)
+def test_multi_get_matches_sequential_gets(path_policy):
+    # 1 MiB stripes: the 16-slot table of 32 KiB values below is one
+    # stripe on one host, the worst case for a batched server reply
+    cluster = build_cluster(
+        num_machines=4,
+        config=RStoreConfig(stripe_size=1 * MiB),
+        server_capacity=64 * MiB,
+    )
+    store = make_store(cluster, "mget", path_policy=path_policy)
+    big = make_store(cluster, "mget-big", slots=ops.PROBE_LIMIT,
+                     value_size=32 * KiB, path_policy=path_policy)
+    big_keys = [f"big-{i}".encode() for i in range(12)]
 
-    def app():
+    def fill():
         for i in range(12):
             yield from store.put(f"key-{i}".encode(), f"val-{i}".encode())
         yield from store.delete(b"key-5")
+        for i, key in enumerate(big_keys):
+            yield from big.put(key, bytes([i]) * (32 * KiB))
+
+    cluster.run_app(fill())
+    # the master moves an era forward, and we forge what every server
+    # re-registering fresh under it leaves behind: fences at the new
+    # era and the tables re-placed under it.  The handles' descriptors
+    # and observed epoch are now both stale, and the batch must refresh
+    # and retry exactly as a single get does
+    cluster.crash_master()
+    cluster.run_app(cluster.restart_master())
+    cluster.run(until=cluster.sim.now + 0.5)
+    for server in cluster.servers.values():
+        server.nic.set_fence(0, cluster.master.epoch)
+    for region in cluster.master.regions.values():
+        region.epoch = cluster.master.epoch
+
+    def app():
         # present, absent (a never-used slot ends the chain), deleted,
         # and the same key twice in one batch
         keys = [f"key-{i}".encode() for i in range(12)] + [
@@ -223,12 +250,14 @@ def test_multi_get_matches_sequential_gets(cluster, path_policy):
         singles = []
         for key in keys:
             singles.append((yield from store.get(key)))
-        return batched, singles
+        whole = yield from big.multi_get(big_keys)
+        return batched, singles, whole
 
-    batched, singles = cluster.run_app(app())
+    batched, singles, whole = cluster.run_app(app())
     assert batched == singles
     assert batched[0] == b"val-0" == batched[-2]
     assert batched[12] is None and batched[13] is None
+    assert whole == [bytes([i]) * (32 * KiB) for i in range(12)]
 
 
 @pytest.mark.parametrize("path_policy", PATH_POLICIES)
@@ -284,6 +313,33 @@ def test_multi_get_empty_and_batching_metric(cluster):
     assert values == [b"x" * i for i in range(16)]
     # the snapshot and validation rounds each ride shared doorbells
     assert bells < ops
+
+
+def test_seqlock_instruments_do_not_grow_with_the_key_space():
+    # every slot touched makes a SeqLock view; its counters are per
+    # region and host, so the registry must not grow with the keys
+    from repro.obs import obs_for
+
+    cluster = build_cluster(
+        num_machines=4,
+        config=RStoreConfig(stripe_size=64 * KiB),
+        server_capacity=64 * MiB,
+    )
+    store = make_store(cluster, "census", slots=2048)
+    metrics = obs_for(cluster.sim).metrics
+
+    def touch(keys):
+        for key in keys:
+            yield from store.put(key, b"v")
+            assert (yield from store.get(key)) == b"v"
+
+    cluster.run_app(touch([b"first"]))
+    registered = len(metrics)
+    cluster.run_app(touch([f"key-{i}".encode() for i in range(500)]))
+    assert len(metrics) == registered
+    for name in ("coord.seqlock.read_retries",
+                 "coord.seqlock.lock_failures"):
+        assert len(metrics.series(name)) == 1
 
 
 def test_no_server_cpu_involved(cluster):

@@ -28,6 +28,7 @@ FIXTURES = {
     "RL005": HERE / "fixture_rl005.py",
     "RL006": HERE / "fixture_rl006.py",
     "RL007": HERE / "datapath" / "server_fixture_rl007.py",
+    "RL012": HERE / "fixture_rl012.py",
 }
 
 

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.rpc.endpoint import RpcClient, RpcServer, RpcTimeout
+from repro.rpc.endpoint import (
+    RpcClient,
+    RpcRemoteError,
+    RpcServer,
+    RpcTimeout,
+)
 from repro.simnet.config import us
 
 from tests.rdma.helpers import make_world, run
@@ -126,3 +131,30 @@ def test_calls_made_counter():
         return client.calls_made
 
     assert run(world, scenario()) == 4
+
+
+def test_reply_over_the_channel_limit_is_a_remote_error():
+    # the handler succeeds but its result cannot ride the channel: the
+    # caller must get a typed remote error — at the parent the
+    # MessageTooLarge escaped the handler process and killed the kernel
+    world = make_world()
+    sim = world.sim
+
+    def huge():
+        yield sim.timeout(0)
+        return b"x" * (70 * 1024)
+
+    def small():
+        yield sim.timeout(0)
+        return "ok"
+
+    def scenario():
+        _server, client = yield from setup(
+            world, {"huge": huge, "small": small})()
+        with pytest.raises(RpcRemoteError) as err:
+            yield from client.call("huge")
+        assert err.value.error_type == "MessageTooLarge"
+        # the simulation and the connection both survive
+        return (yield from client.call("small"))
+
+    assert run(world, scenario()) == "ok"
