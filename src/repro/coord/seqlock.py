@@ -13,7 +13,9 @@ generalized here):
 
 Readers never lock: snapshot the whole record in one one-sided read,
 then validate by re-reading the version word; a change (or an odd
-value) means the read raced a writer — retry.  Writers serialize
+value) means the read raced a writer — retry.  Both READs ride one
+doorbell (:func:`snapshots`): a queue pair executes them in post
+order, so the validation costs no second round trip.  Writers serialize
 through a remote CAS on the version word, mutate the body with plain
 one-sided writes, and publish by writing the next even version.
 
@@ -36,9 +38,63 @@ from repro.core.errors import RegionUnavailableError
 
 from repro.coord.base import Backoff, CoordError, read_word, region_name
 
-__all__ = ["SeqLock"]
+__all__ = ["SeqLock", "snapshots"]
 
 _WORD = 8
+
+
+def _sync_key(mapping, offset: int, version: int) -> tuple:
+    """The happens-before key of one published version: a validated
+    reader of version *v* joins whatever the writer that published *v*
+    released."""
+    return ("seqlock", mapping.name, offset, version)
+
+
+def snapshots(mapping, offsets, record_size: int):
+    """The optimistic validated read of the records at *offsets*, all
+    in one flush and one round trip (generator) — the only
+    implementation of it.
+
+    Queues ``[READ record, READ version word]`` per record on one
+    :class:`~repro.core.pipeline.IoBatch`.  Where the batch vouches
+    that the pair executed in that order (``IoBatch.in_order``), the
+    second READ *is* the validation; where it cannot — a record
+    spanning servers, a replayed READ, the two-sided ablation — the
+    word is read once more after both returned, so the answer never
+    rests on an unproven order.  Answers ``(version, body)`` per record,
+    or ``None`` where a writer raced the read (odd version, or the word
+    moved).  Protocol traffic, hence RSan-exempt; a validated snapshot
+    joins the clock its version was published under.
+    """
+    client = mapping.client
+    rsan, actor = client.rsan, client._rsan_actor
+    batch = client.batch()
+    found = []
+    with rsan.exempt(actor):
+        pairs = []
+        for offset in offsets:
+            record = yield from batch.read(mapping, offset, record_size)
+            word = yield from batch.read(mapping, offset, _WORD)
+            pairs.append((record, word))
+        yield from batch.flush()
+        for offset, (record, word) in zip(offsets, pairs):
+            blob = yield from record.wait()
+            check = yield from word.wait()
+            version = int.from_bytes(blob[:_WORD], "little")
+            if version % 2 == 1:
+                found.append(None)
+                continue
+            if not batch.in_order(record, word):
+                client.obs.metrics.counter(
+                    "coord.seqlock.reads_revalidated", region=mapping.name,
+                    host=client.nic.host.host_id).inc()
+                check = yield from mapping.read(offset, _WORD)
+            if int.from_bytes(check, "little") != version:
+                found.append(None)
+                continue
+            rsan.sync_acquire(actor, _sync_key(mapping, offset, version))
+            found.append((version, blob[_WORD:]))
+    return found
 
 
 class SeqLock:
@@ -66,10 +122,7 @@ class SeqLock:
                                            **_labels)
 
     def _sync_key(self, version: int) -> tuple:
-        """The happens-before key of one published version: a validated
-        reader of version *v* joins whatever the writer that published
-        *v* released."""
-        return ("seqlock", self.mapping.name, self.offset, version)
+        return _sync_key(self.mapping, self.offset, version)
 
     @property
     def record_size(self) -> int:
@@ -102,20 +155,11 @@ class SeqLock:
         after ``max_read_retries`` racing reads (livelock that long in
         simulation means a writer died holding the word).
         """
-        client = self.mapping.client
-        rsan = client.rsan
         for _attempt in range(self.max_read_retries):
-            with rsan.exempt(client._rsan_actor):
-                blob = yield from self.mapping.read(self.offset,
-                                                    self.record_size)
-                version = int.from_bytes(blob[:_WORD], "little")
-                if version % 2 == 1:
-                    self._raced()
-                    continue
-                check = yield from self.mapping.read(self.offset, _WORD)
-            if int.from_bytes(check, "little") == version:
-                rsan.sync_acquire(client._rsan_actor, self._sync_key(version))
-                return version, blob[_WORD:]
+            (snapshot,) = yield from snapshots(
+                self.mapping, (self.offset,), self.record_size)
+            if snapshot is not None:
+                return snapshot
             self._raced()
         raise CoordError(
             f"record at offset {self.offset} kept changing under "

@@ -432,6 +432,9 @@ class IoBatch:
         self._staged: list[OpFuture] = []
         #: per-QP WR lists accumulated by ``_stage`` during flush
         self._queues: dict[QueuePair, list[SendWR]] = {}
+        #: future -> ``(qp, staging sequence)`` of its first staged
+        #: piece, or ``None`` once a piece of it went to a second QP
+        self._routes: dict[OpFuture, Optional[tuple]] = {}
 
     def read(self, mapping, offset: int, length: int, wire_scale: int = 1):
         """Queue a staged read (generator); returns its future."""
@@ -480,13 +483,40 @@ class IoBatch:
 
     def _stage(self, qp: QueuePair, wr: SendWR) -> None:
         self._queues.setdefault(qp, []).append(wr)
+        fut = wr.wr_id.subs[0][0]
+        route = self._routes.setdefault(fut, (qp, len(self._routes)))
+        if route is not None and route[0] is not qp:
+            self._routes[fut] = None
+
+    def in_order(self, first: OpFuture, second: OpFuture) -> bool:
+        """Did the remote NIC provably execute all of *first* before any
+        of *second*?
+
+        True only when every piece of both futures was staged by this
+        batch on one and the same QP, *first* ahead of *second*, and
+        neither was replayed: ``flush`` posts a QP's work requests in
+        staging order (``_coalesce`` merges neighbours, it never
+        reorders; a window split rings several doorbells on that one QP,
+        still in order) and an RC queue pair executes them in post
+        order.  False — order unproven, not disproven — for an op whose
+        pieces span servers, for one the retry worker replayed (a
+        replayed piece is re-posted on its own, whenever its remap
+        finishes), under the ``two_sided_data_path`` ablation, which
+        stages nothing, and while either is still in flight (it may yet
+        be replayed).
+        """
+        a, b = self._routes.get(first), self._routes.get(second)
+        return (a is not None and b is not None and a[0] is b[0]
+                and a[1] < b[1] and first.done and second.done
+                and first._attempts == 0 and second._attempts == 0)
 
     def flush(self):
         """Plan, coalesce and post everything queued (generator).
 
         Returns the number of work requests posted (after coalescing).
-        The batch is reusable: ops queued after a flush go out on the
-        next one.
+        Each QP's work requests are posted in the order their ops were
+        queued — the order :meth:`in_order` vouches for.  The batch is
+        reusable: ops queued after a flush go out on the next one.
         """
         staged, self._staged = self._staged, []
         io = self.client._io

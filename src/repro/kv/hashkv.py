@@ -6,7 +6,8 @@ Slot layout (all fields 8-byte aligned)::
 
 Each slot is one :class:`~repro.coord.SeqLock` record: the version
 word carries the writer lock (odd = locked) and the optimistic-read
-validation (readers snapshot the slot, then re-check the word) —
+validation (readers snapshot the slot and re-check the word on one
+doorbell: a probe is one round trip) —
 one SeqLock view per slot, writer contention paced by the shared
 :class:`~repro.coord.Backoff` discipline.  Deletes leave a tombstone
 (``key_len`` of ``2**63-1``) so linear probing keeps finding later
@@ -18,6 +19,7 @@ module supplies the one-sided slot readers and the lock/publish steps.
 from __future__ import annotations
 
 from repro.coord import Backoff, CoordError, SeqLock
+from repro.coord.seqlock import snapshots
 from repro.core.client import RStoreClient
 from repro.core.errors import RStoreError
 from repro.core.mapping import Mapping
@@ -193,39 +195,15 @@ class RKVStore:
         return version, key_len, key, value
 
     def _read_slots(self, indices: list):
-        """Validated snapshots of many slots in two shared flushes
-        (generator): one batch snapshots every slot, a second re-reads
-        the version words of the stable ones — the SeqLock optimistic
-        read, amortized.  Returns one ``_read_slot``-shaped tuple per
-        index, or ``None`` where a writer raced the read (odd version,
-        or the word moved between the two reads)."""
-        snap = self.client.batch()
-        futs = []
-        for index in indices:
-            futs.append((yield from snap.read(
-                self.mapping, self._slot_offset(index), self.slot_size)))
-        yield from snap.flush()
-        stable = {}
-        for pos, fut in enumerate(futs):
-            blob = yield from fut.wait()
-            version = int.from_bytes(blob[:ops.WORD], "little")
-            if version % 2 == 0:
-                stable[pos] = (version, blob)
-        snapshots: list = [None] * len(indices)
-        if not stable:
-            return snapshots
-        check = self.client.batch()
-        words = {}
-        for pos in stable:
-            words[pos] = yield from check.read(
-                self.mapping, self._slot_offset(indices[pos]), ops.WORD)
-        yield from check.flush()
-        for pos, (version, blob) in stable.items():
-            word = yield from words[pos].wait()
-            if int.from_bytes(word, "little") == version:
-                snapshots[pos] = (version, *ops.parse_body(
-                    blob[ops.WORD:], self.key_size))
-        return snapshots
+        """Validated snapshots of many slots in one shared flush and
+        one round trip (generator): the SeqLock optimistic read,
+        amortized.  Returns one ``_read_slot``-shaped tuple per index,
+        or ``None`` where a writer raced the read."""
+        found = yield from snapshots(
+            self.mapping, [self._slot_offset(index) for index in indices],
+            self.slot_size)
+        return [snap and (snap[0], *ops.parse_body(snap[1], self.key_size))
+                for snap in found]
 
     # -- the API -------------------------------------------------------------------
 
