@@ -259,19 +259,13 @@ class RKVStore:
                 self._m_lock_retries.inc()
                 yield from self._backoff.pause()
                 continue
-            # guard against a racing writer having claimed the slot for
-            # a different key between our read and our lock
-            body = yield from self.mapping.read(
-                self._slot_offset(index) + ops.WORD,
-                self.slot_size - ops.WORD
-            )
-            cur_len, cur_key = ops.parse_key(body)
-            if ops.classify(cur_len, cur_key, key) == ops.OTHER:
-                # a racing writer claimed this slot for another key
-                # between our probe and our lock: back out (contents
-                # untouched) and re-probe
-                yield from lock.abort(version)
-                continue
+            # no re-read under the lock: the CAS moved the word *from*
+            # the walk's validated version, and versions only move
+            # forward, so no writer published in between and the body
+            # is still the one the walk classified — a racer that
+            # claimed this slot for another key bumped the version and
+            # our CAS lost above (``delete`` and the txn runtime rest
+            # on the same argument)
             yield from lock.publish(
                 version + 1,
                 ops.encode_body(key, value, self.key_size, self.value_size)
