@@ -1,0 +1,122 @@
+"""The validated read's proof obligations.
+
+A SeqLock snapshot rides one doorbell — ``[READ record, READ word]`` —
+and trusts the second READ as its validation only where
+``IoBatch.in_order`` vouches for the pair.  These tests drive the three
+cases where it must not: a record spanning servers, a replayed READ and
+the two-sided ablation.  Each still has to return whole snapshots, and
+each shows up in ``coord.seqlock.reads_revalidated``.
+"""
+
+import pytest
+
+from repro.cluster import build_cluster
+from repro.coord import SeqLock
+from repro.core import RStoreConfig
+from repro.obs import obs_for
+from repro.rdma.types import Opcode
+from repro.simnet.config import KiB, MiB
+from repro.simnet.faults import FaultInjector
+
+
+def _revalidated(cluster) -> int:
+    return obs_for(cluster.sim).metrics.total(
+        "coord.seqlock.reads_revalidated")
+
+
+def _churn(cluster, name, body_size, flips, pause_s=0.0):
+    """Host 1 flips the record between all-``A`` and all-``B`` bodies,
+    *pause_s* apart, while host 2 keeps reading (four reads to a
+    flip); returns the distinct bodies the reader saw, each checked to
+    be one whole published body."""
+    sim = cluster.sim
+    done = []
+
+    def writer():
+        rec = yield from SeqLock.open(cluster.client(1), name, body_size)
+        for flip in range(flips):
+            yield from rec.write(b"AB"[flip % 2:][:1] * body_size)
+            yield sim.timeout(pause_s)
+        done.append(True)
+
+    def reader():
+        rec = yield from SeqLock.open(cluster.client(2), name, body_size)
+        seen = set()
+        while not done:
+            version, body = yield from rec.read()
+            assert version % 2 == 0
+            assert len(set(body)) == 1, f"torn snapshot at v{version}"
+            seen.add(body[:1])
+            yield sim.timeout(pause_s / 4)
+        return seen
+
+    def app():
+        rec = yield from SeqLock.create(cluster.client(0), name, body_size)
+        yield from rec.write(b"A" * body_size)
+        procs = [cluster.spawn(writer()), cluster.spawn(reader())]
+        yield sim.all_of(procs)
+        return procs[1].value
+
+    return cluster.run_app(app())
+
+
+def test_one_server_record_never_pays_the_fallback():
+    cluster = build_cluster(num_machines=4,
+                            config=RStoreConfig(stripe_size=64 * KiB),
+                            server_capacity=16 * MiB)
+    assert _churn(cluster, "whole", 256, flips=12) == {b"A", b"B"}
+    assert _revalidated(cluster) == 0
+
+
+def test_record_spanning_stripes_takes_the_fallback():
+    # 4 KiB stripes under a 10 KiB body: the record's READ fans out to
+    # three servers while the word's goes to the first alone, so no
+    # single queue pair orders the pair
+    cluster = build_cluster(num_machines=4,
+                            config=RStoreConfig(stripe_size=4 * KiB),
+                            server_capacity=16 * MiB)
+    assert _churn(cluster, "spanning", 10 * KiB, flips=12) == {b"A", b"B"}
+    assert _revalidated(cluster) > 0
+
+
+@pytest.mark.parametrize("victim", [0, 1], ids=["record", "word"])
+def test_replayed_read_of_the_pair_is_revalidated(victim):
+    """One wire fault on the record READ or on the word READ of a pair:
+    the victim (and whatever was flushed behind it) is re-posted on its
+    own half a second later, several publishes on, so the pair's order
+    is no longer the doorbell's.  The read revalidates and still
+    returns a whole body."""
+    faults = FaultInjector(seed=5).fail_wire(2, start=0.0, duration=1e9,
+                                             times=1)
+    cluster = build_cluster(num_machines=4,
+                            config=RStoreConfig(stripe_size=64 * KiB),
+                            server_capacity=16 * MiB, faults=faults)
+    # the injector's one-shot window sees the reader's READs only from
+    # the second pair on (the first warms the QP up), and then only
+    # from the pair's ``victim``-th READ
+    nic = cluster.nic(2)
+    inject, reads = nic.fault_hook, []
+
+    def hook(host, wr):
+        if wr.opcode is not Opcode.RDMA_READ:
+            return ""
+        reads.append(wr)
+        return inject(host, wr) if len(reads) > 2 + victim else ""
+
+    nic.fault_hook = hook
+    seen = _churn(cluster, "replayed", 256, flips=30, pause_s=0.05)
+    assert faults.injected["wire"] == 1
+    assert seen == {b"A", b"B"}
+    assert _revalidated(cluster) > 0
+    assert cluster.client(2).retries >= 1
+
+
+def test_two_sided_ablation_reads_through_the_fallback():
+    # the ablation stages no work request, so there is no queue order
+    # to lean on: every validated read pays the separate validation
+    cluster = build_cluster(
+        num_machines=4,
+        config=RStoreConfig(stripe_size=64 * KiB, two_sided_data_path=True),
+        server_capacity=16 * MiB)
+    assert _churn(cluster, "two-sided", 256, flips=6) == {b"A", b"B"}
+    assert _revalidated(cluster) > 0

@@ -1,0 +1,157 @@
+"""``IoBatch.in_order``: when a batch vouches for remote execution order.
+
+The answer is a proof, not a guess: true only when every piece of both
+futures rode one queue pair, first before second, each posted exactly
+once.  Protocols that chain dependent READs on one doorbell (the
+SeqLock validated read) fall back to a separate round trip whenever
+this says no.
+"""
+
+from repro.cluster import build_cluster
+from repro.core import RStoreConfig
+from repro.core.pipeline import DATA_BATCH_WINDOW_PER_QP
+from repro.simnet.config import KiB, MiB
+from repro.simnet.faults import FaultInjector
+
+_STRIPE = 4 * KiB
+
+
+def _cluster(**kw):
+    return build_cluster(num_machines=4,
+                         config=RStoreConfig(stripe_size=_STRIPE, **kw),
+                         server_capacity=16 * MiB)
+
+
+def _mapped(client, name):
+    yield from client.alloc(name, 16 * _STRIPE)
+    mapping = yield from client.map(name)
+    yield from mapping.write(0, bytes(range(256)) * (16 * _STRIPE // 256))
+    return mapping
+
+
+def test_same_queue_pair_is_in_order_in_queue_order_only():
+    cluster = _cluster()
+    client = cluster.client(1)
+
+    def app():
+        mapping = yield from _mapped(client, "one-qp")
+        batch = client.batch()
+        first = yield from batch.read(mapping, 0, 64)
+        second = yield from batch.read(mapping, 128, 8)
+        assert not batch.in_order(first, second)  # nothing posted yet
+        yield from batch.flush()
+        assert not batch.in_order(first, second)  # may yet be replayed
+        yield from batch.wait_all()
+        assert batch.in_order(first, second)
+        assert not batch.in_order(second, first)
+        assert not batch.in_order(first, first)
+        # a later flush of the same batch posts behind the earlier one
+        third = yield from batch.read(mapping, 256, 8)
+        yield from batch.flush()
+        yield from third.wait()
+        assert batch.in_order(second, third)
+        # another batch's future: this batch staged nothing of it
+        other = client.batch()
+        stranger = yield from other.read(mapping, 0, 8)
+        yield from other.flush()
+        yield from stranger.wait()
+        assert not batch.in_order(first, stranger)
+        assert not other.in_order(first, stranger)
+
+    cluster.run_app(app())
+
+
+def test_two_queue_pairs_prove_nothing():
+    cluster = _cluster()
+    client = cluster.client(1)
+
+    def app():
+        mapping = yield from _mapped(client, "two-qps")
+        stripes = mapping.desc.stripes
+        assert stripes[0].host_id != stripes[1].host_id
+        batch = client.batch()
+        here = yield from batch.read(mapping, 0, 64)
+        there = yield from batch.read(mapping, _STRIPE, 64)
+        spanning = yield from batch.read(mapping, _STRIPE - 32, 64)
+        word = yield from batch.read(mapping, _STRIPE - 32, 8)
+        yield from batch.flush()
+        yield from batch.wait_all()
+        assert not batch.in_order(here, there)
+        # one piece of ``spanning`` shares ``word``'s queue pair, the
+        # other does not: every piece has to
+        assert not batch.in_order(spanning, word)
+        assert batch.in_order(here, word)
+
+    cluster.run_app(app())
+
+
+def test_a_replayed_future_is_never_in_order():
+    faults = FaultInjector(seed=3).fail_wire(1, start=1.0, duration=30.0,
+                                             times=1)
+    cluster = build_cluster(num_machines=4,
+                            config=RStoreConfig(stripe_size=_STRIPE),
+                            server_capacity=16 * MiB, faults=faults)
+    client = cluster.client(1)
+
+    def app():
+        mapping = yield from _mapped(client, "replayed")
+        yield cluster.sim.timeout(2.0)  # into the fault window
+        batch = client.batch()
+        futs = []
+        for i in range(3):
+            futs.append((yield from batch.read(mapping, 128 * i, 8)))
+        yield from batch.flush()
+        values = yield from batch.wait_all()
+        assert values == [bytes(range(256))[128 * i % 256:][:8]
+                          for i in range(3)]
+        return batch, futs
+
+    batch, (first, second, third) = cluster.run_app(app())
+    assert faults.injected["wire"] == 1
+    # the head of the doorbell failed and flushed the two behind it:
+    # all three were re-posted one by one
+    assert client.pieces_replayed == 3
+    assert not batch.in_order(first, second)
+    assert not batch.in_order(second, third)
+
+
+def test_a_window_split_across_doorbells_is_still_in_order():
+    cluster = _cluster()
+    client = cluster.client(1)
+    count = DATA_BATCH_WINDOW_PER_QP + 8
+
+    def app():
+        mapping = yield from _mapped(client, "split")
+        yield from mapping.read(0, 8)  # warm the QP
+        bells = client.nic.doorbells_rung
+        batch = client.batch()
+        futs = []
+        for i in range(count):
+            # gaps keep the pieces from coalescing into one WR
+            futs.append((yield from batch.read(mapping, 64 * i, 8)))
+        posted = yield from batch.flush()
+        yield from batch.wait_all()
+        assert posted == count
+        assert client.nic.doorbells_rung - bells == 2
+        return batch, futs
+
+    batch, futs = cluster.run_app(app())
+    assert batch.in_order(futs[0], futs[-1])
+    assert all(batch.in_order(a, b) for a, b in zip(futs, futs[1:]))
+
+
+def test_two_sided_ablation_stages_nothing():
+    cluster = _cluster(two_sided_data_path=True)
+    client = cluster.client(1)
+
+    def app():
+        mapping = yield from _mapped(client, "ablated")
+        batch = client.batch()
+        first = yield from batch.read(mapping, 0, 64)
+        second = yield from batch.read(mapping, 0, 8)
+        yield from batch.flush()
+        assert (yield from batch.wait_all()) == [bytes(range(64)),
+                                                 bytes(range(8))]
+        assert not batch.in_order(first, second)
+
+    cluster.run_app(app())

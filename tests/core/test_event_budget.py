@@ -4,10 +4,14 @@ One blocking 128 B remote op on an idle two-host cluster costs an exact
 number of kernel queue entries; DESIGN.md's budget table lists what each
 one is.  A relay hop that creeps back in (an event that only forwards
 to the next callback at the same simulated instant) fails here, not in
-a benchmark three PRs later.
+a benchmark three PRs later.  The same goes for the protocols built on
+the verbs: a validated SeqLock read is one doorbell and one round trip,
+and a second one creeping back fails here too.
 """
 
 from repro.cluster import build_cluster
+from repro.coord import SeqLock
+from repro.kv import RKVStore
 
 #: NIC and wire entries every one-sided verb pays: launch, the request's
 #: ingress claim and delivery, the remote DMA, the response's ingress
@@ -21,13 +25,17 @@ def _costs():
     cluster = build_cluster(num_machines=2, server_hosts=[0])
     client = cluster.client(1)  # host 1 holds no memory: every op is remote
     sim = cluster.sim
-    costs = {}
+    costs, posted = {}, {}
 
-    def measured(name, op):
+    def measured(name, op, round_trips=1):
         before, started = sim.events_processed, sim.now
+        bells, wrs = client.nic.doorbells_rung, client.nic.ops_posted
         yield from op
         costs[name] = sim.events_processed - before
-        assert 2e-6 < sim.now - started < 5e-6  # one round trip, no queueing
+        posted[name] = (client.nic.doorbells_rung - bells,
+                        client.nic.ops_posted - wrs)
+        # that many round trips, no queueing
+        assert 2e-6 < (sim.now - started) / round_trips < 5e-6
 
     def app():
         region = yield from client.alloc("budget", 4096)
@@ -39,13 +47,26 @@ def _costs():
         yield from measured("read", mapping.read(0, 128))
         yield from measured("write", mapping.write(0, b"x" * 128))
         yield from measured("faa", mapping.faa(1024, 1))
+        # a 128 B record, and a table whose key sits at probe 1
+        record = yield from SeqLock.create(client, "budget-record", 120)
+        yield from record.write(b"r" * 120)
+        yield from record.read()
+        yield from measured("validated read", record.read())
+        table = yield from RKVStore.create(client, "budget-table", slots=64)
+        yield from table.put(b"key", b"v" * 64)
+        yield from table.put(b"key", b"w" * 64)
+        # walk, lock CAS, body write, version write: each waits for
+        # the one before
+        yield from measured("put overwrite", table.put(b"key", b"x" * 64),
+                            round_trips=4)
 
     cluster.run_app(app())
-    return costs
+    return costs, posted
 
 
 def test_one_blocking_remote_op_costs_a_pinned_number_of_kernel_events():
-    assert _costs() == {
+    costs, _posted = _costs()
+    assert {verb: costs[verb] for verb in ("read", "write", "faa")} == {
         # + the client's issue overhead, one CPU charge
         "read": 1 + _NIC_PATH + _CLIENT_WAKEUPS,
         # + the staging copy of the payload and the issue overhead
@@ -53,3 +74,16 @@ def test_one_blocking_remote_op_costs_a_pinned_number_of_kernel_events():
         # atomics carry no payload and pay no issue overhead
         "faa": _NIC_PATH + _CLIENT_WAKEUPS,
     }
+
+
+def test_a_validated_read_is_one_doorbell_and_one_round_trip():
+    costs, posted = _costs()
+    # [READ record, READ word] on one doorbell: (doorbells, WRs)
+    assert posted["validated read"] == (1, 2)
+    # one issue overhead for the doorbell and a NIC path per READ; only
+    # the signaled tail wakes the dispatcher, which resolves both
+    # futures at once — the waiter wakes once
+    assert costs["validated read"] == 1 + 2 * _NIC_PATH + _CLIENT_WAKEUPS
+    # the walk's pair, then CAS, body and version on a doorbell each —
+    # no guard READ between the lock and the publish
+    assert posted["put overwrite"] == (4, 5)

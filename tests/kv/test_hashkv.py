@@ -353,7 +353,7 @@ def test_multi_get_empty_and_batching_metric(cluster):
     empty, values, bells, ops = cluster.run_app(app())
     assert empty == []
     assert values == [b"x" * i for i in range(16)]
-    # the snapshot and validation rounds each ride shared doorbells
+    # every slot's snapshot and validation READs ride shared doorbells
     assert bells < ops
 
 
@@ -403,13 +403,13 @@ def test_no_server_cpu_involved(cluster):
         assert extra < 1e-4  # heartbeat noise only
 
 
-def test_multi_get_snapshots_validate_under_concurrent_writers():
-    """A sanitized reader batch-reads while two writers churn every
-    key: each returned value must be a whole published value (the
-    value embeds its key, so a snapshot mixing two publishes would
-    mismatch), the reader must observe the churn actually advancing,
-    and RSan must stay silent — the batched validation protocol is
-    synchronization enough."""
+def _snapshots_validate_under_concurrent_writers(lookup):
+    """A sanitized reader looks every key up (``lookup(view, keys)``)
+    while two writers churn them all: each returned value must be a
+    whole published value (the value embeds its key, so a snapshot
+    mixing two publishes would mismatch), the reader must observe the
+    churn actually advancing, and RSan must stay silent — the
+    validation protocol is synchronization enough."""
     from repro.sanitize import rsan_for
 
     cluster = build_cluster(
@@ -434,7 +434,7 @@ def test_multi_get_snapshots_validate_under_concurrent_writers():
         view = yield from RKVStore.open(cluster.client(3), "mg-churn")
         seen = {key: set() for key in keys}
         while len(writers_done) < 2:
-            values = yield from view.multi_get(keys)
+            values = yield from lookup(view, keys)
             for key, value in zip(keys, values):
                 assert value is not None and value.startswith(key + b":"), (
                     f"torn snapshot for {key!r}: {value!r}"
@@ -461,6 +461,21 @@ def test_multi_get_snapshots_validate_under_concurrent_writers():
     # at least one snapshot raced a writer and was re-validated
     assert view.read_retries > 0
     assert rsan_for(sim).races == [], rsan_for(sim).report()
+
+
+def test_multi_get_snapshots_validate_under_concurrent_writers():
+    _snapshots_validate_under_concurrent_writers(
+        lambda view, keys: view.multi_get(keys))
+
+
+def test_get_snapshots_validate_under_concurrent_writers():
+    def gets(view, keys):
+        values = []
+        for key in keys:
+            values.append((yield from view.get(key)))
+        return values
+
+    _snapshots_validate_under_concurrent_writers(gets)
 
 
 @pytest.mark.parametrize("path_policy", [None, "server_op"])

@@ -20,6 +20,7 @@ import pytest
 from repro.cluster import build_cluster
 from repro.coord import RemoteLock, SenseBarrier
 from repro.core import RStoreConfig
+from repro.kv import RKVStore
 from repro.sanitize import rsan_for
 from repro.simnet.config import KiB, MiB
 
@@ -210,6 +211,33 @@ def test_future_waited_under_lock_is_silent(cluster):
         return True
 
     cluster.run_app(app())
+    assert rsan.races == [], rsan.report()
+
+
+@pytest.mark.parametrize("lookup", ["get", "multi_get"])
+def test_value_found_in_a_table_orders_the_payload_it_announces(cluster,
+                                                               lookup):
+    """Publish-then-discover: client 1 writes a payload and announces it
+    with ``put``; client 2 finds the announcement and reads the payload.
+    A validated slot read joins the version's publisher, whichever
+    lookup found it — ``multi_get`` used to read slots outside the
+    SeqLock's exemption and never acquired the version it validated."""
+    rsan = rsan_for(cluster.sim)
+
+    def app():
+        c1, c2, m1, m2 = yield from _two_mappings(cluster, name="payload")
+        table = yield from RKVStore.create(c1, "announce", slots=16)
+        view = yield from RKVStore.open(c2, "announce")
+        yield from m1.write(0, b"p" * 100)
+        yield from table.put(b"ready", b"payload@0")
+        if lookup == "get":
+            found = yield from view.get(b"ready")
+        else:
+            (found,) = yield from view.multi_get([b"ready"])
+        assert found == b"payload@0"
+        return (yield from m2.read(0, 100))
+
+    assert cluster.run_app(app()) == b"p" * 100
     assert rsan.races == [], rsan.report()
 
 
