@@ -51,20 +51,18 @@ def _sync_key(mapping, offset: int, version: int) -> tuple:
 
 
 def snapshots(mapping, offsets, record_size: int):
-    """The optimistic validated read of the records at *offsets*, all
-    in one flush and one round trip (generator) — the only
-    implementation of it.
+    """The optimistic validated read of the records at *offsets*, in
+    one flush and one round trip (generator) — its only implementation.
 
     Queues ``[READ record, READ version word]`` per record on one
-    :class:`~repro.core.pipeline.IoBatch`.  Where the batch vouches
-    that the pair executed in that order (``IoBatch.in_order``), the
-    second READ *is* the validation; where it cannot — a record
-    spanning servers, a replayed READ, the two-sided ablation — the
-    word is read once more after both returned, so the answer never
-    rests on an unproven order.  Answers ``(version, body)`` per record,
-    or ``None`` where a writer raced the read (odd version, or the word
-    moved).  Protocol traffic, hence RSan-exempt; a validated snapshot
-    joins the clock its version was published under.
+    :class:`~repro.core.pipeline.IoBatch`.  Where the batch vouches for
+    the pair's order (``IoBatch.in_order``) the second READ *is* the
+    validation; where it cannot — a record spanning servers, a replayed
+    READ, the two-sided ablation — the word is read once more, so the
+    answer never rests on an unproven order.  Answers ``(version,
+    body)`` per record, or ``None`` where a writer raced the read (odd
+    version, or the word moved).  Protocol traffic, hence RSan-exempt;
+    a validated snapshot joins the clock its version was published under.
     """
     client = mapping.client
     rsan, actor = client.rsan, client._rsan_actor
@@ -77,19 +75,17 @@ def snapshots(mapping, offsets, record_size: int):
             word = yield from batch.read(mapping, offset, _WORD)
             pairs.append((record, word))
         yield from batch.flush()
+        yield from batch.wait_all()  # a failed READ leaves none dangling
         for offset, (record, word) in zip(offsets, pairs):
-            blob = yield from record.wait()
-            check = yield from word.wait()
+            blob, check = record.value, word.value
             version = int.from_bytes(blob[:_WORD], "little")
-            if version % 2 == 1:
-                found.append(None)
-                continue
-            if not batch.in_order(record, word):
+            if version % 2 == 0 and not batch.in_order(record, word):
+                # registered on first use: the proven path pays no lookup
                 client.obs.metrics.counter(
                     "coord.seqlock.reads_revalidated", region=mapping.name,
                     host=client.nic.host.host_id).inc()
                 check = yield from mapping.read(offset, _WORD)
-            if int.from_bytes(check, "little") != version:
+            if version % 2 or int.from_bytes(check, "little") != version:
                 found.append(None)
                 continue
             rsan.sync_acquire(actor, _sync_key(mapping, offset, version))

@@ -490,20 +490,18 @@ class IoBatch:
 
     def in_order(self, first: OpFuture, second: OpFuture) -> bool:
         """Did the remote NIC provably execute all of *first* before any
-        of *second*?
+        of *second*?  Ask once both have resolved.
 
-        True only when every piece of both futures was staged by this
-        batch on one and the same QP, *first* ahead of *second*, and
-        neither was replayed: ``flush`` posts a QP's work requests in
-        staging order (``_coalesce`` merges neighbours, it never
-        reorders; a window split rings several doorbells on that one QP,
-        still in order) and an RC queue pair executes them in post
-        order.  False — order unproven, not disproven — for an op whose
-        pieces span servers, for one the retry worker replayed (a
-        replayed piece is re-posted on its own, whenever its remap
-        finishes), under the ``two_sided_data_path`` ablation, which
-        stages nothing, and while either is still in flight (it may yet
-        be replayed).
+        True only when this batch staged every piece of both on one and
+        the same QP, *first* ahead of *second*, and neither was
+        replayed: ``flush`` posts a QP's work requests in staging order
+        (``_coalesce`` merges neighbours, never reorders; a window split
+        rings several doorbells on that one QP) and an RC queue pair
+        executes them in post order.  False — unproven, not disproven —
+        for an op whose pieces span servers, for one the retry worker
+        replayed (re-posted on its own, whenever its remap finished)
+        and under the ``two_sided_data_path`` ablation, which stages
+        nothing.
         """
         a, b = self._routes.get(first), self._routes.get(second)
         return (a is not None and b is not None and a[0] is b[0]

@@ -9,7 +9,7 @@ all**:
 * the table is one RStore region, slots aligned so no slot straddles a
   stripe;
 * ``get`` is optimistic: one one-sided read, validated by re-reading
-  the slot's version word;
+  the slot's version word on the same doorbell — one round trip;
 * ``put``/``delete`` lock a slot with a remote compare-and-swap on the
   version word (odd = locked), write, then unlock with a version bump.
 

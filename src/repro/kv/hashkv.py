@@ -6,8 +6,7 @@ Slot layout (all fields 8-byte aligned)::
 
 Each slot is one :class:`~repro.coord.SeqLock` record: the version
 word carries the writer lock (odd = locked) and the optimistic-read
-validation (readers snapshot the slot and re-check the word on one
-doorbell: a probe is one round trip) —
+validation (snapshot and re-check ride one doorbell: one round trip) —
 one SeqLock view per slot, writer contention paced by the shared
 :class:`~repro.coord.Backoff` discipline.  Deletes leave a tombstone
 (``key_len`` of ``2**63-1``) so linear probing keeps finding later
