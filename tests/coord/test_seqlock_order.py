@@ -19,6 +19,13 @@ from repro.simnet.config import KiB, MiB
 from repro.simnet.faults import FaultInjector
 
 
+def _cluster(stripe_size=64 * KiB, faults=None, **config):
+    return build_cluster(
+        num_machines=4,
+        config=RStoreConfig(stripe_size=stripe_size, **config),
+        server_capacity=16 * MiB, faults=faults)
+
+
 def _revalidated(cluster) -> int:
     return obs_for(cluster.sim).metrics.total(
         "coord.seqlock.reads_revalidated")
@@ -61,9 +68,7 @@ def _churn(cluster, name, body_size, flips, pause_s=0.0):
 
 
 def test_one_server_record_never_pays_the_fallback():
-    cluster = build_cluster(num_machines=4,
-                            config=RStoreConfig(stripe_size=64 * KiB),
-                            server_capacity=16 * MiB)
+    cluster = _cluster()
     assert _churn(cluster, "whole", 256, flips=12) == {b"A", b"B"}
     assert _revalidated(cluster) == 0
 
@@ -72,9 +77,7 @@ def test_record_spanning_stripes_takes_the_fallback():
     # 4 KiB stripes under a 10 KiB body: the record's READ fans out to
     # three servers while the word's goes to the first alone, so no
     # single queue pair orders the pair
-    cluster = build_cluster(num_machines=4,
-                            config=RStoreConfig(stripe_size=4 * KiB),
-                            server_capacity=16 * MiB)
+    cluster = _cluster(stripe_size=4 * KiB)
     assert _churn(cluster, "spanning", 10 * KiB, flips=12) == {b"A", b"B"}
     assert _revalidated(cluster) > 0
 
@@ -88,9 +91,7 @@ def test_replayed_read_of_the_pair_is_revalidated(victim):
     returns a whole body."""
     faults = FaultInjector(seed=5).fail_wire(2, start=0.0, duration=1e9,
                                              times=1)
-    cluster = build_cluster(num_machines=4,
-                            config=RStoreConfig(stripe_size=64 * KiB),
-                            server_capacity=16 * MiB, faults=faults)
+    cluster = _cluster(faults=faults)
     # the injector's one-shot window sees the reader's READs only from
     # the second pair on (the first warms the QP up), and then only
     # from the pair's ``victim``-th READ
@@ -114,9 +115,6 @@ def test_replayed_read_of_the_pair_is_revalidated(victim):
 def test_two_sided_ablation_reads_through_the_fallback():
     # the ablation stages no work request, so there is no queue order
     # to lean on: every validated read pays the separate validation
-    cluster = build_cluster(
-        num_machines=4,
-        config=RStoreConfig(stripe_size=64 * KiB, two_sided_data_path=True),
-        server_capacity=16 * MiB)
+    cluster = _cluster(two_sided_data_path=True)
     assert _churn(cluster, "two-sided", 256, flips=6) == {b"A", b"B"}
     assert _revalidated(cluster) > 0

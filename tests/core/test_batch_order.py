@@ -16,10 +16,10 @@ from repro.simnet.faults import FaultInjector
 _STRIPE = 4 * KiB
 
 
-def _cluster(**kw):
+def _cluster(faults=None, **config):
     return build_cluster(num_machines=4,
-                         config=RStoreConfig(stripe_size=_STRIPE, **kw),
-                         server_capacity=16 * MiB)
+                         config=RStoreConfig(stripe_size=_STRIPE, **config),
+                         server_capacity=16 * MiB, faults=faults)
 
 
 def _mapped(client, name):
@@ -88,9 +88,7 @@ def test_two_queue_pairs_prove_nothing():
 def test_a_replayed_future_is_never_in_order():
     faults = FaultInjector(seed=3).fail_wire(1, start=1.0, duration=30.0,
                                              times=1)
-    cluster = build_cluster(num_machines=4,
-                            config=RStoreConfig(stripe_size=_STRIPE),
-                            server_capacity=16 * MiB, faults=faults)
+    cluster = _cluster(faults=faults)
     client = cluster.client(1)
 
     def app():

@@ -9,6 +9,8 @@ the verbs: a validated SeqLock read is one doorbell and one round trip,
 and a second one creeping back fails here too.
 """
 
+import functools
+
 from repro.cluster import build_cluster
 from repro.coord import SeqLock
 from repro.kv import RKVStore
@@ -21,6 +23,7 @@ _NIC_PATH = 7
 _CLIENT_WAKEUPS = 2
 
 
+@functools.cache
 def _costs():
     cluster = build_cluster(num_machines=2, server_hosts=[0])
     client = cluster.client(1)  # host 1 holds no memory: every op is remote
