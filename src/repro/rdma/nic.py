@@ -29,6 +29,10 @@ from repro.simnet.topology import Host, Network
 
 __all__ = ["RNic"]
 
+#: an RC responder executes nothing past a sequence gap: the request
+#: times out exactly like the lost one it was posted behind
+_PSN_GAP = "request arrived behind a lost one (PSN gap): not executed"
+
 
 class RNic:
     """One host's RDMA NIC."""
@@ -392,6 +396,9 @@ class RNic:
         if not remote.alive:
             self._retry_failure(qp, wr, "remote host unreachable")
             return None
+        if not qp.remote._expects(wr):
+            self._retry_failure(qp, wr, _PSN_GAP)
+            return None
         epoch = wr.epoch
         if epoch is not None:
             fence = remote.fence_for(wr.shard)
@@ -506,6 +513,9 @@ class RNic:
         remote = remote_qp.nic
         if not remote.alive:
             self._retry_failure(qp, wr, "remote host unreachable")
+            return
+        if not remote_qp._expects(wr):
+            self._retry_failure(qp, wr, _PSN_GAP)
             return
         if remote_qp.state is not QpState.CONNECTED:
             self._nak(qp, wr, remote, "remote QP not in connected state")
