@@ -123,6 +123,7 @@ class OpFuture:
         "resolve_index", "_event", "_chunk",
         "_remaining", "_failure", "_failed", "_last_wc",
         "_flush_ambiguous", "_attempts", "trace_id", "_span", "_rsan",
+        "after", "followed",
     )
 
     def __init__(self, client, mapping, opcode: Opcode, kind: str,
@@ -162,6 +163,11 @@ class OpFuture:
         self._last_wc = None
         self._flush_ambiguous = False
         self._attempts = 0
+        #: an ordered write's predecessor (``IoBatch.write(after=)``),
+        #: and whether a dependent was posted behind this one: neither
+        #: half of such a pair is ever replayed
+        self.after: Optional[OpFuture] = None
+        self.followed = False
         #: per-op trace: a whole-op envelope span from submission to
         #: resolution, id shared by every layer's spans for this op
         tracer = client.obs.tracer
@@ -442,10 +448,23 @@ class IoBatch:
                               batch=self)
 
     def write(self, mapping, offset: int, payload: bytes,
-              wire_scale: int = 1):
-        """Queue a staged write (generator); returns its future."""
-        return mapping._start("write", offset, len(payload), wire_scale,
-                              payload=payload, batch=self)
+              wire_scale: int = 1, after: Optional[OpFuture] = None):
+        """Queue a staged write (generator); returns its future.
+
+        With *after* — an earlier write of this batch — the remote NIC
+        executes this one only once *after* has executed: it is posted
+        behind it on the one QP that carries all of *after* (RC executes
+        in post order and nothing past a lost request), or fails at
+        staging, unexecuted, where no such QP exists — pieces on two
+        QPs, a replicated stripe, the ``two_sided_data_path`` ablation.
+        A failed round fails either half instead of replaying it: a
+        replay would leave the order unproven.
+        """
+        fut = yield from mapping._start("write", offset, len(payload),
+                                        wire_scale, payload=payload,
+                                        batch=self)
+        fut.after = after
+        return fut
 
     def read_into(self, mapping, local_mr: MemoryRegion, local_addr: int,
                   offset: int, length: int, wire_scale: int = 1) -> OpFuture:
@@ -524,7 +543,8 @@ class IoBatch:
             if fut.done:
                 continue
             try:
-                yield from fut.mapping._submit(fut, batch=self)
+                yield from (fut.mapping._submit(fut, batch=self)
+                            if fut.after is None else self._submit_behind(fut))
             except Exception as exc:
                 fut._fail(exc)
         queues, self._queues = self._queues, {}
@@ -535,6 +555,23 @@ class IoBatch:
             yield from io.post_batch(qp, merged)
         span.finish(wrs=posted)
         return posted
+
+    def _submit_behind(self, fut: OpFuture):
+        """Stage the ordered write *fut* behind its predecessor
+        (generator), or raise with nothing of it staged."""
+        first = fut.after
+        route = self._routes.get(first)
+        if route is not None and first._attempts == 0 and first.error is None:
+            yield from fut.mapping._submit(fut, batch=self)
+            mine = self._routes.get(fut, route)
+            if mine is not None and mine[0] is route[0]:
+                first.followed = True
+                return
+            for wrs in self._queues.values():
+                wrs[:] = [wr for wr in wrs if wr.wr_id.subs[0][0] is not fut]
+        raise RegionUnavailableError(
+            "ordered write: no single queue pair carries it behind its "
+            "predecessor")
 
     def wait_all(self):
         """Park until every queued future resolved (generator).
@@ -703,6 +740,13 @@ class OpPipeline:
                         else fut.length * fut.wire_scale)
             return
         mapping = fut.mapping
+        if fut.after is not None or fut.followed:
+            # half of an ordered pair: re-posted on its own it would run
+            # out of order — whoever chained the pair redoes it
+            fut._fail(RegionUnavailableError(
+                f"ordered write on {mapping.name!r} failed and is not "
+                f"replayed: {fut._failure}"))
+            return
         # ``_last_wc`` is only set when a completion (good or bad) came
         # back — i.e. the request made it onto the wire; a flushed
         # atomic is just as ambiguous
