@@ -45,6 +45,10 @@ class TwoPhaseLocking:
         self.client = client
         self.label = label
         self.deadline = deadline
+        #: jitter streams derived once, not restarted by every run
+        self._rng, self._apply_rng = (
+            Backoff.for_client(client, f"twopl-{kind}{label}").rng
+            for kind in ("", "apply-"))
         _m = client.obs.metrics
         _labels = dict(label=label, host=client.nic.host.host_id)
         self._m_commits = _m.counter("txn.twopl_commits", **_labels)
@@ -88,10 +92,8 @@ class TwoPhaseLocking:
         sim = client.sim
         deadline = self.deadline if deadline is None else deadline
         token = self._token()
-        backoff = Backoff.for_client(client, f"twopl-{self.label}",
-                                     deadline=deadline)
-        replay = Backoff.for_client(client, f"twopl-apply-{self.label}",
-                                    base_s=1e-3, max_s=50e-3)
+        backoff = Backoff(sim, self._rng, deadline=deadline)
+        replay = Backoff(sim, self._apply_rng, base_s=1e-3, max_s=50e-3)
         start = sim.now
         # -- growing phase: resolve slots, lock them in global order
         # dedupe in declaration order: a set would issue the probe READs

@@ -17,7 +17,8 @@ Producer protocol (any number of producers, all one-sided):
    (version-word publish: slot sequence values never repeat, so a
    stale slot can never be mistaken for a fresh one).
 5. **doorbell** — FAA ``doorbell`` by 1 so the consumer polls one hot
-   8-byte word instead of scanning slots.
+   8-byte word instead of scanning slots.  Steps 3–5 ride one flush
+   and one round trip, the publish ordered behind the write.
 
 Consumer protocol (exactly one consumer):
 
@@ -36,6 +37,7 @@ and an idle consumer that touches only one cache line per poll.
 from __future__ import annotations
 
 from repro.coord.base import Backoff, CoordError, read_word, region_name, write_word
+from repro.coord.seqlock import publishes
 
 __all__ = ["DoorbellQueue"]
 
@@ -153,23 +155,20 @@ class DoorbellQueue:
                 self._m_stalls.inc()
                 yield from self._poll.pause()
             slot_off = self._slot_off(seq)
-            body = len(payload).to_bytes(8, "little") + payload
-            # the body write completes before anything else is issued: a
-            # publish replayed after a fault must never expose a slot
-            # whose seq word is fresh but whose body is stale
-            yield from self.mapping.write(slot_off + _WORD, body)
-            # publish + doorbell ride one batched flush.  Seeing the
-            # bell before the seq word is safe — the consumer re-polls
-            # the slot — so the two need no ordering round-trip between
-            # them; the bell FAA stays non-idempotent (a double bump
+            # body, seq word and doorbell ride one flush: the word is an
+            # ordered write behind the body (``seqlock.publishes``), so
+            # no slot is ever exposed with a fresh seq word over a stale
+            # body, and a redone publish is guarded by the value the
+            # word keeps until then — the last lap's.  Seeing the bell
+            # before the seq word is safe — the consumer re-polls the
+            # slot; the bell FAA stays non-idempotent (a double bump
             # would over-count).
             batch = self.client.batch()
-            publish = yield from batch.write(
-                self.mapping, slot_off, (seq + 1).to_bytes(8, "little")
-            )
             bell = batch.faa(self.mapping, _BELL, 1)
-            yield from batch.flush()
-            yield from publish.wait()
+            yield from publishes(
+                [(self.mapping, slot_off, max(0, seq + 1 - self.capacity),
+                  seq + 1, len(payload).to_bytes(8, "little") + payload)],
+                batch)
             yield from bell.wait()
         self._m_sent.inc()
         return seq

@@ -34,11 +34,15 @@ odd value means "writer in flight".
 
 from __future__ import annotations
 
-from repro.core.errors import RegionUnavailableError
+from functools import partial
 
-from repro.coord.base import Backoff, CoordError, read_word, region_name
+from repro.core.errors import RecoverableError, RegionUnavailableError
 
-__all__ = ["SeqLock", "snapshots"]
+from repro.coord.base import (
+    Backoff, CoordError, read_word, region_name, write_word,
+)
+
+__all__ = ["SeqLock", "snapshots", "try_locks", "publishes"]
 
 _WORD = 8
 
@@ -91,6 +95,100 @@ def snapshots(mapping, offsets, record_size: int):
             rsan.sync_acquire(actor, _sync_key(mapping, offset, version))
             found.append((version, blob[_WORD:]))
     return found
+
+
+def try_locks(intents):
+    """CAS every ``(lock, version, token)`` intent's word from *version*
+    to its lock word in one flush and one round trip (generator);
+    answers who won, in order.  Try-locks never wait, so any queue order
+    is deadlock-free; the caller releases what it won if it needed all.
+
+    The lock word is ``version + 1``, or the unique odd *token* if one
+    is given.  An ambiguous CAS completion (lost ack, or flushed behind
+    a failed request) propagates for a plain lock word — the caller
+    cannot tell whether it holds the word — but a token names its
+    holder: one read of the word (replayed through the fault that ate
+    the ack) settles it, so acquisition is exactly-once.
+    """
+    client = intents[0][0].mapping.client
+    rsan, actor = client.rsan, client._rsan_actor
+    batch = client.batch()
+    won = []
+    with rsan.exempt(actor):
+        futures = [batch.cas(lock.mapping, lock.offset, version,
+                             version + 1 if token is None else token)
+                   for lock, version, token in intents]
+        yield from batch.flush()
+        for (lock, version, token), cas in zip(intents, futures):
+            try:
+                got = (yield from cas.wait()) == version
+            except RegionUnavailableError:
+                if token is None:
+                    raise
+                # anything but our token — the untouched even version
+                # included — is a loss; the caller re-snapshots
+                got = (yield from read_word(lock.mapping,
+                                            lock.offset)) == token
+            if got:
+                # the CAS observed version: join that version's publisher
+                rsan.sync_acquire(actor, lock._sync_key(version))
+            else:
+                lock._m_lock_failures.inc()
+            won.append(got)
+    return won
+
+
+def publishes(records, batch=None, drive=None):
+    """Write every ``(mapping, offset, held, word, body)`` record's body
+    and then its word, all in one flush and one round trip (generator)
+    — the only body-then-word write in the tree.
+
+    Each record is an ordered pair on *batch* (a fresh one by default):
+    ``[WRITE body, WRITE word after=body]``, so the remote NIC exposes
+    the new word only over the new body.  A pair that could not be
+    chained (record spanning servers, replicated region, two-sided
+    ablation) or that a fault broke is redone one write at a time, body
+    first — but only while the word still carries *held*, the value it
+    has while the record is ours (lock word, token): a word WRITE whose
+    ack was lost has landed and freed the record, and a late rewrite
+    would wipe out the next holder.  ``drive(redo)`` runs such a redo
+    (transactions pass their replay-until-it-lands loop).
+    """
+    client = records[0][0].client
+    if batch is None:
+        batch = client.batch()
+    with client.rsan.exempt(client._rsan_actor):
+        pairs = []
+        for mapping, offset, _held, word, body in records:
+            first = ((yield from batch.write(mapping, offset + _WORD, body))
+                     if body else None)
+            pairs.append((first, (yield from batch.write(
+                mapping, offset, word.to_bytes(_WORD, "little"),
+                after=first))))
+        yield from batch.flush()
+        try:
+            yield from batch.wait_all()
+        except RecoverableError:
+            pass  # each pair answers for itself below
+        for record, (first, last) in zip(records, pairs):
+            if last.error is None and (first is None or first.error is None):
+                continue
+            # registered on first use: the chained path pays no lookup
+            client.obs.metrics.counter(
+                "coord.seqlock.publishes_unchained", region=record[0].name,
+                host=client.nic.host.host_id).inc()
+            redo = partial(_republish, *record[:4], record[4] if first is None
+                           or first.error is not None else b"")
+            yield from (redo() if drive is None else drive(redo))
+
+
+def _republish(mapping, offset: int, held: int, word: int, body: bytes):
+    """Redo one broken publish, one write at a time (generator) — if
+    the record is still ours."""
+    if (yield from read_word(mapping, offset)) == held:
+        if body:
+            yield from mapping.write(offset + _WORD, body)
+        yield from write_word(mapping, offset, word)
 
 
 class SeqLock:
@@ -182,30 +280,8 @@ class SeqLock:
             raise CoordError(f"cannot lock from odd version {version}")
         if token is not None and token % 2 == 0:
             raise CoordError(f"lock token {token} must be odd")
-        lock_word = version + 1 if token is None else token
-        client = self.mapping.client
-        rsan = client.rsan
-        try:
-            with rsan.exempt(client._rsan_actor):
-                old = yield from self.mapping.cas(self.offset, version,
-                                                  lock_word)
-        except RegionUnavailableError:
-            if token is None:
-                raise
-            # ambiguous completion: our token is unique, so one read of
-            # the word reveals whether the CAS landed (reads replay
-            # internally, riding out the fault that ate the ack)
-            with rsan.exempt(client._rsan_actor):
-                observed = yield from read_word(self.mapping, self.offset)
-            # anything other than our token — including the unchanged
-            # even version — counts as a loss; the caller re-snapshots
-            old = version if observed == lock_word else ~version
-        if old != version:
-            self._m_lock_failures.inc()
-            return False
-        # the CAS observed version: join the publisher of that version
-        rsan.sync_acquire(client._rsan_actor, self._sync_key(version))
-        return True
+        (won,) = yield from try_locks([(self, version, token)])
+        return won
 
     def publish(self, locked_version: int, body: bytes = b"",
                 new_version: int = None):
@@ -223,22 +299,18 @@ class SeqLock:
                 f"published version {new_version} must be a positive "
                 "even value"
             )
+        if len(body) > self.body_size:
+            raise CoordError(
+                f"body of {len(body)} bytes exceeds record body "
+                f"{self.body_size}"
+            )
         client = self.mapping.client
-        rsan = client.rsan
         # release under the version we are about to publish, before the
         # writes leave: readers validating it join this clock
-        rsan.sync_release(client._rsan_actor, self._sync_key(new_version))
-        with rsan.exempt(client._rsan_actor):
-            if body:
-                if len(body) > self.body_size:
-                    raise CoordError(
-                        f"body of {len(body)} bytes exceeds record body "
-                        f"{self.body_size}"
-                    )
-                yield from self.mapping.write(self.offset + _WORD, body)
-            yield from self.mapping.write(
-                self.offset, new_version.to_bytes(8, "little")
-            )
+        client.rsan.sync_release(client._rsan_actor,
+                                 self._sync_key(new_version))
+        yield from publishes([(self.mapping, self.offset, locked_version,
+                               new_version, body)])
 
     def abort(self, original_version: int):
         """Drop the write lock without mutating (generator): restore

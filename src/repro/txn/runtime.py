@@ -9,20 +9,25 @@ commits them atomically with optimistic concurrency control:
    even version recorded in the read-set.  Probe chains record every
    slot they cross, so a concurrent insert that would change a
    lookup's outcome invalidates the transaction (phantom protection).
-2. **Write intent.**  At commit the write-set is locked in global
-   ``(region, offset)`` order — every transaction sorts the same way,
-   so lock acquisition cannot deadlock — by CAS'ing each version word
-   from its snapshot version to the transaction's unique odd *token*
-   (the :class:`~repro.coord.SeqLock` token protocol).  A successful
-   CAS doubles as validation: the version is unchanged since the
-   snapshot, hence so is the body (versions only move forward).
+2. **Write intent.**  At commit every version word of the write-set
+   is CAS'd from its snapshot version to the transaction's unique odd
+   *token* (the :class:`~repro.coord.SeqLock` token protocol) — all of
+   them queued in global ``(region, offset)`` order on **one flush**,
+   one round trip (``coord.seqlock.try_locks``).  Try-locks never
+   wait, so there is nothing to deadlock on: a transaction that loses
+   any intent releases the ones it won and aborts.  A successful CAS
+   doubles as validation: the version is unchanged since the snapshot,
+   hence so is the body (versions only move forward).
 3. **Validation.**  Read-only members of the read-set are re-read
    (one batched round of 8-byte version words) and must still carry
    their snapshot versions.
 4. **Apply.**  Past validation the transaction is irrevocably
-   committed: every publish is an idempotent one-sided write (body,
-   then version) replayed until it lands, so crashes, partitions and
-   wire faults during apply delay the commit but cannot tear it.
+   committed: the whole write-set is published on **one flush**, one
+   round trip (``coord.seqlock.publishes``) — per record an ordered
+   ``[WRITE body, WRITE version after=body]`` pair — and a pair a fault
+   broke is redone, while the word still carries our token, until it
+   lands, so crashes, partitions and wire faults during apply delay
+   the commit but cannot tear it.
 
 Aborts before the commit point release intent locks by restoring the
 snapshot version — also an idempotent write, also replayed under
@@ -40,7 +45,7 @@ from __future__ import annotations
 from functools import partial
 
 from repro.coord import Backoff, SeqLock
-from repro.coord.base import read_word
+from repro.coord.seqlock import publishes, try_locks
 from repro.core.errors import (
     DeadlineExceededError,
     FatalError,
@@ -165,9 +170,7 @@ class Txn:
         self._keys: dict = {}       # (region, key) -> _KeyState
         self._records: dict = {}    # rkey -> _RecordState
         self._insert_taken: set = set()
-        self._read_backoff = Backoff.for_client(
-            self.client, f"txn-read-{runtime.label}"
-        )
+        self._read_backoff = Backoff(self.client.sim, runtime._rngs["read"])
 
     @property
     def phase(self) -> str:
@@ -351,39 +354,6 @@ class Txn:
         writes.sort(key=lambda w: w.rkey)
         return writes
 
-    def _acquire(self, entry: _WriteEntry):
-        """Take write intent on one slot (generator) — exactly-once
-        even when the CAS completion *and* the disambiguating read are
-        eaten by faults: the token names us, so the word decides."""
-        client = self.client
-        try:
-            got = yield from entry.lock.try_lock(entry.version,
-                                                 token=self.token)
-        except RecoverableError:
-            got = None
-            for _attempt in range(_APPLY_ATTEMPTS):
-                try:
-                    with client.rsan.exempt(client._rsan_actor):
-                        observed = yield from read_word(entry.lock.mapping,
-                                                        entry.lock.offset)
-                except RecoverableError:
-                    yield from self._read_backoff.pause()
-                    continue
-                got = observed == self.token
-                break
-            if got is None:
-                raise TxnError(
-                    f"could not resolve lock ownership of {entry.rkey} "
-                    f"within {_APPLY_ATTEMPTS} attempts"
-                )
-            if got:
-                # resolved to "held": join the publisher of the version
-                # we CAS'd away, as try_lock would have
-                client.rsan.sync_acquire(
-                    client._rsan_actor, entry.lock._sync_key(entry.version)
-                )
-        return got
-
     def _validate(self, write_rkeys):
         """Re-read every read-only member of the read-set (generator):
         one batched round of version words, all of which must still
@@ -428,8 +398,8 @@ class Txn:
         self._phase = "committing"
         writes = self._pending_writes()
         write_rkeys = {w.rkey for w in writes}
-        replay = Backoff.for_client(client, f"txn-apply-{runtime.label}",
-                                    base_s=1e-3, max_s=50e-3)
+        replay = Backoff(sim, runtime._rngs["apply"], base_s=1e-3,
+                         max_s=50e-3)
         held = []
         decided = False
         try:
@@ -437,14 +407,16 @@ class Txn:
                 raise DeadlineExceededError(
                     "transaction deadline passed before commit"
                 )
-            for entry in writes:
-                got = yield from self._acquire(entry)
-                if not got:
+            if writes:
+                won = yield from try_locks(
+                    [(w.lock, w.version, self.token) for w in writes])
+                held = [w for w, got in zip(writes, won) if got]
+                if len(held) < len(writes):
+                    lost = writes[won.index(False)]
                     raise TxnConflictError(
-                        f"write intent on {entry.rkey} lost to a "
+                        f"write intent on {lost.rkey} lost to a "
                         "concurrent writer"
                     )
-                held.append(entry)
             yield from self._validate(write_rkeys)
             # -- the commit point: every write below is idempotent and
             # replayed until it lands, so the decision cannot tear
@@ -456,12 +428,11 @@ class Txn:
             client.rsan.txn_commit(client._rsan_actor,
                                    read_keys=read_keys,
                                    write_keys=write_keys)
-            for w in writes:
-                yield from replay_idempotent(
-                    lambda w=w: w.lock.publish(self.token, w.body,
-                                               new_version=w.version + 2),
-                    replay,
-                )
+            if writes:
+                yield from publishes(
+                    [(w.lock.mapping, w.lock.offset, self.token,
+                      w.version + 2, w.body) for w in writes],
+                    drive=lambda redo: replay_idempotent(redo, replay))
             self._phase = "committed"
             runtime._m_commits.inc()
             runtime._m_writes.observe(len(writes))
@@ -507,6 +478,11 @@ class TxnRuntime:
         self.label = label or "txn"
         self.retries = self.DEFAULT_RETRIES if retries is None else retries
         self.deadline = deadline
+        #: one jitter stream per retry loop, derived once: every attempt
+        #: draws on, so a client's n-th retry never repeats a pause
+        self._rngs = {loop: Backoff.for_client(
+            client, f"txn-{loop}-{self.label}").rng
+            for loop in ("read", "apply", "run")}
         # -- metrics (client-local, shared per label)
         _m = client.obs.metrics
         _labels = dict(label=self.label, host=client.nic.host.host_id)
@@ -552,8 +528,8 @@ class TxnRuntime:
         """
         deadline = self.deadline if deadline is None else deadline
         budget = self.retries if retries is None else retries
-        backoff = Backoff.for_client(self.client, f"txn-run-{self.label}",
-                                     deadline=deadline, budget=budget)
+        backoff = Backoff(self.client.sim, self._rngs["run"],
+                          deadline=deadline, budget=budget)
         while True:
             txn = self.begin(deadline=deadline)
             try:

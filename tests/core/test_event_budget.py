@@ -6,7 +6,9 @@ one is.  A relay hop that creeps back in (an event that only forwards
 to the next callback at the same simulated instant) fails here, not in
 a benchmark three PRs later.  The same goes for the protocols built on
 the verbs: a validated SeqLock read is one doorbell and one round trip,
-and a second one creeping back fails here too.
+a publish is one ordered ``[body, version]`` pair on one doorbell, a
+transaction commit is an intent flush and a publish flush — and a
+per-write doorbell creeping back fails here too.
 """
 
 import functools
@@ -58,9 +60,21 @@ def _costs():
         table = yield from RKVStore.create(client, "budget-table", slots=64)
         yield from table.put(b"key", b"v" * 64)
         yield from table.put(b"key", b"w" * 64)
-        # walk, lock CAS, body write, version write: each waits for
-        # the one before
+        # walk, lock CAS, then body and version as one ordered pair
         yield from measured("put overwrite", table.put(b"key", b"x" * 64),
+                            round_trips=3)
+        yield from table.put(b"other", b"v" * 64)
+        runtime = table.txn()
+
+        def transfer(txn):
+            for key in (b"key", b"other"):
+                value = yield from txn.get(table, key)
+                yield from txn.put(table, key, value[::-1])
+
+        yield from runtime.run(transfer)
+        # two snapshot READs, then the commit: both intents on one
+        # flush, both publishes on one flush
+        yield from measured("two-key transfer", runtime.run(transfer),
                             round_trips=4)
 
     cluster.run_app(app())
@@ -87,6 +101,14 @@ def test_a_validated_read_is_one_doorbell_and_one_round_trip():
     # the signaled tail wakes the dispatcher, which resolves both
     # futures at once — the waiter wakes once
     assert costs["validated read"] == 1 + 2 * _NIC_PATH + _CLIENT_WAKEUPS
-    # the walk's pair, then CAS, body and version on a doorbell each —
-    # no guard READ between the lock and the publish
-    assert posted["put overwrite"] == (4, 5)
+    # the walk's pair, the CAS, then [body, version] on one doorbell —
+    # no guard READ between the lock and the publish (parent: 4 doorbells)
+    assert posted["put overwrite"] == (3, 5)
+
+
+def test_a_commit_is_an_intent_flush_and_a_publish_flush():
+    _kernel_entries, posted = _costs()
+    # READ, READ, [CAS, CAS], [body, version, body, version]: the same
+    # eight work requests the parent posted on eight doorbells, one
+    # dependent round trip each
+    assert posted["two-key transfer"] == (4, 8)
