@@ -1,11 +1,15 @@
-"""The validated read's proof obligations.
+"""The validated read's and the ordered publish's proof obligations.
 
 A SeqLock snapshot rides one doorbell — ``[READ record, READ word]`` —
 and trusts the second READ as its validation only where
 ``IoBatch.in_order`` vouches for the pair.  These tests drive the three
 cases where it must not: a record spanning servers, a replayed READ and
 the two-sided ablation.  Each still has to return whole snapshots, and
-each shows up in ``coord.seqlock.reads_revalidated``.
+each shows up in ``coord.seqlock.reads_revalidated``.  The writers here
+publish ``[WRITE body, WRITE word after=body]`` the same way; where no
+single queue pair can order that pair the word is written only once the
+body has landed, counted in ``coord.seqlock.publishes_unchained``
+(``tests/coord/test_publish_order.py`` breaks pairs with faults).
 """
 
 import pytest
@@ -29,6 +33,11 @@ def _cluster(stripe_size=64 * KiB, faults=None, **config):
 def _revalidated(cluster) -> int:
     return obs_for(cluster.sim).metrics.total(
         "coord.seqlock.reads_revalidated")
+
+
+def _unchained(cluster) -> int:
+    return obs_for(cluster.sim).metrics.total(
+        "coord.seqlock.publishes_unchained")
 
 
 def _churn(cluster, name, body_size, flips, pause_s=0.0):
@@ -71,6 +80,7 @@ def test_one_server_record_never_pays_the_fallback():
     cluster = _cluster()
     assert _churn(cluster, "whole", 256, flips=12) == {b"A", b"B"}
     assert _revalidated(cluster) == 0
+    assert _unchained(cluster) == 0
 
 
 def test_record_spanning_stripes_takes_the_fallback():
@@ -80,6 +90,9 @@ def test_record_spanning_stripes_takes_the_fallback():
     cluster = _cluster(stripe_size=4 * KiB)
     assert _churn(cluster, "spanning", 10 * KiB, flips=12) == {b"A", b"B"}
     assert _revalidated(cluster) > 0
+    # nor the publish: the body's WRITE fans out the same way, so every
+    # one of the 13 publishes wrote its word after the body had landed
+    assert _unchained(cluster) == 13
 
 
 @pytest.mark.parametrize("victim", [0, 1], ids=["record", "word"])
@@ -118,3 +131,4 @@ def test_two_sided_ablation_reads_through_the_fallback():
     cluster = _cluster(two_sided_data_path=True)
     assert _churn(cluster, "two-sided", 256, flips=6) == {b"A", b"B"}
     assert _revalidated(cluster) > 0
+    assert _unchained(cluster) == 7  # and every publish the plain order

@@ -7,8 +7,11 @@ SeqLock validated read) fall back to a separate round trip whenever
 this says no.
 """
 
+import pytest
+
 from repro.cluster import build_cluster
 from repro.core import RStoreConfig
+from repro.core.errors import RegionUnavailableError
 from repro.core.pipeline import DATA_BATCH_WINDOW_PER_QP
 from repro.simnet.config import KiB, MiB
 from repro.simnet.faults import FaultInjector
@@ -151,5 +154,122 @@ def test_two_sided_ablation_stages_nothing():
         assert (yield from batch.wait_all()) == [bytes(range(64)),
                                                  bytes(range(8))]
         assert not batch.in_order(first, second)
+
+    cluster.run_app(app())
+
+
+# -- ordered writes: ``IoBatch.write(after=)`` --------------------------------
+#
+# The write twin of ``in_order``: instead of asking afterwards whether a
+# pair ran in order, the dependent is posted so that it cannot run out
+# of order — or it fails unexecuted, and is never replayed.
+
+_OLD = bytes(range(256))
+
+
+def _ordered_pair(client, mapping, first_at, first_len, then_at):
+    """Queue ``[write first, write dependent after=first]`` and flush."""
+    batch = client.batch()
+    first = yield from batch.write(mapping, first_at, b"F" * first_len)
+    then = yield from batch.write(mapping, then_at, b"T" * 8, after=first)
+    yield from batch.flush()
+    for fut in (first, then):
+        try:
+            yield from fut.wait()
+        except RegionUnavailableError:
+            pass
+    return batch, first, then
+
+
+def test_an_ordered_write_rides_its_predecessors_doorbell():
+    cluster = _cluster()
+    client = cluster.client(1)
+
+    def app():
+        mapping = yield from _mapped(client, "ordered")
+        bells = client.nic.doorbells_rung
+        batch, first, then = yield from _ordered_pair(client, mapping,
+                                                      0, 64, 128)
+        assert first.error is None and then.error is None
+        assert client.nic.doorbells_rung - bells == 1
+        assert batch.in_order(first, then)
+        assert (yield from mapping.read(0, 64)) == b"F" * 64
+        assert (yield from mapping.read(128, 8)) == b"T" * 8
+
+    cluster.run_app(app())
+
+
+def test_a_lost_predecessor_takes_the_dependent_with_it_unreplayed():
+    faults = FaultInjector(seed=3).fail_wire(1, start=1.0, duration=30.0,
+                                             times=1)
+    cluster = _cluster(faults=faults)
+    client = cluster.client(1)
+
+    def app():
+        mapping = yield from _mapped(client, "lost-first")
+        yield cluster.sim.timeout(2.0)  # into the fault window
+        _batch, first, then = yield from _ordered_pair(client, mapping,
+                                                       0, 64, 128)
+        # neither half is replayed: re-posted on its own, either would
+        # run out of order.  Whoever chained the pair redoes it.
+        assert first.error is not None and then.error is not None
+        assert client.retries == 0 and client.pieces_replayed == 0
+        # the dependent sat behind a lost request: never executed
+        assert (yield from mapping.read(128, 8)) == _OLD[128:136]
+        assert (yield from mapping.read(0, 64)) == _OLD[:64]
+
+    cluster.run_app(app())
+    assert faults.injected["wire"] == 1
+
+
+@pytest.mark.parametrize("case", ["spanning", "replicated", "two-sided"])
+def test_an_unchainable_dependent_fails_unexecuted(case):
+    cluster = _cluster(two_sided_data_path=(case == "two-sided"))
+    client = cluster.client(1)
+
+    def app():
+        if case == "replicated":
+            yield from client.alloc("unchained", 16 * _STRIPE, replication=2)
+            mapping = yield from client.map("unchained")
+            yield from mapping.write(0, _OLD)
+        else:
+            mapping = yield from _mapped(client, "unchained")
+        # spanning: the predecessor's two pieces go to two servers
+        at = _STRIPE - 32 if case == "spanning" else 0
+        _batch, first, then = yield from _ordered_pair(client, mapping,
+                                                       at, 64, 128)
+        assert first.error is None
+        assert (yield from mapping.read(at, 64)) == b"F" * 64
+        assert isinstance(then.error, RegionUnavailableError)
+        assert "ordered write" in str(then.error)
+        assert client.retries == 0
+        assert (yield from mapping.read(128, 8)) == _OLD[128:136]
+
+    cluster.run_app(app())
+
+
+def test_a_window_split_keeps_the_ordered_pair():
+    cluster = _cluster()
+    client = cluster.client(1)
+
+    def app():
+        mapping = yield from _mapped(client, "split-pair")
+        yield from mapping.read(0, 8)  # warm the QP
+        bells = client.nic.doorbells_rung
+        batch = client.batch()
+        # gaps keep the fillers from coalescing; the pair straddles the
+        # window: predecessor last on one doorbell, dependent first on
+        # the next
+        for i in range(DATA_BATCH_WINDOW_PER_QP - 1):
+            yield from batch.write(mapping, 1024 + 64 * i, b"x" * 8)
+        first = yield from batch.write(mapping, 0, b"F" * 64)
+        then = yield from batch.write(mapping, 128, b"T" * 8, after=first)
+        posted = yield from batch.flush()
+        yield from batch.wait_all()
+        assert posted == DATA_BATCH_WINDOW_PER_QP + 1
+        assert client.nic.doorbells_rung - bells == 2
+        assert batch.in_order(first, then)
+        assert first.resolved_at < then.resolved_at
+        assert (yield from mapping.read(128, 8)) == b"T" * 8
 
     cluster.run_app(app())

@@ -1,0 +1,186 @@
+"""A commit is two flushes: every write intent, then every publish.
+
+Queuing all the intent CASes at once changes what can go wrong between
+them: two transactions can each win one word of the same pair (there
+is no "first lock" to serialize on any more), and one fault can eat or
+flush several CAS completions at a time.  Try-locks never wait, so the
+first is an abort, not a deadlock; tokens name their holder, so the
+second still acquires every lock exactly once.  Also here: the retry
+jitter is one stream per runtime, not one restarted by every attempt.
+"""
+
+import pytest
+
+from repro.cluster import build_cluster
+from repro.coord import SeqLock
+from repro.coord.base import read_word
+from repro.obs import obs_for
+from repro.rdma.types import Opcode
+from repro.simnet.config import MiB
+from repro.txn import TxnConflictError, TxnRuntime
+
+_BODY = 8
+
+
+def _cluster():
+    return build_cluster(num_machines=4, server_capacity=16 * MiB)
+
+
+def _records(cluster, homes, creator=0):
+    """One raw record per entry of *homes* (the server it lives on),
+    each holding 100; named so that they sort in *homes* order."""
+    client = cluster.client(creator)
+    records = []
+    for i, home in enumerate(homes):
+        rec = yield from SeqLock.create(client, f"acct-{i}", _BODY,
+                                        preferred_host=home)
+        assert rec.mapping.desc.stripes[0].host_id == home
+        yield from rec.write((100).to_bytes(_BODY, "little"))
+        records.append(rec)
+    return records
+
+
+def _views(client, count):
+    views = []
+    for i in range(count):
+        views.append((yield from SeqLock.open(client, f"acct-{i}", _BODY)))
+    return views
+
+
+def _move(amount, src, dst):
+    def transfer(txn):
+        a = int.from_bytes((yield from txn.read_record(src)), "little")
+        b = int.from_bytes((yield from txn.read_record(dst)), "little")
+        yield from txn.write_record(src, (a - amount).to_bytes(8, "little"))
+        yield from txn.write_record(dst, (b + amount).to_bytes(8, "little"))
+
+    return transfer
+
+
+def test_crossed_intents_abort_both_and_leave_every_word_even():
+    """Hosts 1 and 2 each hold one of two records and transfer between
+    them at the same instant.  Each one's CAS reaches its own server
+    first, so each wins exactly one intent: a deadlock if either
+    waited.  Both abort and release, and both commit on retry."""
+    cluster = _cluster()
+    sim = cluster.sim
+    gate = sim.event()
+
+    def attempt(host, amount):
+        src, dst = yield from _views(cluster.client(host), 2)
+        runtime = TxnRuntime(cluster.client(host), label=f"crossed-{host}")
+        txn = runtime.begin()
+        yield from _move(amount, src, dst)(txn)
+        yield gate  # commit in lockstep
+        with pytest.raises(TxnConflictError, match="write intent"):
+            yield from txn.commit()
+        return runtime, src, dst
+
+    def app():
+        records = yield from _records(cluster, homes=(1, 2))
+        procs = [cluster.spawn(attempt(1, 3)), cluster.spawn(attempt(2, 5))]
+        yield sim.timeout(1e-3)
+        gate.succeed()
+        yield sim.all_of(procs)
+        for rec in records:  # every won intent was released
+            assert (yield from read_word(rec.mapping, 0)) == 2
+        # both retry loops start in lockstep too; the clients' jitter
+        # streams differ, so they drift apart and both get through
+        retries = [cluster.spawn(runtime.run(_move(amount, src, dst)))
+                   for (runtime, src, dst), amount
+                   in zip((p.value for p in procs), (3, 5))]
+        yield sim.all_of(retries)
+        balances = []
+        for rec in records:
+            version, body = yield from rec.read()
+            assert version == 6  # two commits each, nothing else
+            balances.append(int.from_bytes(body, "little"))
+        return balances, [p.value[0] for p in procs]
+
+    balances, runtimes = cluster.run_app(app())
+    assert balances == [100 - 8, 100 + 8]
+    assert [rt.commits for rt in runtimes] == [1, 1]
+    # each lost exactly one of its two intents in the lockstep attempt
+    assert all(rt.conflicts >= 1 for rt in runtimes)
+    assert obs_for(cluster.sim).metrics.total(
+        "coord.seqlock.lock_failures") >= 2
+
+
+@pytest.mark.parametrize("where", ["ack", "launch"])
+def test_eaten_cas_completions_acquire_each_lock_exactly_once(where):
+    """Both intents ride one doorbell to one server.  ``ack``: both
+    CASes land and both completions are lost — each is resolved by
+    reading its token back, and the commit goes through on the first
+    attempt.  ``launch``: the first CAS is dropped, so the second is
+    flushed behind it and (a PSN gap) never executed — both read back
+    the untouched version, the attempt aborts holding nothing, and the
+    retry commits."""
+    cluster = _cluster()
+    client = cluster.client(1)
+    eaten = []
+
+    def hook(_host, wr):
+        if wr.opcode is not Opcode.ATOMIC_CAS or len(eaten) >= (
+                2 if where == "ack" else 1):
+            return ""
+        eaten.append(wr)
+        return f"eaten at {where}"
+
+    def app():
+        records = yield from _records(cluster, homes=(2, 2))
+        src, dst = yield from _views(client, 2)
+        runtime = TxnRuntime(client, label="eaten")
+        setattr(client.nic,
+                "ack_fault_hook" if where == "ack" else "fault_hook", hook)
+        yield from runtime.run(_move(7, src, dst))
+        snapshots = []
+        for rec in records:
+            snapshots.append((yield from rec.read()))
+        return runtime, snapshots
+
+    runtime, snapshots = cluster.run_app(app())
+    assert len(eaten) == (2 if where == "ack" else 1)
+    # one commit moved each version by exactly one publish
+    assert snapshots == [(4, (93).to_bytes(8, "little")),
+                         (4, (107).to_bytes(8, "little"))]
+    assert runtime.commits == 1
+    assert runtime.aborts == (0 if where == "ack" else 1)
+
+
+def test_retry_jitter_does_not_restart_with_every_transaction():
+    """Each ``run`` below aborts exactly once (a rival bumps the record
+    under its first attempt) and so pauses exactly once.  The pauses
+    must differ: the jitter is a stream the runtime draws on, not one
+    re-derived from (seed, label, host) by every attempt — and the
+    whole run still replays bit-for-bit."""
+
+    def pauses():
+        cluster = _cluster()
+        sim = cluster.sim
+        client = cluster.client(1)
+
+        def app():
+            (record,) = yield from _records(cluster, homes=(2,))
+            (view,) = yield from _views(client, 1)
+            runtime = TxnRuntime(client, label="jitter")
+            paused = []
+            for _ in range(3):
+                attempts = []
+
+                def bump(txn):
+                    body = yield from txn.read_record(view)
+                    if not attempts:
+                        yield from record.write(body)  # invalidate it
+                    attempts.append(sim.now)
+                    yield from txn.write_record(view, body)
+
+                yield from runtime.run(bump)
+                assert len(attempts) == 2
+                paused.append(attempts[1] - attempts[0])
+            return paused
+
+        return cluster.run_app(app())
+
+    first, again = pauses(), pauses()
+    assert len(set(first)) == 3, f"the retry pause repeats: {first}"
+    assert first == again
