@@ -138,7 +138,8 @@ def test_e10_kv_extension(benchmark):
     lat = result["latency"]
     print(f"single-op latency: get {fmt_us(lat['get_s'])} us "
           f"(2 one-sided reads, one doorbell), put {fmt_us(lat['put_s'])} us "
-          f"(read, CAS, write+unlock on one doorbell), sockets get {fmt_us(lat['tcp_get_s'])} us")
+          f"(read, CAS, write+unlock on one doorbell), "
+          f"sockets get {fmt_us(lat['tcp_get_s'])} us")
     benchmark.extra_info.update(result)
 
     for i in range(len(CLIENT_COUNTS)):

@@ -16,8 +16,8 @@ then validate by re-reading the version word; a change (or an odd
 value) means the read raced a writer — retry.  Both READs ride one
 doorbell (:func:`snapshots`): a queue pair executes them in post
 order, so the validation costs no second round trip.  Writers serialize
-through a remote CAS on the version word, mutate the body with plain
-one-sided writes, and publish by writing the next even version.
+through a remote CAS on the version word (:func:`try_locks`), then write
+the body and the next even version as one ordered pair (:func:`publishes`).
 
 A ``SeqLock`` is a cheap *view* over any mapped region — data
 structures instantiate one per record (hashkv: one per slot) — while
@@ -100,25 +100,29 @@ def snapshots(mapping, offsets, record_size: int):
 def try_locks(intents):
     """CAS every ``(lock, version, token)`` intent's word from *version*
     to its lock word in one flush and one round trip (generator);
-    answers who won, in order.  Try-locks never wait, so any queue order
-    is deadlock-free; the caller releases what it won if it needed all.
+    answers who won, in order.  Try-locks never wait, so nothing can
+    deadlock; a caller that needed them all releases what it won.
 
-    The lock word is ``version + 1``, or the unique odd *token* if one
-    is given.  An ambiguous CAS completion (lost ack, or flushed behind
-    a failed request) propagates for a plain lock word — the caller
-    cannot tell whether it holds the word — but a token names its
-    holder: one read of the word (replayed through the fault that ate
-    the ack) settles it, so acquisition is exactly-once.
+    The lock word is ``version + 1``, or the unique odd *token* if
+    given.  An ambiguous CAS completion (lost ack, or flushed behind a
+    failed request) propagates for a plain lock word — the caller cannot
+    tell whether it holds it — but a token names its holder: one read of
+    the word settles it, so acquisition is exactly-once under faults.
     """
     client = intents[0][0].mapping.client
     rsan, actor = client.rsan, client._rsan_actor
-    batch = client.batch()
-    won = []
+    # a lone CAS is posted as it is: a batch is for sharing a doorbell
+    batch = client.batch() if len(intents) > 1 else None
+    won, futures = [], []
     with rsan.exempt(actor):
-        futures = [batch.cas(lock.mapping, lock.offset, version,
-                             version + 1 if token is None else token)
-                   for lock, version, token in intents]
-        yield from batch.flush()
+        for lock, version, token in intents:
+            word = version + 1 if token is None else token
+            futures.append(
+                (yield from lock.mapping.cas_async(lock.offset, version, word))
+                if batch is None
+                else batch.cas(lock.mapping, lock.offset, version, word))
+        if batch is not None:
+            yield from batch.flush()
         for (lock, version, token), cas in zip(intents, futures):
             try:
                 got = (yield from cas.wait()) == version
@@ -143,20 +147,18 @@ def publishes(records, batch=None, drive=None):
     and then its word, all in one flush and one round trip (generator)
     — the only body-then-word write in the tree.
 
-    Each record is an ordered pair on *batch* (a fresh one by default):
-    ``[WRITE body, WRITE word after=body]``, so the remote NIC exposes
-    the new word only over the new body.  A pair that could not be
-    chained (record spanning servers, replicated region, two-sided
-    ablation) or that a fault broke is redone one write at a time, body
-    first — but only while the word still carries *held*, the value it
-    has while the record is ours (lock word, token): a word WRITE whose
-    ack was lost has landed and freed the record, and a late rewrite
-    would wipe out the next holder.  ``drive(redo)`` runs such a redo
+    Each record is an ordered pair on *batch* (default: a fresh one),
+    ``[WRITE body, WRITE word after=body]``: the remote NIC exposes the
+    new word only over the new body.  A pair that could not be chained
+    (record spanning servers, replicated region, two-sided ablation) or
+    that a fault broke is redone a write at a time, body first — but
+    only while the word still carries *held*, its value while the record
+    is ours (lock word, token): a word WRITE whose ack was lost has
+    landed and freed the record.  ``drive(redo)`` runs such a redo
     (transactions pass their replay-until-it-lands loop).
     """
     client = records[0][0].client
-    if batch is None:
-        batch = client.batch()
+    batch = batch or client.batch()
     with client.rsan.exempt(client._rsan_actor):
         pairs = []
         for mapping, offset, _held, word, body in records:

@@ -162,6 +162,10 @@ class Mapping:
         return self._start("faa", offset, 8, idempotent=idempotent,
                            compare=delta)
 
+    def cas_async(self, offset: int, expected: int, desired: int):
+        """Submit a compare-and-swap (generator); returns its future."""
+        return self._start("cas", offset, 8, compare=expected, swap=desired)
+
     # -- the one path under every op -----------------------------------------
 
     def _check_usable(self):

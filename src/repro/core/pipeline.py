@@ -163,9 +163,8 @@ class OpFuture:
         self._last_wc = None
         self._flush_ambiguous = False
         self._attempts = 0
-        #: an ordered write's predecessor (``IoBatch.write(after=)``),
-        #: and whether a dependent was posted behind this one: neither
-        #: half of such a pair is ever replayed
+        #: an ordered write's predecessor (``IoBatch.write(after=)``) /
+        #: a dependent was posted behind this one: neither is replayed
         self.after: Optional[OpFuture] = None
         self.followed = False
         #: per-op trace: a whole-op envelope span from submission to
@@ -248,8 +247,8 @@ class OpFuture:
         *error* it is an unsignaled WR proven successful by its
         doorbell group.  *error* says it could not even be posted.
         *flushed* says it sat behind an earlier error in its doorbell
-        batch: its remote outcome is unknown (the NIC may still execute
-        it), which is why flushed atomics count as ambiguous.
+        batch: executed if only that request's ack was lost, not if the
+        request itself was — which is why flushed atomics are ambiguous.
         """
         if self.done:
             return
@@ -453,12 +452,11 @@ class IoBatch:
 
         With *after* — an earlier write of this batch — the remote NIC
         executes this one only once *after* has executed: it is posted
-        behind it on the one QP that carries all of *after* (RC executes
-        in post order and nothing past a lost request), or fails at
-        staging, unexecuted, where no such QP exists — pieces on two
-        QPs, a replicated stripe, the ``two_sided_data_path`` ablation.
-        A failed round fails either half instead of replaying it: a
-        replay would leave the order unproven.
+        behind it on the one QP carrying all of *after* (RC executes in
+        post order and nothing past a lost request), or fails at
+        staging, unexecuted, where there is none — pieces on two QPs, a
+        replicated stripe, the ``two_sided_data_path`` ablation.  A
+        failed round fails either half: a replay would break the order.
         """
         fut = yield from mapping._start("write", offset, len(payload),
                                         wire_scale, payload=payload,
@@ -570,8 +568,7 @@ class IoBatch:
             for wrs in self._queues.values():
                 wrs[:] = [wr for wr in wrs if wr.wr_id.subs[0][0] is not fut]
         raise RegionUnavailableError(
-            "ordered write: no single queue pair carries it behind its "
-            "predecessor")
+            "ordered write: no one queue pair carries it and its predecessor")
 
     def wait_all(self):
         """Park until every queued future resolved (generator).
@@ -722,8 +719,8 @@ class OpPipeline:
         In-order delivery means everything posted *before* the failed
         WR already succeeded (an earlier error would have arrived
         first); everything *after* it is flushed — replayable for
-        reads/writes, ambiguous for atomics (the NIC may still execute
-        flushed WRs remotely).
+        reads/writes, ambiguous for atomics (behind a lost ack they
+        executed, behind a lost request they did not).
         """
         idx = group.tokens.index(err_token)
         for token in group.tokens[:idx]:
@@ -744,8 +741,7 @@ class OpPipeline:
             # half of an ordered pair: re-posted on its own it would run
             # out of order — whoever chained the pair redoes it
             fut._fail(RegionUnavailableError(
-                f"ordered write on {mapping.name!r} failed and is not "
-                f"replayed: {fut._failure}"))
+                f"ordered write failed, never replayed: {fut._failure}"))
             return
         # ``_last_wc`` is only set when a completion (good or bad) came
         # back — i.e. the request made it onto the wire; a flushed

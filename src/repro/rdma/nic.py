@@ -29,8 +29,7 @@ from repro.simnet.topology import Host, Network
 
 __all__ = ["RNic"]
 
-#: an RC responder executes nothing past a sequence gap: the request
-#: times out exactly like the lost one it was posted behind
+#: an RC responder executes nothing past a lost request
 _PSN_GAP = "request arrived behind a lost one (PSN gap): not executed"
 
 

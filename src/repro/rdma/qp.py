@@ -6,14 +6,12 @@ systems only ever use RC QPs, fully connected before use.
 
 Ordering follows RC semantics: work requests on one QP execute and
 complete in post order; an error transitions the QP to ``ERROR`` and
-flushes everything still queued.  Execution order is enforced the way
-the wire protocol does it: every posted request carries a packet
-sequence number and the responder executes a request only when it is
-the next one it expects (:meth:`QueuePair._expects`).  A request that
-arrives behind a lost one (an injected launch fault, a partition drop)
-is a PSN gap — it is not executed and times out like the one it
-followed — so nothing posted behind a lost request ever touches remote
-memory; only a fresh QP (a re-dial) starts a fresh sequence.
+flushes everything still queued.  Execution order is enforced as on
+the wire: every posted request carries a sequence number and the
+responder executes only the one it expects (:meth:`QueuePair._expects`).
+A request arriving behind a lost one (an injected launch fault, a
+partition drop) is a PSN gap — not executed, it times out like the one
+it followed; only a fresh QP (a re-dial) starts a fresh sequence.
 """
 
 from __future__ import annotations
@@ -65,8 +63,7 @@ class QueuePair:
         self._inflight = 0
         #: send WRs in post order, awaiting in-order completion delivery
         self._order: deque[SendWR] = deque()
-        #: the sequence number the next posted request will carry, and
-        #: (responder side) the one the next executed request must carry
+        #: sequence number of the next request posted / next one executed
         self._next_psn = 0
         self._expected_psn = 0
         pd.qps.append(self)
@@ -141,9 +138,8 @@ class QueuePair:
         return self._inflight
 
     def _expects(self, wr: SendWR) -> bool:
-        """Responder side: is the peer's *wr* the next request in
-        sequence?  Admitting it moves the sequence on; a request behind
-        a gap is refused, and so is everything after it."""
+        """Responder side: is the peer's *wr* next in sequence?  Behind
+        a gap it is refused, and so is everything after it."""
         if wr._psn != self._expected_psn:
             return False
         self._expected_psn += 1

@@ -11,23 +11,21 @@ commits them atomically with optimistic concurrency control:
    lookup's outcome invalidates the transaction (phantom protection).
 2. **Write intent.**  At commit every version word of the write-set
    is CAS'd from its snapshot version to the transaction's unique odd
-   *token* (the :class:`~repro.coord.SeqLock` token protocol) — all of
-   them queued in global ``(region, offset)`` order on **one flush**,
-   one round trip (``coord.seqlock.try_locks``).  Try-locks never
-   wait, so there is nothing to deadlock on: a transaction that loses
-   any intent releases the ones it won and aborts.  A successful CAS
-   doubles as validation: the version is unchanged since the snapshot,
-   hence so is the body (versions only move forward).
+   *token* (the :class:`~repro.coord.SeqLock` token protocol), all
+   queued in global ``(region, offset)`` order on **one flush**, one
+   round trip (``seqlock.try_locks``).  Try-locks never wait, so
+   nothing can deadlock: losing any intent releases the ones won and
+   aborts.  A successful CAS doubles as validation: the version is
+   unchanged since the snapshot, hence so is the body.
 3. **Validation.**  Read-only members of the read-set are re-read
    (one batched round of 8-byte version words) and must still carry
    their snapshot versions.
 4. **Apply.**  Past validation the transaction is irrevocably
-   committed: the whole write-set is published on **one flush**, one
-   round trip (``coord.seqlock.publishes``) — per record an ordered
-   ``[WRITE body, WRITE version after=body]`` pair — and a pair a fault
-   broke is redone, while the word still carries our token, until it
-   lands, so crashes, partitions and wire faults during apply delay
-   the commit but cannot tear it.
+   committed: the write-set is published on **one flush**, one round
+   trip (``seqlock.publishes``: per record an ordered ``[WRITE body,
+   WRITE version after=body]`` pair), and a pair a fault broke is
+   redone, while the word is still our token, until it lands — faults
+   during apply delay the commit but cannot tear it.
 
 Aborts before the commit point release intent locks by restoring the
 snapshot version — also an idempotent write, also replayed under
@@ -478,8 +476,7 @@ class TxnRuntime:
         self.label = label or "txn"
         self.retries = self.DEFAULT_RETRIES if retries is None else retries
         self.deadline = deadline
-        #: one jitter stream per retry loop, derived once: every attempt
-        #: draws on, so a client's n-th retry never repeats a pause
+        #: one jitter stream per retry loop, derived once, not per attempt
         self._rngs = {loop: Backoff.for_client(
             client, f"txn-{loop}-{self.label}").rng
             for loop in ("read", "apply", "run")}
