@@ -172,15 +172,15 @@ def publishes(records, batch=None, drive=None):
             yield from batch.wait_all()
         except RecoverableError:
             pass  # each pair answers for itself below
-        for record, (first, last) in zip(records, pairs):
-            if last.error is None and (first is None or first.error is None):
+        for (*record, body), (first, last) in zip(records, pairs):
+            landed = first is None or first.error is None  # the body, if any
+            if landed and last.error is None:
                 continue
             # registered on first use: the chained path pays no lookup
             client.obs.metrics.counter(
                 "coord.seqlock.publishes_unchained", region=record[0].name,
                 host=client.nic.host.host_id).inc()
-            redo = partial(_republish, *record[:4], record[4] if first is None
-                           or first.error is not None else b"")
+            redo = partial(_republish, *record, b"" if landed else body)
             yield from (redo() if drive is None else drive(redo))
 
 

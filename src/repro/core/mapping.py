@@ -180,7 +180,8 @@ class Mapping:
     def _begin(self, kind: str, offset: int, length: int,
                wire_scale: int = 1, local_mr: Optional[MemoryRegion] = None,
                local_addr: int = 0, idempotent: bool = False,
-               compare: int = 0, swap: int = 0, batch=None) -> OpFuture:
+               compare: int = 0, swap: int = 0, batch=None,
+               after: Optional[OpFuture] = None) -> OpFuture:
         """Create the future of one op — the only place one is made.
 
         A zero-length op resolves here, off the wire; an op begun for a
@@ -194,6 +195,7 @@ class Mapping:
                        wire_scale, idempotent, compare, swap)
         fut.local_mr = local_mr
         fut.local_addr = local_addr
+        fut.after = after
         if batch is not None:
             batch.futures.append(fut)
         if length == 0:

@@ -458,11 +458,8 @@ class IoBatch:
         replicated stripe, the ``two_sided_data_path`` ablation.  A
         failed round fails either half: a replay would break the order.
         """
-        fut = yield from mapping._start("write", offset, len(payload),
-                                        wire_scale, payload=payload,
-                                        batch=self)
-        fut.after = after
-        return fut
+        return mapping._start("write", offset, len(payload), wire_scale,
+                              payload=payload, batch=self, after=after)
 
     def read_into(self, mapping, local_mr: MemoryRegion, local_addr: int,
                   offset: int, length: int, wire_scale: int = 1) -> OpFuture:

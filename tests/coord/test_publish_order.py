@@ -136,7 +136,6 @@ def test_a_redone_publish_never_touches_a_word_it_no_longer_holds(rival):
         version, _body = yield from rec.read()
         assert (yield from rec.try_lock(version))
         yield from rec.publish(version + 1, _tagged(version + 2))
-        return sim.now
 
     def app():
         rec = yield from SeqLock.create(cluster.client(0), "guarded", _BODY)

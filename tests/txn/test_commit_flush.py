@@ -26,10 +26,10 @@ def _cluster():
     return build_cluster(num_machines=4, server_capacity=16 * MiB)
 
 
-def _records(cluster, homes, creator=0):
+def _records(cluster, homes):
     """One raw record per entry of *homes* (the server it lives on),
     each holding 100; named so that they sort in *homes* order."""
-    client = cluster.client(creator)
+    client = cluster.client(0)
     records = []
     for i, home in enumerate(homes):
         rec = yield from SeqLock.create(client, f"acct-{i}", _BODY,
