@@ -97,11 +97,12 @@ def snapshots(mapping, offsets, record_size: int):
     return found
 
 
-def try_locks(intents):
+def try_locks(intents, won=None):
     """CAS every ``(lock, version, token)`` intent's word from *version*
     to its lock word in one flush and one round trip (generator);
-    answers who won, in order.  Try-locks never wait, so nothing can
-    deadlock; a caller that needed them all releases what it won.
+    answers who won, in order — appending to *won* as each is settled,
+    so that a caller who needed them all can release what it won even
+    if a later read-back raises.  Try-locks never wait: no deadlock.
 
     The lock word is ``version + 1``, or the unique odd *token* if
     given.  An ambiguous CAS completion (lost ack, or flushed behind a
@@ -113,7 +114,7 @@ def try_locks(intents):
     rsan, actor = client.rsan, client._rsan_actor
     # a lone CAS is posted as it is: a batch is for sharing a doorbell
     batch = client.batch() if len(intents) > 1 else None
-    won, futures = [], []
+    won, futures = [] if won is None else won, []
     with rsan.exempt(actor):
         for lock, version, token in intents:
             word = version + 1 if token is None else token

@@ -398,7 +398,7 @@ class Txn:
         write_rkeys = {w.rkey for w in writes}
         replay = Backoff(sim, runtime._rngs["apply"], base_s=1e-3,
                          max_s=50e-3)
-        held = []
+        won = []  # per write, filled in as each intent is settled
         decided = False
         try:
             if self.deadline is not None and sim.now >= self.deadline:
@@ -406,10 +406,9 @@ class Txn:
                     "transaction deadline passed before commit"
                 )
             if writes:
-                won = yield from try_locks(
-                    [(w.lock, w.version, self.token) for w in writes])
-                held = [w for w, got in zip(writes, won) if got]
-                if len(held) < len(writes):
+                yield from try_locks(
+                    [(w.lock, w.version, self.token) for w in writes], won)
+                if not all(won):
                     lost = writes[won.index(False)]
                     raise TxnConflictError(
                         f"write intent on {lost.rkey} lost to a "
@@ -442,7 +441,7 @@ class Txn:
                 runtime._m_conflicts.inc()
             client.rsan.txn_abort(client._rsan_actor)
             if not decided:
-                for entry in held:
+                for entry in (w for w, got in zip(writes, won) if got):
                     yield from replay_idempotent(
                         lambda entry=entry: entry.lock.abort(entry.version),
                         replay,

@@ -14,6 +14,7 @@ import pytest
 from repro.cluster import build_cluster
 from repro.coord import SeqLock
 from repro.coord.base import read_word
+from repro.core.errors import RegionUnavailableError
 from repro.obs import obs_for
 from repro.rdma.types import Opcode
 from repro.simnet.config import MiB
@@ -184,3 +185,25 @@ def test_retry_jitter_does_not_restart_with_every_transaction():
     first, again = pauses(), pauses()
     assert len(set(first)) == 3, f"the retry pause repeats: {first}"
     assert first == again
+
+
+def test_an_unsettled_intent_still_releases_the_ones_already_won():
+    """The second record's server dies under the intent flush: its CAS
+    times out, the read-back of its word cannot be served either, and
+    the commit fails with the data path's error — but not before it has
+    released the first record, whose intent it had already won."""
+    cluster = _cluster()
+    client = cluster.client(1)
+
+    def app():
+        first, _second = yield from _records(cluster, homes=(2, 3))
+        src, dst = yield from _views(client, 2)
+        txn = TxnRuntime(client, label="unsettled").begin()
+        yield from _move(7, src, dst)(txn)
+        cluster.kill_server(3)
+        with pytest.raises(RegionUnavailableError):
+            yield from txn.commit()
+        assert txn.phase == "aborted"
+        return (yield from first.read())
+
+    assert cluster.run_app(app()) == (2, (100).to_bytes(8, "little"))
