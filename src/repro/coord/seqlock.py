@@ -38,9 +38,7 @@ from functools import partial
 
 from repro.core.errors import RecoverableError, RegionUnavailableError
 
-from repro.coord.base import (
-    Backoff, CoordError, read_word, region_name, write_word,
-)
+from repro.coord.base import Backoff, CoordError, read_word, region_name, write_word
 
 __all__ = ["SeqLock", "snapshots", "try_locks", "publishes"]
 
@@ -100,9 +98,9 @@ def snapshots(mapping, offsets, record_size: int):
 def try_locks(intents, won=None):
     """CAS every ``(lock, version, token)`` intent's word from *version*
     to its lock word in one flush and one round trip (generator);
-    answers who won, in order — appending to *won* as each is settled,
-    so that a caller who needed them all can release what it won even
-    if a later read-back raises.  Try-locks never wait: no deadlock.
+    answers who won, in order, appending to *won* as each is settled —
+    and settles them all before it raises, every CAS having left by then,
+    so a caller who needed them all can release exactly what it won.
 
     The lock word is ``version + 1``, or the unique odd *token* if
     given.  An ambiguous CAS completion (lost ack, or flushed behind a
@@ -114,7 +112,7 @@ def try_locks(intents, won=None):
     rsan, actor = client.rsan, client._rsan_actor
     # a lone CAS is posted as it is: a batch is for sharing a doorbell
     batch = client.batch() if len(intents) > 1 else None
-    won, futures = [] if won is None else won, []
+    won, futures, failed = [] if won is None else won, [], None
     with rsan.exempt(actor):
         for lock, version, token in intents:
             word = version + 1 if token is None else token
@@ -126,20 +124,26 @@ def try_locks(intents, won=None):
             yield from batch.flush()
         for (lock, version, token), cas in zip(intents, futures):
             try:
-                got = (yield from cas.wait()) == version
-            except RegionUnavailableError:
-                if token is None:
-                    raise
-                # anything but our token — the untouched even version
-                # included — is a loss; the caller re-snapshots
-                got = (yield from read_word(lock.mapping,
-                                            lock.offset)) == token
+                try:
+                    got = (yield from cas.wait()) == version
+                except RegionUnavailableError:
+                    if token is None:
+                        raise
+                    # anything but our token — the untouched even version
+                    # included — is a loss; the caller re-snapshots
+                    got = (yield from read_word(lock.mapping,
+                                                lock.offset)) == token
+            except Exception as exc:
+                # unsettled (its server is gone): not ours to release
+                failed, got = failed or exc, False
             if got:
                 # the CAS observed version: join that version's publisher
                 rsan.sync_acquire(actor, lock._sync_key(version))
             else:
                 lock._m_lock_failures.inc()
             won.append(got)
+    if failed is not None:
+        raise failed
     return won
 
 
@@ -186,8 +190,7 @@ def publishes(records, batch=None, drive=None):
 
 
 def _republish(mapping, offset: int, held: int, word: int, body: bytes):
-    """Redo one broken publish, one write at a time (generator) — if
-    the record is still ours."""
+    """Redo one broken publish a write at a time, if still ours (generator)."""
     if (yield from read_word(mapping, offset)) == held:
         if body:
             yield from mapping.write(offset + _WORD, body)

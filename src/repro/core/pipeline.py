@@ -392,7 +392,7 @@ def _coalesce(wrs: list[SendWR]) -> list[SendWR]:
     ceiling.  The merged token carries both WRs' sub-requests, so
     failure replay still works at piece granularity.
     """
-    merged = [wrs[0]]
+    merged = wrs[:1]  # none, if an ordered write was unstaged
     for wr in wrs[1:]:
         last = merged[-1]
         if (wr.opcode is last.opcode
@@ -454,9 +454,9 @@ class IoBatch:
         executes this one only once *after* has executed: it is posted
         behind it on the one QP carrying all of *after* (RC executes in
         post order and nothing past a lost request), or fails at
-        staging, unexecuted, where there is none — pieces on two QPs, a
-        replicated stripe, the ``two_sided_data_path`` ablation.  A
-        failed round fails either half: a replay would break the order.
+        staging, unexecuted, where no one QP carries both (stripes on
+        two servers, replication, the ``two_sided_data_path`` ablation).
+        A failed round fails either half: a replay would break the order.
         """
         return mapping._start("write", offset, len(payload), wire_scale,
                               payload=payload, batch=self, after=after)

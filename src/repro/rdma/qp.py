@@ -6,12 +6,11 @@ systems only ever use RC QPs, fully connected before use.
 
 Ordering follows RC semantics: work requests on one QP execute and
 complete in post order; an error transitions the QP to ``ERROR`` and
-flushes everything still queued.  Execution order is enforced as on
-the wire: every posted request carries a sequence number and the
-responder executes only the one it expects (:meth:`QueuePair._expects`).
-A request arriving behind a lost one (an injected launch fault, a
-partition drop) is a PSN gap — not executed, it times out like the one
-it followed; only a fresh QP (a re-dial) starts a fresh sequence.
+flushes everything still queued.  As on the wire, every posted request
+carries a sequence number and the responder executes only the one it
+expects (:meth:`QueuePair._expects`): one arriving behind a lost one
+(launch fault, partition drop) is a PSN gap — not executed, it times out
+like the one it followed; only a fresh QP (a re-dial) starts afresh.
 """
 
 from __future__ import annotations

@@ -11,12 +11,11 @@ commits them atomically with optimistic concurrency control:
    lookup's outcome invalidates the transaction (phantom protection).
 2. **Write intent.**  At commit every version word of the write-set
    is CAS'd from its snapshot version to the transaction's unique odd
-   *token* (the :class:`~repro.coord.SeqLock` token protocol), all
-   queued in global ``(region, offset)`` order on **one flush**, one
-   round trip (``seqlock.try_locks``).  Try-locks never wait, so
-   nothing can deadlock: losing any intent releases the ones won and
-   aborts.  A successful CAS doubles as validation: the version is
-   unchanged since the snapshot, hence so is the body.
+   *token* (the :class:`~repro.coord.SeqLock` token protocol), all in
+   global ``(region, offset)`` order on **one flush**, one round trip
+   (``seqlock.try_locks``).  Try-locks never wait, so nothing can
+   deadlock: losing any intent releases the ones won and aborts.  A won
+   CAS doubles as validation: version, hence body, is as snapshotted.
 3. **Validation.**  Read-only members of the read-set are re-read
    (one batched round of 8-byte version words) and must still carry
    their snapshot versions.

@@ -95,6 +95,32 @@ def test_record_spanning_stripes_takes_the_fallback():
     assert _unchained(cluster) == 13
 
 
+def test_word_and_body_on_two_servers_take_the_fallback():
+    """The word ends exactly at a stripe boundary and the whole body
+    sits on the next server: the body WRITE has a queue pair of its own
+    to be followed on, the word's is another.  The batch finds that out
+    only while staging the word, takes it back out, and the publish
+    falls back — as for a body that spans."""
+    stripe = 4 * KiB
+    cluster = _cluster(stripe_size=stripe)
+    client = cluster.client(1)
+
+    def app():
+        yield from client.alloc("boundary", 2 * stripe)
+        mapping = yield from client.map("boundary")
+        stripes = mapping.desc.stripes
+        assert stripes[0].host_id != stripes[1].host_id
+        rec = SeqLock(mapping, stripe - 8, 64)
+        for flip in range(3):
+            body = b"AB"[flip % 2:][:1] * 64
+            assert (yield from rec.write(body)) == 2 * (flip + 1)
+            assert (yield from rec.read()) == (2 * (flip + 1), body)
+
+    cluster.run_app(app())
+    assert _unchained(cluster) == 3
+    assert client.retries == 0
+
+
 @pytest.mark.parametrize("victim", [0, 1], ids=["record", "word"])
 def test_replayed_read_of_the_pair_is_revalidated(victim):
     """One wire fault on the record READ or on the word READ of a pair:

@@ -248,6 +248,37 @@ def test_an_unchainable_dependent_fails_unexecuted(case):
     cluster.run_app(app())
 
 
+@pytest.mark.parametrize("then_at", [_STRIPE - 8, _STRIPE - 4])
+def test_a_dependent_on_another_queue_pair_is_unstaged(then_at):
+    """The predecessor sits wholly in stripe 1 — it has a route — but
+    the 8-byte dependent lands in stripe 0, on another server's queue
+    pair (or half on each).  That is only known once its pieces are
+    staged: they are taken back out, so nothing of it is posted."""
+    cluster = _cluster()
+    client = cluster.client(1)
+
+    def app():
+        mapping = yield from _mapped(client, "elsewhere")
+        stripes = mapping.desc.stripes
+        assert stripes[0].host_id != stripes[1].host_id
+        posted, bells = client.nic.ops_posted, client.nic.doorbells_rung
+        _batch, first, then = yield from _ordered_pair(
+            client, mapping, _STRIPE + 64, 64, then_at)
+        assert first.error is None
+        # the predecessor's one WR on its one doorbell, and no more
+        assert client.nic.ops_posted - posted == 1
+        assert client.nic.doorbells_rung - bells == 1
+        assert isinstance(then.error, RegionUnavailableError)
+        assert "ordered write" in str(then.error)
+        assert client.retries == 0 and client.pieces_replayed == 0
+        assert not mapping._inflight  # the failed half is not left behind
+        assert (yield from mapping.read(_STRIPE + 64, 64)) == b"F" * 64
+        assert (yield from mapping.read(then_at, 8)) == (
+            _OLD * 17)[then_at % 256:][:8]
+
+    cluster.run_app(app())
+
+
 def test_a_window_split_keeps_the_ordered_pair():
     cluster = _cluster()
     client = cluster.client(1)

@@ -187,23 +187,29 @@ def test_retry_jitter_does_not_restart_with_every_transaction():
     assert first == again
 
 
-def test_an_unsettled_intent_still_releases_the_ones_already_won():
-    """The second record's server dies under the intent flush: its CAS
-    times out, the read-back of its word cannot be served either, and
-    the commit fails with the data path's error — but not before it has
-    released the first record, whose intent it had already won."""
+@pytest.mark.parametrize("dead", [2, 3])
+def test_an_unsettled_intent_still_releases_every_one_it_won(dead):
+    """One record's server dies under the intent flush: its CAS times
+    out, the read-back of its word cannot be served either, and the
+    commit fails with the data path's error — but not before it has
+    released the other record.  Both CASes left on the one flush, so
+    the survivor's has landed whether it is settled before the dead one
+    (``dead=3``) or was still waiting behind it (``dead=2``): every
+    intent is settled before the failure is raised."""
     cluster = _cluster()
     client = cluster.client(1)
 
     def app():
-        first, _second = yield from _records(cluster, homes=(2, 3))
+        records = yield from _records(cluster, homes=(2, 3))
         src, dst = yield from _views(client, 2)
         txn = TxnRuntime(client, label="unsettled").begin()
         yield from _move(7, src, dst)(txn)
-        cluster.kill_server(3)
+        cluster.kill_server(dead)
         with pytest.raises(RegionUnavailableError):
             yield from txn.commit()
         assert txn.phase == "aborted"
-        return (yield from first.read())
+        survivor = records[3 - dead]
+        word = yield from read_word(survivor.mapping, 0)
+        return word, (yield from survivor.read())
 
-    assert cluster.run_app(app()) == (2, (100).to_bytes(8, "little"))
+    assert cluster.run_app(app()) == (2, (2, (100).to_bytes(8, "little")))
