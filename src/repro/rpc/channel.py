@@ -107,8 +107,11 @@ class RdmaMsgChannel:
                 f"message of {len(payload)} bytes exceeds channel buffer "
                 f"of {self.msg_size}"
             )
-        req = self._send_lock.request()
-        yield req
+        req = self._send_lock.try_acquire()
+        if req is None:
+            # another sender holds the buffer: queue FIFO behind it
+            req = self._send_lock.request()
+            yield req
         try:
             # Application-side marshalling into the registered buffer.
             yield from self.nic.host.cpu.copy(len(payload))
