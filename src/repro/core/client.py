@@ -45,7 +45,7 @@ from repro.rdma.nic import RNic
 from repro.rdma.qp import QueuePair
 from repro.rdma.types import QpState, RdmaError
 from repro.rpc.channel import ChannelClosed
-from repro.rpc.endpoint import RpcClient, RpcError, RpcRemoteError, RpcTimeout
+from repro.rpc.endpoint import RpcClientPool, RpcError, RpcRemoteError, RpcTimeout
 from repro.sanitize import rsan_for
 from repro.simnet.config import MiB
 from repro.simnet.kernel import Simulator
@@ -91,7 +91,7 @@ class RStoreClient:
         #: server host -> connected data QP; the one QP table, shared
         #: by every mapping of this client
         self._data_qps: dict[int, QueuePair] = {}
-        self._mem_rpc: dict[int, RpcClient] = {}
+        self._mem_rpc = RpcClientPool(sim, nic, cm)
         #: lazily built DataPathRouter (see the ``datapath`` property)
         self._datapath = None
         #: bumped on every lazy one-time setup (QP dial, memory-service
@@ -203,17 +203,16 @@ class RStoreClient:
         """A connected RPC channel to *host_id*'s memory service
         (generator); cached per host, shared by the two-sided ablation
         and the server-op data path."""
-        rpc = self._mem_rpc.get(host_id)
+        rpc = self._mem_rpc.clients.get(host_id)
         if rpc is None:
-            rpc = RpcClient(self.sim, self.nic, self.cm)
-            yield from rpc.connect(host_id, self.config.mem_service)
-            self._mem_rpc[host_id] = rpc
+            rpc = yield from self._mem_rpc.get(host_id, host_id,
+                                               self.config.mem_service)
             self.setup_events += 1
         return rpc
 
     def _mem_channel_drop(self, host_id: int) -> None:
         """Forget a dead memory-service channel so the next use redials."""
-        self._mem_rpc.pop(host_id, None)
+        self._mem_rpc.clients.pop(host_id, None)
 
     # -- control path ----------------------------------------------------------
 
@@ -389,11 +388,11 @@ class RStoreClient:
 
     def list_regions(self):
         """All region names, across every shard (generator)."""
-        names = []
-        for shard in range(self._router.num_shards):
-            owned = yield from self._master_call("list_regions", shard=shard)
-            names.extend(owned)
-        return sorted(names)
+        owned = yield from self.sim.gather(
+            self._master_call("list_regions", shard=shard)
+            for shard in range(self._router.num_shards)
+        )
+        return sorted(name for names in owned for name in names)
 
     def map(self, region: Union[RegionDesc, str]):
         """Map a region for data-path access (generator).

@@ -57,7 +57,9 @@ from repro.core.shard import (
 from repro.obs import obs_for
 from repro.rdma.cm import ConnectionManager
 from repro.rdma.nic import RNic
-from repro.rpc.endpoint import RpcClient, RpcServer
+from repro.rdma.types import RdmaError
+from repro.rpc.channel import ChannelClosed
+from repro.rpc.endpoint import RpcClientPool, RpcError, RpcServer
 from repro.sanitize import rsan_for
 from repro.simnet.kernel import Simulator
 
@@ -103,7 +105,7 @@ class Master:
         #: holders are fenced
         self.epoch = 0
         self._next_region_id = 1
-        self._server_rpc: dict[int, RpcClient] = {}
+        self._server_rpc = RpcClientPool(sim, nic, cm)
         self._barriers: dict[str, dict] = {}
         self._notes: dict[str, object] = {}
         self._note_waiters: dict[str, list] = {}
@@ -165,9 +167,9 @@ class Master:
         self.alive = False
         if self._rpc is not None:
             self._rpc.stop("master crashed")
-        for client in self._server_rpc.values():
+        for client in self._server_rpc.clients.values():
             client.abort("master crashed")
-        self._server_rpc.clear()
+        self._server_rpc.clients.clear()
 
     def _counted(self, method: str, handler):
         """Wrap an RPC handler so every dispatch bumps its counter.
@@ -457,7 +459,7 @@ class Master:
         # cluster totals never carry ghost usage.  (Placement and repair
         # only ever consider *alive* slots, so quarantine is implicit.)
         slot.free = slot.capacity
-        self._server_rpc.pop(slot.host_id, None)
+        self._server_rpc.clients.pop(slot.host_id, None)
         dead = slot.host_id
         self.epoch += 1
         yield from self._log("epoch", self.epoch)
@@ -500,20 +502,38 @@ class Master:
 
     def _server_client(self, host_id: int):
         """Lazily connect to a memory server's control service (generator)."""
-        client = self._server_rpc.get(host_id)
-        if client is None:
-            client = RpcClient(self.sim, self.nic, self.cm)
-            yield from client.connect(host_id, self.config.mem_service)
-            self._server_rpc[host_id] = client
-        return client
+        return self._server_rpc.get(host_id, host_id, self.config.mem_service)
+
+    def _server_call(self, host_id: int, method: str, arg):
+        """One control RPC to *host_id*'s slice of this shard (generator)."""
+        client = yield from self._server_client(host_id)
+        return (yield from client.call(method, arg, self.shard_id))
+
+    def _release_round(self, by_host: dict[int, list[int]]):
+        """Release reservations on every host at once (generator).
+
+        Best effort: it only runs past a decision (a rollback, a logged
+        ``free``), and a server that cannot be told lost its arena or
+        drops the orphans at its next re-registration.
+        """
+        try:
+            yield from self.sim.gather(
+                self._server_call(host_id, "release_batch", addrs)
+                for host_id, addrs in by_host.items()
+            )
+        except (RdmaError, RpcError, ChannelClosed) as exc:
+            self.repair._note(f"release round incomplete: {exc}")
 
     def _reserve_stripes(self, what: str, lengths, replication: int,
                          base_index: int = 0, preferred_host=None):
         """Place and reserve one stripe per length (generator).
 
         Returns the :class:`StripeDesc` list, indexed from
-        *base_index*.  All-or-nothing: a failure at any server releases
-        what the others already reserved and the allocator's tracked
+        *base_index*.  The involved servers are asked in one parallel
+        round (``Simulator.gather``), which costs its slowest server and
+        has settled everywhere before anything is decided.
+        All-or-nothing: a failure at any server releases what the
+        others reserved (a second round) and the allocator's tracked
         capacity, then raises :class:`AllocationError` naming *what*.
         """
         placement = self.allocator.place(
@@ -526,18 +546,19 @@ class Master:
             for host_id in copies:
                 by_host.setdefault(host_id, []).append(length)
         reserved: dict[int, tuple[list[int], int]] = {}
+
+        def reserve(host_id):
+            reserved[host_id] = yield from self._server_call(
+                host_id, "reserve_batch", by_host[host_id]
+            )
+
         try:
-            for host_id, host_lengths in by_host.items():
-                client = yield from self._server_client(host_id)
-                addrs, rkey = yield from client.call(
-                    "reserve_batch", host_lengths, self.shard_id
-                )
-                reserved[host_id] = (addrs, rkey)
+            yield from self.sim.gather(reserve(host_id) for host_id in by_host)
         except Exception as exc:
             # Roll back partial reservations and tracked capacity.
-            for host_id, (addrs, _rkey) in reserved.items():
-                client = yield from self._server_client(host_id)
-                yield from client.call("release_batch", addrs, self.shard_id)
+            yield from self._release_round(
+                {host_id: addrs for host_id, (addrs, _rkey) in reserved.items()}
+            )
             for copies, length in zip(placement, lengths):
                 for host_id in copies:
                     self.allocator.release(host_id, length)
@@ -650,6 +671,16 @@ class Master:
         return region
 
     def _free(self, name, epoch=None):
+        """Release a region (generator).
+
+        The ``free`` record comes first and is the commit point: a crash
+        mid-release leaks server-side reservations (reconciled at
+        re-registration) instead of resurrecting a region whose arena
+        bytes were already recycled.  Past it the parallel release
+        round is best effort and tracked capacity always comes back;
+        the reply waits for the round, so capacity is back when
+        ``free`` returns.
+        """
         self._fence(epoch)
         self._owned(name)
         yield from self._ready()
@@ -659,19 +690,14 @@ class Master:
         self._charge_tenant(
             tenant_of(name), -region.size * region.target_replication
         )
-        # log the intent first: a crash mid-release leaks server-side
-        # reservations (reconciled at re-registration) instead of
-        # resurrecting a region whose arena bytes were already recycled
         yield from self._log("free", name)
         by_host: dict[int, list[int]] = {}
         for stripe in region.stripes:
             for replica in stripe.replicas:
-                by_host.setdefault(replica.host_id, []).append(replica.addr)
-        for host_id, addrs in by_host.items():
-            if not self.allocator.server(host_id).alive:
-                continue  # its arena died with it
-            client = yield from self._server_client(host_id)
-            yield from client.call("release_batch", addrs, self.shard_id)
+                # a dead server's arena died with it
+                if self.allocator.server(replica.host_id).alive:
+                    by_host.setdefault(replica.host_id, []).append(replica.addr)
+        yield from self._release_round(by_host)
         for stripe in region.stripes:
             for replica in stripe.replicas:
                 self.allocator.release(replica.host_id, stripe.length)

@@ -215,8 +215,8 @@ class RepairPlanner:
         addr = None
         try:
             client = yield from self.master._server_client(target)
-            addrs, rkey = yield from client.call(
-                "reserve_batch", [stripe.length], self.master.shard_id
+            addrs, rkey = yield from self.master._server_call(
+                target, "reserve_batch", [stripe.length]
             )
             addr = addrs[0]
             # Destination pulls the stripe out of the surviving replica's
@@ -236,8 +236,8 @@ class RepairPlanner:
             allocator.release(target, stripe.length)
             if addr is not None and allocator.host_alive(target):
                 try:
-                    yield from client.call(
-                        "release_batch", [addr], self.master.shard_id
+                    yield from self.master._server_call(
+                        target, "release_batch", [addr]
                     )
                 except Exception:  # noqa: BLE001 - target just died
                     pass
@@ -267,8 +267,8 @@ class RepairPlanner:
             allocator.release(target, stripe.length)
             if allocator.host_alive(target):
                 try:
-                    yield from client.call(
-                        "release_batch", [addr], self.master.shard_id
+                    yield from self.master._server_call(
+                        target, "release_batch", [addr]
                     )
                 except Exception:  # noqa: BLE001 - best effort
                     pass

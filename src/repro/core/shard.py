@@ -32,7 +32,7 @@ from repro.core.errors import DeadlineExceededError
 from repro.coord.base import Backoff
 from repro.rdma.types import RdmaError
 from repro.rpc.channel import ChannelClosed
-from repro.rpc.endpoint import RpcClient, RpcError
+from repro.rpc.endpoint import RpcClient, RpcClientPool, RpcError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.config import RStoreConfig
@@ -140,7 +140,7 @@ class ShardRouter:
         self.cm = cm
         self.config = config
         self.map = ShardMap(config.control_shards)
-        self._clients: dict[int, RpcClient] = {}
+        self._clients = RpcClientPool(sim, nic, cm)
 
     @property
     def num_shards(self) -> int:
@@ -152,15 +152,10 @@ class ShardRouter:
     def client_for(self, shard_id: int):
         """The cached control channel to *shard_id*, dialing on first
         use (generator)."""
-        client = self._clients.get(shard_id)
-        if client is None:
-            client = RpcClient(self.sim, self.nic, self.cm)
-            yield from client.connect(
-                self.config.master_host,
-                shard_service(self.config.master_service, shard_id),
-            )
-            self._clients[shard_id] = client
-        return client
+        return self._clients.get(
+            shard_id, self.config.master_host,
+            shard_service(self.config.master_service, shard_id),
+        )
 
     def connect_all(self):
         """Eagerly dial every shard (generator) — boot-time warm-up so
@@ -170,7 +165,7 @@ class ShardRouter:
 
     def drop(self, shard_id: int) -> None:
         """Forget a dead channel so the next call re-dials."""
-        self._clients.pop(shard_id, None)
+        self._clients.clients.pop(shard_id, None)
 
     def redial(self, shard_id: int, deadline: float, rng):
         """Re-establish the channel to *shard_id* (generator).
@@ -199,7 +194,7 @@ class ShardRouter:
                         f"could not re-dial control shard {shard_id}"
                     ) from None
                 continue
-            self._clients[shard_id] = client
+            self._clients.clients[shard_id] = client
             return client
 
 

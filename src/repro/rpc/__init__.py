@@ -9,6 +9,7 @@ right machine.
 
 from repro.rpc.endpoint import (
     RpcClient,
+    RpcClientPool,
     RpcError,
     RpcRemoteError,
     RpcServer,
@@ -18,6 +19,7 @@ from repro.rpc.endpoint import (
 
 __all__ = [
     "RpcClient",
+    "RpcClientPool",
     "RpcError",
     "RpcRemoteError",
     "RpcServer",

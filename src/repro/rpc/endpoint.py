@@ -36,6 +36,7 @@ __all__ = [
     "RpcTimeout",
     "RpcServer",
     "RpcClient",
+    "RpcClientPool",
     "TcpRpcServer",
     "TcpRpcClient",
 ]
@@ -291,6 +292,45 @@ class RpcClient:
         if response.error is not None:
             raise RpcRemoteError(response.error_type, response.error)
         return response.result
+
+
+class RpcClientPool:
+    """Connected :class:`RpcClient` per key, each dialled single-flight.
+
+    Concurrent first uses of one key share one dial: the first caller
+    connects, later ones wait on its event.  A failed dial is forgotten,
+    so the next call retries.
+    """
+
+    def __init__(self, sim: Simulator, nic: RNic, cm: ConnectionManager):
+        self.sim = sim
+        self.nic = nic
+        self.cm = cm
+        #: key -> connected client; owners drop or replace entries here
+        self.clients: dict[int, RpcClient] = {}
+        self._dialling: dict[int, Event] = {}
+
+    def get(self, key: int, host_id: int, service_id: str):
+        """The client under *key*, dialled at first use (generator)."""
+        client = self.clients.get(key)
+        if client is not None:
+            return client
+        dial = self._dialling.get(key)
+        if dial is not None:
+            return (yield dial)
+        dial = self._dialling[key] = self.sim.event()
+        dial.defused = True  # there may be no second caller to tell
+        client = RpcClient(self.sim, self.nic, self.cm)
+        try:
+            yield from client.connect(host_id, service_id)
+        except Exception as exc:
+            dial.fail(exc)
+            raise
+        finally:
+            del self._dialling[key]
+        self.clients[key] = client
+        dial.succeed(client)
+        return client
 
 
 # ---------------------------------------------------------------------------

@@ -359,6 +359,30 @@ class Simulator:
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
 
+    def gather(self, generators: Iterable[Generator]):
+        """Run *generators* as concurrent processes (generator).
+
+        Returns their results in declaration order once **every** one
+        has settled, or raises the first failure in declaration order.
+        Unlike :meth:`all_of` it never returns while a sibling is still
+        running: a caller that rolls back on failure sees everything
+        the round did.
+        """
+        def settle(generator):
+            # a failure is an outcome, not a failed event nobody awaits yet
+            try:
+                return True, (yield from generator)
+            except Exception as exc:  # noqa: BLE001 - re-raised below
+                return False, exc
+
+        outcomes = yield self.all_of(
+            [self.process(settle(generator)) for generator in generators]
+        )
+        for ok, value in outcomes:
+            if not ok:
+                raise value
+        return [value for _ok, value in outcomes]
+
     # -- scheduling --------------------------------------------------------
 
     def _schedule(self, event: Event, delay: float) -> None:
