@@ -93,6 +93,7 @@ def run_replication_sweep():
 def test_e9_separation_ablation(benchmark):
     rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     print_table(
+        benchmark,
         "E9: what separation buys (4 KiB random reads; 16 MiB scan)",
         ["design", "4KiB read (us)", "scan (ms)", "scan (Gb/s)"],
         [
@@ -106,6 +107,7 @@ def test_e9_separation_ablation(benchmark):
     ]
     rep_rows = run_replication_sweep()
     print_table(
+        benchmark,
         "E9b: replication extension — 16 MiB write/read vs copies",
         ["replication", "write (ms)", "read (ms)"],
         [

@@ -13,21 +13,25 @@ from repro.cluster import build_cluster
 from repro.core import RStoreConfig
 from repro.simnet.config import GiB, MiB
 
-from benchmarks.conftest import fmt_gbps, print_table
+from benchmarks.conftest import claim, fmt_gbps, print_table
 
 MACHINES = [2, 4, 6, 8, 10, 12]
 PER_CLIENT_REAL = 16 * MiB
 WIRE_SCALE = 16  # each client moves 256 MiB logical
 
 
-def run_one(machines: int) -> float:
+def run_one(machines: int, per_client_real: int = PER_CLIENT_REAL,
+            net_config=None) -> float:
+    """Aggregate all-to-all read bandwidth in bit/s (E11 re-runs this
+    workload on an oversubscribed fabric)."""
     cluster = build_cluster(
         num_machines=machines,
         config=RStoreConfig(stripe_size=1 * MiB),
+        net_config=net_config,
         server_capacity=1 * GiB,
     )
     sim = cluster.sim
-    region_size = machines * PER_CLIENT_REAL
+    region_size = machines * per_client_real
 
     moved = {"bytes": 0}
 
@@ -83,6 +87,7 @@ def test_e3_aggregate_bandwidth(benchmark):
     rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     link = 54.3  # Gb/s usable per direction (FDR)
     print_table(
+        benchmark,
         "E3: aggregate read bandwidth vs cluster size (paper: 705 Gb/s @ 12)",
         ["machines", "aggregate (Gb/s)", "per-machine (Gb/s)",
          "link efficiency"],
@@ -101,4 +106,5 @@ def test_e3_aggregate_bandwidth(benchmark):
     for m, bw in rows:
         assert bw / 1e9 / m > 0.80 * link
     # the 12-machine aggregate lands in the paper's neighbourhood
-    assert 550 < by_m[12] / 1e9 < 720
+    claim(benchmark, "aggregate read bandwidth, 12 machines", paper=705,
+          measured=by_m[12] / 1e9, band=(550, 720), unit=" Gb/s")

@@ -12,7 +12,7 @@ from repro.cluster import build_cluster
 from repro.core import RStoreConfig
 from repro.simnet.config import GiB, KiB, MiB
 
-from benchmarks.conftest import fmt_us, print_table
+from benchmarks.conftest import fmt_us, note, print_table
 
 SIZES = [64 * KiB, 1 * MiB, 16 * MiB, 256 * MiB]
 
@@ -60,6 +60,7 @@ def test_e1_control_path(benchmark):
     result = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     rows = result["rows"]
     print_table(
+        benchmark,
         "E1: control path — alloc / map latency vs region size (12 machines)",
         ["size", "stripes", "alloc (us)", "map cold (us)", "map warm (us)"],
         [
@@ -67,8 +68,8 @@ def test_e1_control_path(benchmark):
             for size, stripes, a, c, w in rows
         ],
     )
-    print(f"first-ever alloc (incl. master->server connects): "
-          f"{fmt_us(result['first_alloc'])} us")
+    note(benchmark, "first-ever alloc (incl. master->server connects): "
+         f"{fmt_us(result['first_alloc'])} us")
     benchmark.extra_info["first_alloc_s"] = result["first_alloc"]
     benchmark.extra_info["rows"] = [
         {"size": s, "stripes": n, "alloc_s": a, "map_cold_s": c,

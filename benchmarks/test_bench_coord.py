@@ -17,7 +17,7 @@ from repro.coord import AtomicCounter, RemoteLock, SenseBarrier
 from repro.core import RStoreConfig
 from repro.simnet.config import KiB, MiB
 
-from benchmarks.conftest import fmt_us, print_table
+from benchmarks.conftest import fmt_us, note, print_table
 
 _MACHINES = 17  # host 0 for the master + up to 16 coordinating clients
 _LOCK_ROUNDS = 40
@@ -38,10 +38,7 @@ def lock_latency(cluster):
     sim = cluster.sim
     out = {}
 
-    def setup():
-        yield from RemoteLock.create(cluster.client(1), "bench")
-
-    cluster.run_app(setup())
+    cluster.run_app(RemoteLock.create(cluster.client(1), "bench"))
 
     def solo():
         lock = yield from RemoteLock.open(cluster.client(1), "bench")
@@ -80,12 +77,8 @@ def barrier_latency(cluster, parties):
     sim = cluster.sim
     tag = f"bench-{parties}"
 
-    def setup():
-        yield from SenseBarrier.create(
-            cluster.client(1), tag, parties=parties
-        )
-
-    cluster.run_app(setup())
+    cluster.run_app(
+        SenseBarrier.create(cluster.client(1), tag, parties=parties))
     out = {}
 
     def party(host):
@@ -112,10 +105,7 @@ def faa_throughput(cluster, clients):
     sim = cluster.sim
     tag = f"faa-{clients}"
 
-    def setup():
-        yield from AtomicCounter.create(cluster.client(1), tag)
-
-    cluster.run_app(setup())
+    cluster.run_app(AtomicCounter.create(cluster.client(1), tag))
     out = {}
 
     def hammer(host):
@@ -157,6 +147,7 @@ def test_e12_coordination(benchmark):
     result = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     lock = result["lock"]
     print_table(
+        benchmark,
         "E12a: remote lock acquire+release latency",
         ["mode", "per pair (us)"],
         [
@@ -164,13 +155,15 @@ def test_e12_coordination(benchmark):
             ["4-way contended", fmt_us(lock["contended_s"])],
         ],
     )
-    print(f"contended CAS losses: {lock['contended_cas']}")
+    note(benchmark, f"contended CAS losses: {lock['contended_cas']}")
     print_table(
+        benchmark,
         "E12b: sense-barrier latency vs parties",
         ["parties", "per round (us)"],
         [[p, fmt_us(s)] for p, s in result["barrier_rows"]],
     )
     print_table(
+        benchmark,
         "E12c: FAA counter throughput vs clients (one hot word)",
         ["clients", "kops/s"],
         [[c, f"{ops / 1e3:.0f}"] for c, ops in result["faa_rows"]],

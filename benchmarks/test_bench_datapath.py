@@ -27,12 +27,7 @@ predicts, and this table must reproduce:
 
 A second table sweeps counter-burst length: a single FAA beats an RPC,
 a burst of eight amortizes one RPC over eight remote FAA round trips.
-
-Results land in ``BENCH_datapath.json`` for the perf-trajectory index.
 """
-
-import json
-from pathlib import Path
 
 from repro.cluster import build_cluster
 from repro.coord.counter import AtomicCounter
@@ -55,8 +50,6 @@ GETS = 150            # measured zipfian lookups
 BURST_SIZES = [1, 2, 4, 8]
 BURSTS = 30
 SEED = 7
-
-JSON_PATH = Path(__file__).with_name("BENCH_datapath.json")
 
 
 def _config():
@@ -172,6 +165,7 @@ def test_e17_datapath_crossover(benchmark):
     results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     rows = _fold(results["cells"])
     print_table(
+        benchmark,
         f"E17: data-path crossover — {GETS} zipfian gets, "
         f"{KEYS} keys in {SLOTS} slots (reverse-popularity insert)",
         ["value", "theta", "one-sided (us)", "server-op (us)",
@@ -185,6 +179,7 @@ def test_e17_datapath_crossover(benchmark):
         ],
     )
     print_table(
+        benchmark,
         f"E17b: counter bursts — {BURSTS} bursts per point",
         ["burst", "one-sided (us)", "server-op (us)", "winner"],
         [
@@ -193,19 +188,7 @@ def test_e17_datapath_crossover(benchmark):
             for b in results["bursts"]
         ],
     )
-    benchmark.extra_info["rows"] = rows
-    JSON_PATH.write_text(json.dumps(
-        {
-            "benchmark": "datapath",
-            "slots": SLOTS,
-            "keys": KEYS,
-            "gets": GETS,
-            "rows": rows,
-            "bursts": results["bursts"],
-        },
-        indent=2, sort_keys=True,
-    ) + "\n")
-    print(f"wrote {JSON_PATH.name}")
+    benchmark.extra_info.update(rows=rows, bursts=results["bursts"])
 
     # -- the crossover is real: every substrate owns at least one regime
     winners = {r["winner"] for r in rows}

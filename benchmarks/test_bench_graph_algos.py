@@ -70,6 +70,7 @@ def run_experiment():
 def test_e6_graph_algorithms(benchmark):
     rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     print_table(
+        benchmark,
         f"E6: traversal/propagation algorithms, RMAT scale {SCALE} "
         f"(symmetrized), {MACHINES} machines",
         ["algorithm", "supersteps", "RStore (ms)", "msg passing (ms)",

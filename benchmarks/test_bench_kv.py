@@ -14,7 +14,7 @@ from repro.core import RStoreConfig
 from repro.kv import RKVStore
 from repro.simnet.config import KiB, MiB, us
 
-from benchmarks.conftest import fmt_us, print_table
+from benchmarks.conftest import fmt_us, note, print_table
 
 OPS = 150
 CLIENT_COUNTS = [1, 2, 4, 8]
@@ -127,6 +127,7 @@ def run_experiment():
 def test_e10_kv_extension(benchmark):
     result = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     print_table(
+        benchmark,
         "E10 (extension): KV throughput, 95/5 get/put mix (kops/s)",
         ["clients", "RStore KV (one-sided)", "sockets KV"],
         [
@@ -136,10 +137,10 @@ def test_e10_kv_extension(benchmark):
         ],
     )
     lat = result["latency"]
-    print(f"single-op latency: get {fmt_us(lat['get_s'])} us "
-          f"(2 one-sided reads, one doorbell), put {fmt_us(lat['put_s'])} us "
-          f"(read, CAS, write+unlock on one doorbell), "
-          f"sockets get {fmt_us(lat['tcp_get_s'])} us")
+    note(benchmark, f"single-op latency: get {fmt_us(lat['get_s'])} us "
+         f"(2 one-sided reads, one doorbell), put {fmt_us(lat['put_s'])} us "
+         f"(read, CAS, write+unlock on one doorbell), "
+         f"sockets get {fmt_us(lat['tcp_get_s'])} us")
     benchmark.extra_info.update(result)
 
     for i in range(len(CLIENT_COUNTS)):

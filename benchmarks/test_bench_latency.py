@@ -12,16 +12,16 @@ from repro.rdma.types import Access, Opcode
 from repro.rdma.wr import SendWR
 from repro.simnet.config import KiB, MiB, us
 
-from benchmarks.conftest import fmt_us, print_table
+from benchmarks.conftest import claim, fmt_us, print_table
 
 SIZES = [8, 64, 512, 4 * KiB, 32 * KiB, 256 * KiB, 1 * MiB]
 REPS = 5
 
 
-def build():
+def build(**config):
     return build_cluster(
         num_machines=3,
-        config=RStoreConfig(stripe_size=4 * MiB),
+        config=RStoreConfig(stripe_size=4 * MiB, **config),
         server_capacity=64 * MiB,
     )
 
@@ -104,12 +104,7 @@ def tcp_latency(cluster, server, size):
 
 
 def two_sided_latency(size):
-    cluster = build_cluster(
-        num_machines=3,
-        config=RStoreConfig(stripe_size=4 * MiB, two_sided_data_path=True),
-        server_capacity=64 * MiB,
-    )
-    return rstore_latency(cluster, size)
+    return rstore_latency(build(two_sided_data_path=True), size)
 
 
 def run_experiment():
@@ -131,6 +126,7 @@ def run_experiment():
 def test_e2_data_path_latency(benchmark):
     rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     print_table(
+        benchmark,
         "E2: data-path latency vs transfer size",
         ["size (B)", "raw verbs (us)", "RStore rd (us)", "RStore wr (us)",
          "2-sided (us)", "sockets (us)"],
@@ -151,5 +147,10 @@ def test_e2_data_path_latency(benchmark):
         if size <= 4 * KiB:
             assert two_sided > 1.5 * rd
             assert tcp > 3 * rd
-    # small reads land in the ~2-4 us "close to hardware" window
-    assert us(1.5) < rows[0][2] < us(4.5)
+    # small reads land in the ~2-4 us "close to hardware" window; the
+    # abstract gives no number, so the reference is the raw-verbs READ
+    # on the same fabric
+    claim(benchmark, '"close-to-hardware latency": 8 B RStore read '
+          "(reference: raw verbs on the same fabric)",
+          paper=rows[0][1] * 1e6, measured=rows[0][2] * 1e6,
+          band=(1.5, 4.5), unit=" µs")

@@ -7,67 +7,29 @@ RStore's aggregate-bandwidth story depends on that fabric assumption —
 the kind of deployment question a downstream adopter asks first.
 """
 
-from repro.cluster import build_cluster
-from repro.core import RStoreConfig
-from repro.simnet.config import GiB, MiB, NetworkConfig
+from repro.simnet.config import MiB, NetworkConfig
 
 from benchmarks.conftest import fmt_gbps, print_table
+from benchmarks.test_bench_bandwidth import run_one as all_to_all_read
 
 MACHINES = 12
 RACKS = 3
 PER_CLIENT_REAL = 8 * MiB
-WIRE_SCALE = 16
 SWEEP = [1.0, 2.0, 4.0]
 
 
-def run_one(oversubscription: float) -> float:
-    cluster = build_cluster(
-        num_machines=MACHINES,
-        config=RStoreConfig(stripe_size=1 * MiB),
-        net_config=NetworkConfig(racks=RACKS,
-                                 oversubscription=oversubscription),
-        server_capacity=1 * GiB,
-    )
-    sim = cluster.sim
-    region_size = MACHINES * PER_CLIENT_REAL
-    moved = {"bytes": 0}
-
-    def reader(host, desc):
-        client = cluster.client(host)
-        mapping = yield from client.map("bw")
-        local = yield from client.alloc_local(region_size)
-
-        def one(stripe):
-            yield from mapping.read_into(
-                local, local.addr + stripe.index * desc.stripe_size,
-                stripe.index * desc.stripe_size, stripe.length,
-                wire_scale=WIRE_SCALE,
-            )
-            moved["bytes"] += stripe.length * WIRE_SCALE
-
-        procs = [sim.process(one(s)) for s in desc.stripes
-                 if s.host_id != host]
-        yield sim.all_of(procs)
-
-    def app():
-        desc = yield from cluster.client(0).alloc("bw", region_size)
-        for host in range(MACHINES):
-            yield from cluster.client(host).map("bw")
-        t0 = sim.now
-        procs = [sim.process(reader(h, desc)) for h in range(MACHINES)]
-        yield sim.all_of(procs)
-        return moved["bytes"] * 8 / (sim.now - t0)
-
-    return cluster.run_app(app())
-
-
 def run_experiment():
-    return [(o, run_one(o)) for o in SWEEP]
+    return [
+        (o, all_to_all_read(MACHINES, PER_CLIENT_REAL, NetworkConfig(
+            racks=RACKS, oversubscription=o)))
+        for o in SWEEP
+    ]
 
 
 def test_e11_oversubscription(benchmark):
     rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     print_table(
+        benchmark,
         f"E11 (extension): all-to-all read bandwidth, {MACHINES} machines "
         f"in {RACKS} racks",
         ["uplink oversubscription", "aggregate (Gb/s)", "vs full bisection"],

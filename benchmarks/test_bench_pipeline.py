@@ -86,6 +86,7 @@ def test_e13_batched_small_ops(benchmark):
     result = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     sync = result["sync_ops_per_s"]
     print_table(
+        benchmark,
         "E13: 128B read throughput vs batch depth (4 servers)",
         ["depth", "kops/s", "vs sync", "doorbells", "ops posted"],
         [["sync", f"{sync / 1e3:.0f}", "1.00x", "-", "-"]] + [

@@ -5,15 +5,11 @@ serving a populated cluster, restarts, replays its checkpoint + WAL,
 and the bench clocks the gap from the crash instant to the **first
 successful post-recovery ``map``** by a cold client (redial + replay +
 lookup + QP setup).  Swept over the number of committed regions so the
-replay component's growth is visible, seeding the perf-trajectory file
-(``BENCH_recovery.json``) ROADMAP item 4 asks for.
+replay component's growth is visible.
 
 Every run also proves zero committed-region loss: a pre-crash payload
 is read back through the post-recovery mapping.
 """
-
-import json
-from pathlib import Path
 
 from repro.cluster import build_cluster
 from repro.core import RStoreConfig
@@ -32,8 +28,6 @@ CRASH_AT = 0.5        # seconds after boot: setup is long done by then
 OUTAGE = 0.05         # master down-time before the injector restarts it
 POLL = 0.002          # client retry granularity while the master is gone
 PAYLOAD = b"survived the crash"
-
-JSON_PATH = Path(__file__).with_name("BENCH_recovery.json")
 
 
 def run_one(n_regions: int) -> dict:
@@ -97,6 +91,7 @@ def run_experiment():
 def test_e15_recovery_time(benchmark):
     rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     print_table(
+        benchmark,
         "E15: master crash -> first successful map (outage 50 ms)",
         ["regions", "WAL appends", "crash->map (ms)", "replay+redial (ms)",
          "epoch"],
@@ -108,15 +103,6 @@ def test_e15_recovery_time(benchmark):
         ],
     )
     benchmark.extra_info["rows"] = rows
-    JSON_PATH.write_text(json.dumps(
-        {
-            "benchmark": "recovery",
-            "outage_s": OUTAGE,
-            "rows": rows,
-        },
-        indent=2,
-    ) + "\n")
-    print(f"wrote {JSON_PATH.name}")
 
     # recovery must be dominated by the injected outage, not by replay:
     # even the largest log replays in a small fraction of the down-time

@@ -9,12 +9,8 @@ shard count over a fixed concurrent allocation workload and clocks
 * cold ``map`` latency (lookup at the owning shard + QP setup),
 * warm ``map`` latency (served from the client's lease cache),
 
-and proves the warm path never touches a master.  Results seed
-``BENCH_shard.json`` for the perf-trajectory index.
+and proves the warm path never touches a master.
 """
-
-import json
-from pathlib import Path
 
 from repro.cluster import build_cluster
 from repro.core import RStoreConfig
@@ -28,8 +24,6 @@ SHARD_COUNTS = [1, 2, 4, 8]
 WRITERS = 4           # concurrent allocating clients
 ALLOCS_EACH = 32      # regions per writer
 SAMPLES = 16          # names probed for cold/warm map latency
-
-JSON_PATH = Path(__file__).with_name("BENCH_shard.json")
 
 
 def run_one(shards: int) -> dict:
@@ -97,6 +91,7 @@ def run_experiment():
 def test_e16_shard_scaling(benchmark):
     rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     print_table(
+        benchmark,
         f"E16: control-plane scaling — {WRITERS} writers x "
         f"{ALLOCS_EACH} allocs, {SAMPLES} map probes",
         ["shards", "allocs/s", "map cold (us)", "map warm (us)",
@@ -109,19 +104,6 @@ def test_e16_shard_scaling(benchmark):
         ],
     )
     benchmark.extra_info["rows"] = rows
-    JSON_PATH.write_text(json.dumps(
-        {
-            "benchmark": "shard",
-            "writers": WRITERS,
-            "allocs_each": ALLOCS_EACH,
-            "rows": [
-                {k: v for k, v in r.items() if k != "per_shard_rpcs"}
-                for r in rows
-            ],
-        },
-        indent=2,
-    ) + "\n")
-    print(f"wrote {JSON_PATH.name}")
 
     by_shards = {r["shards"]: r for r in rows}
     # partitioning the namespace buys real control-plane throughput

@@ -42,6 +42,7 @@ def run_experiment():
 def test_e8_sort_weak_scaling(benchmark):
     rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     print_table(
+        benchmark,
         "E8: RSort weak scaling (21.3 GB per node)",
         ["machines", "data (GB)", "time (s)", "GB/s aggregate"],
         [

@@ -11,7 +11,7 @@ from repro.cluster import build_cluster
 from repro.core import RStoreConfig
 from repro.simnet.config import KiB, MiB
 
-from benchmarks.conftest import print_table
+from benchmarks.conftest import note, print_table
 
 OPS_PER_CLIENT = 200
 OP_SIZE = 64
@@ -79,27 +79,17 @@ def tcp_round(cluster, clients, server, tag):
 def run_experiment():
     result = {"rstore": [], "two_sided": [], "sockets": [], "cpu": {}}
 
-    one_sided = build()
-    for clients in CLIENT_COUNTS:
-        result["rstore"].append(
-            (clients, rstore_round(one_sided, clients, f"os{clients}"))
+    for design, tag in (("rstore", "os"), ("two_sided", "ts")):
+        cluster = build(two_sided=design == "two_sided")
+        for clients in CLIENT_COUNTS:
+            result[design].append(
+                (clients, rstore_round(cluster, clients, f"{tag}{clients}"))
+            )
+        before = cluster.net.host(SERVER).cpu.busy_seconds
+        rstore_round(cluster, 4, "cpu-probe")
+        result["cpu"][design] = (
+            cluster.net.host(SERVER).cpu.busy_seconds - before
         )
-    server_cpu_before = one_sided.net.host(SERVER).cpu.busy_seconds
-    rstore_round(one_sided, 4, "cpu-probe")
-    result["cpu"]["rstore"] = (
-        one_sided.net.host(SERVER).cpu.busy_seconds - server_cpu_before
-    )
-
-    two = build(two_sided=True)
-    for clients in CLIENT_COUNTS:
-        result["two_sided"].append(
-            (clients, rstore_round(two, clients, f"ts{clients}"))
-        )
-    before = two.net.host(SERVER).cpu.busy_seconds
-    rstore_round(two, 4, "cpu-probe")
-    result["cpu"]["two_sided"] = (
-        two.net.host(SERVER).cpu.busy_seconds - before
-    )
 
     sockets = build()
     tcp_server = TcpMemoryServer(sockets, host_id=SERVER, size=1 * MiB)
@@ -126,15 +116,16 @@ def test_e4_small_op_throughput(benchmark):
             f"{result['sockets'][i][1] / 1e3:.0f}",
         ])
     print_table(
+        benchmark,
         f"E4: {OP_SIZE}-byte read throughput (kops/s) vs concurrent clients",
         ["clients", "RStore", "2-sided RDMA", "sockets"],
         rows,
     )
     cpu = result["cpu"]
-    print(f"server CPU for 800 x {OP_SIZE}B reads: "
-          f"RStore {cpu['rstore'] * 1e6:.1f} us, "
-          f"two-sided {cpu['two_sided'] * 1e6:.1f} us, "
-          f"sockets {cpu['sockets'] * 1e6:.1f} us")
+    note(benchmark, f"server CPU for 800 x {OP_SIZE}B reads: "
+         f"RStore {cpu['rstore'] * 1e6:.1f} us, "
+         f"two-sided {cpu['two_sided'] * 1e6:.1f} us, "
+         f"sockets {cpu['sockets'] * 1e6:.1f} us")
     benchmark.extra_info.update(
         {k: [(c, v) for c, v in vals] for k, vals in result.items()
          if k != "cpu"}

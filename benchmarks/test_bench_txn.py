@@ -15,13 +15,10 @@ they differ only in *when* they lock:
 Storm's thesis (and this bench's acceptance bar): optimistic wins at
 low-to-moderate contention because read-only work never locks; the
 interesting story is how the gap narrows as skew concentrates writes
-on a handful of hot slots.  Results land in ``BENCH_txn.json`` for
-the perf trajectory.
+on a handful of hot slots.
 """
 
-import json
 import random
-from pathlib import Path
 
 from repro.baselines import TwoPhaseLocking
 from repro.cluster import build_cluster
@@ -41,8 +38,6 @@ AUDIT_RATIO = 0.7       # the rest are two-key transfers
 THETAS = [0.0, 0.9, 1.2]
 OPENING = 1000
 SEED = 2024
-
-JSON_PATH = Path(__file__).with_name("BENCH_txn.json")
 
 
 def _keys():
@@ -87,9 +82,21 @@ def _build():
     return cluster
 
 
+def _run_clients(cluster, worker):
+    """Run one *worker* per client host; ``(elapsed, their results)``."""
+    sim = cluster.sim
+
+    def app():
+        t0 = sim.now
+        procs = [cluster.spawn(worker(host)) for host in CLIENT_HOSTS]
+        yield sim.all_of(procs)
+        return sim.now - t0, [p.value for p in procs]
+
+    return cluster.run_app(app())
+
+
 def run_occ(theta: float) -> dict:
     cluster = _build()
-    sim = cluster.sim
 
     def worker(host):
         view = yield from RKVStore.open(cluster.client(host), "bank")
@@ -115,15 +122,7 @@ def run_occ(theta: float) -> dict:
                 yield from runtime.run(transfer)
         return runtime
 
-    def app():
-        t0 = sim.now
-        procs = [cluster.spawn(worker(host)) for host in CLIENT_HOSTS]
-        yield sim.all_of(procs)
-        elapsed = sim.now - t0
-        runtimes = [p.value for p in procs]
-        return elapsed, runtimes
-
-    elapsed, runtimes = cluster.run_app(app())
+    elapsed, runtimes = _run_clients(cluster, worker)
     commits = sum(rt.commits for rt in runtimes)
     aborts = sum(rt.aborts for rt in runtimes)
     assert commits == len(CLIENT_HOSTS) * TXNS_PER_CLIENT
@@ -141,7 +140,6 @@ def run_occ(theta: float) -> dict:
 
 def run_twopl(theta: float) -> dict:
     cluster = _build()
-    sim = cluster.sim
 
     def worker(host):
         view = yield from RKVStore.open(cluster.client(host), "bank")
@@ -161,15 +159,7 @@ def run_twopl(theta: float) -> dict:
                 yield from runner.run(view, keys, move)
         return runner
 
-    def app():
-        t0 = sim.now
-        procs = [cluster.spawn(worker(host)) for host in CLIENT_HOSTS]
-        yield sim.all_of(procs)
-        elapsed = sim.now - t0
-        runners = [p.value for p in procs]
-        return elapsed, runners
-
-    elapsed, runners = cluster.run_app(app())
+    elapsed, runners = _run_clients(cluster, worker)
     commits = sum(r.commits for r in runners)
     lock_waits = sum(int(r._m_lock_waits.value) for r in runners)
     assert commits == len(CLIENT_HOSTS) * TXNS_PER_CLIENT
@@ -217,27 +207,17 @@ def test_e14_occ_vs_twopl_contention(benchmark):
             f"{occ['txn_per_s'] / 1e3:.1f}",
             f"{occ['abort_rate'] * 100:.1f}%",
             f"{twopl['txn_per_s'] / 1e3:.1f}",
+            twopl["lock_waits"],
             f"{occ['txn_per_s'] / twopl['txn_per_s']:.2f}x",
         ])
     print_table(
+        benchmark,
         "E14: OCC vs naive 2PL, 70/30 audit/transfer mix, 4 clients",
-        ["theta", "OCC ktxn/s", "OCC aborts", "2PL ktxn/s", "OCC/2PL"],
+        ["theta", "OCC ktxn/s", "OCC aborts", "2PL ktxn/s", "2PL lock waits",
+         "OCC/2PL"],
         table,
     )
     benchmark.extra_info["rows"] = rows
-    JSON_PATH.write_text(json.dumps(
-        {
-            "benchmark": "txn",
-            "experiment": "E14",
-            "accounts": ACCOUNTS,
-            "clients": len(CLIENT_HOSTS),
-            "txns_per_client": TXNS_PER_CLIENT,
-            "audit_ratio": AUDIT_RATIO,
-            "rows": rows,
-        },
-        indent=2,
-    ) + "\n")
-    print(f"wrote {JSON_PATH.name}")
 
     # the acceptance bar: optimistic beats pessimistic at low-to-
     # moderate contention (uniform and YCSB-default skew)

@@ -22,6 +22,7 @@ RDMA's separation philosophy extended to the cluster.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional, Union
 
 from repro.core.config import RStoreConfig
@@ -91,6 +92,8 @@ class RStoreClient:
         #: server host -> connected data QP; the one QP table, shared
         #: by every mapping of this client
         self._data_qps: dict[int, QueuePair] = {}
+        #: server host -> the one QP dial in flight (``single_flight``)
+        self._qp_dials: dict = {}
         self._mem_rpc = RpcClientPool(sim, nic, cm)
         #: lazily built DataPathRouter (see the ``datapath`` property)
         self._datapath = None
@@ -447,16 +450,23 @@ class RStoreClient:
         for host_id in desc.hosts:
             qp = self._data_qps.get(host_id)
             if qp is None or qp.state is not QpState.CONNECTED:
-                qp = yield from self.cm.connect(
-                    self.nic,
-                    host_id,
-                    self.config.data_service,
-                    self._pd,
-                    self._io.cq,
-                    sq_depth=DATA_SQ_DEPTH,
-                )
-                self._data_qps[host_id] = qp
-                self.setup_events += 1
+                # concurrent maps share one dial per host: a second QP
+                # would replace the first here and stay connected there
+                yield from self.sim.single_flight(
+                    self._qp_dials, host_id, partial(self._dial_qp, host_id))
+
+    def _dial_qp(self, host_id: int):
+        """Connect and cache the data QP to *host_id* (generator)."""
+        qp = self._data_qps[host_id] = yield from self.cm.connect(
+            self.nic,
+            host_id,
+            self.config.data_service,
+            self._pd,
+            self._io.cq,
+            sq_depth=DATA_SQ_DEPTH,
+        )
+        self.setup_events += 1
+        return qp
 
     def alloc_local(self, length: int):
         """Register a private local buffer for zero-copy IO (generator)."""

@@ -74,6 +74,8 @@ class DataPathRouter:
         self.config = client.config
         #: server host -> lazily opened fetch buffer
         self._fetch_bufs: dict[int, _FetchBuffer] = {}
+        #: server host -> the one open in flight (``single_flight``)
+        self._fetch_opening: dict = {}
         self._busy_backoff = Backoff.for_client(
             client, "datapath-busy", budget=_BUSY_BUDGET)
         self._redial_backoff = Backoff.for_client(client, "datapath-redial")
@@ -184,16 +186,20 @@ class DataPathRouter:
         mapping = yield from client.map(name)
         host_id, addr = self._locate_slot(mapping.desc, 0, size)
         client.setup_events += 1
-        return _FetchBuffer(mapping, addr, size,
-                            usable=(host_id == server_host))
+        buf = self._fetch_bufs[server_host] = _FetchBuffer(
+            mapping, addr, size, usable=(host_id == server_host))
+        return buf
 
     def _fetch_acquire(self, server_host: int):
         """Exclusive use of the host's fetch buffer (generator); returns
         ``None`` when deposits cannot land server-local."""
         buf = self._fetch_bufs.get(server_host)
         if buf is None:
-            buf = yield from self._open_fetch_buffer(server_host)
-            self._fetch_bufs[server_host] = buf
+            # concurrent cold ops must share one buffer and its one lock:
+            # two buffers over the region overwrite each other's deposits
+            buf = yield from self.client.sim.single_flight(
+                self._fetch_opening, server_host,
+                lambda: self._open_fetch_buffer(server_host))
         if not buf.usable:
             return None
         holder = buf.lock.try_acquire()

@@ -315,22 +315,14 @@ class RpcClientPool:
         client = self.clients.get(key)
         if client is not None:
             return client
-        dial = self._dialling.get(key)
-        if dial is not None:
-            return (yield dial)
-        dial = self._dialling[key] = self.sim.event()
-        dial.defused = True  # there may be no second caller to tell
-        client = RpcClient(self.sim, self.nic, self.cm)
-        try:
+
+        def dial():
+            client = RpcClient(self.sim, self.nic, self.cm)
             yield from client.connect(host_id, service_id)
-        except Exception as exc:
-            dial.fail(exc)
-            raise
-        finally:
-            del self._dialling[key]
-        self.clients[key] = client
-        dial.succeed(client)
-        return client
+            self.clients[key] = client
+            return client
+
+        return (yield from self.sim.single_flight(self._dialling, key, dial))
 
 
 # ---------------------------------------------------------------------------

@@ -383,6 +383,31 @@ class Simulator:
                 raise value
         return [value for _ok, value in outcomes]
 
+    def single_flight(self, pending: dict, key: Any,
+                      start: Callable[[], Generator]):
+        """Run ``start()`` once for concurrent callers of *key* (generator).
+
+        The first caller runs it; later ones wait on its event and share
+        its result or its exception.  *pending* holds the runs in flight
+        and forgets each as it settles, so the call after a failure
+        starts afresh.  Whatever cache makes later calls skip this
+        belongs to ``start()``: it must be filled before a waiter wakes.
+        """
+        flight = pending.get(key)
+        if flight is not None:
+            return (yield flight)
+        flight = pending[key] = self.event()
+        flight.defused = True  # there may be no second caller to tell
+        try:
+            value = yield from start()
+        except Exception as exc:
+            flight.fail(exc)
+            raise
+        finally:
+            del pending[key]
+        flight.succeed(value)
+        return value
+
     # -- scheduling --------------------------------------------------------
 
     def _schedule(self, event: Event, delay: float) -> None:

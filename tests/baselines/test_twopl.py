@@ -2,7 +2,7 @@
 
 Its keys are ``bytes``, whose hash order changes per interpreter run;
 iterating a ``set`` of them around a yield issued the slot-resolution
-READs in that order and moved ``BENCH_txn.json`` from run to run.
+READs in that order and moved E14's checked-in numbers from run to run.
 """
 
 import os

@@ -155,6 +155,21 @@ def test_concurrent_first_uses_share_one_memory_service_channel():
     assert len(accepted) == before + 1
 
 
+def test_concurrent_maps_dial_one_data_qp_per_server():
+    # at the parent each of the four maps dialled every server: sixteen
+    # connects, four QPs kept, twelve left connected on the servers
+    cluster = fresh_cluster()
+    cluster.run_app(cluster.client(0).alloc("r", 8 * STRIPE))
+    client = cluster.client(1)
+    before = client.setup_events
+    procs = [cluster.spawn(client.map("r")) for _ in range(4)]
+    mappings = [cluster.run(until=proc) for proc in procs]
+    assert client.setup_events == before + 4
+    assert sorted(client._data_qps) == [0, 1, 2, 3] and not client._qp_dials
+    for mapping in mappings:
+        assert cluster.run_app(mapping.read(0, 8)) == bytes(8)
+
+
 def test_a_failed_dial_is_forgotten_so_the_next_call_retries():
     cluster = fresh_cluster()
     router = cluster.client(1)._router

@@ -310,6 +310,47 @@ def test_fetch_buffer_serializes_concurrent_deposits():
     cluster.run_app(app())
 
 
+def test_concurrent_cold_gets_open_one_fetch_buffer():
+    # at the parent every cold get opened its own _FetchBuffer (its own
+    # lock) over the one dpfetch region, deposits overwrote each other
+    # before pickup and two of the six gets returned another key's value
+    cluster = build_cluster(num_machines=3, server_hosts=[2],
+                            config=RStoreConfig(stripe_size=64 * KiB),
+                            server_capacity=64 * MiB)
+    client = cluster.client(1)
+    keys = [b"k%d" % i for i in range(6)]
+
+    def app():
+        store = yield from RKVStore.create(client, "cold", slots=64,
+                                           key_size=16, value_size=8 * KiB,
+                                           path_policy="remote_fetch")
+        for key in keys:
+            yield from store.put(key, key * (8 * KiB // len(key)))
+        router = client.datapath
+        opened = []
+        open_buffer = router._open_fetch_buffer
+
+        def counting_open(server_host):
+            opened.append(server_host)
+            return (yield from open_buffer(server_host))
+
+        router._open_fetch_buffer = counting_open
+        results = {}
+
+        def getter(key):
+            results[key] = yield from store.get(key)
+
+        yield cluster.sim.all_of(
+            [cluster.sim.process(getter(key)) for key in keys])
+        assert results == {key: key * (8 * KiB // len(key)) for key in keys}
+        assert opened == [2] and not router._fetch_opening
+        regions = yield from client.list_regions()
+        assert [r for r in regions if r.startswith("dpfetch.")] == [
+            "dpfetch.h1.s2"]
+
+    cluster.run_app(app())
+
+
 def test_unplaceable_fetch_buffer_degrades_to_server_op():
     cluster = fresh_cluster()
     client = cluster.client(1)

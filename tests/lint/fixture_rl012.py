@@ -2,7 +2,7 @@
 
 Bad: a ``for`` directly over a set whose body yields to the simulator
 or posts an op — the shape ``baselines/twopl.py`` had before PR 16,
-which made ``BENCH_txn.json`` drift with ``PYTHONHASHSEED``.  Good: the
+which made E14's numbers drift with ``PYTHONHASHSEED``.  Good: the
 ``dict.fromkeys`` dedupe that replaced it, a sorted set, and a set loop
 that only computes.
 """
