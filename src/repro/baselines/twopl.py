@@ -19,19 +19,17 @@ not in how.
 from __future__ import annotations
 
 from repro.coord import Backoff
+from repro.coord.base import read_word
+from repro.coord.seqlock import mint_token, replay_idempotent
 from repro.core.errors import DeadlineExceededError
 from repro.datapath import ops
 from repro.kv.hashkv import KvError
-from repro.txn.runtime import replay_idempotent
 
 __all__ = ["TwoPhaseLocking", "TwoPLError"]
 
-_WORD = 8
 #: per-slot lock acquisition attempts before giving up (each waits on
 #: the shared backoff, which also enforces the caller's deadline)
 _LOCK_ATTEMPTS = 4096
-#: 2PL tokens share the transaction token space (far above versions)
-_TOKEN_BASE = (1 << 62) | (1 << 61)
 
 
 class TwoPLError(KvError):
@@ -59,13 +57,6 @@ class TwoPhaseLocking:
     def commits(self) -> int:
         return int(self._m_commits.value)
 
-    def _token(self) -> int:
-        seq = getattr(self.client, "_txn_token_seq", 0) + 1
-        self.client._txn_token_seq = seq
-        host_id = self.client.nic.host.host_id
-        return (_TOKEN_BASE | (host_id << 24) | ((seq % (1 << 23)) << 1)
-                | 1)
-
     def _find_slot(self, store, key: bytes):
         """The slot holding *key* (generator); 2PL cannot insert —
         every declared key must already exist."""
@@ -91,7 +82,7 @@ class TwoPhaseLocking:
         client = self.client
         sim = client.sim
         deadline = self.deadline if deadline is None else deadline
-        token = self._token()
+        token = mint_token(client, space=1)  # disjoint from the OCC runtime's
         backoff = Backoff(sim, self._rng, deadline=deadline)
         replay = Backoff(sim, self._apply_rng, base_s=1e-3, max_s=50e-3)
         start = sim.now
@@ -110,7 +101,8 @@ class TwoPhaseLocking:
                 key, index = slots[rkey]
                 lock = store.slot_lock(index)
                 for _attempt in range(_LOCK_ATTEMPTS):
-                    word = yield from self._read_version(store, index)
+                    with client.rsan.exempt(client._rsan_actor):
+                        word = yield from read_word(lock.mapping, lock.offset)
                     if word % 2 == 0:
                         got = yield from lock.try_lock(word, token=token)
                         if got:
@@ -167,11 +159,3 @@ class TwoPhaseLocking:
                     lambda lock=lock, word=word: lock.abort(word), replay
                 )
             raise
-
-    def _read_version(self, store, index):
-        """One slot's current version word (generator)."""
-        lock = store.slot_lock(index)
-        rsan = self.client.rsan
-        with rsan.exempt(self.client._rsan_actor):
-            raw = yield from lock.mapping.read(lock.offset, _WORD)
-        return int.from_bytes(raw, "little")

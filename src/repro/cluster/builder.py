@@ -19,10 +19,7 @@ from repro.core.metalog import MetaLog
 from repro.core.server import MemoryServer
 from repro.net.tcp import TcpStack
 from repro.rdma.cm import ConnectionManager
-from repro.rdma.memory import reset_key_counter
 from repro.rdma.nic import RNic
-from repro.rdma.pd import reset_pd_counter
-from repro.rdma.qp import reset_qpn_counter
 from repro.sanitize import rsan_for
 from repro.simnet.config import MiB, NetworkConfig
 from repro.simnet.kernel import Simulator
@@ -149,14 +146,6 @@ def build_cluster(
     schedule is armed right after boot (windows count from that point).
     """
     config = config or RStoreConfig()
-    # Restart the process-global handle counters so a cluster's rkeys,
-    # QPNs and PD handles do not depend on how many simulations ran
-    # earlier in this process.  Handle values ride inside pickled RPC
-    # payloads, so their sizes shift wire times by nanoseconds — enough
-    # to break bit-for-bit replay of seeded fault scenarios.
-    reset_key_counter()
-    reset_pd_counter()
-    reset_qpn_counter()
     sim = Simulator()
     if config.sanitize:
         rsan_for(sim).enable()

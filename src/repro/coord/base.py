@@ -22,13 +22,15 @@ import random
 
 from repro.core.errors import (
     DeadlineExceededError,
+    RegionUnavailableError,
     RetryBudgetExceededError,
     RStoreError,
 )
 from repro.simnet.kernel import Simulator
 from repro.simnet.rand import derive_rng
 
-__all__ = ["CoordError", "Backoff", "region_name", "read_word", "write_word"]
+__all__ = ["CoordError", "Backoff", "region_name", "read_word", "write_word",
+           "cas_result"]
 
 #: all coordination regions live under one reserved name prefix
 _PREFIX = "coord."
@@ -52,6 +54,32 @@ def read_word(mapping, offset: int):
 def write_word(mapping, offset: int, value: int):
     """One-sided write of an 8-byte little-endian word (generator)."""
     yield from mapping.write(offset, (value % (1 << 64)).to_bytes(8, "little"))
+
+
+def cas_result(cas, token):
+    """The old value the posted CAS future *cas* saw (generator): its
+    expected value means it landed.
+
+    Its completion answers, unless that is ambiguous (a lost ack, or
+    flushed behind a failed request: the NIC may or may not have
+    applied it).  Then *token* — the unique word naming this holder,
+    which the CAS was writing or clearing — settles it with one read:
+    the word carries the token afterwards exactly when the CAS was
+    writing it.  The answer is the expected value if so and ``None`` if
+    not (anything else in the word, the untouched expected value
+    included: it never applied).  With no token the ambiguity
+    propagates — the caller cannot tell.  The one settle rule under
+    ``RemoteLock`` acquire and release and ``seqlock.try_locks``;
+    callers hold the RSan exemption.
+    """
+    try:
+        return (yield from cas.wait())
+    except RegionUnavailableError:
+        if token is None:
+            raise
+        observed = yield from read_word(cas.mapping, cas.offset)
+        landed = (observed == token) == (cas.swap == token)
+        return cas.compare if landed else None
 
 
 class Backoff:

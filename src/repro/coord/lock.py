@@ -26,9 +26,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.errors import RegionUnavailableError
-
-from repro.coord.base import Backoff, CoordError, read_word, region_name
+from repro.coord.base import Backoff, CoordError, cas_result, region_name
 
 __all__ = ["RemoteLock"]
 
@@ -94,26 +92,11 @@ class RemoteLock:
             raise CoordError(f"lock {self.name!r} is not reentrant")
         rsan = self.client.rsan
         actor = self.client._rsan_actor
-        try:
-            with rsan.exempt(actor):
-                old = yield from self.mapping.cas(self.offset, 0, self.token)
-        except RegionUnavailableError:
-            # ambiguous completion: the CAS may have applied.  Our
-            # token is unique, so the word itself holds the answer
-            # (reads replay internally, so this rides out the fault).
-            with rsan.exempt(actor):
-                observed = yield from read_word(self.mapping, self.offset)
-            if observed == self.token:
-                # our CAS won before the completion was lost
-                self.held = True
-                self._m_acquisitions.inc()
-                rsan.sync_acquire(actor, ("lock", self.name))
-                return True
-            # anything else — including 0 — means our CAS lost; a
-            # free word here is the *real* holder having released
-            # since, not evidence that we ever held it
-            self._m_contended.inc()
-            return False
+        # an ambiguous completion is settled by the word itself: our
+        # token there means the CAS won before its completion was lost;
+        # a free word is the *real* holder having released since, not
+        # evidence that we ever held it
+        old = yield from self._cas(0, self.token)
         if old == 0:
             self.held = True
             self._m_acquisitions.inc()
@@ -140,31 +123,32 @@ class RemoteLock:
         # publish before the CAS leaves: everything acked so far is
         # covered; ops still in flight deliberately are not
         rsan.sync_release(actor, ("lock", self.name))
+        # a CAS that provably never applied (an ambiguous completion,
+        # our token still in the word) is re-issued, but not forever — a
+        # server that keeps eating the CAS while serving reads must
+        # eventually surface
         attempts = 0
         while True:
-            try:
-                with rsan.exempt(actor):
-                    old = yield from self.mapping.cas(self.offset,
-                                                      self.token, 0)
-            except RegionUnavailableError as exc:
-                with rsan.exempt(actor):
-                    observed = yield from read_word(self.mapping, self.offset)
-                if observed == self.token:
-                    # the CAS provably never applied: re-issue, but not
-                    # forever — a server that keeps eating the CAS while
-                    # serving reads must eventually surface
-                    attempts += 1
-                    if attempts >= self.client.config.data_retry_limit:
-                        raise CoordError(
-                            f"lock {self.name!r}: release CAS failed "
-                            f"{attempts} times: {exc}"
-                        ) from exc
-                    continue
-                old = self.token  # it applied; the word moved on
-            self.held = False
-            if old != self.token:
+            old = yield from self._cas(self.token, 0)
+            if old is not None:
+                break
+            attempts += 1
+            if attempts >= self.client.config.data_retry_limit:
                 raise CoordError(
-                    f"lock {self.name!r} held by token {old}, not ours "
-                    f"({self.token}): release without acquire?"
+                    f"lock {self.name!r}: release CAS failed "
+                    f"{attempts} times"
                 )
-            return
+        self.held = False
+        if old != self.token:
+            raise CoordError(
+                f"lock {self.name!r} held by token {old}, not ours "
+                f"({self.token}): release without acquire?"
+            )
+
+    def _cas(self, expected: int, new: int):
+        """One CAS of the lock word, settled (generator)."""
+        client = self.client
+        with client.rsan.exempt(client._rsan_actor):
+            cas = yield from self.mapping.cas_async(self.offset, expected,
+                                                    new)
+            return (yield from cas_result(cas, self.token))

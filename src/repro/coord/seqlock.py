@@ -1,6 +1,9 @@
 """A sequence lock: writer-versioned optimistic reads over a body.
 
-Layout (the body immediately follows the version word)::
+Layout (the body immediately follows the version word; the bytes and
+the happens-before key of a version are ``datapath.ops.split`` and
+``datapath.ops.sync_key``, dependency-free so the server-op executor
+shares them)::
 
     [ version 8B ][ body ... ]
 
@@ -24,32 +27,50 @@ structures instantiate one per record (hashkv: one per slot) — while
 ``create``/``open`` give it a named region of its own for standalone
 use.
 
-Transactional writers (``repro.txn``) lock with a **unique odd
-token** instead of ``version + 1``: the token names the holder, so an
-ambiguous CAS completion (the NIC may or may not have applied it) is
-resolved with one follow-up read of the word — the RemoteLock
-discipline, applied to the version word.  Readers are oblivious: any
-odd value means "writer in flight".
+Transactional writers (``repro.txn``, the 2PL baseline) lock with a
+**unique odd token** (:func:`mint_token`) instead of ``version + 1``:
+the token names the holder, so an ambiguous CAS completion (the NIC may
+or may not have applied it) is resolved with one follow-up read of the
+word (``coord.base.cas_result``) — the RemoteLock discipline, applied
+to the version word.  Readers are oblivious: any odd value means
+"writer in flight".  Past its decision a transaction drives its
+publishes and releases home with :func:`replay_idempotent`.
 """
 
 from __future__ import annotations
 
 from functools import partial
 
-from repro.core.errors import RecoverableError, RegionUnavailableError
+from repro.core.errors import RecoverableError
+from repro.datapath.ops import WORD as _WORD, split, sync_key
 
-from repro.coord.base import Backoff, CoordError, read_word, region_name, write_word
+from repro.coord.base import (
+    Backoff,
+    CoordError,
+    cas_result,
+    read_word,
+    region_name,
+    write_word,
+)
 
-__all__ = ["SeqLock", "snapshots", "try_locks", "publishes"]
+__all__ = ["SeqLock", "snapshots", "try_locks", "publishes", "mint_token",
+           "replay_idempotent"]
 
-_WORD = 8
+#: tokens live far above any version a record can reach
+_TOKEN_BASE = 1 << 62
+#: replays of one idempotent commit/abort write before declaring the
+#: cluster unrecoverable (each replay itself rides the data path's
+#: internal retries, so this spans many seconds of simulated faults)
+_APPLY_ATTEMPTS = 64
 
 
-def _sync_key(mapping, offset: int, version: int) -> tuple:
-    """The happens-before key of one published version: a validated
-    reader of version *v* joins whatever the writer that published *v*
-    released."""
-    return ("seqlock", mapping.name, offset, version)
+def mint_token(client, space: int = 0) -> int:
+    """A cluster-unique odd lock word naming one holder: the host, the
+    next value of the client's one token sequence, and *space* (0 or
+    1), which keeps two protocols minting on one client disjoint."""
+    client.token_seq += 1
+    return (_TOKEN_BASE | (space << 61) | (client.nic.host.host_id << 24)
+            | ((client.token_seq % (1 << 23)) << 1) | 1)
 
 
 def snapshots(mapping, offsets, record_size: int):
@@ -79,8 +100,7 @@ def snapshots(mapping, offsets, record_size: int):
         yield from batch.flush()
         yield from batch.wait_all()  # a failed READ leaves none dangling
         for offset, (record, word) in zip(offsets, pairs):
-            blob, check = record.value, word.value
-            version = int.from_bytes(blob[:_WORD], "little")
+            (version, body), check = split(record.value), word.value
             if version % 2 == 0 and not batch.in_order(record, word):
                 # registered on first use: the proven path pays no lookup
                 client.obs.metrics.counter(
@@ -90,8 +110,8 @@ def snapshots(mapping, offsets, record_size: int):
             if version % 2 or int.from_bytes(check, "little") != version:
                 found.append(None)
                 continue
-            rsan.sync_acquire(actor, _sync_key(mapping, offset, version))
-            found.append((version, blob[_WORD:]))
+            rsan.sync_acquire(actor, sync_key(mapping.name, offset, version))
+            found.append((version, body))
     return found
 
 
@@ -106,7 +126,8 @@ def try_locks(intents, won=None):
     given.  An ambiguous CAS completion (lost ack, or flushed behind a
     failed request) propagates for a plain lock word — the caller cannot
     tell whether it holds it — but a token names its holder: one read of
-    the word settles it, so acquisition is exactly-once under faults.
+    the word settles it (``cas_result``), so acquisition is exactly-once
+    under faults.
     """
     client = intents[0][0].mapping.client
     rsan, actor = client.rsan, client._rsan_actor
@@ -124,15 +145,9 @@ def try_locks(intents, won=None):
             yield from batch.flush()
         for (lock, version, token), cas in zip(intents, futures):
             try:
-                try:
-                    got = (yield from cas.wait()) == version
-                except RegionUnavailableError:
-                    if token is None:
-                        raise
-                    # anything but our token — the untouched even version
-                    # included — is a loss; the caller re-snapshots
-                    got = (yield from read_word(lock.mapping,
-                                                lock.offset)) == token
+                # a loss — the untouched even version included — sends
+                # the caller back to re-snapshot
+                got = (yield from cas_result(cas, token)) == version
             except Exception as exc:
                 # unsettled (its server is gone): not ours to release
                 failed, got = failed or exc, False
@@ -197,6 +212,24 @@ def _republish(mapping, offset: int, held: int, word: int, body: bytes):
         yield from write_word(mapping, offset, word)
 
 
+def replay_idempotent(op_factory, backoff):
+    """Drive one idempotent post-decision write to completion
+    (generator): publishes and lock releases are plain writes, so
+    replaying them through faults is safe and *required* — the
+    decision is already made.  The ``drive=`` of :func:`publishes` for
+    both transaction runners."""
+    for _attempt in range(_APPLY_ATTEMPTS):
+        try:
+            yield from op_factory()
+            return
+        except RecoverableError:
+            yield from backoff.pause()
+    raise CoordError(
+        f"idempotent commit write did not land within "
+        f"{_APPLY_ATTEMPTS} attempts"
+    )
+
+
 class SeqLock:
     """Optimistic-read / CAS-write concurrency over one record."""
 
@@ -222,7 +255,7 @@ class SeqLock:
                                            **_labels)
 
     def _sync_key(self, version: int) -> tuple:
-        return _sync_key(self.mapping, self.offset, version)
+        return sync_key(self.mapping.name, self.offset, version)
 
     @property
     def record_size(self) -> int:
@@ -269,6 +302,17 @@ class SeqLock:
     def _raced(self) -> None:
         self.read_retries += 1
         self._m_read_retries.inc()
+
+    def snapshot(self):
+        """One raw ``(version, body)`` snapshot in a single one-sided
+        READ (generator).  The version may be odd (a writer is
+        mid-publish) and the snapshot is *unvalidated* — transactional
+        readers re-check the version word at commit time instead of
+        paying a validation read here.  One READ of one record is
+        internally consistent when the record does not straddle stripes
+        (a table's slots never do): it lands as one DMA."""
+        return split((yield from self.mapping.read(self.offset,
+                                                   self.record_size)))
 
     # -- writers (data path) ---------------------------------------------------
 

@@ -101,6 +101,10 @@ class RStoreClient:
         #: channel dial, fetch-buffer allocation) so the adaptive
         #: selector can discard latency samples that paid setup costs
         self.setup_events = 0
+        #: lock tokens minted on this client (``coord.seqlock.mint_token``,
+        #: its only writer): one sequence under every protocol that names
+        #: a holder, so no two tokens of one host ever coincide
+        self.token_seq = 0
         #: deterministic jitter stream for retry backoff (data-path
         #: replays and control redials)
         self._retry_rng = derive_rng(

@@ -11,6 +11,7 @@ exactly one refresh.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple, Optional
 
 from repro.core.errors import RegionNotFoundError
@@ -54,9 +55,9 @@ class MetadataCache:
         #: the ablation's one gate is in :meth:`resolve`, their only
         #: reader.
         self._leases: dict[str, _MetaEntry] = {}
-        #: names with a lookup in flight -> waiter events (single-flight:
+        #: name -> the one lookup in flight (``Simulator.single_flight``:
         #: concurrent misses coalesce onto one master RPC)
-        self._inflight: dict[str, list] = {}
+        self._inflight: dict = {}
         _m = client.obs.metrics
         _host = client.nic.host.host_id
         self.hits = _m.counter("client.metadata_cache_hits", host=_host)
@@ -142,24 +143,6 @@ class MetadataCache:
             if entry.error is not None:
                 raise entry.error
             return entry.desc
-        waiters = self._inflight.get(name)
-        if waiters is not None:
-            self.coalesced.inc()
-            event = self._sim.event()
-            waiters.append(event)
-            desc, exc = yield event
-            if exc is not None:
-                raise exc
-            return desc
-        self.misses.inc()
-        self._inflight[name] = []
-        desc, exc = None, None
-        try:
-            desc = yield from lookup(name)
-        except Exception as caught:  # noqa: BLE001 - outcome fans out
-            exc = caught
-        for event in self._inflight.pop(name, ()):
-            event.succeed((desc, exc))
-        if exc is not None:
-            raise exc
-        return desc
+        (self.coalesced if name in self._inflight else self.misses).inc()
+        return (yield from self._sim.single_flight(
+            self._inflight, name, partial(lookup, name)))

@@ -1,4 +1,14 @@
-"""The hash table's slot codec and probe protocol.
+"""The SeqLock record's bytes, the hash table's slot codec and probe
+protocol.
+
+**Record.**  A SeqLock record is ``[ version 8B ][ body ]``
+(:func:`split`); the version word is ``0`` never written, even =
+stable, odd = a writer in flight, and each published version has one
+happens-before key (:func:`sync_key`).  Everything that reads a record
+— :mod:`repro.coord.seqlock` (which owns the protocol *over* these
+bytes: snapshots, intents, tokens, publishes), the table, the
+transaction runtimes, the server-op executor — parses and names it
+through these two functions and nowhere else.
 
 Every prober of a ``hashkv`` table — the one-sided client
 (:mod:`repro.kv.hashkv`), the transaction runtimes (:mod:`repro.txn`,
@@ -12,9 +22,9 @@ Slot layout (all fields 8-byte aligned)::
 
     [ version 8B ][ key_len 8B ][ key ... ][ val_len 8B ][ value ... ]
 
-The version word is the SeqLock word (``0`` never written, even =
-stable, odd = writer in flight); ``key_len`` of ``2**63 - 1`` marks a
-tombstone so linear probing keeps finding later entries.
+A slot is one record whose body is ``[key_len][key][val_len][value]``;
+``key_len`` of ``2**63 - 1`` marks a tombstone so linear probing keeps
+finding later entries.
 
 **Probe protocol.**  A key's chain is the :data:`PROBE_LIMIT` slots
 from its hash onward (:func:`chain`).  :func:`classify` sorts a slot
@@ -34,7 +44,8 @@ from __future__ import annotations
 import hashlib
 
 __all__ = [
-    "WORD", "TOMBSTONE", "PROBE_LIMIT", "hash64", "pad", "slot_size",
+    "WORD", "split", "sync_key",
+    "TOMBSTONE", "PROBE_LIMIT", "hash64", "pad", "slot_size",
     "parse_key", "parse_body", "encode_body",
     "HIT", "FREE", "DEAD", "OTHER", "CONTINUE", "chain", "classify", "walk",
 ]
@@ -52,6 +63,18 @@ OTHER = "other"        # holds another key: the chain goes on
 #: walk outcome: handles exhausted without a hit or a chain end.  The
 #: three outcomes double as the ``dp_exec`` reply tags of a probe run.
 CONTINUE = "continue"
+
+
+def split(blob: bytes):
+    """``(version, body)`` of the record bytes *blob*."""
+    return int.from_bytes(blob[:WORD], "little"), blob[WORD:]
+
+
+def sync_key(region: str, offset: int, version: int) -> tuple:
+    """The happens-before key of one published version of the record
+    at *offset* of *region*: a validated reader of version *v* joins
+    whatever the writer that published *v* released."""
+    return ("seqlock", region, offset, version)
 
 
 def hash64(key: bytes) -> int:

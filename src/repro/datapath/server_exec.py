@@ -97,10 +97,6 @@ class ServerOpExecutor:
         """Read arena bytes with no yield — atomic in simulated time."""
         return self.mr.buffer.read(self.mr.offset_of(addr), length)
 
-    def _sync_key(self, req: dict, slot_off: int, version: int) -> tuple:
-        # the SeqLock view's key: region name + record offset + version
-        return ("seqlock", req["region"], slot_off, version)
-
     def _deposit(self, deposit, result):
         """Write the pickled result into the client's fetch buffer.
 
@@ -138,13 +134,13 @@ class ServerOpExecutor:
         def read(slot):
             slot_off, addr = slot
             yield from self.cpu.copy(length)
-            blob = self._snapshot(addr, length)  # consistent: no yield
-            version = int.from_bytes(blob[:ops.WORD], "little")
+            # consistent: no yield
+            version, body = ops.split(self._snapshot(addr, length))
             if version % 2 == 1:
                 raise _BusySlot()
             self.rsan.sync_acquire(
-                req["actor"], self._sync_key(req, slot_off, version))
-            return (version, *ops.parse_key(blob[ops.WORD:]))
+                req["actor"], ops.sync_key(req["region"], slot_off, version))
+            return (version, *ops.parse_key(body))
         return read
 
     def _kv_get(self, req: dict):
@@ -163,10 +159,11 @@ class ServerOpExecutor:
         # now pay for the value and re-validate — the CPU charge
         # yields, so the slot may have changed under us
         yield from self.cpu.copy(size - head)
-        blob = self._snapshot(slot[1], size)  # consistent: no yield
-        if int.from_bytes(blob[:ops.WORD], "little") != snapshot[0]:
+        # consistent: no yield
+        version, body = ops.split(self._snapshot(slot[1], size))
+        if version != snapshot[0]:
             return ("busy",)  # racing writer: caller re-drives
-        _len, _key, value = ops.parse_body(blob[ops.WORD:], key_size)
+        _len, _key, value = ops.parse_body(body, key_size)
         return (ops.HIT, value)
 
     def _kv_put(self, req: dict):
@@ -195,21 +192,20 @@ class ServerOpExecutor:
         # claim this slot.  Charge the publish copy first (it yields),
         # then re-validate + write in one atomic block.
         yield from self.cpu.copy(size)
-        blob = self._snapshot(addr, size)
-        cur_version = int.from_bytes(blob[:ops.WORD], "little")
-        cur_len, cur_key = ops.parse_key(blob[ops.WORD:])
+        cur_version, body = ops.split(self._snapshot(addr, size))
+        cur_len, cur_key = ops.parse_key(body)
         if (cur_version % 2 == 1
                 or ops.classify(cur_len, cur_key, key) == ops.OTHER):
             return ("busy",)  # locked, or a racer claimed it for another key
         new_version = cur_version + 2
-        actor = req["actor"]
+        actor, region = req["actor"], req["region"]
         # lock + publish edges at the apply instant — identical to the
         # one-sided try_lock/publish pair, with no observable
         # odd-version window because nothing yields in between
         self.rsan.sync_acquire(
-            actor, self._sync_key(req, slot_off, cur_version))
+            actor, ops.sync_key(region, slot_off, cur_version))
         self.rsan.sync_release(
-            actor, self._sync_key(req, slot_off, new_version))
+            actor, ops.sync_key(region, slot_off, new_version))
         self.mr.buffer.write(
             self.mr.offset_of(addr),
             new_version.to_bytes(ops.WORD, "little")

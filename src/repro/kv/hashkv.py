@@ -163,21 +163,11 @@ class RKVStore:
         return ops.chain(ops.hash64(key), self.slots)
 
     def snapshot_slot(self, index: int):
-        """One raw slot snapshot in a single one-sided READ (generator).
-
-        Returns ``(version, key_len, key, value)``.  The version may be
-        odd (a writer is mid-publish) and the snapshot is *unvalidated*
-        — transactional readers (:mod:`repro.txn`) re-check the version
-        word at commit time instead of paying a validation read here.
-        A single READ of one slot is internally consistent: slots never
-        straddle stripes, so the snapshot lands as one DMA.
-        """
-        blob = yield from self.mapping.read(
-            self._slot_offset(index), self.slot_size
-        )
-        version = int.from_bytes(blob[:ops.WORD], "little")
-        key_len, key, value = ops.parse_body(blob[ops.WORD:], self.key_size)
-        return version, key_len, key, value
+        """One raw slot snapshot in a single one-sided READ (generator):
+        the slot's ``SeqLock.snapshot`` — unvalidated, the version may
+        be odd — parsed into ``(version, key_len, key, value)``."""
+        version, body = yield from self.slot_lock(index).snapshot()
+        return (version, *ops.parse_body(body, self.key_size))
 
     def _read_slot(self, index: int):
         """Optimistically read one consistent slot snapshot (generator)."""

@@ -12,28 +12,12 @@ unit of the verbs permission model.
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional
 
 from repro.rdma.device import PAGE_SIZE
 from repro.rdma.types import Access, RdmaError
 
-__all__ = ["Buffer", "SparseBuffer", "HostMemory", "MemoryRegion",
-           "reset_key_counter"]
-
-_key_counter = itertools.count(1)
-
-
-def reset_key_counter() -> None:
-    """Restart lkey/rkey handout (fresh-simulation reproducibility).
-
-    Handle values leak into pickled RPC payloads, so their *sizes* —
-    and therefore simulated wire times — depend on how many simulations
-    ran earlier in this process unless each one starts from the same
-    counter state.  Only call between simulations.
-    """
-    global _key_counter
-    _key_counter = itertools.count(1)
+__all__ = ["Buffer", "SparseBuffer", "HostMemory", "MemoryRegion"]
 
 
 class Buffer:
@@ -176,6 +160,8 @@ class MemoryRegion:
 
     ``lkey`` authorises local use in work requests; ``rkey`` authorises
     remote one-sided access, subject to the region's access flags.
+    Registration hands the keys out (``RNic.reg_mr``, from the
+    simulation's one key sequence); a region built bare has none.
     """
 
     __slots__ = ("buffer", "access", "lkey", "rkey", "pd", "valid")
@@ -183,8 +169,7 @@ class MemoryRegion:
     def __init__(self, buffer: Buffer, access: Access, pd=None):
         self.buffer = buffer
         self.access = access
-        self.lkey = next(_key_counter)
-        self.rkey = next(_key_counter)
+        self.lkey = self.rkey = 0
         self.pd = pd
         self.valid = True
 

@@ -170,6 +170,8 @@ class RNic:
         elif buffer.host_id != self.host.host_id:
             raise RdmaError("cannot register another host's memory")
         mr = MemoryRegion(buffer, access, pd=pd)
+        keys = self.sim.sequence("mr-key")
+        mr.lkey, mr.rkey = next(keys), next(keys)
         span = self.obs.tracer.span("control.nic.reg_mr", kind="control",
                                     host=self.host.host_id, pages=mr.pages)
         cost = self.model.reg_mr_base_s + mr.pages * self.model.reg_mr_per_page_s

@@ -6,17 +6,7 @@ is a protection error.  RStore uses one PD per service endpoint.
 
 from __future__ import annotations
 
-import itertools
-
-__all__ = ["ProtectionDomain", "reset_pd_counter"]
-
-_pd_counter = itertools.count(1)
-
-
-def reset_pd_counter() -> None:
-    """Restart PD handle handout (fresh-simulation reproducibility)."""
-    global _pd_counter
-    _pd_counter = itertools.count(1)
+__all__ = ["ProtectionDomain"]
 
 
 class ProtectionDomain:
@@ -24,7 +14,7 @@ class ProtectionDomain:
 
     def __init__(self, nic):
         self.nic = nic
-        self.handle = next(_pd_counter)
+        self.handle = next(nic.sim.sequence("pd"))
         self.regions: list = []
         self.qps: list = []
 

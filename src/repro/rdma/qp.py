@@ -15,7 +15,6 @@ like the one it followed; only a fresh QP (a re-dial) starts afresh.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from typing import Optional
 
@@ -23,15 +22,7 @@ from repro.rdma.cq import CompletionQueue, WorkCompletion
 from repro.rdma.types import Opcode, QpError, QpState, RdmaError, WcStatus
 from repro.rdma.wr import RecvWR, SendWR
 
-__all__ = ["QueuePair", "reset_qpn_counter"]
-
-_qpn_counter = itertools.count(100)
-
-
-def reset_qpn_counter() -> None:
-    """Restart QP number handout (fresh-simulation reproducibility)."""
-    global _qpn_counter
-    _qpn_counter = itertools.count(100)
+__all__ = ["QueuePair"]
 
 
 class QueuePair:
@@ -52,7 +43,7 @@ class QueuePair:
         self.recv_cq = recv_cq
         self.sq_depth = sq_depth
         self.rq_depth = rq_depth
-        self.qp_num = next(_qpn_counter)
+        self.qp_num = next(nic.sim.sequence("qpn", 100))
         self.state = QpState.RESET
         self.remote: Optional["QueuePair"] = None
         self.error_reason = ""

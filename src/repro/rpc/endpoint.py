@@ -10,6 +10,12 @@ Handlers are generator functions registered by name::
 
 Clients call them with ``result = yield from client.call("lookup", key)``.
 Remote exceptions re-raise locally as :class:`RpcRemoteError`.
+
+The endpoint is written once over a *channel* — ``send(obj,
+wire_size)`` / ``recv()``, both raising :class:`ChannelClosed` once the
+connection is gone — and each transport adds only how it listens and
+connects: :class:`RdmaMsgChannel` is such a channel, a TCP socket
+becomes one through :class:`_SocketChannel`.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Optional
 
+from repro.net.tcp import TcpError
 from repro.rdma.cm import ConnectionManager
 from repro.rdma.nic import RNic
 from repro.rdma.qp import QueuePair
@@ -62,11 +69,24 @@ class RpcRemoteError(RpcError):
         self.remote_message = message
 
 
-class _HandlerRegistry:
-    """Shared method table for both transports."""
+# ---------------------------------------------------------------------------
+# the endpoint, over any channel
+# ---------------------------------------------------------------------------
 
-    def __init__(self):
+
+class _Service:
+    """The server half: the method table, one serve loop per
+    connection, one handler process per request, charged on *cpu*."""
+
+    def __init__(self, sim: Simulator, cpu, service_id: str):
+        self.sim = sim
+        self.service_id = service_id
+        self.requests_served = 0
+        self._cpu = cpu
         self._handlers: dict[str, Callable] = {}
+        #: optional fault-injection hook: ``hook(service_id, method) ->
+        #: str``; a non-empty string fails the call with that message
+        self.fault_hook: Optional[Callable[[str, str], str]] = None
 
     def register(self, method: str, handler: Callable) -> None:
         """Register a generator function under *method*."""
@@ -93,77 +113,12 @@ class _HandlerRegistry:
             )
         return RpcResponse(call_id=request.call_id, result=result)
 
+    def _serve_on(self, channel) -> None:
+        """Start the serve loop of one accepted connection."""
+        self.sim.process(self._serve(channel),
+                         name=f"rpc-serve-{self.service_id}")
 
-# ---------------------------------------------------------------------------
-# RDMA transport
-# ---------------------------------------------------------------------------
-
-
-class RpcServer(_HandlerRegistry):
-    """RPC service over RDMA SEND/RECV (the control-plane transport)."""
-
-    def __init__(self, sim: Simulator, nic: RNic, cm: ConnectionManager,
-                 service_id: str, msg_size: int = MSG_SIZE):
-        super().__init__()
-        self.sim = sim
-        self.nic = nic
-        self.cm = cm
-        self.service_id = service_id
-        self.msg_size = msg_size
-        self.requests_served = 0
-        #: every accepted connection, so :meth:`stop` can tear them down
-        self._accepted: list[RdmaMsgChannel] = []
-        self._stopped = False
-        #: optional fault-injection hook: ``hook(service_id, method) ->
-        #: str``; a non-empty string fails the call with that message
-        self.fault_hook: Optional[Callable[[str, str], str]] = None
-
-    def start(self):
-        """Begin listening (generator)."""
-        pd = yield from self.nic.alloc_pd()
-        # Listener-level CQs are placeholders; each accepted connection
-        # gets dedicated CQs so its dispatcher can wait undisturbed.
-        cq = yield from self.nic.create_cq()
-        self.cm.listen(
-            self.nic,
-            self.service_id,
-            pd,
-            cq,
-            # a generator: the CM completes it before acknowledging REP
-            on_connect=self._accept,
-        )
-        return self
-
-    def stop(self, reason: str = "server stopped") -> None:
-        """Tear the service down (fail-stop).
-
-        Stops listening and errors both ends of every accepted QP: the
-        local flush ends our ``_serve`` loops, and the remote flush
-        fails every peer's pending recv so its dispatcher observes
-        channel death instead of waiting forever.
-        """
-        if self._stopped:
-            return
-        self._stopped = True
-        self.cm.stop_listening(self.nic, self.service_id)
-        for channel in self._accepted:
-            channel.close()
-            channel.qp.set_error(reason)
-            if channel.qp.remote is not None:
-                channel.qp.remote.set_error(reason)
-        self._accepted.clear()
-
-    def _accept(self, qp: QueuePair):
-        qp.send_cq = yield from self.nic.create_cq()
-        qp.recv_cq = yield from self.nic.create_cq()
-        channel = RdmaMsgChannel(self.nic, qp, msg_size=self.msg_size)
-        yield from channel.prepare()
-        self._accepted.append(channel)
-        self.sim.process(
-            self._serve(channel), name=f"rpc-serve-{self.service_id}"
-        )
-
-    def _serve(self, channel: RdmaMsgChannel):
+    def _serve(self, channel):
         while True:
             try:
                 request = yield from channel.recv()
@@ -171,8 +126,8 @@ class RpcServer(_HandlerRegistry):
                 return
             self.sim.process(self._handle(channel, request))
 
-    def _handle(self, channel: RdmaMsgChannel, request: RpcRequest):
-        yield from self.nic.host.cpu.run(DISPATCH_CPU_S)
+    def _handle(self, channel, request: RpcRequest):
+        yield from self._cpu.run(DISPATCH_CPU_S)
         detail = ""
         if self.fault_hook is not None:
             detail = self.fault_hook(self.service_id, request.method)
@@ -203,46 +158,24 @@ class RpcServer(_HandlerRegistry):
             pass  # client died mid-call; nothing to deliver the reply to
 
 
-class RpcClient:
-    """Client half of :class:`RpcServer`."""
+class _Caller:
+    """The client half: call ids, the pending table and the dispatcher
+    that resolves it from whatever the attached channel delivers."""
 
-    def __init__(self, sim: Simulator, nic: RNic, cm: ConnectionManager):
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.nic = nic
-        self.cm = cm
-        self._channel: Optional[RdmaMsgChannel] = None
+        self._channel = None
         self._pending: dict[int, Event] = {}
         self._call_ids = itertools.count(1)
         self.calls_made = 0
 
-    def connect(self, remote_host_id: int, service_id: str,
-                msg_size: int = MSG_SIZE):
-        """Establish the connection (generator)."""
-        self._channel = yield from RdmaMsgChannel.connect(
-            self.cm, self.nic, remote_host_id, service_id, msg_size=msg_size
-        )
+    def _attach(self, channel):
+        """Adopt the connected *channel* and start dispatching."""
+        self._channel = channel
         self.sim.process(self._dispatch_responses(), name="rpc-client-dispatch")
         return self
 
-    @property
-    def connected(self) -> bool:
-        return self._channel is not None and not self._channel.closed
-
-    def abort(self, reason: str = "client aborted") -> None:
-        """Tear the connection down without a goodbye (fail-stop).
-
-        Errors both QP ends so the peer's ``_serve`` loop sees channel
-        death, and our own dispatcher fails every pending call.
-        """
-        if self._channel is None:
-            return
-        self._channel.close()
-        self._channel.qp.set_error(reason)
-        if self._channel.qp.remote is not None:
-            self._channel.qp.remote.set_error(reason)
-
     def _dispatch_responses(self):
-        assert self._channel is not None
         while True:
             try:
                 response = yield from self._channel.recv()
@@ -294,6 +227,101 @@ class RpcClient:
         return response.result
 
 
+# ---------------------------------------------------------------------------
+# RDMA transport
+# ---------------------------------------------------------------------------
+
+
+class RpcServer(_Service):
+    """RPC service over RDMA SEND/RECV (the control-plane transport)."""
+
+    def __init__(self, sim: Simulator, nic: RNic, cm: ConnectionManager,
+                 service_id: str, msg_size: int = MSG_SIZE):
+        super().__init__(sim, nic.host.cpu, service_id)
+        self.nic = nic
+        self.cm = cm
+        self.msg_size = msg_size
+        #: every accepted connection, so :meth:`stop` can tear them down
+        self._accepted: list[RdmaMsgChannel] = []
+        self._stopped = False
+
+    def start(self):
+        """Begin listening (generator)."""
+        pd = yield from self.nic.alloc_pd()
+        # Listener-level CQs are placeholders; each accepted connection
+        # gets dedicated CQs so its dispatcher can wait undisturbed.
+        cq = yield from self.nic.create_cq()
+        self.cm.listen(
+            self.nic,
+            self.service_id,
+            pd,
+            cq,
+            # a generator: the CM completes it before acknowledging REP
+            on_connect=self._accept,
+        )
+        return self
+
+    def stop(self, reason: str = "server stopped") -> None:
+        """Tear the service down (fail-stop).
+
+        Stops listening and errors both ends of every accepted QP: the
+        local flush ends our ``_serve`` loops, and the remote flush
+        fails every peer's pending recv so its dispatcher observes
+        channel death instead of waiting forever.
+        """
+        if self._stopped:
+            return
+        self._stopped = True
+        self.cm.stop_listening(self.nic, self.service_id)
+        for channel in self._accepted:
+            channel.close()
+            channel.qp.set_error(reason)
+            if channel.qp.remote is not None:
+                channel.qp.remote.set_error(reason)
+        self._accepted.clear()
+
+    def _accept(self, qp: QueuePair):
+        qp.send_cq = yield from self.nic.create_cq()
+        qp.recv_cq = yield from self.nic.create_cq()
+        channel = RdmaMsgChannel(self.nic, qp, msg_size=self.msg_size)
+        yield from channel.prepare()
+        self._accepted.append(channel)
+        self._serve_on(channel)
+
+
+class RpcClient(_Caller):
+    """Client half of :class:`RpcServer`."""
+
+    def __init__(self, sim: Simulator, nic: RNic, cm: ConnectionManager):
+        super().__init__(sim)
+        self.nic = nic
+        self.cm = cm
+
+    def connect(self, remote_host_id: int, service_id: str,
+                msg_size: int = MSG_SIZE):
+        """Establish the connection (generator)."""
+        return self._attach((yield from RdmaMsgChannel.connect(
+            self.cm, self.nic, remote_host_id, service_id, msg_size=msg_size
+        )))
+
+    @property
+    def connected(self) -> bool:
+        return self._channel is not None and not self._channel.closed
+
+    def abort(self, reason: str = "client aborted") -> None:
+        """Tear the connection down without a goodbye (fail-stop).
+
+        Errors both QP ends so the peer's ``_serve`` loop sees channel
+        death, and our own dispatcher fails every pending call.
+        """
+        if self._channel is None:
+            return
+        self._channel.close()
+        self._channel.qp.set_error(reason)
+        if self._channel.qp.remote is not None:
+            self._channel.qp.remote.set_error(reason)
+
+
 class RpcClientPool:
     """Connected :class:`RpcClient` per key, each dialled single-flight.
 
@@ -330,15 +358,34 @@ class RpcClientPool:
 # ---------------------------------------------------------------------------
 
 
-class TcpRpcServer(_HandlerRegistry):
+class _SocketChannel:
+    """A connected :class:`~repro.net.tcp.Socket` as an endpoint
+    channel: its EOF (``recv() is None``) and its errors are the one
+    close signal, :class:`ChannelClosed`."""
+
+    def __init__(self, sock):
+        self._sock = sock
+
+    def send(self, obj, wire_size: Optional[int] = None):
+        try:
+            return (yield from self._sock.send(obj, wire_size=wire_size))
+        except TcpError as exc:
+            raise ChannelClosed(str(exc)) from exc
+
+    def recv(self):
+        obj = yield from self._sock.recv()
+        if obj is None:
+            raise ChannelClosed("connection closed")
+        return obj
+
+
+class TcpRpcServer(_Service):
     """The same RPC service over the sockets model."""
 
     def __init__(self, sim: Simulator, stack, port: int):
-        super().__init__()
-        self.sim = sim
+        super().__init__(sim, stack.host.cpu, f"tcp-{port}")
         self.stack = stack
         self.port = port
-        self.requests_served = 0
 
     def start(self):
         listener = self.stack.listen(self.port)
@@ -347,65 +394,17 @@ class TcpRpcServer(_HandlerRegistry):
 
     def _accept_loop(self, listener):
         while True:
-            sock = yield from listener.accept()
-            self.sim.process(self._serve(sock), name="tcp-rpc-serve")
-
-    def _serve(self, sock):
-        while True:
-            request = yield from sock.recv()
-            if request is None:
-                return
-            self.sim.process(self._handle(sock, request))
-
-    def _handle(self, sock, request: RpcRequest):
-        yield from self.stack.host.cpu.run(DISPATCH_CPU_S)
-        response = yield from self.dispatch(request)
-        self.requests_served += 1
-        yield from sock.send(response, wire_size=response.wire_size)
+            self._serve_on(_SocketChannel((yield from listener.accept())))
 
 
-class TcpRpcClient:
+class TcpRpcClient(_Caller):
     """Client half of :class:`TcpRpcServer`."""
 
     def __init__(self, sim: Simulator, stack):
-        self.sim = sim
+        super().__init__(sim)
         self.stack = stack
-        self._sock = None
-        self._pending: dict[int, Event] = {}
-        self._call_ids = itertools.count(1)
 
     def connect(self, remote_stack, port: int):
         """Open the connection (generator)."""
-        self._sock = yield from self.stack.connect(remote_stack, port)
-        self.sim.process(self._dispatch_responses(), name="tcp-rpc-dispatch")
-        return self
-
-    def _dispatch_responses(self):
-        while True:
-            response = yield from self._sock.recv()
-            if response is None:
-                for future in self._pending.values():
-                    if not future.triggered:
-                        future.fail(RpcError("connection closed"))
-                self._pending.clear()
-                return
-            future = self._pending.pop(response.call_id, None)
-            if future is not None and not future.triggered:
-                future.succeed(response)
-
-    def call(self, method: str, *args, wire_size: Optional[int] = None):
-        """Invoke a remote method (generator); returns its result."""
-        if self._sock is None:
-            raise RpcError("client is not connected")
-        call_id = next(self._call_ids)
-        future = self.sim.event()
-        self._pending[call_id] = future
-        yield from self._sock.send(
-            RpcRequest(call_id=call_id, method=method, args=args,
-                       wire_size=wire_size),
-            wire_size=wire_size,
-        )
-        response = yield future
-        if response.error is not None:
-            raise RpcRemoteError(response.error_type, response.error)
-        return response.result
+        return self._attach(_SocketChannel(
+            (yield from self.stack.connect(remote_stack, port))))

@@ -24,6 +24,7 @@ Design notes
 from __future__ import annotations
 
 import heapq
+import itertools
 from collections.abc import Generator
 from typing import Any, Callable, Iterable, Optional
 
@@ -324,6 +325,7 @@ class Simulator:
         #: ``repro.sanitize.rsan_for``), freed with the simulator
         self.obs = None
         self.rsan = None
+        self._sequences: dict[str, itertools.count] = {}
 
     @property
     def now(self) -> float:
@@ -340,6 +342,18 @@ class Simulator:
         """Queue entries :meth:`step` has run: nothing is ever cancelled,
         so it is what was pushed minus what is still queued."""
         return self._seq - len(self._queue)
+
+    def sequence(self, name: str, start: int = 1) -> itertools.count:
+        """This simulation's counter *name*, from *start* at first use.
+
+        Identifiers that ride in messages (RDMA handles: their pickled
+        size is wire time) are numbered per simulation, never per
+        process, so a run does not depend on what else was built beside it.
+        """
+        counter = self._sequences.get(name)
+        if counter is None:
+            counter = self._sequences[name] = itertools.count(start)
+        return counter
 
     # -- event construction ------------------------------------------------
 

@@ -4,11 +4,12 @@ A :class:`Txn` buffers ``get``/``put``/``delete`` over any number of
 hashkv tables (plus raw :class:`~repro.coord.SeqLock` records) and
 commits them atomically with optimistic concurrency control:
 
-1. **Snapshot reads.**  Every slot a transaction touches is captured
-   in a *single* one-sided READ (``RKVStore.snapshot_slot``) and its
-   even version recorded in the read-set.  Probe chains record every
-   slot they cross, so a concurrent insert that would change a
-   lookup's outcome invalidates the transaction (phantom protection).
+1. **Snapshot reads.**  Every record a transaction touches — a raw
+   record, or a table slot, which *is* one — is captured in a *single*
+   one-sided READ (``SeqLock.snapshot``) and its even version recorded
+   in the read-set.  Probe chains record every slot they cross, so a
+   concurrent insert that would change a lookup's outcome invalidates
+   the transaction (phantom protection).
 2. **Write intent.**  At commit every version word of the write-set
    is CAS'd from its snapshot version to the transaction's unique odd
    *token* (the :class:`~repro.coord.SeqLock` token protocol), all in
@@ -39,10 +40,15 @@ so exhaustion raises the *typed* ``DeadlineExceededError`` /
 
 from __future__ import annotations
 
-from functools import partial
+from typing import NamedTuple
 
 from repro.coord import Backoff, SeqLock
-from repro.coord.seqlock import publishes, try_locks
+from repro.coord.seqlock import (
+    mint_token,
+    publishes,
+    replay_idempotent,
+    try_locks,
+)
 from repro.core.errors import (
     DeadlineExceededError,
     FatalError,
@@ -53,17 +59,12 @@ from repro.datapath import ops
 from repro.kv.hashkv import KvError, KvFullError
 
 __all__ = ["Txn", "TxnRuntime", "TxnError", "TxnConflictError",
-           "TxnMisuseError", "replay_idempotent"]
+           "TxnMisuseError"]
 
-_WORD = 8
-#: snapshot retries while a writer holds a slot (matches hashkv)
+#: snapshot retries while a writer holds a record (matches hashkv)
 _SNAP_RETRIES = 64
-#: replays of one idempotent commit/abort write before declaring the
-#: cluster unrecoverable (each replay itself rides the data path's
-#: internal retries, so this spans many seconds of simulated faults)
-_APPLY_ATTEMPTS = 64
-#: transaction tokens live far above any version a slot can reach
-_TOKEN_BASE = 1 << 62
+#: ``_Item.pending`` with no write buffered (``None`` is a buffered delete)
+_UNWRITTEN = object()
 
 
 class TxnError(RStoreError):
@@ -79,73 +80,66 @@ class TxnMisuseError(TxnError, FatalError):
     """API misuse: operating on a transaction that already finished."""
 
 
-def replay_idempotent(op_factory, backoff):
-    """Drive one idempotent post-decision write to completion
-    (generator): publishes and lock releases are plain writes, so
-    replaying them through faults is safe and *required* — the
-    decision is already made.  Shared with the 2PL baseline."""
-    for _attempt in range(_APPLY_ATTEMPTS):
-        try:
-            yield from op_factory()
-            return
-        except RecoverableError:
-            yield from backoff.pause()
-    raise TxnError(
-        f"idempotent commit write did not land within "
-        f"{_APPLY_ATTEMPTS} attempts"
-    )
+def _rkey(lock: SeqLock) -> tuple:
+    """``(region name, offset)``: a record's identity and lock order."""
+    return lock.mapping.name, lock.offset
 
 
-class _ReadEntry:
+class _ReadEntry(NamedTuple):
     """One validated-snapshot obligation: *lock*'s word must still be
     *version* at commit."""
 
-    __slots__ = ("lock", "version")
+    lock: SeqLock
+    version: int
 
-    def __init__(self, lock: SeqLock, version: int):
+
+class _Item:
+    """One record the transaction snapshotted and may write: a raw
+    SeqLock record, or the table slot holding (or chosen for) a key.
+
+    The application sees *value* — a record's body; a key's value,
+    ``None`` while the key is absent — or its own buffered *pending*.
+    A table key adds only its slot codec (*store*, *key*) and its
+    insert candidates (*frees*, ``[(index, version)]``); *lock* and
+    *version* stay ``None`` until an absent key claims one of them.
+    """
+
+    __slots__ = ("lock", "version", "value", "pending", "store", "key",
+                 "frees")
+
+    def __init__(self, lock, version, value, store=None, key=None, frees=()):
         self.lock = lock
-        self.version = version
-
-
-class _KeyState:
-    """Everything the transaction knows about one table key."""
-
-    __slots__ = ("store", "key", "index", "version", "exists", "value",
-                 "frees", "pending")
-
-    def __init__(self, store, key, index, version, exists, value, frees):
+        self.version = version      # the record's snapshot version
+        self.value = value
+        self.pending = _UNWRITTEN
         self.store = store
         self.key = key
-        self.index = index          # slot holding (or chosen for) the key
-        self.version = version      # its snapshot version
-        self.exists = exists
-        self.value = value
-        self.frees = frees          # insert candidates: [(index, version)]
-        self.pending = None         # None | ("put", value) | ("delete",)
+        self.frees = frees
+
+    @property
+    def visible(self):
+        """Read-your-writes: the buffered write, else the snapshot."""
+        return self.value if self.pending is _UNWRITTEN else self.pending
+
+    def body(self) -> bytes:
+        """The record body the buffered write publishes."""
+        store = self.store
+        if store is None:
+            return self.pending
+        if self.pending is None:
+            return ops.encode_body(b"", b"", store.key_size,
+                                   store.value_size, tombstone=True)
+        return ops.encode_body(self.key, self.pending, store.key_size,
+                               store.value_size)
 
 
-class _RecordState:
-    """One raw SeqLock record's snapshot and buffered write."""
+class _WriteEntry(NamedTuple):
+    """One record to lock and publish at commit."""
 
-    __slots__ = ("lock", "version", "body", "pending")
-
-    def __init__(self, lock, version, body):
-        self.lock = lock
-        self.version = version
-        self.body = body
-        self.pending = None
-
-
-class _WriteEntry:
-    """One slot/record to lock and publish at commit."""
-
-    __slots__ = ("lock", "rkey", "version", "body")
-
-    def __init__(self, lock, rkey, version, body):
-        self.lock = lock
-        self.rkey = rkey            # (region name, offset): the lock order
-        self.version = version      # expected pre-lock version
-        self.body = body
+    lock: SeqLock
+    rkey: tuple                     # the lock order
+    version: int                    # expected pre-lock version
+    body: bytes
 
 
 class Txn:
@@ -164,8 +158,8 @@ class Txn:
         self.deadline = deadline
         self._phase = "open"
         self._reads: dict = {}      # rkey -> _ReadEntry
-        self._keys: dict = {}       # (region, key) -> _KeyState
-        self._records: dict = {}    # rkey -> _RecordState
+        #: (region, key) for a table key, rkey for a raw record -> _Item
+        self._items: dict = {}
         self._insert_taken: set = set()
         self._read_backoff = Backoff(self.client.sim, runtime._rngs["read"])
 
@@ -186,7 +180,7 @@ class Txn:
         """Record one snapshot in the read-set; a second look at the
         same word must agree with the first or the snapshot is already
         torn."""
-        rkey = (lock.mapping.name, lock.offset)
+        rkey = _rkey(lock)
         entry = self._reads.get(rkey)
         if entry is None:
             self._reads[rkey] = _ReadEntry(lock, version)
@@ -195,56 +189,66 @@ class Txn:
                 f"snapshot of {rkey} torn mid-transaction "
                 f"(v{entry.version} -> v{version})"
             )
-        return rkey
 
-    def _snapshot_slot(self, store, index):
-        """One even-versioned slot snapshot (generator), read-set
-        recorded.  Retries while a writer holds the word."""
+    def _snapshot(self, lock: SeqLock):
+        """One even-versioned raw snapshot of *lock*'s record
+        (generator), read-set recorded: ``(version, body)``.  Retries
+        while a writer holds the word."""
         for _attempt in range(_SNAP_RETRIES):
-            version, key_len, key, value = yield from store.snapshot_slot(
-                index
-            )
+            version, body = yield from lock.snapshot()
             if version % 2 == 0:
-                self._note_read(store.slot_lock(index), version)
-                return version, key_len, key, value
+                self._note_read(lock, version)
+                return version, body
             self.runtime._m_read_retries.inc()
             yield from self._read_backoff.pause()
         raise TxnConflictError(
-            f"slot {index} stayed write-locked through "
-            f"{_SNAP_RETRIES} snapshots"
+            f"record at {_rkey(lock)} stayed "
+            f"write-locked through {_SNAP_RETRIES} snapshots"
         )
 
-    def _lookup(self, store, key: bytes):
-        """Probe *store* for *key* (generator); caches the state so a
+    def _record_item(self, lock: SeqLock):
+        """The item of a raw record (generator), snapshotted once."""
+        rkey = _rkey(lock)
+        item = self._items.get(rkey)
+        if item is None:
+            item = self._items[rkey] = _Item(
+                lock, *(yield from self._snapshot(lock)))
+        return item
+
+    def _key_item(self, store, key: bytes):
+        """Probe *store* for *key* (generator); caches the item so a
         transaction reads each key from the network exactly once."""
         store._check_key(key)
-        skey = (store.mapping.name, key)
-        state = self._keys.get(skey)
-        if state is not None:
-            return state
+        ikey = (store.mapping.name, key)
+        item = self._items.get(ikey)
+        if item is not None:
+            return item
+
+        def read_slot(index):
+            lock = store.slot_lock(index)
+            version, body = yield from self._snapshot(lock)
+            return (version, *ops.parse_body(body, store.key_size), lock)
+
         # the chain's reusable slots are the insert candidates; every
         # slot crossed is in the read-set, so a racing insert anywhere
         # on the chain invalidates this lookup at commit
-        outcome, index, snapshot, frees = yield from ops.walk(
-            key, store.chain(key), partial(self._snapshot_slot, store))
+        outcome, _index, snapshot, frees = yield from ops.walk(
+            key, store.chain(key), read_slot)
         if outcome == ops.HIT:
-            state = _KeyState(store, key, index, snapshot[0], True,
-                              snapshot[3], frees)
+            version, _key_len, _key, value, lock = snapshot
+            item = _Item(lock, version, value, store, key)
         else:
-            state = _KeyState(store, key, None, None, False, None, frees)
-        self._keys[skey] = state
-        return state
+            item = _Item(None, None, None, store, key, frees)
+        self._items[ikey] = item
+        return item
 
-    # -- buffered table ops ---------------------------------------------------
+    # -- buffered ops: table keys and raw records alike -----------------------
 
     def get(self, store, key: bytes):
         """Transactional lookup (generator): the committed value at
         snapshot time, or this transaction's own buffered write."""
         self._ensure_open()
-        state = yield from self._lookup(store, key)
-        if state.pending is not None:
-            return state.pending[1] if state.pending[0] == "put" else None
-        return state.value if state.exists else None
+        return (yield from self._key_item(store, key)).visible
 
     def put(self, store, key: bytes, value: bytes):
         """Buffer an insert/overwrite (generator); applied at commit."""
@@ -254,64 +258,35 @@ class Txn:
                 f"value of {len(value)} bytes exceeds slot value size "
                 f"{store.value_size}"
             )
-        state = yield from self._lookup(store, key)
-        if state.index is None:
+        item = yield from self._key_item(store, key)
+        if item.lock is None:
             # an absent key claims an insert slot now, so two inserts
             # in one transaction never target the same free slot
-            for index, version in state.frees:
+            for index, version in item.frees:
                 if (store.mapping.name, index) not in self._insert_taken:
-                    state.index, state.version = index, version
+                    item.lock, item.version = store.slot_lock(index), version
                     self._insert_taken.add((store.mapping.name, index))
                     break
             else:
                 raise KvFullError()
-        state.pending = ("put", bytes(value))
+        item.pending = bytes(value)
 
     def delete(self, store, key: bytes):
         """Buffer a delete (generator); returns whether the key was
         visible to this transaction."""
         self._ensure_open()
-        state = yield from self._lookup(store, key)
-        if state.pending is not None and state.pending[0] == "put":
-            # deleting our own insert just cancels it; deleting our own
-            # overwrite tombstones the committed slot
-            state.pending = ("delete",) if state.exists else None
-            return True
-        if state.pending is not None:
-            return False  # already deleted in this transaction
-        if not state.exists:
-            return False
-        state.pending = ("delete",)
+        item = yield from self._key_item(store, key)
+        if item.visible is None:
+            return False  # absent, or already deleted in this transaction
+        # deleting our own insert just cancels it; anything else
+        # tombstones the committed slot
+        item.pending = _UNWRITTEN if item.value is None else None
         return True
-
-    # -- raw SeqLock records --------------------------------------------------
-
-    def _record_state(self, lock: SeqLock):
-        rkey = (lock.mapping.name, lock.offset)
-        state = self._records.get(rkey)
-        if state is not None:
-            return state
-        for _attempt in range(_SNAP_RETRIES):
-            blob = yield from lock.mapping.read(lock.offset,
-                                                lock.record_size)
-            version = int.from_bytes(blob[:_WORD], "little")
-            if version % 2 == 0:
-                self._note_read(lock, version)
-                state = _RecordState(lock, version, blob[_WORD:])
-                self._records[rkey] = state
-                return state
-            self.runtime._m_read_retries.inc()
-            yield from self._read_backoff.pause()
-        raise TxnConflictError(
-            f"record at {rkey} stayed write-locked through "
-            f"{_SNAP_RETRIES} snapshots"
-        )
 
     def read_record(self, lock: SeqLock):
         """Snapshot a raw SeqLock record's body (generator)."""
         self._ensure_open()
-        state = yield from self._record_state(lock)
-        return state.pending if state.pending is not None else state.body
+        return (yield from self._record_item(lock)).visible
 
     def write_record(self, lock: SeqLock, body: bytes):
         """Buffer a full-body write of a raw record (generator)."""
@@ -321,32 +296,17 @@ class Txn:
                 f"body of {len(body)} bytes exceeds record body "
                 f"{lock.body_size}"
             )
-        state = yield from self._record_state(lock)
-        state.pending = bytes(body)
+        (yield from self._record_item(lock)).pending = bytes(body)
 
     # -- commit ---------------------------------------------------------------
 
     def _pending_writes(self):
-        writes = []
-        for state in self._keys.values():
-            if state.pending is None:
-                continue
-            store = state.store
-            lock = store.slot_lock(state.index)
-            if state.pending[0] == "put":
-                body = ops.encode_body(state.key, state.pending[1],
-                                       store.key_size, store.value_size)
-            else:
-                body = ops.encode_body(b"", b"", store.key_size,
-                                       store.value_size, tombstone=True)
-            writes.append(_WriteEntry(
-                lock, (lock.mapping.name, lock.offset), state.version, body
-            ))
-        for rkey, state in self._records.items():
-            if state.pending is None:
-                continue
-            writes.append(_WriteEntry(state.lock, rkey, state.version,
-                                      state.pending))
+        writes = [
+            _WriteEntry(item.lock, _rkey(item.lock), item.version,
+                        item.body())
+            for item in self._items.values()
+            if item.pending is not _UNWRITTEN
+        ]
         # deadlock freedom: every transaction locks in this same order
         writes.sort(key=lambda w: w.rkey)
         return writes
@@ -362,23 +322,19 @@ class Txn:
         client = self.client
         with client.rsan.exempt(client._rsan_actor):
             batch = client.batch()
-            futures = []
-            for rkey, entry in checks:
-                fut = yield from batch.read(entry.lock.mapping,
-                                            entry.lock.offset, _WORD)
-                futures.append((rkey, entry, fut))
+            for _rkey, entry in checks:
+                yield from batch.read(entry.lock.mapping, entry.lock.offset,
+                                      ops.WORD)
             yield from batch.flush()
-            stale = None
-            for rkey, entry, fut in futures:
-                word = yield from fut.wait()
-                observed = int.from_bytes(word, "little")
-                if stale is None and observed != entry.version:
-                    stale = (rkey, entry.version, observed)
-        if stale is not None:
-            raise TxnConflictError(
-                f"read of {stale[0]} invalidated: "
-                f"v{stale[1]} -> v{stale[2]}"
-            )
+            # a failed READ leaves none dangling
+            words = yield from batch.wait_all()
+        for (rkey, entry), word in zip(checks, words):
+            observed = int.from_bytes(word, "little")
+            if observed != entry.version:
+                raise TxnConflictError(
+                    f"read of {rkey} invalidated: "
+                    f"v{entry.version} -> v{observed}"
+                )
 
     def commit(self):
         """Lock, validate, publish (generator).
@@ -417,10 +373,11 @@ class Txn:
             # -- the commit point: every write below is idempotent and
             # replayed until it lands, so the decision cannot tear
             decided = True
-            read_keys = [entry.lock._sync_key(entry.version)
+            read_keys = [ops.sync_key(*rkey, entry.version)
                          for rkey, entry in self._reads.items()
                          if rkey not in write_rkeys]
-            write_keys = [w.lock._sync_key(w.version + 2) for w in writes]
+            write_keys = [ops.sync_key(*w.rkey, w.version + 2)
+                          for w in writes]
             client.rsan.txn_commit(client._rsan_actor,
                                    read_keys=read_keys,
                                    write_keys=write_keys)
@@ -503,12 +460,7 @@ class TxnRuntime:
 
     def begin(self, deadline: float = None) -> Txn:
         """One transaction attempt with a cluster-unique odd token."""
-        seq = getattr(self.client, "_txn_token_seq", 0) + 1
-        self.client._txn_token_seq = seq
-        host_id = self.client.nic.host.host_id
-        token = (_TOKEN_BASE | (host_id << 24)
-                 | ((seq % (1 << 23)) << 1) | 1)
-        return Txn(self, token,
+        return Txn(self, mint_token(self.client),
                    self.deadline if deadline is None else deadline)
 
     def run(self, fn, deadline: float = None, retries: int = None):

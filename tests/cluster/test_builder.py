@@ -100,3 +100,32 @@ def test_a_dropped_cluster_is_garbage(sanitize):
     del cluster, client, app
     gc.collect()
     assert sim() is None
+
+
+def test_a_cluster_does_not_depend_on_what_was_built_beside_it():
+    """Handle values (rkeys, QP numbers, PD handles) ride in pickled
+    RPC payloads, so they are simulated wire time: a simulation numbers
+    its own, and one built *between* another's build and run moves
+    neither its handles nor its clock."""
+    def build(machines=3):
+        return build_cluster(num_machines=machines,
+                             server_capacity=16 * MiB)
+
+    def drive(cluster):
+        client = cluster.client(1)
+
+        def app():
+            yield from client.alloc("solo", 256 * KiB)
+            mapping = yield from client.map("solo")
+            yield from mapping.write(0, b"x" * 4096)
+            return ([replica.rkey for stripe in mapping.desc.stripes
+                     for replica in stripe.replicas],
+                    sorted(qp.qp_num for qp in client._data_qps.values()),
+                    client._staging.mr.pd.handle)
+
+        return cluster.run_app(app()), cluster.sim.now
+
+    alone = drive(build())
+    first = build()
+    build(5)  # a neighbour, built after `first` and before it runs
+    assert drive(first) == alone

@@ -6,6 +6,8 @@ from repro.rdma.device import PAGE_SIZE
 from repro.rdma.memory import Buffer, HostMemory, MemoryRegion
 from repro.rdma.types import Access, RdmaError
 
+from tests.rdma.helpers import make_world, run
+
 
 def test_alloc_is_page_aligned_and_disjoint():
     mem = HostMemory(host_id=0)
@@ -40,11 +42,19 @@ def test_buffer_bounds_checked():
 
 
 def test_mr_keys_are_unique():
-    buf = Buffer(0x1000, 64, 0)
-    mr1 = MemoryRegion(buf, Access.LOCAL_WRITE)
-    mr2 = MemoryRegion(buf, Access.LOCAL_WRITE)
-    keys = {mr1.lkey, mr1.rkey, mr2.lkey, mr2.rkey}
-    assert len(keys) == 4
+    """Registration hands the keys out, from one sequence per
+    simulation: unique across its NICs, and the same in the next one."""
+    def register(world):
+        mrs = []
+        for nic in world.nics:
+            pd = yield from nic.alloc_pd()
+            mrs.append((yield from nic.reg_mr(pd, length=64)))
+        return [key for mr in mrs for key in (mr.lkey, mr.rkey)]
+
+    first, second = make_world(), make_world()
+    keys = run(first, register(first))
+    assert len(set(keys)) == 4 and 0 not in keys
+    assert run(second, register(second)) == keys
 
 
 def test_mr_check_remote_permissions():

@@ -14,6 +14,7 @@ import pytest
 from repro.cluster import build_cluster
 from repro.coord import SeqLock
 from repro.coord.base import read_word
+from repro.core import RStoreConfig
 from repro.core.errors import RegionUnavailableError
 from repro.obs import obs_for
 from repro.rdma.types import Opcode
@@ -213,3 +214,43 @@ def test_an_unsettled_intent_still_releases_every_one_it_won(dead):
         return word, (yield from survivor.read())
 
     assert cluster.run_app(app()) == (2, (2, (100).to_bytes(8, "little")))
+
+
+def test_a_failed_validation_read_leaves_no_future_dangling():
+    """A read-only transaction over three records validates with three
+    version-word READs on one flush.  The wire eats every READ to the
+    first record's server, so the first future fails — and the commit
+    must still have waited for (and, under the sanitizer, acked) the
+    other two before it raises: a future nobody waits on keeps its
+    error unobserved and stalls the actor's RSan watermark, which hides
+    later races."""
+    cluster = build_cluster(num_machines=4, server_capacity=16 * MiB,
+                            config=RStoreConfig(sanitize=True))
+    client = cluster.client(1)
+    batches = []
+
+    def recording_batch(make=client.batch):
+        batches.append(make())
+        return batches[-1]
+
+    def app():
+        yield from _records(cluster, homes=(2, 3, 3))
+        views = yield from _views(client, 3)
+        txn = TxnRuntime(client, label="dangling").begin()
+        for view in views:
+            yield from txn.read_record(view)
+        deaf = views[0].mapping.desc.stripes[0].primary.rkey
+        client.nic.fault_hook = lambda _host, wr: (
+            "eaten" if wr.opcode is Opcode.RDMA_READ and wr.rkey == deaf
+            else "")
+        client.batch = recording_batch
+        with pytest.raises(RegionUnavailableError):
+            yield from txn.commit()
+        assert txn.phase == "aborted"
+
+    cluster.run_app(app())
+    (validation,) = batches
+    assert len(validation.futures) == 3
+    assert validation.futures[0].error is not None
+    for fut in validation.futures:
+        assert fut.done and fut._rsan.acked
