@@ -64,12 +64,9 @@ class RStoreConfig:
     #: addressed by consistent hashing over qualified region names;
     #: 1 reproduces the original single-master control plane exactly
     control_shards: int = 1
-    #: client-side metadata cache: ``map`` serves descriptors from a
-    #: leased cache and hits a shard at most once per epoch per region
-    metadata_cache: bool = True
-    #: how long a cached descriptor lease is valid before the next
-    #: ``map`` re-validates it at its shard (epoch bumps and explicit
-    #: invalidation cut it short)
+    #: how long a descriptor lease in the client's metadata cache is
+    #: valid before the next ``map`` re-validates it at its shard (epoch
+    #: bumps and explicit invalidation cut it short)
     meta_lease_s: float = 5.0
     #: how long a cached *negative* entry (region does not exist)
     #: short-circuits ``map`` misses before re-asking the shard

@@ -50,10 +50,7 @@ class MetadataCache:
         #: stamped onto mutating control RPCs for fencing, and the
         #: invalidation signal for the leases below
         self.epochs: dict[int, int] = {}
-        #: region name -> :class:`_MetaEntry` descriptor lease.  Leases
-        #: are recorded whether or not ``config.metadata_cache`` is on;
-        #: the ablation's one gate is in :meth:`resolve`, their only
-        #: reader.
+        #: region name -> :class:`_MetaEntry` descriptor lease
         self._leases: dict[str, _MetaEntry] = {}
         #: name -> the one lookup in flight (``Simulator.single_flight``:
         #: concurrent misses coalesce onto one master RPC)
@@ -125,10 +122,6 @@ class MetadataCache:
         first caller's lookup and share its outcome — 32 clients racing
         a cold name cost the shard exactly one RPC.
         """
-        lookup = self._client.lookup
-        if not self._config.metadata_cache:
-            desc = yield from lookup(name)
-            return desc
         entry = self._leases.get(name)
         if entry is not None and entry.epoch < self.epochs.get(
                 entry.shard, 0):
@@ -145,4 +138,4 @@ class MetadataCache:
             return entry.desc
         (self.coalesced if name in self._inflight else self.misses).inc()
         return (yield from self._sim.single_flight(
-            self._inflight, name, partial(lookup, name)))
+            self._inflight, name, partial(self._client.lookup, name)))

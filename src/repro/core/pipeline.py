@@ -683,12 +683,10 @@ class OpPipeline:
             token = wc.wr_id
             if not isinstance(token, _WrToken):
                 continue
-            if tracer.enabled:
-                raised = getattr(wc, "_obs_raised", None)
-                if raised is not None:
-                    tracer.record("data.cq.complete", raised,
-                                  host=self.nic.host.host_id,
-                                  status=wc.status.value)
+            if tracer.enabled and wc._obs_raised is not None:
+                tracer.record("data.cq.complete", wc._obs_raised,
+                              host=self.nic.host.host_id,
+                              status=wc.status.value)
             group = token.group
             if group is None:
                 # synchronous single: one WR, one signaled completion

@@ -47,6 +47,8 @@ class MessagePassingEngine:
         self.compute = compute or GraphComputeModel()
         self.tag = tag
         self.parts = partition_by_edges(graph, len(self.worker_hosts))
+        #: rank -> fan-in Store, created on that worker's first receive
+        self._inboxes: dict = {}
 
     @property
     def num_workers(self) -> int:
@@ -148,16 +150,12 @@ class MessagePassingEngine:
         """Receive the next slice message from any peer (generator)."""
         # Each pairwise socket preserves order; fan-in across peers via
         # a shared inbox process started lazily per worker.
-        inbox = getattr(self, "_inboxes", None)
-        if inbox is None:
-            self._inboxes = {}
-            inbox = self._inboxes
-        box = inbox.get(rank)
+        box = self._inboxes.get(rank)
         if box is None:
             from repro.simnet.resources import Store
 
             box = Store(self.cluster.sim)
-            inbox[rank] = box
+            self._inboxes[rank] = box
 
             def pump(sock):
                 while True:

@@ -9,7 +9,7 @@ a completion channel.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.rdma.types import Opcode, WcStatus
@@ -33,6 +33,10 @@ class WorkCompletion:
     imm_data: Optional[int] = None
     #: error detail for non-SUCCESS completions
     detail: str = ""
+    #: when the NIC raised it, stamped only under an enabled tracer (the
+    #: client dispatcher's ``data.cq.complete`` span starts here)
+    _obs_raised: Optional[float] = field(default=None, init=False,
+                                         repr=False, compare=False)
 
     @property
     def ok(self) -> bool:

@@ -60,6 +60,10 @@ class SendWR:
                                          repr=False, compare=False)
     _obs_launched: Optional[float] = field(default=None, init=False,
                                            repr=False, compare=False)
+    # -- the posting QP's: sequence number the responder admits in order,
+    # -- and the completion parked until every earlier WR has one
+    _psn: int = field(default=0, init=False, repr=False, compare=False)
+    _wc: Any = field(default=None, init=False, repr=False, compare=False)
 
     def validate(self) -> None:
         if self.opcode is Opcode.RECV:

@@ -9,10 +9,10 @@ scenarios without writing simulation code:
 * ``pagerank``            — graph framework vs message passing (E5 shape)
 * ``sort``                — RSort vs TeraSort pipeline (E7 shape)
 * ``kv``                  — the one-sided KV table vs a sockets KV
+* ``txn``                 — contended OCC transfers (E14 shape)
 * ``stats``               — traced run: per-layer latency + call census
 * ``trace``               — traced run: the raw span timeline
-* ``lint``                — repro-lint: per-file invariants (RL001-7, RL012)
-* ``analyze``             — whole-program call-graph rules (RL008-11)
+* ``lint``                — repro-lint: the static rules RL001-RL012
 
 All numbers printed are simulated time/throughput.
 """
@@ -27,6 +27,7 @@ from repro.cluster import build_cluster
 from repro.core import RStoreConfig
 from repro.rdma.device import NicModel
 from repro.simnet.config import GiB, KiB, MiB, NetworkConfig, us
+from repro.tools import lint
 
 __all__ = ["main"]
 
@@ -438,20 +439,10 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def cmd_lint(args) -> int:
-    from repro.tools import lint
-
-    return lint.main([str(p) for p in args.paths])
+cmd_lint = lint.run
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    if argv[:1] == ["analyze"]:
-        # dispatched before argparse: the analyzer owns its own flags
-        # (argparse REMAINDER drops leading options like --json)
-        from repro.tools import analysis
-
-        return analysis.main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="RStore reproduction: simulated-cluster demos",
@@ -505,16 +496,8 @@ def main(argv=None) -> int:
             p.add_argument("--limit", type=int, default=60,
                            help="spans to print")
 
-    p = sub.add_parser("lint", help="repro-lint: repo invariant checks")
-    p.add_argument("paths", nargs="*",
-                   help="files or directories (default: src/repro, "
-                        "examples, benchmarks)")
-
-    sub.add_parser(
-        "analyze",
-        help="whole-program call-graph analysis (RL008-RL011)",
-        add_help=False,
-    )
+    lint.add_arguments(sub.add_parser(
+        "lint", help="repro-lint: repo invariant checks (RL001-RL012)"))
 
     args = parser.parse_args(argv)
     handler = globals()[f"cmd_{args.command}"]

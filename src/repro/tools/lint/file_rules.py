@@ -1,78 +1,22 @@
-"""repro-lint: AST checks for invariants ruff cannot express.
+"""The per-file rules: RL001-RL007 and RL012, decided from one module.
 
-Eight rule families, each guarding a design contract of this repo:
-
-* **RL001 — control-path isolation.**  Data-path modules (any file
-  under a ``coord``, ``graph``, ``sort``, ``kv`` or ``txn`` directory)
-  must not
-  import master/RPC machinery, and may call control-path client
-  methods (``alloc``, ``map``, ``lookup``, ``free``, …) only from
-  functions whose name marks them as setup/teardown (``create``,
-  ``open``, ``load``, ``prepare``, …).  This is the paper's separation
-  thesis as a lint rule: steady-state code stays one-sided.
-* **RL002 — simulation determinism.**  No wall-clock reads
-  (``time.time()`` and friends) and no draws from the process-global
-  ``random`` module (or unseeded ``random.Random()`` / numpy
-  generators) outside ``simnet/``.  Every source of nondeterminism
-  must flow through the simulator's seeded streams, or seeded replay
-  breaks.
-* **RL003 — no dropped futures.**  A bare expression statement whose
-  value is a ``*_async`` call throws the :class:`OpFuture` away:
-  nobody will ever observe its error, and (to the race sanitizer) the
-  op never happens-before anything.  Store it, await it, or batch it.
-* **RL004 — instrument naming.**  Metric and span names follow the
-  ``layer.noun_verb`` registry convention with a known first segment,
-  so dashboards and ``report.py`` groupers keep working.
-* **RL005 — bounded retries.**  A ``while True:`` loop that catches an
-  exception and ``continue``\\ s is an unbounded retry: under a
-  partition it spins (and keeps the simulation alive) forever.  Every
-  retry loop outside ``simnet/`` must be visibly bounded — by a
-  deadline, an attempt budget, or a :class:`Backoff` with a deadline —
-  or carry an explicit allow comment.
-* **RL006 — master endpoints dial through the shard router.**  Since
-  the control plane partitioned into metadata shards, the only code
-  allowed to name a master's wire endpoint (``config.master_service``)
-  is the shard layer itself (``core/shard*.py``) and the master that
-  binds it (``core/master.py``).  Everyone else asks the
-  :class:`ShardRouter` — otherwise a module silently pins itself to
-  shard 0 and breaks under ``control_shards > 1``.
-* **RL007 — server-op handlers stay on the data plane.**  Server-side
-  executors (``server_*.py`` under a ``datapath`` directory) run
-  *inside* a memory server's RPC dispatch on behalf of a remote
-  client: one that imports master/RPC/shard machinery or dials a
-  control endpoint turns a data op into a hidden control RPC — a
-  deadlock risk (the master may be mid-recovery while data ops flow)
-  and a violation of the separation thesis at its sharpest point.
-* **RL012 — no hash-ordered simulated work.**  A ``for`` directly over
-  a ``set(...)`` / ``frozenset(...)`` / set literal / set comprehension
-  visits its elements in hash order, which for ``bytes`` and ``str``
-  moves with ``PYTHONHASHSEED``.  If the loop body yields to the
-  simulator or posts work (``*_async``, ``post_*``), the order of
-  simulated events — and every number downstream — changes from run to
-  run.  Dedupe with ``dict.fromkeys`` or iterate ``sorted(...)``.
-
-Findings print as ``path:line: RLxxx message``; the process exits
-nonzero if any survive.  Suppress a deliberate finding with a trailing
-``# repro-lint: allow[RLxxx]`` comment on the flagged line.
+Each needs nothing beyond the file's own AST, its tree-relative path
+and its import bindings, so :func:`repro.tools.lint.summary.summarize_source`
+runs :func:`check_file` while it extracts the summary and the findings
+travel in the summary's ``findings`` list.  The AST helpers the summary
+extraction shares (``_dotted``, ``_own_nodes``, ``_retrying_trys`` ...)
+live here too, written once.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import re
-import sys
-from pathlib import Path
+from pathlib import PurePath
 
-from repro.tools.source import (
-    Violation,
-    default_paths,
-    iter_python_files,
-    load_source,
-    tree_root,
-)
+from repro.tools.source import Violation
 
-__all__ = ["Violation", "default_paths", "lint_file", "lint_paths", "main"]
+__all__ = ["check_file"]
 
 #: path segments marking one-sided data-path packages (RL001 scope)
 DATA_PATH_SEGMENTS = {"coord", "graph", "sort", "kv", "txn"}
@@ -222,23 +166,39 @@ def _is_set_expr(node) -> bool:
             and node.func.id in ("set", "frozenset"))
 
 
-def _does_simulated_work(stmts) -> bool:
-    """True if *stmts* yield to the simulator or post work, outside any
-    nested function definition."""
-    todo = list(stmts)
-    while todo:
-        node = todo.pop()
+def _own_nodes(body):
+    """DFS over statements/expressions of one function, not entering
+    nested function or class definitions."""
+    stack = list(reversed(body))
+    while stack:
+        node = stack.pop()
+        yield node
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
+                             ast.ClassDef)):
             continue
-        if isinstance(node, (ast.Yield, ast.YieldFrom)):
-            return True
-        if isinstance(node, ast.Call):
-            name = _attr_name(node.func)
-            if name.endswith("_async") or name.startswith("post_"):
-                return True
-        todo.extend(ast.iter_child_nodes(node))
-    return False
+        stack.extend(reversed(list(ast.iter_child_nodes(node))))
+
+
+def _is_async_call(call: ast.Call) -> bool:
+    return _attr_name(call.func).endswith("_async")
+
+
+def _does_simulated_work(stmts) -> bool:
+    """True if *stmts* yield to the simulator or post work."""
+    return any(
+        isinstance(node, (ast.Yield, ast.YieldFrom))
+        or (isinstance(node, ast.Call)
+            and (_is_async_call(node)
+                 or _attr_name(node.func).startswith("post_")))
+        for node in _own_nodes(stmts))
+
+
+def _control_named(name_stack) -> bool:
+    """A function may use the control path if its own or any enclosing
+    function's name carries a create/open/setup/teardown token."""
+    return any(token in name.lower()
+               for name in name_stack
+               for token in CONTROL_FUNC_TOKENS)
 
 
 def _unwrap_awaitable(node):
@@ -253,8 +213,11 @@ def _unwrap_awaitable(node):
 
 
 class _Checker(ast.NodeVisitor):
-    def __init__(self, path: Path, rel: str):
+    def __init__(self, rel: str, imports: dict):
         self.rel = rel
+        #: the module's import bindings (name -> absolute dotted target)
+        self.imports = imports
+        path = PurePath(rel)
         parts = set(path.parts)
         self.data_path = bool(parts & DATA_PATH_SEGMENTS)
         self.in_simnet = "simnet" in parts
@@ -279,13 +242,6 @@ class _Checker(ast.NodeVisitor):
         self.func_stack.pop()
 
     visit_AsyncFunctionDef = visit_FunctionDef
-
-    def _in_control_func(self) -> bool:
-        return any(
-            token in name.lower()
-            for name in self.func_stack
-            for token in CONTROL_FUNC_TOKENS
-        )
 
     # -- RL001: imports -------------------------------------------------------
 
@@ -357,12 +313,10 @@ class _Checker(ast.NodeVisitor):
 
     def visit_Expr(self, node):
         call = _unwrap_awaitable(node.value)
-        if call is not None:
-            name = _attr_name(call.func)
-            if name.endswith("_async"):
-                self.flag(node, "RL003",
-                          f"result of {name}() is discarded — the future "
-                          "must be stored, awaited, or batched")
+        if call is not None and _is_async_call(call):
+            self.flag(node, "RL003",
+                      f"result of {_attr_name(call.func)}() is discarded — "
+                      "the future must be stored, awaited, or batched")
         self.generic_visit(node)
 
     # -- calls: RL001 / RL002 / RL004 ----------------------------------------
@@ -374,7 +328,7 @@ class _Checker(ast.NodeVisitor):
         # RL001: control-path calls from steady-state data-path code
         if (self.data_path and name in CONTROL_METHODS
                 and isinstance(node.func, ast.Attribute)
-                and not self._in_control_func()):
+                and not _control_named(self.func_stack)):
             where = (f"function {self.func_stack[-1]!r}" if self.func_stack
                      else "module level")
             self.flag(node, "RL001",
@@ -391,6 +345,10 @@ class _Checker(ast.NodeVisitor):
 
         # RL002: nondeterminism outside simnet/
         if not self.in_simnet:
+            # through the import bindings, so `from time import
+            # perf_counter` and `import random as r` are the same callee
+            head, dot, rest = dotted.partition(".")
+            dotted = self.imports.get(head, head) + dot + rest
             root, _, leaf = dotted.rpartition(".")
             if root == "time" and leaf in WALL_CLOCK_FUNCS:
                 self.flag(node, "RL002",
@@ -456,52 +414,8 @@ class _Checker(ast.NodeVisitor):
                       f"{segment!r} (known: {', '.join(sorted(LAYERS))})")
 
 
-def lint_file(path: Path, root: Path = None) -> list[Violation]:
-    """Lint one Python file; returns its surviving violations."""
-    source = load_source(path, root=root)
-    if source.error is not None:
-        return [source.error]
-    checker = _Checker(path, source.rel)
-    checker.visit(source.tree)
-    return [v for v in checker.violations if not source.suppressed(v)]
-
-
-def lint_paths(paths: list[Path], root: Path = None) -> list[Violation]:
-    """Lint files and directories (recursively); returns all findings."""
-    violations: list[Violation] = []
-    for file in iter_python_files(paths):
-        violations.extend(lint_file(file, root=root))
-    violations.sort(key=lambda v: (v.path, v.line, v.rule))
-    return violations
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro lint",
-        description="check repo invariants ruff cannot express",
-    )
-    parser.add_argument("paths", nargs="*", type=Path,
-                        help="files or directories (default: src/repro, "
-                             "examples, benchmarks)")
-    args = parser.parse_args(argv)
-    # the tree root comes from the package location, not the cwd: a
-    # `python -m repro lint` from anywhere still lints this repo
-    root = tree_root()
-    paths = args.paths or default_paths(root)
-    if not iter_python_files(paths):
-        print("repro-lint: no Python files in scope — nothing was "
-              "checked (refusing to report a clean tree)",
-              file=sys.stderr)
-        return 2
-    violations = lint_paths(paths, root=root)
-    for violation in violations:
-        print(violation)
-    if violations:
-        print(f"repro-lint: {len(violations)} violation(s)")
-        return 1
-    print("repro-lint: clean")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via the CLI
-    sys.exit(main())
+def check_file(tree: ast.AST, rel: str, imports: dict) -> list:
+    """RL001-RL007 and RL012 findings for one parsed module."""
+    checker = _Checker(rel, imports)
+    checker.visit(tree)
+    return checker.violations

@@ -1,4 +1,4 @@
-"""The interprocedural rules: RL008-RL011 over a linked Program.
+"""The program rules: RL008-RL011 over a linked Program.
 
 Each rule consumes the per-function summaries plus one of the
 Program's fixpoints and yields :class:`Violation` findings.  The
@@ -283,14 +283,7 @@ def _rl011(program):
 
 
 def run_rules(program) -> list:
-    """All interprocedural findings, plus the summaries' local ones."""
-    findings = []
-    for summary in program.modules.values():
-        for func in summary["functions"].values():
-            for f in func["findings"]:
-                findings.append(Violation(
-                    summary["rel"], f["line"], f["rule"], f["message"]))
-    for rule in (_rl008, _rl009, _rl010, _rl011):
-        findings.extend(rule(program))
-    findings.sort(key=lambda v: (v.path, v.line, v.rule))
-    return findings
+    """Every finding the four program rules make, unsorted."""
+    return [violation
+            for rule in (_rl008, _rl009, _rl010, _rl011)
+            for violation in rule(program)]

@@ -1,17 +1,17 @@
-"""Per-file extraction: one JSON-friendly summary per module.
+"""Per-file extraction: one summary per module, parsed once.
 
-Everything the interprocedural passes need from a file is distilled
-here into plain dicts — imports, classes (bases, constructed attribute
-types), and per-function records of the calls made, control-path
-sites, lock acquire/release order, future creation and consumption,
-raises, and broad retry-loop catches.  Dicts, not AST nodes, so the
-whole summary round-trips through the mtime+hash cache and a warm
-``repro analyze`` never re-parses an unchanged file.
+Everything the program rules need from a file is distilled here into
+plain dicts — imports, classes (bases, constructed attribute types),
+and per-function records of the calls made, control-path sites, lock
+acquire/release order, future creation and consumption, raises, and
+broad retry-loop catches — and the parsed tree is not looked at again.
 
-Findings that need no cross-function knowledge (a ``*_async`` future
-assigned to a name that is never read again) are decided here and
-travel inside the summary; everything else is left as raw material for
-:mod:`repro.tools.analysis.rules`.
+Findings that need no cross-function knowledge are decided here and
+travel in the summary's ``findings`` list: the per-file rules
+(:mod:`repro.tools.lint.file_rules`) and the intraprocedural half of
+RL009 (a ``*_async`` future assigned to a name that is never read
+again).  Everything else is raw material for
+:mod:`repro.tools.lint.program_rules`.
 """
 
 from __future__ import annotations
@@ -19,21 +19,21 @@ from __future__ import annotations
 import ast
 from pathlib import PurePath
 
-from repro.tools.lint import (
-    CONTROL_FUNC_TOKENS,
+from repro.tools.lint.file_rules import (
     CONTROL_METHODS,
     DATA_PATH_SEGMENTS,
+    _control_named,
     _dotted,
     _handler_continues,
+    _is_async_call,
+    _own_nodes,
     _retrying_trys,
     _unwrap_awaitable,
+    check_file,
 )
-from repro.tools.source import SourceFile
+from repro.tools.source import SourceFile, Violation
 
-__all__ = ["SCHEMA_VERSION", "module_name", "summarize_source"]
-
-#: bump to invalidate every cached summary when the shape changes
-SCHEMA_VERSION = 1
+__all__ = ["module_name", "summarize_source"]
 
 #: attribute calls that acquire a coordination lock (RL010)
 ACQUIRE_METHODS = {"acquire", "try_acquire", "try_lock"}
@@ -117,28 +117,6 @@ def _ctor_record(value):
     return {"ctor": ctor, "name": _first_str_arg(call)}
 
 
-def _is_async_call(call: ast.Call) -> bool:
-    if isinstance(call.func, ast.Attribute):
-        return call.func.attr.endswith("_async")
-    if isinstance(call.func, ast.Name):
-        return call.func.id.endswith("_async")
-    return False
-
-
-def _own_nodes(body):
-    """DFS over statements/expressions of one function, not entering
-    nested function or class definitions."""
-    stack = list(reversed(body))
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            continue
-        stack.extend(reversed([child for child in
-                               ast.iter_child_nodes(node)]))
-
-
 def _broad_handler(handler: ast.ExceptHandler) -> bool:
     if handler.type is None:
         return True
@@ -151,7 +129,7 @@ def _broad_handler(handler: ast.ExceptHandler) -> bool:
     return False
 
 
-def _summarize_function(node, qual, cls, control_named):
+def _summarize_function(node, qual, cls, control_named, rel):
     calls = []            # [{line, name, recv}]
     call_index = {}       # id(Call) -> index
     own = [n for n in _own_nodes(node.body)]
@@ -196,15 +174,12 @@ def _summarize_function(node, qual, cls, control_named):
                 if _is_async_call(value):
                     future_vars.add(target.id)
                     if target.id not in loads:
-                        findings.append({
-                            "rule": "RL009", "line": sub.lineno,
-                            "function": qual,
-                            "message": (
-                                f"future assigned to {target.id!r} is "
-                                "never read again — nobody waits it, "
-                                "nobody sees its error (and to RSan "
-                                "the op stays concurrent forever)"),
-                        })
+                        findings.append(Violation(
+                            rel, sub.lineno, "RL009",
+                            f"future assigned to {target.id!r} is never "
+                            "read again — nobody waits it, nobody sees "
+                            "its error (and to RSan the op stays "
+                            "concurrent forever)"))
                 elif id(value) in call_index and target.id not in loads:
                     assigned_calls.append({
                         "line": sub.lineno, "var": target.id,
@@ -309,39 +284,32 @@ def _summarize_function(node, qual, cls, control_named):
         "assigned_calls": assigned_calls,
         "raises": raises,
         "swallows": swallows,
-        "findings": findings,
-    }, attr_writes
-
-
-def _is_control_named(stack) -> bool:
-    return any(token in name.lower()
-               for name in stack
-               for token in CONTROL_FUNC_TOKENS)
+    }, attr_writes, findings
 
 
 def summarize_source(source: SourceFile) -> dict:
-    """The whole-module summary the linker and cache consume."""
+    """The whole-module summary the linker consumes."""
     rel = source.rel
     module = module_name(rel)
-    parts = set(PurePath(rel).parts)
+    imports = _collect_imports(source.tree, module)
     summary = {
-        "schema": SCHEMA_VERSION,
         "rel": rel,
         "module": module,
-        "data_path": bool(parts & DATA_PATH_SEGMENTS),
-        "imports": _collect_imports(source.tree, module),
+        "data_path": bool(set(PurePath(rel).parts) & DATA_PATH_SEGMENTS),
+        "imports": imports,
         "classes": {},
         "functions": {},
-        "allow": {str(k): sorted(v) for k, v in
-                  source.allow_map().items()},
+        "findings": check_file(source.tree, rel, imports),
+        "allow": source.allow_map(),
     }
 
     def visit_function(node, prefix, cls, name_stack):
         qual = f"{prefix}{node.name}" if prefix else node.name
         stack = name_stack + [node.name]
-        record, attr_writes = _summarize_function(
-            node, qual, cls, _is_control_named(stack))
+        record, attr_writes, findings = _summarize_function(
+            node, qual, cls, _control_named(stack), rel)
         summary["functions"][qual] = record
+        summary["findings"].extend(findings)
         if cls is not None and attr_writes:
             summary["classes"][cls]["attrs"].update(attr_writes)
         for child in node.body:

@@ -1,11 +1,9 @@
-"""Shared source layer for the repo's static tools.
+"""The source layer of repro-lint (:mod:`repro.tools.lint`).
 
-``repro lint`` (per-file syntactic checks) and ``repro analyze``
-(whole-program call-graph checks) used to each own a copy of the
-boring-but-load-bearing plumbing: reading files, parsing them, mapping
-paths to repo-relative names, honouring ``# repro-lint: allow[RLxxx]``
-suppression comments, and printing ``path:line: RLxxx message``
-findings.  This module is the single copy both tools import.
+The boring-but-load-bearing plumbing: reading files, parsing them,
+mapping paths to repo-relative names, finding ``# repro-lint:
+allow[RLxxx]`` suppression comments, and printing ``path:line: RLxxx
+message`` findings.
 
 Key pieces:
 
@@ -15,10 +13,10 @@ Key pieces:
   AST (or the RL000 violation explaining why it would not parse), and
   the per-line ``allow[...]`` suppression map.
 * :func:`tree_root` — the repo root resolved from *this package's*
-  location, not the invocation cwd, so running the tools from any
+  location, not the invocation cwd, so running the tool from any
   directory still finds (and lints) the tree.
 * :func:`default_paths` / :func:`iter_python_files` — the default
-  tool scope (library, examples, benchmarks; tests excluded because
+  scope (library, examples, benchmarks; tests excluded because
   ``tests/lint`` fixtures *must* violate) and recursive ``*.py``
   discovery.
 """
@@ -96,13 +94,6 @@ class SourceFile:
             if rules:
                 out[lineno] = rules
         return out
-
-    def suppressed(self, violation: Violation) -> bool:
-        if not 1 <= violation.line <= len(self.lines):
-            return False
-        return violation.rule in allowed_rules(
-            self.lines[violation.line - 1]
-        )
 
 
 def relative_name(path: Path, root: Optional[Path]) -> str:

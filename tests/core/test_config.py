@@ -54,4 +54,24 @@ def test_every_knob_has_a_mover():
                     passed.update(kw.arg for kw in node.keywords)
     knobs = {f.name for f in dataclasses.fields(RStoreConfig)}
     assert knobs - DEPLOYMENT_IDENTIFIERS - passed == set()
-    assert len(knobs) <= 23
+    assert len(knobs) <= 22
+
+
+def test_no_private_state_is_conjured_by_a_getattr_default():
+    """``getattr(obj, "_name", default)`` is state its class does not
+    declare (the PR-23 ``_txn_token_seq`` shape): declare the attribute
+    where the class is defined and read it plainly."""
+    root = Path(__file__).resolve().parents[2] / "src" / "repro"
+    conjured = [
+        f"{path.relative_to(root)}:{node.lineno}"
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name) and node.func.id == "getattr"
+        and len(node.args) == 3
+        and isinstance(node.args[1], ast.Constant)
+        and isinstance(node.args[1].value, str)
+        and node.args[1].value.startswith("_")
+        and not node.args[1].value.startswith("__")
+    ]
+    assert conjured == []

@@ -232,17 +232,3 @@ def test_32_concurrent_misses_coalesce_to_one_rpc():
     )
     assert client.metadata_cache_misses == 1
     assert client.metadata_cache_coalesced == 31
-
-
-def test_cache_disabled_falls_back_to_per_map_lookups():
-    cluster = fresh_cluster(metadata_cache=False)
-    client = cluster.client(1)
-
-    def app():
-        yield from client.alloc("uncached", 128 * KiB)
-        baseline = client.master_calls
-        yield from client.map("uncached")
-        yield from client.map("uncached")
-        assert client.master_calls == baseline + 2
-
-    cluster.run_app(app())

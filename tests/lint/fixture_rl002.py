@@ -3,7 +3,11 @@
 ``# -> RLxxx`` markers name the expected finding on that line."""
 
 import random
+import random as r
 import time
+import time as t
+from random import randint
+from time import perf_counter
 
 
 def stamp():
@@ -17,3 +21,13 @@ def jitter():
     rng = random.Random()                   # -> RL002
     allowed = random.random()  # repro-lint: allow[RL002]
     return backoff, rng, allowed
+
+
+def aliased():
+    # the same callees reached through other import spellings
+    started = perf_counter()                # -> RL002
+    now = t.time()                          # -> RL002
+    pick = randint(0, 9)                    # -> RL002
+    draw = r.random()                       # -> RL002
+    seeded = r.Random(1234)
+    return started, now, pick, draw, seeded

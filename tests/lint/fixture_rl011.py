@@ -3,7 +3,8 @@
 A retry loop whose broad handler swallows everything traps Fatal
 errors — deterministic failures that retrying cannot fix.  The class
 names matter, not the import: the rule keys off the ``FatalError``
-base by name.
+base by name.  The loops are bounded, so RL005 has nothing to say:
+swallowing a fatal is wrong however few times it is retried.
 """
 
 
@@ -26,7 +27,7 @@ def _charge(meter):
 
 
 def retry_forever(meter):
-    while True:
+    while not meter.expired():
         try:
             return _charge(meter)
         except Exception:  # -> RL011
@@ -34,7 +35,7 @@ def retry_forever(meter):
 
 
 def retry_bare(meter):
-    while True:
+    while not meter.expired():
         try:
             return meter.debit()
         except:  # -> RL011
@@ -43,7 +44,7 @@ def retry_bare(meter):
 
 # must-pass: a narrow handler lets fatals propagate
 def retry_recoverable(meter):
-    while True:
+    while not meter.expired():
         try:
             return _charge(meter)
         except RecoverableError:
@@ -52,7 +53,7 @@ def retry_recoverable(meter):
 
 # must-pass: broad, but re-raises the deterministic failures
 def retry_filtering(meter):
-    while True:
+    while not meter.expired():
         try:
             return _charge(meter)
         except Exception as exc:

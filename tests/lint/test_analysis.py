@@ -1,78 +1,43 @@
-"""repro-analyze against its fixtures, the tree, and its own plumbing.
+"""repro-lint's program rules: fixtures, call-path contract, linking.
 
-Same marker convention as ``test_lint``: fixtures plant violations
-with ``# -> RLxxx`` comments and the tests derive expectations from
-them, so fixtures can be edited without chasing line numbers.  On top
-of that: the RL008 call-path contract, the ``--json`` schema CI diffs,
-baseline and cache round-trips, and name-resolution unit tests over
-synthetic programs.
+Runs the RL008-RL011 rows of the fixture table in
+``tests/lint/__init__.py``, then what only the linked program can
+show: the RL008 call-path contract, the ``--json`` schema CI archives,
+and name-resolution unit tests over synthetic programs.
 """
 
 import ast
 import json
-import re
-import time
 from pathlib import Path
 
 import pytest
 
-from repro.tools.analysis import (
-    Program,
-    analyze_paths,
-    summarize_source,
-)
-from repro.tools.analysis import main as analyze_main
+from repro.tools import lint
+from repro.tools.lint import Program, summarize_source
 from repro.tools.source import SourceFile
-
-HERE = Path(__file__).parent
-REPO = HERE.parent.parent
-_MARKER = re.compile(r"#\s*->\s*(RL\d{3})")
-
-FIXTURES = {
-    "RL008": HERE / "coord" / "fixture_rl008.py",
-    "RL009": HERE / "fixture_rl009.py",
-    "RL010": HERE / "fixture_rl010.py",
-    "RL011": HERE / "fixture_rl011.py",
-}
-
-
-def _expected(path: Path) -> set[tuple[int, str]]:
-    return {
-        (lineno, match.group(1))
-        for lineno, text in enumerate(path.read_text().splitlines(), 1)
-        for match in [_MARKER.search(text)]
-        if match
-    }
-
-
-def _analyze(paths, **kwargs):
-    kwargs.setdefault("use_cache", False)
-    return analyze_paths([Path(p) for p in paths], REPO, **kwargs)
+from tests.lint import (
+    FIXTURES,
+    PROGRAM_RULES,
+    check_cli_exits_1_on_fixture,
+    check_fixture_flags_its_marked_lines,
+    findings,
+)
 
 
 # -- the four rules against their fixtures ---------------------------------
 
-@pytest.mark.parametrize("rule", sorted(FIXTURES))
+@pytest.mark.parametrize("rule", PROGRAM_RULES)
 def test_fixture_findings_match_markers(rule):
-    path = FIXTURES[rule]
-    result = _analyze([path])
-    found = {(v.line, v.rule) for v in result.findings}
-    assert found == _expected(path)
-    assert found, f"fixture for {rule} plants no violations"
-    assert {r for _, r in found} == {rule}
+    check_fixture_flags_its_marked_lines(rule)
 
 
-@pytest.mark.parametrize("rule", sorted(FIXTURES))
+@pytest.mark.parametrize("rule", PROGRAM_RULES)
 def test_cli_exits_nonzero_on_each_fixture(rule, capsys):
-    assert analyze_main(["--no-cache", str(FIXTURES[rule])]) == 1
-    out = capsys.readouterr().out
-    assert f" {rule} " in out
-    assert "finding(s)" in out
+    check_cli_exits_1_on_fixture(rule, capsys)
 
 
 def test_rl008_prints_the_full_call_path():
-    result = _analyze([FIXTURES["RL008"]])
-    deep = next(v for v in result.findings
+    deep = next(v for v in findings(FIXTURES["RL008"])
                 if "read_slot_deep" in v.message)
     assert "2-hop" in deep.message
     text = str(deep)
@@ -84,101 +49,49 @@ def test_rl008_prints_the_full_call_path():
 
 
 def test_rl010_names_both_sides_of_the_inversion():
-    result = _analyze([FIXTURES["RL010"]])
-    hidden = next(v for v in result.findings
+    hidden = next(v for v in findings(FIXTURES["RL010"])
                   if "through _take_delta" in v.message)
     assert "RemoteLock:gamma" in str(hidden)
     assert "RemoteLock:delta" in str(hidden)
 
 
 def test_rl011_witnesses_the_reachable_fatal():
-    result = _analyze([FIXTURES["RL011"]])
-    witnessed = next(v for v in result.findings
+    witnessed = next(v for v in findings(FIXTURES["RL011"])
                      if "QuotaError" in v.message)
     assert "silently retried forever" in witnessed.message
 
 
-# -- the tree itself --------------------------------------------------------
-
-def test_cli_exits_zero_on_the_tree(capsys):
-    assert analyze_main(["--no-cache"]) == 0
-    assert "repro-analyze: clean" in capsys.readouterr().out
-
-
-def test_shipped_baseline_is_empty():
-    payload = json.loads((REPO / "analysis-baseline.json").read_text())
-    assert payload == {"version": 1, "findings": []}
-
-
-def test_warm_cache_run_over_the_tree_is_fast():
-    scope = [REPO / "src" / "repro"]
-    analyze_paths(scope, REPO, use_cache=True)  # populate
-    t0 = time.monotonic()
-    result = analyze_paths(scope, REPO, use_cache=True)
-    elapsed = time.monotonic() - t0
-    assert result.cache.misses == 0
-    assert result.cache.hits == result.files
-    assert elapsed < 2.0, f"warm analyze took {elapsed:.2f}s"
-
-
 # -- CLI contract -----------------------------------------------------------
 
-def test_cli_json_schema_is_stable(capsys):
-    assert analyze_main(
-        ["--json", "--no-cache", str(FIXTURES["RL009"])]) == 1
+def test_cli_exits_zero_on_the_tree(capsys):
+    # clean *and* linked: a clean verdict from a linker that resolved
+    # nothing would be vacuous
+    assert lint.main(["--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["version"] == 1
-    assert payload["tool"] == "repro-analyze"
+    assert payload["findings"] == []
+    assert payload["stats"]["files"] > 100
+    assert payload["stats"]["call_edges"] > payload["stats"]["files"]
+
+
+def test_cli_json_schema_is_stable(capsys):
+    assert lint.main(["--json", str(FIXTURES["RL009"])]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["version"] == 2
+    assert payload["tool"] == "repro-lint"
     assert payload["findings"]
     for finding in payload["findings"]:
         assert set(finding) == {"rule", "path", "line", "message",
-                                "detail", "fingerprint"}
-        assert re.fullmatch(r"[0-9a-f]{16}", finding["fingerprint"])
+                                "detail"}
     assert set(payload["stats"]) == {
-        "files", "functions", "call_edges", "suppressed", "baselined",
-        "cache_hits", "cache_misses",
+        "files", "functions", "call_edges", "suppressed",
     }
 
 
 def test_cli_exits_2_on_empty_scope(tmp_path, capsys):
-    assert analyze_main(["--no-cache", str(tmp_path)]) == 2
-    assert "nothing was checked" in capsys.readouterr().err
-
-
-def test_repro_cli_dispatches_analyze(capsys):
-    from repro.tools.cli import main as repro_main
-
-    rc = repro_main(["analyze", "--json", "--no-cache",
-                     str(FIXTURES["RL010"])])
-    assert rc == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert {f["rule"] for f in payload["findings"]} == {"RL010"}
-
-
-def test_fingerprints_survive_edits_above_the_finding(tmp_path):
-    victim = tmp_path / "victim.py"
-    body = ("def go(client):\n"
-            "    fut = yield from client.read_async(0, 8)\n")
-    victim.write_text(body)
-    first = _analyze([victim]).to_json()["findings"]
-    victim.write_text("# a new comment shifts every line\n\n" + body)
-    second = _analyze([victim]).to_json()["findings"]
-    assert [f["line"] for f in first] != [f["line"] for f in second]
-    assert ([f["fingerprint"] for f in first]
-            == [f["fingerprint"] for f in second])
-
-
-def test_baseline_round_trip_grandfathers_findings(tmp_path, capsys):
-    victim = tmp_path / "victim.py"
-    victim.write_text("def go(client):\n"
-                      "    fut = yield from client.read_async(0, 8)\n")
-    baseline = tmp_path / "baseline.json"
-    assert analyze_main(["--no-cache", "--write-baseline",
-                         "--baseline", str(baseline), str(victim)]) == 0
-    assert "baselined 1 finding(s)" in capsys.readouterr().out
-    assert analyze_main(["--no-cache", "--baseline", str(baseline),
-                         str(victim)]) == 0
-    assert "1 baselined" in capsys.readouterr().out
+    assert lint.main(["--json", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert "nothing was checked" in captured.err
+    assert captured.out == ""
 
 
 def test_allow_comment_suppresses_a_finding(tmp_path):
@@ -187,7 +100,7 @@ def test_allow_comment_suppresses_a_finding(tmp_path):
         "def go(client):\n"
         "    fut = yield from client.read_async(0, 8)"
         "  # repro-lint: allow[RL009]\n")
-    result = _analyze([victim])
+    result = lint.lint_paths([victim])
     assert not result.findings
     assert result.suppressed == 1
 
@@ -195,32 +108,8 @@ def test_allow_comment_suppresses_a_finding(tmp_path):
 def test_unparsable_file_is_an_rl000_error(tmp_path, capsys):
     victim = tmp_path / "broken.py"
     victim.write_text("def broken(:\n")
-    assert analyze_main(["--no-cache", str(victim)]) == 1
+    assert lint.main([str(victim)]) == 1
     assert "RL000" in capsys.readouterr().out
-
-
-# -- cache behaviour --------------------------------------------------------
-
-def test_cache_detects_edits_and_reuses_summaries(tmp_path):
-    root = tmp_path
-    victim = root / "victim.py"
-    victim.write_text("def go(client):\n"
-                      "    fut = yield from client.read_async(0, 8)\n")
-    cold = analyze_paths([victim], root, use_cache=True)
-    assert cold.cache.misses == 1 and cold.cache.hits == 0
-    assert len(cold.findings) == 1
-
-    warm = analyze_paths([victim], root, use_cache=True)
-    assert warm.cache.hits == 1 and warm.cache.misses == 0
-    assert [(v.line, v.rule) for v in warm.findings] \
-        == [(v.line, v.rule) for v in cold.findings]
-
-    victim.write_text("def go(client):\n"
-                      "    fut = yield from client.read_async(0, 8)\n"
-                      "    return (yield from fut.wait())\n")
-    edited = analyze_paths([victim], root, use_cache=True)
-    assert edited.cache.misses == 1
-    assert not edited.findings
 
 
 # -- name resolution over synthetic programs --------------------------------

@@ -1,64 +1,39 @@
 """repro-lint against its fixtures and against the tree.
 
-Each ``fixture_*.py`` file plants known violations, marked in-line
-with ``# -> RLxxx`` comments; the test derives the expected
-``(line, rule)`` set from those markers, so fixtures can be edited
-without chasing hard-coded line numbers.  The tree itself (the
-linter's default scope) must be clean — that is the satellite
-guarantee that every pre-existing violation got fixed, and CI's
-``lint-invariants`` job re-checks it on every push.
+The fixture table and the ``# -> RLxxx`` marker convention live in
+``tests/lint/__init__.py``; this file runs the per-file rules' rows,
+the CLI contract and the per-rule unit tests.  The tree itself (the
+default scope) must be clean — that is the guarantee that every
+pre-existing violation got fixed, and CI's ``lint-invariants`` job
+re-checks it on every push.
 """
 
-import re
-from pathlib import Path
+import ast
+import json
 
 import pytest
 
 from repro.tools import lint
-
-HERE = Path(__file__).parent
-REPO = HERE.parent.parent
-_MARKER = re.compile(r"#\s*->\s*(RL\d{3})")
-
-FIXTURES = {
-    "RL001": HERE / "coord" / "fixture_rl001.py",
-    "RL002": HERE / "fixture_rl002.py",
-    "RL003": HERE / "fixture_rl003.py",
-    "RL004": HERE / "fixture_rl004.py",
-    "RL005": HERE / "fixture_rl005.py",
-    "RL006": HERE / "fixture_rl006.py",
-    "RL007": HERE / "datapath" / "server_fixture_rl007.py",
-    "RL012": HERE / "fixture_rl012.py",
-}
+from repro.tools.lint.file_rules import _retrying_trys
+from tests.lint import (
+    FIXTURES,
+    HERE,
+    PER_FILE_RULES,
+    REPO,
+    check_cli_exits_1_on_fixture,
+    check_fixture_flags_its_marked_lines,
+    findings,
+)
 
 
-def _expected(path: Path) -> set[tuple[int, str]]:
-    return {
-        (lineno, match.group(1))
-        for lineno, text in enumerate(path.read_text().splitlines(), 1)
-        for match in [_MARKER.search(text)]
-        if match
-    }
-
-
-@pytest.mark.parametrize("rule", sorted(FIXTURES))
+@pytest.mark.parametrize("rule", PER_FILE_RULES)
 def test_fixture_findings_match_markers(rule):
-    path = FIXTURES[rule]
-    found = {(v.line, v.rule) for v in lint.lint_paths([path])}
-    assert found == _expected(path)
-    assert found, f"fixture for {rule} plants no violations"
-    assert {r for _, r in found} == {rule}
+    check_fixture_flags_its_marked_lines(rule)
 
 
-@pytest.mark.parametrize("rule", sorted(FIXTURES))
+@pytest.mark.parametrize("rule", PER_FILE_RULES)
 def test_cli_exits_nonzero_with_file_line_rule(rule, capsys):
-    path = FIXTURES[rule]
-    assert lint.main([str(path)]) == 1
-    out = capsys.readouterr().out
-    for line, _ in sorted(_expected(path)):
-        # paths print relative to the invocation cwd
-        assert f"{path.name}:{line}: {rule} " in out
-    assert "violation(s)" in out
+    check_cli_exits_1_on_fixture(rule, capsys)
 
 
 def test_cli_exits_zero_on_the_tree(capsys, monkeypatch):
@@ -82,8 +57,9 @@ def test_suppression_comment_silences_one_line():
         i for i, line in enumerate(text.splitlines(), 1)
         if "allow[RL002]" in line
     )
-    found_lines = {v.line for v in lint.lint_paths([src])}
-    assert suppressed_line not in found_lines
+    result = lint.lint_paths([src])
+    assert suppressed_line not in {v.line for v in result.findings}
+    assert result.suppressed == 1
 
 
 def test_violation_renders_path_line_rule():
@@ -96,7 +72,49 @@ def test_cli_exits_2_on_empty_scope(tmp_path, capsys):
     assert "nothing was checked" in capsys.readouterr().err
 
 
-# -- internals: the helpers the analysis package also leans on -------------
+# -- one command, one parse, nothing written --------------------------------
+
+def test_repro_lint_runs_the_program_rules(capsys):
+    from repro.tools.cli import main as repro_main
+
+    rc = repro_main(["lint", "--json", str(FIXTURES["RL009"])])
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert {f["rule"] for f in payload["findings"]} == {"RL009"}
+
+
+def test_repro_analyze_is_gone(capsys):
+    from repro.tools.cli import main as repro_main
+
+    with pytest.raises(SystemExit) as exc:
+        repro_main(["analyze"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'analyze'" in capsys.readouterr().err
+
+
+def test_each_file_is_parsed_once(monkeypatch):
+    parsed = []
+    real_parse = ast.parse
+
+    def counting_parse(text, *args, **kwargs):
+        parsed.append(kwargs.get("filename"))
+        return real_parse(text, *args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    scope = [FIXTURES["RL001"], FIXTURES["RL008"], FIXTURES["RL010"]]
+    assert findings(*scope)
+    assert sorted(parsed) == sorted(str(p) for p in scope)
+
+
+def test_a_run_leaves_nothing_behind_in_the_tree_root(tmp_path):
+    victim = tmp_path / "victim.py"
+    victim.write_text("def go(client):\n"
+                      "    fut = yield from client.read_async(0, 8)\n")
+    assert lint.lint_paths([tmp_path], root=tmp_path).findings
+    assert list(tmp_path.iterdir()) == [victim]
+
+
+# -- internals ---------------------------------------------------------------
 
 def test_allow_comment_parses_multiple_rules():
     from repro.tools.source import allowed_rules
@@ -109,7 +127,6 @@ def test_allow_comment_parses_multiple_rules():
 
 
 def test_retrying_trys_sees_nested_try_except_finally():
-    import ast
     import textwrap
 
     tree = ast.parse(textwrap.dedent(
@@ -134,7 +151,7 @@ def test_retrying_trys_sees_nested_try_except_finally():
         """
     ))
     loop = tree.body[0]
-    retrying = list(lint._retrying_trys(loop.body))
+    retrying = list(_retrying_trys(loop.body))
     # the inner continue-on-ValueError try (behind an outer try whose
     # own handlers do not retry) and the continue-on-OSError try
     # buried in a finally block; never the two non-retrying outer trys
@@ -147,7 +164,7 @@ def _lint_snippet(tmp_path, relpath: str, text: str):
     path = tmp_path / relpath
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
-    return lint.lint_paths([path])
+    return findings(path)
 
 
 def test_rl006_flags_endpoint_deep_in_attribute_chain(tmp_path):
