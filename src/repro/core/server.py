@@ -97,8 +97,8 @@ class MemoryServer:
         self.nic = nic
         self.cm = cm
         self.config = config or RStoreConfig()
-        #: DRAM this server donates (sparse-backed, so large values are
-        #: cheap until written)
+        #: DRAM this server donates (lazily filled blocks, so large
+        #: values are cheap until written)
         self.capacity = capacity
         self.host_id = nic.host.host_id
         #: one sub-arena slice per metadata shard (a single dict entry

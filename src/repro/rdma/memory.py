@@ -1,6 +1,6 @@
 """Host memory and registered memory regions.
 
-Data is real: buffers are ``bytearray`` objects, one-sided operations
+Data is real: buffers hold ``bytearray`` blocks, one-sided operations
 move actual bytes between them, and applications above RStore compute
 bit-exact results through the simulated fabric.
 
@@ -12,131 +12,176 @@ unit of the verbs permission model.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
 from repro.rdma.device import PAGE_SIZE
 from repro.rdma.types import Access, RdmaError
 
-__all__ = ["Buffer", "SparseBuffer", "HostMemory", "MemoryRegion"]
+__all__ = [
+    "BLOCK", "Buffer", "HostMemory", "MemoryRegion", "Payload", "Snapshot",
+]
+
+#: a buffer's unit of storage, of lazy zero-fill and of sharing: 64 KiB
+_BLOCK_BITS = 16
+BLOCK = 1 << _BLOCK_BITS
+_IN_BLOCK = BLOCK - 1
+
+#: what every never-written block reads as
+_ZERO_BLOCK = memoryview(bytes(BLOCK))
+
+
+def _pieces(offset: int, length: int):
+    """``(block number, offset in block, bytes)`` for each block that
+    ``[offset, +length)`` touches, in address order."""
+    block_no, block_off = offset >> _BLOCK_BITS, offset & _IN_BLOCK
+    while length > 0:
+        take = BLOCK - block_off
+        if take > length:
+            take = length
+        yield block_no, block_off, take
+        length -= take
+        block_no += 1
+        block_off = 0
+
+
+class Snapshot:
+    """A buffer range as it was at one instant, for a transfer to land.
+
+    ``parts`` are views in address order: a whole block is the source's
+    own storage, shared copy-on-write; an edge of a block is a copy.
+    ``len()`` is the byte length and :meth:`Buffer.write` lands it.
+    """
+
+    __slots__ = ("parts", "_length")
+
+    def __init__(self, parts: list, length: int):
+        self.parts = parts
+        self._length = length
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __bytes__(self) -> bytes:
+        return b"".join(self.parts)
+
+
+#: what a transfer carries from its snapshot instant to its landing
+Payload = Union[bytes, Snapshot]
 
 
 class Buffer:
-    """A contiguous allocation in a host's virtual address space."""
+    """A contiguous allocation in a host's virtual address space.
 
-    __slots__ = ("addr", "data", "host_id", "_view")
-
-    def __init__(self, addr: int, length: int, host_id: int):
-        self.addr = addr
-        self.data = bytearray(length)
-        self.host_id = host_id
-        #: reads slice this, not ``data``: a bytearray slice is itself a
-        #: copy, so ``bytes(data[a:b])`` would move every byte twice
-        self._view = memoryview(self.data)
-
-    def __len__(self) -> int:
-        return len(self.data)
-
-    @property
-    def end(self) -> int:
-        return self.addr + len(self)
-
-    def write(self, offset: int, payload: bytes) -> None:
-        if offset < 0 or offset + len(payload) > len(self.data):
-            raise RdmaError(
-                f"write of {len(payload)} bytes at offset {offset} exceeds "
-                f"buffer of {len(self.data)} bytes"
-            )
-        self.data[offset : offset + len(payload)] = payload
-
-    def read(self, offset: int, length: int) -> bytes:
-        if offset < 0 or offset + length > len(self.data):
-            raise RdmaError(
-                f"read of {length} bytes at offset {offset} exceeds buffer "
-                f"of {len(self.data)} bytes"
-            )
-        return self._view[offset : offset + length].tobytes()
-
-
-class SparseBuffer(Buffer):
-    """A large allocation whose blocks materialize on first write.
-
-    Memory servers donate arenas of many GiB; CPython cannot afford to
-    back those with real ``bytearray`` storage up front.  A sparse
-    buffer stores only written blocks (64 KiB each); reads of untouched
-    ranges return zeros, matching freshly allocated DRAM.
+    Storage is :data:`BLOCK`-sized blocks made on first write; a block
+    never written reads as zeros, like fresh DRAM, so a multi-GiB arena
+    costs nothing until it is used.  A block a :class:`Snapshot` shares
+    is held read-only here as well: the next write to it replaces it (a
+    whole-block write) or copies it first (a partial one).
     """
 
-    BLOCK = 64 * 1024
-
-    __slots__ = ("_length", "_blocks")
+    __slots__ = ("addr", "host_id", "_length", "_blocks")
 
     def __init__(self, addr: int, length: int, host_id: int):
-        # Deliberately skip Buffer.__init__: no dense backing store.
         self.addr = addr
         self.host_id = host_id
         self._length = length
-        #: block number -> view of that block's bytearray (a view, for
-        #: the same single-copy reads as the dense buffer)
+        #: block number -> view of that block's bytearray, read-only
+        #: while a snapshot shares it
         self._blocks: dict[int, memoryview] = {}
 
     def __len__(self) -> int:
         return self._length
 
     @property
-    def data(self):  # pragma: no cover - dense-only API
-        raise RdmaError("sparse buffers expose read()/write(), not .data")
+    def end(self) -> int:
+        return self.addr + self._length
 
     @property
     def materialized_bytes(self) -> int:
-        return len(self._blocks) * self.BLOCK
+        return len(self._blocks) * BLOCK
 
-    def write(self, offset: int, payload: bytes) -> None:
-        if offset < 0 or offset + len(payload) > self._length:
-            raise RdmaError(
-                f"write of {len(payload)} bytes at offset {offset} exceeds "
-                f"buffer of {self._length} bytes"
-            )
-        pos = 0
-        while pos < len(payload):
-            block_no, block_off = divmod(offset + pos, self.BLOCK)
-            take = min(self.BLOCK - block_off, len(payload) - pos)
-            block = self._blocks.get(block_no)
-            if block is None:
-                block = memoryview(bytearray(self.BLOCK))
-                self._blocks[block_no] = block
-            block[block_off : block_off + take] = payload[pos : pos + take]
-            pos += take
-
-    def read(self, offset: int, length: int) -> bytes:
+    def _check(self, what: str, offset: int, length: int) -> None:
+        """The one bounds check: ``[offset, +length)`` lies inside."""
         if offset < 0 or length < 0 or offset + length > self._length:
             raise RdmaError(
-                f"read of {length} bytes at offset {offset} exceeds buffer "
-                f"of {self._length} bytes"
+                f"{what} of {length} bytes at offset {offset} exceeds "
+                f"buffer of {self._length} bytes"
             )
-        # each part is a view; the one copy happens in tobytes()/join()
+
+    def read(self, offset: int, length: int) -> bytes:
+        """The bytes of ``[offset, +length)``, copied once."""
+        self._check("read", offset, length)
+        block_off = offset & _IN_BLOCK
+        if block_off + length <= BLOCK:  # within one block: one slice
+            return self._blocks.get(offset >> _BLOCK_BITS, _ZERO_BLOCK)[
+                block_off : block_off + length].tobytes()
+        return b"".join([self._blocks.get(n, _ZERO_BLOCK)[o : o + t]
+                         for n, o, t in _pieces(offset, length)])
+
+    def snapshot(self, offset: int, length: int) -> Payload:
+        """``[offset, +length)`` as of now, whatever is written later.
+
+        Whole blocks are shared, not copied; a range holding none is
+        plain ``bytes``.  Either way ``write`` lands it.
+        """
+        if length < BLOCK:  # no whole block to share: one copy
+            return self.read(offset, length)
+        self._check("snapshot", offset, length)
+        blocks = self._blocks
         parts = []
-        pos = 0
-        while pos < length:
-            block_no, block_off = divmod(offset + pos, self.BLOCK)
-            take = min(self.BLOCK - block_off, length - pos)
-            block = self._blocks.get(block_no, _ZERO_BLOCK)
-            part = block[block_off : block_off + take]
-            if take == length:
-                return part.tobytes()  # within one block: nothing to join
-            parts.append(part)
-            pos += take
-        return b"".join(parts)
+        for n, o, t in _pieces(offset, length):
+            block = blocks.get(n)
+            if block is None:
+                parts.append(_ZERO_BLOCK[o : o + t])
+            elif t < BLOCK:
+                parts.append(block[o : o + t].tobytes())
+            else:
+                if not block.readonly:
+                    block = blocks[n] = block.toreadonly()
+                parts.append(block)
+        return Snapshot(parts, length)
 
+    def write(self, offset: int, payload: Payload) -> None:
+        """Store *payload* — bytes-like, or a snapshot to land — at
+        *offset*."""
+        length = len(payload)
+        self._check("write", offset, length)
+        blocks = self._blocks
+        block_off = offset & _IN_BLOCK
+        if block_off + length < BLOCK:  # within one block, not all of it
+            block_no = offset >> _BLOCK_BITS
+            block = blocks.get(block_no)
+            if block is None or block.readonly:
+                block = self._own(block_no, block)
+            block[block_off : block_off + length] = payload
+            return
+        # a snapshot is never shorter than a block, so only here
+        for part in (payload.parts if type(payload) is Snapshot
+                     else (payload,)):
+            view = memoryview(part)
+            start = 0
+            for n, o, t in _pieces(offset, len(view)):
+                piece = view[start : start + t]
+                start += t
+                block = blocks.get(n)
+                if block is None or block.readonly:
+                    if t == BLOCK:  # the copy is the new block
+                        blocks[n] = memoryview(bytearray(piece))
+                        continue
+                    block = self._own(n, block)
+                block[o : o + t] = piece
+            offset += start
 
-#: what every never-written block of a sparse buffer reads as
-_ZERO_BLOCK = memoryview(bytes(SparseBuffer.BLOCK))
+    def _own(self, block_no: int, block: Optional[memoryview]) -> memoryview:
+        """A writable block *block_no* for a partial write: zero-filled
+        if it was never written, else a copy of the shared one."""
+        self._blocks[block_no] = own = memoryview(
+            bytearray(BLOCK if block is None else block))
+        return own
 
 
 class HostMemory:
     """Page-aligned bump allocator for one host's DRAM."""
-
-    #: allocations at or above this size get sparse backing
-    SPARSE_THRESHOLD = 8 * 1024 * 1024
 
     def __init__(self, host_id: int, base_addr: int = 0x10000):
         self.host_id = host_id
@@ -150,8 +195,6 @@ class HostMemory:
         pages = -(-length // PAGE_SIZE)
         self._next_addr += pages * PAGE_SIZE
         self.allocated_bytes += length
-        if length >= self.SPARSE_THRESHOLD:
-            return SparseBuffer(addr, length, self.host_id)
         return Buffer(addr, length, self.host_id)
 
 

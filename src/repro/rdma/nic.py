@@ -18,7 +18,7 @@ from typing import Callable, Optional
 from repro.obs import obs_for
 from repro.rdma.cq import CompletionQueue, WorkCompletion
 from repro.rdma.device import NicModel
-from repro.rdma.memory import Buffer, HostMemory, MemoryRegion
+from repro.rdma.memory import Buffer, HostMemory, MemoryRegion, Payload
 from repro.rdma.pd import ProtectionDomain
 from repro.rdma.qp import QueuePair
 from repro.rdma.types import Access, Opcode, QpState, RdmaError, WcStatus
@@ -303,14 +303,15 @@ class RNic:
         else:  # pragma: no cover - guarded by WR validation
             raise RdmaError(f"unsupported opcode {opcode}")
 
-    def _snapshot_payload(self, wr: SendWR) -> bytes:
-        """DMA-read the local payload at launch time (send-side snapshot)."""
+    def _snapshot_payload(self, wr: SendWR) -> Payload:
+        """The local payload as of launch (send-side snapshot); the
+        receiver lands it."""
         if wr.inline_data is not None:
             return bytes(wr.inline_data)
         if wr.length == 0 or wr.local_mr is None:
             return b""
         offset = wr.local_mr.offset_of(wr.local_addr)
-        return wr.local_mr.buffer.read(offset, wr.length)
+        return wr.local_mr.buffer.snapshot(offset, wr.length)
 
     def _transmit(self, dst: "RNic", nbytes: int,
                   on_delivered: Callable[..., None], *args) -> None:
@@ -421,7 +422,7 @@ class RNic:
     # -- RDMA WRITE ------------------------------------------------------------
 
     def _write_arrived(self, qp: QueuePair, wr: SendWR, remote_qp: QueuePair,
-                       payload: bytes) -> None:
+                       payload: Payload) -> None:
         remote = remote_qp.nic
         mr = self._admit(qp, wr, remote, Access.REMOTE_WRITE)
         if mr is not None:
@@ -429,7 +430,7 @@ class RNic:
                                 qp, wr, remote_qp, mr, payload)
 
     def _write_dma(self, qp: QueuePair, wr: SendWR, remote_qp: QueuePair,
-                   mr: MemoryRegion, payload: bytes) -> None:
+                   mr: MemoryRegion, payload: Payload) -> None:
         remote = remote_qp.nic
         mr.buffer.write(mr.offset_of(wr.remote_addr), payload)
         if remote.rsan.enabled:
@@ -455,7 +456,9 @@ class RNic:
 
     def _read_dma(self, qp: QueuePair, wr: SendWR, remote: "RNic",
                   mr: MemoryRegion) -> None:
-        data = mr.buffer.read(mr.offset_of(wr.remote_addr), wr.length)
+        # the bytes as of this DMA instant; they land, copied once, when
+        # the response arrives
+        data = mr.buffer.snapshot(mr.offset_of(wr.remote_addr), wr.length)
         if remote.rsan.enabled:
             remote.rsan.on_apply(remote.host.host_id, wr.remote_addr,
                                  wr.length, "read", wr)
@@ -463,7 +466,7 @@ class RNic:
                          qp, wr, data)
 
     def _read_response_arrived(self, qp: QueuePair, wr: SendWR,
-                               data: bytes) -> None:
+                               data: Payload) -> None:
         if wr.local_mr is not None and wr.length:
             wr.local_mr.buffer.write(
                 wr.local_mr.offset_of(wr.local_addr), data
@@ -510,7 +513,7 @@ class RNic:
     # -- SEND / RECV ---------------------------------------------------------------
 
     def _send_arrived(self, qp: QueuePair, wr: SendWR, remote_qp: QueuePair,
-                      payload: bytes) -> None:
+                      payload: Payload) -> None:
         remote = remote_qp.nic
         if not remote.alive:
             self._retry_failure(qp, wr, "remote host unreachable")
@@ -534,7 +537,7 @@ class RNic:
         dst_qp: QueuePair,
         rwr: RecvWR,
         kind: str,
-        payload: Optional[bytes],
+        payload: Optional[Payload],
         src_qp: QueuePair,
         swr: SendWR,
     ) -> None:

@@ -12,10 +12,12 @@ per-write doorbell creeping back fails here too.
 """
 
 import functools
+import tracemalloc
 
 from repro.cluster import build_cluster
 from repro.coord import SeqLock
 from repro.kv import RKVStore
+from repro.simnet.config import KiB, MiB
 
 #: NIC and wire entries every one-sided verb pays: launch, the request's
 #: ingress claim and delivery, the remote DMA, the response's ingress
@@ -104,6 +106,49 @@ def test_a_validated_read_is_one_doorbell_and_one_round_trip():
     # the walk's pair, the CAS, then [body, version] on one doorbell —
     # no guard READ between the lock and the publish (parent: 4 doorbells)
     assert posted["put overwrite"] == (3, 5)
+
+
+@functools.cache
+def _copy_peaks():
+    """Peak bytes newly held during one warm 1 MiB ``read_into`` and one
+    ``write_from``: QP dialled, every block at both ends written, and
+    the remote blocks still shared with the last READ's snapshot."""
+    cluster = build_cluster(num_machines=2, server_hosts=[0])
+    client = cluster.client(1)
+    peaks = {}
+
+    def measured(name, op):
+        tracemalloc.start()
+        try:
+            yield from op
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def app():
+        region = yield from client.alloc("copies", MiB)
+        mapping = yield from client.map(region)
+        local = yield from client.alloc_local(MiB)
+        local.buffer.write(0, b"c" * MiB)
+        yield from mapping.write_from(local, local.addr, 0, MiB)
+        yield from mapping.read_into(local, local.addr, 0, MiB)
+        yield from measured("read_into",
+                            mapping.read_into(local, local.addr, 0, MiB))
+        yield from measured("write_from",
+                            mapping.write_from(local, local.addr, 0, MiB))
+
+    cluster.run_app(app())
+    return peaks
+
+
+def test_a_one_sided_transfer_copies_its_bytes_once():
+    peaks = _copy_peaks()
+    # the READ's snapshot shares the remote blocks and lands in place
+    # in the local ones: no payload-sized buffer in between
+    assert peaks["read_into"] < 64 * KiB, peaks
+    # the WRITE's snapshot shares the local blocks; landing replaces the
+    # remote ones the earlier READ still shared — one payload, once
+    assert peaks["write_from"] < MiB + 64 * KiB, peaks
 
 
 def test_a_commit_is_an_intent_flush_and_a_publish_flush():

@@ -1,0 +1,184 @@
+"""Buffer: lazy 64 KiB blocks, and snapshots that share them copy-on-write."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.rdma.memory import BLOCK, Buffer, HostMemory, Snapshot
+from repro.rdma.types import RdmaError
+from repro.simnet.config import GiB, MiB
+
+
+def test_every_alloc_is_lazy():
+    mem = HostMemory(host_id=0)
+    for size in (100, 1 * MiB, 64 * MiB):
+        buf = mem.alloc(size)
+        assert type(buf) is Buffer
+        assert len(buf) == size and buf.materialized_bytes == 0
+
+
+def test_untouched_reads_are_zero():
+    buf = Buffer(0x1000, 16 * MiB, host_id=0)
+    assert buf.read(12345, 100) == bytes(100)
+    assert buf.read(BLOCK - 10, 3 * BLOCK) == bytes(3 * BLOCK)
+    assert buf.materialized_bytes == 0
+
+
+def test_write_read_roundtrip_within_block():
+    buf = Buffer(0, 1 * MiB, host_id=0)
+    buf.write(1000, b"hello")
+    assert buf.read(1000, 5) == b"hello"
+    assert buf.read(990, 25) == bytes(10) + b"hello" + bytes(10)
+
+
+def test_write_spanning_blocks():
+    buf = Buffer(0, 1 * MiB, host_id=0)
+    payload = bytes(range(256)) * 1024  # 256 KiB, crosses 4 blocks
+    buf.write(BLOCK - 100, payload)
+    assert buf.read(BLOCK - 100, len(payload)) == payload
+
+
+def test_materialization_is_block_granular():
+    buf = Buffer(0, 1 * GiB, host_id=0)
+    buf.write(0, b"x")
+    assert buf.materialized_bytes == BLOCK
+    buf.write(500 * MiB, b"y")
+    assert buf.materialized_bytes == 2 * BLOCK
+
+
+def test_multi_gib_buffer_costs_nothing_until_written():
+    buf = Buffer(0, 64 * GiB, host_id=0)
+    assert len(buf) == 64 * GiB
+    assert buf.materialized_bytes == 0
+
+
+def test_bounds_enforced():
+    buf = Buffer(0, 1000, host_id=0)
+    with pytest.raises(RdmaError):
+        buf.write(990, b"far too long")
+    with pytest.raises(RdmaError):
+        buf.read(500, 501)
+    with pytest.raises(RdmaError):
+        buf.snapshot(0, 1001)
+
+
+@pytest.mark.parametrize("offset, length", [
+    (-1, 4), (0, -1), (4, -1), (-BLOCK, 2 * BLOCK), (BLOCK, -BLOCK)])
+def test_a_negative_offset_or_length_raises(offset, length):
+    """A negative length is no empty range: ``read(0, -1)`` on a slice
+    of a bytearray view returned all but the last byte."""
+    buf = Buffer(0, 4 * BLOCK, host_id=0)
+    buf.write(0, b"z" * 64)
+    for access in (buf.read, buf.snapshot):
+        with pytest.raises(RdmaError):
+            access(offset, length)
+    if offset < 0:  # a payload's length is never negative
+        with pytest.raises(RdmaError):
+            buf.write(offset, b"x" * length)
+
+
+def test_no_dense_data_accessor():
+    buf = Buffer(0, 1000, host_id=0)
+    assert not hasattr(buf, "data")
+
+
+def test_a_whole_block_snapshot_shares_storage_until_written():
+    buf = Buffer(0, 4 * BLOCK, host_id=0)
+    buf.write(BLOCK, b"a" * BLOCK)
+    snap = buf.snapshot(BLOCK, BLOCK)
+    assert isinstance(snap, Snapshot) and len(snap) == BLOCK
+    # the snapshot holds the block itself, not a copy of it
+    assert snap.parts[0].obj is buf._blocks[1].obj
+    buf.write(BLOCK + 7, b"b")  # partial: copied first
+    assert buf._blocks[1].obj is not snap.parts[0].obj
+    assert bytes(snap) == b"a" * BLOCK
+    assert buf.read(BLOCK + 6, 3) == b"aba"
+
+
+def test_a_snapshot_copies_its_edges_and_reads_unwritten_blocks_as_zero():
+    buf = Buffer(0, 4 * BLOCK, host_id=0)
+    buf.write(0, b"e" * BLOCK)
+    snap = buf.snapshot(BLOCK - 5, 2 * BLOCK)  # edge, unwritten, edge
+    buf.write(BLOCK - 5, b"12345")
+    buf.write(BLOCK, b"q" * (2 * BLOCK))
+    assert bytes(snap) == b"e" * 5 + bytes(2 * BLOCK - 5)
+
+
+def test_a_short_range_snapshots_as_plain_bytes():
+    buf = Buffer(0, 4 * BLOCK, host_id=0)
+    buf.write(BLOCK - 2, b"abcd")
+    assert buf.snapshot(BLOCK - 2, 4) == b"abcd"
+
+
+def test_landing_into_a_shared_block():
+    buf = Buffer(0, 4 * BLOCK, host_id=0)
+    buf.write(0, bytes(range(256)) * (BLOCK // 128))  # blocks 0 and 1
+    whole = buf.snapshot(0, 2 * BLOCK)
+    # land it one block up: onto the shared block 1, whole-block writes
+    buf.write(BLOCK, whole)
+    assert buf.read(BLOCK, 2 * BLOCK) == bytes(whole)
+    # and shifted, so every piece is a partial write into shared blocks
+    again = buf.snapshot(0, 2 * BLOCK)
+    buf.write(100, again)
+    assert buf.read(100, 2 * BLOCK) == bytes(again)
+    assert bytes(whole) == bytes(range(256)) * (BLOCK // 128)
+
+
+_SIZE = 5 * BLOCK + 123
+_EDGES = [k * BLOCK for k in range(6)]
+_offsets = st.one_of(st.integers(0, _SIZE), st.sampled_from(_EDGES))
+_lengths = st.one_of(st.integers(0, 3 * BLOCK),
+                     st.sampled_from([BLOCK, 2 * BLOCK, 3 * BLOCK]))
+_ops = st.one_of(
+    st.tuples(st.just("write"), st.integers(0, 1), _offsets,
+              st.binary(max_size=300)),
+    st.tuples(st.just("fill"), st.integers(0, 1), _offsets, _lengths,
+              st.integers(0, 255)),
+    st.tuples(st.just("snapshot"), st.integers(0, 1), _offsets, _lengths),
+    st.tuples(st.just("land"), st.integers(0, 1), _offsets,
+              st.integers(0, 1000)),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(ops=st.lists(_ops, max_size=25))
+def test_snapshots_hold_their_instant_against_a_bytearray_reference(ops):
+    """Property: two buffers behave exactly like two bytearrays, and
+    every snapshot keeps the bytes of the instant it was taken, whatever
+    is written or landed afterwards."""
+    bufs = [Buffer(0, _SIZE, host_id=0), Buffer(0, _SIZE, host_id=1)]
+    refs = [bytearray(_SIZE), bytearray(_SIZE)]
+    taken = []  # (snapshot, the reference bytes at its instant)
+    for op, which, offset, *rest in ops:
+        buf, ref = bufs[which], refs[which]
+        if op == "write" or op == "fill":
+            payload = (rest[0] if op == "write"
+                       else bytes([rest[1]]) * rest[0])
+            if offset + len(payload) > _SIZE:
+                continue
+            buf.write(offset, payload)
+            ref[offset:offset + len(payload)] = payload
+        elif op == "snapshot":
+            length = rest[0]
+            if offset + length > _SIZE:
+                continue
+            snap = buf.snapshot(offset, length)
+            assert len(snap) == length
+            taken.append((snap, bytes(ref[offset:offset + length])))
+            if isinstance(snap, Snapshot):
+                pos = offset
+                for part in snap.parts:
+                    block = buf._blocks.get(pos // BLOCK)
+                    if len(part) == BLOCK and block is not None:
+                        assert part.obj is block.obj  # shared, not copied
+                    pos += len(part)
+        elif taken:  # land
+            snap, want = taken[rest[0] % len(taken)]
+            if offset + len(want) > _SIZE:
+                continue
+            buf.write(offset, snap)
+            ref[offset:offset + len(want)] = want
+    for snap, want in taken:
+        assert bytes(snap) == want
+    for buf, ref in zip(bufs, refs):
+        assert buf.read(0, _SIZE) == bytes(ref)
