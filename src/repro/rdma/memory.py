@@ -48,7 +48,8 @@ class Snapshot:
     """A buffer range as it was at one instant, for a transfer to land.
 
     ``parts`` are views in address order: a whole block is the source's
-    own storage, shared copy-on-write; an edge of a block is a copy.
+    own storage, shared copy-on-write (the zero block itself if it was
+    never written); an edge of a block is a copy.
     ``len()`` is the byte length and :meth:`Buffer.write` lands it.
     """
 
@@ -74,9 +75,10 @@ class Buffer:
 
     Storage is :data:`BLOCK`-sized blocks made on first write; a block
     never written reads as zeros, like fresh DRAM, so a multi-GiB arena
-    costs nothing until it is used.  A block a :class:`Snapshot` shares
-    is held read-only here as well: the next write to it replaces it (a
-    whole-block write) or copies it first (a partial one).
+    costs nothing until it is used.  A block a :class:`Snapshot` shares,
+    or one landed from a snapshot, is held read-only: the next write to
+    it replaces it (a whole-block write) or copies it first (a partial
+    one).
     """
 
     __slots__ = ("addr", "host_id", "_length", "_blocks")
@@ -86,7 +88,7 @@ class Buffer:
         self.host_id = host_id
         self._length = length
         #: block number -> view of that block's bytearray, read-only
-        #: while a snapshot shares it
+        #: while a snapshot or another buffer may share it
         self._blocks: dict[int, memoryview] = {}
 
     def __len__(self) -> int:
@@ -132,7 +134,8 @@ class Buffer:
         for n, o, t in _pieces(offset, length):
             block = blocks.get(n)
             if block is None:
-                parts.append(_ZERO_BLOCK[o : o + t])
+                parts.append(_ZERO_BLOCK if t == BLOCK
+                             else _ZERO_BLOCK[o : o + t])
             elif t < BLOCK:
                 parts.append(block[o : o + t].tobytes())
             else:
@@ -143,34 +146,55 @@ class Buffer:
 
     def write(self, offset: int, payload: Payload) -> None:
         """Store *payload* — bytes-like, or a snapshot to land — at
-        *offset*."""
+        *offset*.
+
+        A snapshot's whole block that lands on a whole block is adopted,
+        not copied: it stays read-only on both sides until either one
+        writes to it, and a never-written one leaves no block at all.
+        """
         length = len(payload)
         self._check("write", offset, length)
-        blocks = self._blocks
         block_off = offset & _IN_BLOCK
         if block_off + length < BLOCK:  # within one block, not all of it
+            if not length:
+                return
             block_no = offset >> _BLOCK_BITS
-            block = blocks.get(block_no)
+            block = self._blocks.get(block_no)
             if block is None or block.readonly:
                 block = self._own(block_no, block)
             block[block_off : block_off + length] = payload
             return
         # a snapshot is never shorter than a block, so only here
-        for part in (payload.parts if type(payload) is Snapshot
-                     else (payload,)):
-            view = memoryview(part)
-            start = 0
-            for n, o, t in _pieces(offset, len(view)):
-                piece = view[start : start + t]
-                start += t
-                block = blocks.get(n)
-                if block is None or block.readonly:
-                    if t == BLOCK:  # the copy is the new block
-                        blocks[n] = memoryview(bytearray(piece))
-                        continue
-                    block = self._own(n, block)
-                block[o : o + t] = piece
-            offset += start
+        if type(payload) is not Snapshot:
+            self._copy(offset, payload)
+            return
+        blocks = self._blocks
+        for part in payload.parts:
+            take = len(part)
+            if take == BLOCK and not offset & _IN_BLOCK:
+                if part is _ZERO_BLOCK:
+                    blocks.pop(offset >> _BLOCK_BITS, None)
+                else:
+                    blocks[offset >> _BLOCK_BITS] = part
+            else:
+                self._copy(offset, part)
+            offset += take
+
+    def _copy(self, offset: int, data) -> None:
+        """Copy the bytes-like *data* in at *offset*, block by block."""
+        blocks = self._blocks
+        view = memoryview(data)
+        start = 0
+        for n, o, t in _pieces(offset, len(view)):
+            piece = view[start : start + t]
+            start += t
+            block = blocks.get(n)
+            if block is None or block.readonly:
+                if t == BLOCK:  # the copy is the new block
+                    blocks[n] = memoryview(bytearray(piece))
+                    continue
+                block = self._own(n, block)
+            block[o : o + t] = piece
 
     def _own(self, block_no: int, block: Optional[memoryview]) -> memoryview:
         """A writable block *block_no* for a partial write: zero-filled

@@ -456,8 +456,8 @@ class RNic:
 
     def _read_dma(self, qp: QueuePair, wr: SendWR, remote: "RNic",
                   mr: MemoryRegion) -> None:
-        # the bytes as of this DMA instant; they land, copied once, when
-        # the response arrives
+        # the bytes as of this DMA instant; they land when the response
+        # arrives, whole blocks adopted and only block edges copied
         data = mr.buffer.snapshot(mr.offset_of(wr.remote_addr), wr.length)
         if remote.rsan.enabled:
             remote.rsan.on_apply(remote.host.host_id, wr.remote_addr,

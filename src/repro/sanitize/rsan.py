@@ -257,9 +257,11 @@ class RaceSanitizer:
     # -- stamping and posting -------------------------------------------------
 
     def op_stamp(self, actor_id: int, kind: str) -> OpStamp:
-        """A stamp for one client-layer op; captures the app call site."""
-        act = self.actor(actor_id)
-        return OpStamp(actor_id, kind, _site_of(), act.exempt > 0)
+        """A stamp for one client-layer op; captures the app call site
+        unless the op is exempt, whose accesses nobody records."""
+        if self.actor(actor_id).exempt:
+            return OpStamp(actor_id, kind, "<exempt>", True)
+        return OpStamp(actor_id, kind, _site_of(), False)
 
     def on_post(self, wr, default_actor: int):
         """Assign this WR its sequence number and clock snapshot.
@@ -279,11 +281,12 @@ class RaceSanitizer:
         act.posted += 1
         seq = act.posted
         stamp.seqs.append(seq)
-        tracked = not stamp.acked and stamp.kind != "raw"
-        if tracked:
+        raw = stamp.kind == "raw"
+        if not stamp.acked and not raw:
             act.outstanding.add(seq)
         wr._rsan_seq = seq
-        wr._rsan_vec = dict(act.vc)
+        if not (raw or stamp.sync):  # on_apply skips those unread
+            wr._rsan_vec = dict(act.vc)
 
     def op_acked(self, stamp: OpStamp):
         """The issuer observed this op's completion (``wait`` returned).

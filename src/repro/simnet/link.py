@@ -39,22 +39,31 @@ class Channel:
         return nbytes * 8.0 / self.rate_bps
 
     def reserve(self, nbytes: int, earliest: float) -> float:
-        """Reserve the channel for one frame; return its finish time.
-
-        ``earliest`` is the first instant the frame can start (e.g. its
-        arrival time at this channel).  The reservation is made
-        immediately — callers must reserve in the order frames actually
-        reach the channel, which the NIC engine guarantees.
-        """
+        """Reserve the channel for one frame; return its finish time."""
         if nbytes < 0:
             raise ValueError(f"negative frame size {nbytes}")
-        start = max(earliest, self._busy_until, self.sim.now)
-        tx_time = self.serialization_time(nbytes)
-        finish = start + tx_time
-        self._busy_until = finish
-        self.bytes_sent += nbytes
-        self.busy_seconds += tx_time
-        return finish
+        return self.reserve_frames((nbytes,), (earliest,))[0]
+
+    def reserve_frames(self, sizes, earliest, lag: float = 0.0) -> list:
+        """Reserve the channel now for a message's frames, in the order
+        they reach it (the NIC engine guarantees it); return each one's
+        finish.  Frame *i* of ``sizes[i]`` bytes reaches the channel at
+        ``earliest[i] + lag`` and starts then or once it is free."""
+        rate, busy, now = self.rate_bps, self._busy_until, self.sim.now
+        if busy < now:
+            busy = now
+        seconds, sent, finishes, i = self.busy_seconds, 0, [], 0
+        for nbytes in sizes:  # a bare index beats zip() and enumerate()
+            at = earliest[i] + lag
+            i += 1
+            tx_time = nbytes * 8.0 / rate
+            busy = (at if at > busy else busy) + tx_time
+            seconds += tx_time
+            sent += nbytes
+            finishes.append(busy)
+        self._busy_until, self.busy_seconds = busy, seconds
+        self.bytes_sent += sent
+        return finishes
 
     def utilization(self, since: float = 0.0) -> float:
         """Fraction of time spent transmitting since *since*."""

@@ -187,30 +187,21 @@ class Network:
             # two extra hops: ToR -> spine -> ToR
             base += 2 * self.config.link_prop_delay_s + \
                 self.config.switch_latency_s
-        frames = []
-        remaining = nbytes
-        for _ in range(nframes):
-            payload = min(frame_size, remaining)
-            remaining -= payload
-            frame_bytes = payload + header_bytes
-            # sender-side chain: host egress, then the rack uplink
-            out_done = src.egress.reserve(frame_bytes, earliest=now)
-            if dst_rack is not None:
-                out_done = src_rack.up.reserve(frame_bytes,
-                                               earliest=out_done)
-            frames.append((frame_bytes, out_done + base))
-        sim.call_later(frames[0][1] - now, self._claim_ingress,
-                       frames, dst, dst_rack, on_delivered, args)
+        sizes = [frame_size + header_bytes] * (nframes - 1)
+        sizes.append(nbytes - (nframes - 1) * frame_size + header_bytes)
+        # sender-side chain: host egress, then the rack uplink
+        out = src.egress.reserve_frames(sizes, [now] * nframes)
+        if dst_rack is not None:
+            out = src_rack.up.reserve_frames(sizes, out)
+        sim.call_later(out[0] + base - now, self._claim_ingress,
+                       sizes, out, base, dst, dst_rack, on_delivered, args)
         return done
 
-    def _claim_ingress(self, frames, dst: Host, dst_rack: Optional[Rack],
-                       on_delivered, args) -> None:
-        """First frame reached the receiver side: claim its chain in
-        arrival order — the rack downlink (cross-rack only, *dst_rack*
-        set), then host ingress — and time the delivery."""
-        now = last = self.sim.now
-        for frame_bytes, at in frames:
-            if dst_rack is not None:
-                at = dst_rack.down.reserve(frame_bytes, earliest=at)
-            last = dst.ingress.reserve(frame_bytes, earliest=at)
-        self.sim.call_later(last - now, on_delivered, *args)
+    def _claim_ingress(self, sizes, out, base: float, dst: Host,
+                       dst_rack: Optional[Rack], on_delivered, args) -> None:
+        """The first frame arrived, *base* after it left: claim the rack
+        downlink (if *dst_rack*), then ingress, and time the delivery."""
+        if dst_rack is not None:
+            out, base = dst_rack.down.reserve_frames(sizes, out, base), 0.0
+        last = dst.ingress.reserve_frames(sizes, out, base)[-1]
+        self.sim.call_later(last - self.sim.now, on_delivered, *args)

@@ -124,6 +124,45 @@ def test_landing_into_a_shared_block():
     assert bytes(whole) == bytes(range(256)) * (BLOCK // 128)
 
 
+def test_an_empty_write_makes_no_block():
+    buf = Buffer(0, 4 * BLOCK, host_id=0)
+    for offset in (0, 5, BLOCK, 4 * BLOCK):  # the last is the very end
+        buf.write(offset, b"")
+    assert buf.materialized_bytes == 0
+    # a never-written snapshot lands as never-written blocks
+    buf.write(BLOCK, Buffer(0, 4 * BLOCK, host_id=1).snapshot(0, 2 * BLOCK))
+    assert buf.materialized_bytes == 0
+    assert buf.read(0, 4 * BLOCK) == bytes(4 * BLOCK)
+
+
+def test_a_landed_whole_block_is_adopted_until_either_side_writes():
+    src = Buffer(0, 4 * BLOCK, host_id=0)
+    dst = Buffer(0, 4 * BLOCK, host_id=1)
+    src.write(BLOCK, b"a" * (2 * BLOCK))
+    dst.write(0, src.snapshot(BLOCK, 2 * BLOCK))
+    # both buffers hold the source's own blocks: nothing was copied
+    assert dst._blocks[0].obj is src._blocks[1].obj
+    assert dst._blocks[1].obj is src._blocks[2].obj
+    src.write(BLOCK + 9, b"s")  # the source copies its block first
+    assert src._blocks[1].obj is not dst._blocks[0].obj
+    dst.write(BLOCK, b"d" * BLOCK)  # the landing replaces its block
+    assert dst._blocks[1].obj is not src._blocks[2].obj
+    assert dst.read(0, 2 * BLOCK) == b"a" * BLOCK + b"d" * BLOCK
+    assert src.read(BLOCK, 2 * BLOCK) == (
+        b"a" * 9 + b"s" + b"a" * (2 * BLOCK - 10))
+
+
+def test_a_never_written_part_leaves_no_block():
+    src = Buffer(0, 4 * BLOCK, host_id=0)
+    dst = Buffer(0, 4 * BLOCK, host_id=1)
+    src.write(0, b"x" * 10)  # an edge; blocks 1 and 2 stay unwritten
+    dst.write(0, b"y" * (4 * BLOCK))
+    dst.write(BLOCK - 10, src.snapshot(BLOCK - 10, 2 * BLOCK + 10))
+    assert sorted(dst._blocks) == [0, 3]
+    assert dst.read(BLOCK - 12, 2 * BLOCK + 14) == (
+        b"yy" + bytes(2 * BLOCK + 10) + b"yy")
+
+
 _SIZE = 5 * BLOCK + 123
 _EDGES = [k * BLOCK for k in range(6)]
 _offsets = st.one_of(st.integers(0, _SIZE), st.sampled_from(_EDGES))
@@ -137,18 +176,22 @@ _ops = st.one_of(
     st.tuples(st.just("snapshot"), st.integers(0, 1), _offsets, _lengths),
     st.tuples(st.just("land"), st.integers(0, 1), _offsets,
               st.integers(0, 1000)),
+    # land at the snapshot's own alignment, this many blocks away
+    st.tuples(st.just("land aligned"), st.integers(0, 1),
+              st.integers(-4, 4), st.integers(0, 1000)),
 )
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(ops=st.lists(_ops, max_size=25))
 def test_snapshots_hold_their_instant_against_a_bytearray_reference(ops):
     """Property: two buffers behave exactly like two bytearrays, and
     every snapshot keeps the bytes of the instant it was taken, whatever
-    is written or landed afterwards."""
+    is written or landed afterwards — on either buffer, over blocks a
+    landing adopted."""
     bufs = [Buffer(0, _SIZE, host_id=0), Buffer(0, _SIZE, host_id=1)]
     refs = [bytearray(_SIZE), bytearray(_SIZE)]
-    taken = []  # (snapshot, the reference bytes at its instant)
+    taken = []  # (snapshot, the reference bytes at its instant, offset)
     for op, which, offset, *rest in ops:
         buf, ref = bufs[which], refs[which]
         if op == "write" or op == "fill":
@@ -164,7 +207,7 @@ def test_snapshots_hold_their_instant_against_a_bytearray_reference(ops):
                 continue
             snap = buf.snapshot(offset, length)
             assert len(snap) == length
-            taken.append((snap, bytes(ref[offset:offset + length])))
+            taken.append((snap, bytes(ref[offset:offset + length]), offset))
             if isinstance(snap, Snapshot):
                 pos = offset
                 for part in snap.parts:
@@ -173,12 +216,23 @@ def test_snapshots_hold_their_instant_against_a_bytearray_reference(ops):
                         assert part.obj is block.obj  # shared, not copied
                     pos += len(part)
         elif taken:  # land
-            snap, want = taken[rest[0] % len(taken)]
-            if offset + len(want) > _SIZE:
+            snap, want, source = taken[rest[0] % len(taken)]
+            if op == "land aligned":
+                offset = source + offset * BLOCK
+            if not 0 <= offset <= _SIZE - len(want):
                 continue
             buf.write(offset, snap)
             ref[offset:offset + len(want)] = want
-    for snap, want in taken:
+            if isinstance(snap, Snapshot) and offset % BLOCK == source % BLOCK:
+                pos = offset
+                for part in snap.parts:
+                    if len(part) == BLOCK:  # adopted, or no block at all
+                        block = buf._blocks.get(pos // BLOCK)
+                        never_written = type(part.obj) is bytes
+                        assert (block is None if never_written
+                                else block.obj is part.obj)
+                    pos += len(part)
+    for snap, want, _source in taken:
         assert bytes(snap) == want
     for buf, ref in zip(bufs, refs):
         assert buf.read(0, _SIZE) == bytes(ref)

@@ -18,9 +18,10 @@ import sys
 import pytest
 
 from repro.cluster import build_cluster
-from repro.coord import RemoteLock, SenseBarrier
+from repro.coord import RemoteLock, SenseBarrier, SeqLock
 from repro.core import RStoreConfig
 from repro.kv import RKVStore
+from repro.sanitize import rsan as rsan_module
 from repro.sanitize import rsan_for
 from repro.simnet.config import KiB, MiB
 
@@ -298,3 +299,21 @@ def test_site_is_the_innermost_app_line_as_dir_file_line(cluster):
     assert lines[0] == lines[1]
     assert race.first.site == race.second.site == (
         f"sanitize/test_races.py:{lines[0]}")
+
+
+def test_an_exempt_op_walks_no_stack_for_its_site(cluster, monkeypatch):
+    """Exempt accesses are never recorded, so a SeqLock read's READs
+    must not pay for finding a call site nobody will print."""
+
+    def no_site():
+        raise AssertionError("call site captured for an exempt op")
+
+    def app():
+        record = yield from SeqLock.create(cluster.client(1), "quiet", 64)
+        yield from record.write(b"q" * 64)
+        with monkeypatch.context() as patch:
+            patch.setattr(rsan_module, "_site_of", no_site)
+            return (yield from record.read())
+
+    assert cluster.run_app(app()) == (2, b"q" * 64)
+    assert rsan_for(cluster.sim).races == []

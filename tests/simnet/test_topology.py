@@ -1,6 +1,8 @@
 """Unit tests for channels, hosts and the single-switch fabric."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simnet.config import Gbps, KiB, MiB, NetworkConfig
 from repro.simnet.kernel import Simulator
@@ -44,6 +46,44 @@ def test_channel_rejects_bad_rate_and_size():
     ch = Channel(sim, rate_bps=1e9)
     with pytest.raises(ValueError):
         ch.reserve(-1, earliest=0.0)
+
+
+def _reserve_one(ch, nbytes, earliest):
+    """The per-frame reference the frame loop must match bit for bit."""
+    start = max(earliest, ch._busy_until, ch.sim.now)
+    tx_time = nbytes * 8.0 / ch.rate_bps
+    finish = start + tx_time
+    ch._busy_until = finish
+    ch.bytes_sent += nbytes
+    ch.busy_seconds += tx_time
+    return finish
+
+
+_frame = st.tuples(st.integers(0, 1 << 20), st.floats(0.0, 2e-3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rate=st.sampled_from([Gbps(54.3), Gbps(8), 3.3e8, 1e12]),
+       prior=st.lists(_frame, max_size=10), now=st.floats(0.0, 2e-3),
+       frames=st.lists(_frame, min_size=1, max_size=40),
+       lag=st.sampled_from([0.0, 3e-6, 1.7e-7]))
+def test_a_frame_train_reserves_what_frame_by_frame_would(rate, prior, now,
+                                                          frames, lag):
+    """Random sizes, ``earliest`` instants, hop delays and prior busy
+    state: the loop gives identical finishes, ``bytes_sent`` and
+    ``busy_seconds``."""
+    sims = Simulator(), Simulator()
+    train, reference = (Channel(sim, rate) for sim in sims)
+    for ch in (train, reference):
+        for nbytes, at in prior:
+            _reserve_one(ch, nbytes, at)
+        ch.sim.run(until=now)
+    got = train.reserve_frames([n for n, _ in frames],
+                               [t for _, t in frames], lag)
+    want = [_reserve_one(reference, n, t + lag) for n, t in frames]
+    assert got == want
+    assert (train._busy_until, train.bytes_sent, train.busy_seconds) == (
+        reference._busy_until, reference.bytes_sent, reference.busy_seconds)
 
 
 def test_network_point_to_point_delivery_time():
