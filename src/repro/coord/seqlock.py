@@ -234,7 +234,7 @@ class SeqLock:
     """Optimistic-read / CAS-write concurrency over one record."""
 
     def __init__(self, mapping, offset: int, body_size: int,
-                 max_read_retries: int = 64):
+                 max_read_retries: int = 64, counters: tuple = None):
         if body_size < 0:
             raise CoordError("body_size cannot be negative")
         self.mapping = mapping
@@ -246,13 +246,19 @@ class SeqLock:
         #: a table makes a view per slot it touches, so a per-record
         #: label would grow the registry with the key space)
         self.read_retries = 0
+        self._m_read_retries, self._m_lock_failures = (
+            counters or self.counters(mapping))
+
+    @staticmethod
+    def counters(mapping) -> tuple:
+        """The ``(read retries, lock failures)`` registry counters of a
+        view over *mapping*: a structure that makes a view per record
+        resolves them once and passes them to each."""
         _m = mapping.client.obs.metrics
         _labels = dict(region=mapping.name,
                        host=mapping.client.nic.host.host_id)
-        self._m_read_retries = _m.counter("coord.seqlock.read_retries",
-                                          **_labels)
-        self._m_lock_failures = _m.counter("coord.seqlock.lock_failures",
-                                           **_labels)
+        return (_m.counter("coord.seqlock.read_retries", **_labels),
+                _m.counter("coord.seqlock.lock_failures", **_labels))
 
     def _sync_key(self, version: int) -> tuple:
         return sync_key(self.mapping.name, self.offset, version)

@@ -8,6 +8,8 @@ this first-fit free-list allocator with coalescing on release.
 
 from __future__ import annotations
 
+import bisect
+
 from repro.core.errors import OutOfMemoryError, RStoreError
 
 __all__ = ["Arena"]
@@ -91,14 +93,10 @@ class Arena:
         return length
 
     def _insert_free(self, off: int, length: int) -> None:
-        # Insert keeping order, then coalesce with neighbours.
-        lo, hi = 0, len(self._free)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._free[mid][0] < off:
-                lo = mid + 1
-            else:
-                hi = mid
+        # Insert keeping order, then coalesce with neighbours.  No free
+        # extent starts at *off* (it was live), so the tuple order is
+        # the offset order.
+        lo = bisect.bisect_left(self._free, (off, length))
         self._free.insert(lo, (off, length))
         # merge with successor first, then predecessor
         if lo + 1 < len(self._free):

@@ -124,7 +124,7 @@ class RStoreClient:
                                               host=_host)
         #: per-shard epochs and leased descriptors
         self._meta = MetadataCache(self)
-        #: submission windows, completion dispatcher, retry worker
+        #: submission windows, completion dispatch, retry worker
         self._io = OpPipeline(self)
 
     # -- metrics (registry-backed; see repro.obs) -----------------------------

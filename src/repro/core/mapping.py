@@ -74,7 +74,7 @@ class Mapping:
         Async ops still in flight fail deterministically with
         :class:`NotMappedError` — their futures resolve at the current
         instant instead of leaving parked processes dangling; late
-        completions for their WRs are ignored by the dispatcher.
+        completions for their WRs are ignored by the pipeline.
         """
         self.active = False
         for fut in list(self._inflight):
@@ -241,8 +241,10 @@ class Mapping:
         self._check_usable()
         client = self.client
         config = client.config
-        span = client.obs.tracer.span("data.client.submit",
-                                      trace_id=fut.trace_id, op=fut.kind)
+        tracer = client.obs.tracer
+        # tracing off builds no span and no finish() keywords
+        span = (tracer.span("data.client.submit", trace_id=fut.trace_id,
+                            op=fut.kind) if tracer.enabled else None)
         if batch is None and not fut.is_atomic:
             yield from client.nic.host.cpu.run(ISSUE_OVERHEAD_S)
         desc = self.desc
@@ -250,17 +252,20 @@ class Mapping:
             # ablation: a fresh descriptor for every IO
             desc = yield from client._master_call("lookup", self.name)
         if not desc.available:
-            span.finish(ok=False)
+            if span is not None:
+                span.finish(ok=False)
             raise RegionUnavailableError(desc.unavailable_reason)
         self._inflight.add(fut)
         if config.two_sided_data_path and not fut.is_atomic:
             client.sim.process(self._two_sided(fut, desc),
                                name="two-sided-io")
-            span.finish()
+            if span is not None:
+                span.finish()
             return
         pieces = self._plan_pieces(desc, fut)
         self._post_pieces(fut, desc, pieces, batch=batch)
-        span.finish(pieces=len(pieces))
+        if span is not None:
+            span.finish(pieces=len(pieces))
 
     def _plan_pieces(self, desc: RegionDesc, fut: OpFuture) -> list[tuple]:
         # split stripe pieces further so no single WR exceeds the wire

@@ -17,9 +17,9 @@ atomic, is signaled)::
     results = yield from batch.wait_all()                      # collect
 
 Completion ownership: completions belong to the client's
-:class:`OpPipeline`, never to the op that submitted them.  Its
-dispatcher routes each work completion to its doorbell group and from
-there to the futures whose pieces it carries.
+:class:`OpPipeline`, never to the op that submitted them.  It consumes
+the data CQ, routing each work completion to its doorbell group and
+from there to the futures whose pieces it carries.
 
 Failures are *retryable*: a completion error hands the future to the
 pipeline's retry worker, which remaps the region (see
@@ -206,7 +206,7 @@ class OpFuture:
             raise self.error
         return self.value
 
-    # -- resolution (dispatcher / retry-worker side) ------------------------
+    # -- resolution (CQ consumer / retry-worker side) -----------------------
 
     def _resolve(self, value) -> None:
         if self.done:
@@ -532,8 +532,9 @@ class IoBatch:
         """
         staged, self._staged = self._staged, []
         io = self.client._io
-        span = self.client.obs.tracer.span("data.batch.flush",
-                                           ops=len(staged))
+        tracer = self.client.obs.tracer
+        span = (tracer.span("data.batch.flush", ops=len(staged))
+                if tracer.enabled else None)
         for fut in staged:
             if fut.done:
                 continue
@@ -548,7 +549,8 @@ class IoBatch:
             merged = _coalesce(wrs)
             posted += len(merged)
             yield from io.post_batch(qp, merged)
-        span.finish(wrs=posted)
+        if span is not None:
+            span.finish(wrs=posted)
         return posted
 
     def _submit_behind(self, fut: OpFuture):
@@ -591,7 +593,7 @@ class IoBatch:
 
 
 class OpPipeline:
-    """One client's submission windows, completion dispatcher and retry
+    """One client's submission windows, completion dispatch and retry
     worker: everything between a built work request and the resolution
     of the futures it carries.
     """
@@ -619,8 +621,8 @@ class OpPipeline:
                                             host=_host)
 
     def start(self) -> None:
-        """Spawn the dispatcher and the retry worker."""
-        self.sim.process(self._completion_dispatcher(), name="client-dispatch")
+        """Consume the data CQ and spawn the retry worker."""
+        self.cq.consume(self._dispatch)
         self.sim.process(self._retry_worker(), name="client-retry")
 
     # -- submission ---------------------------------------------------------
@@ -675,38 +677,36 @@ class OpPipeline:
 
     # -- completion ---------------------------------------------------------
 
-    def _completion_dispatcher(self):
-        """Owns every data-path completion; routes them to futures."""
-        tracer = self.obs.tracer
-        while True:
-            wc = yield self.cq.next_completion()
-            token = wc.wr_id
-            if not isinstance(token, _WrToken):
-                continue
-            if tracer.enabled and wc._obs_raised is not None:
-                tracer.record("data.cq.complete", wc._obs_raised,
-                              host=self.nic.host.host_id,
-                              status=wc.status.value)
-            group = token.group
-            if group is None:
-                # synchronous single: one WR, one signaled completion
-                pump = self._pumps.get(wc.qp)
-                if pump is not None:
-                    pump.credit(1)
-                token.retire(wc)
-                continue
-            if not token.retired:
-                token.retire(wc)
-                if not wc.ok:
-                    self._break_group(group, token)
-                elif token is group.tokens[-1]:
-                    # tail success: in-order delivery proves every
-                    # unsignaled WR before it succeeded
-                    for earlier in group.tokens:
-                        earlier.retire()
-            if group.unretired == 0 and not group.credited:
-                group.credited = True
-                group.pump.credit(len(group.tokens))
+    def _dispatch(self, wc) -> None:
+        """Owns every data-path completion: the data CQ's consumer,
+        routing each one to its doorbell group and futures."""
+        token = wc.wr_id
+        if not isinstance(token, _WrToken):
+            return
+        if self.obs.tracer.enabled and wc._obs_raised is not None:
+            self.obs.tracer.record("data.cq.complete", wc._obs_raised,
+                                   host=self.nic.host.host_id,
+                                   status=wc.status.value)
+        group = token.group
+        if group is None:
+            # synchronous single: one WR, one signaled completion
+            pump = self._pumps.get(wc.qp)
+            if pump is not None:
+                pump.credit(1)
+            token.retire(wc)
+            return
+        if not token.retired:
+            token.retire(wc)
+            if not wc.ok:
+                self._break_group(group, token)
+            elif token is group.tokens[-1]:
+                # tail success: in-order delivery proves every
+                # unsignaled WR before it succeeded
+                for earlier in group.tokens:
+                    earlier.retire()
+        if group.unretired == 0 and not group.credited:
+            group.credited = True
+            group.pump.credit(len(group.tokens))
 
     def _break_group(self, group: _Doorbell, err_token: _WrToken) -> None:
         """RC flush semantics for a doorbell batch hit by an error.

@@ -69,6 +69,9 @@ class RKVStore:
             "kv.read_retries", **_labels)
         self._m_lock_retries = client.obs.metrics.counter(
             "kv.lock_retries", **_labels)
+        #: the SeqLock counters every slot view feeds, resolved by the
+        #: first view (a table served only server-side makes none)
+        self._slot_counters = None
 
     @property
     def read_retries(self) -> int:
@@ -151,11 +154,14 @@ class RKVStore:
         locks and publishes slots through the same per-slot version
         metadata the table's own writers use.
         """
+        if self._slot_counters is None:
+            self._slot_counters = SeqLock.counters(self.mapping)
         return SeqLock(
             self.mapping,
             self._slot_offset(index),
             self.slot_size - ops.WORD,
             max_read_retries=_READ_RETRIES,
+            counters=self._slot_counters,
         )
 
     def chain(self, key: bytes) -> list:

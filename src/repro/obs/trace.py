@@ -21,7 +21,7 @@ Span taxonomy (see DESIGN.md "Observability"):
 ``data.batch.flush``   one IoBatch flush: coalesce + doorbell posting
 ``data.qp.post``       WQE accepted → engine launch (doorbell + queue)
 ``data.nic.wire``      launch → remote completion raised (wire + DMA)
-``data.cq.complete``   completion raised → dispatcher retired it
+``data.cq.complete``   completion raised → the CQ consumer retired it
 ``data.future.wait``   caller parked on a future → resumed
 ``data.op.<kind>``     whole-op envelope: submit → future resolved
 =====================  ==================================================

@@ -1,16 +1,17 @@
 """Completion queues.
 
 Completions arrive as :class:`WorkCompletion` entries.  Consumers can
-poll non-blockingly (``poll``) like a spinning verbs application, or
-wait event-driven (``next_completion`` / ``wait_for``) like an app using
-a completion channel.
+poll non-blockingly (``poll``) like a spinning verbs application, wait
+event-driven (``next_completion`` / ``wait_for``) like an app using a
+completion channel, or hand every completion to one callable
+(``consume``) like a completion-channel handler.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro.rdma.types import Opcode, WcStatus
 from repro.simnet.kernel import Event, Simulator
@@ -18,7 +19,7 @@ from repro.simnet.kernel import Event, Simulator
 __all__ = ["WorkCompletion", "CompletionQueue"]
 
 
-@dataclass
+@dataclass(slots=True)
 class WorkCompletion:
     """One completed work request."""
 
@@ -34,7 +35,7 @@ class WorkCompletion:
     #: error detail for non-SUCCESS completions
     detail: str = ""
     #: when the NIC raised it, stamped only under an enabled tracer (the
-    #: client dispatcher's ``data.cq.complete`` span starts here)
+    #: client pipeline's ``data.cq.complete`` span starts here)
     _obs_raised: Optional[float] = field(default=None, init=False,
                                          repr=False, compare=False)
 
@@ -56,6 +57,10 @@ class CompletionQueue:
         self.overflowed = False
         #: completions dropped by CQ overrun
         self.dropped = 0
+        #: the one callable every completion is handed to (:meth:`consume`)
+        self._consumer: Optional[Callable[[WorkCompletion], None]] = None
+        #: the consumer has no delivery scheduled and is not running one
+        self._consumer_idle = False
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -63,6 +68,10 @@ class CompletionQueue:
     def push(self, wc: WorkCompletion) -> None:
         """Deliver a completion (called by the NIC at completion time)."""
         self.total_completions += 1
+        if self._consumer_idle:
+            self._consumer_idle = False
+            self.sim.call_later(0.0, self._deliver, wc)
+            return
         if self._waiters:
             self._waiters.popleft().succeed(wc)
             return
@@ -100,3 +109,22 @@ class CompletionQueue:
             wc = yield self.next_completion()
             out.append(wc)
         return out
+
+    def consume(self, fn: Callable[[WorkCompletion], None]) -> None:
+        """Hand every completion from now on to ``fn(wc)``: a bare call,
+        no process, in the queue position where a process looping on
+        :meth:`next_completion` would resume.  As for that process, one
+        delivery is pending at a time, the rest queue here (and overrun
+        at ``depth``), and the next is scheduled as the last returns."""
+        self._consumer = fn
+        self._schedule_delivery()
+
+    def _deliver(self, wc: WorkCompletion) -> None:
+        self._consumer(wc)
+        self._schedule_delivery()
+
+    def _schedule_delivery(self) -> None:
+        if self._entries:
+            self.sim.call_later(0.0, self._deliver, self._entries.popleft())
+        else:
+            self._consumer_idle = True

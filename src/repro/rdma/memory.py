@@ -231,22 +231,19 @@ class MemoryRegion:
     simulation's one key sequence); a region built bare has none.
     """
 
-    __slots__ = ("buffer", "access", "lkey", "rkey", "pd", "valid")
+    __slots__ = ("buffer", "access", "addr", "length", "_access_bits",
+                 "lkey", "rkey", "pd", "valid")
 
     def __init__(self, buffer: Buffer, access: Access, pd=None):
         self.buffer = buffer
         self.access = access
+        # resolved once: every work request checks them
+        self.addr = buffer.addr
+        self.length = len(buffer)
+        self._access_bits = access.value
         self.lkey = self.rkey = 0
         self.pd = pd
         self.valid = True
-
-    @property
-    def addr(self) -> int:
-        return self.buffer.addr
-
-    @property
-    def length(self) -> int:
-        return len(self.buffer)
 
     @property
     def pages(self) -> int:
@@ -256,7 +253,7 @@ class MemoryRegion:
         """Validate a remote access; return an error string or ``None``."""
         if not self.valid:
             return "memory region has been deregistered"
-        if not (self.access & need):
+        if not self._access_bits & need._value_:
             return f"region lacks {need} permission"
         if addr < self.addr or addr + length > self.addr + self.length:
             return (

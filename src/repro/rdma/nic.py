@@ -368,7 +368,7 @@ class RNic:
             detail=detail,
         )
         if tracer.enabled:
-            # consumed by the client dispatcher's data.cq.complete span
+            # consumed by the client pipeline's data.cq.complete span
             wc._obs_raised = self.sim.now
         qp._complete_send(wr, wc)
 

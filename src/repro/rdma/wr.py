@@ -21,7 +21,7 @@ from repro.rdma.types import Opcode, RdmaError
 __all__ = ["SendWR", "RecvWR"]
 
 
-@dataclass
+@dataclass(slots=True)
 class SendWR:
     """One send-queue work request."""
 
@@ -64,6 +64,11 @@ class SendWR:
     # -- and the completion parked until every earlier WR has one
     _psn: int = field(default=0, init=False, repr=False, compare=False)
     _wc: Any = field(default=None, init=False, repr=False, compare=False)
+    # -- the race sanitizer's, set at post: the posting actor's sequence
+    # -- number and its vector clock (see RaceSanitizer.on_post)
+    _rsan_seq: int = field(default=0, init=False, repr=False, compare=False)
+    _rsan_vec: Any = field(default=None, init=False, repr=False,
+                           compare=False)
 
     def validate(self) -> None:
         if self.opcode is Opcode.RECV:

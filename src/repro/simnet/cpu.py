@@ -34,8 +34,8 @@ class Cpu:
 
     def run(self, seconds: float):
         """Occupy one core for *seconds* (generator)."""
-        if seconds < 0:
-            raise ValueError(f"negative CPU time {seconds}")
+        if not seconds >= 0:  # NaN fails this too
+            raise ValueError(f"CPU time must be >= 0, got {seconds}")
         res = self._res
         slot = res.try_acquire()
         if slot is None:

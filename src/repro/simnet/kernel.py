@@ -102,22 +102,26 @@ class Event:
 
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully, scheduling it for *now*."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        self.sim._schedule(self, delay=0.0)
+        sim = self.sim
+        sim._seq = seq = sim._seq + 1
+        heapq.heappush(sim._queue, (sim.now, seq, self, None))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
         """Trigger the event with an exception, scheduling it for *now*."""
         if not isinstance(exception, BaseException):
             raise TypeError(f"{exception!r} is not an exception")
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = False
         self._value = exception
-        self.sim._schedule(self, delay=0.0)
+        sim = self.sim
+        sim._seq = seq = sim._seq + 1
+        heapq.heappush(sim._queue, (sim.now, seq, self, None))
         return self
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
@@ -148,8 +152,8 @@ class Timeout(Event):
     __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        if not delay >= 0:  # NaN fails this too
+            raise ValueError(f"delay must be >= 0, got {delay}")
         # Event.__init__ and Simulator._schedule, inlined: a timeout is
         # born triggered, and this is the kernel's hottest constructor.
         self.sim = sim
@@ -159,7 +163,7 @@ class Timeout(Event):
         self._processed = False
         self.defused = False
         sim._seq = seq = sim._seq + 1
-        heapq.heappush(sim._queue, (sim._now + delay, seq, self, None))
+        heapq.heappush(sim._queue, (sim.now + delay, seq, self, None))
 
 
 class _Start:
@@ -198,35 +202,26 @@ class Process(Event):
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current instant."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError(f"{self!r} has already terminated")
-        if self._waiting_on is None:
-            # The process is just starting (or being resumed this very
-            # instant); deliver the interrupt right after.
-            hit = Event(self.sim)
-            hit._ok = False
-            hit._value = Interrupt(cause)
-            hit.defused = True
-            self.sim._schedule(hit, delay=0.0)
-            hit.add_callback(self._resume)
-            return
         target = self._waiting_on
-        if target.callbacks is None:
-            # The awaited event has fired and the resume is already in
-            # flight; the interrupt arrives too late to matter.
-            return
-        if self._resume in target.callbacks:
-            target.callbacks.remove(self._resume)
-        self._waiting_on = None
+        # with nothing awaited the process is just starting (or being
+        # resumed this very instant): the interrupt lands right after
+        if target is not None:
+            if target.callbacks is None:
+                # The awaited event has fired and the resume is already
+                # in flight; the interrupt arrives too late to matter.
+                return
+            if self._resume in target.callbacks:
+                target.callbacks.remove(self._resume)
+            self._waiting_on = None
         hit = Event(self.sim)
-        hit._ok = False
-        hit._value = Interrupt(cause)
         hit.defused = True
-        self.sim._schedule(hit, delay=0.0)
+        hit.fail(Interrupt(cause))
         hit.add_callback(self._resume)
 
     def _resume(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not _PENDING:
             if not event._ok:
                 event.defused = True
             return
@@ -241,9 +236,7 @@ class Process(Event):
             self.succeed(stop.value)
             return
         except BaseException as exc:
-            self._ok = False
-            self._value = exc
-            self.sim._schedule(self, delay=0.0)
+            self.fail(exc)
             return
         if not isinstance(target, Event):
             exc = SimulationError(
@@ -255,7 +248,11 @@ class Process(Event):
         if target.sim is not self.sim:
             raise SimulationError("cannot wait on an event from another simulator")
         self._waiting_on = target
-        target.add_callback(self._resume)
+        # add_callback, inlined: this runs once per process wake-up
+        if target._processed:
+            self.sim.call_later(0.0, self._resume, target)
+        else:
+            target.callbacks.append(self._resume)
 
 
 class Condition(Event):
@@ -315,7 +312,9 @@ class Simulator:
     """Owns the virtual clock, the event queue, and process scheduling."""
 
     def __init__(self):
-        self._now = 0.0
+        #: current simulated time in seconds — a plain attribute, read
+        #: many times per op; only this class writes it (repro-lint RL002)
+        self.now = 0.0
         #: ``(when, seq, event, None)`` or ``(when, seq, fn, args)``
         self._queue: list[tuple] = []
         self._seq = 0
@@ -326,11 +325,6 @@ class Simulator:
         self.obs = None
         self.rsan = None
         self._sequences: dict[str, itertools.count] = {}
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     @property
     def events_scheduled(self) -> int:
@@ -424,10 +418,6 @@ class Simulator:
 
     # -- scheduling --------------------------------------------------------
 
-    def _schedule(self, event: Event, delay: float) -> None:
-        self._seq += 1
-        heapq.heappush(self._queue, (self._now + delay, self._seq, event, None))
-
     def call_later(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
         """Run ``fn(*args)`` after *delay* simulated seconds.
 
@@ -437,17 +427,18 @@ class Simulator:
         FIFO order like any other entry, and an exception *fn* raises
         surfaces from :meth:`run`.
         """
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        if not delay >= 0:  # NaN fails this too
+            raise ValueError(f"delay must be >= 0, got {delay}")
         self._seq += 1
-        heapq.heappush(self._queue, (self._now + delay, self._seq, fn, args))
+        heapq.heappush(self._queue, (self.now + delay, self._seq, fn, args))
 
     # -- execution ---------------------------------------------------------
 
     def step(self) -> None:
-        """Process the next queue entry: an event or a bare call."""
+        """Process the next queue entry: an event or a bare call — the
+        one function that does, so its profiled calls count entries."""
         when, _seq, target, args = heapq.heappop(self._queue)
-        self._now = when
+        self.now = when
         if args is not None:
             target(*args)
             return
@@ -471,7 +462,7 @@ class Simulator:
         """
         if isinstance(until, Event):
             stop = until
-            while not stop.processed:
+            while not stop._processed:
                 if not self._queue:
                     raise SimulationError(
                         "event queue drained before the awaited event fired "
@@ -485,8 +476,8 @@ class Simulator:
         deadline = float("inf") if until is None else float(until)
         while self._queue and self._queue[0][0] <= deadline:
             self.step()
-        if until is not None and self._now < deadline:
-            self._now = deadline
+        if until is not None and self.now < deadline:
+            self.now = deadline
         return None
 
     def peek(self) -> float:

@@ -43,6 +43,8 @@ class Host:
                                 f"{self.name}.loop")
         #: arbitrary attachment point for services (NICs, daemons)
         self.services: dict[str, object] = {}
+        #: the rack this host hangs off, assigned by its :class:`Network`
+        self.rack: Optional[Rack] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Host {self.name}>"
@@ -81,12 +83,19 @@ class Network:
         if num_hosts < 1:
             raise ValueError(f"need at least one host, got {num_hosts}")
         self.sim = sim
-        self.config = config or NetworkConfig()
-        self.hosts = [Host(sim, i, self.config) for i in range(num_hosts)]
+        self.config = cfg = config or NetworkConfig()
+        self.hosts = [Host(sim, i, cfg) for i in range(num_hosts)]
         self.racks = [
-            Rack(sim, r, -(-num_hosts // self.config.racks), self.config)
-            for r in range(self.config.racks)
+            Rack(sim, r, -(-num_hosts // cfg.racks), cfg)
+            for r in range(cfg.racks)
         ]
+        for host in self.hosts:
+            host.rack = self.racks[host.host_id % cfg.racks]
+        #: propagation + switch latency excluding serialization, within
+        #: a rack and across two (two extra hops: ToR -> spine -> ToR)
+        self.one_way_base_delay = 2 * cfg.link_prop_delay_s + cfg.switch_latency_s
+        self._cross_rack_delay = self.one_way_base_delay + (
+            2 * cfg.link_prop_delay_s + cfg.switch_latency_s)
         #: total bytes carried across the switch
         self.bytes_carried = 0
         #: total frames carried
@@ -98,20 +107,11 @@ class Network:
         #: messages eaten by the fault filter
         self.messages_dropped = 0
 
-    def rack_of(self, host: Host) -> Rack:
-        return self.racks[host.host_id % self.config.racks]
-
     def __len__(self) -> int:
         return len(self.hosts)
 
     def host(self, host_id: int) -> Host:
         return self.hosts[host_id]
-
-    @property
-    def one_way_base_delay(self) -> float:
-        """Propagation + switch latency excluding serialization."""
-        cfg = self.config
-        return 2 * cfg.link_prop_delay_s + cfg.switch_latency_s
 
     def transmit_frame(
         self,
@@ -178,17 +178,16 @@ class Network:
             finish = src.loopback.reserve(nbytes, earliest=now)
             sim.call_later(finish - now, on_delivered, *args)
             return done
-        src_rack = self.rack_of(src)
-        dst_rack = self.rack_of(dst)
-        base = self.one_way_base_delay
+        src_rack, dst_rack = src.rack, dst.rack
         if src_rack is dst_rack:
-            dst_rack = None
+            dst_rack, base = None, self.one_way_base_delay
         else:
-            # two extra hops: ToR -> spine -> ToR
-            base += 2 * self.config.link_prop_delay_s + \
-                self.config.switch_latency_s
-        sizes = [frame_size + header_bytes] * (nframes - 1)
-        sizes.append(nbytes - (nframes - 1) * frame_size + header_bytes)
+            base = self._cross_rack_delay
+        if nframes == 1:
+            sizes = [nbytes + header_bytes]
+        else:
+            sizes = [frame_size + header_bytes] * (nframes - 1)
+            sizes.append(nbytes - (nframes - 1) * frame_size + header_bytes)
         # sender-side chain: host egress, then the rack uplink
         out = src.egress.reserve_frames(sizes, [now] * nframes)
         if dst_rack is not None:

@@ -17,7 +17,8 @@ there (:mod:`.file_rules`):
   ``random`` module (or unseeded ``random.Random()`` / numpy
   generators) outside ``simnet/``, however the module was imported.
   Every source of nondeterminism must flow through the simulator's
-  seeded streams, or seeded replay breaks.
+  seeded streams, or seeded replay breaks.  And the simulated clock
+  has one writer: nothing outside ``simnet/kernel.py`` assigns ``.now``.
 * **RL003 — no dropped futures.**  A bare expression statement whose
   value is a ``*_async`` call throws the :class:`OpFuture` away:
   nobody will ever observe its error, and (to the race sanitizer) the

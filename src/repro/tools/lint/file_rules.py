@@ -221,6 +221,8 @@ class _Checker(ast.NodeVisitor):
         parts = set(path.parts)
         self.data_path = bool(parts & DATA_PATH_SEGMENTS)
         self.in_simnet = "simnet" in parts
+        #: the simulated clock's one writer (RL002)
+        self.is_kernel = path.parts[-2:] == ("simnet", "kernel.py")
         self.may_dial_master = (path.name == "config.py"
                                 or path.name.startswith(DIAL_ALLOWED_FILES))
         #: a server-op executor module (RL007 scope)
@@ -299,7 +301,7 @@ class _Checker(ast.NodeVisitor):
                       "dict.fromkeys(...) or iterate sorted(...)")
         self.generic_visit(node)
 
-    # -- RL006: direct master endpoint naming --------------------------------
+    # -- RL006: direct master endpoint naming; RL002: the clock's writer ----
 
     def visit_Attribute(self, node):
         if node.attr == "master_service" and not self.may_dial_master:
@@ -307,6 +309,11 @@ class _Checker(ast.NodeVisitor):
                       "names the master wire endpoint (.master_service) "
                       "directly — dial through the ShardRouter so the call "
                       "reaches the owning metadata shard")
+        if (node.attr == "now" and isinstance(node.ctx, ast.Store)
+                and not self.is_kernel):
+            self.flag(node, "RL002",
+                      "assigns .now — the simulated clock moves only as "
+                      "the kernel (simnet/kernel.py) runs its queue")
         self.generic_visit(node)
 
     # -- RL003: dropped futures ----------------------------------------------

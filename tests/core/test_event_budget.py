@@ -23,7 +23,8 @@ from repro.simnet.config import KiB, MiB
 #: ingress claim and delivery, the remote DMA, the response's ingress
 #: claim and delivery, the completion.
 _NIC_PATH = 7
-#: the client's wake-ups: the CQ dispatcher, then the waiting future
+#: the client's turns: the data CQ's consumer call (a bare call, where
+#: a dispatcher process used to wake), then the waiting future
 _CLIENT_WAKEUPS = 2
 
 
@@ -100,7 +101,7 @@ def test_a_validated_read_is_one_doorbell_and_one_round_trip():
     # [READ record, READ word] on one doorbell: (doorbells, WRs)
     assert posted["validated read"] == (1, 2)
     # one issue overhead for the doorbell and a NIC path per READ; only
-    # the signaled tail wakes the dispatcher, which resolves both
+    # the signaled tail reaches the CQ consumer, which resolves both
     # futures at once — the waiter wakes once
     assert costs["validated read"] == 1 + 2 * _NIC_PATH + _CLIENT_WAKEUPS
     # the walk's pair, the CAS, then [body, version] on one doorbell —

@@ -1,6 +1,6 @@
 """RL002 fixture: wall-clock and global-RNG nondeterminism outside
-``simnet/``.  Never imported — repro-lint parses it as text.
-``# -> RLxxx`` markers name the expected finding on that line."""
+``simnet/``, and ``.now`` writes outside ``simnet/kernel.py``.  Never
+imported — parsed as text; ``# -> RLxxx`` marks each expected finding."""
 
 import random
 import random as r
@@ -31,3 +31,9 @@ def aliased():
     draw = r.random()                       # -> RL002
     seeded = r.Random(1234)
     return started, now, pick, draw, seeded
+
+
+def rewind(sim):
+    # the simulated clock moves only inside simnet/kernel.py
+    sim.now = 0.0                           # -> RL002
+    return sim.now

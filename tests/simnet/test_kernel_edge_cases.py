@@ -1,7 +1,10 @@
 """Kernel corner cases beyond the basics."""
 
+import math
+
 import pytest
 
+from repro.simnet.cpu import Cpu
 from repro.simnet.kernel import (
     AllOf,
     AnyOf,
@@ -10,6 +13,26 @@ from repro.simnet.kernel import (
     Simulator,
 )
 from repro.simnet.resources import Store
+
+
+@pytest.mark.parametrize("schedule", [
+    lambda sim: sim.call_later(math.nan, print),
+    lambda sim: sim.timeout(math.nan),
+    lambda sim: next(Cpu(sim).run(math.nan)),
+], ids=["call_later", "timeout", "cpu.run"])
+def test_a_nan_delay_is_refused(schedule):
+    # `nan < 0` is false: a NaN entry at the heap head would end run()
+    # with nothing run (`nan <= deadline` is false too), or set the
+    # clock to NaN when it ran
+    sim = Simulator()
+    with pytest.raises(ValueError):
+        schedule(sim)
+    fired = []
+    for delay in (1.0, 2.0, 3.0):
+        sim.call_later(delay, fired.append, delay)
+    sim.run()
+    assert fired == [1.0, 2.0, 3.0]
+    assert sim.now == 3.0
 
 
 def test_all_of_fails_fast_on_first_failure():

@@ -15,14 +15,14 @@ def make_net(num_hosts, **overrides):
 def test_single_rack_is_default():
     _sim, net = make_net(4)
     assert len(net.racks) == 1
-    assert net.rack_of(net.host(0)) is net.rack_of(net.host(3))
+    assert net.host(0).rack is net.host(3).rack
 
 
 def test_hosts_assigned_round_robin():
     _sim, net = make_net(6, racks=2)
-    assert net.rack_of(net.host(0)) is net.racks[0]
-    assert net.rack_of(net.host(1)) is net.racks[1]
-    assert net.rack_of(net.host(2)) is net.racks[0]
+    assert net.host(0).rack is net.racks[0]
+    assert net.host(1).rack is net.racks[1]
+    assert net.host(2).rack is net.racks[0]
 
 
 def test_config_validation():
