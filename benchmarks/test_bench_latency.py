@@ -61,7 +61,7 @@ def raw_verbs_read(cluster, size):
                 opcode=Opcode.RDMA_READ, local_mr=cmr, local_addr=cmr.addr,
                 length=size, remote_addr=smr.addr, rkey=smr.rkey,
             ))
-            yield from ccq.wait_for(1)
+            yield ccq.next_completion()
 
         return (yield from timed_loop(sim, one_read))
 

@@ -694,8 +694,9 @@ class Master:
         by_host: dict[int, list[int]] = {}
         for stripe in region.stripes:
             for replica in stripe.replicas:
-                # a dead server's arena died with it
-                if self.allocator.server(replica.host_id).alive:
+                # a dead server's arena died with it (and a server dead
+                # at a master restart is not in the allocator at all)
+                if self.allocator.host_alive(replica.host_id):
                     by_host.setdefault(replica.host_id, []).append(replica.addr)
         yield from self._release_round(by_host)
         for stripe in region.stripes:

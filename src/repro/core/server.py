@@ -152,9 +152,7 @@ class MemoryServer:
         self.cm.listen(self.nic, cfg.data_service, self._data_pd, data_cq)
 
         self._copy_cq = yield from self.nic.create_cq()
-        self.sim.process(
-            self._copy_dispatcher(), name=f"copy-dispatch-{self.host_id}"
-        )
+        self._copy_cq.consume(self._copy_completed)
 
         self._router = ShardRouter(self.sim, self.nic, self.cm, cfg)
         yield from self._router.connect_all()
@@ -271,12 +269,10 @@ class MemoryServer:
         yield op.event
         return length
 
-    def _copy_dispatcher(self):
-        while True:
-            wc = yield self._copy_cq.next_completion()
-            op = wc.wr_id
-            if isinstance(op, _CopyOp):
-                op.on_completion(wc)
+    def _copy_completed(self, wc) -> None:
+        op = wc.wr_id
+        if isinstance(op, _CopyOp):
+            op.on_completion(wc)
 
     def _ts_read(self, addr, length):
         """Two-sided ablation: read arena bytes through the server CPU."""

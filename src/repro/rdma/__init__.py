@@ -6,15 +6,16 @@ reproduce the paper's performance arguments:
 * **Control path is expensive**: protection domains, memory registration
   (cost proportional to pages), queue-pair creation and connection
   establishment all charge realistic setup latencies.
-* **Data path is fast and offloaded**: one-sided READ/WRITE/atomic
+* **Data path is fast and offloaded**: one-sided READ/WRITE/CAS/FAA
   operations are executed entirely by the (simulated) NICs — the remote
-  host's CPU model is never touched — while SEND/RECV involves both NICs
-  plus receive-queue matching.
+  host's CPU model is never touched — while SEND/RECV, which carries the
+  control RPCs, involves both NICs plus receive-queue matching.
 
-The public surface mirrors the verbs API: open a device
+Those six verbs are all it models: what RStore runs, nothing more.  The
+public surface mirrors the verbs API: open a device
 (:class:`~repro.rdma.nic.RNic`), allocate a PD, register MRs, create RC
 QPs, connect them through the connection manager, post work requests and
-poll completion queues.
+take their completions from completion queues.
 """
 
 from repro.rdma.cm import ConnectionManager

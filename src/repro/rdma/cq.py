@@ -1,10 +1,9 @@
 """Completion queues.
 
-Completions arrive as :class:`WorkCompletion` entries.  Consumers can
-poll non-blockingly (``poll``) like a spinning verbs application, wait
-event-driven (``next_completion`` / ``wait_for``) like an app using a
-completion channel, or hand every completion to one callable
-(``consume``) like a completion-channel handler.
+Completions arrive as :class:`WorkCompletion` entries.  A process
+waits for the next one (``next_completion``), like an app blocked on a
+completion channel, or every completion goes to one callable
+(``consume``), like a completion-channel handler.
 """
 
 from __future__ import annotations
@@ -30,8 +29,6 @@ class WorkCompletion:
     qp: Optional[object] = None
     #: atomics: the prior value at the remote address
     atomic_result: Optional[int] = None
-    #: immediate data from RDMA_WRITE_IMM / SEND-with-imm
-    imm_data: Optional[int] = None
     #: error detail for non-SUCCESS completions
     detail: str = ""
     #: when the NIC raised it, stamped only under an enabled tracer (the
@@ -86,13 +83,6 @@ class CompletionQueue:
             return
         self._entries.append(wc)
 
-    def poll(self, max_entries: int = 16) -> list[WorkCompletion]:
-        """Non-blocking poll, like ``ibv_poll_cq``."""
-        out = []
-        while self._entries and len(out) < max_entries:
-            out.append(self._entries.popleft())
-        return out
-
     def next_completion(self) -> Event:
         """An event that fires with the next completion."""
         event = Event(self.sim)
@@ -101,14 +91,6 @@ class CompletionQueue:
         else:
             self._waiters.append(event)
         return event
-
-    def wait_for(self, n: int = 1):
-        """Generator: wait until *n* completions arrive; returns them."""
-        out = []
-        while len(out) < n:
-            wc = yield self.next_completion()
-            out.append(wc)
-        return out
 
     def consume(self, fn: Callable[[WorkCompletion], None]) -> None:
         """Hand every completion from now on to ``fn(wc)``: a bare call,

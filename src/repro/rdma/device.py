@@ -39,11 +39,6 @@ class NicModel:
     frame_header_bytes: int = 64
     #: size of a READ request / ACK control message on the wire (bytes)
     control_message_bytes: int = 32
-    #: payload at or below this size is inlined into the WQE — the send
-    #: skips the DMA fetch, shaving latency (bytes)
-    max_inline: int = 256
-    #: latency saved by inlining (s)
-    inline_saving_s: float = us(0.15)
 
     # -- control path --------------------------------------------------------
     #: fixed cost of registering a memory region (syscall, pinning setup) (s)

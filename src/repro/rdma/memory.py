@@ -207,9 +207,9 @@ class Buffer:
 class HostMemory:
     """Page-aligned bump allocator for one host's DRAM."""
 
-    def __init__(self, host_id: int, base_addr: int = 0x10000):
+    def __init__(self, host_id: int):
         self.host_id = host_id
-        self._next_addr = base_addr
+        self._next_addr = 0x10000
         self.allocated_bytes = 0
 
     def alloc(self, length: int) -> Buffer:
@@ -232,7 +232,7 @@ class MemoryRegion:
     """
 
     __slots__ = ("buffer", "access", "addr", "length", "_access_bits",
-                 "lkey", "rkey", "pd", "valid")
+                 "lkey", "rkey", "pd")
 
     def __init__(self, buffer: Buffer, access: Access, pd=None):
         self.buffer = buffer
@@ -243,7 +243,6 @@ class MemoryRegion:
         self._access_bits = access.value
         self.lkey = self.rkey = 0
         self.pd = pd
-        self.valid = True
 
     @property
     def pages(self) -> int:
@@ -251,8 +250,6 @@ class MemoryRegion:
 
     def check_remote(self, addr: int, length: int, need: Access) -> Optional[str]:
         """Validate a remote access; return an error string or ``None``."""
-        if not self.valid:
-            return "memory region has been deregistered"
         if not self._access_bits & need._value_:
             return f"region lacks {need} permission"
         if addr < self.addr or addr + length > self.addr + self.length:
@@ -264,6 +261,3 @@ class MemoryRegion:
 
     def offset_of(self, addr: int) -> int:
         return addr - self.addr
-
-    def deregister(self) -> None:
-        self.valid = False

@@ -49,15 +49,12 @@ class RNic:
         self.model = model or NicModel()
         self.memory = HostMemory(host.host_id)
         self.alive = True
-        #: epoch fence: one-sided WRs stamped with an epoch below this
-        #: are NAK'd ("stale epoch") instead of touching memory — set by
-        #: the memory server when it re-registers with a recycled arena.
-        #: Epochs are per control-plane shard (shards recover
-        #: independently); this attribute is shard 0's fence and
-        #: ``_shard_fences`` carries the rest — WRs say which fence
-        #: applies via their ``shard`` stamp.
-        self.fence_epoch = 0
-        self._shard_fences: dict[int, int] = {}
+        #: epoch fences, one per control-plane shard (shards recover
+        #: independently): a one-sided WR whose ``shard`` stamp names a
+        #: fence and whose epoch is below it is NAK'd ("stale epoch")
+        #: instead of touching memory.  The memory server sets them when
+        #: it re-registers with a recycled arena.
+        self._fences: dict[int, int] = {}
         #: optional fault-injection hook: ``hook(host_id, wr) -> str``
         #: returning a non-empty detail fails the WR with RETRY_EXC_ERR
         #: *before* it leaves this NIC (the remote side never sees it)
@@ -87,14 +84,10 @@ class RNic:
     def set_fence(self, shard_id: int, epoch: int) -> None:
         """Fence one shard's era: one-sided WRs carrying that shard's
         stamp with an older epoch NAK instead of touching memory."""
-        if shard_id == 0:
-            self.fence_epoch = epoch
-        else:
-            self._shard_fences[shard_id] = epoch
+        self._fences[shard_id] = epoch
 
     def fence_for(self, shard_id: int) -> int:
-        return (self.fence_epoch if shard_id == 0
-                else self._shard_fences.get(shard_id, 0))
+        return self._fences.get(shard_id, 0)
 
     def fenced(self, shard_id: int, epoch: int) -> bool:
         """Would a request stamped (*shard_id*, *epoch*) be NAK'd stale?
@@ -181,12 +174,6 @@ class RNic:
         pd.regions.append(mr)
         return mr
 
-    def dereg_mr(self, mr: MemoryRegion):
-        """Deregister (unpin) a memory region (generator)."""
-        mr.deregister()
-        self.mr_by_rkey.pop(mr.rkey, None)
-        yield self.sim.timeout(self.model.reg_mr_base_s / 2)
-
     def create_qp(
         self,
         pd: ProtectionDomain,
@@ -233,6 +220,7 @@ class RNic:
         call_later = self.sim.call_later
         tracing = self.obs.tracer.enabled
         rsan = self.rsan if self.rsan.enabled else None
+        processing = model.wqe_processing_s
         start = max(now + model.doorbell_s, self._engine_busy_until)
         for wr in wrs:
             wr._wc_raised = False
@@ -240,10 +228,6 @@ class RNic:
                 wr._obs_posted = now
             if rsan is not None:
                 rsan.on_post(wr, self.host.host_id)
-            processing = model.wqe_processing_s
-            if (wr.inline_data is not None
-                    and len(wr.inline_data) <= model.max_inline):
-                processing = max(0.0, processing - model.inline_saving_s)
             start += processing
             call_later(start - now, self._launch, qp, wr)
         self._engine_busy_until = start
@@ -289,9 +273,9 @@ class RNic:
         if opcode is Opcode.RDMA_READ:
             self._send_control(remote_qp.nic, self._read_arrived,
                                qp, wr, remote_qp.nic)
-        elif opcode in (Opcode.RDMA_WRITE, Opcode.RDMA_WRITE_IMM):
+        elif opcode is Opcode.RDMA_WRITE:
             self._transmit(remote_qp.nic, wr.bytes_on_wire,
-                           self._write_arrived, qp, wr, remote_qp,
+                           self._write_arrived, qp, wr, remote_qp.nic,
                            self._snapshot_payload(wr))
         elif opcode in (Opcode.ATOMIC_CAS, Opcode.ATOMIC_FAA):
             self._send_control(remote_qp.nic, self._atomic_arrived,
@@ -306,8 +290,6 @@ class RNic:
     def _snapshot_payload(self, wr: SendWR) -> Payload:
         """The local payload as of launch (send-side snapshot); the
         receiver lands it."""
-        if wr.inline_data is not None:
-            return bytes(wr.inline_data)
         if wr.length == 0 or wr.local_mr is None:
             return b""
         offset = wr.local_mr.offset_of(wr.local_addr)
@@ -421,28 +403,19 @@ class RNic:
 
     # -- RDMA WRITE ------------------------------------------------------------
 
-    def _write_arrived(self, qp: QueuePair, wr: SendWR, remote_qp: QueuePair,
+    def _write_arrived(self, qp: QueuePair, wr: SendWR, remote: "RNic",
                        payload: Payload) -> None:
-        remote = remote_qp.nic
         mr = self._admit(qp, wr, remote, Access.REMOTE_WRITE)
         if mr is not None:
             self.sim.call_later(remote.model.remote_dma_s, self._write_dma,
-                                qp, wr, remote_qp, mr, payload)
+                                qp, wr, remote, mr, payload)
 
-    def _write_dma(self, qp: QueuePair, wr: SendWR, remote_qp: QueuePair,
+    def _write_dma(self, qp: QueuePair, wr: SendWR, remote: "RNic",
                    mr: MemoryRegion, payload: Payload) -> None:
-        remote = remote_qp.nic
         mr.buffer.write(mr.offset_of(wr.remote_addr), payload)
         if remote.rsan.enabled:
             remote.rsan.on_apply(remote.host.host_id, wr.remote_addr,
                                  wr.length, "write", wr)
-        if wr.opcode is Opcode.RDMA_WRITE_IMM:
-            # the immediate consumes a receive WQE at the target
-            rwr = remote_qp._take_recv()
-            if rwr is None:
-                remote_qp._park_arrival(("imm", None, qp, wr))
-            else:
-                remote._match_recv(remote_qp, rwr, "imm", None, qp, wr)
         remote._send_control(self, self._acked, qp, wr,
                              WcStatus.SUCCESS, wr.length)
 
@@ -528,39 +501,21 @@ class RNic:
         if rwr is None:
             # RC would RNR-retry; we park the message until a receive
             # is posted, at which point matching resumes.
-            remote_qp._park_arrival(("send", payload, qp, wr))
+            remote_qp._park_arrival((payload, qp, wr))
             return
-        remote._match_recv(remote_qp, rwr, "send", payload, qp, wr)
+        remote._match_recv(remote_qp, rwr, payload, qp, wr)
 
     def _match_recv(
         self,
         dst_qp: QueuePair,
         rwr: RecvWR,
-        kind: str,
-        payload: Optional[Payload],
+        payload: Payload,
         src_qp: QueuePair,
         swr: SendWR,
     ) -> None:
-        """Consume a posted receive for an arrived SEND or WRITE_IMM
-        (runs on the receiver)."""
+        """Consume a posted receive for an arrived SEND (runs on the
+        receiver)."""
         src_nic = src_qp.nic
-        if kind == "imm":
-            # data already landed one-sidedly; the receive just carries
-            # the immediate and the byte count
-            self.sim.call_later(
-                self.model.completion_s,
-                dst_qp.recv_cq.push,
-                WorkCompletion(
-                    wr_id=rwr.wr_id,
-                    status=WcStatus.SUCCESS,
-                    opcode=Opcode.RECV_RDMA_WITH_IMM,
-                    byte_len=swr.length,
-                    qp=dst_qp,
-                    imm_data=swr.imm_data,
-                ),
-            )
-            return
-        assert payload is not None
         if len(payload) > rwr.length:
             dst_qp.recv_cq.push(
                 WorkCompletion(

@@ -8,25 +8,15 @@ __all__ = ["Opcode", "WcStatus", "QpState", "Access", "RdmaError", "QpError"]
 
 
 class Opcode(enum.Enum):
-    """Work-request / completion opcodes (the subset RStore needs)."""
+    """Work-request / completion opcodes: exactly the verbs RStore runs —
+    one-sided READ/WRITE/CAS/FAA for data, SEND/RECV for control RPC."""
 
     SEND = "send"
     RECV = "recv"
     RDMA_WRITE = "rdma_write"
-    #: write plus immediate: places data one-sidedly AND consumes a
-    #: receive WQE at the target, raising a recv completion that carries
-    #: the 32-bit immediate — data delivery with a doorbell attached
-    RDMA_WRITE_IMM = "rdma_write_imm"
-    RECV_RDMA_WITH_IMM = "recv_rdma_with_imm"
     RDMA_READ = "rdma_read"
     ATOMIC_CAS = "atomic_cas"
     ATOMIC_FAA = "atomic_faa"
-
-
-#: opcodes executed one-sidedly by the remote NIC, no remote CPU
-ONE_SIDED = frozenset(
-    {Opcode.RDMA_WRITE, Opcode.RDMA_READ, Opcode.ATOMIC_CAS, Opcode.ATOMIC_FAA}
-)
 
 
 class WcStatus(enum.Enum):
@@ -34,10 +24,8 @@ class WcStatus(enum.Enum):
 
     SUCCESS = "success"
     LOC_LEN_ERR = "local_length_error"
-    LOC_PROT_ERR = "local_protection_error"
     REM_ACCESS_ERR = "remote_access_error"
     REM_INV_REQ_ERR = "remote_invalid_request"
-    RNR_RETRY_EXC_ERR = "receiver_not_ready"
     RETRY_EXC_ERR = "transport_retry_exceeded"
     WR_FLUSH_ERR = "work_request_flushed"
 

@@ -39,10 +39,6 @@ class SendWR:
     #: atomics: compare/swap operands (CAS) or the addend (FAA)
     compare: int = 0
     swap: int = 0
-    #: small payload carried inside the WQE instead of a local MR
-    inline_data: Optional[bytes] = None
-    #: 32-bit immediate delivered with RDMA_WRITE_IMM
-    imm_data: int = 0
     #: logical size on the wire; defaults to ``length`` (see module doc)
     wire_length: Optional[int] = None
     #: era stamp: the target NIC NAKs a one-sided WR whose ``epoch`` is
@@ -76,23 +72,13 @@ class SendWR:
         if self.opcode in (Opcode.ATOMIC_CAS, Opcode.ATOMIC_FAA):
             if self.length not in (0, 8):
                 raise RdmaError("atomics operate on exactly 8 bytes")
+            # Atomics need no local MR: the old value returns in the
+            # completion (and lands in local memory only given one).
             self.length = 8
-        if self.inline_data is not None:
-            if self.local_mr is not None:
-                raise RdmaError("inline sends do not take a local MR")
-            self.length = len(self.inline_data)
-        elif self.opcode is not Opcode.ATOMIC_FAA and self.length < 0:
+        elif self.length < 0:
             raise RdmaError(f"negative length {self.length}")
-        atomic = self.opcode in (Opcode.ATOMIC_CAS, Opcode.ATOMIC_FAA)
-        if (
-            self.length > 0
-            and self.inline_data is None
-            and self.local_mr is None
-            and not atomic
-        ):
-            # Atomics are exempt: the old value returns in the completion
-            # (and lands in local memory only when a local MR is given).
-            raise RdmaError("non-inline work request needs a local MR")
+        elif self.length > 0 and self.local_mr is None:
+            raise RdmaError("a work request with a payload needs a local MR")
         if self.local_mr is not None:
             err = _check_local(self.local_mr, self.local_addr, self.length)
             if err:
@@ -130,8 +116,6 @@ class RecvWR:
 
 
 def _check_local(mr: MemoryRegion, addr: int, length: int) -> Optional[str]:
-    if not mr.valid:
-        return "local memory region has been deregistered"
     if addr < mr.addr or addr + length > mr.addr + mr.length:
         return (
             f"local access [{addr:#x}, +{length}) outside region "

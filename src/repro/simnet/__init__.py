@@ -15,7 +15,6 @@ and the CPU cost model so that the *simulated* clock is the measurement.
 
 from repro.simnet.kernel import (
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Simulator,
@@ -30,7 +29,6 @@ __all__ = [
     "Event",
     "FaultInjector",
     "Host",
-    "Interrupt",
     "Network",
     "NetworkConfig",
     "Process",

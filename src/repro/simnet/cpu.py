@@ -62,9 +62,8 @@ class Cpu:
         """Work items waiting for a free core."""
         return self._res.queue_len
 
-    def utilization(self, since: float = 0.0) -> float:
-        """Average core utilization (0..1) since *since*."""
-        elapsed = self.sim.now - since
-        if elapsed <= 0:
+    def utilization(self) -> float:
+        """Average core utilization (0..1) since time zero."""
+        if self.sim.now <= 0:
             return 0.0
-        return min(1.0, self.busy_seconds / (elapsed * self.cores))
+        return min(1.0, self.busy_seconds / (self.sim.now * self.cores))

@@ -50,7 +50,6 @@ __all__ = ["FaultInjector"]
 _DATA_OPCODES = frozenset({
     Opcode.RDMA_READ,
     Opcode.RDMA_WRITE,
-    Opcode.RDMA_WRITE_IMM,
     Opcode.ATOMIC_CAS,
     Opcode.ATOMIC_FAA,
 })

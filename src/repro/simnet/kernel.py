@@ -35,7 +35,6 @@ __all__ = [
     "Condition",
     "AllOf",
     "AnyOf",
-    "Interrupt",
     "Simulator",
     "SimulationError",
 ]
@@ -45,17 +44,6 @@ _PENDING = object()
 
 class SimulationError(Exception):
     """Raised for misuse of the simulation kernel itself."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`.
-
-    The ``cause`` attribute carries the value passed to ``interrupt``.
-    """
-
-    @property
-    def cause(self) -> Any:
-        return self.args[0] if self.args else None
 
 
 class Event:
@@ -185,7 +173,7 @@ class Process(Event):
     process with ``result = yield proc``.
     """
 
-    __slots__ = ("generator", "_waiting_on", "name")
+    __slots__ = ("generator", "name")
 
     def __init__(
         self, sim: "Simulator", generator: Generator, name: str = ""
@@ -195,37 +183,11 @@ class Process(Event):
         super().__init__(sim)
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._waiting_on: Optional[Event] = None
         sim.processes_spawned += 1
         # Kick the process off at the current instant.
         sim.call_later(0.0, self._resume, _START)
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current instant."""
-        if self._value is not _PENDING:
-            raise SimulationError(f"{self!r} has already terminated")
-        target = self._waiting_on
-        # with nothing awaited the process is just starting (or being
-        # resumed this very instant): the interrupt lands right after
-        if target is not None:
-            if target.callbacks is None:
-                # The awaited event has fired and the resume is already
-                # in flight; the interrupt arrives too late to matter.
-                return
-            if self._resume in target.callbacks:
-                target.callbacks.remove(self._resume)
-            self._waiting_on = None
-        hit = Event(self.sim)
-        hit.defused = True
-        hit.fail(Interrupt(cause))
-        hit.add_callback(self._resume)
-
     def _resume(self, event: Event) -> None:
-        if self._value is not _PENDING:
-            if not event._ok:
-                event.defused = True
-            return
-        self._waiting_on = None
         try:
             if event._ok:
                 target = self.generator.send(event._value)
@@ -247,7 +209,6 @@ class Process(Event):
             raise exc
         if target.sim is not self.sim:
             raise SimulationError("cannot wait on an event from another simulator")
-        self._waiting_on = target
         # add_callback, inlined: this runs once per process wake-up
         if target._processed:
             self.sim.call_later(0.0, self._resume, target)

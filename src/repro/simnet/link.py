@@ -30,10 +30,6 @@ class Channel:
         self.rate_bps = rate_bps
         self.name = name
         self._busy_until = 0.0
-        #: total bytes ever serialized on this channel
-        self.bytes_sent = 0
-        #: total seconds the channel spent transmitting
-        self.busy_seconds = 0.0
 
     def serialization_time(self, nbytes: int) -> float:
         return nbytes * 8.0 / self.rate_bps
@@ -52,25 +48,14 @@ class Channel:
         rate, busy, now = self.rate_bps, self._busy_until, self.sim.now
         if busy < now:
             busy = now
-        seconds, sent, finishes, i = self.busy_seconds, 0, [], 0
+        finishes, i = [], 0
         for nbytes in sizes:  # a bare index beats zip() and enumerate()
             at = earliest[i] + lag
             i += 1
-            tx_time = nbytes * 8.0 / rate
-            busy = (at if at > busy else busy) + tx_time
-            seconds += tx_time
-            sent += nbytes
+            busy = (at if at > busy else busy) + nbytes * 8.0 / rate
             finishes.append(busy)
-        self._busy_until, self.busy_seconds = busy, seconds
-        self.bytes_sent += sent
+        self._busy_until = busy
         return finishes
-
-    def utilization(self, since: float = 0.0) -> float:
-        """Fraction of time spent transmitting since *since*."""
-        elapsed = self.sim.now - since
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.busy_seconds / elapsed)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Channel {self.name} {self.rate_bps / 1e9:.1f} Gb/s>"

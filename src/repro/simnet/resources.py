@@ -4,8 +4,8 @@ Two primitives cover everything the reproduction needs:
 
 * :class:`Resource` — a counted semaphore (CPU cores, NIC DMA engines,
   bounded server worker pools).
-* :class:`Store` — an unbounded-or-bounded FIFO of items (message queues,
-  work queues, completion channels).
+* :class:`Store` — an unbounded FIFO of items (message queues, work
+  queues).
 
 Both hand out plain :class:`~repro.simnet.kernel.Event` objects so they
 compose with ``yield`` / ``AllOf`` / ``AnyOf`` like any other event.
@@ -13,7 +13,6 @@ compose with ``yield`` / ``AllOf`` / ``AnyOf`` like any other event.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from typing import Any, Optional
 
@@ -112,38 +111,25 @@ class Resource:
 
 
 class Store:
-    """A FIFO of items with blocking ``get`` and optionally bounded ``put``."""
+    """An unbounded FIFO of items with a blocking ``get``."""
 
-    def __init__(self, sim: Simulator, capacity: float = math.inf):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.capacity = capacity
         self._items: deque[Any] = deque()
         self._getters: deque[Event] = deque()
-        self._putters: deque[tuple[Event, Any]] = deque()
 
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def items(self) -> tuple:
-        """A snapshot of queued items (for inspection in tests)."""
-        return tuple(self._items)
-
     def put(self, item: Any) -> Event:
-        """Queue *item*; the returned event fires once it is accepted."""
+        """Queue *item*; the returned event fires at once."""
         event = Event(self.sim)
         if self._getters:
             # Hand the item straight to the oldest waiting getter.
-            getter = self._getters.popleft()
-            getter.succeed(item)
-            event.succeed()
-        elif len(self._items) < self.capacity:
-            self._items.append(item)
-            event.succeed()
+            self._getters.popleft().succeed(item)
         else:
-            self._putters.append((event, item))
+            self._items.append(item)
+        event.succeed()
         return event
 
     def get(self) -> Event:
@@ -151,24 +137,6 @@ class Store:
         event = Event(self.sim)
         if self._items:
             event.succeed(self._items.popleft())
-            self._admit_putter()
         else:
             self._getters.append(event)
         return event
-
-    def try_get(self) -> Optional[Any]:
-        """Non-blocking get; returns ``None`` when the store is empty."""
-        if not self._items:
-            return None
-        item = self._items.popleft()
-        self._admit_putter()
-        return item
-
-    def _admit_putter(self) -> None:
-        if self._putters and len(self._items) < self.capacity:
-            event, item = self._putters.popleft()
-            if self._getters:
-                self._getters.popleft().succeed(item)
-            else:
-                self._items.append(item)
-            event.succeed()

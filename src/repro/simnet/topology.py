@@ -113,19 +113,6 @@ class Network:
     def host(self, host_id: int) -> Host:
         return self.hosts[host_id]
 
-    def transmit_frame(
-        self,
-        src: Host,
-        dst: Host,
-        nbytes: int,
-        on_delivered: Optional[Callable[[], None]] = None,
-    ) -> Optional[Event]:
-        """Send one unfragmented frame from *src* to *dst*."""
-        return self.transmit_message(
-            src, dst, nbytes, frame_size=max(nbytes, 1),
-            on_delivered=on_delivered,
-        )
-
     def transmit_message(
         self,
         src: Host,

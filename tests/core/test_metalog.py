@@ -201,6 +201,32 @@ def test_checkpoint_at_the_commit_point_loses_no_region():
     cluster.run_app(app())
 
 
+def test_free_after_restart_of_a_region_whose_server_died():
+    """Regression: a server dead at a master restart is not re-added to
+    the allocator, so ``free`` of a region that died with its only
+    server looked that host up there and raised ``KeyError`` — after
+    the ``free`` record had committed, so the region was gone anyway."""
+    cluster = build_cluster(
+        num_machines=4,
+        config=RStoreConfig(stripe_size=64 * KiB),
+        server_capacity=16 * MiB,
+    )
+
+    def app():
+        client = cluster.client(1)
+        yield from client.alloc("lost", 64 * KiB, preferred_host=3)
+        cluster.kill_server(3)
+        yield cluster.sim.timeout(1.0)
+        cluster.crash_master()
+        yield from cluster.restart_master()
+        yield cluster.sim.timeout(1.0)
+        assert cluster.master.allocator.get_server(3) is None
+        assert (yield from client.free("lost")) is True
+        assert (yield from client.list_regions()) == []
+
+    cluster.run_app(app())
+
+
 def test_note_records_replay_as_rendezvous_state():
     sim = Simulator()
     log = MetaLog(sim)

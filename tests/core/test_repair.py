@@ -274,7 +274,7 @@ def test_falsely_dead_server_rejoins_fenced_and_clients_ride_through():
     slot = cluster.master.allocator.get_server(victim)
     assert slot is not None and slot.alive, "the victim never rejoined"
     assert cluster.master.epoch >= 1  # the false death bumped the fence
-    assert cluster.servers[victim].nic.fence_epoch == slot.epoch
+    assert cluster.servers[victim].nic.fence_for(0) == slot.epoch
 
     # aim at a stripe the STALE mapping still places on the victim —
     # that is the write whose old-epoch stamp must bounce off the fence
@@ -353,7 +353,7 @@ def test_server_flapping_across_a_master_recovery():
     # forced-fresh: the flapper is fenced at its burial-or-later epoch,
     # and its recycled arena donates full capacity again
     assert slot.epoch >= 2
-    assert cluster.servers[victim].nic.fence_epoch == slot.epoch
+    assert cluster.servers[victim].nic.fence_for(0) == slot.epoch
     assert cluster.servers[victim].arena.free_bytes == slot.capacity
 
     healed = master.regions["flap"]

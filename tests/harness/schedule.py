@@ -23,6 +23,7 @@ import random
 
 from repro.cluster import build_cluster
 from repro.core import RStoreConfig
+from repro.core.errors import DeadlineExceededError, MasterUnavailableError
 from repro.obs import obs_for
 from repro.sanitize import rsan_for
 from repro.simnet.config import KiB, MiB
@@ -39,6 +40,30 @@ def harness_seeds(config) -> list[int]:
     """The seeds to run: ``--seed N`` replaces the pinned matrix."""
     override = config.getoption("--seed")
     return [override] if override is not None else list(SEEDS)
+
+
+def await_steady_master(cluster, client, give_up_after: float,
+                        shard: int = 0):
+    """Poll one shard's cluster_stats until its master is up and done
+    recovering (generator); returns the stats.
+
+    Control calls during the outage fail with typed errors — that is
+    the contract — so the poll simply absorbs them and tries again.
+    """
+    sim = cluster.sim
+    deadline = sim.now + give_up_after
+    while sim.now < deadline:
+        try:
+            stats = yield from client._master_call("cluster_stats",
+                                                   shard=shard)
+        except (MasterUnavailableError, DeadlineExceededError):
+            yield sim.timeout(0.05)
+            continue
+        if not stats["recovering"]:
+            return stats
+        yield sim.timeout(0.05)
+    raise AssertionError(
+        f"shard {shard}'s master never settled after the fault schedule")
 
 
 # -- schedule generation ------------------------------------------------------

@@ -37,41 +37,11 @@ from repro.sanitize import rsan_for
 from repro.simnet.config import KiB, MiB
 from repro.simnet.faults import FaultInjector
 
-from tests.harness.schedule import harness_seeds
-
-
-def pytest_generate_tests(metafunc):
-    if "seed" in metafunc.fixturenames:
-        metafunc.parametrize("seed", harness_seeds(metafunc.config))
-
-
-@pytest.fixture
-def sanitize(request):
-    return request.config.getoption("--sanitize")
+from tests.harness.schedule import await_steady_master
 
 
 def _payload(rng: random.Random, length: int) -> bytes:
     return rng.randbytes(length)
-
-
-def _await_steady_master(cluster, client, give_up_after: float):
-    """Poll cluster_stats until the master is up and done recovering.
-
-    Control calls during the outage fail with typed errors — that is
-    the contract — so the poll simply absorbs them and tries again.
-    """
-    sim = cluster.sim
-    deadline = sim.now + give_up_after
-    while sim.now < deadline:
-        try:
-            stats = yield from client._master_call("cluster_stats")
-        except (MasterUnavailableError, DeadlineExceededError):
-            yield sim.timeout(0.05)
-            continue
-        if not stats["recovering"]:
-            return stats
-        yield sim.timeout(0.05)
-    raise AssertionError("master never settled after the fault schedule")
 
 
 # -- scenario 1: master crash in the middle of an allocation storm ----------
@@ -117,7 +87,7 @@ def test_master_crash_mid_allocation_loses_no_committed_region(seed, sanitize):
                 committed[name] = payload
             yield cluster.sim.timeout(rng.uniform(0.005, 0.02))
 
-        yield from _await_steady_master(cluster, client, give_up_after=5.0)
+        yield from await_steady_master(cluster, client, give_up_after=5.0)
 
         names = set((yield from client.list_regions()))
         missing = sorted(set(committed) - names)
@@ -274,7 +244,7 @@ def test_crash_during_recovery_converges(seed, sanitize):
         assert faults.injected["master_crashes"] == 2, (
             f"seed {seed}: the second crash missed the recovery window"
         )
-        stats = yield from _await_steady_master(
+        stats = yield from await_steady_master(
             cluster, client, give_up_after=6.0
         )
         # both recoveries bumped the epoch (server deaths may add more)
@@ -428,7 +398,7 @@ def _chaos_digest(seed: int, sanitize: bool):
             else:
                 outcomes.append((name, "ok"))
             yield cluster.sim.timeout(rng.uniform(0.01, 0.05))
-        yield from _await_steady_master(cluster, client, give_up_after=5.0)
+        yield from await_steady_master(cluster, client, give_up_after=5.0)
         digest = hashlib.sha256()
         for name, verdict in outcomes:
             digest.update(f"{name}={verdict};".encode())
@@ -495,7 +465,7 @@ def test_master_crash_during_partition_orphans_no_rpc_failure(sanitize):
         mapping = yield from client.map("book")
         yield from mapping.write(0, payload)
         yield sim.timeout(max(0.0, cluster.boot_time + 1.2 - sim.now))
-        stats = yield from _await_steady_master(cluster, client, 2.0)
+        stats = yield from await_steady_master(cluster, client, 2.0)
         assert stats["alive_servers"] >= 3
         data = yield from mapping.read(0, len(payload))
         assert data == payload
@@ -503,7 +473,7 @@ def test_master_crash_during_partition_orphans_no_rpc_failure(sanitize):
         yield sim.timeout(max(0.0, cluster.boot_time + 2.0 - sim.now))
         slot = cluster.master.allocator.get_server(3)
         assert slot is not None and slot.alive
-        assert cluster.servers[3].nic.fence_epoch == slot.epoch
+        assert cluster.servers[3].nic.fence_for(0) == slot.epoch
         region = cluster.master.regions["book"]
         assert all(s.replication == region.target_replication
                    for s in region.stripes)

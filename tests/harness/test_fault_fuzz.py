@@ -17,8 +17,6 @@ The seed prints first; re-run one schedule with ``--seed <n>``.
 
 import random
 
-import pytest
-
 from repro.cluster import build_cluster
 from repro.core import RStoreConfig
 from repro.core.errors import RegionUnavailableError
@@ -26,16 +24,10 @@ from repro.sanitize import rsan_for
 from repro.simnet.config import KiB, MiB
 from repro.simnet.faults import FaultInjector
 
-from tests.harness.schedule import harness_seeds
 
 _REGION = 64 * KiB
 #: the FAA target lives in word 0; bulk data stays above it
 _DATA_BASE = 64
-
-
-def pytest_generate_tests(metafunc):
-    if "seed" in metafunc.fixturenames:
-        metafunc.parametrize("seed", harness_seeds(metafunc.config))
 
 
 def _fault_plan(rng: random.Random, seed: int) -> FaultInjector:
@@ -52,11 +44,6 @@ def _fault_plan(rng: random.Random, seed: int) -> FaultInjector:
             where=rng.choice(("launch", "ack")),
         )
     return faults
-
-
-@pytest.fixture
-def sanitize(request):
-    return request.config.getoption("--sanitize")
 
 
 def test_fault_schedule_converges(seed, sanitize):

@@ -7,19 +7,7 @@ sanitizer — schedules are race-free by construction (single
 sequential client), so any report fails the run.
 """
 
-import pytest
-
-from tests.harness.schedule import harness_seeds, run_schedule
-
-
-def pytest_generate_tests(metafunc):
-    if "seed" in metafunc.fixturenames:
-        metafunc.parametrize("seed", harness_seeds(metafunc.config))
-
-
-@pytest.fixture
-def sanitize(request):
-    return request.config.getoption("--sanitize")
+from tests.harness.schedule import run_schedule
 
 
 def test_random_schedule_matches_model(seed, sanitize):

@@ -20,8 +20,6 @@ partitioned-control-plane contract:
 
 import random
 
-import pytest
-
 from repro.cluster import build_cluster
 from repro.core import RStoreConfig
 from repro.core.errors import (
@@ -35,36 +33,9 @@ from repro.sanitize import rsan_for
 from repro.simnet.config import KiB, MiB
 from repro.simnet.faults import FaultInjector
 
-from tests.harness.schedule import harness_seeds
+from tests.harness.schedule import await_steady_master
 
 SHARDS = 3
-
-
-def pytest_generate_tests(metafunc):
-    if "seed" in metafunc.fixturenames:
-        metafunc.parametrize("seed", harness_seeds(metafunc.config))
-
-
-@pytest.fixture
-def sanitize(request):
-    return request.config.getoption("--sanitize")
-
-
-def _await_steady_shard(cluster, client, shard, give_up_after: float):
-    """Poll one shard's cluster_stats until it is up and recovered."""
-    sim = cluster.sim
-    deadline = sim.now + give_up_after
-    while sim.now < deadline:
-        try:
-            stats = yield from client._master_call("cluster_stats",
-                                                   shard=shard)
-        except (MasterUnavailableError, DeadlineExceededError):
-            yield sim.timeout(0.05)
-            continue
-        if not stats["recovering"]:
-            return stats
-        yield sim.timeout(0.05)
-    raise AssertionError(f"shard {shard} never settled after the crash")
 
 
 def test_one_shard_crash_leaves_survivors_serving(seed, sanitize):
@@ -149,8 +120,8 @@ def test_one_shard_crash_leaves_survivors_serving(seed, sanitize):
             yield cluster.sim.timeout(rng.uniform(0.002, 0.008))
 
         # -- recovery: the victim replays its WAL and settles
-        yield from _await_steady_shard(cluster, client, victim_shard,
-                                       give_up_after=5.0)
+        yield from await_steady_master(cluster, client, give_up_after=5.0,
+                                       shard=victim_shard)
 
         # the first mutation on the victim shard after its restart
         # carries a stale observed epoch and must take the

@@ -18,8 +18,6 @@ The seed prints first; re-run one schedule with ``--seed <n>``.
 import hashlib
 import random
 
-import pytest
-
 from repro.cluster import build_cluster
 from repro.core import RStoreConfig
 from repro.kv import RKVStore
@@ -27,22 +25,11 @@ from repro.sanitize import rsan_for
 from repro.simnet.config import KiB, MiB
 from repro.simnet.faults import FaultInjector
 
-from tests.harness.schedule import harness_seeds
 
 ACCOUNTS = 24
 OPENING = 1000
 TRANSFERS_PER_CLIENT = 25
 CLIENT_HOSTS = (1, 2, 3)
-
-
-def pytest_generate_tests(metafunc):
-    if "seed" in metafunc.fixturenames:
-        metafunc.parametrize("seed", harness_seeds(metafunc.config))
-
-
-@pytest.fixture
-def sanitize(request):
-    return request.config.getoption("--sanitize")
 
 
 def _keys():

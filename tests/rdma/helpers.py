@@ -24,6 +24,14 @@ def run(world, gen):
     return world.sim.run(until=world.sim.process(gen))
 
 
+def wait_for(cq, n: int = 1):
+    """Generator: wait until *n* completions arrive on *cq*; return them."""
+    out = []
+    while len(out) < n:
+        out.append((yield cq.next_completion()))
+    return out
+
+
 def connected_pair(
     world,
     client: int = 0,

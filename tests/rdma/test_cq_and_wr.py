@@ -14,14 +14,19 @@ def wc(i=0):
                           opcode=Opcode.RDMA_WRITE)
 
 
+def drain(cq):
+    """The ids of every queued completion, taken in queue order."""
+    return [cq.next_completion().value.wr_id for _ in range(len(cq))]
+
+
 class TestCompletionQueue:
-    def test_poll_drains_fifo(self):
+    def test_queued_completions_drain_fifo(self):
         cq = CompletionQueue(Simulator())
         for i in range(5):
             cq.push(wc(i))
-        assert [w.wr_id for w in cq.poll(3)] == [0, 1, 2]
-        assert [w.wr_id for w in cq.poll(10)] == [3, 4]
-        assert cq.poll() == []
+        assert len(cq) == 5
+        assert drain(cq) == [0, 1, 2, 3, 4]
+        assert len(cq) == 0
 
     def test_next_completion_immediate_and_deferred(self):
         sim = Simulator()
@@ -41,23 +46,6 @@ class TestCompletionQueue:
         cq.push(wc(2))
         sim.run()
         assert got == [1, 2]
-
-    def test_wait_for_collects_n(self):
-        sim = Simulator()
-        cq = CompletionQueue(sim)
-
-        def producer():
-            for i in range(3):
-                yield sim.timeout(1.0)
-                cq.push(wc(i))
-
-        def consumer():
-            wcs = yield from cq.wait_for(3)
-            return [w.wr_id for w in wcs]
-
-        sim.process(producer())
-        result = sim.run(until=sim.process(consumer()))
-        assert result == [0, 1, 2]
 
     def test_overflow_flagged(self):
         cq = CompletionQueue(Simulator(), depth=2)
@@ -81,14 +69,14 @@ class TestCompletionQueue:
         assert cq.overflowed
         assert cq.dropped == 2
         # overrun entries are dropped, not silently appended
-        assert [w.wr_id for w in cq.poll(10)] == [0, 1]
+        assert drain(cq) == [0, 1]
         assert "CQ overrun" in qp.reason
 
     def test_total_completions_counter(self):
         cq = CompletionQueue(Simulator())
         for i in range(7):
             cq.push(wc(i))
-        cq.poll(7)
+        drain(cq)
         assert cq.total_completions == 7
 
 
@@ -108,12 +96,6 @@ class TestWorkRequestValidation:
     def test_atomic_wrong_length_rejected(self):
         wr = SendWR(opcode=Opcode.ATOMIC_CAS, length=16, remote_addr=0, rkey=1)
         with pytest.raises(RdmaError, match="8 bytes"):
-            wr.validate()
-
-    def test_inline_with_mr_rejected(self):
-        wr = SendWR(opcode=Opcode.SEND, inline_data=b"x",
-                    local_mr=self.make_mr())
-        with pytest.raises(RdmaError, match="inline"):
             wr.validate()
 
     def test_payload_without_mr_rejected(self):

@@ -6,7 +6,7 @@ from repro.rdma.types import Access, Opcode, QpError, RdmaError, WcStatus
 from repro.rdma.wr import RecvWR, SendWR
 from repro.simnet.config import MiB, us
 
-from tests.rdma.helpers import connected_pair, make_world, run
+from tests.rdma.helpers import connected_pair, make_world, run, wait_for
 
 
 def write_wr(pair, payload_offset, length, remote_offset, **kw):
@@ -33,6 +33,13 @@ def read_wr(pair, local_offset, length, remote_offset, **kw):
     )
 
 
+def send_wr(pair, payload, **kw):
+    """A SEND of *payload* from the start of the client's registered MR."""
+    pair.client_mr.buffer.write(0, payload)
+    return SendWR(opcode=Opcode.SEND, local_mr=pair.client_mr,
+                  local_addr=pair.client_mr.addr, length=len(payload), **kw)
+
+
 def test_rdma_write_moves_bytes():
     world = make_world()
 
@@ -40,7 +47,7 @@ def test_rdma_write_moves_bytes():
         pair = yield from connected_pair(world)
         pair.client_mr.buffer.write(0, b"hello rstore")
         pair.qp.post_send(write_wr(pair, 0, 12, remote_offset=100))
-        (wc,) = yield from pair.client_cq.wait_for(1)
+        (wc,) = yield from wait_for(pair.client_cq, 1)
         assert wc.ok and wc.opcode is Opcode.RDMA_WRITE and wc.byte_len == 12
         assert pair.server_mr.buffer.read(100, 12) == b"hello rstore"
 
@@ -54,7 +61,7 @@ def test_rdma_read_fetches_bytes():
         pair = yield from connected_pair(world)
         pair.server_mr.buffer.write(500, b"remote-data")
         pair.qp.post_send(read_wr(pair, 0, 11, remote_offset=500))
-        (wc,) = yield from pair.client_cq.wait_for(1)
+        (wc,) = yield from wait_for(pair.client_cq, 1)
         assert wc.ok
         assert pair.client_mr.buffer.read(0, 11) == b"remote-data"
 
@@ -68,7 +75,7 @@ def test_one_sided_ops_never_touch_remote_cpu():
         pair = yield from connected_pair(world)
         for i in range(50):
             pair.qp.post_send(write_wr(pair, 0, 4096, remote_offset=0, wr_id=i))
-        yield from pair.client_cq.wait_for(50)
+        yield from wait_for(pair.client_cq, 50)
         assert pair.server_nic.host.cpu.busy_seconds == 0.0
 
     run(world, scenario())
@@ -82,7 +89,7 @@ def test_small_read_latency_close_to_hardware():
         pair = yield from connected_pair(world)
         start = world.sim.now
         pair.qp.post_send(read_wr(pair, 0, 8, remote_offset=0))
-        yield from pair.client_cq.wait_for(1)
+        yield from wait_for(pair.client_cq, 1)
         return world.sim.now - start
 
     latency = run(world, scenario())
@@ -96,11 +103,11 @@ def test_write_latency_lower_than_read():
         pair = yield from connected_pair(world)
         t0 = world.sim.now
         pair.qp.post_send(write_wr(pair, 0, 8, remote_offset=0))
-        yield from pair.client_cq.wait_for(1)
+        yield from wait_for(pair.client_cq, 1)
         write_lat = world.sim.now - t0
         t1 = world.sim.now
         pair.qp.post_send(read_wr(pair, 0, 8, remote_offset=0))
-        yield from pair.client_cq.wait_for(1)
+        yield from wait_for(pair.client_cq, 1)
         read_lat = world.sim.now - t1
         return write_lat, read_lat
 
@@ -119,7 +126,7 @@ def test_large_write_achieves_near_line_rate():
                                          server_mr_len=size)
         start = world.sim.now
         pair.qp.post_send(write_wr(pair, 0, size, remote_offset=0))
-        yield from pair.client_cq.wait_for(1)
+        yield from wait_for(pair.client_cq, 1)
         elapsed = world.sim.now - start
         return size * 8 / elapsed
 
@@ -135,7 +142,7 @@ def test_writes_complete_in_post_order():
         pair = yield from connected_pair(world)
         for i in range(10):
             pair.qp.post_send(write_wr(pair, 0, 1000, remote_offset=0, wr_id=i))
-        wcs = yield from pair.client_cq.wait_for(10)
+        wcs = yield from wait_for(pair.client_cq, 10)
         assert [wc.wr_id for wc in wcs] == list(range(10))
 
     run(world, scenario())
@@ -156,7 +163,7 @@ def test_atomic_faa_accumulates_and_returns_old():
                     compare=5,  # the addend
                 )
             )
-            (wc,) = yield from pair.client_cq.wait_for(1)
+            (wc,) = yield from wait_for(pair.client_cq, 1)
             assert wc.ok
             olds.append(wc.atomic_result)
         counter = int.from_bytes(pair.server_mr.buffer.read(0, 8), "little")
@@ -178,14 +185,14 @@ def test_atomic_cas_swaps_only_on_match():
             SendWR(opcode=Opcode.ATOMIC_CAS, remote_addr=pair.server_mr.addr,
                    rkey=pair.server_mr.rkey, compare=41, swap=99)
         )
-        (wc1,) = yield from pair.client_cq.wait_for(1)
+        (wc1,) = yield from wait_for(pair.client_cq, 1)
         value_after_miss = int.from_bytes(pair.server_mr.buffer.read(0, 8), "little")
 
         pair.qp.post_send(
             SendWR(opcode=Opcode.ATOMIC_CAS, remote_addr=pair.server_mr.addr,
                    rkey=pair.server_mr.rkey, compare=42, swap=99)
         )
-        (wc2,) = yield from pair.client_cq.wait_for(1)
+        (wc2,) = yield from wait_for(pair.client_cq, 1)
         value_after_hit = int.from_bytes(pair.server_mr.buffer.read(0, 8), "little")
         return wc1.atomic_result, value_after_miss, wc2.atomic_result, value_after_hit
 
@@ -203,7 +210,7 @@ def test_unaligned_atomic_fails():
             SendWR(opcode=Opcode.ATOMIC_FAA, remote_addr=pair.server_mr.addr + 3,
                    rkey=pair.server_mr.rkey, compare=1)
         )
-        (wc,) = yield from pair.client_cq.wait_for(1)
+        (wc,) = yield from wait_for(pair.client_cq, 1)
         assert wc.status is WcStatus.REM_ACCESS_ERR
         assert "aligned" in wc.detail
 
@@ -216,11 +223,9 @@ def test_send_recv_delivers_payload():
     def scenario():
         pair = yield from connected_pair(world)
         pair.server_qp.post_recv(RecvWR(local_mr=pair.server_mr, wr_id="r0"))
-        pair.qp.post_send(
-            SendWR(opcode=Opcode.SEND, inline_data=b"ping!", wr_id="s0")
-        )
-        (rwc,) = yield from pair.server_cq.wait_for(1)
-        (swc,) = yield from pair.client_cq.wait_for(1)
+        pair.qp.post_send(send_wr(pair, b"ping!", wr_id="s0"))
+        (rwc,) = yield from wait_for(pair.server_cq, 1)
+        (swc,) = yield from wait_for(pair.client_cq, 1)
         assert rwc.ok and rwc.opcode is Opcode.RECV and rwc.byte_len == 5
         assert swc.ok and swc.opcode is Opcode.SEND
         assert pair.server_mr.buffer.read(0, 5) == b"ping!"
@@ -233,11 +238,11 @@ def test_send_parks_until_recv_posted():
 
     def scenario():
         pair = yield from connected_pair(world)
-        pair.qp.post_send(SendWR(opcode=Opcode.SEND, inline_data=b"early"))
+        pair.qp.post_send(send_wr(pair, b"early"))
         yield world.sim.timeout(1e-3)  # message long since arrived
         assert len(pair.server_cq) == 0
         pair.server_qp.post_recv(RecvWR(local_mr=pair.server_mr))
-        (rwc,) = yield from pair.server_cq.wait_for(1)
+        (rwc,) = yield from wait_for(pair.server_cq, 1)
         assert rwc.ok
         assert pair.server_mr.buffer.read(0, 5) == b"early"
 
@@ -252,9 +257,9 @@ def test_send_larger_than_recv_buffer_errors_both_sides():
         pair.server_qp.post_recv(
             RecvWR(local_mr=pair.server_mr, length=4, wr_id="small")
         )
-        pair.qp.post_send(SendWR(opcode=Opcode.SEND, inline_data=b"way too big"))
-        (rwc,) = yield from pair.server_cq.wait_for(1)
-        (swc,) = yield from pair.client_cq.wait_for(1)
+        pair.qp.post_send(send_wr(pair, b"way too big"))
+        (rwc,) = yield from wait_for(pair.server_cq, 1)
+        (swc,) = yield from wait_for(pair.client_cq, 1)
         assert rwc.status is WcStatus.LOC_LEN_ERR
         assert swc.status is WcStatus.REM_INV_REQ_ERR
 
@@ -268,7 +273,7 @@ def test_unsignaled_write_produces_no_completion():
         pair = yield from connected_pair(world)
         pair.qp.post_send(write_wr(pair, 0, 64, remote_offset=0, signaled=False))
         pair.qp.post_send(write_wr(pair, 0, 64, remote_offset=64, wr_id="last"))
-        (wc,) = yield from pair.client_cq.wait_for(1)
+        (wc,) = yield from wait_for(pair.client_cq, 1)
         assert wc.wr_id == "last"
         assert len(pair.client_cq) == 0
         assert pair.qp.inflight == 0  # unsignaled WR still retired
@@ -284,7 +289,7 @@ def test_bad_rkey_fails_and_errors_qp():
         wr = write_wr(pair, 0, 8, remote_offset=0)
         wr.rkey = 0xDEAD
         pair.qp.post_send(wr)
-        (wc,) = yield from pair.client_cq.wait_for(1)
+        (wc,) = yield from wait_for(pair.client_cq, 1)
         assert wc.status is WcStatus.REM_ACCESS_ERR
         with pytest.raises(QpError):
             pair.qp.post_send(write_wr(pair, 0, 8, remote_offset=0))
@@ -298,7 +303,7 @@ def test_write_without_remote_permission_fails():
     def scenario():
         pair = yield from connected_pair(world, access=Access.REMOTE_READ)
         pair.qp.post_send(write_wr(pair, 0, 8, remote_offset=0))
-        (wc,) = yield from pair.client_cq.wait_for(1)
+        (wc,) = yield from wait_for(pair.client_cq, 1)
         assert wc.status is WcStatus.REM_ACCESS_ERR
 
     run(world, scenario())
@@ -310,7 +315,7 @@ def test_out_of_bounds_write_fails():
     def scenario():
         pair = yield from connected_pair(world, server_mr_len=4096)
         pair.qp.post_send(write_wr(pair, 0, 128, remote_offset=4000))
-        (wc,) = yield from pair.client_cq.wait_for(1)
+        (wc,) = yield from wait_for(pair.client_cq, 1)
         assert wc.status is WcStatus.REM_ACCESS_ERR
         assert "outside region" in wc.detail
 
@@ -337,7 +342,7 @@ def test_dead_host_read_times_out_with_retry_error():
         pair.server_nic.kill()
         t0 = world.sim.now
         pair.qp.post_send(read_wr(pair, 0, 8, remote_offset=0))
-        (wc,) = yield from pair.client_cq.wait_for(1)
+        (wc,) = yield from wait_for(pair.client_cq, 1)
         assert wc.status is WcStatus.RETRY_EXC_ERR
         assert world.sim.now - t0 >= pair.client_nic.model.retry_timeout_s
 
@@ -352,7 +357,7 @@ def test_wire_length_scales_transfer_time():
         pair.qp.post_send(
             write_wr(pair, 0, 64 * 1024, remote_offset=0, wire_length=wire_length)
         )
-        yield from pair.client_cq.wait_for(1)
+        yield from wait_for(pair.client_cq, 1)
         return world.sim.now - t0
 
     def scenario():

@@ -71,13 +71,6 @@ def test_mr_check_remote_bounds():
     assert "outside region" in mr.check_remote(0x1F00, 4096, Access.REMOTE_READ)
 
 
-def test_mr_deregistered_is_invalid():
-    buf = Buffer(0x1000, 4096, 0)
-    mr = MemoryRegion(buf, Access.all_remote())
-    mr.deregister()
-    assert "deregistered" in mr.check_remote(0x1000, 1, Access.REMOTE_READ)
-
-
 def test_mr_page_count():
     buf = Buffer(0x1000, PAGE_SIZE * 3 + 1, 0)
     mr = MemoryRegion(buf, Access.LOCAL_WRITE)

@@ -10,7 +10,7 @@ pairs (``IoBatch.write(after=)``) rest on exactly this.
 from repro.rdma.types import Opcode, QpState, WcStatus
 from repro.rdma.wr import SendWR
 
-from tests.rdma.helpers import connected_pair, make_world, run
+from tests.rdma.helpers import connected_pair, make_world, run, wait_for
 
 
 def _write(pair, remote_offset, wr_id):
@@ -29,7 +29,7 @@ def test_nothing_behind_a_launch_faulted_request_is_applied():
         pair.client_nic.fault_hook = (
             lambda _host, wr: "dropped" if wr.wr_id == 2 else "")
         pair.qp.post_send_many([_write(pair, 8 * i, i) for i in range(4)])
-        wcs = yield from pair.client_cq.wait_for(4)
+        wcs = yield from wait_for(pair.client_cq, 4)
         assert [(wc.wr_id, wc.ok) for wc in wcs] == [
             (0, True), (1, True), (2, False), (3, False)]
         assert wcs[3].status is WcStatus.RETRY_EXC_ERR
@@ -56,7 +56,7 @@ def test_a_partition_drop_blocks_the_queue_pair_even_after_it_heals():
         yield world.sim.timeout(1e-3)  # the request vanished in the fabric
         partitioned.clear()
         pair.qp.post_send(_write(pair, 8, "late"))
-        wcs = yield from pair.client_cq.wait_for(2)
+        wcs = yield from wait_for(pair.client_cq, 2)
         assert [(wc.wr_id, wc.ok) for wc in wcs] == [
             ("lost", False), ("late", False)]
         # the healed fabric delivered the second request; the responder
@@ -76,12 +76,12 @@ def test_a_re_dialled_queue_pair_starts_a_fresh_sequence():
         pair.client_nic.fault_hook = (
             lambda _host, wr: "dropped" if wr.wr_id == "lost" else "")
         pair.qp.post_send(_write(pair, 0, "lost"))
-        (wc,) = yield from pair.client_cq.wait_for(1)
+        (wc,) = yield from wait_for(pair.client_cq, 1)
         assert not wc.ok and pair.qp.state is QpState.ERROR
         fresh = yield from world.cm.connect(
             pair.client_nic, 1, "test", pair.client_pd, pair.client_cq)
         fresh.post_send(_write(pair, 8, "fresh"))
-        (wc,) = yield from pair.client_cq.wait_for(1)
+        (wc,) = yield from wait_for(pair.client_cq, 1)
         assert wc.ok and wc.wr_id == "fresh"
         assert pair.server_mr.buffer.read(0, 16) == bytes(8) + b"payload!"
 

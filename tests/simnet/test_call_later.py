@@ -10,7 +10,7 @@ import pytest
 
 from repro.simnet.config import KiB, NetworkConfig
 from repro.simnet.cpu import Cpu
-from repro.simnet.kernel import Interrupt, SimulationError, Simulator
+from repro.simnet.kernel import SimulationError, Simulator
 from repro.simnet.topology import Network
 
 
@@ -146,22 +146,6 @@ class TestProcessStartUp:
         sim.process(proc("b"))
         sim.run()
         assert order == ["before", "a", "between", "b"]
-
-    def test_interrupt_at_start_up_is_the_first_thing_delivered(self):
-        sim = Simulator()
-        seen = []
-
-        def victim():
-            try:
-                yield sim.timeout(5.0)
-                seen.append("timeout")
-            except Interrupt as hit:
-                seen.append(("interrupted", sim.now, hit.cause))
-
-        proc = sim.process(victim())
-        proc.interrupt("early")  # before the process has run at all
-        sim.run(until=proc)
-        assert seen == [("interrupted", 0.0, "early")]
 
 
 def _deliveries(with_callback: bool, nbytes: int, src: int, dst: int,
@@ -311,20 +295,3 @@ class TestCpuGrant:
         sim.run()
         assert finished == [("holder", 1.0), ("waiter", 2.0),
                             ("newcomer", 3.0)]
-
-    def test_interrupted_while_holding_a_core_releases_it(self):
-        sim = Simulator()
-        cpu = Cpu(sim, cores=1)
-
-        def worker():
-            try:
-                yield from cpu.run(10.0)
-            except Interrupt:
-                pass
-
-        proc = sim.process(worker())
-        sim.run(until=1.0)
-        assert cpu.active == 1
-        proc.interrupt()
-        sim.run(until=2.0)
-        assert (cpu.active, cpu.busy_seconds) == (0, 0.0)

@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.simnet.kernel import (
-    Interrupt,
-    SimulationError,
-    Simulator,
-)
+from repro.simnet.kernel import SimulationError, Simulator
 
 
 def test_clock_starts_at_zero():
@@ -239,38 +235,6 @@ def test_all_of_empty_list_triggers_immediately():
         return values
 
     assert sim.run(until=sim.process(proc())) == []
-
-
-def test_interrupt_delivers_cause():
-    sim = Simulator()
-    seen = []
-
-    def victim():
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt as intr:
-            seen.append((sim.now, intr.cause))
-
-    def attacker(proc):
-        yield sim.timeout(2.0)
-        proc.interrupt("stop it")
-
-    proc = sim.process(victim())
-    sim.process(attacker(proc))
-    sim.run()
-    assert seen == [(2.0, "stop it")]
-
-
-def test_interrupt_after_completion_is_an_error():
-    sim = Simulator()
-
-    def quick():
-        yield sim.timeout(1.0)
-
-    proc = sim.process(quick())
-    sim.run()
-    with pytest.raises(SimulationError):
-        proc.interrupt()
 
 
 def test_yielding_non_event_is_an_error():

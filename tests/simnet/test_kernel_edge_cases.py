@@ -8,11 +8,9 @@ from repro.simnet.cpu import Cpu
 from repro.simnet.kernel import (
     AllOf,
     AnyOf,
-    Interrupt,
     SimulationError,
     Simulator,
 )
-from repro.simnet.resources import Store
 
 
 @pytest.mark.parametrize("schedule", [
@@ -82,49 +80,6 @@ def test_nested_conditions():
         return sim.now
 
     assert sim.run(until=sim.process(proc())) == 2.0
-
-
-def test_interrupting_a_process_waiting_on_a_store():
-    sim = Simulator()
-    store = Store(sim)
-    outcome = []
-
-    def consumer():
-        try:
-            yield store.get()
-        except Interrupt as intr:
-            outcome.append(intr.cause)
-
-    def canceller(proc):
-        yield sim.timeout(1.0)
-        proc.interrupt("shutdown")
-
-    proc = sim.process(consumer())
-    sim.process(canceller(proc))
-    sim.run()
-    assert outcome == ["shutdown"]
-
-
-def test_interrupted_process_can_keep_running():
-    sim = Simulator()
-    trace = []
-
-    def resilient():
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt:
-            trace.append(("interrupted", sim.now))
-        yield sim.timeout(1.0)
-        trace.append(("done", sim.now))
-
-    def attacker(proc):
-        yield sim.timeout(2.0)
-        proc.interrupt()
-
-    proc = sim.process(resilient())
-    sim.process(attacker(proc))
-    sim.run()
-    assert trace == [("interrupted", 2.0), ("done", 3.0)]
 
 
 def test_process_value_available_after_completion():

@@ -35,13 +35,13 @@ def test_config_validation():
 def test_cross_rack_pays_extra_latency():
     sim1, net1 = make_net(4, racks=2, link_prop_delay_s=1e-6,
                           switch_latency_s=1e-6)
-    net1.transmit_frame(net1.host(0), net1.host(2), 1000)  # same rack
+    net1.transmit_message(net1.host(0), net1.host(2), 1000, frame_size=1000)  # same rack
     sim1.run()
     same_rack = sim1.now
 
     sim2, net2 = make_net(4, racks=2, link_prop_delay_s=1e-6,
                           switch_latency_s=1e-6)
-    net2.transmit_frame(net2.host(0), net2.host(1), 1000)  # cross rack
+    net2.transmit_message(net2.host(0), net2.host(1), 1000, frame_size=1000)  # cross rack
     sim2.run()
     cross_rack = sim2.now
     # two extra propagation hops + one switch, plus store-and-forward

@@ -120,57 +120,19 @@ def test_store_fifo_ordering():
     assert got == [0, 1, 2, 3, 4]
 
 
-def test_store_bounded_put_blocks():
-    sim = Simulator()
-    store = Store(sim, capacity=1)
-    events = []
-
-    def producer():
-        yield store.put("a")
-        events.append(("put-a", sim.now))
-        yield store.put("b")
-        events.append(("put-b", sim.now))
-
-    def consumer():
-        yield sim.timeout(3.0)
-        item = yield store.get()
-        events.append(("got", item, sim.now))
-
-    sim.process(producer())
-    sim.process(consumer())
-    sim.run()
-    assert ("put-a", 0.0) in events
-    assert ("put-b", 3.0) in events
-    assert ("got", "a", 3.0) in events
-
-
-def test_store_try_get():
-    sim = Simulator()
-    store = Store(sim)
-    assert store.try_get() is None
-    store.put(9)
-    assert store.try_get() == 9
-    assert store.try_get() is None
-
-
 def test_store_len_and_items():
     sim = Simulator()
     store = Store(sim)
     store.put(1)
     store.put(2)
     assert len(store) == 2
-    assert store.items == (1, 2)
-
-
-def test_store_capacity_validation():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Store(sim, capacity=0)
+    assert [store.get().value for _ in range(2)] == [1, 2]
+    assert len(store) == 0
 
 
 def test_store_hands_item_directly_to_waiting_getter():
     sim = Simulator()
-    store = Store(sim, capacity=1)
+    store = Store(sim)
     got = []
 
     def getter():

@@ -16,6 +16,12 @@ def make_net(num_hosts=2, **overrides):
     return sim, Network(sim, num_hosts, cfg)
 
 
+def send_frame(net, src, dst, nbytes, **kw):
+    """One unfragmented frame of *nbytes* from host *src* to *dst*."""
+    return net.transmit_message(net.host(src), net.host(dst), nbytes,
+                                frame_size=nbytes, **kw)
+
+
 def test_channel_serialization_time():
     sim = Simulator()
     ch = Channel(sim, rate_bps=8e9)  # 1 GB/s
@@ -29,7 +35,6 @@ def test_channel_back_to_back_frames_queue():
     f2 = ch.reserve(1_000_000, earliest=0.0)
     assert f1 == pytest.approx(1e-3)
     assert f2 == pytest.approx(2e-3)
-    assert ch.bytes_sent == 2_000_000
 
 
 def test_channel_respects_earliest_arrival():
@@ -54,8 +59,6 @@ def _reserve_one(ch, nbytes, earliest):
     tx_time = nbytes * 8.0 / ch.rate_bps
     finish = start + tx_time
     ch._busy_until = finish
-    ch.bytes_sent += nbytes
-    ch.busy_seconds += tx_time
     return finish
 
 
@@ -70,8 +73,7 @@ _frame = st.tuples(st.integers(0, 1 << 20), st.floats(0.0, 2e-3))
 def test_a_frame_train_reserves_what_frame_by_frame_would(rate, prior, now,
                                                           frames, lag):
     """Random sizes, ``earliest`` instants, hop delays and prior busy
-    state: the loop gives identical finishes, ``bytes_sent`` and
-    ``busy_seconds``."""
+    state: the loop gives identical finishes and busy horizon."""
     sims = Simulator(), Simulator()
     train, reference = (Channel(sim, rate) for sim in sims)
     for ch in (train, reference):
@@ -82,8 +84,7 @@ def test_a_frame_train_reserves_what_frame_by_frame_would(rate, prior, now,
                                [t for _, t in frames], lag)
     want = [_reserve_one(reference, n, t + lag) for n, t in frames]
     assert got == want
-    assert (train._busy_until, train.bytes_sent, train.busy_seconds) == (
-        reference._busy_until, reference.bytes_sent, reference.busy_seconds)
+    assert train._busy_until == reference._busy_until
 
 
 def test_network_point_to_point_delivery_time():
@@ -91,7 +92,7 @@ def test_network_point_to_point_delivery_time():
                         switch_latency_s=1e-6)
     # 1 MB at 1 GB/s: two serializations (egress + ingress) pipeline but a
     # single frame pays both, plus 3 us of propagation/switch.
-    done = net.transmit_frame(net.host(0), net.host(1), 1_000_000)
+    done = send_frame(net, 0, 1, 1_000_000)
     sim.run()
     expected = 1e-3 + 3e-6 + 1e-3
     assert sim.now == pytest.approx(expected)
@@ -104,7 +105,7 @@ def test_network_stream_throughput_is_link_limited():
     # 100 frames of 1 MB: steady-state throughput must be ~1 GB/s, i.e.
     # finish at ~100 ms + one extra ingress serialization.
     for _ in range(100):
-        net.transmit_frame(net.host(0), net.host(1), 1_000_000)
+        send_frame(net, 0, 1, 1_000_000)
     sim.run()
     assert sim.now == pytest.approx(0.101, rel=1e-6)
 
@@ -115,8 +116,8 @@ def test_network_incast_serializes_on_receiver_ingress():
     # Two senders each push 10 MB to host 2 simultaneously: receiver link
     # carries 20 MB at 1 GB/s -> ~20 ms total, not ~10 ms.
     for _ in range(10):
-        net.transmit_frame(net.host(0), net.host(2), 1_000_000)
-        net.transmit_frame(net.host(1), net.host(2), 1_000_000)
+        send_frame(net, 0, 2, 1_000_000)
+        send_frame(net, 1, 2, 1_000_000)
     sim.run()
     # 20 ms of ingress serialization plus one frame of pipeline fill.
     assert 0.020 <= sim.now <= 0.0215
@@ -126,8 +127,8 @@ def test_network_disjoint_pairs_do_not_contend():
     sim, net = make_net(num_hosts=4, link_rate_bps=Gbps(8),
                         link_prop_delay_s=0.0, switch_latency_s=0.0)
     for _ in range(10):
-        net.transmit_frame(net.host(0), net.host(1), 1_000_000)
-        net.transmit_frame(net.host(2), net.host(3), 1_000_000)
+        send_frame(net, 0, 1, 1_000_000)
+        send_frame(net, 2, 3, 1_000_000)
     sim.run()
     # Both flows complete in parallel: ~10 ms + pipeline tail, not 20 ms.
     assert sim.now < 0.0115
@@ -135,17 +136,17 @@ def test_network_disjoint_pairs_do_not_contend():
 
 def test_network_local_delivery_bypasses_fabric():
     sim, net = make_net()
-    net.transmit_frame(net.host(0), net.host(0), 1_000_000)
+    send_frame(net, 0, 0, 1_000_000)
     sim.run()
-    assert net.host(0).egress.bytes_sent == 0
+    assert net.host(0).egress._busy_until == 0.0
     # local copies run at memory bandwidth, far faster than the link
     assert sim.now < 1e-3
 
 
 def test_network_accounting():
     sim, net = make_net()
-    net.transmit_frame(net.host(0), net.host(1), 64 * KiB)
-    net.transmit_frame(net.host(1), net.host(0), 64 * KiB)
+    send_frame(net, 0, 1, 64 * KiB)
+    send_frame(net, 1, 0, 64 * KiB)
     sim.run()
     assert net.bytes_carried == 128 * KiB
     assert net.frames_carried == 2
@@ -167,8 +168,7 @@ def test_network_validation():
 def test_delivery_callback_runs():
     sim, net = make_net()
     hits = []
-    net.transmit_frame(net.host(0), net.host(1), 1024,
-                       on_delivered=lambda: hits.append(sim.now))
+    send_frame(net, 0, 1, 1024, on_delivered=lambda: hits.append(sim.now))
     sim.run()
     assert len(hits) == 1 and hits[0] > 0
 
