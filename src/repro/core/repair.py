@@ -193,6 +193,20 @@ class RepairPlanner:
                 return replica
         return None
 
+    def _release_target(self, target: int, addr, length: int):
+        """Roll back a replacement slot (generator): the allocator's
+        capacity, and the server's reservation if one was made and the
+        target is alive to drop it."""
+        allocator = self.master.allocator
+        allocator.release(target, length)
+        if addr is not None and allocator.host_alive(target):
+            try:
+                yield from self.master._server_call(
+                    target, "release_batch", [addr]
+                )
+            except Exception:  # noqa: BLE001 - best effort, target may die
+                pass
+
     def _repair_stripe(self, task: RepairTask):
         region, stripe = self._current_stripe(task)
         if region is None:
@@ -205,8 +219,11 @@ class RepairPlanner:
             self._stats.abandoned += 1
             self._note(f"abandoned {task}: no live source replica")
             return
+        # the length outlives the copy: the re-validation below may find
+        # no stripe left to read it from
+        length = stripe.length
         exclude = [r.host_id for r in stripe.replicas]
-        slot = allocator.place_replacement(stripe.length, exclude)
+        slot = allocator.place_replacement(length, exclude)
         if slot is None:
             self._retry_or_abandon(task, "no live server with capacity")
             return
@@ -216,36 +233,29 @@ class RepairPlanner:
         try:
             client = yield from self.master._server_client(target)
             addrs, rkey = yield from self.master._server_call(
-                target, "reserve_batch", [stripe.length]
+                target, "reserve_batch", [length]
             )
             addr = addrs[0]
             # Destination pulls the stripe out of the surviving replica's
             # arena.  Generous timeout so a target dying mid-copy cannot
             # wedge the worker forever.
-            timeout_s = 1.0 + stripe.length / (64 << 20)
+            timeout_s = 1.0 + length / (64 << 20)
             yield from client.call(
                 "copy_stripe",
                 source.host_id,
                 source.addr,
                 source.rkey,
                 addr,
-                stripe.length,
+                length,
                 timeout=timeout_s,
             )
         except Exception as exc:
-            allocator.release(target, stripe.length)
-            if addr is not None and allocator.host_alive(target):
-                try:
-                    yield from self.master._server_call(
-                        target, "release_batch", [addr]
-                    )
-                except Exception:  # noqa: BLE001 - target just died
-                    pass
+            yield from self._release_target(target, addr, length)
             self._retry_or_abandon(task, f"copy via server {target}: {exc}")
             return
 
         self._stats.copies_driven += 1
-        self._stats.bytes_copied += stripe.length
+        self._stats.bytes_copied += length
         # repair bandwidth is accounted to the tenant whose region is
         # being healed — the isolation story needs the split, not just
         # the cluster total
@@ -253,7 +263,7 @@ class RepairPlanner:
             "master.repair_bytes",
             tenant=tenant_of(task.region_name),
             shard=self.master.shard_id,
-        ).inc(stripe.length)
+        ).inc(length)
 
         # Re-validate before publishing: the cluster may have changed
         # under the copy (region freed, another failure, target died).
@@ -264,14 +274,7 @@ class RepairPlanner:
             or self._pick_source(stripe) is None
             or any(r.host_id == target for r in stripe.replicas)
         ):
-            allocator.release(target, stripe.length)
-            if allocator.host_alive(target):
-                try:
-                    yield from self.master._server_call(
-                        target, "release_batch", [addr]
-                    )
-                except Exception:  # noqa: BLE001 - best effort
-                    pass
+            yield from self._release_target(target, addr, length)
             self._retry_or_abandon(task, "cluster changed during the copy")
             return
 

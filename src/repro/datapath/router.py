@@ -33,6 +33,7 @@ import pickle
 
 from repro.coord.base import Backoff
 from repro.core.errors import (
+    RegionExistsError,
     RetryBudgetExceededError,
     RStoreError,
     StaleEpochError,
@@ -180,8 +181,9 @@ class DataPathRouter:
             yield from client.alloc(name, size, stripe_size=size,
                                     preferred_host=server_host,
                                     replication=1)
-        except RStoreError:
-            # already allocated (an earlier router on this host); map it
+        except RegionExistsError:
+            # already allocated (an earlier router on this host); map it.
+            # Any other refusal (quota, capacity) is the real error.
             pass
         mapping = yield from client.map(name)
         host_id, addr = self._locate_slot(mapping.desc, 0, size)

@@ -187,7 +187,7 @@ class RStoreGraphEngine:
             # sanctioned control/data phase transition, and everything
             # through worker setup is billed to setup_elapsed below —
             # the steady-state loop never takes this hop
-            yield from self.load()  # repro-lint: allow[RL008]
+            yield from self.load()  # repro-lint: allow[RL001]
         sim = self.cluster.sim
         results: dict[int, np.ndarray] = {}
         stats = SimpleNamespace(values=None, iterations=0, elapsed=0.0,

@@ -163,7 +163,7 @@ class RSort:
             # the job driver: generating input on first use is the
             # sanctioned control/data phase transition, and prepare()
             # finishes before the timed section below starts
-            yield from self.prepare()  # repro-lint: allow[RL008]
+            yield from self.prepare()  # repro-lint: allow[RL001]
         sim = self.cluster.sim
         stats = SimpleNamespace(
             elapsed=0.0,
@@ -285,7 +285,7 @@ class RSort:
 
         # the per-worker driver: each numbered phase below hops through
         # a control-named helper exactly once, at its phase boundary
-        barrier = yield from self._worker_setup(  # repro-lint: allow[RL008]
+        barrier = yield from self._worker_setup(  # repro-lint: allow[RL001]
             rank, client, host_id)
         yield from barrier.wait()
 

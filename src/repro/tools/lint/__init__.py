@@ -1,17 +1,22 @@
 """repro-lint: static checks for invariants ruff cannot express.
 
-One pass, twelve rules, each guarding a design contract of this repo.
-Every file in scope is read and parsed once into a summary
-(:mod:`.summary`); eight rules need only that file and are decided
-there (:mod:`.file_rules`):
+One pass, ten rules, one per design contract of this repo.  Every
+file in scope is read and parsed once into a summary (:mod:`.summary`);
+the summaries are linked into a name-resolved call graph
+(:mod:`.graph`).  What one file alone decides is decided there
+(:mod:`.file_rules`); the rest propagates interprocedurally
+(:mod:`.program_rules`):
 
 * **RL001 — control-path isolation.**  Data-path modules (any file
   under a ``coord``, ``graph``, ``sort``, ``kv`` or ``txn`` directory)
-  must not import master/RPC machinery, and may call control-path
-  client methods (``alloc``, ``map``, ``lookup``, ``free``, …) only
-  from functions whose name marks them as setup/teardown (``create``,
-  ``open``, ``load``, ``prepare``, …).  The paper's separation thesis
-  as a lint rule: steady-state code stays one-sided.
+  must not import master/RPC machinery (per file), and a steady-state
+  function there — one whose own and enclosing names carry no
+  setup/teardown token (``create``, ``open``, ``load``, ``prepare``, …)
+  — must not make or *reach* a control-path call (``alloc``, ``map``,
+  ``lookup``, ``free``, ``_master_call``, …).  One reach computation:
+  a direct call is flagged at its site; a call reached through helpers
+  at the chain's first hop, with the full call path printed.  The
+  paper's separation thesis as a lint rule.
 * **RL002 — simulation determinism.**  No wall-clock reads
   (``time.time()`` and friends) and no draws from the process-global
   ``random`` module (or unseeded ``random.Random()`` / numpy
@@ -19,10 +24,12 @@ there (:mod:`.file_rules`):
   Every source of nondeterminism must flow through the simulator's
   seeded streams, or seeded replay breaks.  And the simulated clock
   has one writer: nothing outside ``simnet/kernel.py`` assigns ``.now``.
-* **RL003 — no dropped futures.**  A bare expression statement whose
-  value is a ``*_async`` call throws the :class:`OpFuture` away:
-  nobody will ever observe its error, and (to the race sanitizer) the
-  op never happens-before anything.  Store it, await it, or batch it.
+* **RL003 — future-escape.**  A ``*_async`` result must reach a
+  ``wait``/``result``/batch sink: one dropped on the spot, assigned to
+  a name that is never read, or handed back by a helper whose result
+  is dropped or never read is flagged.  Nobody will ever observe its
+  error, and (to the race sanitizer) the op never happens-before
+  anything.
 * **RL004 — instrument naming.**  Metric and span names follow the
   ``layer.noun_verb`` registry convention with a known first segment,
   so dashboards and ``report.py`` groupers keep working.
@@ -42,6 +49,12 @@ there (:mod:`.file_rules`):
   master/RPC/shard machinery or dials a control endpoint turns a data
   op into a hidden control RPC — a deadlock risk (the master may be
   mid-recovery while data ops flow).
+* **RL010 — static lock-order graph** over ``RemoteLock``/``SeqLock``/
+  slot-lock acquisition sites, with cycle detection: the static twin of
+  RSan's happens-before edges.
+* **RL011 — exception-flow conformance**: ``Fatal`` errors are
+  deterministic and must propagate out of retry loops; a broad
+  ``except Exception`` that swallows-and-continues is flagged.
 * **RL012 — no hash-ordered simulated work.**  A ``for`` directly over
   a ``set(...)`` / ``frozenset(...)`` / set literal / set comprehension
   visits its elements in hash order, which for ``bytes`` and ``str``
@@ -50,24 +63,8 @@ there (:mod:`.file_rules`):
   downstream changes from run to run.  Dedupe with ``dict.fromkeys``
   or iterate ``sorted(...)``.
 
-Four need the *program*: the summaries are linked into a name-resolved
-call graph (:mod:`.graph`) and a worklist fixpoint propagates them
-interprocedurally (:mod:`.program_rules`):
-
-* **RL008 — interprocedural control-path isolation**: RL001's
-  transitive closure.  A steady-state data-path function that *reaches*
-  ``alloc``/``map``/``_master_call`` through any helper chain is
-  flagged, with the full call path printed.
-* **RL009 — future-escape**: a ``*_async`` result must reach a
-  ``wait``/``result``/batch sink; an assigned-but-never-read future, or
-  a discarded call to a helper that *returns* a future, is flagged (the
-  cases RL003's statement-level check cannot see).
-* **RL010 — static lock-order graph** over ``RemoteLock``/``SeqLock``/
-  slot-lock acquisition sites, with cycle detection: the static twin of
-  RSan's happens-before edges.
-* **RL011 — exception-flow conformance**: ``Fatal`` errors are
-  deterministic and must propagate out of retry loops; a broad
-  ``except Exception`` that swallows-and-continues is flagged.
+RL008 and RL009 are retired ids (folded into RL001 and RL003); the
+other rules keep theirs.
 
 Findings print as ``path:line: RLxxx message`` (``--json`` for the
 schema CI archives).  Exit codes: 0 clean, 1 findings, 2 empty scope (a
@@ -193,8 +190,7 @@ def run(args) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro lint",
-        description="check repo invariants ruff cannot express "
-                    "(RL001-RL012)",
+        description="check repo invariants ruff cannot express",
     )
     add_arguments(parser)
     return run(parser.parse_args(argv))

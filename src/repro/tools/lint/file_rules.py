@@ -1,11 +1,13 @@
-"""The per-file rules: RL001-RL007 and RL012, decided from one module.
+"""The per-file rules, decided from one module: RL001's forbidden
+imports, RL002, RL004-RL007 and RL012.
 
 Each needs nothing beyond the file's own AST, its tree-relative path
 and its import bindings, so :func:`repro.tools.lint.summary.summarize_source`
 runs :func:`check_file` while it extracts the summary and the findings
-travel in the summary's ``findings`` list.  The AST helpers the summary
-extraction shares (``_dotted``, ``_own_nodes``, ``_retrying_trys`` ...)
-live here too, written once.
+travel in the summary's ``findings`` list.  RL001's control calls and
+all of RL003 are program rules (:mod:`.program_rules`).  The AST
+helpers the summary extraction shares (``_dotted``, ``_own_nodes``,
+``_retrying_trys`` ...) live here too, written once.
 """
 
 from __future__ import annotations
@@ -228,22 +230,12 @@ class _Checker(ast.NodeVisitor):
         #: a server-op executor module (RL007 scope)
         self.dp_server = ("datapath" in parts
                           and path.name.startswith("server_"))
-        self.func_stack: list[str] = []
         self.violations: list[Violation] = []
 
     def flag(self, node, rule: str, message: str):
         self.violations.append(
             Violation(self.rel, getattr(node, "lineno", 1), rule, message)
         )
-
-    # -- function context -----------------------------------------------------
-
-    def visit_FunctionDef(self, node):
-        self.func_stack.append(node.name)
-        self.generic_visit(node)
-        self.func_stack.pop()
-
-    visit_AsyncFunctionDef = visit_FunctionDef
 
     # -- RL001: imports -------------------------------------------------------
 
@@ -316,31 +308,11 @@ class _Checker(ast.NodeVisitor):
                       "the kernel (simnet/kernel.py) runs its queue")
         self.generic_visit(node)
 
-    # -- RL003: dropped futures ----------------------------------------------
-
-    def visit_Expr(self, node):
-        call = _unwrap_awaitable(node.value)
-        if call is not None and _is_async_call(call):
-            self.flag(node, "RL003",
-                      f"result of {_attr_name(call.func)}() is discarded — "
-                      "the future must be stored, awaited, or batched")
-        self.generic_visit(node)
-
-    # -- calls: RL001 / RL002 / RL004 ----------------------------------------
+    # -- calls: RL007 / RL002 / RL004 ----------------------------------------
 
     def visit_Call(self, node):
         name = _attr_name(node.func)
         dotted = _dotted(node.func)
-
-        # RL001: control-path calls from steady-state data-path code
-        if (self.data_path and name in CONTROL_METHODS
-                and isinstance(node.func, ast.Attribute)
-                and not _control_named(self.func_stack)):
-            where = (f"function {self.func_stack[-1]!r}" if self.func_stack
-                     else "module level")
-            self.flag(node, "RL001",
-                      f"control-path call .{name}() from {where} — move it "
-                      "into a create/open/setup-style function")
 
         # RL007: server-op executors must not dial the control plane
         if self.dp_server and name in SERVER_OP_FORBIDDEN_CALLS:
@@ -422,7 +394,7 @@ class _Checker(ast.NodeVisitor):
 
 
 def check_file(tree: ast.AST, rel: str, imports: dict) -> list:
-    """RL001-RL007 and RL012 findings for one parsed module."""
+    """The per-file rules' findings for one parsed module."""
     checker = _Checker(rel, imports)
     checker.visit(tree)
     return checker.violations

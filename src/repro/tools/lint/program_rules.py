@@ -1,4 +1,5 @@
-"""The program rules: RL008-RL011 over a linked Program.
+"""The program rules: RL001's control calls, RL003, RL010 and RL011
+over a linked Program.
 
 Each rule consumes the per-function summaries plus one of the
 Program's fixpoints and yields :class:`Violation` findings.  The
@@ -23,21 +24,27 @@ def _func_label(program, fid):
     return f"{record['qual']} ({record['rel']}:{record['line']})"
 
 
-# -- RL008: interprocedural control-path isolation -------------------------
+# -- RL001: control-path isolation -----------------------------------------
 
-def _rl008(program):
+def _rl001(program):
+    """Every control call a steady-state data-path function makes or
+    reaches — one reach computation, two shapes of finding."""
     seeds = {fid for fid, f in program.functions.items()
              if f["control_sites"]}
     reach = program.propagate_flag(seeds)
     for fid in sorted(program.functions):
         func = program.functions[fid]
-        if not func["data_path"] or func["control_named"]:
+        if (not func["data_path"] or func["control_named"]
+                or fid not in reach):
             continue
         if fid in seeds:
-            # a *direct* control call — that is RL001's finding, one
-            # per site, not a chain
-            continue
-        if fid not in reach:
+            # a direct control call: one finding per site
+            for site in func["control_sites"]:
+                yield Violation(
+                    func["rel"], site["line"], "RL001",
+                    f"control-path call .{site['name']}() from function "
+                    f"{func['name']!r} — move it into a create/open/"
+                    "setup-style function")
             continue
         # anchor at the root's earliest call that reaches the control
         # path (stable under unrelated edits), then follow the BFS
@@ -68,7 +75,7 @@ def _rl008(program):
         leaf = program.functions[cur]
         detail.append(f"-> .{site[1]}() at {leaf['rel']}:{site[0]}")
         yield Violation(
-            func["rel"], lines[0], "RL008",
+            func["rel"], lines[0], "RL001",
             f"steady-state data-path function {func['qual']!r} reaches "
             f"control-path call .{site[1]}() through a "
             f"{len(chain) - 1}-hop helper chain — hoist the control "
@@ -77,7 +84,7 @@ def _rl008(program):
             detail=detail)
 
 
-# -- RL009: future-escape --------------------------------------------------
+# -- RL003: future-escape --------------------------------------------------
 
 def _returns_future(program):
     """Fixpoint: does calling f hand back an OpFuture?"""
@@ -99,30 +106,38 @@ def _returns_future(program):
     return flags
 
 
-def _rl009(program):
+def _rl003(program):
     flags = _returns_future(program)
+
+    def future_source(func, resolved, index):
+        """``name()`` of the call at *index* if it hands back a future:
+        a ``*_async`` call itself, or a helper that returns one."""
+        name = func["calls"][index]["name"]
+        if name.endswith("_async"):
+            return f"{name}()"
+        callee = resolved.get(index)
+        if callee is not None and flags[callee]:
+            return f"{program.functions[callee]['qual']}()"
+        return None
+
     for fid in sorted(program.functions):
         func = program.functions[fid]
         resolved = dict(program.edges[fid])
         for record in func["bare_calls"]:
-            callee = resolved.get(record["index"])
-            if callee is not None and flags[callee]:
-                name = program.functions[callee]["qual"]
+            source = future_source(func, resolved, record["index"])
+            if source is not None:
                 yield Violation(
-                    func["rel"], record["line"], "RL009",
-                    f"discards the future returned by {name}() — "
-                    "store, wait, or batch it (RL003 sees only "
-                    "direct *_async drops; this one hides behind "
-                    "a helper)")
+                    func["rel"], record["line"], "RL003",
+                    f"discards the future returned by {source} — store, "
+                    "wait, or batch it")
         for record in func["assigned_calls"]:
-            callee = resolved.get(record["index"])
-            if callee is not None and flags[callee]:
-                name = program.functions[callee]["qual"]
+            source = future_source(func, resolved, record["index"])
+            if source is not None:
                 yield Violation(
-                    func["rel"], record["line"], "RL009",
-                    f"future from {name}() assigned to "
-                    f"{record['var']!r} is never read again — nobody "
-                    "waits it, nobody sees its error")
+                    func["rel"], record["line"], "RL003",
+                    f"future from {source} assigned to {record['var']!r} "
+                    "is never read again — nobody waits it, nobody sees "
+                    "its error")
 
 
 # -- RL010: static lock-order graph ----------------------------------------
@@ -283,7 +298,7 @@ def _rl011(program):
 
 
 def run_rules(program) -> list:
-    """Every finding the four program rules make, unsorted."""
+    """Every finding the program rules make, unsorted."""
     return [violation
-            for rule in (_rl008, _rl009, _rl010, _rl011)
+            for rule in (_rl001, _rl003, _rl010, _rl011)
             for violation in rule(program)]

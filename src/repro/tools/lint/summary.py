@@ -6,11 +6,9 @@ and per-function records of the calls made, control-path sites, lock
 acquire/release order, future creation and consumption, raises, and
 broad retry-loop catches — and the parsed tree is not looked at again.
 
-Findings that need no cross-function knowledge are decided here and
-travel in the summary's ``findings`` list: the per-file rules
-(:mod:`repro.tools.lint.file_rules`) and the intraprocedural half of
-RL009 (a ``*_async`` future assigned to a name that is never read
-again).  Everything else is raw material for
+The per-file rules (:mod:`repro.tools.lint.file_rules`) are decided
+here and their findings travel in the summary's ``findings`` list.
+Everything else is raw material for
 :mod:`repro.tools.lint.program_rules`.
 """
 
@@ -31,7 +29,7 @@ from repro.tools.lint.file_rules import (
     _unwrap_awaitable,
     check_file,
 )
-from repro.tools.source import SourceFile, Violation
+from repro.tools.source import SourceFile
 
 __all__ = ["module_name", "summarize_source"]
 
@@ -129,15 +127,18 @@ def _broad_handler(handler: ast.ExceptHandler) -> bool:
     return False
 
 
-def _summarize_function(node, qual, cls, control_named, rel):
+def _summarize_function(node, qual, cls, control_named):
     calls = []            # [{line, name, recv}]
     call_index = {}       # id(Call) -> index
+    control_sites = []    # [{line, name}] control methods, any receiver
     own = [n for n in _own_nodes(node.body)]
     for sub in sorted((n for n in own if isinstance(n, ast.Call)),
                       key=lambda n: (n.lineno, n.col_offset)):
         if isinstance(sub.func, ast.Attribute):
             name = sub.func.attr
             recv = _dotted(sub.func.value)
+            if name in CONTROL_METHODS:
+                control_sites.append({"line": sub.lineno, "name": name})
         elif isinstance(sub.func, ast.Name):
             name = sub.func.id
             recv = ""
@@ -146,12 +147,6 @@ def _summarize_function(node, qual, cls, control_named, rel):
         call_index[id(sub)] = len(calls)
         calls.append({"line": sub.lineno, "name": name, "recv": recv})
 
-    control_sites = [
-        {"line": c["line"], "name": c["name"]}
-        for c in calls
-        if c["name"] in CONTROL_METHODS and c["recv"]
-    ]
-
     # -- reads: every Name load anywhere in the function, nested
     # closures included (a closure consuming a future counts)
     loads = {sub.id for sub in ast.walk(node)
@@ -159,8 +154,7 @@ def _summarize_function(node, qual, cls, control_named, rel):
 
     local_types = {}      # var -> {"ctor", "name"}
     future_vars = set()   # vars ever assigned a *_async result
-    findings = []         # intraprocedural findings, ready to report
-    assigned_calls = []   # [{line, var, index}] plain-call assignments
+    assigned_calls = []   # [{line, var, index}] calls assigned, never read
     attr_writes = {}      # self.attr -> {"ctor", "name"} (class attrs)
 
     for sub in own:
@@ -173,14 +167,7 @@ def _summarize_function(node, qual, cls, control_named, rel):
                     local_types[target.id] = record
                 if _is_async_call(value):
                     future_vars.add(target.id)
-                    if target.id not in loads:
-                        findings.append(Violation(
-                            rel, sub.lineno, "RL009",
-                            f"future assigned to {target.id!r} is never "
-                            "read again — nobody waits it, nobody sees "
-                            "its error (and to RSan the op stays "
-                            "concurrent forever)"))
-                elif id(value) in call_index and target.id not in loads:
+                if id(value) in call_index and target.id not in loads:
                     assigned_calls.append({
                         "line": sub.lineno, "var": target.id,
                         "index": call_index[id(value)],
@@ -207,7 +194,7 @@ def _summarize_function(node, qual, cls, control_named, rel):
             events.append({"op": "call", "index": index,
                            "line": c["line"]})
 
-    # -- returns (RL009's interprocedural seed)
+    # -- returns (RL003's interprocedural seed)
     returns_future = False
     return_calls = []
     for sub in own:
@@ -221,14 +208,13 @@ def _summarize_function(node, qual, cls, control_named, rel):
                   and sub.value.id in future_vars):
                 returns_future = True
 
-    # -- bare-expression calls (RL009: discarded future-returning
-    # helpers; the direct *_async case is RL003's, skip it here)
+    # -- bare-expression calls (RL003: a dropped *_async result or a
+    # dropped future-returning helper)
     bare_calls = []
     for sub in own:
         if isinstance(sub, ast.Expr):
             value = _unwrap_awaitable(sub.value)
-            if value is not None and id(value) in call_index and \
-                    not _is_async_call(value):
+            if value is not None and id(value) in call_index:
                 bare_calls.append({"line": sub.lineno,
                                    "index": call_index[id(value)]})
 
@@ -284,7 +270,7 @@ def _summarize_function(node, qual, cls, control_named, rel):
         "assigned_calls": assigned_calls,
         "raises": raises,
         "swallows": swallows,
-    }, attr_writes, findings
+    }, attr_writes
 
 
 def summarize_source(source: SourceFile) -> dict:
@@ -306,13 +292,14 @@ def summarize_source(source: SourceFile) -> dict:
     def visit_function(node, prefix, cls, name_stack):
         qual = f"{prefix}{node.name}" if prefix else node.name
         stack = name_stack + [node.name]
-        record, attr_writes, findings = _summarize_function(
-            node, qual, cls, _control_named(stack), rel)
+        record, attr_writes = _summarize_function(
+            node, qual, cls, _control_named(stack))
         summary["functions"][qual] = record
-        summary["findings"].extend(findings)
         if cls is not None and attr_writes:
             summary["classes"][cls]["attrs"].update(attr_writes)
-        for child in node.body:
+        # nested functions wherever they sit (a closure inside a loop
+        # or a branch runs the data path as much as a direct child)
+        for child in _own_nodes(node.body):
             if isinstance(child, (ast.FunctionDef,
                                   ast.AsyncFunctionDef)):
                 visit_function(child, f"{qual}.", cls, stack)

@@ -10,6 +10,8 @@ Semantics pinned here:
 * the repaired copy lands on a live server that did not already hold
   one, and its bytes match the surviving primary;
 * injected transient wire faults are absorbed by client retry;
+* a repair made moot mid-copy (its region freed) gives back every
+  byte it reserved on the target;
 * the whole scenario — fault schedule, repair timeline, final bytes —
   replays bit-for-bit from a fixed seed.
 """
@@ -366,3 +368,35 @@ def test_server_flapping_across_a_master_recovery():
         return data
 
     assert cluster.run_app(verify()) == b"ride the flap"
+
+
+def test_a_repair_made_moot_mid_copy_returns_its_target_reservation():
+    """The region is freed while a repair copy is in flight: the
+    re-validation finds no stripe left, and the rollback must still
+    hand back both the allocator's capacity and the target server's
+    arena reservation."""
+    cluster = build_cluster(
+        num_machines=5,
+        config=RStoreConfig(stripe_size=1 * MiB, heartbeat_interval_s=0.02,
+                            lease_timeout_s=0.07, seed=7),
+        server_capacity=64 * MiB,
+    )
+    client = cluster.client(1)
+
+    def setup():
+        yield from client.alloc("doomed", 4 * MiB, replication=2)
+
+    cluster.run_app(setup())
+    cluster.kill_server(2)
+    repair = cluster.master.repair
+    while not any("queued repair" in msg for _t, msg in repair.log):
+        cluster.run(until=cluster.sim.now + 1e-4)
+    # the copies are in flight: free the region under them
+    cluster.run(until=cluster.sim.now + 1e-4)
+    cluster.run_app(client.free("doomed"))
+    cluster.run(until=cluster.sim.now + 1.0)
+
+    assert not any("NoneType" in msg for _t, msg in repair.log)
+    for slot in cluster.master.allocator.alive_servers:
+        assert slot.free == slot.capacity, f"server {slot.host_id} leaked"
+        assert cluster.servers[slot.host_id].arena.live_allocations == 0

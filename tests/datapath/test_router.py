@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import build_cluster
 from repro.core import RStoreConfig
+from repro.core.errors import TenantQuotaExceededError
 from repro.datapath import ops
 from repro.datapath.router import _FetchBuffer
 from repro.kv.hashkv import KvError, KvFullError, RKVStore
@@ -515,5 +516,23 @@ def test_adaptive_only_considers_modes_its_slots_fit(fetch_bytes, get_modes):
             assert router.remote_fetches > 0
         else:
             assert router.server_ops == 0
+
+    cluster.run_app(app())
+
+
+def test_a_refused_fetch_buffer_surfaces_the_real_error():
+    # the quota fits the table but not the 256 KiB deposit region: the
+    # refusal must reach the caller as itself, not as a failed lookup
+    # of a buffer that was never made
+    cluster = fresh_cluster(tenant_quota_bytes={"default": 200 * KiB})
+    client = cluster.client(1)
+
+    def app():
+        store = yield from RKVStore.create(client, "tight", slots=1024,
+                                           key_size=16, value_size=64,
+                                           path_policy="remote_fetch")
+        yield from store.put(b"k", b"v")
+        with pytest.raises(TenantQuotaExceededError):
+            yield from store.get(b"k")
 
     cluster.run_app(app())

@@ -77,19 +77,10 @@ def test_cli_exits_2_on_empty_scope(tmp_path, capsys):
 def test_repro_lint_runs_the_program_rules(capsys):
     from repro.tools.cli import main as repro_main
 
-    rc = repro_main(["lint", "--json", str(FIXTURES["RL009"])])
+    rc = repro_main(["lint", "--json", str(FIXTURES["RL003"])])
     assert rc == 1
     payload = json.loads(capsys.readouterr().out)
-    assert {f["rule"] for f in payload["findings"]} == {"RL009"}
-
-
-def test_repro_analyze_is_gone(capsys):
-    from repro.tools.cli import main as repro_main
-
-    with pytest.raises(SystemExit) as exc:
-        repro_main(["analyze"])
-    assert exc.value.code == 2
-    assert "invalid choice: 'analyze'" in capsys.readouterr().err
+    assert {f["rule"] for f in payload["findings"]} == {"RL003"}
 
 
 def test_each_file_is_parsed_once(monkeypatch):
@@ -101,7 +92,7 @@ def test_each_file_is_parsed_once(monkeypatch):
         return real_parse(text, *args, **kwargs)
 
     monkeypatch.setattr(ast, "parse", counting_parse)
-    scope = [FIXTURES["RL001"], FIXTURES["RL008"], FIXTURES["RL010"]]
+    scope = [FIXTURES["RL001"], FIXTURES["RL003"], FIXTURES["RL010"]]
     assert findings(*scope)
     assert sorted(parsed) == sorted(str(p) for p in scope)
 
