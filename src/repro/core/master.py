@@ -592,8 +592,16 @@ class Master:
         yield from self._ready()
         if name in self.regions:
             raise RegionExistsError(f"region {name!r} already exists")
-        stripe_size = stripe_size or self.config.stripe_size
-        replication = replication or self.config.default_replication
+        if stripe_size is None:
+            stripe_size = self.config.stripe_size
+        if replication is None:
+            replication = self.config.default_replication
+        for arg, value in (("size", size), ("stripe_size", stripe_size),
+                           ("replication", replication)):
+            if value <= 0:
+                raise AllocationError(
+                    f"allocation of {name!r}: {arg} must be positive, "
+                    f"got {value}")
         tenant = tenant_of(name)
         # admission before placement: a quota denial must not consume
         # placement RNG state or server reservations

@@ -34,8 +34,8 @@ class PoolChunk:
     def offset(self) -> int:
         return self.mr.offset_of(self.addr)
 
-    def read_bytes(self, length: int | None = None) -> bytes:
-        return self.mr.buffer.read(self.offset, length or self.length)
+    def read_bytes(self, length: int) -> bytes:
+        return self.mr.buffer.read(self.offset, length)
 
     def write_bytes(self, payload: bytes) -> None:
         if len(payload) > self.length:

@@ -70,15 +70,22 @@ class Snapshot:
 Payload = Union[bytes, Snapshot]
 
 
+def _padded(block: memoryview, offset: int, length: int) -> bytes:
+    """``[offset, +length)`` of *block* as bytes, zeros past its end."""
+    return block[offset : offset + length].tobytes().ljust(length, b"\0")
+
+
 class Buffer:
     """A contiguous allocation in a host's virtual address space.
 
     Storage is :data:`BLOCK`-sized blocks made on first write; a block
     never written reads as zeros, like fresh DRAM, so a multi-GiB arena
-    costs nothing until it is used.  A block a :class:`Snapshot` shares,
-    or one landed from a snapshot, is held read-only: the next write to
-    it replaces it (a whole-block write) or copies it first (a partial
-    one).
+    costs nothing until it is used.  A block stores its bytes up to the
+    highest one written so far and reads as zeros past that, so a 300 B
+    message in a 64 KiB ring slot holds 300 B.  A block a
+    :class:`Snapshot` shares, or one landed from a snapshot, is full
+    length and held read-only: the next write to it replaces it (a
+    whole-block write) or copies it first (a partial one).
     """
 
     __slots__ = ("addr", "host_id", "_length", "_blocks")
@@ -87,8 +94,9 @@ class Buffer:
         self.addr = addr
         self.host_id = host_id
         self._length = length
-        #: block number -> view of that block's bytearray, read-only
-        #: while a snapshot or another buffer may share it
+        #: block number -> view of that block's bytearray, at most BLOCK
+        #: long; read-only, and then BLOCK long, while a snapshot or
+        #: another buffer may share it
         self._blocks: dict[int, memoryview] = {}
 
     def __len__(self) -> int:
@@ -100,7 +108,7 @@ class Buffer:
 
     @property
     def materialized_bytes(self) -> int:
-        return len(self._blocks) * BLOCK
+        return sum(map(len, self._blocks.values()))
 
     def _check(self, what: str, offset: int, length: int) -> None:
         """The one bounds check: ``[offset, +length)`` lies inside."""
@@ -115,10 +123,16 @@ class Buffer:
         self._check("read", offset, length)
         block_off = offset & _IN_BLOCK
         if block_off + length <= BLOCK:  # within one block: one slice
-            return self._blocks.get(offset >> _BLOCK_BITS, _ZERO_BLOCK)[
-                block_off : block_off + length].tobytes()
-        return b"".join([self._blocks.get(n, _ZERO_BLOCK)[o : o + t]
-                         for n, o, t in _pieces(offset, length)])
+            return _padded(self._blocks.get(offset >> _BLOCK_BITS,
+                                            _ZERO_BLOCK), block_off, length)
+        blocks = self._blocks
+        parts = []
+        for n, o, t in _pieces(offset, length):
+            piece = blocks.get(n, _ZERO_BLOCK)[o : o + t]
+            parts.append(piece)
+            if len(piece) < t:  # past a short block's end
+                parts.append(_ZERO_BLOCK[: t - len(piece)])
+        return b"".join(parts)
 
     def snapshot(self, offset: int, length: int) -> Payload:
         """``[offset, +length)`` as of now, whatever is written later.
@@ -137,9 +151,11 @@ class Buffer:
                 parts.append(_ZERO_BLOCK if t == BLOCK
                              else _ZERO_BLOCK[o : o + t])
             elif t < BLOCK:
-                parts.append(block[o : o + t].tobytes())
+                parts.append(_padded(block, o, t))
             else:
-                if not block.readonly:
+                if not block.readonly:  # shared blocks are full length
+                    if len(block) < BLOCK:
+                        block = self._grow(n, block, BLOCK)
                     block = blocks[n] = block.toreadonly()
                 parts.append(block)
         return Snapshot(parts, length)
@@ -155,14 +171,15 @@ class Buffer:
         length = len(payload)
         self._check("write", offset, length)
         block_off = offset & _IN_BLOCK
-        if block_off + length < BLOCK:  # within one block, not all of it
+        end = block_off + length
+        if end < BLOCK:  # within one block, not all of it
             if not length:
                 return
             block_no = offset >> _BLOCK_BITS
             block = self._blocks.get(block_no)
-            if block is None or block.readonly:
-                block = self._own(block_no, block)
-            block[block_off : block_off + length] = payload
+            if block is None or len(block) < end or block.readonly:
+                block = self._grow(block_no, block, end)
+            block[block_off:end] = payload
             return
         # a snapshot is never shorter than a block, so only here
         if type(payload) is not Snapshot:
@@ -189,19 +206,28 @@ class Buffer:
             piece = view[start : start + t]
             start += t
             block = blocks.get(n)
-            if block is None or block.readonly:
+            if block is None or len(block) < o + t or block.readonly:
                 if t == BLOCK:  # the copy is the new block
                     blocks[n] = memoryview(bytearray(piece))
                     continue
-                block = self._own(n, block)
+                block = self._grow(n, block, o + t)
             block[o : o + t] = piece
 
-    def _own(self, block_no: int, block: Optional[memoryview]) -> memoryview:
-        """A writable block *block_no* for a partial write: zero-filled
-        if it was never written, else a copy of the shared one."""
-        self._blocks[block_no] = own = memoryview(
-            bytearray(BLOCK if block is None else block))
-        return own
+    def _grow(self, block_no: int, block: Optional[memoryview],
+              need: int) -> memoryview:
+        """A writable block *block_no* at least *need* bytes long.
+
+        A never-written block gets just *need* bytes.  A short one is
+        copied into at least twice its length (up to :data:`BLOCK`), so
+        ascending writes regrow it ~log2 times, not once per write.  A
+        shared block is full length, and so is its copy.
+        """
+        size = 0 if block is None else len(block)
+        own = bytearray(max(need, min(2 * size, BLOCK)))
+        if size:
+            own[:size] = block
+        self._blocks[block_no] = view = memoryview(own)
+        return view
 
 
 class HostMemory:

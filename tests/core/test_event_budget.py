@@ -152,6 +152,25 @@ def test_a_one_sided_transfer_copies_its_bytes_once():
     assert peaks["write_from"] < 64 * KiB, peaks
 
 
+def test_an_rpc_ring_holds_what_its_messages_carried():
+    cluster = build_cluster(num_machines=2, server_hosts=[0])
+    client = cluster.client(1)
+
+    def app():
+        yield from client.alloc("ring", 4096)
+        for _ in range(100):  # every one of the 32 receive slots is used
+            yield from client.lookup("ring")
+
+    cluster.run_app(app())
+    router = client._router
+    channel = router._clients.clients[router.shard_of("ring")]._channel
+    held = (channel._recv_mr.buffer.materialized_bytes
+            + channel._send_mr.buffer.materialized_bytes)
+    # a few hundred bytes per message; a whole 64 KiB block per slot
+    # would be 2 MiB for the receive ring alone
+    assert held <= 64 * KiB, held
+
+
 def test_a_commit_is_an_intent_flush_and_a_publish_flush():
     _kernel_entries, posted = _costs()
     # READ, READ, [CAS, CAS], [body, version, body, version]: the same

@@ -26,6 +26,7 @@ def test_alloc_free_roundtrip():
         chunk = yield from pool.alloc(1000)
         chunk.write_bytes(b"staged")
         assert chunk.read_bytes(6) == b"staged"
+        assert chunk.read_bytes(0) == b""  # not the whole chunk
         chunk.release()
         assert pool.free_bytes == pool.capacity
 
@@ -72,8 +73,8 @@ def test_concurrent_chunks_are_disjoint():
         b = yield from pool.alloc(1000)
         a.write_bytes(b"A" * 1000)
         b.write_bytes(b"B" * 1000)
-        assert a.read_bytes() == b"A" * 1000
-        assert b.read_bytes() == b"B" * 1000
+        assert a.read_bytes(1000) == b"A" * 1000
+        assert b.read_bytes(1000) == b"B" * 1000
         a.release()
         b.release()
 

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.core import (
+    AllocationError,
     BoundsError,
     OutOfMemoryError,
     RegionExistsError,
@@ -126,6 +127,27 @@ def test_alloc_larger_than_cluster_raises_oom(cluster):
     def app():
         with pytest.raises(OutOfMemoryError):
             yield from client.alloc("huge", 10_000 * MiB)
+
+    cluster.run_app(app())
+
+
+@pytest.mark.parametrize("arg, value", [
+    ("size", 0), ("size", -4096), ("stripe_size", 0), ("stripe_size", -64),
+    ("replication", 0), ("replication", -1)])
+def test_alloc_rejects_a_non_positive_argument_by_name(cluster, arg, value):
+    """Zero used to mean the default, and a negative value failed deep in
+    placement or validation with an untyped remote error."""
+    client = cluster.client(1)
+    name = f"bad-{arg}{value}"
+    args = {"size": 4096, arg: value}
+
+    def app():
+        with pytest.raises(AllocationError,
+                           match=rf"\b{arg} must be positive") as caught:
+            yield from client.alloc(name, **args)
+        assert caught.type is AllocationError
+        with pytest.raises(RegionNotFoundError):
+            yield from client.lookup(name)
 
     cluster.run_app(app())
 

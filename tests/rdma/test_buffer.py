@@ -38,12 +38,64 @@ def test_write_spanning_blocks():
     assert buf.read(BLOCK - 100, len(payload)) == payload
 
 
-def test_materialization_is_block_granular():
+def test_materialization_follows_the_written_extent():
     buf = Buffer(0, 1 * GiB, host_id=0)
     buf.write(0, b"x")
+    assert buf.materialized_bytes == 1
+    buf.write(500 * MiB + 99, b"y")
+    assert buf.materialized_bytes == 1 + 100
+    buf.write(BLOCK - 1, b"z" * 2)  # the end of block 0, the start of 1
+    assert buf.materialized_bytes == BLOCK + 1 + 100
+
+
+def test_a_read_past_a_short_block_reads_zeros():
+    buf = Buffer(0, 4 * BLOCK, host_id=0)
+    buf.write(10, b"abc")
+    buf.write(BLOCK + 5, b"de")
+    assert buf.read(12, 4) == b"c" + bytes(3)
+    assert buf.read(100, 50) == bytes(50)
+    assert buf.read(8, BLOCK - 8) == bytes(2) + b"abc" + bytes(BLOCK - 13)
+    assert buf.read(8, BLOCK + 2) == (
+        bytes(2) + b"abc" + bytes(BLOCK - 13) + bytes(5) + b"de" + bytes(3))
+    assert buf.read(0, 2 * BLOCK) == (
+        bytes(10) + b"abc" + bytes(BLOCK - 13) + bytes(5) + b"de"
+        + bytes(BLOCK - 7))
+    assert buf.snapshot(11, 10) == b"bc" + bytes(8)
+
+
+def test_a_whole_block_snapshot_over_a_short_block_is_shared_and_lands():
+    src = Buffer(0, 4 * BLOCK, host_id=0)
+    src.write(BLOCK + 3, b"short")
+    snap = src.snapshot(BLOCK, BLOCK)
+    # padded to full length before it was shared, not copied into the part
+    assert len(src._blocks[1]) == BLOCK and src._blocks[1].readonly
+    assert snap.parts[0].obj is src._blocks[1].obj
+    dst = Buffer(0, 4 * BLOCK, host_id=1)
+    dst.write(2 * BLOCK, snap)
+    assert dst._blocks[2].obj is src._blocks[1].obj
+    want = bytes(3) + b"short" + bytes(BLOCK - 8)
+    assert dst.read(2 * BLOCK, BLOCK) == want == bytes(snap)
+    src.write(BLOCK, b"x")  # copy-on-write: the landing keeps its bytes
+    assert dst.read(2 * BLOCK, BLOCK) == want
+
+
+def test_ascending_small_writes_regrow_a_block_logarithmically(monkeypatch):
+    grows = []
+    grow = Buffer._grow
+
+    def counted(self, block_no, block, need):
+        grows.append(need)
+        return grow(self, block_no, block, need)
+
+    monkeypatch.setattr(Buffer, "_grow", counted)
+    buf = Buffer(0, 2 * BLOCK, host_id=0)
+    for k in range(BLOCK // 128):  # 512 writes of 128 B fill block 0
+        buf.write(k * 128, bytes([k % 256]) * 128)
+    # 128 B, then doubled up to BLOCK: log2(BLOCK / 128) + 1 = 10
+    assert len(grows) <= (BLOCK // 128).bit_length()
     assert buf.materialized_bytes == BLOCK
-    buf.write(500 * MiB, b"y")
-    assert buf.materialized_bytes == 2 * BLOCK
+    assert buf.read(0, BLOCK) == b"".join(
+        bytes([k % 256]) * 128 for k in range(BLOCK // 128))
 
 
 def test_multi_gib_buffer_costs_nothing_until_written():
@@ -168,9 +220,14 @@ _EDGES = [k * BLOCK for k in range(6)]
 _offsets = st.one_of(st.integers(0, _SIZE), st.sampled_from(_EDGES))
 _lengths = st.one_of(st.integers(0, 3 * BLOCK),
                      st.sampled_from([BLOCK, 2 * BLOCK, 3 * BLOCK]))
+#: just past a block's start: what leaves, grows and pads a short block
+_near_starts = st.builds(lambda k, small: k * BLOCK + small,
+                         st.integers(0, 5), st.integers(0, 600))
 _ops = st.one_of(
     st.tuples(st.just("write"), st.integers(0, 1), _offsets,
               st.binary(max_size=300)),
+    st.tuples(st.just("write"), st.integers(0, 1), _near_starts,
+              st.binary(min_size=1, max_size=80)),
     st.tuples(st.just("fill"), st.integers(0, 1), _offsets, _lengths,
               st.integers(0, 255)),
     st.tuples(st.just("snapshot"), st.integers(0, 1), _offsets, _lengths),
