@@ -66,7 +66,7 @@ _BLOCKING_CONTROL = frozenset({"barrier", "wait_note"})
 #: everything else (stats, membership) defaults to shard 0 so existing
 #: single-master callers keep working unchanged
 _NAME_ROUTED = frozenset({
-    "alloc", "lookup", "resize", "free",
+    "alloc", "lookup", "free",
     "barrier", "notify", "wait_note",
 })
 
@@ -377,21 +377,17 @@ class RStoreClient:
         self._meta.store(name, shard, desc)
         return desc
 
-    def resize(self, name: str, new_size: int):
-        """Grow a region (generator); returns the new descriptor.
-
-        Existing data is untouched.  Re-map to access the added range —
-        live mappings keep working for the old range only.
-        """
-        desc = yield from self._mutate("resize", name, new_size)
-        self._meta.store(name, self._router.shard_of(name), desc)
-        return desc
-
     def free(self, name: str):
-        """Release a region cluster-wide (generator)."""
-        result = yield from self._mutate("free", name)
-        self._meta.evict(name)
-        return result
+        """Release a region cluster-wide (generator).
+
+        The lease goes whatever the outcome: a refusal (someone else
+        freed the name) means the cached descriptor points at recycled
+        arena bytes.
+        """
+        try:
+            return (yield from self._mutate("free", name))
+        finally:
+            self._meta.evict(name)
 
     def list_regions(self):
         """All region names, across every shard (generator)."""

@@ -136,12 +136,10 @@ class Master:
             "register_server",
             "heartbeat",
             "alloc",
-            "resize",
             "free",
             "lookup",
             "list_regions",
             "cluster_stats",
-            "repair_status",
             "barrier",
             "notify",
             "wait_note",
@@ -525,13 +523,13 @@ class Master:
             self.repair._note(f"release round incomplete: {exc}")
 
     def _reserve_stripes(self, what: str, lengths, replication: int,
-                         base_index: int = 0, preferred_host=None):
+                         preferred_host=None):
         """Place and reserve one stripe per length (generator).
 
-        Returns the :class:`StripeDesc` list, indexed from
-        *base_index*.  The involved servers are asked in one parallel
-        round (``Simulator.gather``), which costs its slowest server and
-        has settled everywhere before anything is decided.
+        Returns the :class:`StripeDesc` list.  The involved servers are
+        asked in one parallel round (``Simulator.gather``), which costs
+        its slowest server and has settled everywhere before anything is
+        decided.
         All-or-nothing: a failure at any server releases what the
         others reserved (a second round) and the allocator's tracked
         capacity, then raises :class:`AllocationError` naming *what*.
@@ -566,8 +564,7 @@ class Master:
 
         cursors = {h: 0 for h in by_host}
         stripes = []
-        for index, (copies, length) in enumerate(zip(placement, lengths),
-                                                 base_index):
+        for index, (copies, length) in enumerate(zip(placement, lengths)):
             replicas = []
             for host_id in copies:
                 addrs, rkey = reserved[host_id]
@@ -626,56 +623,6 @@ class Master:
         yield from self._log("region", region)
         self.regions[name] = region
         self._charge_tenant(tenant, size * replication)
-        return region
-
-    def _resize(self, name, new_size, epoch=None):
-        """Grow a region by appending stripes (shrinking not supported).
-
-        Existing stripes — and therefore existing data and mappings —
-        are untouched; the descriptor version bumps so clients know to
-        re-map before touching the new range.
-        """
-        self._fence(epoch)
-        self._owned(name)
-        yield from self._ready()
-        region = self.regions.get(name)
-        if region is None:
-            raise RegionNotFoundError(f"no region named {name!r}")
-        if not region.available:
-            raise RStoreError(
-                f"cannot resize unavailable region {name!r}: "
-                f"{region.unavailable_reason}"
-            )
-        if new_size < region.size:
-            raise RStoreError(
-                f"shrinking is not supported ({region.size} -> {new_size})"
-            )
-        if new_size == region.size:
-            yield self.sim.timeout(0)
-            return region
-        if region.size % region.stripe_size != 0:
-            # a partial tail stripe cannot be extended in place (stripes
-            # are immutable server reservations) and address translation
-            # requires every non-final stripe to be full
-            raise RStoreError(
-                f"cannot grow {name!r}: its size {region.size} is not a "
-                f"multiple of the stripe size {region.stripe_size}"
-            )
-        grown = new_size - region.size
-        replication = region.target_replication
-        tenant = tenant_of(name)
-        self._check_quota(tenant, grown * replication)
-        new_stripes = yield from self._reserve_stripes(
-            f"resize of {name!r}",
-            split_into_stripes(grown, region.stripe_size), replication,
-            base_index=len(region.stripes),
-        )
-        region.stripes = list(region.stripes) + new_stripes
-        region.size = new_size
-        region.version += 1
-        region.epoch = self.epoch
-        yield from self._log("region", region)
-        self._charge_tenant(tenant, grown * replication)
         return region
 
     def _free(self, name, epoch=None):
@@ -743,15 +690,13 @@ class Master:
             "tenant_bytes": dict(self.tenant_bytes),
         }
 
-    def _repair_status(self):
-        """Snapshot of the background repair planner (control RPC)."""
-        yield self.sim.timeout(0)
-        return self.repair.status()
-
     # -- synchronization ------------------------------------------------------------
 
     def _barrier(self, name, count):
         """Block until *count* participants have arrived at *name*."""
+        if count < 1:
+            raise RStoreError(
+                f"barrier {name!r} needs count >= 1, got {count}")
         entry = self._barriers.get(name)
         if entry is None:
             entry = {"arrived": 0, "count": count, "waiters": [],

@@ -22,7 +22,7 @@ Durability discipline:
 Record kinds (``kind``, payload):
 
 * ``"region"``  — full :class:`~repro.core.region.RegionDesc` snapshot;
-  upsert on replay (alloc, resize, promotion, repair all emit this).
+  upsert on replay (alloc, promotion and repair all emit this).
 * ``"free"``    — region name; delete on replay.
 * ``"server"``  — ``(host_id, capacity, rkey, epoch, alive)`` membership
   snapshot; upsert on replay (register and declare-dead both emit it).

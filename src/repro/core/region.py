@@ -100,7 +100,7 @@ class RegionDesc:
     unavailable_reason: str = ""
 
     #: bumped whenever the master rewrites the descriptor (promotion,
-    #: repair, resize) — clients compare it to spot stale mappings
+    #: repair) — clients compare it to spot stale mappings
     version: int = 1
     #: the replication factor requested at allocation time; the repair
     #: planner drives every stripe back to this many copies

@@ -27,7 +27,7 @@ recovery" in DESIGN.md for the exact guarantee.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.errors import FatalError, MasterUnavailableError
@@ -59,15 +59,6 @@ class RepairTask:
         return f"stripe {self.stripe_index} of {self.region_name!r}"
 
 
-@dataclass
-class _RepairStats:
-    repaired: int = 0
-    abandoned: int = 0
-    copies_driven: int = 0
-    bytes_copied: int = 0
-    log: list[tuple[float, str]] = field(default_factory=list)
-
-
 class RepairPlanner:
     """The master's background re-replication engine."""
 
@@ -76,36 +67,13 @@ class RepairPlanner:
         self.sim = master.sim
         self._queue: deque[RepairTask] = deque()
         self._waiters: list = []
-        self._stats = _RepairStats()
+        #: timeline of repair events as ``(sim_time, message)`` pairs
+        self.log: list[tuple[float, str]] = []
+        #: stripes re-replicated, and tasks given up on
+        self.repaired = 0
+        self.abandoned = 0
 
     # -- public surface ------------------------------------------------------
-
-    @property
-    def log(self) -> list[tuple[float, str]]:
-        """Timeline of repair events as ``(sim_time, message)`` pairs."""
-        return self._stats.log
-
-    @property
-    def repaired(self) -> int:
-        return self._stats.repaired
-
-    @property
-    def abandoned(self) -> int:
-        return self._stats.abandoned
-
-    @property
-    def pending(self) -> int:
-        return len(self._queue)
-
-    def status(self) -> dict:
-        return {
-            "pending": len(self._queue),
-            "repaired": self._stats.repaired,
-            "abandoned": self._stats.abandoned,
-            "copies_driven": self._stats.copies_driven,
-            "bytes_copied": self._stats.bytes_copied,
-            "log": list(self._stats.log),
-        }
 
     def start(self) -> None:
         """Spawn the worker pool (called from ``Master.start``)."""
@@ -136,7 +104,7 @@ class RepairPlanner:
     # -- internals -----------------------------------------------------------
 
     def _note(self, message: str) -> None:
-        self._stats.log.append((self.sim.now, message))
+        self.log.append((self.sim.now, message))
 
     def _kick(self) -> None:
         waiters, self._waiters = self._waiters, []
@@ -158,7 +126,7 @@ class RepairPlanner:
             except FatalError as exc:
                 # protocol misuse or unrecoverable state — a retry
                 # would hit the exact same wall, so don't spend them
-                self._stats.abandoned += 1
+                self.abandoned += 1
                 self._note(f"abandoned {task}: fatal: {exc}")
             except Exception as exc:  # noqa: BLE001 - workers must survive
                 self._retry_or_abandon(task, str(exc))
@@ -166,7 +134,7 @@ class RepairPlanner:
     def _retry_or_abandon(self, task: RepairTask, reason: str) -> None:
         task.attempts += 1
         if task.attempts >= REPAIR_ATTEMPT_LIMIT:
-            self._stats.abandoned += 1
+            self.abandoned += 1
             self._note(f"abandoned {task}: {reason}")
         else:
             self._note(f"retrying {task} (attempt {task.attempts}): {reason}")
@@ -216,7 +184,7 @@ class RepairPlanner:
         if source is None:
             # every copy is gone; the lease checker will (or already did)
             # mark the region unavailable — nothing left to copy from
-            self._stats.abandoned += 1
+            self.abandoned += 1
             self._note(f"abandoned {task}: no live source replica")
             return
         # the length outlives the copy: the re-validation below may find
@@ -254,8 +222,6 @@ class RepairPlanner:
             self._retry_or_abandon(task, f"copy via server {target}: {exc}")
             return
 
-        self._stats.copies_driven += 1
-        self._stats.bytes_copied += length
         # repair bandwidth is accounted to the tenant whose region is
         # being healed — the isolation story needs the split, not just
         # the cluster total
@@ -291,7 +257,7 @@ class RepairPlanner:
         # surviving replicas still hold the data and the orphaned
         # reservation is reclaimed at re-registration.)
         yield from self.master._log("region", region)
-        self._stats.repaired += 1
+        self.repaired += 1
         self._note(
             f"re-replicated stripe {stripe.index} of {region.name!r} "
             f"onto server {target} ({stripe.replication + 1}/"

@@ -141,7 +141,6 @@ class MemoryServer:
         self._rpc.register("copy_stripe", self._copy_stripe)
         self._rpc.register("ts_read", self._ts_read)
         self._rpc.register("ts_write", self._ts_write)
-        self._rpc.register("stats", self._stats)
         # composite server-op execution (see repro.datapath): deferred
         # import so the core server module stays light to import
         from repro.datapath.server_exec import ServerOpExecutor
@@ -286,18 +285,6 @@ class MemoryServer:
         yield from self.nic.host.cpu.copy(len(payload))
         self.arena_mr.buffer.write(offset, payload)
         return len(payload)
-
-    def _stats(self):
-        yield self.sim.timeout(0)
-        assert self.arenas
-        return {
-            "host_id": self.host_id,
-            "capacity": self.capacity,
-            "free": sum(a.free_bytes for a in self.arenas.values()),
-            "live_allocations": sum(
-                a.live_allocations for a in self.arenas.values()
-            ),
-        }
 
     # -- liveness -----------------------------------------------------------
 

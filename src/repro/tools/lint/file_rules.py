@@ -28,8 +28,8 @@ FORBIDDEN_IMPORTS = ("repro.rpc", "repro.core.master")
 
 #: method names that are control-path calls on a client/master handle
 CONTROL_METHODS = {
-    "alloc", "map", "lookup", "free", "resize", "barrier", "notify",
-    "wait_note", "list_regions", "alloc_local", "_master_call",
+    "alloc", "map", "lookup", "free", "barrier", "notify", "wait_note",
+    "list_regions", "alloc_local", "_master_call",
 }
 
 #: a function may use the control path if its (or any enclosing

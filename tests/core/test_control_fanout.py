@@ -1,7 +1,7 @@
 """The master's scatter-gather control rounds.
 
-``alloc`` / ``resize`` reserve on every involved memory server in one
-parallel round and ``free`` releases in one, so a control op costs its
+``alloc`` reserves on every involved memory server in one parallel
+round and ``free`` releases in one, so a control op costs its
 slowest server.  What the parallelism must not cost: a half-failed
 round is rolled back completely (the round has settled everywhere
 before the rollback starts), a committed ``free`` always returns the

@@ -72,6 +72,23 @@ def test_free_evicts_the_lease():
     cluster.run_app(app())
 
 
+def test_a_refused_free_still_evicts_the_lease():
+    cluster = fresh_cluster()
+    owner, other = cluster.client(1), cluster.client(2)
+
+    def app():
+        yield from owner.alloc("shared", 128 * KiB)  # leased by owner
+        yield from other.free("shared")
+        # the arena bytes behind owner's lease now belong to this region
+        yield from other.alloc("next", 128 * KiB)
+        with pytest.raises(RegionNotFoundError):
+            yield from owner.free("shared")
+        with pytest.raises(RegionNotFoundError):
+            yield from owner.map("shared")
+
+    cluster.run_app(app())
+
+
 def test_negative_entries_expire():
     cluster = fresh_cluster(meta_negative_ttl_s=0.05)
     client = cluster.client(1)

@@ -154,7 +154,7 @@ def test_repaired_replica_matches_surviving_primary():
         assert victim not in hosts
 
 
-def test_repair_status_rpc_reports_the_timeline():
+def test_repair_reports_the_timeline():
     cluster = fresh_cluster()
     client = cluster.client(1)
 
@@ -169,16 +169,15 @@ def test_repair_status_rpc_reports_the_timeline():
     cluster.kill_server(victim)
     cluster.run(until=cluster.sim.now + 2.0)
 
-    def status():
-        reply = yield from client._master_call("repair_status")
-        return reply
-
-    reply = cluster.run_app(status())
-    assert reply["pending"] == 0
-    assert reply["repaired"] >= 1
+    master = cluster.master
+    repair = master.repair
+    assert all(s.replication == 2 for s in master.regions["observed"].stripes)
+    assert repair.repaired >= 1 and repair.abandoned == 0
     # one full stripe pulled per lost copy, no more, no less
-    assert reply["bytes_copied"] == reply["repaired"] * 64 * KiB
-    assert any("re-replicated" in msg for _t, msg in reply["log"])
+    copied = sum(c.value for c in
+                 master.obs.metrics.series("master.repair_bytes"))
+    assert copied == repair.repaired * 64 * KiB
+    assert any("re-replicated" in msg for _t, msg in repair.log)
 
 
 def test_transient_wire_faults_are_absorbed_by_retry():

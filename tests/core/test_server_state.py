@@ -1,10 +1,9 @@
-"""Memory-server internals: arena accounting, boot state, stats RPC."""
+"""Memory-server internals: arena accounting and boot state."""
 
 import pytest
 
 from repro.core import RStoreConfig
 from repro.cluster import build_cluster
-from repro.rpc.endpoint import RpcClient
 from repro.simnet.config import Gbps, KiB, MiB, ms, us
 
 
@@ -36,20 +35,6 @@ def test_allocation_is_visible_in_server_arenas(cluster):
     for stripe in region.stripes:
         arena = cluster.servers[stripe.host_id].arena
         assert arena.used_bytes >= stripe.length
-
-
-def test_stats_rpc_reports_usage(cluster):
-    def app():
-        rpc = RpcClient(cluster.sim, cluster.nics[1], cluster.cm)
-        yield from rpc.connect(2, cluster.config.mem_service)
-        stats = yield from rpc.call("stats")
-        return stats
-
-    stats = cluster.run_app(app())
-    assert stats["host_id"] == 2
-    assert stats["capacity"] == 16 * MiB
-    assert 0 <= stats["free"] <= 16 * MiB
-    assert stats["live_allocations"] >= 0
 
 
 def test_unit_helpers():

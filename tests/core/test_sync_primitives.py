@@ -53,6 +53,20 @@ def test_barrier_size_mismatch_rejected(cluster):
     cluster.run_app(app())
 
 
+@pytest.mark.parametrize("count", [0, -2])
+def test_barrier_rejects_a_count_below_one(cluster, count):
+    from repro.core import RStoreError
+
+    client = cluster.client(1)
+
+    def app():
+        with pytest.raises(RStoreError, match="count"):
+            yield from client.barrier(f"empty{count}", count)
+
+    cluster.run_app(app())
+    assert f"empty{count}" not in cluster.master._barriers
+
+
 def test_notify_before_wait_is_not_lost(cluster):
     client = cluster.client(2)
 

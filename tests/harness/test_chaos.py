@@ -189,19 +189,18 @@ def test_partition_during_repair_still_restores_replication(seed, sanitize):
         assert data == payload, (
             f"seed {seed}: bytes diverged across death + partition + repair"
         )
-        status = yield from client._master_call("repair_status")
-        return status
 
-    status = cluster.run_app(app())
+    cluster.run_app(app())
+    repair = cluster.master.repair
 
     assert faults.injected["partition"] > 0, (
         f"seed {seed}: the partition never ate a message — repair "
         "finished outside the window"
     )
-    assert status["repaired"] >= 1
-    assert status["abandoned"] == 0, (
+    assert repair.repaired >= 1
+    assert repair.abandoned == 0, (
         f"seed {seed}: repair burned its whole attempt budget inside "
-        f"one partition window:\n{status['log']}"
+        f"one partition window:\n{repair.log}"
     )
     rsan = rsan_for(cluster.sim)
     assert rsan.races == [], (
