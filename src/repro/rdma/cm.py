@@ -168,6 +168,7 @@ class ConnectionManager:
             return
         timer = self.sim.timeout(src.model.retry_timeout_s)
         yield self.sim.any_of([delivered, timer])
+        self.sim.cancel(timer)  # a no-op when it is what fired
         if not delivered.triggered:
             span.finish(ok=False)
             raise ConnectError(

@@ -264,8 +264,9 @@ class RNic:
             # ack, read response) may silently vanish in the fabric, so
             # model the RC transport retry timer — if no completion has
             # been raised by then, the op fails with RETRY_EXC_ERR.
-            # First completion wins (see the guard in ``_complete``).
-            self._retry_failure(
+            # First completion wins (see the guard in ``_complete``),
+            # and a real outcome withdraws the watchdog.
+            wr._watchdog = self._retry_failure(
                 qp, wr, "transport retries exhausted (partitioned?)")
         remote_qp = qp.remote
         assert remote_qp is not None, "connected QP lost its peer"
@@ -326,6 +327,10 @@ class RNic:
             # to complete one WR; whichever fires first is the truth
             return
         wr._wc_raised = True
+        watchdog = wr._watchdog
+        if watchdog is not None:
+            wr._watchdog = None
+            self.sim.cancel(watchdog)  # a no-op when it is what fired
         if status is WcStatus.SUCCESS and self.ack_fault_hook is not None:
             injected = self.ack_fault_hook(self.host.host_id, wr)
             if injected:
@@ -362,10 +367,12 @@ class RNic:
         self.sim.call_later(self.model.completion_s, self._complete,
                             qp, wr, status, byte_len, atomic_result, detail)
 
-    def _retry_failure(self, qp: QueuePair, wr: SendWR, detail: str) -> None:
-        """Complete with RETRY_EXC after the transport retry timeout."""
-        self.sim.call_later(self.model.retry_timeout_s, self._complete, qp,
-                            wr, WcStatus.RETRY_EXC_ERR, 0, None, detail)
+    def _retry_failure(self, qp: QueuePair, wr: SendWR, detail: str) -> tuple:
+        """Complete with RETRY_EXC after the transport retry timeout;
+        returns the timer's handle."""
+        return self.sim.call_later(self.model.retry_timeout_s, self._complete,
+                                   qp, wr, WcStatus.RETRY_EXC_ERR, 0, None,
+                                   detail)
 
     def _nak(self, qp: QueuePair, wr: SendWR, remote: "RNic", detail: str) -> None:
         """Remote-side rejection: error response after a round trip."""

@@ -52,6 +52,9 @@ class SendWR:
     # -- the posting NIC's progress notes, reset on every post
     _wc_raised: bool = field(default=False, init=False, repr=False,
                              compare=False)
+    #: the partition watchdog's queue entry, withdrawn by the completion
+    _watchdog: Optional[tuple] = field(default=None, init=False,
+                                       repr=False, compare=False)
     _obs_posted: Optional[float] = field(default=None, init=False,
                                          repr=False, compare=False)
     _obs_launched: Optional[float] = field(default=None, init=False,

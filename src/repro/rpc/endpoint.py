@@ -217,7 +217,12 @@ class _Caller:
             response = yield future
         else:
             deadline = self.sim.timeout(timeout)
-            yield self.sim.any_of([future, deadline])
+            try:
+                yield self.sim.any_of([future, deadline])
+            finally:
+                # a settled call's deadline would hold the reply until
+                # it fired; when it is what fired this is a no-op
+                self.sim.cancel(deadline)
             if not future.processed:
                 self._pending.pop(call_id, None)
                 raise RpcTimeout(f"{method} did not complete in {timeout}s")

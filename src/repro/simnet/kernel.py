@@ -17,8 +17,13 @@ Design notes
   re-raises out of :meth:`Simulator.run` — errors never pass silently.
 * A queue entry is either an :class:`Event` or a *bare call*
   (:meth:`Simulator.call_later`): a callable plus its arguments, for a
-  timer nothing can wait on, cancel or read a value from.  Both draw
-  from one sequence counter, so they interleave FIFO.
+  timer nothing can wait on or read a value from.  Both draw from one
+  sequence counter, so they interleave FIFO.
+* A pending timer — a :class:`Timeout` or a bare call's handle — can be
+  withdrawn (:meth:`Simulator.cancel`) once what it guarded has
+  settled: it never runs and never advances the clock, and every other
+  entry keeps its ``(when, seq)`` key, so same-instant ties break as if
+  it had never been pushed.
 """
 
 from __future__ import annotations
@@ -279,6 +284,8 @@ class Simulator:
         #: ``(when, seq, event, None)`` or ``(when, seq, fn, args)``
         self._queue: list[tuple] = []
         self._seq = 0
+        #: entries :meth:`cancel` took out of the queue before they ran
+        self._withdrawn = 0
         #: processes ever started on this simulator
         self.processes_spawned = 0
         #: per-simulation contexts (``repro.obs.obs_for``,
@@ -294,9 +301,9 @@ class Simulator:
 
     @property
     def events_processed(self) -> int:
-        """Queue entries :meth:`step` has run: nothing is ever cancelled,
-        so it is what was pushed minus what is still queued."""
-        return self._seq - len(self._queue)
+        """Queue entries :meth:`step` has run: what was pushed minus
+        what is still queued and what :meth:`cancel` withdrew."""
+        return self._seq - len(self._queue) - self._withdrawn
 
     def sequence(self, name: str, start: int = 1) -> itertools.count:
         """This simulation's counter *name*, from *start* at first use.
@@ -379,19 +386,49 @@ class Simulator:
 
     # -- scheduling --------------------------------------------------------
 
-    def call_later(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
+    def call_later(self, delay: float, fn: Callable[..., None],
+                   *args: Any) -> tuple:
         """Run ``fn(*args)`` after *delay* simulated seconds.
 
-        The cheap timer: no :class:`Event`, so nothing can wait on it,
-        cancel it or read a value from it — use :meth:`timeout` when
-        something must.  It takes its turn among same-instant events in
-        FIFO order like any other entry, and an exception *fn* raises
-        surfaces from :meth:`run`.
+        The cheap timer: no :class:`Event`, so nothing can wait on it or
+        read a value from it — use :meth:`timeout` when something must.
+        It takes its turn among same-instant events in FIFO order like
+        any other entry, and an exception *fn* raises surfaces from
+        :meth:`run`.  Returns its queue entry, the handle
+        :meth:`cancel` takes.
         """
         if not delay >= 0:  # NaN fails this too
             raise ValueError(f"delay must be >= 0, got {delay}")
         self._seq += 1
-        heapq.heappush(self._queue, (self.now + delay, self._seq, fn, args))
+        entry = (self.now + delay, self._seq, fn, args)
+        heapq.heappush(self._queue, entry)
+        return entry
+
+    def cancel(self, timer: Timeout | tuple) -> None:
+        """Withdraw a pending *timer*: a :class:`Timeout`, or the handle
+        :meth:`call_later` returned.
+
+        It never runs and never advances :attr:`now`, and nothing may
+        wait on a withdrawn timeout afterwards.  Every other entry keeps
+        its ``(when, seq)`` key, so the order they run in is unchanged.
+        A timer that has run, or was withdrawn already, is left alone.
+        The scan is linear: what gets withdrawn is a watchdog whose
+        guarded work settled, and the queue it leaves is small.
+        """
+        queue = self._queue
+        is_event = isinstance(timer, Timeout)
+        for i, entry in enumerate(queue):
+            if (entry[2] if is_event else entry) is timer:
+                break
+        else:
+            return
+        last = queue.pop()
+        if i < len(queue):
+            queue[i] = last
+            heapq.heapify(queue)
+        self._withdrawn += 1
+        if is_event:
+            timer.callbacks = None  # what it would have woken can go now
 
     # -- execution ---------------------------------------------------------
 

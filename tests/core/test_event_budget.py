@@ -171,6 +171,37 @@ def test_an_rpc_ring_holds_what_its_messages_carried():
     assert held <= 64 * KiB, held
 
 
+#: queue entries the background loops (server heartbeat, lease
+#: upkeep) may hold at any one instant, whatever the client has done
+_HEARTBEAT_ALLOWANCE = 8
+
+
+def test_a_met_control_deadline_leaves_nothing_queued():
+    cluster = build_cluster(num_machines=2, server_hosts=[0])
+    client = cluster.client(1)
+    sim = cluster.sim
+    lengths = []
+
+    def cycle(name):
+        region = yield from client.alloc(name, 4096)
+        mapping = yield from client.map(region)
+        yield from mapping.write(0, b"c" * 128)
+        mapping.unmap()
+        yield from client.free(name)
+
+    def app():
+        yield from cycle("warm")
+        lengths.append(len(sim._queue))
+        for i in range(200):
+            yield from cycle(f"cycle-{i}")
+        lengths.append(len(sim._queue))
+
+    cluster.run_app(app())
+    before, after = lengths
+    # each alloc and free used to leave its 2 s deadline queued: +400
+    assert after - before <= _HEARTBEAT_ALLOWANCE, lengths
+
+
 def test_a_commit_is_an_intent_flush_and_a_publish_flush():
     _kernel_entries, posted = _costs()
     # READ, READ, [CAS, CAS], [body, version, body, version]: the same

@@ -349,6 +349,25 @@ def test_dead_host_read_times_out_with_retry_error():
     run(world, scenario())
 
 
+def test_an_armed_filter_that_cuts_nothing_leaves_no_watchdog_behind():
+    # with partitions armed the handshake and every WR carry a retry
+    # watchdog; a delivered message and a raised completion withdraw it
+    world = make_world()
+    world.net.fault_filter = lambda _src, _dst: False
+
+    def scenario():
+        pair = yield from connected_pair(world)
+        for _ in range(100):
+            pair.qp.post_send(read_wr(pair, 0, 8, remote_offset=0))
+            (wc,) = yield from wait_for(pair.client_cq, 1)
+            assert wc.ok
+        return len(world.sim._queue)
+
+    assert run(world, scenario()) == 0
+    world.sim.run()
+    assert world.sim.now < world.nics[0].model.retry_timeout_s
+
+
 def test_wire_length_scales_transfer_time():
     world = make_world()
 

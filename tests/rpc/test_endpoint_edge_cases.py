@@ -4,11 +4,11 @@ import pytest
 
 from repro.rpc.endpoint import (
     RpcClient,
+    RpcError,
     RpcRemoteError,
     RpcServer,
     RpcTimeout,
 )
-from repro.simnet.config import us
 
 from tests.rdma.helpers import make_world, run
 
@@ -80,6 +80,35 @@ def test_timeout_fires_and_late_response_is_dropped():
         return result
 
     assert run(world, scenario()) == "finally"
+
+
+def test_a_call_cut_by_a_dying_server_leaves_no_deadline_queued():
+    world = make_world()
+    sim = world.sim
+    server_box = []
+
+    def die():
+        # the server fails while the call is in its hands: the client's
+        # dispatcher fails the future, and no reply will ever come
+        server_box[0].stop("killed mid-call")
+        yield sim.event()
+
+    def scenario():
+        server, client = yield from setup(world, {"die": die})()
+        server_box.append(server)
+        yield sim.timeout(1e-3)  # the connection's own setup settles
+        queued = len(sim._queue)
+        with pytest.raises(RpcError) as err:
+            yield from client.call("die", timeout=2.0)
+        assert not isinstance(err.value, RpcTimeout)
+        yield sim.timeout(1e-3)  # the teardown's completions settle
+        return queued, len(sim._queue), sim.now
+
+    queued, after, now = run(world, scenario())
+    # the 2 s deadline went with the call
+    assert after == queued and now < 0.1
+    sim.run()
+    assert sim.now < 0.1
 
 
 def test_duplicate_handler_registration_rejected():

@@ -3,10 +3,14 @@
 ``Simulator.call_later`` queues a callable with no ``Event`` around it;
 the wire path's delivery callback, a new process's first resume and a
 free-core CPU grant all ride on it (or on nothing at all).  What must
-not move is *when* things happen and in which same-instant order.
+not move is *when* things happen and in which same-instant order — and
+a timer withdrawn with ``Simulator.cancel`` must leave both as if it
+had never been pushed.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simnet.config import KiB, NetworkConfig
 from repro.simnet.cpu import Cpu
@@ -129,6 +133,125 @@ class TestKernelCounters:
         sim.run()
         assert sim.events_processed == sim.events_scheduled == 6
         assert sim.processes_spawned == 1
+
+
+#: one scheduled entry: its kind, its delay (few values, so ties are
+#: common) and when it is withdrawn — never, before the run starts, or
+#: by a bare call that fraction of its delay in
+_ENTRY = st.tuples(
+    st.sampled_from(["timeout", "call", "event"]),
+    st.sampled_from([0.0, 0.5, 1.0, 1.5]),
+    st.sampled_from([None, "now", 0.0, 0.5]),
+)
+
+
+def _play(schedule, push_withdrawn: bool):
+    """Run *schedule*; the withdrawn entries are pushed and cancelled,
+    or never pushed at all.  Returns the run's trace and simulator."""
+    sim = Simulator()
+    trace = []
+
+    def fired(tag):
+        trace.append((tag, sim.now))
+
+    for tag, (kind, delay, withdraw) in enumerate(schedule):
+        withdrawn = withdraw is not None and kind != "event"
+        if withdrawn and not push_withdrawn:
+            if withdraw != "now":
+                sim.call_later(withdraw * delay, lambda: None)
+            continue
+        if kind == "timeout":
+            handle = sim.timeout(delay)
+            handle.add_callback(lambda _e, tag=tag: fired(tag))
+        elif kind == "call":
+            handle = sim.call_later(delay, fired, tag)
+        else:  # an event triggered for *now*: never withdrawn
+            event = sim.event()
+            event.add_callback(lambda _e, tag=tag: fired(tag))
+            event.succeed()
+            continue
+        if not withdrawn:
+            continue
+        if withdraw == "now":
+            sim.cancel(handle)
+        else:  # strictly before it is due: the canceller is queued later
+            sim.call_later(withdraw * delay, sim.cancel, handle)
+    sim.run()
+    return trace, sim
+
+
+class TestCancel:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_ENTRY, max_size=24))
+    def test_a_withdrawn_timer_is_as_if_never_pushed(self, schedule):
+        # a canceller due at the timer's own instant runs after it, so
+        # only withdrawals strictly before it are drawn
+        schedule = [(kind, delay, withdraw) for kind, delay, withdraw
+                    in schedule if withdraw in (None, "now") or delay > 0]
+        withdrawn, with_cancel = _play(schedule, push_withdrawn=True)
+        never_pushed, without = _play(schedule, push_withdrawn=False)
+        assert withdrawn == never_pushed
+        assert with_cancel.now == without.now
+        assert with_cancel.events_processed == without.events_processed
+        assert (with_cancel.events_scheduled - without.events_scheduled
+                == sum(1 for kind, _d, withdraw in schedule
+                       if withdraw is not None and kind != "event"))
+
+    def test_counters_after_withdrawals(self):
+        sim = Simulator()
+        timer = sim.timeout(1.0)
+        call = sim.call_later(2.0, lambda: None)
+        sim.timeout(3.0)
+        sim.cancel(timer)
+        sim.cancel(call)
+        # pushed three, none ran, two are gone from the queue
+        assert (sim.events_scheduled, sim.events_processed,
+                len(sim._queue)) == (3, 0, 1)
+        sim.run()
+        assert (sim.events_scheduled, sim.events_processed) == (3, 1)
+        assert not timer.processed
+
+    def test_a_drain_ends_at_the_last_live_entry(self):
+        sim = Simulator()
+        seen = []
+        sim.call_later(1.0, seen.append, 1)
+        sim.cancel(sim.timeout(5.0))
+        sim.cancel(sim.call_later(4.0, seen.append, 4))
+        sim.run()
+        assert seen == [1] and sim.now == 1.0
+        assert sim.peek() == float("inf")
+
+    def test_cancelling_a_fired_or_withdrawn_timer_is_a_no_op(self):
+        sim = Simulator()
+        fired = sim.timeout(1.0)
+        call = sim.call_later(1.0, lambda: None)
+        sim.run(until=1.0)
+        withdrawn = sim.timeout(1.0)
+        sim.cancel(withdrawn)
+        survivor = sim.timeout(2.0)
+        counts = (sim.events_scheduled, sim.events_processed)
+        for timer in (fired, call, withdrawn):
+            sim.cancel(timer)
+        assert (sim.events_scheduled, sim.events_processed) == counts
+        assert fired.processed and len(sim._queue) == 1
+        sim.run()
+        assert survivor.processed and sim.now == 3.0
+
+    def test_a_settled_any_of_leaves_no_deadline_behind(self):
+        sim = Simulator()
+        reply = sim.event()
+        sim.call_later(0.25, reply.succeed, "reply")
+
+        def caller():
+            deadline = sim.timeout(2.0)
+            yield sim.any_of([reply, deadline])
+            sim.cancel(deadline)
+            return reply.value
+
+        assert sim.run(until=sim.process(caller())) == "reply"
+        assert sim.now == 0.25
+        sim.run()
+        assert sim.now == 0.25  # the 2 s deadline never held the clock
 
 
 class TestProcessStartUp:
