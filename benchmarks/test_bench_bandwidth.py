@@ -43,14 +43,14 @@ def run_one(machines: int, per_client_real: int = PER_CLIENT_REAL,
         local memory server neither counts nor competes.
         """
         client = cluster.client(host)
-        mapping = yield from client.map("bw")
+        mapping = yield from client.map("bw", wire_scale=WIRE_SCALE)
         local = yield from client.alloc_local(region_size)
         stripe = desc.stripe_size
 
         def one(s):
             yield from mapping.read_into(
                 local, local.addr + s.index * stripe, s.index * stripe,
-                s.length, wire_scale=WIRE_SCALE,
+                s.length,
             )
             moved["bytes"] += s.length * WIRE_SCALE
 

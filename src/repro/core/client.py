@@ -31,6 +31,7 @@ from repro.core.errors import (
     MasterUnavailableError,
     RegionNotFoundError,
     RegionUnavailableError,
+    RStoreError,
     StaleEpochError,
     translated,
 )
@@ -397,7 +398,7 @@ class RStoreClient:
         )
         return sorted(name for names in owned for name in names)
 
-    def map(self, region: Union[RegionDesc, str]):
+    def map(self, region: Union[RegionDesc, str], wire_scale: int = 1):
         """Map a region for data-path access (generator).
 
         Resolves the descriptor (if given a name) — through the leased
@@ -405,8 +406,12 @@ class RStoreClient:
         until the owning shard's epoch moves — then ensures a connected
         data QP to every hosting server.  QPs are cached across
         mappings, so only first contact with a server pays the
-        connection cost.
+        connection cost.  Every read and write through the mapping
+        stands for *wire_scale* times its bytes on the wire (scaled
+        experiments); its atomics are never scaled.
         """
+        if wire_scale < 1:
+            raise RStoreError(f"wire_scale must be >= 1, got {wire_scale}")
         span = self.obs.tracer.span("control.client.map", kind="control",
                                     host=self.nic.host.host_id)
         desc = region
@@ -419,7 +424,7 @@ class RStoreClient:
                                       self._router.shard_of(desc.name))
                 if not desc.available:
                     raise RegionUnavailableError(desc.unavailable_reason)
-                mapping = Mapping(self, desc)
+                mapping = Mapping(self, desc, wire_scale)
                 try:
                     yield from self._ensure_qps(desc)
                 except RdmaError:

@@ -50,9 +50,12 @@ __all__ = ["Mapping"]
 class Mapping:
     """A mapped region: the data-path handle."""
 
-    def __init__(self, client, desc: RegionDesc):
+    def __init__(self, client, desc: RegionDesc, wire_scale: int):
         self.client = client
         self.desc = desc
+        #: wire bytes each real byte of a read or write stands for
+        #: (scaled experiments); atomics are never scaled
+        self.wire_scale = wire_scale
         #: the metadata shard owning this region's name — stamped onto
         #: every WR so servers fence against the right shard's epoch
         self.shard = client._router.shard_of(desc.name)
@@ -87,31 +90,31 @@ class Mapping:
 
     # -- blocking data path (submit + wait) ---------------------------------
 
-    def read(self, offset: int, length: int, wire_scale: int = 1):
+    def read(self, offset: int, length: int):
         """Read bytes (generator) via the staging pool."""
-        fut = yield from self._start("read", offset, length, wire_scale)
+        fut = yield from self._start("read", offset, length)
         data = yield from fut.wait()
         return data
 
-    def write(self, offset: int, payload: bytes, wire_scale: int = 1):
+    def write(self, offset: int, payload: bytes):
         """Write bytes (generator) via the staging pool."""
         fut = yield from self._start("write", offset, len(payload),
-                                     wire_scale, payload=payload)
+                                     payload=payload)
         count = yield from fut.wait()
         return count
 
     def read_into(self, local_mr: MemoryRegion, local_addr: int,
-                  offset: int, length: int, wire_scale: int = 1):
+                  offset: int, length: int):
         """Zero-copy read into a caller-registered buffer (generator)."""
         fut = yield from self._start("read_into", offset, length,
-                                     wire_scale, local_mr, local_addr)
+                                     local_mr, local_addr)
         yield from fut.wait()
 
     def write_from(self, local_mr: MemoryRegion, local_addr: int,
-                   offset: int, length: int, wire_scale: int = 1):
+                   offset: int, length: int):
         """Zero-copy write from a caller-registered buffer (generator)."""
         fut = yield from self._start("write_from", offset, length,
-                                     wire_scale, local_mr, local_addr)
+                                     local_mr, local_addr)
         yield from fut.wait()
 
     def faa(self, offset: int, delta: int, idempotent: bool = False):
@@ -148,14 +151,13 @@ class Mapping:
 
     # -- asynchronous data path: submit now, hand the future back -----------
 
-    def read_async(self, offset: int, length: int, wire_scale: int = 1):
+    def read_async(self, offset: int, length: int):
         """Submit a staged read (generator); returns its future."""
-        return self._start("read", offset, length, wire_scale)
+        return self._start("read", offset, length)
 
-    def write_async(self, offset: int, payload: bytes, wire_scale: int = 1):
+    def write_async(self, offset: int, payload: bytes):
         """Submit a staged write (generator); returns its future."""
-        return self._start("write", offset, len(payload), wire_scale,
-                           payload=payload)
+        return self._start("write", offset, len(payload), payload=payload)
 
     def faa_async(self, offset: int, delta: int, idempotent: bool = False):
         """Submit a fetch-and-add (generator); returns its future."""
@@ -178,7 +180,7 @@ class Mapping:
         )
 
     def _begin(self, kind: str, offset: int, length: int,
-               wire_scale: int = 1, local_mr: Optional[MemoryRegion] = None,
+               local_mr: Optional[MemoryRegion] = None,
                local_addr: int = 0, idempotent: bool = False,
                compare: int = 0, swap: int = 0, batch=None,
                after: Optional[OpFuture] = None) -> OpFuture:
@@ -192,7 +194,7 @@ class Mapping:
         if op.access == "atomic" and offset % 8 != 0:
             raise BoundsError(f"atomic offset {offset} not 8-byte aligned")
         fut = OpFuture(self.client, self, op.opcode, kind, offset, length,
-                       wire_scale, idempotent, compare, swap)
+                       idempotent, compare, swap)
         fut.local_mr = local_mr
         fut.local_addr = local_addr
         fut.after = after
@@ -267,10 +269,14 @@ class Mapping:
         if span is not None:
             span.finish(pieces=len(pieces))
 
+    def _scale_of(self, fut: OpFuture) -> int:
+        # an atomic's 8 bytes stay 8 on the wire, and stay one piece
+        return 1 if fut.is_atomic else self.wire_scale
+
     def _plan_pieces(self, desc: RegionDesc, fut: OpFuture) -> list[tuple]:
         # split stripe pieces further so no single WR exceeds the wire
         # chunk ceiling (keeps concurrent flows interleaving fairly)
-        chunk = max(1, MAX_WIRE_CHUNK // fut.wire_scale)
+        chunk = max(1, MAX_WIRE_CHUNK // self._scale_of(fut))
         pieces = []
         cursor = fut.local_addr
         for stripe, stripe_off, take in desc.locate(fut.offset, fut.length):
@@ -295,6 +301,7 @@ class Mapping:
         """Post (or stage) sub-requests for *pieces* on behalf of *fut*."""
         io = self.client._io
         qps = self.client._data_qps
+        scale = self._scale_of(fut)
         plans = []
         total = 0
         for piece in pieces:
@@ -324,8 +331,7 @@ class Mapping:
                     rkey=replica.rkey,
                     compare=fut.compare,
                     swap=fut.swap,
-                    wire_length=(take * fut.wire_scale
-                                 if fut.wire_scale != 1 else None),
+                    wire_length=take * scale if scale != 1 else None,
                 )
                 # stamp the descriptor's era (and its shard, so the
                 # fence compares against the right epoch sequence) —

@@ -202,7 +202,7 @@ class Master:
         # record already in the tail — taken after, it would miss the
         # in-flight record yet truncate it with the tail
         if not self.recovering:
-            yield from self.metalog.maybe_checkpoint(self._snapshot_state())
+            yield from self.metalog.maybe_checkpoint(self._snapshot_state)
         yield from self.metalog.append(kind, payload)
 
     def _snapshot_state(self) -> RecoveredState:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 __all__ = ["MetaLog", "RecoveredState"]
 
@@ -90,10 +90,15 @@ class MetaLog:
         self._tail.append(record)
         self.appends += 1
 
-    def maybe_checkpoint(self, state: RecoveredState):
-        """Checkpoint + truncate once the tail is long enough (generator)."""
+    def maybe_checkpoint(self, state_of: Callable[[], RecoveredState]):
+        """Checkpoint + truncate once the tail is long enough (generator).
+
+        *state_of* builds the full state; it is called only when a
+        checkpoint is due, so an append between checkpoints copies none.
+        """
         if len(self._tail) < self.checkpoint_every:
             return
+        state = state_of()
         snapshot = pickle.dumps(state)
         # a checkpoint is a full-state write: charge one append per
         # region so big clusters pay proportionally

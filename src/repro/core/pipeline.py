@@ -117,8 +117,7 @@ class OpFuture:
 
     __slots__ = (
         "client", "mapping", "opcode", "kind", "offset", "length",
-        "wire_scale", "fan_out", "is_atomic", "idempotent", "compare",
-        "swap",
+        "fan_out", "is_atomic", "idempotent", "compare", "swap",
         "local_mr", "local_addr", "done", "value", "error", "resolved_at",
         "resolve_index", "_event", "_chunk",
         "_remaining", "_failure", "_failed", "_last_wc",
@@ -127,8 +126,8 @@ class OpFuture:
     )
 
     def __init__(self, client, mapping, opcode: Opcode, kind: str,
-                 offset: int, length: int, wire_scale: int = 1,
-                 idempotent: bool = False, compare: int = 0, swap: int = 0):
+                 offset: int, length: int, idempotent: bool = False,
+                 compare: int = 0, swap: int = 0):
         self.client = client
         self.mapping = mapping
         self.opcode = opcode
@@ -136,7 +135,6 @@ class OpFuture:
         self.kind = kind
         self.offset = offset
         self.length = length
-        self.wire_scale = wire_scale
         #: writes land on every replica; reads hit only the primary
         self.fan_out = opcode is Opcode.RDMA_WRITE
         self.is_atomic = opcode in _ATOMIC_OPS
@@ -441,13 +439,12 @@ class IoBatch:
         #: piece, or ``None`` once a piece of it went to a second QP
         self._routes: dict[OpFuture, Optional[tuple]] = {}
 
-    def read(self, mapping, offset: int, length: int, wire_scale: int = 1):
+    def read(self, mapping, offset: int, length: int):
         """Queue a staged read (generator); returns its future."""
-        return mapping._start("read", offset, length, wire_scale,
-                              batch=self)
+        return mapping._start("read", offset, length, batch=self)
 
     def write(self, mapping, offset: int, payload: bytes,
-              wire_scale: int = 1, after: Optional[OpFuture] = None):
+              after: Optional[OpFuture] = None):
         """Queue a staged write (generator); returns its future.
 
         With *after* — an earlier write of this batch — the remote NIC
@@ -458,22 +455,20 @@ class IoBatch:
         two servers, replication, the ``two_sided_data_path`` ablation).
         A failed round fails either half: a replay would break the order.
         """
-        return mapping._start("write", offset, len(payload), wire_scale,
+        return mapping._start("write", offset, len(payload),
                               payload=payload, batch=self, after=after)
 
     def read_into(self, mapping, local_mr: MemoryRegion, local_addr: int,
-                  offset: int, length: int, wire_scale: int = 1) -> OpFuture:
+                  offset: int, length: int) -> OpFuture:
         """Queue a zero-copy read; returns its future."""
         return self._ready(mapping._begin(
-            "read_into", offset, length, wire_scale, local_mr, local_addr,
-            batch=self))
+            "read_into", offset, length, local_mr, local_addr, batch=self))
 
     def write_from(self, mapping, local_mr: MemoryRegion, local_addr: int,
-                   offset: int, length: int, wire_scale: int = 1) -> OpFuture:
+                   offset: int, length: int) -> OpFuture:
         """Queue a zero-copy write; returns its future."""
         return self._ready(mapping._begin(
-            "write_from", offset, length, wire_scale, local_mr, local_addr,
-            batch=self))
+            "write_from", offset, length, local_mr, local_addr, batch=self))
 
     def faa(self, mapping, offset: int, delta: int,
             idempotent: bool = False) -> OpFuture:
@@ -729,7 +724,7 @@ class OpPipeline:
             return
         if fut._failure is None:
             self.settle(fut, 0 if fut.is_atomic
-                        else fut.length * fut.wire_scale)
+                        else fut.length * fut.mapping.wire_scale)
             return
         mapping = fut.mapping
         if fut.after is not None or fut.followed:

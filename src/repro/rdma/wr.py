@@ -8,6 +8,8 @@ application simulates data larger than CPython can materialise, it keeps
 real bytes for a representative sample and sets ``wire_length`` to the
 logical transfer size; the fabric charges time for ``wire_length`` while
 the byte copy moves the real payload.  It defaults to the real length.
+RStore sets it from the mapping's ``wire_scale``, fixed once at
+``map()``.
 """
 
 from __future__ import annotations

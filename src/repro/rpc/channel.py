@@ -8,7 +8,6 @@ data path).  It is the substrate for RStore's control-plane RPC.
 from __future__ import annotations
 
 import pickle
-from typing import Optional
 
 from repro.rdma.cm import ConnectionManager
 from repro.rdma.nic import RNic
@@ -97,7 +96,7 @@ class RdmaMsgChannel:
 
     # -- messaging -------------------------------------------------------------
 
-    def send(self, obj, wire_size: Optional[int] = None):
+    def send(self, obj):
         """Send one message (generator); returns the payload size."""
         if self.closed:
             raise ChannelClosed("channel is closed")
@@ -123,7 +122,6 @@ class RdmaMsgChannel:
                         local_mr=self._send_mr,
                         local_addr=self._send_mr.addr,
                         length=len(payload),
-                        wire_length=wire_size,
                     )
                 )
             except QpError as exc:

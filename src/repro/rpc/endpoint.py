@@ -11,11 +11,11 @@ Handlers are generator functions registered by name::
 Clients call them with ``result = yield from client.call("lookup", key)``.
 Remote exceptions re-raise locally as :class:`RpcRemoteError`.
 
-The endpoint is written once over a *channel* — ``send(obj,
-wire_size)`` / ``recv()``, both raising :class:`ChannelClosed` once the
-connection is gone — and each transport adds only how it listens and
-connects: :class:`RdmaMsgChannel` is such a channel, a TCP socket
-becomes one through :class:`_SocketChannel`.
+The endpoint is written once over a *channel* — ``send(obj)`` /
+``recv()``, both raising :class:`ChannelClosed` once the connection is
+gone — and each transport adds only how it listens and connects:
+:class:`RdmaMsgChannel` is such a channel, a TCP socket becomes one
+through :class:`_SocketChannel`.
 """
 
 from __future__ import annotations
@@ -144,8 +144,7 @@ class _Service:
         self.requests_served += 1
         try:
             try:
-                yield from channel.send(response,
-                                        wire_size=response.wire_size)
+                yield from channel.send(response)
             except MessageTooLarge as exc:
                 # the handler ran but its reply cannot ride the channel:
                 # the caller must still hear, as a remote error
@@ -195,19 +194,17 @@ class _Caller:
             if future is not None and not future.triggered:
                 future.succeed(response)
 
-    def call(self, method: str, *args, wire_size: Optional[int] = None,
-             timeout: Optional[float] = None):
+    def call(self, method: str, *args, timeout: Optional[float] = None):
         """Invoke a remote method (generator); returns its result."""
         if self._channel is None:
             raise RpcError("client is not connected")
         call_id = next(self._call_ids)
-        request = RpcRequest(call_id=call_id, method=method, args=args,
-                             wire_size=wire_size)
+        request = RpcRequest(call_id=call_id, method=method, args=args)
         future = self.sim.event()
         self._pending[call_id] = future
         self.calls_made += 1
         try:
-            yield from self._channel.send(request, wire_size=wire_size)
+            yield from self._channel.send(request)
         except ChannelClosed as exc:
             # Nobody will ever wait on the future; drop it before the
             # dispatcher fails it into the void.
@@ -371,9 +368,9 @@ class _SocketChannel:
     def __init__(self, sock):
         self._sock = sock
 
-    def send(self, obj, wire_size: Optional[int] = None):
+    def send(self, obj):
         try:
-            return (yield from self._sock.send(obj, wire_size=wire_size))
+            return (yield from self._sock.send(obj))
         except TcpError as exc:
             raise ChannelClosed(str(exc)) from exc
 

@@ -1,18 +1,15 @@
 """RPC wire messages.
 
 Requests and responses are pickled for transmission, which gives every
-message an honest byte size without hand-maintained size tables.  The
-optional ``wire_size`` override follows the repository-wide convention
-for scaled experiments.
+message an honest byte size without hand-maintained size tables.
 """
 
 from __future__ import annotations
 
-import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
-__all__ = ["RpcRequest", "RpcResponse", "encoded", "decoded"]
+__all__ = ["RpcRequest", "RpcResponse"]
 
 
 @dataclass
@@ -20,7 +17,7 @@ class RpcRequest:
     call_id: int
     method: str
     args: tuple = ()
-    #: logical payload size; None means "the pickled size"
+    #: always None; kept so every pickled message keeps its size
     wire_size: Optional[int] = None
 
 
@@ -31,14 +28,5 @@ class RpcResponse:
     #: stringified remote exception, None on success
     error: Optional[str] = None
     error_type: str = ""
+    #: always None; kept so every pickled message keeps its size
     wire_size: Optional[int] = None
-
-
-def encoded(message: Any) -> bytes:
-    """Serialize a message for the wire."""
-    return pickle.dumps(message)
-
-
-def decoded(payload: bytes) -> Any:
-    """Deserialize a wire payload."""
-    return pickle.loads(payload)

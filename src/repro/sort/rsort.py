@@ -21,7 +21,10 @@ sampling exchange — inter-phase coordination rides the data path.
 
 Scaled runs: real records stay at a tractable count while ``scale``
 multiplies every wire/disk/CPU size, so a laptop simulates the paper's
-256 GB run through the identical code path (see EXPERIMENTS.md).
+256 GB run through the identical code path (see EXPERIMENTS.md).  The
+wire factor is set once per mapping, at ``map(..., wire_scale=scale)``
+of the input, shuffle and output regions; the 8-byte shuffle tail is
+read through a second, unscaled map.
 """
 
 from __future__ import annotations
@@ -140,13 +143,12 @@ class RSort:
             records = generate_records(
                 self.records_per_worker, seed=self.seed + rank
             )
-            mapping = yield from client.map(f"{tag}.input")
+            mapping = yield from client.map(f"{tag}.input",
+                                            wire_scale=self.scale)
             mr = yield from client.alloc_local(slice_bytes)
             mr.buffer.write(0, records.tobytes())
             yield from mapping.write_from(
-                mr, mr.addr, rank * slice_bytes, slice_bytes,
-                wire_scale=self.scale,
-            )
+                mr, mr.addr, rank * slice_bytes, slice_bytes)
 
         procs = [
             sim.process(generate(rank), name=f"{self.tag}-gen-{rank}")
@@ -207,13 +209,12 @@ class RSort:
         flush reads the striped pieces from every server under
         doorbell batching."""
         slice_bytes = self.records_per_worker * RECORD_BYTES
-        input_map = yield from client.map(f"{self.tag}.input")
+        input_map = yield from client.map(f"{self.tag}.input",
+                                          wire_scale=self.scale)
         in_mr = yield from client.alloc_local(slice_bytes)
         ingest = client.batch()
         in_fut = ingest.read_into(
-            input_map, in_mr, in_mr.addr, rank * slice_bytes, slice_bytes,
-            wire_scale=self.scale,
-        )
+            input_map, in_mr, in_mr.addr, rank * slice_bytes, slice_bytes)
         yield from ingest.flush()
         yield from in_fut.wait()
         return np.frombuffer(
@@ -246,8 +247,9 @@ class RSort:
             dtype=np.uint64,
         )
 
-    def _open_shuffle_maps(self, client):
-        """Map every peer's shuffle region plus the staging MRs.
+    def _open_shuffle_maps(self, rank: int, client):
+        """Map every peer's shuffle region (scaled), this worker's own
+        once more unscaled for its 8-byte tail, plus the staging MRs.
 
         The merge buffer is allocated here too, sized for the worst
         case the shuffle region can hold, so the local-sort phase that
@@ -255,12 +257,14 @@ class RSort:
         slice_bytes = self.records_per_worker * RECORD_BYTES
         shuffle_maps = []
         for peer in range(self.num_workers):
-            mapping = yield from client.map(f"{self.tag}.shuffle.{peer}")
+            mapping = yield from client.map(f"{self.tag}.shuffle.{peer}",
+                                            wire_scale=self.scale)
             shuffle_maps.append(mapping)
+        tail_map = yield from client.map(shuffle_maps[rank].desc)
         out_mr = yield from client.alloc_local(max(slice_bytes, 1))
         merge_bytes = int(slice_bytes * self.shuffle_slack)
         recv_mr = yield from client.alloc_local(max(merge_bytes, 1))
-        return shuffle_maps, out_mr, recv_mr
+        return shuffle_maps, tail_map, out_mr, recv_mr
 
     def _setup_output(self, rank: int, client, host_id: int,
                       out_bytes: int, staging_bytes: int):
@@ -268,7 +272,8 @@ class RSort:
         yield from client.alloc(
             f"{self.tag}.out.{rank}", out_bytes, preferred_host=host_id
         )
-        out_map = yield from client.map(f"{self.tag}.out.{rank}")
+        out_map = yield from client.map(f"{self.tag}.out.{rank}",
+                                        wire_scale=self.scale)
         final_mr = None
         if staging_bytes:
             final_mr = yield from client.alloc_local(staging_bytes)
@@ -307,8 +312,8 @@ class RSort:
         # 4. one-sided shuffle: FAA-reserve, then RDMA-write
         shuffle_span = client.obs.tracer.span("app.sort.shuffle", kind="app",
                                               rank=rank)
-        shuffle_maps, out_mr, recv_mr = \
-            yield from self._open_shuffle_maps(client)
+        shuffle_maps, tail_map, out_mr, recv_mr = \
+            yield from self._open_shuffle_maps(rank, client)
         # rotated destination order: if every worker walked peers
         # 0,1,2,... in lockstep the whole cluster would incast one
         # receiver at a time; starting at rank+1 spreads the load
@@ -338,8 +343,7 @@ class RSort:
             for (peer, pos, blob), offset in zip(sends, offsets):
                 shuffle.write_from(
                     shuffle_maps[peer], out_mr, out_mr.addr + pos,
-                    _HEADER + offset, len(blob), wire_scale=self.scale,
-                )
+                    _HEADER + offset, len(blob))
             yield from shuffle.flush()
             yield from shuffle.wait_all()
         yield from barrier.wait()  # all shuffle writes have landed
@@ -348,16 +352,13 @@ class RSort:
         # 5. local sort of the shuffle region
         sort_span = client.obs.tracer.span("app.sort.local_sort", kind="app",
                                            rank=rank)
-        own = shuffle_maps[rank]
-        tail = yield from own.read(0, _HEADER)
+        tail = yield from tail_map.read(0, _HEADER)
         nbytes = int.from_bytes(tail, "little")
         my_records = np.empty((0, RECORD_BYTES), dtype=np.uint8)
         if nbytes:
             merge = client.batch()
             m_fut = merge.read_into(
-                own, recv_mr, recv_mr.addr, _HEADER, nbytes,
-                wire_scale=self.scale,
-            )
+                shuffle_maps[rank], recv_mr, recv_mr.addr, _HEADER, nbytes)
             yield from merge.flush()
             yield from m_fut.wait()
             my_records = np.frombuffer(
@@ -378,8 +379,7 @@ class RSort:
             yield from cpu.copy(len(blob))
             final_mr.buffer.write(0, blob)
             yield from out_map.write_from(
-                final_mr, final_mr.addr, 0, len(blob), wire_scale=self.scale
-            )
+                final_mr, final_mr.addr, 0, len(blob))
         counts[rank] = len(my_records)
         yield from barrier.wait()  # every sorted run is in the store
 

@@ -16,8 +16,10 @@ import tracemalloc
 
 from repro.cluster import build_cluster
 from repro.coord import SeqLock
+from repro.core import RStoreConfig
 from repro.kv import RKVStore
-from repro.simnet.config import KiB, MiB
+from repro.simnet.config import GiB, KiB, MiB
+from repro.sort import RSort
 
 #: NIC and wire entries every one-sided verb pays: launch, the request's
 #: ingress claim and delivery, the remote DMA, the response's ingress
@@ -208,3 +210,67 @@ def test_a_commit_is_an_intent_flush_and_a_publish_flush():
     # eight work requests the parent posted on eight doorbells, one
     # dependent round trip each
     assert posted["two-key transfer"] == (4, 8)
+
+
+@functools.cache
+def _scaled_posts():
+    """``(opcode, real bytes, wire bytes)`` of every WR one op posts
+    through mappings of one region at three wire scales."""
+    cluster = build_cluster(num_machines=2, server_hosts=[0])
+    client = cluster.client(1)
+    nic = client.nic
+    posts, seen = {}, []
+    submit_many = nic.submit_many
+
+    def spy(qp, wrs):
+        seen.extend((wr.opcode.name, wr.length, wr.bytes_on_wire)
+                    for wr in wrs)
+        submit_many(qp, wrs)
+
+    nic.submit_many = spy
+
+    def measured(name, op):
+        seen.clear()
+        yield from op
+        posts[name] = list(seen)
+
+    def app():
+        region = yield from client.alloc("scaled", 64 * KiB)
+        by_64 = yield from client.map(region, wire_scale=64)
+        by_2_20 = yield from client.map(region, wire_scale=2 ** 20)
+        plain = yield from client.map(region)
+        local = yield from client.alloc_local(64 * KiB)
+        yield from plain.write(0, b"w" * 128)  # warm the QP and staging
+        yield from measured("write_from", by_64.write_from(
+            local, local.addr, 0, 64 * KiB))
+        yield from measured("faa", by_2_20.faa(0, 1))
+        yield from measured("read", plain.read(0, 8))
+
+    cluster.run_app(app())
+    return posts
+
+
+def test_a_scaled_write_is_cut_to_full_size_wire_chunks():
+    # 64 KiB at scale 64 is 4 MiB on the wire: four 16 KiB pieces of
+    # 1 MiB (the wire-chunk ceiling) each
+    assert _scaled_posts()["write_from"] == [
+        ("RDMA_WRITE", 16 * KiB, MiB)] * 4
+
+
+def test_an_atomic_through_a_scaled_mapping_stays_one_8_byte_wr():
+    # at 2**20, a scaled cut would be MAX_WIRE_CHUNK // scale = 1 byte
+    assert _scaled_posts()["faa"] == [("ATOMIC_FAA", 8, 8)]
+
+
+def test_an_unscaled_map_of_a_scaled_region_carries_real_bytes():
+    assert _scaled_posts()["read"] == [("RDMA_READ", 8, 8)]
+
+
+def test_a_small_scaled_sort_costs_a_pinned_number_of_events():
+    cluster = build_cluster(num_machines=4,
+                            config=RStoreConfig(stripe_size=1 * MiB),
+                            server_capacity=1 * GiB)
+    stats = cluster.run_app(RSort(cluster, 300, scale=4096, seed=5).run())
+    client_wrs = sum(c.nic.ops_posted for c in cluster.clients.values())
+    assert (stats.elapsed, client_wrs, cluster.sim.events_processed) == (
+        0.1425538917625972, 3552, 28914)

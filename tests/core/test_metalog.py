@@ -112,7 +112,7 @@ def test_free_deletes_and_never_resurrects():
         yield from log.append("region", _region("doomed"))
         # checkpoint captures the region...
         yield from log.maybe_checkpoint(
-            RecoveredState(regions={"doomed": _region("doomed")})
+            lambda: RecoveredState(regions={"doomed": _region("doomed")})
         )
         # ...and the free lands in the tail afterwards
         yield from log.append("free", "doomed")
@@ -129,14 +129,14 @@ def test_checkpoint_truncates_the_tail():
     def writer():
         yield from log.append("region", _region("a", region_id=1))
         yield from log.append("region", _region("b", region_id=2))
-        yield from log.maybe_checkpoint(RecoveredState(
+        yield from log.maybe_checkpoint(lambda: RecoveredState(
             regions={"a": _region("a", region_id=1),
                      "b": _region("b", region_id=2)},
             epoch=1,
         ))
         # below the threshold: no new checkpoint
         yield from log.append("region", _region("c", region_id=3))
-        yield from log.maybe_checkpoint(RecoveredState())
+        yield from log.maybe_checkpoint(RecoveredState)
 
     _drive(sim, writer())
     assert log.checkpoints == 1
@@ -199,6 +199,33 @@ def test_checkpoint_at_the_commit_point_loses_no_region():
         assert survivors == sorted(names)
 
     cluster.run_app(app())
+
+
+def test_an_append_between_checkpoints_builds_no_state_snapshot():
+    """Regression: ``_log`` built a full snapshot (every region, server
+    and note) on every append, before the log checked whether a
+    checkpoint was due — O(live regions) per control op, thrown away
+    63 times in 64.  The builder now runs only when one is due."""
+    cluster = build_cluster(num_machines=2, server_hosts=[0])
+    master = cluster.master
+    built = []
+
+    def spy(snapshot=master._snapshot_state):
+        built.append(snapshot())
+        return built[-1]
+
+    master._snapshot_state = spy
+    allocs = 200
+
+    def app():
+        client = cluster.client(1)
+        for i in range(allocs):
+            yield from client.alloc(f"r{i}", 4 * KiB)
+
+    cluster.run_app(app())
+    every = cluster.metalog.checkpoint_every
+    assert cluster.metalog.checkpoints >= allocs // every - 1
+    assert len(built) <= allocs // every + 1, len(built)
 
 
 def test_free_after_restart_of_a_region_whose_server_died():

@@ -12,6 +12,7 @@ from repro.core import (
     RegionNotFoundError,
     RegionUnavailableError,
     RStoreConfig,
+    RStoreError,
 )
 from repro.cluster import build_cluster
 from repro.simnet.config import KiB, MiB
@@ -295,15 +296,36 @@ def test_wire_scale_inflates_transfer_time(cluster):
     def app():
         region = yield from client.alloc("scaled", 128 * KiB)
         mapping = yield from client.map(region)
+        scaled_map = yield from client.map(region, wire_scale=64)
         local = yield from client.alloc_local(128 * KiB)
         t0 = cluster.sim.now
         yield from mapping.write_from(local, local.addr, 0, 64 * KiB)
         plain = cluster.sim.now - t0
         t1 = cluster.sim.now
-        yield from mapping.write_from(local, local.addr, 0, 64 * KiB,
-                                      wire_scale=64)
+        yield from scaled_map.write_from(local, local.addr, 0, 64 * KiB)
         scaled = cluster.sim.now - t1
         return plain, scaled
 
     plain, scaled = cluster.run_app(app())
     assert scaled > 10 * plain
+
+
+@pytest.mark.parametrize("wire_scale", [0, -1])
+def test_map_rejects_a_wire_scale_below_one(wire_scale):
+    """Regression: 0 raised ``ZeroDivisionError`` from the first op's
+    planning, and -1 posted one-byte WRs of negative wire length that
+    were replayed as fabric failures until the op gave up."""
+    cluster = build_cluster(num_machines=2, server_hosts=[0])
+    owner, client = cluster.client(0), cluster.client(1)
+
+    def app():
+        yield from owner.alloc("scaled", 4 * KiB)
+        calls, posted = client.master_calls, client.nic.ops_posted
+        with pytest.raises(RStoreError, match="wire_scale"):
+            yield from client.map("scaled", wire_scale=wire_scale)
+        # refused before the lookup and before any QP dial
+        assert client.master_calls == calls
+        assert client.nic.ops_posted == posted
+        assert not client._data_qps
+
+    cluster.run_app(app())
