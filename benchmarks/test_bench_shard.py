@@ -42,8 +42,8 @@ def run_one(shards: int) -> dict:
             yield from client.alloc(f"t{host}/{tag}{i}", 64 * KiB)
 
     def app():
-        # -- warm-up storm: pay every lazy master<->server connect and
-        # client<->shard dial once, outside the measurement window
+        # -- warm-up storm: pay every client<->shard dial once, outside
+        # the measurement window
         procs = [
             sim.process(writer(host, "warm"), name=f"warmer-{host}")
             for host in range(1, 1 + WRITERS)

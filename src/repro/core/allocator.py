@@ -6,16 +6,20 @@ maximises the number of NICs serving a sequential scan (the
 aggregate-bandwidth story); replicas and repair replacements go to the
 live server with the most free capacity.
 
-The allocator tracks free capacity conservatively; the server's arena
-allocator is the ground truth at reservation time.
+Placing a stripe reserves it too: each server slot holds this shard's
+:class:`~repro.core.arena.Arena` over its slice of the server's MR, and
+that arena is the one record of the slice's free space.  No memory
+server is asked — its CPU never sees an allocation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from repro.core.arena import Arena
 from repro.core.errors import OutOfMemoryError
+from repro.core.region import StripeDesc, StripeReplica
 
 __all__ = ["ServerSlot", "StripeAllocator"]
 
@@ -26,12 +30,18 @@ class ServerSlot:
 
     host_id: int
     capacity: int
-    free: int
     rkey: int = 0
     alive: bool = True
     last_heartbeat: float = 0.0
     #: cluster epoch at the server's last (re-)registration
     epoch: int = 0
+    #: this shard's slice of the server's arena, carved only here;
+    #: ``None`` between a master restart and the server's re-registration
+    arena: Optional[Arena] = None
+
+    @property
+    def free(self) -> int:
+        return 0 if self.arena is None else self.arena.free_bytes
 
 
 class StripeAllocator:
@@ -75,16 +85,16 @@ class StripeAllocator:
         stripe_lengths: list[int],
         preferred_host: Optional[int] = None,
         replication: int = 1,
-    ) -> list[tuple[int, ...]]:
-        """Pick ``replication`` distinct hosts per stripe (primary
-        first); decrements tracked capacity for every copy.
+    ) -> list[StripeDesc]:
+        """Pick and reserve ``replication`` distinct hosts per stripe
+        (primary first); returns the stripe descriptors.
 
         ``preferred_host`` is a locality hint: when that server is alive
         and can hold a full copy, every primary lands there (the paper's
         co-located allocations, e.g. a sorter's shuffle target on its
         own machine).  Replicas always avoid their primary's server.
 
-        Raises :class:`OutOfMemoryError` (leaving capacities untouched)
+        Raises :class:`OutOfMemoryError` (leaving every arena untouched)
         when the stripes cannot all be placed.
         """
         if replication < 1:
@@ -101,12 +111,14 @@ class StripeAllocator:
                 f"need {sum(stripe_lengths) * replication} bytes, cluster "
                 f"has {self.total_free} free"
             )
-        placement: list[tuple[int, ...]] = []
-        charged: list[tuple[ServerSlot, int]] = []
+        stripes: list[StripeDesc] = []
+        taken: list[tuple[Arena, int]] = []
 
-        def charge(slot: ServerSlot, length: int) -> None:
-            slot.free -= length
-            charged.append((slot, length))
+        def take(slot: ServerSlot, length: int) -> StripeReplica:
+            addr = slot.arena.reserve(length)
+            taken.append((slot.arena, addr))
+            return StripeReplica(host_id=slot.host_id, addr=addr,
+                                 rkey=slot.rkey)
 
         use_preferred = False
         if preferred_host is not None:
@@ -116,29 +128,26 @@ class StripeAllocator:
                 slot is not None and slot.alive and slot.free >= total
             )
         try:
-            for length in stripe_lengths:
-                copies: list[int] = []
+            for index, length in enumerate(stripe_lengths):
                 if use_preferred:
                     slot = self._servers[preferred_host]
                     if slot.free < length:
                         raise OutOfMemoryError(
                             f"preferred server {preferred_host} ran out"
                         )
-                    charge(slot, length)
-                    copies.append(preferred_host)
                 else:
                     slot = self._choose_round_robin(length)
                     if slot is None:
                         raise OutOfMemoryError(
                             f"no server can hold a {length}-byte stripe"
                         )
-                    charge(slot, length)
-                    copies.append(slot.host_id)
+                copies = [take(slot, length)]
                 # replicas: most-free live servers not already holding one
                 while len(copies) < replication:
+                    holders = {r.host_id for r in copies}
                     candidates = [
                         s for s in self.alive_servers
-                        if s.host_id not in copies and s.free >= length
+                        if s.host_id not in holders and s.free >= length
                     ]
                     if not candidates:
                         raise OutOfMemoryError(
@@ -146,40 +155,38 @@ class StripeAllocator:
                             f"{length}-byte stripe"
                         )
                     best = max(candidates, key=lambda s: (s.free, -s.host_id))
-                    charge(best, length)
-                    copies.append(best.host_id)
-                placement.append(tuple(copies))
+                    copies.append(take(best, length))
+                stripes.append(StripeDesc(index=index, length=length,
+                                          replicas=tuple(copies)))
         except OutOfMemoryError:
-            for slot, length in charged:
-                slot.free += length
+            for arena, addr in taken:
+                arena.release(addr)
             raise
-        return placement
+        return stripes
 
     def place_replacement(
         self, length: int, exclude_hosts: Iterable[int]
-    ) -> Optional[ServerSlot]:
-        """Pick a live server for a replacement replica (repair).
+    ) -> Optional[StripeReplica]:
+        """Pick and reserve a replacement replica (repair).
 
         Deterministic most-free choice (lowest host id breaks ties) among
-        live servers not already holding a copy; charges the tracked
-        capacity and returns the slot, or ``None`` when nothing fits.
+        live servers not already holding a copy; returns the reserved
+        replica, or ``None`` when nothing fits.
         """
         exclude = set(exclude_hosts)
-        candidates = [
-            s for s in self.alive_servers
-            if s.host_id not in exclude and s.free >= length
-        ]
-        if not candidates:
-            return None
-        best = max(candidates, key=lambda s: (s.free, -s.host_id))
-        best.free -= length
-        return best
-
-    def release(self, host_id: int, nbytes: int) -> None:
-        """Return capacity after a region is freed."""
-        slot = self._servers.get(host_id)
-        if slot is not None:
-            slot.free = min(slot.capacity, slot.free + nbytes)
+        candidates = sorted(
+            (s for s in self.alive_servers
+             if s.host_id not in exclude and s.free >= length),
+            key=lambda s: (-s.free, s.host_id),
+        )
+        for slot in candidates:
+            try:
+                addr = slot.arena.reserve(length)
+            except OutOfMemoryError:
+                continue  # free bytes enough, no extent long enough
+            return StripeReplica(host_id=slot.host_id, addr=addr,
+                                 rkey=slot.rkey)
+        return None
 
     def _choose_round_robin(self, length: int):
         alive = self.alive_servers

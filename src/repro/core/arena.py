@@ -1,9 +1,11 @@
-"""Server-side arena allocator.
+"""First-fit arena allocator.
 
 A memory server registers its whole DRAM donation as one MR at startup
 (the separation philosophy: pay registration once, never per
-allocation).  Stripe reservations are then carved out of the arena by
-this first-fit free-list allocator with coalescing on release.
+allocation).  Each metadata shard's master carves stripe reservations
+out of its slice of that MR with this first-fit free-list allocator,
+coalescing on release — the server's CPU never sees an allocation.
+Clients use the same allocator for their registered staging pool.
 """
 
 from __future__ import annotations
@@ -35,10 +37,31 @@ class Arena:
         #: sorted list of (offset, length) free extents
         self._free: list[tuple[int, int]] = [(0, capacity)]
         self._live: dict[int, int] = {}  # offset -> length
+        #: a running total: placement reads it for every candidate server
+        self.free_bytes = capacity
 
-    @property
-    def free_bytes(self) -> int:
-        return sum(length for _off, length in self._free)
+    @classmethod
+    def holding(cls, base: int, capacity: int, live) -> "Arena":
+        """An arena whose reservations are exactly *live*.
+
+        *live* holds the ``(addr, length)`` of every reservation, in any
+        order — a rebuild from metadata after a master restart.  The
+        free list comes out as it would have after the same reserves
+        and releases: the coalesced gaps between reservations.
+        """
+        arena = cls(base, capacity)
+        arena._free = []
+        cursor = 0
+        for addr, length in sorted(live):
+            off = addr - base
+            if off > cursor:
+                arena._free.append((cursor, off - cursor))
+            arena._live[off] = arena._aligned(length)
+            cursor = off + arena._live[off]
+        if cursor < capacity:
+            arena._free.append((cursor, capacity - cursor))
+        arena.free_bytes = sum(length for _off, length in arena._free)
+        return arena
 
     @property
     def used_bytes(self) -> int:
@@ -52,7 +75,7 @@ class Arena:
         """Carve out *length* bytes; returns the absolute address."""
         if length <= 0:
             raise ValueError(f"reservation must be positive, got {length}")
-        length = -(-length // self.alignment) * self.alignment
+        length = self._aligned(length)
         for i, (off, extent) in enumerate(self._free):
             if extent >= length:
                 if extent == length:
@@ -60,28 +83,15 @@ class Arena:
                 else:
                     self._free[i] = (off + length, extent - length)
                 self._live[off] = length
+                self.free_bytes -= length
                 return self.base + off
         raise OutOfMemoryError(
             f"arena has {self.free_bytes} free bytes but none of its "
             f"{len(self._free)} extents fits {length}"
         )
 
-    def retain(self, live_addrs) -> list[int]:
-        """Release every reservation whose address is not in *live_addrs*.
-
-        Reconciliation after a master restart: reservations whose
-        "region" record never reached the metadata log are orphans —
-        the master aborted the allocation, but this server still holds
-        the bytes.  Returns the dropped addresses (sorted), mostly for
-        tests and log lines.
-        """
-        live = set(live_addrs)
-        dropped = sorted(
-            self.base + off for off in self._live if self.base + off not in live
-        )
-        for addr in dropped:
-            self.release(addr)
-        return dropped
+    def _aligned(self, length: int) -> int:
+        return -(-length // self.alignment) * self.alignment
 
     def release(self, addr: int) -> int:
         """Free a reservation by address; returns its length."""
@@ -90,6 +100,7 @@ class Arena:
         if length is None:
             raise RStoreError(f"release of unknown reservation at {addr:#x}")
         self._insert_free(off, length)
+        self.free_bytes += length
         return length
 
     def _insert_free(self, off: int, length: int) -> None:

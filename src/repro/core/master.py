@@ -1,8 +1,8 @@
 """The RStore master: names, allocation, liveness, synchronization.
 
 The master is pure control path.  It owns the namespace (name → region
-descriptor), places stripes across memory servers, drives server-side
-reservations, and watches server leases.  It also exposes small
+descriptor), places and reserves stripes in its own slices of the
+memory servers' arenas, and watches server leases.  It also exposes small
 synchronization primitives (barriers, notifications) that the paper's
 applications use to coordinate — all RPC, none of it ever on the data
 path.
@@ -19,8 +19,9 @@ Crash recovery (see DESIGN.md "Crash recovery & fencing"): every
 mutating control RPC appends to a write-ahead :class:`MetaLog` before
 replying — the append is the commit point.  A restarted master replays
 checkpoint + log, bumps the cluster *epoch*, waits a grace period for
-servers to re-register (their arenas are intact; only the master's
-memory was lost), declares the stragglers dead, and re-queues any
+servers to re-register (their bytes are intact; a re-registering
+server's slice is rebuilt from the replayed descriptors), declares the
+stragglers dead, and re-queues any
 repair that was in flight.  Stale-epoch control RPCs and one-sided ops
 are fenced with :class:`StaleEpochError`.
 """
@@ -30,6 +31,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.allocator import ServerSlot, StripeAllocator
+from repro.core.arena import Arena
 from repro.core.config import RStoreConfig
 from repro.core.errors import (
     AllocationError,
@@ -41,12 +43,7 @@ from repro.core.errors import (
     TenantQuotaExceededError,
 )
 from repro.core.metalog import MetaLog, RecoveredState
-from repro.core.region import (
-    RegionDesc,
-    StripeDesc,
-    StripeReplica,
-    split_into_stripes,
-)
+from repro.core.region import RegionDesc, split_into_stripes
 from repro.core.repair import RepairPlanner
 from repro.core.shard import (
     ShardMap,
@@ -57,9 +54,7 @@ from repro.core.shard import (
 from repro.obs import obs_for
 from repro.rdma.cm import ConnectionManager
 from repro.rdma.nic import RNic
-from repro.rdma.types import RdmaError
-from repro.rpc.channel import ChannelClosed
-from repro.rpc.endpoint import RpcClientPool, RpcError, RpcServer
+from repro.rpc.endpoint import RpcClientPool, RpcServer
 from repro.sanitize import rsan_for
 from repro.simnet.kernel import Simulator
 
@@ -228,9 +223,10 @@ class Master:
         self._recount_tenants()
         self.epoch = state.epoch + 1
         # servers that were alive at the crash are presumed alive — their
-        # arenas are intact — but must re-register within the grace
-        # period; the inflated lease below is that grace, so the lease
-        # checker cannot race the recovery window
+        # bytes are intact — but must re-register within the grace
+        # period, which rebuilds their slices; the inflated lease below
+        # is that grace, so the lease checker cannot race the recovery
+        # window
         lease = self.sim.now + self.config.recovery_grace_s
         for host_id in sorted(state.servers):
             capacity, rkey, epoch, alive = state.servers[host_id]
@@ -239,7 +235,6 @@ class Master:
             self.allocator.add_server(ServerSlot(
                 host_id=host_id,
                 capacity=capacity,
-                free=capacity - self._bytes_on_host(host_id),
                 rkey=rkey,
                 alive=True,
                 last_heartbeat=lease,
@@ -291,18 +286,24 @@ class Master:
                 f"request epoch {epoch} is behind cluster epoch {self.epoch}"
             )
 
-    def _replicas_on_host(self, host_id: int):
-        """``(addr, length)`` of every replica the metadata places on
-        *host_id*."""
+    @staticmethod
+    def _in_era(region: RegionDesc, slot: Optional[ServerSlot]) -> bool:
+        """Whether *region*'s replicas on *slot*'s host live in the
+        slot's arena: the server is a member and the region was
+        described in its current era.  A region that lost that host
+        before it re-registered fresh still names the old bytes."""
+        return slot is not None and slot.alive and region.epoch >= slot.epoch
+
+    def _replicas_on_host(self, slot: ServerSlot):
+        """``(addr, length)`` of every replica the metadata places in
+        *slot*'s arena."""
         for region in self.regions.values():
+            if not self._in_era(region, slot):
+                continue
             for stripe in region.stripes:
                 for replica in stripe.replicas:
-                    if replica.host_id == host_id:
+                    if replica.host_id == slot.host_id:
                         yield replica.addr, stripe.length
-
-    def _bytes_on_host(self, host_id: int) -> int:
-        return sum(length for _addr, length in
-                   self._replicas_on_host(host_id))
 
     # -- sharding & tenancy ---------------------------------------------------
 
@@ -368,54 +369,46 @@ class Master:
 
     # -- membership -----------------------------------------------------------
 
-    def _register_server(self, host_id, capacity, rkey, fresh=True):
+    def _register_server(self, host_id, base, capacity, rkey, fresh=True):
+        """Admit a server's slice ``[base, base+capacity)`` of its MR."""
         yield self.sim.timeout(0)
         existing = self.allocator.get_server(host_id)
         if not fresh and (existing is None or not existing.alive):
             # The server only noticed the master's outage — but its own
             # lease expired too (this master, or the one whose log we
             # replayed, buried it).  Its replicas are gone from every
-            # descriptor, so a keep-my-arena rejoin would resurrect a
+            # descriptor, so a keep-my-slice rejoin would resurrect a
             # zombie: old-epoch descriptors could then write straight
             # into bytes repair is recycling.  Override to fresh; the
-            # reply tells the server to wipe its slate.
+            # reply tells the server to take a new fence.
             fresh = True
+        slot = ServerSlot(
+            host_id=host_id,
+            capacity=capacity,
+            rkey=rkey,
+            alive=True,
+            last_heartbeat=self.sim.now,
+            epoch=self.epoch,
+        )
         if fresh:
             # A rebooted (or falsely declared dead) server registers with
-            # a clean slate: its replicas were already dropped from every
+            # a clean slice: its replicas were already dropped from every
             # descriptor, so it donates its full capacity again.  It is
             # fenced at the current epoch — one-sided ops stamped with an
             # older descriptor epoch must NAK rather than touch the
-            # recycled arena.
-            slot = ServerSlot(
-                host_id=host_id,
-                capacity=capacity,
-                free=capacity,
-                rkey=rkey,
-                alive=True,
-                last_heartbeat=self.sim.now,
-                epoch=self.epoch,
-            )
-            live: list = []
+            # recycled bytes.
+            slot.arena = Arena(base, capacity)
             if existing is not None:
                 self.repair._note(f"server {host_id} rejoined the cluster")
         else:
-            # The *master* restarted; the server's arena is intact.  Its
-            # usage is recomputed from the replayed descriptors, and the
-            # reply lists every address the metadata still references so
-            # the server can drop orphaned reservations (allocations the
-            # crash aborted before their commit point).
-            prev_epoch = existing.epoch if existing is not None else self.epoch
-            slot = ServerSlot(
-                host_id=host_id,
-                capacity=capacity,
-                free=capacity - self._bytes_on_host(host_id),
-                rkey=rkey,
-                alive=True,
-                last_heartbeat=self.sim.now,
-                epoch=prev_epoch,
+            # The server lost touch with us but stayed a member.  If the
+            # *master* restarted, the slice is rebuilt from the replayed
+            # descriptors: a reservation whose alloc never reached its
+            # commit point died with the old master's arena.
+            slot.epoch = existing.epoch
+            slot.arena = existing.arena or Arena.holding(
+                base, capacity, self._replicas_on_host(slot)
             )
-            live = sorted(self._replicas_on_host(host_id))
             self.repair._note(
                 f"server {host_id} re-registered after master recovery"
             )
@@ -424,7 +417,7 @@ class Master:
         yield from self._log(
             "server", (host_id, capacity, rkey, slot.epoch, True)
         )
-        return {"epoch": slot.epoch, "live": live, "fresh": fresh}
+        return {"epoch": slot.epoch, "fresh": fresh}
 
     def _heartbeat(self, host_id):
         yield self.sim.timeout(0)
@@ -451,12 +444,9 @@ class Master:
 
     def _declare_dead(self, slot: ServerSlot, why: str = "lease expired"):
         """Expel a server and fence its era (generator: logs + epoch bump)."""
+        # Placement and repair only ever consider *alive* slots, so
+        # quarantine is implicit; a rejoin is fresh, with a new slice.
         slot.alive = False
-        # Its reservations died with its arena: hand the capacity back so
-        # the accounting is truthful if the host ever re-registers, and so
-        # cluster totals never carry ghost usage.  (Placement and repair
-        # only ever consider *alive* slots, so quarantine is implicit.)
-        slot.free = slot.capacity
         self._server_rpc.clients.pop(slot.host_id, None)
         dead = slot.host_id
         self.epoch += 1
@@ -502,86 +492,6 @@ class Master:
         """Lazily connect to a memory server's control service (generator)."""
         return self._server_rpc.get(host_id, host_id, self.config.mem_service)
 
-    def _server_call(self, host_id: int, method: str, arg):
-        """One control RPC to *host_id*'s slice of this shard (generator)."""
-        client = yield from self._server_client(host_id)
-        return (yield from client.call(method, arg, self.shard_id))
-
-    def _release_round(self, by_host: dict[int, list[int]]):
-        """Release reservations on every host at once (generator).
-
-        Best effort: it only runs past a decision (a rollback, a logged
-        ``free``), and a server that cannot be told lost its arena or
-        drops the orphans at its next re-registration.
-        """
-        try:
-            yield from self.sim.gather(
-                self._server_call(host_id, "release_batch", addrs)
-                for host_id, addrs in by_host.items()
-            )
-        except (RdmaError, RpcError, ChannelClosed) as exc:
-            self.repair._note(f"release round incomplete: {exc}")
-
-    def _reserve_stripes(self, what: str, lengths, replication: int,
-                         preferred_host=None):
-        """Place and reserve one stripe per length (generator).
-
-        Returns the :class:`StripeDesc` list.  The involved servers are
-        asked in one parallel round (``Simulator.gather``), which costs
-        its slowest server and has settled everywhere before anything is
-        decided.
-        All-or-nothing: a failure at any server releases what the
-        others reserved (a second round) and the allocator's tracked
-        capacity, then raises :class:`AllocationError` naming *what*.
-        """
-        placement = self.allocator.place(
-            lengths, preferred_host=preferred_host, replication=replication
-        )
-        # One reservation RPC per involved server, batched over every
-        # copy that lands there.
-        by_host: dict[int, list[int]] = {}
-        for copies, length in zip(placement, lengths):
-            for host_id in copies:
-                by_host.setdefault(host_id, []).append(length)
-        reserved: dict[int, tuple[list[int], int]] = {}
-
-        def reserve(host_id):
-            reserved[host_id] = yield from self._server_call(
-                host_id, "reserve_batch", by_host[host_id]
-            )
-
-        try:
-            yield from self.sim.gather(reserve(host_id) for host_id in by_host)
-        except Exception as exc:
-            # Roll back partial reservations and tracked capacity.
-            yield from self._release_round(
-                {host_id: addrs for host_id, (addrs, _rkey) in reserved.items()}
-            )
-            for copies, length in zip(placement, lengths):
-                for host_id in copies:
-                    self.allocator.release(host_id, length)
-            raise AllocationError(f"{what} failed: {exc}") from exc
-
-        cursors = {h: 0 for h in by_host}
-        stripes = []
-        for index, (copies, length) in enumerate(zip(placement, lengths)):
-            replicas = []
-            for host_id in copies:
-                addrs, rkey = reserved[host_id]
-                replicas.append(
-                    StripeReplica(
-                        host_id=host_id,
-                        addr=addrs[cursors[host_id]],
-                        rkey=rkey,
-                    )
-                )
-                cursors[host_id] += 1
-            stripes.append(
-                StripeDesc(index=index, length=length,
-                           replicas=tuple(replicas))
-            )
-        return stripes
-
     def _alloc(self, name, size, stripe_size=None, preferred_host=None,
                replication=None, epoch=None):
         self._fence(epoch)
@@ -601,11 +511,11 @@ class Master:
                     f"got {value}")
         tenant = tenant_of(name)
         # admission before placement: a quota denial must not consume
-        # placement RNG state or server reservations
+        # placement RNG state or reservations
         self._check_quota(tenant, size * replication)
-        stripes = yield from self._reserve_stripes(
-            f"allocation of {name!r}", split_into_stripes(size, stripe_size),
-            replication, preferred_host=preferred_host,
+        stripes = self.allocator.place(
+            split_into_stripes(size, stripe_size),
+            preferred_host=preferred_host, replication=replication,
         )
         region = RegionDesc(
             region_id=self._next_region_id,
@@ -619,7 +529,7 @@ class Master:
         self._next_region_id += 1
         region.validate()
         # commit point: if the master dies before this append, the
-        # reservations above are orphans the next re-registration drops
+        # reservations above die with its arenas
         yield from self._log("region", region)
         self.regions[name] = region
         self._charge_tenant(tenant, size * replication)
@@ -628,13 +538,11 @@ class Master:
     def _free(self, name, epoch=None):
         """Release a region (generator).
 
-        The ``free`` record comes first and is the commit point: a crash
-        mid-release leaks server-side reservations (reconciled at
-        re-registration) instead of resurrecting a region whose arena
-        bytes were already recycled.  Past it the parallel release
-        round is best effort and tracked capacity always comes back;
-        the reply waits for the round, so capacity is back when
-        ``free`` returns.
+        The ``free`` record comes first and is the commit point: no
+        reservation is handed back, so no byte recycled, before the
+        region is durably gone.  Past it every replica in a live
+        server's current era goes back to this master's slice of that
+        server — locally, so capacity is back when ``free`` returns.
         """
         self._fence(epoch)
         self._owned(name)
@@ -646,17 +554,13 @@ class Master:
             tenant_of(name), -region.size * region.target_replication
         )
         yield from self._log("free", name)
-        by_host: dict[int, list[int]] = {}
         for stripe in region.stripes:
             for replica in stripe.replicas:
-                # a dead server's arena died with it (and a server dead
+                # a dead server's bytes died with it (and a server dead
                 # at a master restart is not in the allocator at all)
-                if self.allocator.host_alive(replica.host_id):
-                    by_host.setdefault(replica.host_id, []).append(replica.addr)
-        yield from self._release_round(by_host)
-        for stripe in region.stripes:
-            for replica in stripe.replicas:
-                self.allocator.release(replica.host_id, stripe.length)
+                slot = self.allocator.get_server(replica.host_id)
+                if self._in_era(region, slot):
+                    slot.arena.release(replica.addr)
         rsan = rsan_for(self.sim)
         if rsan.enabled:
             # the bytes are back in the arena allocator: drop every

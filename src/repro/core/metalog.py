@@ -17,7 +17,10 @@ Durability discipline:
 * ``append`` is a generator charging :data:`APPEND_LATENCY_S` of
   simulated latency — the fsync the control RPC pays.
 * Every ``metalog_checkpoint_every`` appends the master serializes its
-  full state and truncates the tail, bounding replay time.
+  full state and truncates the tail, bounding replay time.  One
+  checkpoint is written at a time, and it truncates only the records
+  its snapshot covers: appends that land while it is being written
+  stay in the tail.
 
 Record kinds (``kind``, payload):
 
@@ -71,6 +74,7 @@ class MetaLog:
         self.checkpoint_every = checkpoint_every
         self._checkpoint: bytes | None = None
         self._tail: list[bytes] = []
+        self._checkpointing = False
         # counters for tests and the recovery benchmark
         self.appends = 0
         self.checkpoints = 0
@@ -95,17 +99,23 @@ class MetaLog:
 
         *state_of* builds the full state; it is called only when a
         checkpoint is due, so an append between checkpoints copies none.
+        While one checkpoint is being written, callers return at once.
         """
-        if len(self._tail) < self.checkpoint_every:
+        if self._checkpointing or len(self._tail) < self.checkpoint_every:
             return
-        state = state_of()
-        snapshot = pickle.dumps(state)
-        # a checkpoint is a full-state write: charge one append per
-        # region so big clusters pay proportionally
-        cost = self.append_latency_s * max(1, len(state.regions))
-        yield self.sim.timeout(cost)
+        self._checkpointing = True
+        try:
+            state = state_of()
+            snapshot = pickle.dumps(state)
+            covered = len(self._tail)
+            # a checkpoint is a full-state write: charge one append per
+            # region so big clusters pay proportionally
+            cost = self.append_latency_s * max(1, len(state.regions))
+            yield self.sim.timeout(cost)
+        finally:
+            self._checkpointing = False
         self._checkpoint = snapshot
-        self._tail.clear()
+        del self._tail[:covered]
         self.checkpoints += 1
 
     def replay(self) -> RecoveredState:

@@ -9,7 +9,8 @@ on the control path:
 1. degraded stripes are queued as :class:`RepairTask`\\ s;
 2. a pool of ``REPAIR_PARALLELISM`` workers picks a replacement server
    (live, not already holding a copy, deterministic most-free choice),
-   reserves a slot there, and drives a server→server ``copy_stripe``
+   reserves a slot in the master's slice of it, and drives a
+   server→server ``copy_stripe``
    RPC — the *destination* pulls the stripe out of a surviving replica's
    arena with one-sided READs, so the source CPU never runs;
 3. the new replica is swapped into the :class:`RegionDesc` atomically
@@ -161,20 +162,6 @@ class RepairPlanner:
                 return replica
         return None
 
-    def _release_target(self, target: int, addr, length: int):
-        """Roll back a replacement slot (generator): the allocator's
-        capacity, and the server's reservation if one was made and the
-        target is alive to drop it."""
-        allocator = self.master.allocator
-        allocator.release(target, length)
-        if addr is not None and allocator.host_alive(target):
-            try:
-                yield from self.master._server_call(
-                    target, "release_batch", [addr]
-                )
-            except Exception:  # noqa: BLE001 - best effort, target may die
-                pass
-
     def _repair_stripe(self, task: RepairTask):
         region, stripe = self._current_stripe(task)
         if region is None:
@@ -191,19 +178,18 @@ class RepairPlanner:
         # no stripe left to read it from
         length = stripe.length
         exclude = [r.host_id for r in stripe.replicas]
-        slot = allocator.place_replacement(length, exclude)
-        if slot is None:
+        replica = allocator.place_replacement(length, exclude)
+        if replica is None:
             self._retry_or_abandon(task, "no live server with capacity")
             return
 
-        target = slot.host_id
-        addr = None
+        target = replica.host_id
+        # a rollback goes back to the arena the slot came from: if the
+        # target dies or rejoins meanwhile, that arena is retired and the
+        # release touches nothing live
+        arena = allocator.server(target).arena
         try:
             client = yield from self.master._server_client(target)
-            addrs, rkey = yield from self.master._server_call(
-                target, "reserve_batch", [length]
-            )
-            addr = addrs[0]
             # Destination pulls the stripe out of the surviving replica's
             # arena.  Generous timeout so a target dying mid-copy cannot
             # wedge the worker forever.
@@ -213,12 +199,12 @@ class RepairPlanner:
                 source.host_id,
                 source.addr,
                 source.rkey,
-                addr,
+                replica.addr,
                 length,
                 timeout=timeout_s,
             )
         except Exception as exc:
-            yield from self._release_target(target, addr, length)
+            arena.release(replica.addr)
             self._retry_or_abandon(task, f"copy via server {target}: {exc}")
             return
 
@@ -240,22 +226,21 @@ class RepairPlanner:
             or self._pick_source(stripe) is None
             or any(r.host_id == target for r in stripe.replicas)
         ):
-            yield from self._release_target(target, addr, length)
+            arena.release(replica.addr)
             self._retry_or_abandon(task, "cluster changed during the copy")
             return
 
         # Atomic swap: one assignment at one simulated instant.  The
         # descriptor moves to the current epoch so ops against the new
         # replica clear the fence of a freshly re-donated server.
-        replica = StripeReplica(host_id=target, addr=addr, rkey=rkey)
         region.stripes[task.stripe_index] = stripe.with_replica(replica)
         region.version += 1
         region.epoch = self.master.epoch
         # Commit the swap to the metalog: a restarted master must not
         # forget a replica clients may already have seen via lookup.
         # (A crash inside the append window forgets it — harmless, the
-        # surviving replicas still hold the data and the orphaned
-        # reservation is reclaimed at re-registration.)
+        # surviving replicas still hold the data and the reservation
+        # died with this master's arena.)
         yield from self.master._log("region", region)
         self.repaired += 1
         self._note(

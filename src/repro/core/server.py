@@ -1,12 +1,12 @@
 """The memory server: a host donating DRAM to the store.
 
-At startup the server allocates its arena, registers it with its NIC
+At startup the server registers its whole donation with its NIC
 **once** (the expensive pinning happens here, never on the data path),
 opens two fabric services —
 
-* ``rstore-mem``: control RPC used by the master to reserve/release
-  stripes, drive repair copies, and by the two-sided ablation to
-  read/write through the CPU;
+* ``rstore-mem``: control RPC used by the master to drive repair
+  copies, by the two-sided ablation to read/write through the CPU, and
+  by the server-op data path (``dp_exec``);
 * ``rstore-data``: a passive endpoint clients connect their data QPs
   to; all normal traffic on it is one-sided and never schedules a
   single instruction on this host —
@@ -14,22 +14,24 @@ opens two fabric services —
 and then announces itself to every metadata shard and starts
 heartbeating each one.  If a shard replies that it no longer knows us
 (reboot, or a heartbeat gap that tripped the lease checker), the
-server resets that shard's slice of its arena and registers again —
-rejoining is just re-registration.
+server registers with it again, fresh — rejoining is just
+re-registration.
 
-With ``config.control_shards > 1`` the donation is carved into one
-sub-arena slice per shard: each shard reserves stripes only from its
-own slice, so a fresh re-registration with one recovering shard wipes
-only that shard's bytes and never recycles memory another shard's
-descriptors still point at.  The MR stays a single registration —
-slicing is pure bookkeeping, the data path is untouched.
+The donation is cut into one slice per metadata shard (the whole MR
+when ``config.control_shards == 1``), and each registration hands a
+shard its slice's base and capacity.  The shard's master owns that
+slice's free space: it carves and returns stripes itself, so no
+allocation or free ever runs on this host, and a fresh registration
+with one shard recycles only that shard's bytes, never memory another
+shard's descriptors still point at.  The MR stays a single
+registration — slicing is pure bookkeeping, the data path is
+untouched.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.arena import Arena
 from repro.core.config import RStoreConfig
 from repro.core.errors import DeadlineExceededError, RStoreError
 from repro.core.pipeline import DATA_SQ_DEPTH, MAX_WIRE_CHUNK
@@ -101,9 +103,6 @@ class MemoryServer:
         #: values are cheap until written)
         self.capacity = capacity
         self.host_id = nic.host.host_id
-        #: one sub-arena slice per metadata shard (a single dict entry
-        #: spanning the whole donation when control_shards == 1)
-        self.arenas: dict[int, Arena] = {}
         self.arena_mr = None
         self.alive = False
         self._rpc: Optional[RpcServer] = None
@@ -130,14 +129,10 @@ class MemoryServer:
         self.arena_mr = yield from self.nic.reg_mr(
             self._data_pd, length=self.capacity, access=Access.all_remote()
         )
-        for shard_id in range(cfg.control_shards):
-            self._reset_shard_arena(shard_id)
 
         self._rpc = RpcServer(
             self.sim, self.nic, self.cm, f"{cfg.mem_service}"
         )
-        self._rpc.register("reserve_batch", self._reserve_batch)
-        self._rpc.register("release_batch", self._release_batch)
         self._rpc.register("copy_stripe", self._copy_stripe)
         self._rpc.register("ts_read", self._ts_read)
         self._rpc.register("ts_write", self._ts_write)
@@ -164,11 +159,6 @@ class MemoryServer:
             self.sim.process(self._heartbeat_loop(shard_id), name=name)
         return self
 
-    @property
-    def arena(self) -> Optional[Arena]:
-        """The shard-0 sub-arena — the whole donation when unsharded."""
-        return self.arenas.get(0)
-
     def _shard_extent(self, shard_id: int) -> tuple[int, int]:
         """``(base, capacity)`` of one shard's slice of the donation."""
         num = self.config.control_shards
@@ -179,44 +169,12 @@ class MemoryServer:
         share = (self.capacity // num) & ~63
         return self.arena_mr.addr + shard_id * share, share
 
-    def _reset_shard_arena(self, shard_id: int) -> None:
-        base, share = self._shard_extent(shard_id)
-        self.arenas[shard_id] = Arena(base, share)
-
     def kill(self) -> None:
         """Fail the whole host: NIC dead, heartbeats stop."""
         self.alive = False
         self.nic.kill()
 
     # -- RPC handlers -------------------------------------------------------
-
-    def _reserve_batch(self, lengths, shard=0):
-        """Reserve stripes out of *shard*'s slice; returns (addrs, rkey)."""
-        arena = self.arenas[shard]
-        addrs = []
-        try:
-            for length in lengths:
-                addrs.append(arena.reserve(length))
-        except Exception:
-            for addr in addrs:
-                arena.release(addr)
-            raise
-        yield self.sim.timeout(0)
-        return addrs, self.arena_mr.rkey
-
-    def _release_batch(self, addrs, shard=0):
-        arena = self.arenas[shard]
-        freed = 0
-        for addr in addrs:
-            try:
-                freed += arena.release(addr)
-            except RStoreError:
-                # The reservation predates an arena reset (we rejoined
-                # after a false-positive death and re-donated a clean
-                # arena); there is nothing left to free.
-                pass
-        yield self.sim.timeout(0)
-        return freed
 
     def _copy_stripe(self, src_host, src_addr, src_rkey, dst_addr, length):
         """Pull *length* bytes from a peer's arena into ours (generator).
@@ -225,7 +183,7 @@ class MemoryServer:
         executed as one-sided READs from the surviving replica's arena —
         the *source* host's CPU stays idle, keeping repair invisible to
         its data-path traffic.  ``dst_addr`` must be a reservation the
-        master just made on this server.
+        master just made in its slice of this server.
         """
         qp = self._peer_qps.get(src_host)
         if qp is None or qp.state is not QpState.CONNECTED:
@@ -324,7 +282,10 @@ class MemoryServer:
                 continue
             if isinstance(reply, dict) and reply.get("needs_register"):
                 try:
-                    yield from self._reregister(shard_id)
+                    # the shard dropped every replica we hosted for it:
+                    # donate the slice again, fresh; clients holding
+                    # stale descriptors are cut off by the new fence
+                    yield from self._register(shard_id, fresh=True)
                 except (RpcError, ChannelClosed, RdmaError):
                     if not (yield from self._rejoin_master(shard_id)):
                         self._stand_down(shard_id)
@@ -350,28 +311,23 @@ class MemoryServer:
         reply becomes this NIC's fence for that shard, so one-sided ops
         stamped with descriptors from an older era bounce instead of
         touching recycled bytes.  A non-fresh one (shard restart) keeps
-        the slice: the reply lists the reservations the replayed
-        metadata vouches for, and everything else — allocations whose
-        commit record never hit the log — is dropped as an orphan.
+        the slice's bytes; the shard rebuilds its free space from its
+        replayed descriptors.
         """
         assert self._router is not None
         master = yield from self._router.client_for(shard_id)
-        arena = self.arenas[shard_id]
+        base, capacity = self._shard_extent(shard_id)
         reply = yield from master.call(
-            "register_server", self.host_id, arena.capacity,
+            "register_server", self.host_id, base, capacity,
             self.arena_mr.rkey, fresh,
             timeout=self.config.control_deadline_s,
         )
         # the shard has the last word on freshness: a server that asked
         # to keep its slice across a master restart may find its lease
         # expired during the outage, in which case it was buried and
-        # must come back with a wiped slate and a bumped fence
-        if reply.get("fresh", fresh):
-            if not fresh:
-                self._reset_shard_arena(shard_id)
+        # must come back with a bumped fence
+        if reply["fresh"]:
             self.nic.set_fence(shard_id, reply["epoch"])
-        else:
-            arena.retain(addr for addr, _length in reply["live"])
         return reply
 
     def _rejoin_master(self, shard_id: int):
@@ -382,7 +338,7 @@ class MemoryServer:
         NIC stays up so in-flight one-sided traffic still completes
         until the shard buries us and clients remap away.
         Re-registration is *not* fresh: the slice survives a master
-        crash, and the replayed log tells us which reservations to keep.
+        crash, and the replayed log tells the shard which bytes are live.
         """
         assert self._router is not None
         cfg = self.config
@@ -402,18 +358,3 @@ class MemoryServer:
                 continue
             return True
         return False
-
-    def _reregister(self, shard_id: int):
-        """Rejoin after one shard forgot us (generator).
-
-        The shard has already dropped every replica we hosted for it,
-        so our old reservations in its slice are orphaned: reset that
-        slice's bookkeeping and donate it again.  The arena MR stays
-        registered, so clients holding stale descriptors can still
-        complete in-flight one-sided reads against the old bytes until
-        they remap — the fence epoch from the fresh registration is
-        what finally cuts them off.
-        """
-        assert self.arena_mr is not None
-        self._reset_shard_arena(shard_id)
-        yield from self._register(shard_id, fresh=True)

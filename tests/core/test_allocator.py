@@ -1,39 +1,47 @@
-"""Stripe placement tests."""
+"""Stripe placement tests: placing a stripe reserves it in the chosen
+server slot's arena."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.allocator import ServerSlot, StripeAllocator
-from repro.core.errors import OutOfMemoryError
+from repro.core.arena import Arena
+from repro.core.errors import OutOfMemoryError, RStoreError
 
 
 def make_allocator(servers=3, capacity=1000):
     alloc = StripeAllocator()
     for host in range(servers):
-        alloc.add_server(ServerSlot(host_id=host, capacity=capacity,
-                                    free=capacity))
+        alloc.add_server(ServerSlot(
+            host_id=host, capacity=capacity,
+            arena=Arena(base=0, capacity=capacity, alignment=1),
+        ))
     return alloc
+
+
+def hosts(placement):
+    return [tuple(r.host_id for r in stripe.replicas) for stripe in placement]
 
 
 def test_round_robin_cycles_servers():
     alloc = make_allocator(servers=3)
     placement = alloc.place([10] * 6)
-    assert placement == [(0,), (1,), (2,), (0,), (1,), (2,)]
+    assert hosts(placement) == [(0,), (1,), (2,), (0,), (1,), (2,)]
 
 
 def test_round_robin_continues_across_calls():
     alloc = make_allocator(servers=3)
     first = alloc.place([10] * 2)
     second = alloc.place([10] * 2)
-    assert first + second == [(0,), (1,), (2,), (0,)]
+    assert hosts(first + second) == [(0,), (1,), (2,), (0,)]
 
 
 def test_round_robin_skips_full_server():
     alloc = make_allocator(servers=3, capacity=100)
-    alloc.server(1).free = 5
+    alloc.server(1).arena.reserve(95)
     placement = alloc.place([10] * 4)
-    assert all(1 not in copies for copies in placement)
+    assert all(1 not in copies for copies in hosts(placement))
 
 
 def test_out_of_memory_total():
@@ -55,7 +63,7 @@ def test_dead_servers_excluded():
     alloc = make_allocator(servers=3)
     alloc.server(1).alive = False
     placement = alloc.place([10] * 4)
-    assert all(1 not in copies for copies in placement)
+    assert all(1 not in copies for copies in hosts(placement))
 
 
 def test_no_live_servers_raises():
@@ -67,14 +75,16 @@ def test_no_live_servers_raises():
 
 def test_release_restores_capacity():
     alloc = make_allocator(servers=1, capacity=100)
-    alloc.place([60])
-    alloc.release(0, 60)
+    [stripe] = alloc.place([60])
+    alloc.server(0).arena.release(stripe.addr)
     assert alloc.server(0).free == 100
 
 
 def test_release_clamps_at_capacity():
+    # a release of bytes never reserved is refused, not credited
     alloc = make_allocator(servers=1, capacity=100)
-    alloc.release(0, 999)
+    with pytest.raises(RStoreError):
+        alloc.server(0).arena.release(999)
     assert alloc.server(0).free == 100
 
 
@@ -91,7 +101,7 @@ def test_placement_respects_capacity(stripes):
     except OutOfMemoryError:
         return
     used: dict[int, int] = {}
-    for copies, length in zip(placement, stripes):
+    for copies, length in zip(hosts(placement), stripes):
         for host in copies:
             used[host] = used.get(host, 0) + length
     for host, total in used.items():
@@ -99,10 +109,22 @@ def test_placement_respects_capacity(stripes):
         assert alloc.server(host).free == 200 - total
 
 
+def test_a_replacement_skips_a_server_whose_free_bytes_are_in_holes():
+    alloc = make_allocator(servers=3, capacity=100)
+    holes = alloc.server(0).arena
+    addrs = [holes.reserve(10) for _ in range(10)]
+    for addr in addrs[::2]:
+        holes.release(addr)  # the most free, 50 bytes, in 10-byte holes
+    alloc.server(1).arena.reserve(60)  # 40 free in one extent
+    replica = alloc.place_replacement(20, exclude_hosts=[2])
+    assert replica.host_id == 1
+    assert alloc.server(1).free == 20 and alloc.server(0).free == 50
+
+
 def test_replicated_placement_uses_distinct_servers():
     alloc = make_allocator(servers=4, capacity=1000)
     placement = alloc.place([10] * 3, replication=2)
-    for copies in placement:
+    for copies in hosts(placement):
         assert len(copies) == 2
         assert len(set(copies)) == 2
 
@@ -122,7 +144,7 @@ def test_replication_exceeding_servers_raises():
 def test_replicas_avoid_preferred_primary():
     alloc = make_allocator(servers=3, capacity=1000)
     placement = alloc.place([10, 10], preferred_host=1, replication=2)
-    for copies in placement:
+    for copies in hosts(placement):
         assert copies[0] == 1
         assert copies[1] != 1
 

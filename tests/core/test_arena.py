@@ -117,3 +117,31 @@ def test_arena_invariants_hold_under_any_sequence(ops):
     assert arena.live_allocations == 0
     # fully coalesced: the whole capacity is reservable again
     assert arena.reserve(capacity) == 0x10
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.booleans(), st.integers(min_value=1, max_value=300)),
+        max_size=60,
+    )
+)
+def test_an_arena_rebuilt_from_its_reservations_is_the_same_arena(ops):
+    """Property: ``holding`` — a master's rebuild after a restart —
+    yields the free list the reserves and releases left behind."""
+    arena = Arena(base=0x1000, capacity=64 * 64)
+    live: dict[int, int] = {}
+    for is_alloc, size in ops:
+        if is_alloc:
+            try:
+                live[arena.reserve(size)] = size
+            except OutOfMemoryError:
+                continue
+        elif live:
+            arena.release(live.popitem()[0])
+    rebuilt = Arena.holding(arena.base, arena.capacity, live.items())
+    assert rebuilt._free == arena._free
+    assert rebuilt.free_bytes == arena.free_bytes
+    for addr in live:
+        rebuilt.release(addr)
+    assert rebuilt.reserve(arena.capacity) == arena.base

@@ -273,4 +273,27 @@ def test_a_small_scaled_sort_costs_a_pinned_number_of_events():
     stats = cluster.run_app(RSort(cluster, 300, scale=4096, seed=5).run())
     client_wrs = sum(c.nic.ops_posted for c in cluster.clients.values())
     assert (stats.elapsed, client_wrs, cluster.sim.events_processed) == (
-        0.1425538917625972, 3552, 28914)
+        0.14168041756199665, 3433, 27543)
+
+
+def test_a_warm_control_cycle_costs_a_pinned_number_of_kernel_events():
+    cluster = build_cluster(num_machines=2, server_hosts=[0])
+    client = cluster.client(1)
+    sim = cluster.sim
+
+    def cycle(name):
+        region = yield from client.alloc(name, 4096)
+        mapping = yield from client.map(region)
+        yield from mapping.write(0, b"c" * 128)
+        mapping.unmap()
+        yield from client.free(name)
+
+    def app():
+        yield from cycle("warm")
+        before = sim.events_processed
+        yield from cycle("measured")
+        return sim.events_processed - before
+
+    # alloc and free carve and return stripes in the master's own
+    # slice: neither sends the memory server anything
+    assert cluster.run_app(app()) == 67

@@ -52,6 +52,29 @@ def test_regions_on_dead_server_become_unavailable():
     cluster.run_app(try_map())
 
 
+def test_an_alloc_on_a_partitioned_server_succeeds_until_its_lease_lapses():
+    # the master reserves in its own slice of the server and asks it
+    # nothing, so a partition the lease checker has not noticed yet does
+    # not stop the alloc; with one copy the region is lost with the lease
+    faults = FaultInjector().partition([[3], [0, 1, 2]], start=0.0,
+                                       duration=1.0)
+    cluster = fresh_cluster(faults)
+    client = cluster.client(1)
+    slot = cluster.master.allocator.server(3)
+
+    def app():
+        region = yield from client.alloc("cut-off", 64 * KiB,
+                                         preferred_host=3)
+        assert region.hosts == (3,) and slot.alive
+        yield cluster.sim.timeout(0.5)
+        assert not slot.alive
+        with pytest.raises(RegionUnavailableError):
+            yield from cluster.client(2).map("cut-off")
+
+    cluster.run_app(app())
+    assert faults.injected["partition"] > 0
+
+
 def test_inflight_io_to_dead_server_fails():
     cluster = fresh_cluster()
     client = cluster.client(1)

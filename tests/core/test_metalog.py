@@ -14,6 +14,8 @@ Unit-level guarantees the crash-recovery protocol leans on:
 * every append charges its fsync latency on the simulated clock.
 """
 
+import random
+
 import pytest
 
 from repro.cluster import build_cluster
@@ -199,6 +201,35 @@ def test_checkpoint_at_the_commit_point_loses_no_region():
         assert survivors == sorted(names)
 
     cluster.run_app(app())
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_overlapping_checkpoints_lose_no_committed_region(seed):
+    """Regression: every handler that logged while a checkpoint was
+    being written started a checkpoint of its own, and each one cleared
+    the whole tail when it finished — records appended after its
+    snapshot too.  Now one is written at a time, and it truncates only
+    the prefix its snapshot covers."""
+    cluster = build_cluster(
+        num_machines=4,
+        config=RStoreConfig(stripe_size=64 * KiB, seed=seed),
+        server_capacity=64 * MiB,
+    )
+    rng = random.Random(seed)
+
+    def storm(client, tag):
+        for i in range(150):
+            yield from client.alloc(f"{tag}{i}", 64 * KiB)
+            yield cluster.sim.timeout(rng.uniform(0, 30e-6))
+
+    procs = [cluster.spawn(storm(cluster.client(host), f"c{host}-"))
+             for host in (1, 2, 3)]
+    for proc in procs:
+        cluster.run(until=proc)
+    log = cluster.metalog
+    assert sorted(log.replay().regions) == sorted(cluster.master.regions)
+    # no more checkpoints than were due
+    assert 0 < log.checkpoints <= log.appends // log.checkpoint_every
 
 
 def test_an_append_between_checkpoints_builds_no_state_snapshot():

@@ -355,7 +355,7 @@ def test_server_flapping_across_a_master_recovery():
     # and its recycled arena donates full capacity again
     assert slot.epoch >= 2
     assert cluster.servers[victim].nic.fence_for(0) == slot.epoch
-    assert cluster.servers[victim].arena.free_bytes == slot.capacity
+    assert slot.arena.free_bytes == slot.capacity
 
     healed = master.regions["flap"]
     assert healed.available
@@ -398,4 +398,4 @@ def test_a_repair_made_moot_mid_copy_returns_its_target_reservation():
     assert not any("NoneType" in msg for _t, msg in repair.log)
     for slot in cluster.master.allocator.alive_servers:
         assert slot.free == slot.capacity, f"server {slot.host_id} leaked"
-        assert cluster.servers[slot.host_id].arena.live_allocations == 0
+        assert slot.arena.live_allocations == 0

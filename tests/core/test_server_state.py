@@ -1,4 +1,4 @@
-"""Memory-server internals: arena accounting and boot state."""
+"""Memory-server boot state, and the master's slices of its arena."""
 
 import pytest
 
@@ -17,11 +17,14 @@ def cluster():
 
 
 def test_servers_boot_with_registered_arenas(cluster):
-    for server in cluster.servers.values():
+    allocator = cluster.master.allocator
+    for host_id, server in cluster.servers.items():
         assert server.alive
-        assert server.arena is not None
         assert server.arena_mr.rkey in server.nic.mr_by_rkey
-        assert server.arena.capacity == 16 * MiB
+        # the master's slice is the whole MR: one control shard
+        arena = allocator.server(host_id).arena
+        assert (arena.base, arena.capacity) == (server.arena_mr.addr,
+                                                16 * MiB)
 
 
 def test_allocation_is_visible_in_server_arenas(cluster):
@@ -33,7 +36,7 @@ def test_allocation_is_visible_in_server_arenas(cluster):
 
     region = cluster.run_app(app())
     for stripe in region.stripes:
-        arena = cluster.servers[stripe.host_id].arena
+        arena = cluster.master.allocator.server(stripe.host_id).arena
         assert arena.used_bytes >= stripe.length
 
 
