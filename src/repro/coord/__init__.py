@@ -1,4 +1,4 @@
-"""One-sided coordination: locks, barriers, counters, queues on atomics.
+"""One-sided coordination: locks, barriers and counters on atomics.
 
 RStore's separation philosophy says the data path must involve no
 server CPU and no master lookups.  This package extends that to
@@ -14,8 +14,6 @@ primitive          protocol
 `RemoteLock`       CAS spinlock, capped exponential backoff + jitter
 `SeqLock`          writer-versioned optimistic reads (hashkv's protocol)
 `SenseBarrier`     sense-reversing FAA barrier for N parties
-`DoorbellQueue`    MPSC ring: FAA-reserved slots, version-word publish,
-                   doorbell counter for the consumer
 =================  =====================================================
 
 All coordination regions are unreplicated (``replication=1``): NIC
@@ -29,7 +27,6 @@ surfaces instead of risking a double-applied FAA (see DESIGN.md,
 from repro.coord.barrier import SenseBarrier
 from repro.coord.base import Backoff, CoordError
 from repro.coord.counter import AtomicCounter
-from repro.coord.doorbell import DoorbellQueue
 from repro.coord.lock import RemoteLock
 from repro.coord.seqlock import SeqLock
 
@@ -37,7 +34,6 @@ __all__ = [
     "AtomicCounter",
     "Backoff",
     "CoordError",
-    "DoorbellQueue",
     "RemoteLock",
     "SenseBarrier",
     "SeqLock",

@@ -53,11 +53,6 @@ class SenseBarrier:
             "coord.barrier.spins", name=name,
             host=client.nic.host.host_id)
 
-    @property
-    def spins(self) -> int:
-        """Sense-poll rounds spent parked behind slower parties."""
-        return int(self._m_spins.value)
-
     # -- setup (control path) ------------------------------------------------
 
     @classmethod

@@ -58,11 +58,6 @@ class RemoteLock:
             "coord.lock.contended", **_labels)
 
     @property
-    def acquisitions(self) -> int:
-        """Successful acquires by this handle."""
-        return int(self._m_acquisitions.value)
-
-    @property
     def contended(self) -> int:
         """CAS attempts that lost to another holder."""
         return int(self._m_contended.value)

@@ -63,14 +63,6 @@ class Arena:
         arena.free_bytes = sum(length for _off, length in arena._free)
         return arena
 
-    @property
-    def used_bytes(self) -> int:
-        return self.capacity - self.free_bytes
-
-    @property
-    def live_allocations(self) -> int:
-        return len(self._live)
-
     def reserve(self, length: int) -> int:
         """Carve out *length* bytes; returns the absolute address."""
         if length <= 0:

@@ -135,12 +135,6 @@ class RStoreClient:
         return self._io.m_retries.value
 
     @property
-    def pieces_replayed(self) -> int:
-        """Failed pieces re-posted by replay rounds (always < the op's
-        total pieces when only part of a batch was hit by a fault)."""
-        return self._io.m_pieces_replayed.value
-
-    @property
     def master_calls(self) -> int:
         """Control-path RPCs issued to the master (alloc, lookup,
         barrier, ...) — the separation thesis says steady-state data
@@ -151,11 +145,6 @@ class RStoreClient:
     def retries_fenced(self) -> int:
         """Retry rounds triggered by an epoch fence (stale metadata)."""
         return self._meta.fenced.value
-
-    @property
-    def deadlines_missed(self) -> int:
-        """Control calls that ran out of deadline budget."""
-        return self._m_deadlines_missed.value
 
     @property
     def master_redials(self) -> int:
@@ -171,11 +160,6 @@ class RStoreClient:
     def metadata_cache_misses(self) -> int:
         """``map``-by-name calls that had to ask the owning shard."""
         return self._meta.misses.value
-
-    @property
-    def metadata_cache_coalesced(self) -> int:
-        """Concurrent misses that piggybacked on another's lookup."""
-        return self._meta.coalesced.value
 
     def start(self):
         """Connect to the cluster (generator)."""
@@ -490,4 +474,3 @@ class RStoreClient:
     def wait_note(self, name: str):
         """Wait for a named notification (generator)."""
         return self._master_call("wait_note", name)
-

@@ -149,20 +149,7 @@ class Mapping:
         old = yield from fut.wait()
         return old
 
-    # -- asynchronous data path: submit now, hand the future back -----------
-
-    def read_async(self, offset: int, length: int):
-        """Submit a staged read (generator); returns its future."""
-        return self._start("read", offset, length)
-
-    def write_async(self, offset: int, payload: bytes):
-        """Submit a staged write (generator); returns its future."""
-        return self._start("write", offset, len(payload), payload=payload)
-
-    def faa_async(self, offset: int, delta: int, idempotent: bool = False):
-        """Submit a fetch-and-add (generator); returns its future."""
-        return self._start("faa", offset, 8, idempotent=idempotent,
-                           compare=delta)
+    # -- asynchronous compare-and-swap: submit now, hand the future back ----
 
     def cas_async(self, offset: int, expected: int, desired: int):
         """Submit a compare-and-swap (generator); returns its future."""

@@ -28,6 +28,7 @@ are fenced with :class:`StaleEpochError`.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 from repro.core.allocator import ServerSlot, StripeAllocator
@@ -174,6 +175,7 @@ class Master:
                                            method=method,
                                            shard=self.shard_id)
 
+        @functools.wraps(handler)
         def wrapped(*args, **kwargs):
             counter.inc()
             return (yield from handler(*args, **kwargs))

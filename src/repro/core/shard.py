@@ -120,10 +120,6 @@ class ShardMap:
             idx = 0  # wrap: past the last point, the ring starts over
         return self._owners[idx]
 
-    def names_owned(self, names, shard_id: int) -> list[str]:
-        """Filter *names* down to the ones *shard_id* owns (sorted)."""
-        return sorted(n for n in names if self.shard_of(n) == shard_id)
-
 
 class ShardRouter:
     """Per-host control-plane stub: one cached channel per shard.

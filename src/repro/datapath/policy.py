@@ -135,10 +135,6 @@ class AdaptiveSelector:
             st = self._classes[op_class] = _ClassState()
         return st
 
-    def mode_for(self, op_class: str):
-        """The currently preferred mode (None while still cold)."""
-        return self._state(op_class).current
-
     def choose(self, op_class: str, modes=None) -> str:
         """The mode the next *op_class* operation should run on."""
         allowed = tuple(modes) if modes is not None else self.modes

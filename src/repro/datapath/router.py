@@ -97,16 +97,6 @@ class DataPathRouter:
         """Composite ops shipped to a memory server."""
         return self._m_server_ops.value
 
-    @property
-    def remote_fetches(self) -> int:
-        """Server-op results picked up via the fetch buffer."""
-        return self._m_remote_fetches.value
-
-    @property
-    def busy_retries(self) -> int:
-        """Ops re-driven because a server-op found a locked slot."""
-        return self._m_busy_retries.value
-
     # -- plumbing ------------------------------------------------------------
 
     def _request(self, op: str, mapping, **fields) -> dict:

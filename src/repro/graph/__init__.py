@@ -15,13 +15,12 @@ only difference, which is exactly the paper's claim.
 from repro.graph.algorithms import (
     BfsProgram,
     PageRankProgram,
-    PersonalizedPageRankProgram,
     SsspProgram,
     WccProgram,
 )
 from repro.graph.baseline import MessagePassingEngine
 from repro.graph.framework import GraphComputeModel, RStoreGraphEngine
-from repro.graph.loader import Graph, partition_ranges
+from repro.graph.loader import Graph
 
 __all__ = [
     "BfsProgram",
@@ -29,9 +28,7 @@ __all__ = [
     "GraphComputeModel",
     "MessagePassingEngine",
     "PageRankProgram",
-    "PersonalizedPageRankProgram",
     "RStoreGraphEngine",
     "SsspProgram",
     "WccProgram",
-    "partition_ranges",
 ]

@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "PageRankProgram",
-    "PersonalizedPageRankProgram",
     "BfsProgram",
     "SsspProgram",
     "WccProgram",
@@ -64,47 +63,6 @@ class PageRankProgram:
 
     def done(self, iteration: int, total_changed: int) -> bool:
         return iteration >= self.iterations
-
-
-class PersonalizedPageRankProgram(PageRankProgram):
-    """PageRank with teleportation to a single source vertex.
-
-    The random surfer restarts at ``source`` instead of a uniform
-    vertex, giving proximity scores relative to the source — the
-    recommendation-style workload of the era.
-    """
-
-    name = "ppr"
-
-    def __init__(self, source: int, damping: float = 0.85,
-                 iterations: int = 10):
-        super().__init__(damping=damping, iterations=iterations)
-        self.source = source
-
-    def initial(self, graph, lo: int, hi: int) -> np.ndarray:
-        values = np.zeros(hi - lo)
-        if lo <= self.source < hi:
-            values[self.source - lo] = 1.0
-        return values
-
-    def apply(self, graph, x: np.ndarray, lo: int, hi: int):
-        contrib = np.where(
-            graph.out_degrees > 0, x / np.maximum(graph.out_degrees, 1), 0.0
-        )
-        dangling = x[graph.out_degrees == 0].sum()
-        indptr, sources, _w = graph.slice_csr(lo, hi)
-        gathered = contrib[sources]
-        sums = np.zeros(hi - lo)
-        nonempty = np.flatnonzero(np.diff(indptr) > 0)
-        if len(gathered) and len(nonempty):
-            sums[nonempty] = np.add.reduceat(gathered, indptr[nonempty])
-        new = self.damping * sums
-        # all teleport/dangling mass restarts at the source vertex
-        if lo <= self.source < hi:
-            new[self.source - lo] += (
-                1.0 - self.damping
-            ) + self.damping * dangling
-        return new, hi - lo
 
 
 class _MinPlusProgram:

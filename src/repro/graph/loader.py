@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["Graph", "partition_ranges", "partition_by_edges"]
+__all__ = ["Graph", "partition_by_edges"]
 
 
 class Graph:
@@ -70,9 +70,6 @@ class Graph:
         out_degrees = np.bincount(src, minlength=num_vertices).astype(np.int64)
         return cls(num_vertices, indptr, sources, sorted_weights, out_degrees)
 
-    def in_edges_of(self, vertex: int) -> np.ndarray:
-        return self.sources[self.indptr[vertex] : self.indptr[vertex + 1]]
-
     def slice_csr(self, lo: int, hi: int):
         """The CSR rows for vertices [lo, hi): (local indptr, sources, weights)."""
         base = self.indptr[lo]
@@ -84,14 +81,6 @@ class Graph:
             else None
         )
         return indptr, sources, weights
-
-
-def partition_ranges(num_vertices: int, num_parts: int) -> list[tuple[int, int]]:
-    """Contiguous, near-equal vertex ranges [lo, hi) per partition."""
-    if num_parts < 1:
-        raise ValueError("need at least one partition")
-    bounds = np.linspace(0, num_vertices, num_parts + 1).astype(np.int64)
-    return [(int(bounds[i]), int(bounds[i + 1])) for i in range(num_parts)]
 
 
 def partition_by_edges(graph: Graph, num_parts: int) -> list[tuple[int, int]]:

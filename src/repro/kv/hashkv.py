@@ -78,11 +78,6 @@ class RKVStore:
         """Slot snapshots rerun because a writer raced the read."""
         return int(self._m_read_retries.value)
 
-    @property
-    def lock_retries(self) -> int:
-        """Writer lock attempts that lost the version race."""
-        return int(self._m_lock_retries.value)
-
     # -- construction ----------------------------------------------------------
 
     @staticmethod

@@ -106,10 +106,6 @@ class Buffer:
     def end(self) -> int:
         return self.addr + self._length
 
-    @property
-    def materialized_bytes(self) -> int:
-        return sum(map(len, self._blocks.values()))
-
     def _check(self, what: str, offset: int, length: int) -> None:
         """The one bounds check: ``[offset, +length)`` lies inside."""
         if offset < 0 or length < 0 or offset + length > self._length:

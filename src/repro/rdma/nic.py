@@ -105,11 +105,6 @@ class RNic:
         return self._m_ops_posted.value
 
     @property
-    def ops_completed(self) -> int:
-        """Completions this NIC has raised (success or error)."""
-        return self._m_ops_completed.value
-
-    @property
     def bytes_sent(self) -> int:
         return self._m_bytes_sent.value
 

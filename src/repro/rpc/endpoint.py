@@ -84,9 +84,6 @@ class _Service:
         self.requests_served = 0
         self._cpu = cpu
         self._handlers: dict[str, Callable] = {}
-        #: optional fault-injection hook: ``hook(service_id, method) ->
-        #: str``; a non-empty string fails the call with that message
-        self.fault_hook: Optional[Callable[[str, str], str]] = None
 
     def register(self, method: str, handler: Callable) -> None:
         """Register a generator function under *method*."""
@@ -128,19 +125,7 @@ class _Service:
 
     def _handle(self, channel, request: RpcRequest):
         yield from self._cpu.run(DISPATCH_CPU_S)
-        detail = ""
-        if self.fault_hook is not None:
-            detail = self.fault_hook(self.service_id, request.method)
-        if detail:
-            # injected transient failure: the handler never runs, the
-            # caller sees a remote RStoreError and is expected to retry
-            response = RpcResponse(
-                call_id=request.call_id,
-                error=detail,
-                error_type="RStoreError",
-            )
-        else:
-            response = yield from self.dispatch(request)
+        response = yield from self.dispatch(request)
         self.requests_served += 1
         try:
             try:

@@ -31,10 +31,6 @@ synchronization vocabulary — nothing new is invented:
 * **SeqLock** — a writer's ``publish`` releases under the *next*
   version; a validated reader snapshot (or a successful ``try_lock``)
   joins the version it observed.
-* **DoorbellQueue** — a producer releases under the message sequence
-  number before writing the slot; the consumer joins after reading it
-  (and releases its cumulative head so producers reusing a slot join
-  the consumer).
 * **Master control path** — every control RPC releases-then-acquires
   one coarse ``("master", shard)`` key.  This intentionally
   over-synchronizes (alloc/map/lookup serialize through the owning
@@ -59,8 +55,8 @@ Exemptions
 ----------
 
 Coordination primitives are racy *by design* at the byte level (sense
-polling vs. the sense flip, seqlock snapshots vs. body writes, doorbell
-ring traffic, counter polling).  Their internal accesses run inside
+polling vs. the sense flip, seqlock snapshots vs. body writes, counter
+polling).  Their internal accesses run inside
 ``with rsan.exempt(actor):`` scopes — neither checked nor stored — and
 order instead flows through the semantic release/acquire keys above.
 Server-to-server repair READs are master-coordinated and marked with

@@ -4,8 +4,8 @@ CPython wall-time is meaningless for performance claims, so every
 simulated activity charges CPU time *explicitly* through this model: a
 host has a fixed number of cores (a counted :class:`Resource`), and work
 occupies one core for a computed duration.  Benchmarks then read
-utilization off the model — e.g. to show that one-sided RDMA leaves the
-server CPU idle while the sockets baseline burns cores.
+``busy_seconds`` off the model — e.g. to show that one-sided RDMA leaves
+the server CPU idle while the sockets baseline burns cores.
 """
 
 from __future__ import annotations
@@ -56,14 +56,3 @@ class Cpu:
     def active(self) -> int:
         """Cores currently executing work."""
         return self._res.count
-
-    @property
-    def runnable_backlog(self) -> int:
-        """Work items waiting for a free core."""
-        return self._res.queue_len
-
-    def utilization(self) -> float:
-        """Average core utilization (0..1) since time zero."""
-        if self.sim.now <= 0:
-            return 0.0
-        return min(1.0, self.busy_seconds / (self.sim.now * self.cores))

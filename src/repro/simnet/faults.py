@@ -1,11 +1,10 @@
 """Deterministic fault injection for cluster simulations.
 
 A :class:`FaultInjector` is a *schedule* of misbehaviour declared before
-(or while) a simulation runs, plus the hooks that make components act on
-it.  Everything is driven by the simulated clock and a seeded RNG
-stream, so a fault scenario replays bit-for-bit from its seed:
+the cluster boots, plus the hooks that make components act on it.
+Everything is driven by the simulated clock and a seeded RNG stream, so
+a fault scenario replays bit-for-bit from its seed:
 
-* **server crashes** — kill a memory server's host at a chosen time;
 * **heartbeat drops** — make a healthy server look dead to the master
   (false-positive death), then let it resume and rejoin;
 * **master crashes** — fail-stop the master at a chosen time and
@@ -14,8 +13,6 @@ stream, so a fault scenario replays bit-for-bit from its seed:
 * **network partitions** — split the fabric into groups whose
   cross-traffic silently vanishes; transports time out, clients fail
   fast against their deadlines;
-* **transient RPC failures** — a control-plane call fails with a remote
-  ``RStoreError`` without running its handler (callers must retry);
 * **wire faults** — a one-sided data operation launched by a chosen
   host completes with ``RETRY_EXC_ERR``, erroring its QP exactly like a
   peer dying mid-flight (clients must remap and replay).  By default
@@ -25,14 +22,18 @@ stream, so a fault scenario replays bit-for-bit from its seed:
 
 Wiring happens in :meth:`attach`, which the cluster builder calls right
 after boot when given ``faults=``; all windows are in seconds **after
-attach** so scenarios do not depend on how long booting took.
+attach** so scenarios do not depend on how long booting took.  Attach
+arms master crashes, partitions and wire faults once, so declaring one
+of those afterwards raises ``RuntimeError`` instead of being silently
+dropped.  Heartbeat windows are read live and may still be added.
 
     faults = FaultInjector(seed=11)
-    faults.crash_server(3, at=0.5)
+    faults.crash_master(at=0.5, restart_after=0.5)
     faults.drop_heartbeats(2, start=1.0, duration=0.2)
-    faults.fail_rpc(0, method="lookup", start=0.1, duration=0.05)
     faults.fail_wire(1, start=0.3, duration=0.1, probability=0.5)
     cluster = build_cluster(8, faults=faults)
+
+To kill a memory server, call ``cluster.kill_server(host_id)``.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ from repro.simnet.rand import derive_rng
 
 __all__ = ["FaultInjector"]
 
-#: wire faults default to the one-sided data path — RPC SENDs carry the
-#: control plane, whose resilience is exercised by fail_rpc instead
+#: wire faults hit the one-sided data path only — RPC SENDs carry the
+#: control plane, whose faults are partitions and master crashes
 _DATA_OPCODES = frozenset({
     Opcode.RDMA_READ,
     Opcode.RDMA_WRITE,
@@ -61,8 +62,7 @@ class _Window:
 
     start: float
     end: float
-    #: rpc/wire windows: which method (None = all) and how likely
-    method: Optional[str] = None
+    #: wire windows: how likely each op in the window fails
     probability: float = 1.0
     #: wire windows: "launch" fails before the op leaves the NIC;
     #: "ack" lets the remote side apply it, then loses the completion
@@ -83,11 +83,9 @@ class FaultInjector:
     def __init__(self, seed: int = 7):
         self.seed = seed
         self._rng = derive_rng(seed, "fault-injector")
-        self._crashes: list[tuple[float, int]] = []
         #: (at, restart_after, shard) triples
         self._master_crashes: list[tuple[float, Optional[float], int]] = []
         self._heartbeat: dict[int, list[_Window]] = {}
-        self._rpc: dict[int, list[_Window]] = {}
         self._wire: dict[int, list[_Window]] = {}
         #: (window, blocked(src, dst)) pairs; see :meth:`partition`
         self._partitions: list = []
@@ -95,15 +93,17 @@ class FaultInjector:
         self._t0 = 0.0
         #: injection timeline: ``(sim_time, message)`` pairs
         self.log: list[tuple[float, str]] = []
-        self.injected = {"crashes": 0, "heartbeats": 0, "rpc": 0,
-                         "wire": 0, "master_crashes": 0, "partition": 0}
+        self.injected = {"heartbeats": 0, "wire": 0, "master_crashes": 0,
+                         "partition": 0}
 
     # -- schedule declaration ------------------------------------------------
 
-    def crash_server(self, host_id: int, at: float) -> "FaultInjector":
-        """Kill *host_id*'s server (NIC and all) *at* seconds in."""
-        self._crashes.append((at, host_id))
-        return self
+    def _unarmed(self, what: str) -> None:
+        """Refuse a fault that :meth:`attach` would no longer arm."""
+        if self._cluster is not None:
+            raise RuntimeError(
+                f"{what} must be declared before attach(): the injector is "
+                f"already armed and would silently drop it")
 
     def crash_master(self, at: float,
                      restart_after: Optional[float] = None,
@@ -118,6 +118,7 @@ class FaultInjector:
         runs the recovery protocol (epoch bump, re-registration grace,
         repair resumption).
         """
+        self._unarmed("crash_master")
         if restart_after is not None and restart_after <= 0:
             raise ValueError("restart_after must be positive")
         self._master_crashes.append((at, restart_after, shard))
@@ -131,6 +132,7 @@ class FaultInjector:
         *groups* is a list of host-id lists.  Hosts not listed in any
         group keep full connectivity.  The split is symmetric.
         """
+        self._unarmed("partition")
         membership: dict[int, int] = {}
         for index, group in enumerate(groups):
             for host_id in group:
@@ -159,16 +161,6 @@ class FaultInjector:
         )
         return self
 
-    def fail_rpc(self, host_id: int, start: float, duration: float,
-                 method: Optional[str] = None, probability: float = 1.0,
-                 times: Optional[int] = None) -> "FaultInjector":
-        """Fail control RPCs served *on host_id* inside the window."""
-        self._rpc.setdefault(host_id, []).append(
-            _Window(start, start + duration, method=method,
-                    probability=probability, times=times)
-        )
-        return self
-
     def fail_wire(self, host_id: int, start: float, duration: float,
                   probability: float = 1.0,
                   times: Optional[int] = None,
@@ -183,6 +175,7 @@ class FaultInjector:
         WRITE has landed and an atomic *has* mutated the remote word —
         the case that makes blind atomic replay double-apply.
         """
+        self._unarmed("fail_wire")
         if where not in ("launch", "ack"):
             raise ValueError(f"unknown wire fault point {where!r}")
         self._wire.setdefault(host_id, []).append(
@@ -197,25 +190,13 @@ class FaultInjector:
         """Arm the schedule against a booted cluster."""
         self._cluster = cluster
         self._t0 = cluster.sim.now
-        for host_id, server in cluster.servers.items():
+        for server in cluster.servers.values():
             server.faults = self
-            if server._rpc is not None and host_id in self._rpc:
-                server._rpc.fault_hook = self._rpc_hook(host_id)
-        for master in cluster.masters:
-            if master is None:
-                continue
-            master_host = master.nic.host.host_id
-            if master_host in self._rpc:
-                master._rpc.fault_hook = self._rpc_hook(master_host)
         for host_id, windows in self._wire.items():
             if any(w.where == "launch" for w in windows):
                 cluster.nics[host_id].fault_hook = self._wire_hook(host_id)
             if any(w.where == "ack" for w in windows):
                 cluster.nics[host_id].ack_fault_hook = self._ack_hook(host_id)
-        for at, host_id in sorted(self._crashes):
-            cluster.sim.process(
-                self._crash_proc(at, host_id), name=f"fault-crash-{host_id}"
-            )
         for index, (at, restart_after, shard) in enumerate(
             sorted(self._master_crashes,
                    key=lambda c: (c[0], c[2]))
@@ -243,27 +224,6 @@ class FaultInjector:
                 self._note(f"dropped heartbeat from server {host_id}")
                 return True
         return False
-
-    def _rpc_hook(self, host_id: int):
-        def hook(service_id: str, method: str) -> str:
-            now = self._now()
-            for window in self._rpc.get(host_id, ()):
-                if not window.open_at(now):
-                    continue
-                if window.method is not None and window.method != method:
-                    continue
-                if self._rng.random() >= window.probability:
-                    continue
-                window.fired += 1
-                self.injected["rpc"] += 1
-                self._note(
-                    f"failed rpc {method!r} on {service_id!r} "
-                    f"(host {host_id})"
-                )
-                return f"injected fault: {method} on host {host_id}"
-            return ""
-
-        return hook
 
     def _wire_hook(self, host_id: int):
         def hook(_launch_host: int, wr) -> str:
@@ -305,15 +265,6 @@ class FaultInjector:
 
     def _note(self, message: str) -> None:
         self.log.append((self._cluster.sim.now, message))
-
-    def _crash_proc(self, at: float, host_id: int):
-        yield self._cluster.sim.timeout(at)
-        server = self._cluster.servers.get(host_id)
-        if server is None or not server.alive:
-            return
-        self.injected["crashes"] += 1
-        self._note(f"crashed server {host_id}")
-        self._cluster.kill_server(host_id)
 
     def _master_crash_proc(self, at: float, restart_after: Optional[float],
                            shard: int):

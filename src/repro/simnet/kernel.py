@@ -295,11 +295,6 @@ class Simulator:
         self._sequences: dict[str, itertools.count] = {}
 
     @property
-    def events_scheduled(self) -> int:
-        """Queue entries ever pushed (events and bare calls alike)."""
-        return self._seq
-
-    @property
     def events_processed(self) -> int:
         """Queue entries :meth:`step` has run: what was pushed minus
         what is still queued and what :meth:`cancel` withdrew."""
@@ -477,7 +472,3 @@ class Simulator:
         if until is not None and self.now < deadline:
             self.now = deadline
         return None
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")

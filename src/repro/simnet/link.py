@@ -31,9 +31,6 @@ class Channel:
         self.name = name
         self._busy_until = 0.0
 
-    def serialization_time(self, nbytes: int) -> float:
-        return nbytes * 8.0 / self.rate_bps
-
     def reserve(self, nbytes: int, earliest: float) -> float:
         """Reserve the channel for one frame; return its finish time."""
         if nbytes < 0:

@@ -61,11 +61,6 @@ class Resource:
         """Number of slots currently held."""
         return len(self._users)
 
-    @property
-    def queue_len(self) -> int:
-        """Number of requests waiting for a slot."""
-        return len(self._waiting)
-
     def request(self) -> Request:
         req = Request(self)
         if len(self._users) < self.capacity:

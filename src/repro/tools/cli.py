@@ -190,7 +190,8 @@ def cmd_trace(args) -> int:
 cmd_lint = lint.run
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI: one subcommand per ``cmd_<name>`` function."""
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="RStore reproduction: model constants, traced runs, "
@@ -218,8 +219,11 @@ def main(argv=None) -> int:
 
     lint.add_arguments(sub.add_parser(
         "lint", help="repro-lint: repo invariant checks"))
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     handler = globals()[f"cmd_{args.command}"]
     return handler(args)
 

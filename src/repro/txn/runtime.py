@@ -1,11 +1,11 @@
 """The OCC transaction runtime: buffered ops, validate, lock, publish.
 
 A :class:`Txn` buffers ``get``/``put``/``delete`` over any number of
-hashkv tables (plus raw :class:`~repro.coord.SeqLock` records) and
-commits them atomically with optimistic concurrency control:
+hashkv tables and commits them atomically with optimistic concurrency
+control:
 
-1. **Snapshot reads.**  Every record a transaction touches — a raw
-   record, or a table slot, which *is* one — is captured in a *single*
+1. **Snapshot reads.**  Every table slot a transaction touches — a
+   :class:`~repro.coord.SeqLock` record — is captured in a *single*
    one-sided READ (``SeqLock.snapshot``) and its even version recorded
    in the read-set.  Probe chains record every slot they cross, so a
    concurrent insert that would change a lookup's outcome invalidates
@@ -94,20 +94,20 @@ class _ReadEntry(NamedTuple):
 
 
 class _Item:
-    """One record the transaction snapshotted and may write: a raw
-    SeqLock record, or the table slot holding (or chosen for) a key.
+    """One key the transaction snapshotted and may write: the table
+    slot holding (or chosen for) it.
 
-    The application sees *value* — a record's body; a key's value,
-    ``None`` while the key is absent — or its own buffered *pending*.
-    A table key adds only its slot codec (*store*, *key*) and its
-    insert candidates (*frees*, ``[(index, version)]``); *lock* and
-    *version* stay ``None`` until an absent key claims one of them.
+    The application sees *value* — the key's value, ``None`` while the
+    key is absent — or its own buffered *pending*.  The slot codec is
+    *store* and *key*; an absent key's insert candidates are *frees*
+    (``[(index, version)]``), and *lock* and *version* stay ``None``
+    until it claims one of them.
     """
 
     __slots__ = ("lock", "version", "value", "pending", "store", "key",
                  "frees")
 
-    def __init__(self, lock, version, value, store=None, key=None, frees=()):
+    def __init__(self, lock, version, value, store, key, frees=()):
         self.lock = lock
         self.version = version      # the record's snapshot version
         self.value = value
@@ -122,10 +122,8 @@ class _Item:
         return self.value if self.pending is _UNWRITTEN else self.pending
 
     def body(self) -> bytes:
-        """The record body the buffered write publishes."""
+        """The slot body the buffered write publishes."""
         store = self.store
-        if store is None:
-            return self.pending
         if self.pending is None:
             return ops.encode_body(b"", b"", store.key_size,
                                    store.value_size, tombstone=True)
@@ -158,15 +156,9 @@ class Txn:
         self.deadline = deadline
         self._phase = "open"
         self._reads: dict = {}      # rkey -> _ReadEntry
-        #: (region, key) for a table key, rkey for a raw record -> _Item
-        self._items: dict = {}
+        self._items: dict = {}      # (region, key) -> _Item
         self._insert_taken: set = set()
         self._read_backoff = Backoff(self.client.sim, runtime._rngs["read"])
-
-    @property
-    def phase(self) -> str:
-        """``open`` | ``committing`` | ``committed`` | ``aborted``."""
-        return self._phase
 
     def _ensure_open(self):
         if self._phase != "open":
@@ -206,15 +198,6 @@ class Txn:
             f"write-locked through {_SNAP_RETRIES} snapshots"
         )
 
-    def _record_item(self, lock: SeqLock):
-        """The item of a raw record (generator), snapshotted once."""
-        rkey = _rkey(lock)
-        item = self._items.get(rkey)
-        if item is None:
-            item = self._items[rkey] = _Item(
-                lock, *(yield from self._snapshot(lock)))
-        return item
-
     def _key_item(self, store, key: bytes):
         """Probe *store* for *key* (generator); caches the item so a
         transaction reads each key from the network exactly once."""
@@ -242,7 +225,7 @@ class Txn:
         self._items[ikey] = item
         return item
 
-    # -- buffered ops: table keys and raw records alike -----------------------
+    # -- buffered ops ---------------------------------------------------------
 
     def get(self, store, key: bytes):
         """Transactional lookup (generator): the committed value at
@@ -282,21 +265,6 @@ class Txn:
         # tombstones the committed slot
         item.pending = _UNWRITTEN if item.value is None else None
         return True
-
-    def read_record(self, lock: SeqLock):
-        """Snapshot a raw SeqLock record's body (generator)."""
-        self._ensure_open()
-        return (yield from self._record_item(lock)).visible
-
-    def write_record(self, lock: SeqLock, body: bytes):
-        """Buffer a full-body write of a raw record (generator)."""
-        self._ensure_open()
-        if len(body) > lock.body_size:
-            raise TxnMisuseError(
-                f"body of {len(body)} bytes exceeds record body "
-                f"{lock.body_size}"
-            )
-        (yield from self._record_item(lock)).pending = bytes(body)
 
     # -- commit ---------------------------------------------------------------
 

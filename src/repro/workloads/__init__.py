@@ -1,21 +1,11 @@
 """Workload generators: synthetic graphs and key-value records."""
 
-from repro.workloads.access import (
-    OpMix,
-    generate_ops,
-    uniform_keys,
-    zipfian_keys,
-)
-from repro.workloads.graphs import erdos_renyi_edges, rmat_edges
-from repro.workloads.kv import generate_records, record_bytes
+from repro.workloads.access import zipfian_keys
+from repro.workloads.graphs import rmat_edges
+from repro.workloads.kv import generate_records
 
 __all__ = [
-    "OpMix",
-    "erdos_renyi_edges",
-    "generate_ops",
     "generate_records",
-    "record_bytes",
     "rmat_edges",
-    "uniform_keys",
     "zipfian_keys",
 ]

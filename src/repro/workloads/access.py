@@ -1,15 +1,15 @@
-"""Access-pattern generators: key popularity and operation mixes.
+"""Access-pattern generator: zipfian key popularity.
 
 Key-value benchmarks live or die by their skew; the YCSB convention the
-era's papers used is a zipfian key popularity with a configurable
-read/update mix.  The sampler is numpy-vectorised and seeded.
+era's papers used is a zipfian key popularity.  The sampler is
+numpy-vectorised and seeded.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["zipfian_keys", "uniform_keys", "OpMix", "generate_ops"]
+__all__ = ["zipfian_keys"]
 
 
 def zipfian_keys(
@@ -34,65 +34,3 @@ def zipfian_keys(
     cdf /= cdf[-1]
     draws = rng.random(count)
     return np.searchsorted(cdf, draws, side="left").astype(np.int64)
-
-
-def uniform_keys(count: int, keyspace: int, seed: int = 0) -> np.ndarray:
-    """Uniform key indices over ``[0, keyspace)``."""
-    if keyspace < 1:
-        raise ValueError(f"keyspace must be positive, got {keyspace}")
-    rng = np.random.default_rng(seed)
-    return rng.integers(0, keyspace, count, dtype=np.int64)
-
-
-class OpMix:
-    """A read/update/insert mix (fractions must sum to 1)."""
-
-    READ = "read"
-    UPDATE = "update"
-    INSERT = "insert"
-
-    def __init__(self, read: float = 0.95, update: float = 0.05,
-                 insert: float = 0.0):
-        total = read + update + insert
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"mix fractions sum to {total}, not 1")
-        self.read = read
-        self.update = update
-        self.insert = insert
-
-    @classmethod
-    def ycsb_a(cls) -> "OpMix":
-        """50/50 read/update — the update-heavy workload."""
-        return cls(read=0.5, update=0.5)
-
-    @classmethod
-    def ycsb_b(cls) -> "OpMix":
-        """95/5 read/update — the read-mostly workload."""
-        return cls(read=0.95, update=0.05)
-
-    @classmethod
-    def ycsb_c(cls) -> "OpMix":
-        """Read-only."""
-        return cls(read=1.0, update=0.0)
-
-
-def generate_ops(
-    count: int,
-    keyspace: int,
-    mix: OpMix,
-    theta: float = 0.99,
-    seed: int = 0,
-) -> list[tuple[str, int]]:
-    """A concrete op sequence: (op_kind, key_index) pairs."""
-    keys = zipfian_keys(count, keyspace, theta=theta, seed=seed)
-    rng = np.random.default_rng(seed + 1)
-    draws = rng.random(count)
-    ops = []
-    for key, draw in zip(keys.tolist(), draws.tolist()):
-        if draw < mix.read:
-            ops.append((OpMix.READ, key))
-        elif draw < mix.read + mix.update:
-            ops.append((OpMix.UPDATE, key))
-        else:
-            ops.append((OpMix.INSERT, key))
-    return ops

@@ -1,16 +1,16 @@
-"""Synthetic graph generators.
+"""Synthetic graph generator.
 
 The paper's graph experiments run on power-law web/social graphs; RMAT
 (the Graph500 generator) reproduces that degree structure at any scale.
-Both generators are numpy-vectorised so benchmark-sized graphs build in
-milliseconds of wall time, and both are seeded for reproducibility.
+It is numpy-vectorised so benchmark-sized graphs build in milliseconds
+of wall time, and seeded for reproducibility.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["rmat_edges", "erdos_renyi_edges"]
+__all__ = ["rmat_edges"]
 
 
 def rmat_edges(
@@ -42,16 +42,4 @@ def rmat_edges(
         dst_bit = np.where(src_bit, r2 > (c / (c + (1 - a - b - c))), r2 > (a / (a + b)))
         src |= src_bit.astype(np.int64) << bit
         dst |= dst_bit.astype(np.int64) << bit
-    return src, dst
-
-
-def erdos_renyi_edges(
-    num_vertices: int, num_edges: int, seed: int = 42
-) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform random directed edges (with possible duplicates)."""
-    if num_vertices < 1:
-        raise ValueError("need at least one vertex")
-    rng = np.random.default_rng(seed)
-    src = rng.integers(0, num_vertices, num_edges, dtype=np.int64)
-    dst = rng.integers(0, num_vertices, num_edges, dtype=np.int64)
     return src, dst

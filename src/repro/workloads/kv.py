@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["KEY_BYTES", "VALUE_BYTES", "RECORD_BYTES", "generate_records",
-           "record_bytes", "keys_of", "is_sorted"]
+           "keys_of", "is_sorted"]
 
 KEY_BYTES = 10
 VALUE_BYTES = 90
@@ -25,11 +25,6 @@ def generate_records(count: int, seed: int = 0) -> np.ndarray:
     rng = np.random.default_rng(seed)
     records = rng.integers(0, 256, size=(count, RECORD_BYTES), dtype=np.uint8)
     return records
-
-
-def record_bytes(records: np.ndarray) -> bytes:
-    """Serialize a record array to raw bytes."""
-    return records.tobytes()
 
 
 def keys_of(records: np.ndarray) -> np.ndarray:

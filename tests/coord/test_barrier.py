@@ -6,6 +6,7 @@ from repro.cluster import build_cluster
 from repro.coord import CoordError, SenseBarrier
 from repro.core import RStoreConfig
 from repro.simnet.config import KiB, MiB
+from tests.probes import count_all
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +55,7 @@ def test_barrier_releases_no_one_early(cluster):
     barriers = cluster.run_app(app())
     assert all(b.generation == rounds for b in barriers)
     # the stagger forces early arrivers to poll the sense word
-    assert sum(b.spins for b in barriers) > 0
+    assert count_all(cluster, "coord.barrier.spins") > 0
 
 
 def test_single_party_barrier_is_a_noop(cluster):

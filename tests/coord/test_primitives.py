@@ -12,6 +12,7 @@ from repro.core.errors import (
     RetryBudgetExceededError,
 )
 from repro.simnet.config import KiB, MiB
+from tests.probes import count_all
 
 
 @pytest.fixture(scope="module")
@@ -119,7 +120,7 @@ def test_lock_mutual_exclusion(cluster):
 
     total, locks = cluster.run_app(app())
     assert total == workers * rounds
-    assert sum(lock.acquisitions for lock in locks) == workers * rounds
+    assert count_all(cluster, "coord.lock.acquisitions") == workers * rounds
     # three spinners on one word must have collided at least once
     assert sum(lock.contended for lock in locks) > 0
 

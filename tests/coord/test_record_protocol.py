@@ -28,10 +28,6 @@ SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 BYTES_HOME = "datapath/ops.py"
 #: the token mint, over the sequence ``core/client.py`` declares
 TOKEN_HOME = "coord/seqlock.py"
-#: a leading ``WORD`` that is not a version word, and why
-NOT_A_VERSION_WORD = {
-    "coord/doorbell.py": "the length prefix inside a message body",
-}
 
 
 def _is_word(node) -> bool:
@@ -64,9 +60,8 @@ def test_record_protocol_has_one_home():
                        for node in ast.walk(tree)
                        if isinstance(node, ast.Constant)
                        and node.value == "seqlock"]
-            if rel not in NOT_A_VERSION_WORD:
-                strays += [f"{rel}:{line}: version-word split of a blob"
-                           for line in _leading_word_decodes(tree)]
+            strays += [f"{rel}:{line}: version-word split of a blob"
+                       for line in _leading_word_decodes(tree)]
         if rel != TOKEN_HOME:
             if "_TOKEN_BASE" in text:
                 strays.append(f"{rel}: _TOKEN_BASE")

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.arena import Arena
 from repro.core.errors import OutOfMemoryError, RStoreError
+from tests.probes import live_allocations
 
 
 def test_reserve_release_roundtrip():
@@ -109,12 +110,12 @@ def test_arena_invariants_hold_under_any_sequence(ops):
         elif live:
             addr = live.pop()
             expected_used -= arena.release(addr)
-        assert arena.used_bytes == expected_used
+        assert arena.capacity - arena.free_bytes == expected_used
         assert arena.free_bytes == capacity - expected_used
     for addr in live:
         arena.release(addr)
     assert arena.free_bytes == capacity
-    assert arena.live_allocations == 0
+    assert live_allocations(arena) == 0
     # fully coalesced: the whole capacity is reservable again
     assert arena.reserve(capacity) == 0x10
 

@@ -22,9 +22,12 @@ def test_async_write_then_read(cluster):
     def app():
         yield from client.alloc("async-rt", 256 * KiB)
         mapping = yield from client.map("async-rt")
-        wfut = yield from mapping.write_async(4096, b"future-bytes")
+        batch = client.batch()
+        wfut = yield from batch.write(mapping, 4096, b"future-bytes")
+        yield from batch.flush()
         count = yield from wfut.wait()
-        rfut = yield from mapping.read_async(4096, 12)
+        rfut = yield from batch.read(mapping, 4096, 12)
+        yield from batch.flush()
         data = yield from rfut.wait()
         return count, data
 
@@ -39,7 +42,9 @@ def test_future_fields_after_resolution(cluster):
     def app():
         yield from client.alloc("async-fields", 64 * KiB)
         mapping = yield from client.map("async-fields")
-        fut = yield from mapping.write_async(0, b"x" * 100)
+        batch = client.batch()
+        fut = yield from batch.write(mapping, 0, b"x" * 100)
+        yield from batch.flush()
         assert not fut.done
         yield from fut.wait()
         assert fut.done and fut.error is None
@@ -61,7 +66,9 @@ def test_multiple_waiters_on_one_future(cluster):
         yield from client.alloc("async-waiters", 64 * KiB)
         mapping = yield from client.map("async-waiters")
         yield from mapping.write(0, b"shared-payload")
-        fut = yield from mapping.read_async(0, 14)
+        batch = client.batch()
+        fut = yield from batch.read(mapping, 0, 14)
+        yield from batch.flush()
         seen = []
 
         def waiter(tag):
@@ -228,7 +235,9 @@ def test_unmap_fails_inflight_async_ops(cluster):
     def app():
         yield from client.alloc("async-unmap", 256 * KiB)
         mapping = yield from client.map("async-unmap")
-        fut = yield from mapping.read_async(0, 128 * KiB)
+        batch = client.batch()
+        fut = yield from batch.read(mapping, 0, 128 * KiB)
+        yield from batch.flush()
         assert not fut.done
         mapping.unmap()
         # the failure is delivered at the unmap instant, not when the

@@ -13,6 +13,7 @@ from repro.cluster import build_cluster
 from repro.core import RStoreConfig
 from repro.simnet.config import KiB, MiB
 from repro.simnet.faults import FaultInjector
+from tests.probes import host_count
 
 _N = 64
 _OP_BYTES = 2 * KiB
@@ -50,7 +51,7 @@ def _run_faulted_batch():
         return values == expected, order, attempts
 
     correct, order, attempts = cluster.run_app(app())
-    return correct, order, attempts, client.retries, client.pieces_replayed
+    return correct, order, attempts, client.retries, host_count(client, "client.pieces_replayed")
 
 
 def test_batch_survives_wire_faults():
@@ -99,11 +100,11 @@ def test_replay_backoff_sequence_is_pinned():
         deltas = []
         for n in (1, 2, 3):
             yield sim.timeout(5.0 * n + 0.1 - sim.now)
-            started = sim.now
-            fut = yield from mapping.read_async(0, 1024)
-            yield from fut.wait()
-            assert fut._attempts == n
-            deltas.append(fut.resolved_at - started)
+            started, replays = sim.now, client.retries
+            yield from mapping.read(0, 1024)
+            # one replay round per failed attempt
+            assert client.retries - replays == n
+            deltas.append(sim.now - started)
         return deltas
 
     assert cluster.run_app(app()) == pytest.approx(

@@ -17,6 +17,7 @@ from repro.core import AllocationError, RegionNotFoundError, RStoreConfig
 from repro.rdma.types import RdmaError
 from repro.simnet.config import KiB, MiB
 from repro.simnet.faults import FaultInjector
+from tests.probes import live_allocations
 
 STRIPE = 64 * KiB
 CAPACITY = 64 * MiB
@@ -31,8 +32,8 @@ def fresh_cluster(faults=None, **config):
     )
 
 
-def live_allocations(master):
-    return {slot.host_id: slot.arena.live_allocations
+def live_by_host(master):
+    return {slot.host_id: live_allocations(slot.arena)
             for slot in master.allocator.servers}
 
 
@@ -81,7 +82,7 @@ def test_a_failed_reservation_rolls_the_whole_round_back(victim):
         return sorted(region.hosts)
 
     assert cluster.run_app(again()) == [0, 1, 2, 3]
-    assert live_allocations(master) == {0: 2, 1: 2, 2: 2, 3: 2}
+    assert live_by_host(master) == {0: 2, 1: 2, 2: 2, 3: 2}
 
 
 # -- free is committed at its record ---------------------------------------
@@ -103,7 +104,7 @@ def test_free_survives_a_hosting_server_that_is_dead_but_not_declared():
 
     assert cluster.run_app(app()) is True
     assert [allocator.server(h).free for h in (0, 1, 2)] == [CAPACITY] * 3
-    assert live_allocations(cluster.master) == {0: 0, 1: 0, 2: 0, 3: 0}
+    assert live_by_host(cluster.master) == {0: 0, 1: 0, 2: 0, 3: 0}
     cluster.run(until=cluster.sim.now + 1.0)  # the lease expires
     assert not allocator.server(3).alive
     assert [s.free for s in allocator.servers] == [CAPACITY] * 4
@@ -171,11 +172,11 @@ def test_a_fresh_re_registration_resets_the_slice():
     client = cluster.client(1)
     master = cluster.master
     cluster.run_app(client.alloc("r", 8 * STRIPE))
-    assert master.allocator.server(3).arena.live_allocations == 2
+    assert live_allocations(master.allocator.server(3).arena) == 2
     cluster.run(until=cluster.boot_time + 1.5)  # buried, then rejoined
     slot = master.allocator.server(3)
     assert slot.alive and slot.epoch >= 1
-    assert slot.free == CAPACITY and slot.arena.live_allocations == 0
+    assert slot.free == CAPACITY and live_allocations(slot.arena) == 0
     assert not master.regions["r"].available
 
     # the lost region still names the old era's bytes, which the new
@@ -188,7 +189,7 @@ def test_a_fresh_re_registration_resets_the_slice():
         yield from client.free("r")
 
     cluster.run_app(reuse())
-    assert slot.arena.live_allocations == 1
+    assert live_allocations(slot.arena) == 1
 
 
 def test_concurrent_first_uses_share_one_memory_service_channel():

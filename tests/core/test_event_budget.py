@@ -20,6 +20,7 @@ from repro.core import RStoreConfig
 from repro.kv import RKVStore
 from repro.simnet.config import GiB, KiB, MiB
 from repro.sort import RSort
+from tests.probes import materialized_bytes
 
 #: NIC and wire entries every one-sided verb pays: launch, the request's
 #: ingress claim and delivery, the remote DMA, the response's ingress
@@ -166,8 +167,8 @@ def test_an_rpc_ring_holds_what_its_messages_carried():
     cluster.run_app(app())
     router = client._router
     channel = router._clients.clients[router.shard_of("ring")]._channel
-    held = (channel._recv_mr.buffer.materialized_bytes
-            + channel._send_mr.buffer.materialized_bytes)
+    held = (materialized_bytes(channel._recv_mr.buffer)
+            + materialized_bytes(channel._send_mr.buffer))
     # a few hundred bytes per message; a whole 64 KiB block per slot
     # would be 2 MiB for the receive ring alone
     assert held <= 64 * KiB, held

@@ -20,6 +20,7 @@ from repro.cluster import build_cluster
 from repro.core import RStoreConfig, RStoreError
 from repro.simnet.config import KiB, MiB
 from repro.simnet.faults import FaultInjector
+from tests.probes import live_allocations
 
 REGION = 256 * KiB
 CHUNK = 4 * KiB
@@ -398,4 +399,4 @@ def test_a_repair_made_moot_mid_copy_returns_its_target_reservation():
     assert not any("NoneType" in msg for _t, msg in repair.log)
     for slot in cluster.master.allocator.alive_servers:
         assert slot.free == slot.capacity, f"server {slot.host_id} leaked"
-        assert slot.arena.live_allocations == 0
+        assert live_allocations(slot.arena) == 0

@@ -21,6 +21,7 @@ from repro.core.shard import (
     tenant_of,
 )
 from repro.simnet.config import KiB, MiB
+from tests.probes import names_owned
 
 
 def test_tenant_of_namespace_qualified_names():
@@ -76,7 +77,7 @@ def test_ownership_is_a_pure_function_of_control_shards(num_shards, names):
     # must agree on every owner, and the owners must partition names
     a, b = ShardMap(num_shards), ShardMap(num_shards)
     assert [a.shard_of(n) for n in names] == [b.shard_of(n) for n in names]
-    owned = [a.names_owned(names, s) for s in range(num_shards)]
+    owned = [names_owned(a, names, s) for s in range(num_shards)]
     assert sorted(n for share in owned for n in share) == sorted(names)
     assert all(0 <= a.shard_of(n) < num_shards for n in names)
 
@@ -132,7 +133,7 @@ def test_shard_map_is_deterministic_across_instances():
 def test_shard_map_spreads_names_across_all_shards():
     ring = ShardMap(4)
     names = [f"t{i % 5}/r{i}" for i in range(1000)]
-    owned = {s: ring.names_owned(names, s) for s in range(4)}
+    owned = {s: names_owned(ring, names, s) for s in range(4)}
     # ownership partitions the namespace
     assert sorted(n for names_ in owned.values() for n in names_) == (
         sorted(names)
@@ -169,5 +170,5 @@ def test_sharded_cluster_routes_each_name_to_its_owner():
     # every shard holds exactly the names the ring assigns it
     ring = ShardMap(3)
     for shard, master in enumerate(cluster.masters):
-        expected = set(ring.names_owned(names, shard))
+        expected = set(names_owned(ring, names, shard))
         assert set(master.regions) == expected

@@ -13,6 +13,7 @@ from repro.datapath.policy import (
     PathPolicy,
 )
 from repro.simnet.config import KiB
+from tests.probes import preferred_mode
 
 
 def test_policy_vocabulary():
@@ -123,7 +124,7 @@ def test_cold_start_samples_every_mode_once():
         seen.append(mode)
         sel.observe("get", mode, 10e-6)
     assert sorted(seen) == sorted(PathPolicy.MODES)
-    assert sel.mode_for("get") is not None
+    assert preferred_mode(sel, "get") is not None
 
 
 def _warm(sel, op_class, latencies):
@@ -137,7 +138,7 @@ def test_selector_settles_on_the_fastest_mode():
     sel = AdaptiveSelector()
     _warm(sel, "get", {"one_sided": 30e-6, "server_op": 8e-6,
                        "remote_fetch": 50e-6})
-    assert sel.mode_for("get") == "server_op"
+    assert preferred_mode(sel, "get") == "server_op"
     assert sel.choose("get") == "server_op"
 
 
@@ -146,10 +147,10 @@ def test_hysteresis_ignores_marginal_improvements():
     _warm(sel, "get", {"one_sided": 10e-6, "server_op": 9.5e-6,
                        "remote_fetch": 40e-6})
     # server_op is best but only ~5% better: inside the 20% band
-    current = sel.mode_for("get")
+    current = preferred_mode(sel, "get")
     for _ in range(20):
         sel.observe("get", "server_op", 9.5e-6)
-    assert sel.mode_for("get") == current
+    assert preferred_mode(sel, "get") == current
     assert sel.switches == 0
 
 
@@ -157,14 +158,14 @@ def test_patience_gates_a_genuine_regime_shift():
     sel = AdaptiveSelector(hysteresis=0.2, patience=3, alpha=1.0)
     _warm(sel, "get", {"one_sided": 10e-6, "server_op": 12e-6,
                        "remote_fetch": 40e-6})
-    assert sel.mode_for("get") == "one_sided"
+    assert preferred_mode(sel, "get") == "one_sided"
     # the regime flips: server_op now 5x faster.  alpha=1 makes the
     # EWMA jump immediately, so only patience delays the switch.
     for i in range(3):
         sel.observe("get", "server_op", 2e-6)
         if i < 2:
-            assert sel.mode_for("get") == "one_sided", f"switched at {i}"
-    assert sel.mode_for("get") == "server_op"
+            assert preferred_mode(sel, "get") == "one_sided", f"switched at {i}"
+    assert preferred_mode(sel, "get") == "server_op"
     assert sel.switches == 1
 
 
@@ -175,7 +176,7 @@ def test_interleaved_noise_resets_the_patience_streak():
     for _ in range(5):
         sel.observe("get", "server_op", 2e-6)   # streak builds...
         sel.observe("get", "server_op", 11e-6)  # ...and collapses
-    assert sel.mode_for("get") == "one_sided"
+    assert preferred_mode(sel, "get") == "one_sided"
     assert sel.switches == 0
 
 
@@ -201,8 +202,8 @@ def test_op_classes_are_independent():
                        "remote_fetch": 60e-6})
     _warm(sel, "burst", {"one_sided": 80e-6, "server_op": 6e-6,
                          "remote_fetch": 70e-6})
-    assert sel.mode_for("get") == "one_sided"
-    assert sel.mode_for("burst") == "server_op"
+    assert preferred_mode(sel, "get") == "one_sided"
+    assert preferred_mode(sel, "burst") == "server_op"
 
 
 def test_restricted_mode_set_never_leaves_the_subset():

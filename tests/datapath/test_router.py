@@ -12,6 +12,7 @@ from repro.rdma.cm import ConnectError
 from repro.rpc.channel import ChannelClosed
 from repro.rpc.endpoint import RpcError
 from repro.simnet.config import KiB, MiB
+from tests.probes import host_count, preferred_mode
 
 
 def fresh_cluster(**overrides):
@@ -33,7 +34,7 @@ def test_one_sided_policy_never_ships_a_server_op():
         value = yield from store.get(b"k")
         assert value == b"v"
         assert client.datapath.server_ops == 0
-        assert client.datapath.remote_fetches == 0
+        assert host_count(client, "datapath.remote_fetches") == 0
 
     cluster.run_app(app())
 
@@ -50,7 +51,7 @@ def test_server_op_policy_ships_and_skips_the_fetch_buffer():
         value = yield from store.get(b"k")
         assert value == b"v"
         assert client.datapath.server_ops > 0
-        assert client.datapath.remote_fetches == 0
+        assert host_count(client, "datapath.remote_fetches") == 0
 
     cluster.run_app(app())
 
@@ -68,7 +69,7 @@ def test_remote_fetch_deposits_and_reads_one_sided():
         value = yield from store.get(b"k")
         assert value == payload
         router = client.datapath
-        assert router.remote_fetches > 0
+        assert host_count(client, "datapath.remote_fetches") > 0
         assert router._m_bytes_fetched.value > len(payload)  # pickled
 
     cluster.run_app(app())
@@ -281,7 +282,7 @@ def test_busy_slot_backs_off_and_wins_once_the_writer_leaves():
         yield from lock.publish(version + 1, body)
         yield proc
         assert got == [b"v2"]
-        assert client.datapath.busy_retries > 0
+        assert host_count(client, "datapath.busy_retries") > 0
 
     cluster.run_app(app())
 
@@ -371,7 +372,7 @@ def test_unplaceable_fetch_buffer_degrades_to_server_op():
             )
         value = yield from store.get(b"k")
         assert value == b"v"
-        assert router.remote_fetches == 0
+        assert host_count(client, "datapath.remote_fetches") == 0
         assert router.server_ops > 0
 
     cluster.run_app(app())
@@ -444,7 +445,7 @@ def test_adaptive_policy_converges_and_stays_correct():
         # every substrate was sampled and a preference emerged
         assert set(sel._classes["get"].ewma) == {
             "one_sided", "server_op", "remote_fetch"}
-        assert sel.mode_for("get") in ("one_sided", "server_op",
+        assert preferred_mode(sel, "get") in ("one_sided", "server_op",
                                        "remote_fetch")
         # puts never leave their restricted substrate set
         assert set(sel._classes["put"].ewma) <= {"one_sided", "server_op"}
@@ -513,7 +514,7 @@ def test_adaptive_only_considers_modes_its_slots_fit(fetch_bytes, get_modes):
         if "remote_fetch" in get_modes:
             # both candidates were sampled, and values came back by pickup
             assert set(sel._classes["get"].ewma) == get_modes
-            assert router.remote_fetches > 0
+            assert host_count(client, "datapath.remote_fetches") > 0
         else:
             assert router.server_ops == 0
 

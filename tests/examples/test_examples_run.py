@@ -41,11 +41,6 @@ def test_sort_example():
     assert "RSort" in out and "speedup" in out
 
 
-def test_producer_consumer_example():
-    out = run_example("producer_consumer_notify.py")
-    assert "stream complete" in out
-
-
 def test_kv_cache_example():
     out = run_example("distributed_kv_cache.py")
     assert "kops/s" in out

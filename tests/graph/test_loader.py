@@ -2,11 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.graph.loader import Graph, partition_ranges
-from repro.workloads.graphs import erdos_renyi_edges, rmat_edges
+from repro.graph.loader import Graph
+from repro.workloads.graphs import rmat_edges
 
 
 def small_graph():
@@ -16,11 +14,17 @@ def small_graph():
     return Graph.from_edges(4, src, dst)
 
 
+def in_edges_of(graph, vertex):
+    """The sources of *vertex*'s in-edges: its one-row CSR slice."""
+    _indptr, sources, _w = graph.slice_csr(vertex, vertex + 1)
+    return sources.tolist()
+
+
 def test_in_edges_grouped_by_target():
     g = small_graph()
-    assert sorted(g.in_edges_of(2).tolist()) == [0, 1, 3]
-    assert g.in_edges_of(0).tolist() == [2]
-    assert g.in_edges_of(3).tolist() == []
+    assert sorted(in_edges_of(g, 2)) == [0, 1, 3]
+    assert in_edges_of(g, 0) == [2]
+    assert in_edges_of(g, 3) == []
 
 
 def test_out_degrees():
@@ -55,34 +59,13 @@ def test_slice_csr_is_consistent():
     assert len(sources) == indptr[-1]
     # slice rows match global rows
     assert sorted(sources[indptr[1]:indptr[2]].tolist()) == sorted(
-        g.in_edges_of(2).tolist()
+        in_edges_of(g, 2)
     )
 
 
 def test_edge_bounds_validated():
     with pytest.raises(ValueError):
         Graph.from_edges(2, np.array([0]), np.array([5]))
-
-
-def test_partition_ranges_cover_everything():
-    parts = partition_ranges(10, 3)
-    assert parts[0][0] == 0
-    assert parts[-1][1] == 10
-    for (_l1, h1), (l2, _h2) in zip(parts, parts[1:]):
-        assert h1 == l2
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    n=st.integers(min_value=1, max_value=1000),
-    p=st.integers(min_value=1, max_value=16),
-)
-def test_partition_ranges_properties(n, p):
-    parts = partition_ranges(n, p)
-    assert len(parts) == p
-    assert sum(hi - lo for lo, hi in parts) == n
-    sizes = [hi - lo for lo, hi in parts]
-    assert max(sizes) - min(sizes) <= 1
 
 
 def test_rmat_shape_and_determinism():
@@ -102,14 +85,6 @@ def test_rmat_is_skewed():
     assert top > 0.1 * len(dst)
 
 
-def test_erdos_renyi_is_roughly_uniform():
-    src, dst = erdos_renyi_edges(1000, 50_000, seed=5)
-    counts = np.bincount(dst, minlength=1000)
-    assert counts.max() < 10 * counts.mean()
-
-
 def test_generator_validation():
     with pytest.raises(ValueError):
         rmat_edges(scale=0)
-    with pytest.raises(ValueError):
-        erdos_renyi_edges(0, 10)

@@ -39,6 +39,7 @@ from repro.simnet.config import KiB, MiB
 from repro.simnet.faults import FaultInjector
 
 from tests.harness.schedule import await_steady_master
+from tests.probes import host_count
 
 
 def _payload(rng: random.Random, length: int) -> bytes:
@@ -357,7 +358,7 @@ def test_partitioned_client_fails_within_its_deadline(seed, sanitize):
     cluster.run_app(app())
 
     assert faults.injected["partition"] > 0
-    assert client.deadlines_missed >= 1
+    assert host_count(client, "client.deadlines_missed") >= 1
     rsan = rsan_for(cluster.sim)
     assert rsan.races == [], (
         f"seed {seed}: sanitizer false positive:\n{rsan.report()}"

@@ -76,10 +76,12 @@ def test_distributed_bfs_matches_networkx(scale, source, seed):
     networkx = pytest.importorskip("networkx")
     from repro.graph import BfsProgram, RStoreGraphEngine
     from repro.graph.loader import Graph
-    from repro.workloads.graphs import erdos_renyi_edges
 
     n = 1 << scale
-    src, dst = erdos_renyi_edges(n, 4 * n, seed=seed)
+    # uniform random directed edges, duplicates allowed
+    rng = np.random.default_rng(seed)
+    src = rng.integers(0, n, 4 * n, dtype=np.int64)
+    dst = rng.integers(0, n, 4 * n, dtype=np.int64)
     graph = Graph.from_edges(n, src, dst)
     cluster = build_cluster(
         num_machines=3,

@@ -9,6 +9,7 @@ from repro.core import RStoreConfig
 from repro.datapath import ops
 from repro.kv import KvError, KvFullError, RKVStore
 from repro.simnet.config import KiB, MiB
+from tests import probes
 
 
 @pytest.fixture(scope="module")
@@ -245,7 +246,8 @@ def test_racing_puts_of_different_keys_for_one_reusable_slot(cluster):
     wanted = sorted((key, key[::-1]) for pair in pairs for key in pair)
     assert sorted(stored) == wanted  # every key once, none lost
     # the race really happened: some CAS lost and its put re-probed
-    assert views[2].lock_retries + views[3].lock_retries > 0
+    assert sum(probes.count(cluster, "kv.lock_retries", table="slot-race",
+                            host=host) for host in (2, 3)) > 0
 
 
 @pytest.mark.parametrize("path_policy", PATH_POLICIES)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.rdma.memory import BLOCK, Buffer, HostMemory, Snapshot
 from repro.rdma.types import RdmaError
 from repro.simnet.config import GiB, MiB
+from tests.probes import materialized_bytes
 
 
 def test_every_alloc_is_lazy():
@@ -14,14 +15,14 @@ def test_every_alloc_is_lazy():
     for size in (100, 1 * MiB, 64 * MiB):
         buf = mem.alloc(size)
         assert type(buf) is Buffer
-        assert len(buf) == size and buf.materialized_bytes == 0
+        assert len(buf) == size and materialized_bytes(buf) == 0
 
 
 def test_untouched_reads_are_zero():
     buf = Buffer(0x1000, 16 * MiB, host_id=0)
     assert buf.read(12345, 100) == bytes(100)
     assert buf.read(BLOCK - 10, 3 * BLOCK) == bytes(3 * BLOCK)
-    assert buf.materialized_bytes == 0
+    assert materialized_bytes(buf) == 0
 
 
 def test_write_read_roundtrip_within_block():
@@ -41,11 +42,11 @@ def test_write_spanning_blocks():
 def test_materialization_follows_the_written_extent():
     buf = Buffer(0, 1 * GiB, host_id=0)
     buf.write(0, b"x")
-    assert buf.materialized_bytes == 1
+    assert materialized_bytes(buf) == 1
     buf.write(500 * MiB + 99, b"y")
-    assert buf.materialized_bytes == 1 + 100
+    assert materialized_bytes(buf) == 1 + 100
     buf.write(BLOCK - 1, b"z" * 2)  # the end of block 0, the start of 1
-    assert buf.materialized_bytes == BLOCK + 1 + 100
+    assert materialized_bytes(buf) == BLOCK + 1 + 100
 
 
 def test_a_read_past_a_short_block_reads_zeros():
@@ -93,7 +94,7 @@ def test_ascending_small_writes_regrow_a_block_logarithmically(monkeypatch):
         buf.write(k * 128, bytes([k % 256]) * 128)
     # 128 B, then doubled up to BLOCK: log2(BLOCK / 128) + 1 = 10
     assert len(grows) <= (BLOCK // 128).bit_length()
-    assert buf.materialized_bytes == BLOCK
+    assert materialized_bytes(buf) == BLOCK
     assert buf.read(0, BLOCK) == b"".join(
         bytes([k % 256]) * 128 for k in range(BLOCK // 128))
 
@@ -101,7 +102,7 @@ def test_ascending_small_writes_regrow_a_block_logarithmically(monkeypatch):
 def test_multi_gib_buffer_costs_nothing_until_written():
     buf = Buffer(0, 64 * GiB, host_id=0)
     assert len(buf) == 64 * GiB
-    assert buf.materialized_bytes == 0
+    assert materialized_bytes(buf) == 0
 
 
 def test_bounds_enforced():
@@ -180,10 +181,10 @@ def test_an_empty_write_makes_no_block():
     buf = Buffer(0, 4 * BLOCK, host_id=0)
     for offset in (0, 5, BLOCK, 4 * BLOCK):  # the last is the very end
         buf.write(offset, b"")
-    assert buf.materialized_bytes == 0
+    assert materialized_bytes(buf) == 0
     # a never-written snapshot lands as never-written blocks
     buf.write(BLOCK, Buffer(0, 4 * BLOCK, host_id=1).snapshot(0, 2 * BLOCK))
-    assert buf.materialized_bytes == 0
+    assert materialized_bytes(buf) == 0
     assert buf.read(0, 4 * BLOCK) == bytes(4 * BLOCK)
 
 

@@ -171,7 +171,7 @@ def test_future_dropped_under_lock_still_races(cluster):
     """A lock release does NOT cover an op nobody waited on.
 
     This is the dynamic twin of repro-lint RL003: the release
-    publishes only the *acked* watermark, so a ``write_async`` whose
+    publishes only the *acked* watermark, so a batched write whose
     future was not awaited before ``release()`` stays concurrent with
     the next holder's accesses — and is reported.
     """
@@ -182,7 +182,9 @@ def test_future_dropped_under_lock_still_races(cluster):
         lock1 = yield from RemoteLock.create(c1, "mutex")
         lock2 = yield from RemoteLock.open(c2, "mutex")
         yield from lock1.acquire()
-        fut = yield from m1.write_async(0, b"a" * 100)
+        batch = c1.batch()
+        fut = yield from batch.write(m1, 0, b"a" * 100)
+        yield from batch.flush()
         yield from lock1.release()  # BUG: fut not awaited
         yield from lock2.acquire()
         yield from m2.write(50, b"b" * 100)
@@ -203,7 +205,9 @@ def test_future_waited_under_lock_is_silent(cluster):
         lock1 = yield from RemoteLock.create(c1, "mutex")
         lock2 = yield from RemoteLock.open(c2, "mutex")
         yield from lock1.acquire()
-        fut = yield from m1.write_async(0, b"a" * 100)
+        batch = c1.batch()
+        fut = yield from batch.write(m1, 0, b"a" * 100)
+        yield from batch.flush()
         yield from fut.wait()
         yield from lock1.release()
         yield from lock2.acquire()

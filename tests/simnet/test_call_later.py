@@ -16,6 +16,7 @@ from repro.simnet.config import KiB, NetworkConfig
 from repro.simnet.cpu import Cpu
 from repro.simnet.kernel import SimulationError, Simulator
 from repro.simnet.topology import Network
+from tests.probes import next_event_at, runnable_backlog, scheduled
 
 
 class TestCallLater:
@@ -58,7 +59,7 @@ class TestCallLater:
         sim = Simulator()
         with pytest.raises(ValueError):
             sim.call_later(-1e-9, lambda: None)
-        assert sim.peek() == float("inf")
+        assert next_event_at(sim) == float("inf")
 
     def test_exception_surfaces_from_run(self):
         sim = Simulator()
@@ -80,10 +81,10 @@ class TestCallLater:
         seen = []
         sim.call_later(1.0, seen.append, 1)
         sim.call_later(3.0, seen.append, 3)
-        assert sim.peek() == 1.0
+        assert next_event_at(sim) == 1.0
         sim.run(until=2.0)
         assert seen == [1] and sim.now == 2.0
-        assert sim.peek() == 3.0
+        assert next_event_at(sim) == 3.0
         sim.run(until=3.0)  # an entry *at* the deadline runs
         assert seen == [1, 3]
 
@@ -116,7 +117,7 @@ class TestCallLater:
 class TestKernelCounters:
     def test_events_scheduled_processed_and_processes_spawned(self):
         sim = Simulator()
-        assert (sim.events_scheduled, sim.events_processed,
+        assert (scheduled(sim), sim.events_processed,
                 sim.processes_spawned) == (0, 0, 0)
 
         def ticker():
@@ -126,12 +127,12 @@ class TestKernelCounters:
         sim.process(ticker())
         sim.call_later(10.0, lambda: None)
         # the start-up call and the bare timer are queued, nothing ran
-        assert (sim.events_scheduled, sim.events_processed) == (2, 0)
+        assert (scheduled(sim), sim.events_processed) == (2, 0)
         sim.run(until=5.0)
         # start-up + three timeouts + the process's own completion event
-        assert (sim.events_scheduled, sim.events_processed) == (6, 5)
+        assert (scheduled(sim), sim.events_processed) == (6, 5)
         sim.run()
-        assert sim.events_processed == sim.events_scheduled == 6
+        assert sim.events_processed == scheduled(sim) == 6
         assert sim.processes_spawned == 1
 
 
@@ -193,7 +194,7 @@ class TestCancel:
         assert withdrawn == never_pushed
         assert with_cancel.now == without.now
         assert with_cancel.events_processed == without.events_processed
-        assert (with_cancel.events_scheduled - without.events_scheduled
+        assert (scheduled(with_cancel) - scheduled(without)
                 == sum(1 for kind, _d, withdraw in schedule
                        if withdraw is not None and kind != "event"))
 
@@ -205,10 +206,10 @@ class TestCancel:
         sim.cancel(timer)
         sim.cancel(call)
         # pushed three, none ran, two are gone from the queue
-        assert (sim.events_scheduled, sim.events_processed,
+        assert (scheduled(sim), sim.events_processed,
                 len(sim._queue)) == (3, 0, 1)
         sim.run()
-        assert (sim.events_scheduled, sim.events_processed) == (3, 1)
+        assert (scheduled(sim), sim.events_processed) == (3, 1)
         assert not timer.processed
 
     def test_a_drain_ends_at_the_last_live_entry(self):
@@ -219,7 +220,7 @@ class TestCancel:
         sim.cancel(sim.call_later(4.0, seen.append, 4))
         sim.run()
         assert seen == [1] and sim.now == 1.0
-        assert sim.peek() == float("inf")
+        assert next_event_at(sim) == float("inf")
 
     def test_cancelling_a_fired_or_withdrawn_timer_is_a_no_op(self):
         sim = Simulator()
@@ -229,10 +230,10 @@ class TestCancel:
         withdrawn = sim.timeout(1.0)
         sim.cancel(withdrawn)
         survivor = sim.timeout(2.0)
-        counts = (sim.events_scheduled, sim.events_processed)
+        counts = (scheduled(sim), sim.events_processed)
         for timer in (fired, call, withdrawn):
             sim.cancel(timer)
-        assert (sim.events_scheduled, sim.events_processed) == counts
+        assert (scheduled(sim), sim.events_processed) == counts
         assert fired.processed and len(sim._queue) == 1
         sim.run()
         assert survivor.processed and sim.now == 3.0
@@ -354,12 +355,12 @@ class TestCpuGrant:
         def observer():
             # same instant, after both workers started: both cores are
             # taken and nobody is queued
-            samples.append((sim.now, cpu.active, cpu.runnable_backlog))
+            samples.append((sim.now, cpu.active, runnable_backlog(cpu)))
             yield sim.timeout(0.5)
-            samples.append((sim.now, cpu.active, cpu.runnable_backlog,
+            samples.append((sim.now, cpu.active, runnable_backlog(cpu),
                             cpu.busy_seconds))
             yield sim.timeout(1.0)
-            samples.append((sim.now, cpu.active, cpu.runnable_backlog,
+            samples.append((sim.now, cpu.active, runnable_backlog(cpu),
                             cpu.busy_seconds))
 
         sim.process(worker())
@@ -383,9 +384,9 @@ class TestCpuGrant:
             finished.append((tag, sim.now))
 
         def observer():
-            samples.append((cpu.active, cpu.runnable_backlog))
+            samples.append((cpu.active, runnable_backlog(cpu)))
             yield sim.timeout(1.5)
-            samples.append((cpu.active, cpu.runnable_backlog,
+            samples.append((cpu.active, runnable_backlog(cpu),
                             cpu.busy_seconds))
 
         for tag, seconds in (("a", 1.0), ("b", 1.0), ("c", 0.25), ("d", 0.5)):
@@ -396,7 +397,7 @@ class TestCpuGrant:
         assert finished == [("a", 1.0), ("b", 2.0), ("c", 2.25), ("d", 2.75)]
         assert samples == [(1, 3), (1, 2, 1.0)]
         assert cpu.busy_seconds == 2.75
-        assert (cpu.active, cpu.runnable_backlog) == (0, 0)
+        assert (cpu.active, runnable_backlog(cpu)) == (0, 0)
 
     def test_a_freed_core_goes_to_the_waiter_not_to_a_newcomer(self):
         sim = Simulator()

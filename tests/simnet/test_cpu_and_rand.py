@@ -5,6 +5,7 @@ import pytest
 from repro.simnet.cpu import Cpu
 from repro.simnet.kernel import Simulator
 from repro.simnet.rand import derive_rng, derive_seed
+from tests.probes import runnable_backlog
 
 
 class TestCpu:
@@ -63,7 +64,8 @@ class TestCpu:
             yield sim.timeout(1.0)
 
         sim.run(until=sim.process(app()))
-        assert cpu.utilization() == pytest.approx(1.0 / (2.0 * 4))
+        assert cpu.busy_seconds / (sim.now * cpu.cores) == pytest.approx(
+            1.0 / (2.0 * 4))
 
     def test_active_and_backlog(self):
         sim = Simulator()
@@ -76,7 +78,7 @@ class TestCpu:
         sim.process(worker())
         sim.run(until=0.5)
         assert cpu.active == 1
-        assert cpu.runnable_backlog == 1
+        assert runnable_backlog(cpu) == 1
 
 
 class TestRand:

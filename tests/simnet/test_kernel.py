@@ -259,15 +259,6 @@ def test_deadlock_detected_when_running_until_unreachable_event():
         sim.run(until=proc)
 
 
-def test_peek_reports_next_event_time():
-    sim = Simulator()
-    assert sim.peek() == float("inf")
-    sim.timeout(4.0)
-    assert sim.peek() == 0.0 or sim.peek() == 4.0  # timeout schedules at 4.0
-    sim.run()
-    assert sim.peek() == float("inf")
-
-
 def test_many_processes_complete():
     sim = Simulator()
     done = []

@@ -4,6 +4,7 @@ import pytest
 
 from repro.simnet.kernel import SimulationError, Simulator
 from repro.simnet.resources import Resource, Store
+from tests.probes import waiting
 
 
 def test_resource_grants_up_to_capacity_immediately():
@@ -13,7 +14,7 @@ def test_resource_grants_up_to_capacity_immediately():
     assert r1.triggered and r2.triggered
     assert not r3.triggered
     assert res.count == 2
-    assert res.queue_len == 1
+    assert waiting(res) == 1
 
 
 def test_resource_release_wakes_fifo_order():

@@ -25,7 +25,8 @@ def send_frame(net, src, dst, nbytes, **kw):
 def test_channel_serialization_time():
     sim = Simulator()
     ch = Channel(sim, rate_bps=8e9)  # 1 GB/s
-    assert ch.serialization_time(1_000_000) == pytest.approx(1e-3)
+    # a fresh channel finishes a 1 MB frame after its serialization time
+    assert ch.reserve(1_000_000, earliest=0.0) == pytest.approx(1e-3)
 
 
 def test_channel_back_to_back_frames_queue():

@@ -12,15 +12,19 @@ jitter is one stream per runtime, not one restarted by every attempt.
 import pytest
 
 from repro.cluster import build_cluster
-from repro.coord import SeqLock
 from repro.coord.base import read_word
 from repro.core import RStoreConfig
 from repro.core.errors import RegionUnavailableError
+from repro.datapath import ops
+from repro.kv import RKVStore
 from repro.obs import obs_for
 from repro.rdma.types import Opcode
 from repro.simnet.config import MiB
-from repro.txn import TxnConflictError, TxnRuntime
+from repro.txn import TxnConflictError, TxnMisuseError, TxnRuntime
 
+#: every account is one key of its own single-slot table, so each
+#: balance is one SeqLock record at offset 0 of a region on one server
+_KEY = b"acct"
 _BODY = 8
 
 
@@ -28,35 +32,57 @@ def _cluster():
     return build_cluster(num_machines=4, server_capacity=16 * MiB)
 
 
+def _amount(value):
+    return value.to_bytes(_BODY, "little")
+
+
 def _records(cluster, homes):
-    """One raw record per entry of *homes* (the server it lives on),
-    each holding 100; named so that they sort in *homes* order."""
+    """One single-slot table per entry of *homes* (the server it lives
+    on), its account holding 100; named so that they sort in *homes*
+    order."""
     client = cluster.client(0)
     records = []
     for i, home in enumerate(homes):
-        rec = yield from SeqLock.create(client, f"acct-{i}", _BODY,
-                                        preferred_host=home)
-        assert rec.mapping.desc.stripes[0].host_id == home
-        yield from rec.write((100).to_bytes(_BODY, "little"))
-        records.append(rec)
+        name = f"acct-{i}"
+        yield from client.alloc(f"kv.{name}", ops.slot_size(_BODY, _BODY),
+                                preferred_host=home)
+        mapping = yield from client.map(f"kv.{name}")
+        assert mapping.desc.stripes[0].host_id == home
+        table = RKVStore(client, name, mapping, 1, _BODY, _BODY)
+        yield from client.notify(f"kv.{name}.meta", {
+            "slots": 1, "key_size": _BODY, "value_size": _BODY})
+        yield from table.put(_KEY, _amount(100))
+        records.append(table)
     return records
 
 
 def _views(client, count):
     views = []
     for i in range(count):
-        views.append((yield from SeqLock.open(client, f"acct-{i}", _BODY)))
+        views.append((yield from RKVStore.open(client, f"acct-{i}")))
     return views
+
+
+def _balance(table):
+    """``(version, balance)`` of *table*'s account (generator)."""
+    version, _key_len, _key, value = yield from table.snapshot_slot(0)
+    return version, value
 
 
 def _move(amount, src, dst):
     def transfer(txn):
-        a = int.from_bytes((yield from txn.read_record(src)), "little")
-        b = int.from_bytes((yield from txn.read_record(dst)), "little")
-        yield from txn.write_record(src, (a - amount).to_bytes(8, "little"))
-        yield from txn.write_record(dst, (b + amount).to_bytes(8, "little"))
+        a = int.from_bytes((yield from txn.get(src, _KEY)), "little")
+        b = int.from_bytes((yield from txn.get(dst, _KEY)), "little")
+        yield from txn.put(src, _KEY, _amount(a - amount))
+        yield from txn.put(dst, _KEY, _amount(b + amount))
 
     return transfer
+
+
+def _refuses_use(txn, view):
+    """A finished transaction refuses any further op (generator)."""
+    with pytest.raises(TxnMisuseError, match="already aborted"):
+        yield from txn.get(view, _KEY)
 
 
 def test_crossed_intents_abort_both_and_leave_every_word_even():
@@ -94,7 +120,7 @@ def test_crossed_intents_abort_both_and_leave_every_word_even():
         yield sim.all_of(retries)
         balances = []
         for rec in records:
-            version, body = yield from rec.read()
+            version, body = yield from _balance(rec)
             assert version == 6  # two commits each, nothing else
             balances.append(int.from_bytes(body, "little"))
         return balances, [p.value[0] for p in procs]
@@ -137,7 +163,7 @@ def test_eaten_cas_completions_acquire_each_lock_exactly_once(where):
         yield from runtime.run(_move(7, src, dst))
         snapshots = []
         for rec in records:
-            snapshots.append((yield from rec.read()))
+            snapshots.append((yield from _balance(rec)))
         return runtime, snapshots
 
     runtime, snapshots = cluster.run_app(app())
@@ -170,11 +196,11 @@ def test_retry_jitter_does_not_restart_with_every_transaction():
                 attempts = []
 
                 def bump(txn):
-                    body = yield from txn.read_record(view)
+                    body = yield from txn.get(view, _KEY)
                     if not attempts:
-                        yield from record.write(body)  # invalidate it
+                        yield from record.put(_KEY, body)  # invalidate it
                     attempts.append(sim.now)
-                    yield from txn.write_record(view, body)
+                    yield from txn.put(view, _KEY, body)
 
                 yield from runtime.run(bump)
                 assert len(attempts) == 2
@@ -208,10 +234,10 @@ def test_an_unsettled_intent_still_releases_every_one_it_won(dead):
         cluster.kill_server(dead)
         with pytest.raises(RegionUnavailableError):
             yield from txn.commit()
-        assert txn.phase == "aborted"
+        yield from _refuses_use(txn, src)
         survivor = records[3 - dead]
         word = yield from read_word(survivor.mapping, 0)
-        return word, (yield from survivor.read())
+        return word, (yield from _balance(survivor))
 
     assert cluster.run_app(app()) == (2, (2, (100).to_bytes(8, "little")))
 
@@ -238,7 +264,7 @@ def test_a_failed_validation_read_leaves_no_future_dangling():
         views = yield from _views(client, 3)
         txn = TxnRuntime(client, label="dangling").begin()
         for view in views:
-            yield from txn.read_record(view)
+            yield from txn.get(view, _KEY)
         deaf = views[0].mapping.desc.stripes[0].primary.rkey
         client.nic.fault_hook = lambda _host, wr: (
             "eaten" if wr.opcode is Opcode.RDMA_READ and wr.rkey == deaf
@@ -246,7 +272,7 @@ def test_a_failed_validation_read_leaves_no_future_dangling():
         client.batch = recording_batch
         with pytest.raises(RegionUnavailableError):
             yield from txn.commit()
-        assert txn.phase == "aborted"
+        yield from _refuses_use(txn, views[0])
 
     cluster.run_app(app())
     (validation,) = batches

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cluster import build_cluster
-from repro.coord import SeqLock
 from repro.core import RStoreConfig
 from repro.core.errors import (
     DeadlineExceededError,
@@ -104,37 +103,34 @@ def test_read_only_transaction_commits(cluster):
     assert cluster.run_app(app()) == (b"v", 1)
 
 
-def test_transaction_spans_tables_and_raw_records(cluster):
+def test_transaction_spans_three_tables(cluster):
     store_a = make_store(cluster, "multi-a")
     store_b = make_store(cluster, "multi-b")
-    client = cluster.client(1)
+    journal = make_store(cluster, "txn-journal", value_size=16)
 
     def app():
         yield from store_a.put(b"src", b"500")
-        record = yield from SeqLock.create(client, "txn-journal",
-                                          body_size=16)
-        yield from record.write(b"\0" * 16)
+        yield from journal.put(b"log", b"\0" * 16)
         runtime = store_a.txn(label="multi")
 
         def move(txn):
             amount = int((yield from txn.get(store_a, b"src")))
             yield from txn.put(store_a, b"src", b"0")
             yield from txn.put(store_b, b"dst", str(amount).encode())
-            journal = yield from txn.read_record(record)
-            assert journal == b"\0" * 16
-            yield from txn.write_record(record, b"moved".ljust(16, b"\0"))
+            entry = yield from txn.get(journal, b"log")
+            assert entry == b"\0" * 16
+            yield from txn.put(journal, b"log", b"moved".ljust(16, b"\0"))
 
         yield from runtime.run(move)
-        _version, body = yield from record.read()
         return (
             (yield from store_a.get(b"src")),
             (yield from store_b.get(b"dst")),
-            body,
+            (yield from journal.get(b"log")),
         )
 
-    src, dst, journal = cluster.run_app(app())
+    src, dst, entry = cluster.run_app(app())
     assert (src, dst) == (b"0", b"500")
-    assert journal == b"moved".ljust(16, b"\0")
+    assert entry == b"moved".ljust(16, b"\0")
 
 
 # -- conflicts and aborts -----------------------------------------------------
@@ -156,7 +152,8 @@ def test_stale_snapshot_conflicts_and_releases_locks(cluster):
         yield from store.put(b"r", b"changed")
         with pytest.raises(TxnConflictError, match="invalidated"):
             yield from txn.commit()
-        assert txn.phase == "aborted"
+        with pytest.raises(TxnMisuseError, match="already aborted"):
+            yield from txn.get(store, b"r")
         # the intent lock on "w" was released: a plain writer gets in
         # immediately and the buffered write never landed
         yield from store.put(b"w", b"3")

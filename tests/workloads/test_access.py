@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.workloads.access import (
-    OpMix,
-    generate_ops,
-    uniform_keys,
-    zipfian_keys,
-)
+from repro.workloads.access import zipfian_keys
 
 
 def test_zipfian_is_skewed():
@@ -91,32 +86,3 @@ def test_zipfian_validation():
         zipfian_keys(-1, 10)
     with pytest.raises(ValueError):
         zipfian_keys(10, 10, theta=-1)
-
-
-def test_uniform_keys_range():
-    keys = uniform_keys(1000, 50, seed=4)
-    assert keys.min() >= 0 and keys.max() < 50
-
-
-def test_op_mix_presets():
-    assert OpMix.ycsb_a().read == 0.5
-    assert OpMix.ycsb_b().read == 0.95
-    assert OpMix.ycsb_c().read == 1.0
-
-
-def test_op_mix_must_sum_to_one():
-    with pytest.raises(ValueError):
-        OpMix(read=0.5, update=0.2, insert=0.1)
-
-
-def test_generate_ops_respects_mix():
-    ops = generate_ops(10_000, keyspace=100, mix=OpMix.ycsb_b(), seed=5)
-    reads = sum(1 for kind, _k in ops if kind == OpMix.READ)
-    updates = sum(1 for kind, _k in ops if kind == OpMix.UPDATE)
-    assert reads + updates == 10_000
-    assert 0.93 < reads / 10_000 < 0.97
-
-
-def test_generate_ops_read_only():
-    ops = generate_ops(500, keyspace=10, mix=OpMix.ycsb_c(), seed=6)
-    assert all(kind == OpMix.READ for kind, _k in ops)

@@ -9,7 +9,6 @@ from repro.workloads.kv import (
     generate_records,
     is_sorted,
     keys_of,
-    record_bytes,
 )
 
 
@@ -21,7 +20,7 @@ def test_terasort_record_layout():
 
 def test_record_bytes_roundtrip():
     records = generate_records(50, seed=1)
-    blob = record_bytes(records)
+    blob = records.tobytes()
     assert len(blob) == 50 * RECORD_BYTES
     back = np.frombuffer(blob, dtype=np.uint8).reshape(-1, RECORD_BYTES)
     assert (back == records).all()
