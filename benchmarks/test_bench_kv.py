@@ -139,7 +139,7 @@ def test_e10_kv_extension(benchmark):
     lat = result["latency"]
     note(benchmark, f"single-op latency: get {fmt_us(lat['get_s'])} us "
          f"(2 one-sided reads, one doorbell), put {fmt_us(lat['put_s'])} us "
-         f"(read, CAS, write+unlock on one doorbell), "
+         f"(read+CAS on one doorbell, then write+unlock on one), "
          f"sockets get {fmt_us(lat['tcp_get_s'])} us")
     benchmark.extra_info.update(result)
 

@@ -290,12 +290,18 @@ class DataPathRouter:
 
     def kv_put(self, store, key: bytes, value: bytes):
         """Server-side probe-chain store (generator); ``False`` when the
-        probe window holds no reusable slot."""
+        probe window holds no reusable slot.  A store leaves the handle
+        the key's slot and version, so its next one-sided write of the
+        key locks in one round trip."""
         reply = yield from self._kv_op("kv_put", store, key, value=value)
         if reply[0] == "reusable":
             yield from store._put_one_sided(key, value)
             return True
-        return reply[0] == "stored"
+        if reply[0] != "stored":
+            return False
+        _stored, version, slot_off = reply
+        store._hint(key, slot_off // store.slot_size, version)
+        return True
 
     # -- counters ------------------------------------------------------------
 

@@ -169,12 +169,14 @@ class ServerOpExecutor:
     def _kv_put(self, req: dict):
         """One probe run of a store.
 
-        ``("stored", version)`` when the run settles it — the key is
-        here, or the chain ends here and the first reusable slot is
-        claimed.  ``("reusable",)`` when the run is exhausted but
-        crossed a tombstone: the key may still live further down the
-        chain, on another host, so the store cannot be decided here.
-        Otherwise ``("busy",)`` or ``("continue",)``.
+        ``("stored", version, slot_off)`` when the run settles it — the
+        key is here, or the chain ends here and the first reusable slot
+        is claimed — naming the version published and the slot's region
+        offset, which the client keeps as the key's write hint.
+        ``("reusable",)`` when the run is exhausted but crossed a
+        tombstone: the key may still live further down the chain, on
+        another host, so the store cannot be decided here.  Otherwise
+        ``("busy",)`` or ``("continue",)``.
         """
         key = req["key"]
         key_size, value_size = req["key_size"], req["value_size"]
@@ -211,7 +213,7 @@ class ServerOpExecutor:
             new_version.to_bytes(ops.WORD, "little")
             + ops.encode_body(key, req["value"], key_size, value_size),
         )
-        return ("stored", new_version)
+        return ("stored", new_version, slot_off)
 
     # -- counters ------------------------------------------------------------
 

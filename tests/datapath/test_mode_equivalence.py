@@ -9,6 +9,11 @@ one-sided handle, plus the counter total) must hash identically across
 every run must finish RSan-clean: the server-op executor's emitted
 happens-before edges are exactly the ones the one-sided protocol
 produces.
+
+Every key is overwritten, deleted and re-inserted, then overwritten
+again, so a write that starts from the handle's hint of the key's slot
+runs under every policy, across the crash: under ``server_op`` the
+stores leave the hints that the one-sided ``delete`` starts from.
 """
 
 import hashlib
@@ -23,10 +28,13 @@ from repro.simnet.config import KiB, MiB
 from repro.simnet.faults import FaultInjector
 
 from tests.harness.schedule import harness_seeds
+from tests.probes import write_hint
 
 MODES = ("one_sided", "server_op", "remote_fetch", "adaptive")
 KEYS = 32
-ROUNDS = 3
+ROUNDS = 4
+#: the round that deletes each key before re-inserting it
+REINSERT_ROUND = 2
 
 
 def pytest_generate_tests(metafunc):
@@ -65,6 +73,9 @@ def _run_mode(mode: str, seed: int) -> str:
             for i, key in enumerate(keys):
                 if i % 2 != who:
                     continue
+                if round_no == REINSERT_ROUND:
+                    assert write_hint(store, key) is not None
+                    assert (yield from store.delete(key)) is True
                 yield from store.put(key, _value(key, round_no, seed))
                 yield cluster.sim.timeout(rng.uniform(0.0005, 0.002))
                 if rng.random() < 0.4:

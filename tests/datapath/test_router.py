@@ -223,6 +223,31 @@ def test_store_with_a_tombstone_on_an_earlier_host_finds_the_key_behind_it():
     cluster.run_app(app())
 
 
+def test_a_server_op_store_leaves_a_one_sided_put_two_round_trips():
+    # the store's reply names the slot and the version it published:
+    # the handle's next one-sided write of the key locks in the READ's
+    # doorbell instead of walking first
+    cluster = fresh_cluster()
+    client = cluster.client(1)
+    nic = client.nic
+
+    def app():
+        store = yield from RKVStore.create(client, "refreshed", slots=64,
+                                           key_size=16, value_size=64)
+        yield from store.put(b"warm", b"w")  # dial the QP, stage once
+        shipped = client.datapath.server_ops
+        assert (yield from client.datapath.kv_put(store, b"k", b"v1"))
+        assert client.datapath.server_ops == shipped + 1
+        bells, wrs = nic.doorbells_rung, nic.ops_posted
+        yield from store.put(b"k", b"v2")
+        # [READ slot, lock CAS], then [body, version]
+        assert (nic.doorbells_rung - bells, nic.ops_posted - wrs) == (2, 4)
+        assert client.datapath.server_ops == shipped + 1
+        assert (yield from store.get(b"k")) == b"v2"
+
+    cluster.run_app(app())
+
+
 def test_stale_epoch_refreshes_and_retries():
     cluster = fresh_cluster()
     client = cluster.client(1)

@@ -68,3 +68,9 @@ def runnable_backlog(cpu):
 def materialized_bytes(buffer):
     """Bytes an RDMA ``Buffer`` has backed with real memory so far."""
     return sum(map(len, buffer._blocks.values()))
+
+
+def write_hint(store, key):
+    """The ``(slot index, version)`` an ``RKVStore`` handle will try
+    *key*'s next write at first, ``None`` when it has none."""
+    return store._hints.get(key)
