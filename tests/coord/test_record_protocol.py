@@ -103,7 +103,8 @@ def test_occ_and_2pl_tokens_never_collide_and_share_one_sequence(monkeypatch):
         return tokens
 
     occ_tokens = cluster.run_app(app())
-    assert len(minted) == 20 and client.token_seq == 40
+    # the table's put locked its slot with a token from the same sequence
+    assert len(minted) == 20 and client.token_seq == 1 + 40
     tokens = occ_tokens + minted
     assert len(set(tokens)) == 40
     assert all(token % 2 == 1 and token > 1 << 62 for token in tokens)
