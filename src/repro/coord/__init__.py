@@ -12,7 +12,7 @@ primitive          protocol
 =================  =====================================================
 `AtomicCounter`    FAA word with client-side cached reads
 `RemoteLock`       CAS spinlock, capped exponential backoff + jitter
-`SeqLock`          writer-versioned optimistic reads (hashkv's protocol)
+`SeqLock`          a record view: validated reads, token-CAS'd publishes
 `SenseBarrier`     sense-reversing FAA barrier for N parties
 =================  =====================================================
 

@@ -25,6 +25,9 @@ __all__ = ["SenseBarrier"]
 
 _COUNT = 0
 _SENSE = 8
+#: the first pause between two polls of the sense word (backoff doubles
+#: it up to eight times as long)
+_POLL_S = 2e-6
 
 
 class SenseBarrier:
@@ -32,8 +35,7 @@ class SenseBarrier:
 
     REGION_SIZE = 16
 
-    def __init__(self, client, name: str, mapping, parties: int,
-                 poll_interval_s: float = 2e-6):
+    def __init__(self, client, name: str, mapping, parties: int):
         if parties < 1:
             raise CoordError("a barrier needs at least one party")
         self.client = client
@@ -44,10 +46,8 @@ class SenseBarrier:
         self.local_sense = 1
         #: completed rounds, from this handle's perspective
         self.generation = 0
-        self._poll = Backoff.for_client(
-            client, f"barrier-{name}",
-            base_s=poll_interval_s, max_s=8 * poll_interval_s,
-        )
+        self._poll = Backoff.for_client(client, f"barrier-{name}",
+                                        base_s=_POLL_S, max_s=8 * _POLL_S)
         # -- metrics
         self._m_spins = client.obs.metrics.counter(
             "coord.barrier.spins", name=name,

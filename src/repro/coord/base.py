@@ -5,7 +5,8 @@ discipline as the store itself:
 
 * **setup (control path)** — ``create`` allocates a small named region
   through the master and maps it; ``open`` maps an existing one.  These
-  are the only master RPCs a primitive ever makes.
+  are the only master RPCs a primitive ever makes (a ``SeqLock`` is a
+  view over a record of a region its user maps).
 * **steady state (data path)** — all coordination runs on one-sided
   ``faa``/``cas``/``read``/``write`` against the mapped region.  No
   server CPU, no master, no messages.
@@ -56,7 +57,7 @@ def write_word(mapping, offset: int, value: int):
     yield from mapping.write(offset, (value % (1 << 64)).to_bytes(8, "little"))
 
 
-def cas_result(cas, token):
+def cas_result(cas, token: int):
     """The old value the posted CAS future *cas* saw (generator): its
     expected value means it landed.
 
@@ -67,16 +68,13 @@ def cas_result(cas, token):
     the word carries the token afterwards exactly when the CAS was
     writing it.  The answer is the expected value if so and ``None`` if
     not (anything else in the word, the untouched expected value
-    included: it never applied).  With no token the ambiguity
-    propagates — the caller cannot tell.  The one settle rule under
+    included: it never applied).  The one settle rule under
     ``RemoteLock`` acquire and release and ``seqlock.try_locks``;
     callers hold the RSan exemption.
     """
     try:
         return (yield from cas.wait())
     except RegionUnavailableError:
-        if token is None:
-            raise
         observed = yield from read_word(cas.mapping, cas.offset)
         landed = (observed == token) == (cas.swap == token)
         return cas.compare if landed else None

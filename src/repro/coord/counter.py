@@ -107,15 +107,6 @@ class AtomicCounter:
         self._selector.done("burst", mode, token)
         return values
 
-    def fetch(self, delta: int):
-        """Fetch-and-add returning the *old* value (generator) — the
-        reserve-a-range idiom (rsort's shuffle tails use this shape)."""
-        client = self.client
-        with client.rsan.exempt(client._rsan_actor):
-            old = yield from self.mapping.faa(self.offset, delta)
-        self._observe((old + delta) % (1 << 64))
-        return old
-
     def read(self, max_age_s: float = 0.0):
         """Current value (generator).
 

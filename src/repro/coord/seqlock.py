@@ -7,12 +7,12 @@ shares them)::
 
     [ version 8B ][ body ... ]
 
-Version word semantics (the protocol ``kv/hashkv`` pioneered inline,
-generalized here):
+Version word semantics:
 
 * ``0``      — never written
 * even > 0   — stable; bumped by 2 on every published mutation
-* odd        — a writer holds the word (CAS'd up from the even value)
+* odd        — a writer holds the word: its unique token
+  (:func:`mint_token`), CAS'd in over the even value
 
 Readers never lock: snapshot the whole record in one one-sided read,
 then validate by re-reading the version word; a change (or an odd
@@ -25,16 +25,13 @@ A writer that already knows a record's version queues the READ of the
 record ahead of its CAS on one doorbell (:func:`try_lock_or_snapshot`):
 a lost CAS then validates that READ instead of costing a re-read.
 
-A ``SeqLock`` is a cheap *view* over any mapped region — data
-structures instantiate one per record (hashkv: one per slot) — while
-``create``/``open`` give it a named region of its own for standalone
-use.
+A ``SeqLock`` is a cheap *view* over one record of any mapped region —
+data structures instantiate one per record they lock (hashkv: per slot).
 
-Transactional writers (``repro.txn``, the 2PL baseline) and
-``kv/hashkv``'s writers lock with a **unique odd token**
-(:func:`mint_token`) instead of ``version + 1``: the token names the
-holder, so an ambiguous CAS completion (the NIC may or may not have
-applied it) is resolved with one follow-up read of the word
+Every writer — ``kv/hashkv``'s, the transaction runtime
+(``repro.txn``) and the 2PL baseline — locks with its token: the token
+names the holder, so an ambiguous CAS completion (the NIC may or may
+not have applied it) is resolved with one follow-up read of the word
 (``coord.base.cas_result``) — the RemoteLock discipline, applied to
 the version word.  Readers are oblivious: any odd value means
 "writer in flight".  Past its decision a transaction drives its
@@ -48,14 +45,7 @@ from functools import partial
 from repro.core.errors import RecoverableError
 from repro.datapath.ops import WORD as _WORD, split, sync_key
 
-from repro.coord.base import (
-    Backoff,
-    CoordError,
-    cas_result,
-    read_word,
-    region_name,
-    write_word,
-)
+from repro.coord.base import CoordError, cas_result, read_word, write_word
 
 __all__ = ["SeqLock", "snapshots", "try_locks", "try_lock_or_snapshot",
            "publishes", "mint_token", "replay_idempotent"]
@@ -121,17 +111,15 @@ def snapshots(mapping, offsets, record_size: int):
 
 def try_locks(intents, won=None):
     """CAS every ``(lock, version, token)`` intent's word from *version*
-    to its lock word in one flush and one round trip (generator);
-    answers who won, in order, appending to *won* as each is settled —
-    and settles them all before it raises, every CAS having left by then,
-    so a caller who needed them all can release exactly what it won.
+    to its unique odd *token* in one flush and one round trip
+    (generator); answers who won, in order, appending to *won* as each
+    is settled — and settles them all before it raises, every CAS having
+    left by then, so a caller who needed them all can release exactly
+    what it won.
 
-    The lock word is ``version + 1``, or the unique odd *token* if
-    given.  An ambiguous CAS completion (lost ack, or flushed behind a
-    failed request) propagates for a plain lock word — the caller cannot
-    tell whether it holds it — but a token names its holder: one read of
-    the word settles it (``cas_result``), so acquisition is exactly-once
-    under faults.
+    The token names its holder, so an ambiguous CAS completion (lost
+    ack, or flushed behind a failed request) is settled by one read of
+    the word (``cas_result``): acquisition is exactly-once under faults.
     """
     client = intents[0][0].mapping.client
     rsan, actor = client.rsan, client._rsan_actor
@@ -140,11 +128,11 @@ def try_locks(intents, won=None):
     won, futures, failed = [] if won is None else won, [], None
     with rsan.exempt(actor):
         for lock, version, token in intents:
-            word = version + 1 if token is None else token
             futures.append(
-                (yield from lock.mapping.cas_async(lock.offset, version, word))
+                (yield from lock.mapping.cas_async(lock.offset, version,
+                                                   token))
                 if batch is None
-                else batch.cas(lock.mapping, lock.offset, version, word))
+                else batch.cas(lock.mapping, lock.offset, version, token))
         if batch is not None:
             yield from batch.flush()
         for (lock, version, token), cas in zip(intents, futures):
@@ -178,11 +166,11 @@ def try_lock_or_snapshot(lock, version: int, token: int):
     READ the way :func:`snapshots`' second READ does: where
     ``IoBatch.in_order`` vouches that the READ executed first and the
     word equals the READ's even version, nothing was published between
-    the two.  The lock word is a token, not ``version + 1``, because a
-    fault on either request leaves the CAS ambiguous (a failed READ
-    flushes the CAS behind it, which may already have landed): the
-    token settles it with one read of the word (``cas_result``), so the
-    caller always knows whether it holds the record.  Protocol traffic,
+    the two.  A fault on either request leaves the CAS ambiguous (a
+    failed READ flushes the CAS behind it, which may already have
+    landed): the token settles it with one read of the word
+    (``cas_result``), so the caller always knows whether it holds the
+    record.  Protocol traffic,
     hence RSan-exempt, with :func:`try_locks`' edge for a won CAS and
     :func:`snapshots`' edge for a validated READ.
     """
@@ -212,23 +200,22 @@ def try_lock_or_snapshot(lock, version: int, token: int):
         return False, (seen, body)
 
 
-def publishes(records, batch=None, drive=None):
+def publishes(records, drive=None):
     """Write every ``(mapping, offset, held, word, body)`` record's body
     and then its word, all in one flush and one round trip (generator)
     — the only body-then-word write in the tree.
 
-    Each record is an ordered pair on *batch* (default: a fresh one),
-    ``[WRITE body, WRITE word after=body]``: the remote NIC exposes the
-    new word only over the new body.  A pair that could not be chained
-    (record spanning servers, replicated region, two-sided ablation) or
-    that a fault broke is redone a write at a time, body first — but
-    only while the word still carries *held*, its value while the record
-    is ours (lock word, token): a word WRITE whose ack was lost has
-    landed and freed the record.  ``drive(redo)`` runs such a redo
-    (transactions pass their replay-until-it-lands loop).
+    Each record is an ordered pair on one batch, ``[WRITE body, WRITE
+    word after=body]``: the remote NIC exposes the new word only over
+    the new body.  A pair that could not be chained (record spanning
+    servers, replicated region, two-sided ablation) or that a fault
+    broke is redone a write at a time, body first — but only while the
+    word still carries *held*, the holder's token: a word WRITE whose
+    ack was lost has landed and freed the record.  ``drive(redo)`` runs
+    such a redo (transactions pass their replay-until-it-lands loop).
     """
     client = records[0][0].client
-    batch = batch or client.batch()
+    batch = client.batch()
     with client.rsan.exempt(client._rsan_actor):
         pairs = []
         for mapping, offset, _held, word, body in records:
@@ -284,26 +271,22 @@ class SeqLock:
     """Optimistic-read / CAS-write concurrency over one record."""
 
     def __init__(self, mapping, offset: int, body_size: int,
-                 max_read_retries: int = 64, counters: tuple = None):
+                 counters: tuple = None):
         if body_size < 0:
             raise CoordError("body_size cannot be negative")
         self.mapping = mapping
         self.offset = offset
         self.body_size = body_size
-        self.max_read_retries = max_read_retries
-        #: snapshot reads *this view* reran because a writer was in
-        #: flight (the registry counters below are per region and host:
-        #: a table makes a view per slot it touches, so a per-record
-        #: label would grow the registry with the key space)
-        self.read_retries = 0
-        self._m_read_retries, self._m_lock_failures = (
-            counters or self.counters(mapping))
+        self._m_lock_failures = (counters or self.counters(mapping))[1]
 
     @staticmethod
     def counters(mapping) -> tuple:
-        """The ``(read retries, lock failures)`` registry counters of a
-        view over *mapping*: a structure that makes a view per record
-        resolves them once and passes them to each."""
+        """The ``(read retries, lock failures)`` registry counters of
+        the records of *mapping*, per region and host: a structure that
+        makes a view per record resolves them once and passes them to
+        each (a per-record label would grow the registry with the key
+        space).  Its validated readers count their raced reads in the
+        first."""
         _m = mapping.client.obs.metrics
         _labels = dict(region=mapping.name,
                        host=mapping.client.nic.host.host_id)
@@ -317,89 +300,39 @@ class SeqLock:
     def record_size(self) -> int:
         return _WORD + self.body_size
 
-    # -- setup (control path, standalone use) --------------------------------
-
-    @classmethod
-    def create(cls, client, name: str, body_size: int,
-               preferred_host=None):
-        """Allocate and map a named single-record region (generator)."""
-        region = region_name(name)
-        yield from client.alloc(region, _WORD + body_size, replication=1,
-                                preferred_host=preferred_host)
-        mapping = yield from client.map(region)
-        return cls(mapping, 0, body_size)
-
-    @classmethod
-    def open(cls, client, name: str, body_size: int):
-        """Map an existing record from another client (generator)."""
-        mapping = yield from client.map(region_name(name))
-        return cls(mapping, 0, body_size)
-
     # -- readers (data path) ---------------------------------------------------
-
-    def read(self):
-        """One consistent ``(version, body)`` snapshot (generator).
-
-        Retries while a writer is in flight; raises :class:`CoordError`
-        after ``max_read_retries`` racing reads (livelock that long in
-        simulation means a writer died holding the word).
-        """
-        for _attempt in range(self.max_read_retries):
-            (snapshot,) = yield from snapshots(
-                self.mapping, (self.offset,), self.record_size)
-            if snapshot is not None:
-                return snapshot
-            self._raced()
-        raise CoordError(
-            f"record at offset {self.offset} kept changing under "
-            f"{self.max_read_retries} reads"
-        )
-
-    def _raced(self) -> None:
-        self.read_retries += 1
-        self._m_read_retries.inc()
 
     def snapshot(self):
         """One raw ``(version, body)`` snapshot in a single one-sided
         READ (generator).  The version may be odd (a writer is
         mid-publish) and the snapshot is *unvalidated* — transactional
         readers re-check the version word at commit time instead of
-        paying a validation read here.  One READ of one record is
-        internally consistent when the record does not straddle stripes
-        (a table's slots never do): it lands as one DMA."""
+        paying a validation read here; a validated read is
+        :func:`snapshots`.  One READ of one record is internally
+        consistent when the record does not straddle stripes (a table's
+        slots never do): it lands as one DMA."""
         return split((yield from self.mapping.read(self.offset,
                                                    self.record_size)))
 
     # -- writers (data path) ---------------------------------------------------
 
-    def try_lock(self, version: int, token: int = None):
-        """CAS the even *version* to odd (generator); returns success.
-
-        With no *token* the lock word becomes ``version + 1`` (the
-        classic protocol) and an ambiguous CAS completion propagates —
-        the caller cannot tell whether it holds the word.  With a
-        unique odd *token* the word itself answers: an ambiguous
-        completion is resolved by re-reading it, so lock acquisition is
-        exactly-once under injected completion faults.
-        """
+    def try_lock(self, version: int, token: int):
+        """CAS the even *version* to the unique odd *token*
+        (:func:`mint_token`) (generator); returns success.  The word
+        itself answers an ambiguous completion, so lock acquisition is
+        exactly-once under injected completion faults."""
         if version % 2 == 1:
             raise CoordError(f"cannot lock from odd version {version}")
-        if token is not None and token % 2 == 0:
+        if token % 2 == 0:
             raise CoordError(f"lock token {token} must be odd")
         (won,) = yield from try_locks([(self, version, token)])
         return won
 
-    def publish(self, locked_version: int, body: bytes = b"",
-                new_version: int = None):
-        """Write *body* (optional) and bump to the next even version
-        (generator).  ``locked_version`` is the odd value we CAS'd in
-        (``version + 1``, or the caller's unique token).  Token holders
-        must pass *new_version* explicitly (the pre-lock version + 2);
-        by default the next even version is ``locked_version + 1``."""
-        if locked_version % 2 == 0:
+    def publish(self, token: int, body: bytes, new_version: int):
+        """Write *body* and bump the word from our *token* to
+        *new_version*, the pre-lock version + 2 (generator)."""
+        if token % 2 == 0:
             raise CoordError("publishing a record we never locked")
-        if new_version is None:
-            new_version = locked_version + 1
         if new_version % 2 == 1 or new_version <= 0:
             raise CoordError(
                 f"published version {new_version} must be a positive "
@@ -415,7 +348,7 @@ class SeqLock:
         # writes leave: readers validating it join this clock
         client.rsan.sync_release(client._rsan_actor,
                                  self._sync_key(new_version))
-        yield from publishes([(self.mapping, self.offset, locked_version,
+        yield from publishes([(self.mapping, self.offset, token,
                                new_version, body)])
 
     def abort(self, original_version: int):
@@ -428,19 +361,3 @@ class SeqLock:
             yield from self.mapping.write(
                 self.offset, original_version.to_bytes(8, "little")
             )
-
-    def write(self, body: bytes, backoff: Backoff = None):
-        """Full optimistic write cycle (generator): snapshot the
-        version, lock, publish; retries with backoff under contention.
-        Returns the new (even) version."""
-        pause = backoff or Backoff.for_client(
-            self.mapping.client, f"seqlock-{self.mapping.name}"
-        )
-        while True:
-            version, _old = yield from self.read()
-            locked = yield from self.try_lock(version)
-            if not locked:
-                yield from pause.pause()
-                continue
-            yield from self.publish(version + 1, body)
-            return version + 2

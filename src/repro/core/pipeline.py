@@ -118,8 +118,8 @@ class OpFuture:
     __slots__ = (
         "client", "mapping", "opcode", "kind", "offset", "length",
         "fan_out", "is_atomic", "idempotent", "compare", "swap",
-        "local_mr", "local_addr", "done", "value", "error", "resolved_at",
-        "resolve_index", "_event", "_chunk",
+        "local_mr", "local_addr", "done", "value", "error", "_event",
+        "_chunk",
         "_remaining", "_failure", "_failed", "_last_wc",
         "_flush_ambiguous", "_attempts", "trace_id", "_span", "_rsan",
         "after", "followed",
@@ -147,11 +147,6 @@ class OpFuture:
         self.done = False
         self.value = None
         self.error: Optional[Exception] = None
-        #: simulated time the future resolved (diagnostics/tests)
-        self.resolved_at: Optional[float] = None
-        #: client-wide resolution sequence number — futures resolving at
-        #: the same instant still have a total, deterministic order
-        self.resolve_index: Optional[int] = None
         self._event = None
         self._chunk = None
         self._remaining = 0
@@ -220,10 +215,6 @@ class OpFuture:
 
     def _finish(self) -> None:
         self.done = True
-        self.resolved_at = self.client.sim.now
-        io = self.client._io
-        io._resolve_seq += 1
-        self.resolve_index = io._resolve_seq
         if self._span is not None:
             self._span.finish(ok=self.error is None,
                               attempts=self._attempts + 1)
@@ -606,7 +597,6 @@ class OpPipeline:
         #: futures awaiting remap-and-replay, served FIFO by the worker
         self._retry_queue: deque[OpFuture] = deque()
         self._retry_wakeup = None
-        self._resolve_seq = 0
         _m = self.obs.metrics
         _host = self.nic.host.host_id
         self.m_ops_completed = _m.counter("client.ops_completed", host=_host)

@@ -5,9 +5,10 @@ Slot layout (all fields 8-byte aligned)::
     [ version 8B ][ key_len 8B ][ key ... ][ val_len 8B ][ value ... ]
 
 Each slot is one :class:`~repro.coord.SeqLock` record: the version
-word carries the writer lock (odd = locked) and the optimistic-read
-validation (snapshot and re-check ride one doorbell: one round trip) —
-one SeqLock view per slot, writer contention paced by the shared
+word carries the writer lock (odd = a writer's token) and the
+optimistic-read validation (``seqlock.snapshots``: snapshot and
+re-check ride one doorbell, one round trip) — a SeqLock view per slot
+a writer locks, writer contention paced by the shared
 :class:`~repro.coord.Backoff` discipline.  A handle remembers where it
 last saw each key — a slot and a version, never a value — so a write
 to a known key locks in its first round trip.  Deletes leave a tombstone
@@ -19,7 +20,7 @@ module supplies the one-sided slot readers and the lock/publish steps.
 
 from __future__ import annotations
 
-from repro.coord import Backoff, CoordError, SeqLock
+from repro.coord import Backoff, SeqLock
 from repro.coord.seqlock import mint_token, snapshots, try_lock_or_snapshot
 from repro.core.client import RStoreClient
 from repro.core.errors import RStoreError
@@ -71,17 +72,12 @@ class RKVStore:
             "kv.read_retries", **_labels)
         self._m_lock_retries = client.obs.metrics.counter(
             "kv.lock_retries", **_labels)
-        #: the SeqLock counters every slot view feeds, resolved by the
-        #: first view (a table served only server-side makes none)
+        #: the SeqLock counters the slots feed, resolved by the first
+        #: one-sided access (a table served only server-side makes none)
         self._slot_counters = None
         #: key -> ``(slot index, version)`` of its last validated
         #: sighting: where a write of the key tries its lock CAS first
         self._hints: dict[bytes, tuple[int, int]] = {}
-
-    @property
-    def read_retries(self) -> int:
-        """Slot snapshots rerun because a writer raced the read."""
-        return int(self._m_read_retries.value)
 
     # -- construction ----------------------------------------------------------
 
@@ -154,15 +150,14 @@ class RKVStore:
         locks and publishes slots through the same per-slot version
         metadata the table's own writers use.
         """
+        return SeqLock(self.mapping, self._slot_offset(index),
+                       self.slot_size - ops.WORD, self._counters())
+
+    def _counters(self) -> tuple:
+        """The ``SeqLock.counters`` of this table's slots."""
         if self._slot_counters is None:
             self._slot_counters = SeqLock.counters(self.mapping)
-        return SeqLock(
-            self.mapping,
-            self._slot_offset(index),
-            self.slot_size - ops.WORD,
-            max_read_retries=_READ_RETRIES,
-            counters=self._slot_counters,
-        )
+        return self._slot_counters
 
     def chain(self, key: bytes) -> list:
         """The slot indices *key* may live in, in probe order."""
@@ -185,18 +180,26 @@ class RKVStore:
         hints[key] = (index, version)
 
     def _read_slot(self, index: int):
-        """Optimistically read one consistent slot snapshot (generator)."""
-        lock = self.slot_lock(index)
-        try:
-            version, body = yield from lock.read()
-        except CoordError as exc:
-            raise KvError(
-                f"slot {index} kept changing under {_READ_RETRIES} reads"
-            ) from exc
-        finally:
-            self._m_read_retries.inc(lock.read_retries)
-        key_len, key, value = ops.parse_body(body, self.key_size)
-        return version, key_len, key, value
+        """Optimistically read one consistent slot snapshot (generator):
+        the validated read (``seqlock.snapshots``), rerun while a writer
+        races it, at most ``_READ_RETRIES`` times."""
+        offset = self._slot_offset(index)
+        self._counters()  # series register on first use, not first race
+        for _try in range(_READ_RETRIES):
+            (snapshot,) = yield from snapshots(self.mapping, (offset,),
+                                               self.slot_size)
+            if snapshot is not None:
+                return snapshot[0], *ops.parse_body(snapshot[1],
+                                                    self.key_size)
+            self._raced()
+        raise KvError(
+            f"slot {index} kept changing under {_READ_RETRIES} reads")
+
+    def _raced(self) -> None:
+        """Count one slot read a writer raced, in the table's and the
+        SeqLock's counters."""
+        self._m_read_retries.inc()
+        self._counters()[0].inc()
 
     def _read_slots(self, indices: list):
         """Validated snapshots of many slots in one shared flush and
@@ -343,16 +346,15 @@ class RKVStore:
             self._check_key(key)
 
         def ask(index):
-            # same budget and failure mode as _read_slot: a raced slot
-            # (answered ``None``) is simply asked for again
+            # same budget, counters and failure mode as _read_slot: a
+            # raced slot (answered ``None``) is simply asked for again
             for _try in range(_READ_RETRIES):
                 snapshot = yield index
                 if snapshot is not None:
                     return snapshot
-                self._m_read_retries.inc()
+                self._raced()
             raise KvError(
-                f"slot {index} kept changing under {_READ_RETRIES} reads"
-            )
+                f"slot {index} kept changing under {_READ_RETRIES} reads")
 
         results: list = [None] * len(keys)
         walks = [ops.walk(key, self.chain(key), ask) for key in keys]

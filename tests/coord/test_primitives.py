@@ -4,15 +4,16 @@ and protocol-misuse errors, all on one shared module cluster."""
 import pytest
 
 from repro.cluster import build_cluster
-from repro.coord import AtomicCounter, Backoff, CoordError, RemoteLock, SeqLock
+from repro.coord import AtomicCounter, Backoff, CoordError, RemoteLock
 from repro.coord.base import read_word, write_word
+from repro.coord.seqlock import mint_token
 from repro.core import RStoreConfig
 from repro.core.errors import (
     DeadlineExceededError,
     RetryBudgetExceededError,
 )
 from repro.simnet.config import KiB, MiB
-from tests.probes import count_all
+from tests.probes import count_all, read_record, record, write_record
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +28,7 @@ def cluster():
 # -- AtomicCounter -----------------------------------------------------------
 
 
-def test_counter_add_fetch_read(cluster):
+def test_counter_add_read(cluster):
     c1, c2 = cluster.client(1), cluster.client(2)
 
     def app():
@@ -35,8 +36,7 @@ def test_counter_add_fetch_read(cluster):
         other = yield from AtomicCounter.open(c2, "basic")
         assert (yield from counter.add(5)) == 15
         assert (yield from other.increment()) == 16
-        # fetch returns the pre-add value — the reserve-a-range idiom
-        assert (yield from other.fetch(4)) == 16
+        assert (yield from other.add(4)) == 20
         assert (yield from counter.read()) == 20
 
     cluster.run_app(app())
@@ -151,15 +151,15 @@ def test_seqlock_write_read_cycle(cluster):
     c1, c2 = cluster.client(1), cluster.client(2)
 
     def app():
-        rec = yield from SeqLock.create(c1, "record", body_size=64)
-        view = yield from SeqLock.open(c2, "record", body_size=64)
-        version = yield from rec.write(b"hello".ljust(64, b"\0"))
-        assert version == 2  # 0 -> locked 1 -> published 2
-        got_version, body = yield from view.read()
+        rec = yield from record(c1, "record", 64, create=True)
+        view = yield from record(c2, "record", 64)
+        version = yield from write_record(rec, b"hello".ljust(64, b"\0"))
+        assert version == 2  # 0 -> a token -> published 2
+        got_version, body = yield from read_record(view)
         assert got_version == 2
         assert body[:5] == b"hello"
-        yield from view.write(b"world".ljust(64, b"\0"))
-        _v, body = yield from rec.read()
+        yield from write_record(view, b"world".ljust(64, b"\0"))
+        _v, body = yield from read_record(rec)
         assert body[:5] == b"world"
 
     cluster.run_app(app())
@@ -169,17 +169,43 @@ def test_seqlock_lock_publish_abort_protocol(cluster):
     client = cluster.client(1)
 
     def app():
-        rec = yield from SeqLock.create(client, "protocol", body_size=8)
-        version, _ = yield from rec.read()
-        assert (yield from rec.try_lock(version))
-        assert not (yield from rec.try_lock(version))  # word is odd now
+        rec = yield from record(client, "protocol", 8, create=True)
+        version, _ = yield from read_record(rec)
+        assert (yield from rec.try_lock(version, mint_token(client)))
+        # the word holds a token now: a second CAS from version loses
+        assert not (yield from rec.try_lock(version, mint_token(client)))
         yield from rec.abort(version)  # back out, body untouched
-        restored, _ = yield from rec.read()
+        restored, _ = yield from read_record(rec)
         assert restored == version
         with pytest.raises(CoordError, match="odd version"):
-            yield from rec.try_lock(version + 1)
+            yield from rec.try_lock(version + 1, mint_token(client))
         with pytest.raises(CoordError, match="never locked"):
-            yield from rec.publish(version)  # even: we hold nothing
+            # an even word is a version, not a holder's token
+            yield from rec.publish(version, b"", version + 2)
+
+    cluster.run_app(app())
+
+
+def test_seqlock_token_lock_publish(cluster):
+    """Lock with a unique odd token, which the word then names; publish
+    with the explicit next version."""
+    client = cluster.client(1)
+
+    def app():
+        rec = yield from record(client, "token", 8, create=True)
+        version, _ = yield from read_record(rec)
+        token = mint_token(client)
+        assert (yield from rec.try_lock(version, token))
+        word = yield from read_word(rec.mapping, rec.offset)
+        assert word == token  # the word names the holder
+        yield from rec.publish(token, b"\x07" * 8, version + 2)
+        got, body = yield from read_record(rec)
+        assert got == version + 2
+        assert body == b"\x07" * 8
+        with pytest.raises(CoordError, match="must be odd"):
+            yield from rec.try_lock(got, 42)  # even token
+        with pytest.raises(CoordError, match="positive even"):
+            yield from rec.publish(token, b"", token)
 
     cluster.run_app(app())
 
@@ -194,25 +220,23 @@ def test_seqlock_no_torn_reads_under_contention(cluster):
     c0 = cluster.client(0)
 
     def setup():
-        yield from SeqLock.create(c0, "torn", body_size=body_size)
+        yield from record(c0, "torn", body_size, create=True)
 
     cluster.run_app(setup())
     done = []
 
     def writer(host):
-        client = cluster.client(host)
-        rec = yield from SeqLock.open(client, "torn", body_size=body_size)
+        rec = yield from record(cluster.client(host), "torn", body_size)
         for i in range(writes_per_worker):
             fill = bytes([host * 10 + i]) * body_size
-            yield from rec.write(fill)
+            yield from write_record(rec, fill)
         done.append(host)
 
     def reader():
-        rec = yield from SeqLock.open(cluster.client(3), "torn",
-                                      body_size=body_size)
+        rec = yield from record(cluster.client(3), "torn", body_size)
         torn = 0
         while len(done) < 2:
-            version, body = yield from rec.read()
+            version, body = yield from read_record(rec)
             assert version % 2 == 0
             if version and len(set(body)) != 1:
                 torn += 1
@@ -223,39 +247,14 @@ def test_seqlock_no_torn_reads_under_contention(cluster):
         procs = [cluster.spawn(writer(1)), cluster.spawn(writer(2))]
         read_proc = cluster.spawn(reader())
         yield sim.all_of(procs + [read_proc])
-        rec = yield from SeqLock.open(c0, "torn", body_size=body_size)
-        version, _ = yield from rec.read()
+        rec = yield from record(c0, "torn", body_size)
+        version, _ = yield from read_record(rec)
         return read_proc.value, version
 
     torn, version = cluster.run_app(app())
     assert torn == 0
     # every publish bumps the version by exactly 2
     assert version == 2 * 2 * writes_per_worker
-
-
-def test_seqlock_token_lock_publish(cluster):
-    """The transactional variant: lock with a unique odd token, publish
-    with an explicit next version."""
-    client = cluster.client(1)
-    token = (1 << 62) | 1
-
-    def app():
-        rec = yield from SeqLock.create(client, "token", body_size=8)
-        version, _ = yield from rec.read()
-        assert (yield from rec.try_lock(version, token=token))
-        word = yield from read_word(rec.mapping, rec.offset)
-        assert word == token  # the word names the holder
-        yield from rec.publish(token, b"\x07" * 8,
-                               new_version=version + 2)
-        got, body = yield from rec.read()
-        assert got == version + 2
-        assert body == b"\x07" * 8
-        with pytest.raises(CoordError, match="must be odd"):
-            yield from rec.try_lock(got, token=42)  # even token
-        with pytest.raises(CoordError, match="positive even"):
-            yield from rec.publish(token, new_version=token)
-
-    cluster.run_app(app())
 
 
 # -- Backoff bounds (deadline vs budget) --------------------------------------

@@ -14,13 +14,13 @@ broken pair: it never rewrites a word that is no longer ours.
 import pytest
 
 from repro.cluster import build_cluster
-from repro.coord import SeqLock
-from repro.coord.seqlock import snapshots
+from repro.coord.seqlock import mint_token, snapshots
 from repro.obs import obs_for
 from repro.rdma.qp import QueuePair
 from repro.rdma.types import Opcode
 from repro.simnet.config import MiB
 from repro.simnet.faults import FaultInjector
+from tests.probes import read_record, record, write_record
 
 _BODY = 120
 
@@ -49,6 +49,15 @@ def _only_body_writes(nic, every=1, attr="fault_hook"):
     return seen
 
 
+def _publish_next(rec):
+    """Lock *rec* from the version it shows, uncontended, and publish
+    the next version's tagged body (generator)."""
+    version, _body = yield from read_record(rec)
+    token = mint_token(rec.mapping.client)
+    assert (yield from rec.try_lock(version, token))
+    yield from rec.publish(token, _tagged(version + 2), version + 2)
+
+
 def _unchained(cluster) -> int:
     return obs_for(cluster.sim).metrics.total(
         "coord.seqlock.publishes_unchained")
@@ -66,19 +75,17 @@ def _publish_under_dropped_bodies(publishes=10):
     done = []
 
     def writer():
-        rec = yield from SeqLock.open(cluster.client(1), "tagged", _BODY)
+        rec = yield from record(cluster.client(1), "tagged", _BODY)
         for _ in range(publishes):
-            version, _body = yield from rec.read()
-            assert (yield from rec.try_lock(version))
-            yield from rec.publish(version + 1, _tagged(version + 2))
+            yield from _publish_next(rec)
             yield sim.timeout(0.05)
         done.append(True)
 
     def reader():
-        rec = yield from SeqLock.open(cluster.client(2), "tagged", _BODY)
+        rec = yield from record(cluster.client(2), "tagged", _BODY)
         taken = stale = 0
         while not done:
-            # ``SeqLock.read`` less its retry budget: the writer holds
+            # ``read_record`` less its retry budget: the writer holds
             # the word for the half second a dropped body takes to fail
             (snapshot,) = yield from snapshots(rec.mapping, (0,),
                                                rec.record_size)
@@ -89,11 +96,12 @@ def _publish_under_dropped_bodies(publishes=10):
         return taken, stale
 
     def app():
-        rec = yield from SeqLock.create(cluster.client(0), "tagged", _BODY)
-        yield from rec.publish(1, _tagged(2))
+        rec = yield from record(cluster.client(0), "tagged", _BODY,
+                                create=True)
+        yield from write_record(rec, _tagged(2))
         procs = [cluster.spawn(writer()), cluster.spawn(reader())]
         yield sim.all_of(procs)
-        version, body = yield from rec.read()
+        version, body = yield from read_record(rec)
         assert (version, body) == (2 + 2 * publishes, _tagged(version))
         return procs[1].value
 
@@ -132,28 +140,29 @@ def test_a_redone_publish_never_touches_a_word_it_no_longer_holds(rival):
     sim = cluster.sim
 
     def victim():
-        rec = yield from SeqLock.open(cluster.client(1), "guarded", _BODY)
-        version, _body = yield from rec.read()
-        assert (yield from rec.try_lock(version))
-        yield from rec.publish(version + 1, _tagged(version + 2))
+        rec = yield from record(cluster.client(1), "guarded", _BODY)
+        yield from _publish_next(rec)
 
     def app():
-        rec = yield from SeqLock.create(cluster.client(0), "guarded", _BODY)
-        yield from rec.publish(1, _tagged(2))
-        other = yield from SeqLock.open(cluster.client(2), "guarded", _BODY)
+        rec = yield from record(cluster.client(0), "guarded", _BODY,
+                                create=True)
+        yield from write_record(rec, _tagged(2))
+        other = yield from record(cluster.client(2), "guarded", _BODY)
+        token = mint_token(other.mapping.client)
         proc = cluster.spawn(victim())
         # the pair lands a round trip after it is posted; its redo waits
         # out a 20 ms remap backoff (the fault errored the QP)
-        while (yield from other.read()) != (4, _tagged(4)):
+        while (yield from read_record(other)) != (4, _tagged(4)):
             yield sim.timeout(20e-6)
         if rival:
-            assert (yield from other.try_lock(4))
+            assert (yield from other.try_lock(4, token))
         yield proc
         if rival:
-            # still the rival's lock word, not the victim's version
-            assert (yield from other.mapping.read(0, 8)) == bytes([5, *[0] * 7])
-            yield from other.publish(5, _tagged(6))
-        return (yield from rec.read())
+            # still the rival's token, not the victim's version
+            assert (yield from other.mapping.read(0, 8)) == token.to_bytes(
+                8, "little")
+            yield from other.publish(token, _tagged(6), 6)
+        return (yield from read_record(rec))
 
     version, body = cluster.run_app(app())
     assert faults.injected["wire"] == 1

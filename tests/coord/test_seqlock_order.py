@@ -15,12 +15,12 @@ body has landed, counted in ``coord.seqlock.publishes_unchained``
 import pytest
 
 from repro.cluster import build_cluster
-from repro.coord import SeqLock
 from repro.core import RStoreConfig
 from repro.obs import obs_for
 from repro.rdma.types import Opcode
 from repro.simnet.config import KiB, MiB
 from repro.simnet.faults import FaultInjector
+from tests.probes import read_record, record, write_record
 
 
 def _cluster(stripe_size=64 * KiB, faults=None, **config):
@@ -49,17 +49,17 @@ def _churn(cluster, name, body_size, flips, pause_s=0.0):
     done = []
 
     def writer():
-        rec = yield from SeqLock.open(cluster.client(1), name, body_size)
+        rec = yield from record(cluster.client(1), name, body_size)
         for flip in range(flips):
-            yield from rec.write(b"AB"[flip % 2:][:1] * body_size)
+            yield from write_record(rec, b"AB"[flip % 2:][:1] * body_size)
             yield sim.timeout(pause_s)
         done.append(True)
 
     def reader():
-        rec = yield from SeqLock.open(cluster.client(2), name, body_size)
+        rec = yield from record(cluster.client(2), name, body_size)
         seen = set()
         while not done:
-            version, body = yield from rec.read()
+            version, body = yield from read_record(rec)
             assert version % 2 == 0
             assert len(set(body)) == 1, f"torn snapshot at v{version}"
             seen.add(body[:1])
@@ -67,8 +67,9 @@ def _churn(cluster, name, body_size, flips, pause_s=0.0):
         return seen
 
     def app():
-        rec = yield from SeqLock.create(cluster.client(0), name, body_size)
-        yield from rec.write(b"A" * body_size)
+        rec = yield from record(cluster.client(0), name, body_size,
+                                create=True)
+        yield from write_record(rec, b"A" * body_size)
         procs = [cluster.spawn(writer()), cluster.spawn(reader())]
         yield sim.all_of(procs)
         return procs[1].value
@@ -106,15 +107,14 @@ def test_word_and_body_on_two_servers_take_the_fallback():
     client = cluster.client(1)
 
     def app():
-        yield from client.alloc("boundary", 2 * stripe)
-        mapping = yield from client.map("boundary")
-        stripes = mapping.desc.stripes
+        rec = yield from record(client, "boundary", 64, offset=stripe - 8,
+                                create=True, size=2 * stripe)
+        stripes = rec.mapping.desc.stripes
         assert stripes[0].host_id != stripes[1].host_id
-        rec = SeqLock(mapping, stripe - 8, 64)
         for flip in range(3):
             body = b"AB"[flip % 2:][:1] * 64
-            assert (yield from rec.write(body)) == 2 * (flip + 1)
-            assert (yield from rec.read()) == (2 * (flip + 1), body)
+            assert (yield from write_record(rec, body)) == 2 * (flip + 1)
+            assert (yield from read_record(rec)) == (2 * (flip + 1), body)
 
     cluster.run_app(app())
     assert _unchained(cluster) == 3

@@ -15,7 +15,7 @@ from repro.core.errors import RegionUnavailableError
 from repro.core.pipeline import DATA_BATCH_WINDOW_PER_QP
 from repro.simnet.config import KiB, MiB
 from repro.simnet.faults import FaultInjector
-from tests.probes import host_count
+from tests.probes import host_count, resolution_order
 
 _STRIPE = 4 * KiB
 
@@ -297,11 +297,14 @@ def test_a_window_split_keeps_the_ordered_pair():
         first = yield from batch.write(mapping, 0, b"F" * 64)
         then = yield from batch.write(mapping, 128, b"T" * 8, after=first)
         posted = yield from batch.flush()
+        order = yield from resolution_order(cluster, (first, then))
         yield from batch.wait_all()
         assert posted == DATA_BATCH_WINDOW_PER_QP + 1
         assert client.nic.doorbells_rung - bells == 2
         assert batch.in_order(first, then)
-        assert first.resolved_at < then.resolved_at
+        # the predecessor resolved first, and strictly earlier
+        assert [index for index, _when in order] == [0, 1]
+        assert order[0][1] < order[1][1]
         assert (yield from mapping.read(128, 8)) == b"T" * 8
 
     cluster.run_app(app())

@@ -15,12 +15,14 @@ import functools
 import tracemalloc
 
 from repro.cluster import build_cluster
-from repro.coord import SeqLock
+from repro.coord.seqlock import snapshots
 from repro.core import RStoreConfig
 from repro.kv import RKVStore
 from repro.simnet.config import GiB, KiB, MiB
 from repro.sort import RSort
-from tests.probes import materialized_bytes
+from tests.probes import (
+    materialized_bytes, read_record, record, write_record,
+)
 
 #: NIC and wire entries every one-sided verb pays: launch, the request's
 #: ingress claim and delivery, the remote DMA, the response's ingress
@@ -59,10 +61,11 @@ def _costs():
         yield from measured("write", mapping.write(0, b"x" * 128))
         yield from measured("faa", mapping.faa(1024, 1))
         # a 128 B record, and a table whose key sits at probe 1
-        record = yield from SeqLock.create(client, "budget-record", 120)
-        yield from record.write(b"r" * 120)
-        yield from record.read()
-        yield from measured("validated read", record.read())
+        rec = yield from record(client, "budget-record", 120, create=True)
+        yield from write_record(rec, b"r" * 120)
+        yield from read_record(rec)
+        yield from measured("validated read", snapshots(
+            rec.mapping, (rec.offset,), rec.record_size))
         table = yield from RKVStore.create(client, "budget-table", slots=64)
         yield from table.put(b"key", b"v" * 64)
         yield from table.put(b"key", b"w" * 64)

@@ -12,7 +12,8 @@ from repro.rdma.cm import ConnectError
 from repro.rpc.channel import ChannelClosed
 from repro.rpc.endpoint import RpcError
 from repro.simnet.config import KiB, MiB
-from tests.probes import host_count, preferred_mode
+from repro.coord.seqlock import mint_token
+from tests.probes import host_count, preferred_mode, read_record
 
 
 def fresh_cluster(**overrides):
@@ -290,8 +291,9 @@ def test_busy_slot_backs_off_and_wins_once_the_writer_leaves():
         yield from store.put(b"k", b"v1")
         index = ops.hash64(b"k") % store.slots
         lock = store.slot_lock(index)
-        version, _body = yield from lock.read()
-        locked = yield from lock.try_lock(version)
+        version, _body = yield from read_record(lock)
+        token = mint_token(client)
+        locked = yield from lock.try_lock(version, token)
         assert locked
 
         got = []
@@ -304,7 +306,7 @@ def test_busy_slot_backs_off_and_wins_once_the_writer_leaves():
         yield cluster.sim.timeout(0.001)  # let it hit the locked slot
         body = ops.encode_body(b"k", b"v2", store.key_size,
                                store.value_size)
-        yield from lock.publish(version + 1, body)
+        yield from lock.publish(token, body, version + 2)
         yield proc
         assert got == [b"v2"]
         assert host_count(client, "datapath.busy_retries") > 0

@@ -9,11 +9,13 @@ slot, an overflowing deposit — is easier to pin down in isolation.
 import pytest
 
 from repro.cluster import build_cluster
+from repro.coord.seqlock import mint_token
 from repro.core import RStoreConfig
 from repro.core.errors import RStoreError, StaleEpochError
 from repro.datapath import ops
 from repro.kv.hashkv import RKVStore
 from repro.simnet.config import KiB, MiB
+from tests.probes import read_record
 
 
 def fresh_cluster(**overrides):
@@ -85,14 +87,15 @@ def test_locked_slot_reports_busy_without_waiting():
         yield from store.put(b"k", b"v")
         index = ops.hash64(b"k") % store.slots
         lock = store.slot_lock(index)
-        version, body = yield from lock.read()
-        locked = yield from lock.try_lock(version)
+        version, body = yield from read_record(lock)
+        token = mint_token(client)
+        locked = yield from lock.try_lock(version, token)
         assert locked
         server, request = _owner(cluster, client, store, b"k")
         reply = yield from server._dp.execute(request)
         assert reply == ("busy",)
         # release, and the same request now validates and hits
-        yield from lock.publish(version + 1, body)
+        yield from lock.publish(token, body, version + 2)
         reply = yield from server._dp.execute(request)
         assert reply == ("hit", b"v")
 
@@ -188,8 +191,8 @@ def test_busy_status_is_never_deposited():
         yield from store.put(b"k", b"v")
         index = ops.hash64(b"k") % store.slots
         lock = store.slot_lock(index)
-        version, _body = yield from lock.read()
-        locked = yield from lock.try_lock(version)
+        version, _body = yield from read_record(lock)
+        locked = yield from lock.try_lock(version, mint_token(client))
         assert locked
         server, request = _owner(cluster, client, store, b"k")
         request["deposit"] = (0, 4096)  # a deposit target is offered...

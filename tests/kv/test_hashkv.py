@@ -567,7 +567,7 @@ def _snapshots_validate_under_concurrent_writers(lookup):
                 )
                 seen[key].add(value)
             yield sim.timeout(2e-6)
-        return seen, view
+        return seen
 
     def app():
         store = yield from RKVStore.create(cluster.client(0), "mg-churn",
@@ -579,13 +579,17 @@ def _snapshots_validate_under_concurrent_writers(lookup):
         yield sim.all_of(procs + [read_proc])
         return read_proc.value
 
-    seen, view = cluster.run_app(app())
+    seen = cluster.run_app(app())
     # the reader really interleaved with the churn, per key
     assert all(len(values) > 1 for values in seen.values()), {
         key: len(values) for key, values in seen.items()
     }
-    # at least one snapshot raced a writer and was re-validated
-    assert view.read_retries > 0
+    # at least one snapshot raced a writer and was re-validated, counted
+    # by the table and by the SeqLock layer alike
+    assert probes.count(cluster, "kv.read_retries", table="mg-churn",
+                        host=3) > 0
+    assert probes.count(cluster, "coord.seqlock.read_retries",
+                        region="kv.mg-churn", host=3) > 0
     assert rsan_for(sim).races == [], rsan_for(sim).report()
 
 

@@ -2,11 +2,17 @@
 
 Production code reports through the metrics registry, not through
 per-object accessors, so tests read counters the way ``bench/report.py``
-does.  The few other readings tests need live here too, so that nothing
-in ``src/repro`` exists for tests alone
+does.  The few other readings tests need live here too, and so do the
+helpers that drive what production code reaches only from inside a data
+structure (a standalone ``SeqLock`` record, a watched future), so that
+nothing in ``src/repro`` exists for tests alone
 (``tests/test_no_test_only_api.py``).
 """
 
+from repro.coord import Backoff, SeqLock
+from repro.coord.seqlock import mint_token, snapshots
+from repro.core.errors import RStoreError
+from repro.datapath.ops import WORD
 from repro.obs import obs_for
 
 
@@ -74,3 +80,63 @@ def write_hint(store, key):
     """The ``(slot index, version)`` an ``RKVStore`` handle will try
     *key*'s next write at first, ``None`` when it has none."""
     return store._hints.get(key)
+
+
+def resolution_order(cluster, futures):
+    """Watch *futures* until every one has resolved (generator): answers
+    their indices in the order they resolved, each with the simulated
+    time it did.  Start it before any can resolve (right after the
+    flush)."""
+    sim, order = cluster.sim, []
+
+    def watch(index, future):
+        try:
+            yield from future.wait()
+        except RStoreError:
+            pass  # failed is resolved too
+        order.append((index, sim.now))
+
+    yield sim.all_of([cluster.spawn(watch(index, future))
+                      for index, future in enumerate(futures)])
+    return order
+
+
+def record(client, name, body_size, offset=0, create=False, size=None):
+    """A ``SeqLock`` view over the record at *offset* of region *name*
+    (generator), mapped by *client*.  With *create* the region is
+    allocated first, unreplicated and striped as the cluster's config
+    says: *size* bytes (default: just the record), so a record larger
+    than a stripe, or at *offset* across a stripe boundary, spans
+    servers."""
+    if create:
+        yield from client.alloc(name, size or offset + WORD + body_size,
+                                replication=1)
+    mapping = yield from client.map(name)
+    return SeqLock(mapping, offset, body_size)
+
+
+def read_record(record):
+    """One validated ``(version, body)`` of *record* (generator): the
+    ``snapshots`` read, rerun while a writer races it."""
+    for _try in range(64):
+        (snapshot,) = yield from snapshots(record.mapping, (record.offset,),
+                                           record.record_size)
+        if snapshot is not None:
+            return snapshot
+    raise AssertionError(f"record at {record.offset} kept changing")
+
+
+def write_record(record, body):
+    """Publish *body* into *record* (generator): read the version, lock
+    it with a fresh token (``mint_token``), publish version + 2, backing
+    off and starting over when the lock is lost.  Answers the version
+    published."""
+    client = record.mapping.client
+    backoff = Backoff.for_client(client, f"seqlock-{record.mapping.name}")
+    while True:
+        version, _body = yield from read_record(record)
+        token = mint_token(client)
+        if (yield from record.try_lock(version, token)):
+            yield from record.publish(token, body, version + 2)
+            return version + 2
+        yield from backoff.pause()

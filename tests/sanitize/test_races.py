@@ -18,12 +18,13 @@ import sys
 import pytest
 
 from repro.cluster import build_cluster
-from repro.coord import RemoteLock, SenseBarrier, SeqLock
+from repro.coord import RemoteLock, SenseBarrier
 from repro.core import RStoreConfig
 from repro.kv import RKVStore
 from repro.sanitize import rsan as rsan_module
 from repro.sanitize import rsan_for
 from repro.simnet.config import KiB, MiB
+from tests.probes import read_record, record, write_record
 
 
 @pytest.fixture
@@ -313,11 +314,11 @@ def test_an_exempt_op_walks_no_stack_for_its_site(cluster, monkeypatch):
         raise AssertionError("call site captured for an exempt op")
 
     def app():
-        record = yield from SeqLock.create(cluster.client(1), "quiet", 64)
-        yield from record.write(b"q" * 64)
+        rec = yield from record(cluster.client(1), "quiet", 64, create=True)
+        yield from write_record(rec, b"q" * 64)
         with monkeypatch.context() as patch:
             patch.setattr(rsan_module, "_site_of", no_site)
-            return (yield from record.read())
+            return (yield from read_record(rec))
 
     assert cluster.run_app(app()) == (2, b"q" * 64)
     assert rsan_for(cluster.sim).races == []
