@@ -23,7 +23,8 @@ through a remote CAS on the version word (:func:`try_locks`), then write
 the body and the next even version as one ordered pair (:func:`publishes`).
 A writer that already knows a record's version queues the READ of the
 record ahead of its CAS on one doorbell (:func:`try_lock_or_snapshot`):
-a lost CAS then validates that READ instead of costing a re-read.
+a lost CAS then validates that READ instead of costing a re-read.  A
+CAS from 0 there is a probe that claims a never-used record if it wins.
 
 A ``SeqLock`` is a cheap *view* over one record of any mapped region —
 data structures instantiate one per record they lock (hashkv: per slot).
@@ -170,9 +171,14 @@ def try_lock_or_snapshot(lock, version: int, token: int):
     failed READ flushes the CAS behind it, which may already have
     landed): the token settles it with one read of the word
     (``cas_result``), so the caller always knows whether it holds the
-    record.  Protocol traffic,
-    hence RSan-exempt, with :func:`try_locks`' edge for a won CAS and
-    :func:`snapshots`' edge for a validated READ.
+    record.  Protocol traffic, hence RSan-exempt, with :func:`try_locks`'
+    edge for a won CAS and :func:`snapshots`' edge for a validated READ.
+
+    *version* 0 makes the pair a probe of a record that may never have
+    been written (a ``put``'s walk): the CAS wins only there.  A lost
+    one counts in ``coord.seqlock.lock_failures`` only where it met a
+    writer's token (or an unsettled word); a published word is the
+    probe's answer, not a lost race.
     """
     mapping = lock.mapping
     client = mapping.client
@@ -190,7 +196,10 @@ def try_lock_or_snapshot(lock, version: int, token: int):
         if found == version:
             rsan.sync_acquire(actor, lock._sync_key(version))
             return True, None
-        lock._m_lock_failures.inc()
+        if version or found is None or found % 2:
+            # a CAS from 0 that met a published word was a probe, and
+            # the word is its answer: only a writer's token is a race
+            lock._m_lock_failures.inc()
         if found is None or blob is None or not batch.in_order(record, cas):
             return False, None
         seen, body = split(blob)

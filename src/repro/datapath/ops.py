@@ -36,7 +36,10 @@ walk to a hit or to the end of the chain; overwrite on a hit;
 otherwise claim the *first* reusable slot the walk crossed — the
 earliest tombstone, else the never-used slot that ended the chain.  A
 tombstone is never claimed before the rest of the chain has been
-searched, or a key living behind it would be stored twice.
+searched, or a key living behind it would be stored twice.  So a
+writer may lock a slot *while* it walks (the one-sided ``put`` CASes
+each hop from 0) only up to the first tombstone: a never-used slot
+reached with no tombstone crossed is exactly the one the rule claims.
 """
 
 from __future__ import annotations

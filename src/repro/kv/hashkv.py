@@ -11,7 +11,9 @@ re-check ride one doorbell, one round trip) — a SeqLock view per slot
 a writer locks, writer contention paced by the shared
 :class:`~repro.coord.Backoff` discipline.  A handle remembers where it
 last saw each key — a slot and a version, never a value — so a write
-to a known key locks in its first round trip.  Deletes leave a tombstone
+to a known key locks in its first round trip; a put of a fresh key
+CASes each slot of its walk from 0 and locks the never-used one that
+ends the chain in the same round trip.  Deletes leave a tombstone
 (``key_len`` of ``2**63-1``) so linear probing keeps finding later
 entries.  The slot codec and the probe protocol — chain order, slot
 classes, the store rule — live in :mod:`repro.datapath.ops`; this
@@ -195,6 +197,42 @@ class RKVStore:
         raise KvError(
             f"slot {index} kept changing under {_READ_RETRIES} reads")
 
+    def _claiming_reader(self, token: int, held: list):
+        """The slot reader of a ``put``'s walk: up to the first
+        tombstone, each hop posts ``[READ slot, CAS 0 → token]``
+        (:func:`try_lock_or_snapshot`) where :meth:`_read_slot` posts
+        ``[READ slot, READ word]`` — one doorbell and two WRs either way.
+
+        A CAS from 0 wins only on a never-used slot, which ends the
+        chain; with no tombstone crossed it is the slot the store rule
+        claims, so the hop appends its index to *held* and the put
+        publishes next.  A lost CAS returns the word, which validates
+        the READ as the second READ would have.  Where it cannot — a
+        writer's odd token, a fault, an unproven order — the hop falls
+        back to :meth:`_read_slot`.  Past a tombstone the store rule
+        claims the tombstone, so no CAS is posted there.
+        """
+        speculating = True
+
+        def read(index):
+            nonlocal speculating
+            found = None
+            if speculating:
+                won, snapshot = yield from try_lock_or_snapshot(
+                    self.slot_lock(index), 0, token)
+                if won:
+                    held.append(index)
+                    return 0, 0, b"", b""
+                if snapshot is not None:
+                    found = (snapshot[0],
+                             *ops.parse_body(snapshot[1], self.key_size))
+            if found is None:
+                found = yield from self._read_slot(index)
+            speculating = speculating and found[1] != ops.TOMBSTONE
+            return found
+
+        return read
+
     def _raced(self) -> None:
         """Count one slot read a writer raced, in the table's and the
         SeqLock's counters."""
@@ -267,16 +305,21 @@ class RKVStore:
         A hinted key tries its hint first: :func:`try_lock_or_snapshot`,
         one round trip.  A lost CAS whose READ validated still holding
         *key* CASes again from that version; anything else drops the
-        hint and walks the chain, as an unhinted write does.  A CAS lost
-        to a racer backs off and walks again.
+        hint and walks the chain, as an unhinted write does.  A ``put``
+        walks with :meth:`_claiming_reader`, whose hops CAS from 0 up to
+        the first tombstone: a fresh key whose chain ends before one is
+        locked by the walk itself, so its put takes two round trips.
+        Otherwise the slot the walk settled on is CAS'd from the version
+        seen, and a CAS lost to a racer backs off and walks again.
 
         No re-read under the lock: the CAS moved the word *from* a
         version seen holding *key* (or claimable), and versions only
         move forward, so no writer published in between and the body is
         still the one classified — a racer that claimed the slot for
-        another key bumped the version and our CAS lost.  The same
-        argument is why a hint needs no invalidation: a stale one never
-        wins its CAS.  ``put``, ``delete`` and the txn runtime rest on it.
+        another key bumped the version and our CAS lost; a CAS won from
+        0 proves the slot was never used.  The same argument is why a
+        hint needs no invalidation: a stale one never wins its CAS.
+        ``put``, ``delete`` and the txn runtime rest on it.
         """
         self._backoff.reset()
         hint = self._hints.pop(key, None)
@@ -296,8 +339,13 @@ class RKVStore:
                         continue  # the slot moved on: walk the chain
                     won = yield from lock.try_lock(version, token)
             else:
+                held = []
                 outcome, index, snapshot, reusable = yield from ops.walk(
-                    key, self.chain(key), self._read_slot)
+                    key, self.chain(key),
+                    self._claiming_reader(token, held) if claim
+                    else self._read_slot)
+                if held:  # the never-used slot that ended the chain
+                    return index, 0, token
                 if outcome == ops.HIT:
                     version = snapshot[0]
                 elif not claim:

@@ -105,10 +105,6 @@ class RNic:
         return self._m_ops_posted.value
 
     @property
-    def bytes_sent(self) -> int:
-        return self._m_bytes_sent.value
-
-    @property
     def doorbells_rung(self) -> int:
         """One per ``submit_many`` *list* (a single ``post_send`` is a
         list of one) — ``doorbells_rung < ops_posted`` is the proof

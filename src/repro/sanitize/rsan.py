@@ -240,9 +240,6 @@ class RaceSanitizer:
     def enable(self):
         self.enabled = True
 
-    def disable(self):
-        self.enabled = False
-
     def actor(self, actor_id: int) -> _Actor:
         act = self.actors.get(actor_id)
         if act is None:

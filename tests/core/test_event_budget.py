@@ -67,7 +67,10 @@ def _costs():
         yield from measured("validated read", snapshots(
             rec.mapping, (rec.offset,), rec.record_size))
         table = yield from RKVStore.create(client, "budget-table", slots=64)
-        yield from table.put(b"key", b"v" * 64)
+        # a fresh key into an empty chain: the walk's first hop CASes
+        # the never-used slot from 0 beside its READ, then the pair
+        yield from measured("insert", table.put(b"key", b"v" * 64),
+                            round_trips=2)
         yield from table.put(b"key", b"w" * 64)
         # the handle knows the slot: [READ, lock CAS] on one doorbell,
         # then body and version as one ordered pair
@@ -132,15 +135,21 @@ def test_a_put_to_a_known_slot_locks_in_its_first_round_trip():
     _kernel_entries, posted = _costs()
     # [READ slot, lock CAS], then [body, version]: no walk
     assert posted["put overwrite"] == (2, 4)
-    # no hint: the walk's pair, the CAS, then [body, version] on one
-    # doorbell — no guard READ between the lock and the publish
+    # a fresh key: [READ slot, CAS 0 → token] wins the never-used
+    # slot that ends the chain, then [body, version]
+    assert posted["insert"] == (2, 4)
+    # no hint: the walk's [READ slot, CAS 0 → token] finds the key (the
+    # lost CAS's word validates the READ), the CAS from its version,
+    # then [body, version] on one doorbell — no guard READ between the
+    # lock and the publish
     assert posted["cold put"] == (3, 5)
     # a stale hint whose slot still holds the key costs what the walk
     # did: the lost CAS's READ is the walk
     assert posted["stale-hint put"] == (3, 5)
     # a hint whose slot moved on costs one round trip more than the
-    # walk: [READ, CAS], then the walk past the tombstone (two pairs),
-    # the CAS and the publish
+    # walk: [READ, CAS], then the walk past the tombstone (two pairs:
+    # the tombstone's CAS from 0 loses to its word, and the hop behind
+    # it posts none), the CAS and the publish
     assert posted["moved-hint put"] == (5, 9)
 
 

@@ -290,14 +290,10 @@ def test_a_hinted_put_never_overwrites_the_key_that_reclaimed_its_slot():
     _assert_race_free(cluster)
 
 
-@pytest.mark.parametrize("opcode", [Opcode.RDMA_READ, Opcode.ATOMIC_CAS],
-                         ids=["read", "cas"])
-def test_a_lost_ack_on_the_hinted_doorbell_never_wedges_the_slot(opcode):
-    # either request of [READ slot, lock CAS] loses its ack: a lost CAS
-    # ack may hide a landed CAS, and a failed READ flushes the CAS
-    # behind it, which may have landed too.  The lock word is the
-    # handle's token, so one read of the word settles it: the put
-    # completes and the slot is left at an even version, never locked
+def _losing_one_ack(opcode):
+    """A sanitized cluster whose host 1 loses the ack of one *opcode*
+    WR, the first posted once ``armed`` holds anything: ``(cluster,
+    faults, armed)``."""
     faults = FaultInjector(seed=3).fail_wire(1, start=0.0, duration=1e9,
                                              times=1, where="ack")
     cluster = _sanitized_cluster(faults)
@@ -310,6 +306,18 @@ def test_a_lost_ack_on_the_hinted_doorbell_never_wedges_the_slot(opcode):
         return inject(host, wr)
 
     nic.ack_fault_hook = only_armed
+    return cluster, faults, armed
+
+
+@pytest.mark.parametrize("opcode", [Opcode.RDMA_READ, Opcode.ATOMIC_CAS],
+                         ids=["read", "cas"])
+def test_a_lost_ack_on_the_hinted_doorbell_never_wedges_the_slot(opcode):
+    # either request of [READ slot, lock CAS] loses its ack: a lost CAS
+    # ack may hide a landed CAS, and a failed READ flushes the CAS
+    # behind it, which may have landed too.  The lock word is the
+    # handle's token, so one read of the word settles it: the put
+    # completes and the slot is left at an even version, never locked
+    cluster, faults, armed = _losing_one_ack(opcode)
 
     def app():
         mine, theirs = yield from _two_handles(cluster, "hint-ack-lost")
@@ -328,15 +336,108 @@ def test_a_lost_ack_on_the_hinted_doorbell_never_wedges_the_slot(opcode):
     _assert_race_free(cluster)
 
 
+def _same_home(slots, count):
+    """*count* keys whose chains start at one slot of a *slots* table."""
+    home = ops.hash64(b"key-0") % slots
+    keys = (b"key-%d" % i for i in range(10_000))
+    return [key for key in keys if ops.hash64(key) % slots == home][:count]
+
+
+def test_an_insert_behind_a_tombstone_claims_it_and_casts_nothing_past_it():
+    # hop 0 holds a, hop 1 is b's tombstone, hop 2 was never used: the
+    # store rule puts c in the tombstone, and the walk posts no CAS past
+    # it — a CAS from 0 on hop 2 would have won a slot the rule skips
+    cluster = _sanitized_cluster()
+    slots = 64
+    a, b, c = _same_home(slots, 3)
+
+    def app():
+        mine, theirs = yield from _two_handles(cluster, "insert-tomb", slots)
+        yield from mine.put(a, b"A")
+        yield from mine.put(b, b"B")
+        assert (yield from mine.delete(b)) is True
+        yield from theirs.put(c, b"C")
+        found = []
+        for index in theirs.chain(c)[:3]:
+            version, _len, key, value = yield from mine.snapshot_slot(index)
+            found.append((version, key, value))
+        return found
+
+    found = cluster.run_app(app())
+    assert found == [(2, a, b"A"), (6, c, b"C"), (0, b"", b"")]
+    # every CAS from 0 that lost met a published word: a probe's
+    # answer, never a lost race
+    assert probes.count_all(cluster, "coord.seqlock.lock_failures") == 0
+    _assert_race_free(cluster)
+
+
+def test_two_handles_inserting_one_absent_key_leave_one_live_slot():
+    # both walks CAS the never-used home slot from 0 on their first
+    # doorbell: one wins and publishes, the other meets its token,
+    # re-reads the slot, finds the key and overwrites it there
+    cluster = _sanitized_cluster()
+    sim = cluster.sim
+    keys = [f"twin-{i}".encode() for i in range(8)]
+
+    def app():
+        mine, theirs = yield from _two_handles(cluster, "insert-twins")
+        for key in keys:
+            yield sim.all_of([sim.process(mine.put(key, b"mine")),
+                              sim.process(theirs.put(key, b"theirs"))])
+        live = []
+        for index in range(mine.slots):
+            version, key_len, key, value = yield from mine.snapshot_slot(
+                index)
+            if key_len not in (0, ops.TOMBSTONE):
+                live.append((key, version, value))
+        return live
+
+    live = cluster.run_app(app())
+    assert sorted(key for key, _version, _value in live) == sorted(keys)
+    # both puts published, one claiming and one overwriting
+    assert {version for _key, version, _value in live} == {4}
+    # the race really happened: a CAS from 0 met the other's token
+    assert probes.count_all(cluster, "coord.seqlock.lock_failures") > 0
+    _assert_race_free(cluster)
+
+
+@pytest.mark.parametrize("opcode", [Opcode.RDMA_READ, Opcode.ATOMIC_CAS],
+                         ids=["read", "cas"])
+def test_a_lost_ack_on_an_inserts_walk_never_wedges_the_slot(opcode):
+    # either request of the walk's [READ slot, CAS 0 → token] loses its
+    # ack: the CAS may have landed, and the token settles whether it
+    # did.  The insert completes at version 2 and no word is left odd
+    cluster, faults, armed = _losing_one_ack(opcode)
+
+    def app():
+        mine, theirs = yield from _two_handles(cluster, "insert-ack-lost")
+        armed.append(True)
+        yield from mine.put(b"fresh", b"v")
+        words, slot = [], None
+        for index in range(theirs.slots):
+            version, _len, key, value = yield from theirs.snapshot_slot(
+                index)
+            words.append(version)
+            if key == b"fresh":
+                slot = (version, value)
+        return words, slot
+
+    words, slot = cluster.run_app(app())
+    assert faults.injected["wire"] == 1
+    assert slot == (2, b"v")
+    assert all(word % 2 == 0 for word in words)
+    _assert_race_free(cluster)
+
+
 PATH_POLICIES = ["one_sided", "server_op", "remote_fetch"]
 
 
 def test_racing_puts_of_different_keys_for_one_reusable_slot(cluster):
     """Two clients walk to the same never-used slot for *different*
-    keys and both CAS it from the version they validated: exactly one
-    wins; the loser re-probes, finds the slot taken and claims the
-    next one.  No re-read under the lock is needed for that — the CAS
-    itself is the guard."""
+    keys and both CAS it from 0 on their walk's doorbell: exactly one
+    wins; the loser's CAS finds the winner's token, its hop re-reads
+    the slot, finds it taken and claims the next one.  No re-read under
+    the lock is needed for that — the CAS itself is the guard."""
     store = make_store(cluster, "slot-race", slots=64)
     sim = cluster.sim
     # pairs of keys whose chains start at the same slot
@@ -369,9 +470,10 @@ def test_racing_puts_of_different_keys_for_one_reusable_slot(cluster):
     stored = cluster.run_app(app())
     wanted = sorted((key, key[::-1]) for pair in pairs for key in pair)
     assert sorted(stored) == wanted  # every key once, none lost
-    # the race really happened: some CAS lost and its put re-probed
-    assert sum(probes.count(cluster, "kv.lock_retries", table="slot-race",
-                            host=host) for host in (2, 3)) > 0
+    # the race really happened: some CAS lost to the other's token
+    assert sum(probes.count(cluster, "coord.seqlock.lock_failures",
+                            region=store.mapping.name, host=host)
+               for host in (2, 3)) > 0
 
 
 @pytest.mark.parametrize("path_policy", PATH_POLICIES)
