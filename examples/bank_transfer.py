@@ -8,8 +8,10 @@ wire drops completions under client 2.  Transactions are pure
 data-plane — snapshot, validate, lock, publish are all one-sided
 reads and CASes against server DRAM — so committed transfers keep
 flowing straight through the control-plane outage, and every abort
-rolls back completely.  At the end the ledger still sums to exactly
-what it opened with: money moved, none was minted or burned.
+rolls back completely.  Then one transaction closes an account: it
+pays the balance out to another account and deletes the key.  At the
+end the ledger still sums to exactly what it opened with: money moved,
+none was minted or burned.
 
 Run:  python examples/bank_transfer.py
 """
@@ -87,8 +89,22 @@ def main():
         stamp(f"all {len(procs)} clients done "
               f"(master alive again: {cluster.master.alive})")
 
+        closed, heir = keys[-1], keys[0]
+
+        def close(txn):
+            rest = int((yield from txn.get(store, closed)))
+            kept = int((yield from txn.get(store, heir)))
+            yield from txn.put(store, heir, str(kept + rest).encode())
+            yield from txn.delete(store, closed)
+            return rest
+
+        rest = yield from store.txn(label="close").run(close)
+        assert (yield from store.get(closed)) is None
+        stamp(f"closed {closed.decode()}: its {rest} paid out to "
+              f"{heir.decode()}, the key deleted")
+
         balances = []
-        for key in keys:
+        for key in keys[:-1]:
             balances.append(int((yield from store.get(key))))
         return balances, runtimes
 
@@ -106,7 +122,8 @@ def main():
           f"retried (conflicts + faults)")
 
     total = sum(balances)
-    moved = sum(abs(b - OPENING) for b in balances) // 2
+    # the closed account ends at 0, so its payout counts as moved
+    moved = (sum(abs(b - OPENING) for b in balances) + OPENING) // 2
     assert total == ACCOUNTS * OPENING, (
         f"ledger leaked: {total} != {ACCOUNTS * OPENING}"
     )

@@ -4,8 +4,10 @@
 The hash table lives entirely in RStore regions: gets are optimistic
 one-sided reads, puts lock slots with remote compare-and-swap.  No
 machine runs any cache server code — the memory servers' CPUs stay
-idle while four clients hammer the shared table.  A memcached-style
-sockets server handles the same workload for comparison.
+idle while four clients hammer the shared table.  After the get/put
+mix each client evicts the cold half of its keys and reads all of them
+back in one batched ``multi_get``.  A memcached-style sockets server
+handles the same workload for comparison, one request per key.
 
 Run:  python examples/distributed_kv_cache.py
 """
@@ -18,6 +20,15 @@ from repro.simnet.config import KiB, MiB
 
 MACHINES = 5
 OPS_PER_CLIENT = 100
+KEYS_PER_CLIENT = 20
+#: the eviction pass deletes keys ``0 .. EVICTED - 1`` of each client
+EVICTED = 10
+#: ops each client issues: the mix, the evictions, the read-back
+TOTAL_OPS = OPS_PER_CLIENT + EVICTED + KEYS_PER_CLIENT
+
+
+def keys_of(prefix):
+    return [f"{prefix}-{k}".encode() for k in range(KEYS_PER_CLIENT)]
 
 
 def main():
@@ -30,13 +41,17 @@ def main():
 
     def rstore_worker(host, table_name, done):
         view = yield from RKVStore.open(cluster.client(host), table_name)
+        keys = keys_of(f"h{host}")
         for i in range(OPS_PER_CLIENT):
-            key = f"h{host}-{i % 20}".encode()
-            if i % 4 == 0:
+            if i % 4 == 0:  # every key is written once in the first 80
+                key = keys[i // 4 % KEYS_PER_CLIENT]
                 yield from view.put(key, f"value-{i}".encode())
             else:
-                yield from view.get(key)
-        done.append(host)
+                yield from view.get(keys[i % KEYS_PER_CLIENT])
+        for key in keys[:EVICTED]:
+            yield from view.delete(key)
+        values = yield from view.multi_get(keys)
+        done.append(sum(v is not None for v in values))
 
     def run_rstore():
         creator = cluster.client(1)
@@ -49,16 +64,22 @@ def main():
             for h in (1, 2, 3, 4)
         ]
         yield sim.all_of(procs)
-        return 4 * OPS_PER_CLIENT / (sim.now - t0)
+        return 4 * TOTAL_OPS / (sim.now - t0), done
 
     def tcp_worker(client, done):
+        keys = keys_of(f"c{client.host_id}")
         for i in range(OPS_PER_CLIENT):
-            key = f"c{client.host_id}-{i % 20}".encode()
-            if i % 4 == 0:
+            if i % 4 == 0:  # every key is written once in the first 80
+                key = keys[i // 4 % KEYS_PER_CLIENT]
                 yield from client.put(key, f"value-{i}".encode())
             else:
-                yield from client.get(key)
-        done.append(client.host_id)
+                yield from client.get(keys[i % KEYS_PER_CLIENT])
+        for key in keys[:EVICTED]:
+            yield from client.delete(key)
+        values = []
+        for key in keys:
+            values.append((yield from client.get(key)))
+        done.append(sum(v is not None for v in values))
 
     def run_tcp():
         server = TcpKvServer(cluster, host_id=0)
@@ -71,21 +92,25 @@ def main():
         t0 = sim.now
         procs = [sim.process(tcp_worker(c, done)) for c in clients]
         yield sim.all_of(procs)
-        return 4 * OPS_PER_CLIENT / (sim.now - t0)
+        return 4 * TOTAL_OPS / (sim.now - t0), done
 
-    rstore_ops = cluster.run_app(run_rstore())
+    rstore_ops, rstore_live = cluster.run_app(run_rstore())
     idle = all(
         cluster.net.host(h).cpu.busy_seconds < 1e-2
         for h in range(MACHINES)
         if h != 1
     )
-    tcp_ops = cluster.run_app(run_tcp())
+    tcp_ops, tcp_live = cluster.run_app(run_tcp())
 
     print(f"RStore KV (one-sided) : {rstore_ops / 1e3:7.1f} kops/s "
           f"(server CPUs idle: {idle})")
     print(f"sockets KV (memcached): {tcp_ops / 1e3:7.1f} kops/s "
           "(every op crosses the server CPU)")
     print(f"speedup               : {rstore_ops / tcp_ops:7.2f}x")
+    agree = "same on both stores" if sorted(rstore_live) == sorted(
+        tcp_live) else "STORES DISAGREE"
+    print(f"after evicting {EVICTED} of {KEYS_PER_CLIENT} keys per client: "
+          f"{sum(rstore_live)} keys live in the read-back ({agree})")
 
 
 if __name__ == "__main__":

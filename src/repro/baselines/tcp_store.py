@@ -1,8 +1,8 @@
 """A sockets-based in-memory store: the pre-RDMA design point.
 
 One server host exposes a byte-addressable buffer over TCP RPC; every
-read and write is a request/response pair through the kernel stack and
-the server's CPU.  Functionally equivalent to an RStore region mapped
+read is a request/response pair through the kernel stack and the
+server's CPU.  Functionally equivalent to an RStore region mapped
 by one client — the benchmarks run the same access patterns against
 both and the difference is pure substrate.
 """
@@ -22,7 +22,7 @@ _PORT = 7900
 
 
 class TcpMemoryServer:
-    """Serves read/write on a host-local buffer over sockets."""
+    """Serves reads of a host-local buffer over sockets."""
 
     def __init__(self, cluster: Cluster, host_id: int, size: int = 64 * MiB,
                  port: int = _PORT):
@@ -35,7 +35,6 @@ class TcpMemoryServer:
             cluster.sim, cluster.tcp_stacks[host_id], port
         )
         self._rpc.register("read", self._read)
-        self._rpc.register("write", self._write)
         self._rpc.start()
 
     def _read(self, offset, length):
@@ -43,13 +42,6 @@ class TcpMemoryServer:
             raise ValueError("read out of bounds")
         yield from self._cpu.copy(length)
         return bytes(self.buffer[offset : offset + length])
-
-    def _write(self, offset, payload):
-        if offset < 0 or offset + len(payload) > len(self.buffer):
-            raise ValueError("write out of bounds")
-        yield from self._cpu.copy(len(payload))
-        self.buffer[offset : offset + len(payload)] = payload
-        return len(payload)
 
 
 class TcpMemoryClient:
@@ -74,11 +66,6 @@ class TcpMemoryClient:
         """Read bytes (generator); response size carries the payload."""
         data = yield from self._rpc.call("read", offset, length)
         return data
-
-    def write(self, offset: int, payload: bytes):
-        """Write bytes (generator)."""
-        count = yield from self._rpc.call("write", offset, payload)
-        return count
 
 
 class TcpKvServer:

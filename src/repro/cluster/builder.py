@@ -44,8 +44,7 @@ class Cluster:
         #: the durable metadata logs, one WAL per shard — owned here so
         #: they outlive master instances across crash/restart cycles
         self.metalogs: list[MetaLog] = [
-            MetaLog(sim, checkpoint_every=config.metalog_checkpoint_every)
-            for _ in range(config.control_shards)
+            MetaLog(sim) for _ in range(config.control_shards)
         ]
         self.servers: dict[int, MemoryServer] = {}
         self.clients: dict[int, RStoreClient] = {}
@@ -72,9 +71,6 @@ class Cluster:
     def client(self, host_id: int) -> RStoreClient:
         """The (already started) RStore client on *host_id*."""
         return self.clients[host_id]
-
-    def server(self, host_id: int) -> MemoryServer:
-        return self.servers[host_id]
 
     def spawn(self, generator, name: str = ""):
         """Run an application generator as a simulated process."""

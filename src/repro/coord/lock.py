@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.coord.base import Backoff, CoordError, cas_result, region_name
+from repro.core.pipeline import DATA_RETRY_LIMIT
 
 __all__ = ["RemoteLock"]
 
@@ -128,7 +129,7 @@ class RemoteLock:
             if old is not None:
                 break
             attempts += 1
-            if attempts >= self.client.config.data_retry_limit:
+            if attempts >= DATA_RETRY_LIMIT:
                 raise CoordError(
                     f"lock {self.name!r}: release CAS failed "
                     f"{attempts} times"

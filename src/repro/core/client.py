@@ -131,10 +131,6 @@ class RStoreClient:
     # -- metrics (registry-backed; see repro.obs) -----------------------------
 
     @property
-    def retries(self) -> int:
-        return self._io.m_retries.value
-
-    @property
     def master_calls(self) -> int:
         """Control-path RPCs issued to the master (alloc, lookup,
         barrier, ...) — the separation thesis says steady-state data

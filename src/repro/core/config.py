@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.simnet.config import KiB, MiB
+from repro.simnet.config import MiB
 
 __all__ = ["RStoreConfig"]
 
@@ -36,16 +36,10 @@ class RStoreConfig:
     #: root seed for every derived deterministic RNG stream (client
     #: retry jitter, coordination backoff, server rejoin)
     seed: int = 7
-    #: data-path retries (remap + replay of failed sub-operations)
-    #: before an error surfaces to the application
-    data_retry_limit: int = 6
     #: deadline for one control-plane call (connect + RPC + bounded
     #: reconnects); a client whose master is partitioned away fails with
     #: :class:`~repro.core.errors.DeadlineExceededError` once this drains
     control_deadline_s: float = 2.0
-    #: the master checkpoints its metadata and truncates the log every
-    #: this many appended records
-    metalog_checkpoint_every: int = 64
     #: how long a restarted master waits for servers to re-register
     #: before declaring the stragglers dead and re-queueing repairs
     recovery_grace_s: float = 0.5
@@ -64,21 +58,10 @@ class RStoreConfig:
     #: addressed by consistent hashing over qualified region names;
     #: 1 reproduces the original single-master control plane exactly
     control_shards: int = 1
-    #: how long a descriptor lease in the client's metadata cache is
-    #: valid before the next ``map`` re-validates it at its shard (epoch
-    #: bumps and explicit invalidation cut it short)
-    meta_lease_s: float = 5.0
-    #: how long a cached *negative* entry (region does not exist)
-    #: short-circuits ``map`` misses before re-asking the shard
-    meta_negative_ttl_s: float = 0.05
     #: per-tenant capacity quotas in bytes of reserved (post-replication)
     #: arena space; tenants absent from the dict are unlimited.  Each
     #: shard enforces an even share (see ``core/shard.py``).
     tenant_quota_bytes: Optional[dict[str, int]] = field(default=None)
-    #: size of each per-(client, server) remote-fetch deposit buffer; a
-    #: table whose slots outgrow it is refused the ``remote_fetch``
-    #: policy, and ``adaptive`` stops considering that mode for it
-    datapath_fetch_bytes: int = 256 * KiB
     #: adaptive selector: every Nth op per class re-samples a
     #: non-current mode so regime shifts are eventually observed
     datapath_probe_every: int = 32
@@ -91,22 +74,12 @@ class RStoreConfig:
     def __post_init__(self):
         if self.stripe_size <= 0:
             raise ValueError("stripe_size must be positive")
-        if self.data_retry_limit < 0:
-            raise ValueError("data_retry_limit cannot be negative")
         if self.control_deadline_s <= 0:
             raise ValueError("control_deadline_s must be positive")
-        if self.metalog_checkpoint_every < 1:
-            raise ValueError("metalog_checkpoint_every must be at least 1")
         if self.recovery_grace_s < 0:
             raise ValueError("recovery_grace_s cannot be negative")
         if self.control_shards < 1:
             raise ValueError("control_shards must be at least 1")
-        if self.meta_lease_s <= 0:
-            raise ValueError("meta_lease_s must be positive")
-        if self.meta_negative_ttl_s < 0:
-            raise ValueError("meta_negative_ttl_s cannot be negative")
-        if self.datapath_fetch_bytes <= 0:
-            raise ValueError("datapath_fetch_bytes must be positive")
         if self.datapath_probe_every < 2:
             raise ValueError("datapath_probe_every must be at least 2")
         if self.tenant_quota_bytes is not None:

@@ -135,20 +135,6 @@ class Mapping:
         old = yield from fut.wait()
         return old
 
-    def cas(self, offset: int, expected: int, desired: int,
-            idempotent: bool = False):
-        """Remote compare-and-swap (generator); returns the old value.
-
-        Same retry semantics as :meth:`faa`: completion errors are not
-        replayed unless ``idempotent=True`` (a replayed CAS that won
-        the first time finds ``desired`` in place and reports a loss).
-        """
-        fut = yield from self._start("cas", offset, 8,
-                                     idempotent=idempotent,
-                                     compare=expected, swap=desired)
-        old = yield from fut.wait()
-        return old
-
     # -- asynchronous compare-and-swap: submit now, hand the future back ----
 
     def cas_async(self, offset: int, expected: int, desired: int):

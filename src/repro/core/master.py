@@ -90,12 +90,7 @@ class Master:
         self.allocator = StripeAllocator()
         self.repair = RepairPlanner(self)
         self.regions: dict[str, RegionDesc] = {}
-        # `is not None`, not truthiness: an *empty* MetaLog is falsy
-        # (len == 0) yet is exactly the durable log a first boot must
-        # adopt so later restarts replay it
-        self.metalog = metalog if metalog is not None else MetaLog(
-            sim, checkpoint_every=self.config.metalog_checkpoint_every
-        )
+        self.metalog = metalog if metalog is not None else MetaLog(sim)
         #: the cluster epoch: bumped on every master recovery and every
         #: server death; descriptors and server slots carry it, stale
         #: holders are fenced

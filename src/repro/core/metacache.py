@@ -18,6 +18,14 @@ from repro.core.errors import RegionNotFoundError
 
 __all__ = ["MetadataCache"]
 
+#: how long a descriptor lease is valid before the next ``map``
+#: re-validates it at its shard (epoch bumps and explicit invalidation
+#: cut it short)
+META_LEASE_S = 5.0
+#: how long a cached *negative* entry (region does not exist)
+#: short-circuits ``map`` misses before re-asking the shard
+META_NEGATIVE_TTL_S = 0.05
+
 
 class _MetaEntry(NamedTuple):
     """One cached region descriptor lease (or negative entry).
@@ -45,7 +53,6 @@ class MetadataCache:
     def __init__(self, client):
         self._client = client
         self._sim = client.sim
-        self._config = client.config
         #: highest epoch observed per shard (descriptor or stats reply);
         #: stamped onto mutating control RPCs for fencing, and the
         #: invalidation signal for the leases below
@@ -93,7 +100,7 @@ class MetadataCache:
             return
         self._leases[name] = _MetaEntry(
             desc, shard, self.epochs.get(shard, 0),
-            self._sim.now + self._config.meta_lease_s)
+            self._sim.now + META_LEASE_S)
 
     def store_negative(self, name: str, shard: int,
                        as_of: Optional[int] = None) -> None:
@@ -104,12 +111,9 @@ class MetadataCache:
         it like any other stale lease — otherwise a region created
         under the new era hides behind a cached refusal for the whole
         negative TTL."""
-        ttl = self._config.meta_negative_ttl_s
-        if ttl <= 0:
-            return
         epoch = self.epochs.get(shard, 0) if as_of is None else as_of
         self._leases[name] = _MetaEntry(
-            None, shard, epoch, self._sim.now + ttl,
+            None, shard, epoch, self._sim.now + META_NEGATIVE_TTL_S,
             RegionNotFoundError(f"no region named {name!r}"))
 
     def evict(self, name: str) -> None:

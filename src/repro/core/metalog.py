@@ -16,7 +16,7 @@ Durability discipline:
   That is what makes "append before reply" a real commit point.
 * ``append`` is a generator charging :data:`APPEND_LATENCY_S` of
   simulated latency — the fsync the control RPC pays.
-* Every ``metalog_checkpoint_every`` appends the master serializes its
+* Every :data:`CHECKPOINT_EVERY` appends the master serializes its
   full state and truncates the tail, bounding replay time.  One
   checkpoint is written at a time, and it truncates only the records
   its snapshot covers: appends that land while it is being written
@@ -46,6 +46,9 @@ __all__ = ["MetaLog", "RecoveredState"]
 #: simulated latency of one metadata-log append (the fsync the
 #: master pays before acknowledging a mutating control RPC)
 APPEND_LATENCY_S = 5e-6
+#: the master checkpoints its metadata and truncates the log every
+#: this many appended records
+CHECKPOINT_EVERY = 64
 
 
 @dataclass
@@ -67,11 +70,8 @@ class RecoveredState:
 class MetaLog:
     """The durable metadata log.  Owned by the cluster, outlives masters."""
 
-    def __init__(self, sim, append_latency_s: float = APPEND_LATENCY_S,
-                 checkpoint_every: int = 64):
+    def __init__(self, sim):
         self.sim = sim
-        self.append_latency_s = append_latency_s
-        self.checkpoint_every = checkpoint_every
         self._checkpoint: bytes | None = None
         self._tail: list[bytes] = []
         self._checkpointing = False
@@ -80,9 +80,6 @@ class MetaLog:
         self.checkpoints = 0
         self.replays = 0
 
-    def __len__(self) -> int:
-        return len(self._tail)
-
     def append(self, kind: str, payload: Any):
         """Durably append one record (generator; charges fsync latency).
 
@@ -90,7 +87,7 @@ class MetaLog:
         object cannot reach the log.
         """
         record = pickle.dumps((kind, payload))
-        yield self.sim.timeout(self.append_latency_s)
+        yield self.sim.timeout(APPEND_LATENCY_S)
         self._tail.append(record)
         self.appends += 1
 
@@ -101,7 +98,7 @@ class MetaLog:
         checkpoint is due, so an append between checkpoints copies none.
         While one checkpoint is being written, callers return at once.
         """
-        if self._checkpointing or len(self._tail) < self.checkpoint_every:
+        if self._checkpointing or len(self._tail) < CHECKPOINT_EVERY:
             return
         self._checkpointing = True
         try:
@@ -110,7 +107,7 @@ class MetaLog:
             covered = len(self._tail)
             # a checkpoint is a full-state write: charge one append per
             # region so big clusters pay proportionally
-            cost = self.append_latency_s * max(1, len(state.regions))
+            cost = APPEND_LATENCY_S * max(1, len(state.regions))
             yield self.sim.timeout(cost)
         finally:
             self._checkpointing = False

@@ -24,7 +24,7 @@ from there to the futures whose pieces it carries.
 Failures are *retryable*: a completion error hands the future to the
 pipeline's retry worker, which remaps the region (see
 :meth:`Mapping._remap_with_backoff`) and replays only the failed
-pieces, up to ``data_retry_limit`` attempts — except atomics that
+pieces, up to ``DATA_RETRY_LIMIT`` attempts — except atomics that
 reached the NIC, whose outcome is ambiguous (see :meth:`Mapping.faa`).
 """
 
@@ -66,6 +66,10 @@ ISSUE_OVERHEAD_S = 0.2e-6
 #: fabric at this granularity instead of convoying behind
 #: multi-megabyte messages
 MAX_WIRE_CHUNK = 1 * MiB
+#: data-path retries (remap + replay of failed sub-operations) before
+#: an error surfaces to the application; the server-op paths and a
+#: lock's release CAS honour the same budget
+DATA_RETRY_LIMIT = 6
 
 
 class OpDef(NamedTuple):
@@ -587,7 +591,6 @@ class OpPipeline:
     def __init__(self, client):
         self.client = client
         self.sim = client.sim
-        self.config = client.config
         self.nic = client.nic
         self.obs = client.obs
         #: the data CQ every data QP completes into (set by
@@ -741,7 +744,7 @@ class OpPipeline:
             fut._fail(err)
             return
         fut._attempts += 1
-        if fut._attempts > self.config.data_retry_limit:
+        if fut._attempts > DATA_RETRY_LIMIT:
             err = RegionUnavailableError(
                 f"{OPS[fut.kind].access} on {mapping.name!r} failed after "
                 f"{fut._attempts} attempts: {fut._failure}"

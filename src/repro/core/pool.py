@@ -59,10 +59,6 @@ class LocalBufferPool:
     def capacity(self) -> int:
         return self.mr.length
 
-    @property
-    def free_bytes(self) -> int:
-        return self._arena.free_bytes
-
     def alloc(self, length: int):
         """Borrow a chunk (generator); blocks until space frees up."""
         if length > self.capacity:

@@ -63,10 +63,6 @@ class StripeDesc:
         return self.primary.addr
 
     @property
-    def rkey(self) -> int:
-        return self.primary.rkey
-
-    @property
     def replication(self) -> int:
         return len(self.replicas)
 
@@ -121,10 +117,6 @@ class RegionDesc:
             for replica in stripe.replicas[1:]:
                 seen.setdefault(replica.host_id, None)
         return tuple(seen)
-
-    @property
-    def replication(self) -> int:
-        return min(s.replication for s in self.stripes) if self.stripes else 1
 
     def locate(self, offset: int, length: int) -> Iterator[tuple[StripeDesc, int, int]]:
         """Translate ``[offset, offset+length)`` to stripe-local pieces.

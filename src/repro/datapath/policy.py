@@ -78,6 +78,10 @@ ALLOWED_MODES = {
 #: what the pickled ``dp_exec`` request adds around an op's payload —
 #: op fields, region name, a full 16-slot probe run; ~0.4 KiB measured
 _ENVELOPE = 1 * KiB
+#: size of each per-(client, server) remote-fetch deposit buffer; a
+#: table whose slots outgrow it is refused the ``remote_fetch`` policy,
+#: and ``adaptive`` stops considering that mode for it
+FETCH_BYTES = 256 * KiB
 
 
 class _ClassState:
@@ -218,9 +222,8 @@ class ModeChooser(AdaptiveSelector):
         self.policy = PathPolicy.validate(
             policy if policy is not None else PathPolicy.ONE_SIDED)
         channel = MSG_SIZE - _ENVELOPE
-        fetch_bytes = client.config.datapath_fetch_bytes
         reply_room = {PathPolicy.SERVER_OP: channel,
-                      PathPolicy.REMOTE_FETCH: fetch_bytes}
+                      PathPolicy.REMOTE_FETCH: FETCH_BYTES}
         sizes = sizes or {}
         #: op -> the modes its next call may run on
         self._candidates: dict[str, tuple] = {}
@@ -235,8 +238,8 @@ class ModeChooser(AdaptiveSelector):
                     raise ValueError(
                         f"path policy {self.policy!r} runs {op} as {mode}, "
                         f"which cannot carry its {request}-byte request "
-                        f"and {reply}-byte reply (channel {channel}, "
-                        f"datapath_fetch_bytes {fetch_bytes})")
+                        f"and {reply}-byte reply ({channel}-byte channel, "
+                        f"{FETCH_BYTES}-byte fetch buffer)")
                 fits = (mode,)
             self._candidates[op] = fits
 

@@ -5,7 +5,7 @@ counter burst) against the current region descriptor, ships it to the
 owning memory server(s) as ``dp_exec`` RPCs, and classifies the
 outcome: busy slots back off and re-drive, stale epochs refresh the
 descriptor and retry, dead channels redial — all bounded by the same
-``data_retry_limit`` the one-sided path honours.
+``DATA_RETRY_LIMIT`` the one-sided path honours.
 
 **Probe-run segmentation.**  A probe chain (``ops.chain``) may span
 stripe boundaries; consecutive same-host slots group into *runs* and
@@ -39,7 +39,9 @@ from repro.core.errors import (
     StaleEpochError,
     translated,
 )
+from repro.core.pipeline import DATA_RETRY_LIMIT
 from repro.datapath import ops
+from repro.datapath.policy import FETCH_BYTES
 from repro.rpc.channel import ChannelClosed
 from repro.rpc.endpoint import RpcError, RpcRemoteError
 from repro.simnet.resources import Resource
@@ -72,7 +74,6 @@ class DataPathRouter:
 
     def __init__(self, client):
         self.client = client
-        self.config = client.config
         #: server host -> lazily opened fetch buffer
         self._fetch_bufs: dict[int, _FetchBuffer] = {}
         #: server host -> the one open in flight (``single_flight``)
@@ -91,11 +92,6 @@ class DataPathRouter:
                                            host=_host)
 
     # -- metrics -------------------------------------------------------------
-
-    @property
-    def server_ops(self) -> int:
-        """Composite ops shipped to a memory server."""
-        return self._m_server_ops.value
 
     # -- plumbing ------------------------------------------------------------
 
@@ -116,7 +112,7 @@ class DataPathRouter:
         """One ``dp_exec`` round trip (generator), redialing dead
         channels up to the data retry budget."""
         client = self.client
-        for attempt in range(self.config.data_retry_limit + 1):
+        for attempt in range(DATA_RETRY_LIMIT + 1):
             rpc = yield from client._mem_channel(host_id)
             try:
                 reply = yield from rpc.call("dp_exec", request)
@@ -124,7 +120,7 @@ class DataPathRouter:
                 raise translated(exc) from None
             except (RpcError, ChannelClosed):
                 client._mem_channel_drop(host_id)
-                if attempt >= self.config.data_retry_limit:
+                if attempt >= DATA_RETRY_LIMIT:
                     raise
                 yield from self._redial_backoff.pause()
                 continue
@@ -165,7 +161,7 @@ class DataPathRouter:
         """Allocate this client's deposit region on *server_host*
         (generator); marks it unusable if placement missed the hint."""
         client = self.client
-        size = self.config.datapath_fetch_bytes
+        size = FETCH_BYTES
         name = f"dpfetch.h{client.nic.host.host_id}.s{server_host}"
         try:
             yield from client.alloc(name, size, stripe_size=size,
@@ -261,7 +257,7 @@ class DataPathRouter:
         descriptor and re-drives, a ``busy`` reply (a locked slot)
         backs off and re-drives, both within the retry budget."""
         self._busy_backoff.reset()
-        for _attempt in range(self.config.data_retry_limit + _BUSY_BUDGET):
+        for _attempt in range(DATA_RETRY_LIMIT + _BUSY_BUDGET):
             try:
                 reply = yield from attempt()
             except StaleEpochError:

@@ -108,8 +108,8 @@ class ServerOpExecutor:
         blob = pickle.dumps(result)
         if len(blob) > capacity:
             raise RStoreError(
-                f"result of {len(blob)} bytes exceeds the fetch buffer "
-                f"({capacity} bytes) — raise datapath_fetch_bytes"
+                f"result of {len(blob)} bytes exceeds the {capacity}-byte "
+                f"fetch buffer"
             )
         yield from self.cpu.copy(len(blob))
         self.mr.buffer.write(self.mr.offset_of(addr), blob)

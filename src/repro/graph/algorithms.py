@@ -80,9 +80,6 @@ class _MinPlusProgram:
             values[self.source - lo] = 0.0
         return values
 
-    def edge_costs(self, weights, count):
-        raise NotImplementedError
-
     def apply(self, graph, x: np.ndarray, lo: int, hi: int):
         indptr, sources, weights = graph.slice_csr(lo, hi)
         costs = self.edge_costs(weights, len(sources))

@@ -119,14 +119,6 @@ class Listener:
         self.stack._listeners.pop(self.port, None)
 
 
-class _Eof:
-    def __repr__(self):  # pragma: no cover - debug aid
-        return "<EOF>"
-
-
-_EOF = _Eof()
-
-
 class Socket:
     """One end of an established connection."""
 
@@ -135,14 +127,11 @@ class Socket:
         self.remote_stack = remote_stack
         self._peer: Optional["Socket"] = None
         self._rx: Store = Store(stack.sim)
-        self.closed = False
         #: payload bytes sent (for metrics)
         self.bytes_sent = 0
 
     def send(self, obj: Any, wire_size: Optional[int] = None):
         """Send one message (generator); returns its payload size."""
-        if self.closed:
-            raise TcpError("socket is closed")
         if not self.stack.alive:
             raise TcpError("local host is down")
         sim = self.stack.sim
@@ -163,8 +152,8 @@ class Socket:
         assert peer is not None
 
         def on_delivery(_event):
-            if not self.remote_stack.alive or peer.closed:
-                return  # bytes vanish into a dead or closed endpoint
+            if not self.remote_stack.alive:
+                return  # bytes vanish into a dead endpoint
             sim.process(peer._receive(obj, size))
 
         delivered.add_callback(on_delivery)
@@ -177,19 +166,6 @@ class Socket:
         self._rx.put((obj, size))
 
     def recv(self):
-        """Wait for the next message (generator); returns the object.
-
-        Returns ``None`` once the peer has closed and the queue drained.
-        """
-        item = yield self._rx.get()
-        if item is _EOF:
-            return None
-        obj, _size = item
+        """Wait for the next message (generator); returns the object."""
+        obj, _size = yield self._rx.get()
         return obj
-
-    def close(self) -> None:
-        if self.closed:
-            return
-        self.closed = True
-        if self._peer is not None and not self._peer.closed:
-            self._peer._rx.put(_EOF)

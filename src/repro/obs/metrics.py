@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, Union
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "Summary"]
 
@@ -70,9 +70,6 @@ class Counter:
             raise ValueError(f"counter {self.name!r} cannot decrease")
         self.value += n
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Counter {self.name}{dict(self.labels)} = {self.value}>"
-
 
 class Gauge:
     """A value that moves both ways (queue depth, in-flight ops)."""
@@ -86,12 +83,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = value
-
-    def add(self, delta: float) -> None:
-        self.value += delta
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Gauge {self.name}{dict(self.labels)} = {self.value}>"
 
 
 class Histogram:
@@ -193,10 +184,6 @@ class Histogram:
         for index, n in other.buckets.items():
             self.buckets[index] = self.buckets.get(index, 0) + n
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"<Histogram {self.name}{dict(self.labels)} "
-                f"n={self.count}>")
-
 
 Instrument = Union[Counter, Gauge, Histogram]
 
@@ -244,10 +231,6 @@ class MetricsRegistry:
 
     # -- queries -------------------------------------------------------------
 
-    def get(self, name: str, /, **labels) -> Optional[Instrument]:
-        """The instrument if it exists; never creates one."""
-        return self._instruments.get((name, _freeze(labels)))
-
     def series(self, name: str) -> list[Instrument]:
         """Every labelled instrument registered under *name*."""
         return [inst for (n, _), inst in sorted(self._instruments.items())
@@ -273,29 +256,5 @@ class MetricsRegistry:
             out.merge(part)
         return out
 
-    def snapshot(self) -> dict:
-        """A plain-data dump: ``{name: {labels_repr: value_or_summary}}``.
-
-        Counter/gauge values dump as numbers; histograms as
-        ``(count, mean, p50, p99, max)`` tuples.  The snapshot is a
-        copy — mutating it does not touch the registry.
-        """
-        out: dict[str, dict[str, object]] = {}
-        for (name, labels), inst in sorted(self._instruments.items()):
-            key = ",".join(f"{k}={v}" for k, v in labels) or "-"
-            if isinstance(inst, Histogram):
-                value = (
-                    (inst.count, inst.mean, inst.percentile(50),
-                     inst.percentile(99), inst.maximum)
-                    if inst.count else (0, 0.0, 0.0, 0.0, 0.0)
-                )
-            else:
-                value = inst.value
-            out.setdefault(name, {})[key] = value
-        return out
-
     def __iter__(self) -> Iterator[Instrument]:
         return iter(self._instruments.values())
-
-    def __len__(self) -> int:
-        return len(self._instruments)

@@ -67,10 +67,6 @@ class Span:
             self.attrs.update(attrs)
         self.tracer._record(self)
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        end = f"{self.end:.9f}" if self.end is not None else "…"
-        return f"<Span {self.name} [{self.start:.9f}, {end}]>"
-
 
 class _NullSpan:
     """The shared do-nothing span returned while tracing is disabled."""
@@ -79,9 +75,6 @@ class _NullSpan:
 
     def finish(self, **attrs) -> None:
         pass
-
-    def __bool__(self) -> bool:
-        return False
 
 
 NULL_SPAN = _NullSpan()
@@ -110,10 +103,6 @@ class Tracer:
     def disable(self) -> "Tracer":
         self.enabled = False
         return self
-
-    def clear(self) -> None:
-        self.spans.clear()
-        self.dropped = 0
 
     # -- span creation -------------------------------------------------------
 

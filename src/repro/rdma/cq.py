@@ -59,9 +59,6 @@ class CompletionQueue:
         #: the consumer has no delivery scheduled and is not running one
         self._consumer_idle = False
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def push(self, wc: WorkCompletion) -> None:
         """Deliver a completion (called by the NIC at completion time)."""
         self.total_completions += 1

@@ -62,9 +62,6 @@ class Snapshot:
     def __len__(self) -> int:
         return self._length
 
-    def __bytes__(self) -> bytes:
-        return b"".join(self.parts)
-
 
 #: what a transfer carries from its snapshot instant to its landing
 Payload = Union[bytes, Snapshot]
@@ -101,10 +98,6 @@ class Buffer:
 
     def __len__(self) -> int:
         return self._length
-
-    @property
-    def end(self) -> int:
-        return self.addr + self._length
 
     def _check(self, what: str, offset: int, length: int) -> None:
         """The one bounds check: ``[offset, +length)`` lies inside."""

@@ -180,8 +180,6 @@ class RNic:
                                     host=self.host.host_id)
         yield self.sim.timeout(self.model.create_qp_s)
         span.finish()
-        # NB: "recv_cq or send_cq" would be wrong here — an empty
-        # CompletionQueue is falsy (it has __len__).
         return QueuePair(
             self,
             pd,

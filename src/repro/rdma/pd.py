@@ -17,6 +17,3 @@ class ProtectionDomain:
         self.handle = next(nic.sim.sequence("pd"))
         self.regions: list = []
         self.qps: list = []
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<PD {self.handle} on {self.nic.host.name}>"

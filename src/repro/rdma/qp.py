@@ -123,10 +123,6 @@ class QueuePair:
 
     # -- bookkeeping used by the NIC ------------------------------------------
 
-    @property
-    def inflight(self) -> int:
-        return self._inflight
-
     def _expects(self, wr: SendWR) -> bool:
         """Responder side: is the peer's *wr* next in sequence?  Behind
         a gap it is refused, and so is everything after it."""
@@ -180,9 +176,3 @@ class QueuePair:
                     detail=reason,
                 )
             )
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<QP {self.qp_num} on {self.nic.host.name} "
-            f"{self.state.value}>"
-        )

@@ -291,10 +291,6 @@ class RpcClient(_Caller):
             self.cm, self.nic, remote_host_id, service_id, msg_size=msg_size
         )))
 
-    @property
-    def connected(self) -> bool:
-        return self._channel is not None and not self._channel.closed
-
     def abort(self, reason: str = "client aborted") -> None:
         """Tear the connection down without a goodbye (fail-stop).
 
@@ -347,8 +343,7 @@ class RpcClientPool:
 
 class _SocketChannel:
     """A connected :class:`~repro.net.tcp.Socket` as an endpoint
-    channel: its EOF (``recv() is None``) and its errors are the one
-    close signal, :class:`ChannelClosed`."""
+    channel: its errors are the one close signal, :class:`ChannelClosed`."""
 
     def __init__(self, sock):
         self._sock = sock
@@ -360,10 +355,7 @@ class _SocketChannel:
             raise ChannelClosed(str(exc)) from exc
 
     def recv(self):
-        obj = yield from self._sock.recv()
-        if obj is None:
-            raise ChannelClosed("connection closed")
-        return obj
+        return (yield from self._sock.recv())
 
 
 class TcpRpcServer(_Service):

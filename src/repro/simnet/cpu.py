@@ -51,8 +51,3 @@ class Cpu:
     def copy(self, nbytes: int):
         """Charge a memory copy of *nbytes* on one core (generator)."""
         yield from self.run(nbytes / self.copy_bandwidth_Bps)
-
-    @property
-    def active(self) -> int:
-        """Cores currently executing work."""
-        return self._res.count

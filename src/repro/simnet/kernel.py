@@ -81,13 +81,6 @@ class Event:
         return self._processed
 
     @property
-    def ok(self) -> bool:
-        """Whether the event succeeded.  Only meaningful once triggered."""
-        if not self.triggered:
-            raise SimulationError("event value not yet available")
-        return bool(self._ok)
-
-    @property
     def value(self) -> Any:
         if self._value is _PENDING:
             raise SimulationError("event value not yet available")
@@ -129,14 +122,6 @@ class Event:
         else:
             assert self.callbacks is not None
             self.callbacks.append(callback)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = (
-            "processed"
-            if self._processed
-            else "triggered" if self.triggered else "pending"
-        )
-        return f"<{type(self).__name__} {state} at {id(self):#x}>"
 
 
 class Timeout(Event):

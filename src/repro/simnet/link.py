@@ -53,6 +53,3 @@ class Channel:
             finishes.append(busy)
         self._busy_until = busy
         return finishes
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Channel {self.name} {self.rate_bps / 1e9:.1f} Gb/s>"

@@ -56,11 +56,6 @@ class Resource:
         self._users: set[object] = set()
         self._waiting: deque[Request] = deque()
 
-    @property
-    def count(self) -> int:
-        """Number of slots currently held."""
-        return len(self._users)
-
     def request(self) -> Request:
         req = Request(self)
         if len(self._users) < self.capacity:
@@ -112,9 +107,6 @@ class Store:
         self.sim = sim
         self._items: deque[Any] = deque()
         self._getters: deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
 
     def put(self, item: Any) -> Event:
         """Queue *item*; the returned event fires at once."""

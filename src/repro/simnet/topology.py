@@ -46,9 +46,6 @@ class Host:
         #: the rack this host hangs off, assigned by its :class:`Network`
         self.rack: Optional[Rack] = None
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Host {self.name}>"
-
 
 class Rack:
     """A top-of-rack domain with an (optionally oversubscribed) uplink."""

@@ -92,7 +92,7 @@ from repro.tools.source import (
 )
 
 __all__ = ["LintResult", "Program", "Violation", "add_arguments",
-           "default_paths", "lint_paths", "main", "run",
+           "default_paths", "lint_paths", "run",
            "summarize_source"]
 
 
@@ -186,11 +186,3 @@ def run(args) -> int:
     print(f"repro-lint: clean ({notes})")
     return 0
 
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro lint",
-        description="check repo invariants ruff cannot express",
-    )
-    add_arguments(parser)
-    return run(parser.parse_args(argv))

@@ -422,10 +422,6 @@ class TxnRuntime:
     def aborts(self) -> int:
         return int(self._m_aborts.value)
 
-    @property
-    def conflicts(self) -> int:
-        return int(self._m_conflicts.value)
-
     def begin(self, deadline: float = None) -> Txn:
         """One transaction attempt with a cluster-unique odd token."""
         return Txn(self, mint_token(self.client),

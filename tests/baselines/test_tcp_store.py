@@ -16,12 +16,12 @@ def cluster():
                          server_capacity=64 * MiB)
 
 
-def test_read_write_roundtrip(cluster):
+def test_read_returns_the_served_bytes(cluster):
     server = TcpMemoryServer(cluster, host_id=2, size=1 * MiB, port=7950)
+    server.buffer[100:112] = b"socket-store"
 
     def app():
         client = yield from TcpMemoryClient(cluster, 0).connect(server)
-        yield from client.write(100, b"socket-store")
         data = yield from client.read(100, 12)
         return data
 

@@ -5,6 +5,7 @@ import pytest
 from repro.cluster import build_cluster
 from repro.core import NotMappedError, RStoreConfig
 from repro.simnet.config import KiB, MiB
+from tests.probes import sync_cas
 
 
 @pytest.fixture(scope="module")
@@ -280,7 +281,7 @@ def test_blocking_wrappers_unchanged(cluster):
         n = yield from mapping.write(100, b"classic")
         data = yield from mapping.read(100, 7)
         old = yield from mapping.faa(0, 3)
-        swapped = yield from mapping.cas(0, 3, 42)
+        swapped = yield from sync_cas(mapping, 0, 3, 42)
         final = yield from mapping.read(0, 8)
         return n, data, old, swapped, int.from_bytes(final, "little")
 

@@ -17,7 +17,7 @@ from repro.core import AllocationError, RegionNotFoundError, RStoreConfig
 from repro.rdma.types import RdmaError
 from repro.simnet.config import KiB, MiB
 from repro.simnet.faults import FaultInjector
-from tests.probes import live_allocations
+from tests.probes import live_allocations, rpc_connected
 
 STRIPE = 64 * KiB
 CAPACITY = 64 * MiB
@@ -195,7 +195,7 @@ def test_a_fresh_re_registration_resets_the_slice():
 def test_concurrent_first_uses_share_one_memory_service_channel():
     cluster = fresh_cluster()
     client = cluster.client(1)
-    accepted = cluster.server(2)._rpc._accepted
+    accepted = cluster.servers[2]._rpc._accepted
     before = len(accepted)
     procs = [cluster.spawn(client._mem_channel(2)) for _ in range(3)]
     channels = [cluster.run(until=proc) for proc in procs]
@@ -242,7 +242,7 @@ def test_a_failed_dial_is_forgotten_so_the_next_call_retries():
         yield from master_rpc.start()
         return (yield from router.client_for(0))
 
-    assert cluster.run_app(redial()).connected
+    assert rpc_connected(cluster.run_app(redial()))
 
 
 # -- what the round costs ---------------------------------------------------

@@ -32,5 +32,5 @@ def test_the_design_table_lists_every_registered_control_rpc():
     cluster = build_cluster(num_machines=2)
     assert documented_rpcs() == {
         "master": set(cluster.master._rpc._handlers),
-        "memory": set(cluster.server(1)._rpc._handlers),
+        "memory": set(cluster.servers[1]._rpc._handlers),
     }

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import RegionUnavailableError, RStoreConfig
 from repro.cluster import build_cluster
+from repro.core.server import SERVER_REJOIN_DEADLINE_S
 from repro.simnet.config import KiB, MiB
 from repro.simnet.faults import FaultInjector
 
@@ -196,3 +197,22 @@ def test_cluster_stats_reflect_dead_server():
     stats = cluster.run_app(app())
     assert stats["alive_servers"] == 3
     assert stats["servers"] == 4
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_a_server_stands_down_only_when_its_last_shard_is_gone(shards):
+    """A shard master that stays down past the rejoin deadline is given
+    up; a server dies only once it has given up every shard."""
+    cluster = build_cluster(
+        num_machines=4,
+        config=RStoreConfig(stripe_size=64 * KiB, control_shards=shards),
+        server_capacity=64 * MiB,
+    )
+    lost = shards - 1
+    cluster.crash_master(shard=lost)
+    cluster.run(until=cluster.sim.now + SERVER_REJOIN_DEADLINE_S + 1.0)
+    for host_id, server in cluster.servers.items():
+        assert server.alive is (shards > 1)
+        if shards > 1:
+            # the surviving shard still holds the server's lease
+            assert cluster.masters[0].allocator.server(host_id).alive

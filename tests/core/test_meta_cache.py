@@ -2,7 +2,7 @@
 
 The cache contract: under a live lease, ``map`` never touches a
 master; an epoch bump (master restart) or an explicit ``free`` evicts;
-a missing name is remembered only for ``meta_negative_ttl_s``; and N
+a missing name is remembered only for ``META_NEGATIVE_TTL_S``; and N
 concurrent misses for the same cold name coalesce onto exactly one
 lookup RPC.
 """
@@ -12,6 +12,7 @@ import pytest
 from repro.cluster import build_cluster
 from repro.core import RStoreConfig
 from repro.core.errors import RegionNotFoundError
+from repro.core.metacache import META_LEASE_S, META_NEGATIVE_TTL_S
 from repro.simnet.config import KiB, MiB
 from tests.probes import host_count
 
@@ -41,12 +42,12 @@ def test_warm_map_issues_zero_master_rpcs():
 
 
 def test_lease_expiry_refetches_once():
-    cluster = fresh_cluster(meta_lease_s=0.05)
+    cluster = fresh_cluster()
     client = cluster.client(1)
 
     def app():
         yield from client.alloc("leased", 256 * KiB)
-        yield cluster.sim.timeout(0.1)  # outlive the lease
+        yield cluster.sim.timeout(2 * META_LEASE_S)  # outlive the lease
         misses = client.metadata_cache_misses
         baseline = client.master_calls
         yield from client.map("leased")
@@ -91,7 +92,7 @@ def test_a_refused_free_still_evicts_the_lease():
 
 
 def test_negative_entries_expire():
-    cluster = fresh_cluster(meta_negative_ttl_s=0.05)
+    cluster = fresh_cluster()
     client = cluster.client(1)
 
     def app():
@@ -103,7 +104,7 @@ def test_negative_entries_expire():
             yield from client.map("phantom")
         assert client.master_calls == baseline
         # once the TTL lapses (and the region exists) map succeeds
-        yield cluster.sim.timeout(0.1)
+        yield cluster.sim.timeout(2 * META_NEGATIVE_TTL_S)
         yield from client.alloc("phantom", 128 * KiB)
         mapping = yield from client.map("phantom")
         assert mapping is not None
@@ -150,7 +151,7 @@ def test_negative_entry_from_lookup_in_flight_across_bump_is_dropped():
     under the new era hid behind the cached refusal for the whole
     negative TTL.  The refusal must be stamped with the era it was
     issued under, and a later ``map`` must refetch, not re-refuse."""
-    cluster = fresh_cluster(meta_negative_ttl_s=5.0)
+    cluster = fresh_cluster()
     client = cluster.client(1)
     owner = cluster.client(2)
 
@@ -162,7 +163,7 @@ def test_negative_entry_from_lookup_in_flight_across_bump_is_dropped():
     cluster.run_app(cluster.restart_master())
     cluster.run(until=cluster.sim.now + 0.5)
 
-    order = []
+    order, missed_at = [], []
 
     def misser():
         # lookup starts while this client still believes the old
@@ -170,6 +171,7 @@ def test_negative_entry_from_lookup_in_flight_across_bump_is_dropped():
         with pytest.raises(RegionNotFoundError):
             yield from client.map("victim")
         order.append("missed")
+        missed_at.append(cluster.sim.now)
 
     def learner():
         # a fenced control op: refreshes this client's epoch view
@@ -189,8 +191,9 @@ def test_negative_entry_from_lookup_in_flight_across_bump_is_dropped():
 
     def after():
         # the region is born under the new era; the client must see it
-        # well inside the 5s negative TTL
+        # while the cached refusal's negative TTL is still running
         yield from owner.alloc("victim", 128 * KiB)
+        assert cluster.sim.now - missed_at[0] < META_NEGATIVE_TTL_S
         mapping = yield from client.map("victim")
         assert mapping is not None
 
@@ -201,7 +204,7 @@ def test_stale_era_refusal_is_evicted_at_serve_time():
     """The serve-time half of the same regression: an entry stamped
     under an older era than the client has since observed must never
     be served, even though its TTL is still running."""
-    cluster = fresh_cluster(meta_negative_ttl_s=5.0)
+    cluster = fresh_cluster()
     client = cluster.client(1)
     owner = cluster.client(2)
 

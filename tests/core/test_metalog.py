@@ -20,12 +20,15 @@ import pytest
 
 from repro.cluster import build_cluster
 from repro.core import RStoreConfig
-from repro.core.metalog import MetaLog, RecoveredState
+from repro.core.metalog import (
+    APPEND_LATENCY_S,
+    CHECKPOINT_EVERY,
+    MetaLog,
+    RecoveredState,
+)
 from repro.core.region import RegionDesc, StripeDesc, StripeReplica
 from repro.simnet.config import KiB, MiB
 from repro.simnet.kernel import Simulator
-
-APPEND_S = 5e-6
 
 
 def _region(name: str, region_id: int = 1, epoch: int = 0) -> RegionDesc:
@@ -50,7 +53,7 @@ def _drive(sim: Simulator, generator):
 
 def test_append_replay_round_trip():
     sim = Simulator()
-    log = MetaLog(sim, append_latency_s=APPEND_S)
+    log = MetaLog(sim)
 
     def writer():
         yield from log.append("region", _region("a", region_id=3))
@@ -108,10 +111,12 @@ def test_replay_upserts_the_latest_region_snapshot():
 
 def test_free_deletes_and_never_resurrects():
     sim = Simulator()
-    log = MetaLog(sim, checkpoint_every=1)
+    log = MetaLog(sim)
 
     def writer():
         yield from log.append("region", _region("doomed"))
+        for i in range(CHECKPOINT_EVERY - 1):
+            yield from log.append("note", ("pad", i))
         # checkpoint captures the region...
         yield from log.maybe_checkpoint(
             lambda: RecoveredState(regions={"doomed": _region("doomed")})
@@ -126,11 +131,13 @@ def test_free_deletes_and_never_resurrects():
 
 def test_checkpoint_truncates_the_tail():
     sim = Simulator()
-    log = MetaLog(sim, checkpoint_every=2)
+    log = MetaLog(sim)
 
     def writer():
         yield from log.append("region", _region("a", region_id=1))
         yield from log.append("region", _region("b", region_id=2))
+        for i in range(CHECKPOINT_EVERY - 2):
+            yield from log.append("note", ("pad", i))
         yield from log.maybe_checkpoint(lambda: RecoveredState(
             regions={"a": _region("a", region_id=1),
                      "b": _region("b", region_id=2)},
@@ -142,7 +149,7 @@ def test_checkpoint_truncates_the_tail():
 
     _drive(sim, writer())
     assert log.checkpoints == 1
-    assert len(log) == 1  # only the post-checkpoint tail survives
+    assert len(log._tail) == 1  # only the post-checkpoint tail survives
     state = log.replay()
     assert sorted(state.regions) == ["a", "b", "c"]
     assert state.epoch == 1
@@ -151,7 +158,7 @@ def test_checkpoint_truncates_the_tail():
 
 def test_append_charges_fsync_latency():
     sim = Simulator()
-    log = MetaLog(sim, append_latency_s=APPEND_S)
+    log = MetaLog(sim)
 
     def writer():
         before = sim.now
@@ -159,7 +166,7 @@ def test_append_charges_fsync_latency():
         return sim.now - before
 
     elapsed = _drive(sim, writer())
-    assert elapsed == pytest.approx(APPEND_S)
+    assert elapsed == pytest.approx(APPEND_LATENCY_S)
 
 
 def test_replay_of_an_empty_log_is_a_clean_boot():
@@ -167,9 +174,7 @@ def test_replay_of_an_empty_log_is_a_clean_boot():
     state = log.replay()
     assert state.regions == {} and state.servers == {}
     assert state.epoch == 0 and state.next_region_id == 1
-    # an empty log is still falsy by length — the master must adopt it
-    # anyway (regression guard for the shared-log wiring)
-    assert len(log) == 0 and not log._tail
+    assert not log._tail
 
 
 def test_checkpoint_at_the_commit_point_loses_no_region():
@@ -184,11 +189,10 @@ def test_checkpoint_at_the_commit_point_loses_no_region():
     """
     cluster = build_cluster(
         num_machines=4,
-        config=RStoreConfig(stripe_size=64 * KiB,
-                            metalog_checkpoint_every=4),
+        config=RStoreConfig(stripe_size=64 * KiB),
         server_capacity=16 * MiB,
     )
-    names = [f"r{i}" for i in range(12)]
+    names = [f"r{i}" for i in range(2 * CHECKPOINT_EVERY + 8)]
 
     def app():
         client = cluster.client(1)
@@ -229,7 +233,7 @@ def test_overlapping_checkpoints_lose_no_committed_region(seed):
     log = cluster.metalog
     assert sorted(log.replay().regions) == sorted(cluster.master.regions)
     # no more checkpoints than were due
-    assert 0 < log.checkpoints <= log.appends // log.checkpoint_every
+    assert 0 < log.checkpoints <= log.appends // CHECKPOINT_EVERY
 
 
 def test_an_append_between_checkpoints_builds_no_state_snapshot():
@@ -254,7 +258,7 @@ def test_an_append_between_checkpoints_builds_no_state_snapshot():
             yield from client.alloc(f"r{i}", 4 * KiB)
 
     cluster.run_app(app())
-    every = cluster.metalog.checkpoint_every
+    every = CHECKPOINT_EVERY
     assert cluster.metalog.checkpoints >= allocs // every - 1
     assert len(built) <= allocs // every + 1, len(built)
 
@@ -306,8 +310,7 @@ def test_notes_survive_a_master_crash():
     must restore it, and the checkpoint path must carry it too."""
     cluster = build_cluster(
         num_machines=4,
-        config=RStoreConfig(stripe_size=64 * KiB,
-                            metalog_checkpoint_every=4),
+        config=RStoreConfig(stripe_size=64 * KiB),
         server_capacity=16 * MiB,
     )
 
@@ -315,8 +318,9 @@ def test_notes_survive_a_master_crash():
         client = cluster.client(1)
         yield from client.notify("early", {"k": 1})
         # push the early note through a checkpoint + truncation
-        for i in range(8):
+        for i in range(CHECKPOINT_EVERY + 8):
             yield from client.alloc(f"r{i}", 64 * KiB)
+        assert cluster.metalog.checkpoints >= 1
         yield from client.notify("late", {"k": 2})
         cluster.master.crash()
         yield from cluster.restart_master()

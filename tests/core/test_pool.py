@@ -28,7 +28,7 @@ def test_alloc_free_roundtrip():
         assert chunk.read_bytes(6) == b"staged"
         assert chunk.read_bytes(0) == b""  # not the whole chunk
         chunk.release()
-        assert pool.free_bytes == pool.capacity
+        assert pool._arena.free_bytes == pool.capacity
 
     run(sim, app())
 

@@ -16,11 +16,15 @@ Semantics pinned here:
   replays bit-for-bit from a fixed seed.
 """
 
+import pytest
+
 from repro.cluster import build_cluster
 from repro.core import RStoreConfig, RStoreError
+from repro.rdma.types import Opcode
+from repro.rdma.wr import SendWR
 from repro.simnet.config import KiB, MiB
 from repro.simnet.faults import FaultInjector
-from tests.probes import live_allocations
+from tests.probes import host_count, live_allocations
 
 REGION = 256 * KiB
 CHUNK = 4 * KiB
@@ -83,7 +87,7 @@ def run_kill_under_writes(seed):
     outcome["region"] = cluster.master.regions["busy"]
     outcome["repair_log"] = list(cluster.master.repair.log)
     outcome["repaired"] = cluster.master.repair.repaired
-    outcome["retries"] = client.retries
+    outcome["retries"] = host_count(client, "client.retries")
     outcome["end_time"] = cluster.sim.now
     return outcome
 
@@ -198,7 +202,7 @@ def test_transient_wire_faults_are_absorbed_by_retry():
 
     assert cluster.run_app(app()) == b"despite the weather"
     assert cluster.faults.injected["wire"] == 2
-    assert client.retries >= 1
+    assert host_count(client, "client.retries") >= 1
 
 
 def test_losing_two_servers_heals_as_long_as_one_copy_survives():
@@ -400,3 +404,29 @@ def test_a_repair_made_moot_mid_copy_returns_its_target_reservation():
     for slot in cluster.master.allocator.alive_servers:
         assert slot.free == slot.capacity, f"server {slot.host_id} leaked"
         assert live_allocations(slot.arena) == 0
+
+
+def test_a_repair_copy_whose_post_fails_ends_with_the_copy_error():
+    """A copy READ the QP refuses (its send queue is full) fails the
+    whole copy with that error; the copy does not wait for completions
+    that will never come."""
+    cluster = fresh_cluster()
+    client = cluster.client(1)
+    target = cluster.servers[3]
+    dst = target.arena_mr.addr + target.capacity - REGION  # never allocated
+
+    def app():
+        region = yield from client.alloc("source", REGION, preferred_host=2)
+        src = region.stripes[0].primary
+        # a first copy dials the peer QP the server then keeps
+        yield from target._copy_stripe(2, src.addr, src.rkey, dst, CHUNK)
+        qp = target._peer_qps[2]
+        qp.post_send_many([
+            SendWR(opcode=Opcode.RDMA_READ, wr_id=None,
+                   local_mr=target.arena_mr, local_addr=dst, length=8,
+                   remote_addr=src.addr, rkey=src.rkey)
+            for _ in range(qp.sq_depth)])
+        with pytest.raises(RStoreError, match="copy post failed: send queue"):
+            yield from target._copy_stripe(2, src.addr, src.rkey, dst, CHUNK)
+
+    cluster.run_app(app())

@@ -35,7 +35,7 @@ def test_replicated_alloc_places_distinct_copies():
         return region
 
     region = cluster.run_app(app())
-    assert region.replication == 2
+    assert all(stripe.replication == 2 for stripe in region.stripes)
     for stripe in region.stripes:
         hosts = [r.host_id for r in stripe.replicas]
         assert len(set(hosts)) == 2

@@ -16,6 +16,7 @@ from repro.core import (
 )
 from repro.cluster import build_cluster
 from repro.simnet.config import KiB, MiB
+from tests.probes import sync_cas
 
 
 @pytest.fixture(scope="module")
@@ -163,7 +164,7 @@ def test_atomics_shared_counter_across_clients(cluster):
         olds = []
         olds.append((yield from m0.faa(0, 10)))
         olds.append((yield from m1.faa(0, 10)))
-        olds.append((yield from m0.cas(0, 20, 777)))
+        olds.append((yield from sync_cas(m0, 0, 20, 777)))
         value = yield from m0.read(0, 8)
         return olds, int.from_bytes(value, "little")
 

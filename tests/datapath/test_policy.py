@@ -8,6 +8,7 @@ import pytest
 from repro.core import RStoreConfig
 from repro.datapath.policy import (
     ALLOWED_MODES,
+    FETCH_BYTES,
     AdaptiveSelector,
     ModeChooser,
     PathPolicy,
@@ -90,8 +91,9 @@ def test_sizes_narrow_adaptive_and_refuse_a_fixed_policy():
         chooser.done("get", mode, token)
     assert seen == {"one_sided", "remote_fetch"}
     # a slot over the fetch buffer too leaves a lookup one candidate
-    small = _chooser("adaptive", sizes, datapath_fetch_bytes=64 * KiB)
-    assert small.pick("get") == ("one_sided", None)
+    huge = FETCH_BYTES + 1
+    over = _chooser("adaptive", {"get": (16, huge), "put": (huge, 0)})
+    assert over.pick("get") == ("one_sided", None)
     with pytest.raises(ValueError, match="get as server_op"):
         _chooser("server_op", sizes)
     # remote_fetch stores as a server-op, which cannot carry the slot

@@ -6,6 +6,7 @@ from repro.cluster import build_cluster
 from repro.core import RStoreConfig
 from repro.core.errors import TenantQuotaExceededError
 from repro.datapath import ops
+from repro.datapath.policy import FETCH_BYTES
 from repro.datapath.router import _FetchBuffer
 from repro.kv.hashkv import KvError, KvFullError, RKVStore
 from repro.rdma.cm import ConnectError
@@ -13,7 +14,7 @@ from repro.rpc.channel import ChannelClosed
 from repro.rpc.endpoint import RpcError
 from repro.simnet.config import KiB, MiB
 from repro.coord.seqlock import mint_token
-from tests.probes import host_count, preferred_mode, read_record
+from tests.probes import count_all, host_count, preferred_mode, read_record
 
 
 def fresh_cluster(**overrides):
@@ -34,8 +35,8 @@ def test_one_sided_policy_never_ships_a_server_op():
         yield from store.put(b"k", b"v")
         value = yield from store.get(b"k")
         assert value == b"v"
-        assert client.datapath.server_ops == 0
-        assert host_count(client, "datapath.remote_fetches") == 0
+        assert count_all(cluster, "datapath.server_ops") == 0
+        assert count_all(cluster, "datapath.remote_fetches") == 0
 
     cluster.run_app(app())
 
@@ -51,7 +52,7 @@ def test_server_op_policy_ships_and_skips_the_fetch_buffer():
         yield from store.put(b"k", b"v")
         value = yield from store.get(b"k")
         assert value == b"v"
-        assert client.datapath.server_ops > 0
+        assert count_all(cluster, "datapath.server_ops") > 0
         assert host_count(client, "datapath.remote_fetches") == 0
 
     cluster.run_app(app())
@@ -125,10 +126,10 @@ def test_multi_get_returns_values_in_key_order_with_misses():
             for i in range(12):
                 yield from store.put(b"m%d" % i, b"val%d" % i)
             keys = [b"m3", b"nope", b"m7", b"m0", b"also-nope"]
-            shipped = client.datapath.server_ops
+            shipped = count_all(cluster, "datapath.server_ops")
             values = yield from store.multi_get(keys)
             assert values == [b"val3", None, b"val7", b"val0", None], policy
-            assert client.datapath.server_ops == shipped, policy
+            assert count_all(cluster, "datapath.server_ops") == shipped, policy
 
     cluster.run_app(app())
 
@@ -210,10 +211,10 @@ def test_store_with_a_tombstone_on_an_earlier_host_finds_the_key_behind_it():
             yield from store.put(filler, b"filler")
         yield from store.put(key, b"v1")          # lands in the second run
         assert (yield from store.delete(fillers[0])) is True
-        shipped = router.server_ops
+        shipped = count_all(cluster, "datapath.server_ops")
         yield from store.put(key, b"v2")
         # the first host answered "reusable"; the rest went one-sided
-        assert router.server_ops == shipped + 1
+        assert count_all(cluster, "datapath.server_ops") == shipped + 1
         assert (yield from store.get(key)) == b"v2"
         # an absent key sharing the chain reuses the tombstone
         yield from store.put(fillers[0], b"back")
@@ -236,14 +237,14 @@ def test_a_server_op_store_leaves_a_one_sided_put_two_round_trips():
         store = yield from RKVStore.create(client, "refreshed", slots=64,
                                            key_size=16, value_size=64)
         yield from store.put(b"warm", b"w")  # dial the QP, stage once
-        shipped = client.datapath.server_ops
+        shipped = count_all(cluster, "datapath.server_ops")
         assert (yield from client.datapath.kv_put(store, b"k", b"v1"))
-        assert client.datapath.server_ops == shipped + 1
+        assert count_all(cluster, "datapath.server_ops") == shipped + 1
         bells, wrs = nic.doorbells_rung, nic.ops_posted
         yield from store.put(b"k", b"v2")
         # [READ slot, lock CAS], then [body, version]
         assert (nic.doorbells_rung - bells, nic.ops_posted - wrs) == (2, 4)
-        assert client.datapath.server_ops == shipped + 1
+        assert count_all(cluster, "datapath.server_ops") == shipped + 1
         assert (yield from store.get(b"k")) == b"v2"
 
     cluster.run_app(app())
@@ -400,13 +401,13 @@ def test_unplaceable_fetch_buffer_degrades_to_server_op():
         value = yield from store.get(b"k")
         assert value == b"v"
         assert host_count(client, "datapath.remote_fetches") == 0
-        assert router.server_ops > 0
+        assert count_all(cluster, "datapath.server_ops") > 0
 
     cluster.run_app(app())
 
 
 def test_dead_server_exhausts_the_redial_budget():
-    cluster = fresh_cluster(data_retry_limit=2)
+    cluster = fresh_cluster()
     client = cluster.client(1)
 
     def app():
@@ -481,27 +482,28 @@ def test_adaptive_policy_converges_and_stays_correct():
 
 
 BIG = 96 * KiB  # a value no RPC message (64 KiB) can carry
+HUGE = FETCH_BYTES  # a value whose slot no fetch buffer can carry either
 
 
 def test_fixed_policy_whose_slots_outgrow_its_transport_is_refused():
     # at the parent both tables opened fine and the first op died with
     # an untyped MessageTooLarge (inside the server's RPC handler for a
     # get: the whole simulation went down with it)
-    cluster = fresh_cluster(datapath_fetch_bytes=64 * KiB)
+    cluster = fresh_cluster()
     client = cluster.client(1)
 
     def app():
-        for policy, knob in (("server_op", "channel"),
-                             ("remote_fetch", "datapath_fetch_bytes")):
-            with pytest.raises(KvError, match=knob):
+        for policy, transport in (("server_op", "channel"),
+                                  ("remote_fetch", "fetch buffer")):
+            with pytest.raises(KvError, match=transport):
                 yield from RKVStore.create(client, "big", slots=8,
-                                           key_size=16, value_size=BIG,
+                                           key_size=16, value_size=HUGE,
                                            path_policy=policy)
         # nothing was allocated by the refused creates, and one-sided
         # IO carries any slot
         store = yield from RKVStore.create(client, "big", slots=8,
-                                           key_size=16, value_size=BIG)
-        yield from store.put(b"k", b"v" * BIG)
+                                           key_size=16, value_size=HUGE)
+        yield from store.put(b"k", b"v" * HUGE)
         for policy in ("server_op", "remote_fetch"):
             with pytest.raises(KvError):
                 yield from RKVStore.open(client, "big", path_policy=policy)
@@ -509,24 +511,23 @@ def test_fixed_policy_whose_slots_outgrow_its_transport_is_refused():
     cluster.run_app(app())
 
 
-@pytest.mark.parametrize("fetch_bytes, get_modes", [
-    (256 * KiB, {"one_sided", "remote_fetch"}),  # a slot fits the buffer
-    (64 * KiB, {"one_sided"}),                   # nothing server-side fits
+@pytest.mark.parametrize("value_size, get_modes", [
+    (HUGE, {"one_sided"}),                     # nothing server-side fits
+    (64 * KiB, {"one_sided", "remote_fetch"}),  # a slot fits the buffer
 ])
-def test_adaptive_only_considers_modes_its_slots_fit(fetch_bytes, get_modes):
-    cluster = fresh_cluster(datapath_fetch_bytes=fetch_bytes,
-                            datapath_probe_every=4)
+def test_adaptive_only_considers_modes_its_slots_fit(value_size, get_modes):
+    cluster = fresh_cluster(datapath_probe_every=4)
     client = cluster.client(1)
 
     def app():
         store = yield from RKVStore.create(client, "big", slots=64,
-                                           key_size=16, value_size=BIG,
+                                           key_size=16, value_size=value_size,
                                            path_policy="adaptive")
         model = {}
         for i in range(64):
             key = b"k%d" % (i // 4 % 4)  # put, get, get, multi_get each
             if i % 4 == 0:
-                model[key] = bytes([i]) * BIG
+                model[key] = bytes([i]) * value_size
                 yield from store.put(key, model[key])
             elif i % 4 == 3:
                 values = yield from store.multi_get([key, b"ghost"])
@@ -543,7 +544,7 @@ def test_adaptive_only_considers_modes_its_slots_fit(fetch_bytes, get_modes):
             assert set(sel._classes["get"].ewma) == get_modes
             assert host_count(client, "datapath.remote_fetches") > 0
         else:
-            assert router.server_ops == 0
+            assert count_all(cluster, "datapath.server_ops") == 0
 
     cluster.run_app(app())
 

@@ -13,6 +13,7 @@ from repro.coord.seqlock import mint_token
 from repro.core import RStoreConfig
 from repro.core.errors import RStoreError, StaleEpochError
 from repro.datapath import ops
+from repro.datapath.policy import FETCH_BYTES
 from repro.kv.hashkv import RKVStore
 from repro.simnet.config import KiB, MiB
 from tests.probes import read_record
@@ -35,7 +36,7 @@ def _owner(cluster, client, store, key):
         "kv_get", store.mapping, key=key, slots=slots,
         key_size=store.key_size, value_size=store.value_size,
     )
-    return cluster.server(host_id), request
+    return cluster.servers[host_id], request
 
 
 def test_fenced_request_raises_before_touching_memory():
@@ -126,27 +127,27 @@ def test_deposit_overflow_names_the_knob():
     # anything is allocated (the name is free for the second create),
     # and the executor still refuses a deposit that does not fit — a
     # hand-built request, since the chooser never offers one
-    cluster = fresh_cluster(datapath_fetch_bytes=64)
+    cluster = fresh_cluster()
     client = cluster.client(1)
 
     def app():
-        with pytest.raises(RStoreError, match="datapath_fetch_bytes"):
+        with pytest.raises(RStoreError, match="fetch buffer"):
             yield from RKVStore.create(client, "big", slots=64,
-                                       key_size=16, value_size=512,
+                                       key_size=16, value_size=FETCH_BYTES,
                                        path_policy="remote_fetch")
         store = yield from RKVStore.create(client, "big", slots=64,
                                            key_size=16, value_size=512)
         yield from store.put(b"k", b"x" * 512)
         server, request = _owner(cluster, client, store, b"k")
         request["deposit"] = (0, 64)
-        with pytest.raises(RStoreError, match="datapath_fetch_bytes"):
+        with pytest.raises(RStoreError, match="fetch buffer"):
             yield from server._dp.execute(request)
 
     cluster.run_app(app())
 
 
 def test_small_results_deposit_fine_in_a_small_buffer():
-    cluster = fresh_cluster(datapath_fetch_bytes=256)
+    cluster = fresh_cluster()
     client = cluster.client(1)
 
     def app():

@@ -45,6 +45,8 @@ def test_kv_cache_example():
     out = run_example("distributed_kv_cache.py")
     assert "kops/s" in out
     assert "server CPUs idle: True" in out
+    # the eviction pass and the batched read-back agree with the sockets KV
+    assert "40 keys live in the read-back (same on both stores)" in out
 
 
 def test_failover_example():
@@ -56,6 +58,7 @@ def test_failover_example():
 def test_bank_transfer_example():
     out = run_example("bank_transfer.py")
     assert "while the master was DOWN" in out
+    assert "paid out to acct-00, the key deleted" in out
     assert "balance conserved" in out
     assert "all ridden out" in out
 

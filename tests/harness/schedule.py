@@ -27,6 +27,7 @@ from repro.core.errors import DeadlineExceededError, MasterUnavailableError
 from repro.obs import obs_for
 from repro.sanitize import rsan_for
 from repro.simnet.config import KiB, MiB
+from tests.probes import sync_cas
 
 #: the pinned seed matrix (CI runs these plus one random seed)
 SEEDS = (101, 202, 303, 404, 505)
@@ -205,7 +206,7 @@ def run_schedule(seed: int, trace: bool = False, groups: int = 24,
             return (yield from mapping.write(op[1], op[2]))
         if kind == "faa":
             return (yield from mapping.faa(op[1], op[2]))
-        return (yield from mapping.cas(op[1], op[2], op[3]))
+        return (yield from sync_cas(mapping, op[1], op[2], op[3]))
 
     def enqueue(batch, mapping, op):
         kind = op[0]

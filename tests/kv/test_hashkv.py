@@ -11,6 +11,7 @@ from repro.kv import KvError, KvFullError, RKVStore
 from repro.rdma.types import Opcode
 from repro.simnet.config import KiB, MiB
 from repro.simnet.faults import FaultInjector
+from tests.probes import instruments
 from tests import probes
 
 
@@ -604,9 +605,9 @@ def test_seqlock_instruments_do_not_grow_with_the_key_space():
             assert (yield from store.get(key)) == b"v"
 
     cluster.run_app(touch([b"first"]))
-    registered = len(metrics)
+    registered = instruments(metrics)
     cluster.run_app(touch([f"key-{i}".encode() for i in range(500)]))
-    assert len(metrics) == registered
+    assert instruments(metrics) == registered
     for name in ("coord.seqlock.read_retries",
                  "coord.seqlock.lock_failures"):
         assert len(metrics.series(name)) == 1

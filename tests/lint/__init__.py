@@ -11,6 +11,7 @@ import re
 from pathlib import Path
 
 from repro.tools import lint
+from repro.tools.cli import main as repro_main
 
 HERE = Path(__file__).parent
 REPO = HERE.parent.parent
@@ -65,7 +66,7 @@ def check_fixture_flags_its_marked_lines(rule):
 def check_cli_exits_1_on_fixture(rule, capsys):
     live = RETIRED.get(rule, rule)
     path = FIXTURES[live]
-    assert lint.main([str(path)]) == 1
+    assert repro_main(["lint", str(path)]) == 1
     out = capsys.readouterr().out
     for line, _ in sorted(expected(path)):
         assert f"{path.name}:{line}: {live} " in out

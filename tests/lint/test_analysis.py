@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.tools import lint
+from repro.tools.cli import main as repro_main
 from repro.tools.lint import Program, summarize_source
 from repro.tools.source import SourceFile
 from tests.lint import (
@@ -68,7 +69,7 @@ def test_rl011_witnesses_the_reachable_fatal():
 def test_cli_exits_zero_on_the_tree(capsys):
     # clean *and* linked: a clean verdict from a linker that resolved
     # nothing would be vacuous
-    assert lint.main(["--json"]) == 0
+    assert repro_main(["lint", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["findings"] == []
     assert payload["stats"]["files"] > 100
@@ -76,7 +77,7 @@ def test_cli_exits_zero_on_the_tree(capsys):
 
 
 def test_cli_json_schema_is_stable(capsys):
-    assert lint.main(["--json", str(FIXTURES["RL003"])]) == 1
+    assert repro_main(["lint", "--json", str(FIXTURES["RL003"])]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["version"] == 2
     assert payload["tool"] == "repro-lint"
@@ -90,7 +91,7 @@ def test_cli_json_schema_is_stable(capsys):
 
 
 def test_cli_exits_2_on_empty_scope(tmp_path, capsys):
-    assert lint.main(["--json", str(tmp_path)]) == 2
+    assert repro_main(["lint", "--json", str(tmp_path)]) == 2
     captured = capsys.readouterr()
     assert "nothing was checked" in captured.err
     assert captured.out == ""
@@ -110,7 +111,7 @@ def test_allow_comment_suppresses_a_finding(tmp_path):
 def test_unparsable_file_is_an_rl000_error(tmp_path, capsys):
     victim = tmp_path / "broken.py"
     victim.write_text("def broken(:\n")
-    assert lint.main([str(victim)]) == 1
+    assert repro_main(["lint", str(victim)]) == 1
     assert "RL000" in capsys.readouterr().out
 
 

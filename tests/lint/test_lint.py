@@ -14,6 +14,7 @@ import json
 import pytest
 
 from repro.tools import lint
+from repro.tools.cli import main as repro_main
 from repro.tools.lint.file_rules import _retrying_trys
 from tests.lint import (
     FIXTURES,
@@ -38,7 +39,7 @@ def test_cli_exits_nonzero_with_file_line_rule(rule, capsys):
 
 def test_cli_exits_zero_on_the_tree(capsys, monkeypatch):
     monkeypatch.chdir(REPO)
-    assert lint.main([]) == 0
+    assert repro_main(["lint"]) == 0
     assert "repro-lint: clean" in capsys.readouterr().out
 
 
@@ -68,15 +69,13 @@ def test_violation_renders_path_line_rule():
 
 
 def test_cli_exits_2_on_empty_scope(tmp_path, capsys):
-    assert lint.main([str(tmp_path)]) == 2
+    assert repro_main(["lint", str(tmp_path)]) == 2
     assert "nothing was checked" in capsys.readouterr().err
 
 
 # -- one command, one parse, nothing written --------------------------------
 
 def test_repro_lint_runs_the_program_rules(capsys):
-    from repro.tools.cli import main as repro_main
-
     rc = repro_main(["lint", "--json", str(FIXTURES["RL003"])])
     assert rc == 1
     payload = json.loads(capsys.readouterr().out)

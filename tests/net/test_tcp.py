@@ -118,30 +118,6 @@ def test_send_charges_both_cpus():
     assert net.host(1).cpu.busy_seconds > 0
 
 
-def test_close_delivers_eof():
-    sim, _net, stacks = make_stacks()
-
-    def scenario():
-        client, server = yield from connect_pair(sim, stacks)
-        client.close()
-        msg = yield from server.recv()
-        return msg
-
-    assert run(sim, scenario()) is None
-
-
-def test_send_on_closed_socket_raises():
-    sim, _net, stacks = make_stacks()
-
-    def scenario():
-        client, _server = yield from connect_pair(sim, stacks)
-        client.close()
-        with pytest.raises(TcpError, match="closed"):
-            yield from client.send(b"zombie")
-
-    run(sim, scenario())
-
-
 def test_wire_size_override_scales_time():
     sim, _net, stacks = make_stacks()
 

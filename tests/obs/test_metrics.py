@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.obs.metrics import Histogram, MetricsRegistry
+from tests.probes import instruments
 
 
 def test_counter_counts_and_rejects_decrease():
@@ -57,8 +58,8 @@ def test_total_of_histogram_rejected():
 def test_gauge_moves_both_ways():
     reg = MetricsRegistry()
     g = reg.gauge("x.inflight")
-    g.add(5)
-    g.add(-2)
+    g.set(5)
+    g.set(3)
     assert g.value == 3
     g.set(0)
     assert g.value == 0
@@ -66,10 +67,11 @@ def test_gauge_moves_both_ways():
 
 def test_get_never_creates():
     reg = MetricsRegistry()
-    assert reg.get("x.ops") is None
+    assert reg.series("x.ops") == []
+    assert instruments(reg) == 0
     made = reg.counter("x.ops")
-    assert reg.get("x.ops") is made
-    assert len(reg) == 1
+    assert reg.series("x.ops") == [made]
+    assert instruments(reg) == 1
 
 
 def test_histogram_quantiles_within_relative_error():
@@ -126,13 +128,3 @@ def test_merge_rejects_different_scales():
     b = Histogram("x", (), smallest=1e-6)
     with pytest.raises(ValueError):
         a.merge(b)
-
-
-def test_snapshot_is_plain_data():
-    reg = MetricsRegistry()
-    reg.counter("x.ops", host=1).inc(2)
-    reg.histogram("x.lat").observe(5e-6)
-    snap = reg.snapshot()
-    assert snap["x.ops"]["host=1"] == 2
-    count, mean, _p50, _p99, maximum = snap["x.lat"]["-"]
-    assert count == 1 and mean == 5e-6 and maximum == 5e-6

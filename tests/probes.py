@@ -9,18 +9,27 @@ nothing in ``src/repro`` exists for tests alone
 (``tests/test_no_test_only_api.py``).
 """
 
+# repro.core before repro.coord: a module that imports repro.coord
+# first runs into the core <-> coord import cycle
+from repro.core.errors import RStoreError
 from repro.coord import Backoff, SeqLock
 from repro.coord.seqlock import mint_token, snapshots
-from repro.core.errors import RStoreError
 from repro.datapath.ops import WORD
 from repro.obs import obs_for
 
 
 def count(cluster, name, /, **labels):
     """The value of counter *name* under exactly *labels*."""
-    instrument = obs_for(cluster.sim).metrics.get(name, **labels)
-    assert instrument is not None, f"no counter {name!r} with {labels}"
-    return instrument.value
+    want = tuple(sorted((k, str(v)) for k, v in labels.items()))
+    found = [inst for inst in obs_for(cluster.sim).metrics.series(name)
+             if inst.labels == want]
+    assert found, f"no counter {name!r} with {labels}"
+    return found[0].value
+
+
+def instruments(registry):
+    """Instruments a ``MetricsRegistry`` holds, over every name and label set."""
+    return len(registry._instruments)
 
 
 def count_all(cluster, name):
@@ -66,9 +75,47 @@ def waiting(resource):
     return len(resource._waiting)
 
 
+def queued(cq):
+    """Completions waiting in a ``CompletionQueue``."""
+    return len(cq._entries)
+
+
+def stored(store):
+    """Items waiting in a ``Store``."""
+    return len(store._items)
+
+
+def holders(resource):
+    """Slots of a ``Resource`` currently held."""
+    return len(resource._users)
+
+
+def rpc_connected(client):
+    """Whether an ``RpcClient`` holds an open channel."""
+    return client._channel is not None and not client._channel.closed
+
+
+def sync_cas(mapping, offset, expected, desired):
+    """A compare-and-swap that waits for its old value (generator), the
+    way ``faa`` does: production submits CAS only through ``cas_async``
+    and ``IoBatch.cas``."""
+    fut = yield from mapping.cas_async(offset, expected, desired)
+    return (yield from fut.wait())
+
+
+def busy_cores(cpu):
+    """Cores of a ``Cpu`` currently executing work."""
+    return holders(cpu._res)
+
+
 def runnable_backlog(cpu):
     """Work items waiting for a free core of a ``Cpu``."""
     return waiting(cpu._res)
+
+
+def snapshot_bytes(snap):
+    """The bytes a ``Buffer.snapshot`` holds (a short one is plain bytes)."""
+    return snap if isinstance(snap, bytes) else b"".join(snap.parts)
 
 
 def materialized_bytes(buffer):

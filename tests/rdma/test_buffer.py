@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.rdma.memory import BLOCK, Buffer, HostMemory, Snapshot
 from repro.rdma.types import RdmaError
 from repro.simnet.config import GiB, MiB
-from tests.probes import materialized_bytes
+from tests.probes import materialized_bytes, snapshot_bytes
 
 
 def test_every_alloc_is_lazy():
@@ -75,7 +75,7 @@ def test_a_whole_block_snapshot_over_a_short_block_is_shared_and_lands():
     dst.write(2 * BLOCK, snap)
     assert dst._blocks[2].obj is src._blocks[1].obj
     want = bytes(3) + b"short" + bytes(BLOCK - 8)
-    assert dst.read(2 * BLOCK, BLOCK) == want == bytes(snap)
+    assert dst.read(2 * BLOCK, BLOCK) == want == snapshot_bytes(snap)
     src.write(BLOCK, b"x")  # copy-on-write: the landing keeps its bytes
     assert dst.read(2 * BLOCK, BLOCK) == want
 
@@ -144,7 +144,7 @@ def test_a_whole_block_snapshot_shares_storage_until_written():
     assert snap.parts[0].obj is buf._blocks[1].obj
     buf.write(BLOCK + 7, b"b")  # partial: copied first
     assert buf._blocks[1].obj is not snap.parts[0].obj
-    assert bytes(snap) == b"a" * BLOCK
+    assert snapshot_bytes(snap) == b"a" * BLOCK
     assert buf.read(BLOCK + 6, 3) == b"aba"
 
 
@@ -154,7 +154,7 @@ def test_a_snapshot_copies_its_edges_and_reads_unwritten_blocks_as_zero():
     snap = buf.snapshot(BLOCK - 5, 2 * BLOCK)  # edge, unwritten, edge
     buf.write(BLOCK - 5, b"12345")
     buf.write(BLOCK, b"q" * (2 * BLOCK))
-    assert bytes(snap) == b"e" * 5 + bytes(2 * BLOCK - 5)
+    assert snapshot_bytes(snap) == b"e" * 5 + bytes(2 * BLOCK - 5)
 
 
 def test_a_short_range_snapshots_as_plain_bytes():
@@ -169,12 +169,12 @@ def test_landing_into_a_shared_block():
     whole = buf.snapshot(0, 2 * BLOCK)
     # land it one block up: onto the shared block 1, whole-block writes
     buf.write(BLOCK, whole)
-    assert buf.read(BLOCK, 2 * BLOCK) == bytes(whole)
+    assert buf.read(BLOCK, 2 * BLOCK) == snapshot_bytes(whole)
     # and shifted, so every piece is a partial write into shared blocks
     again = buf.snapshot(0, 2 * BLOCK)
     buf.write(100, again)
-    assert buf.read(100, 2 * BLOCK) == bytes(again)
-    assert bytes(whole) == bytes(range(256)) * (BLOCK // 128)
+    assert buf.read(100, 2 * BLOCK) == snapshot_bytes(again)
+    assert snapshot_bytes(whole) == bytes(range(256)) * (BLOCK // 128)
 
 
 def test_an_empty_write_makes_no_block():
@@ -291,6 +291,6 @@ def test_snapshots_hold_their_instant_against_a_bytearray_reference(ops):
                                 else block.obj is part.obj)
                     pos += len(part)
     for snap, want, _source in taken:
-        assert bytes(snap) == want
+        assert snapshot_bytes(snap) == want
     for buf, ref in zip(bufs, refs):
         assert buf.read(0, _SIZE) == bytes(ref)

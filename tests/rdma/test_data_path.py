@@ -5,6 +5,7 @@ import pytest
 from repro.rdma.types import Access, Opcode, QpError, RdmaError, WcStatus
 from repro.rdma.wr import RecvWR, SendWR
 from repro.simnet.config import MiB, us
+from tests.probes import queued
 
 from tests.rdma.helpers import connected_pair, make_world, run, wait_for
 
@@ -240,7 +241,7 @@ def test_send_parks_until_recv_posted():
         pair = yield from connected_pair(world)
         pair.qp.post_send(send_wr(pair, b"early"))
         yield world.sim.timeout(1e-3)  # message long since arrived
-        assert len(pair.server_cq) == 0
+        assert queued(pair.server_cq) == 0
         pair.server_qp.post_recv(RecvWR(local_mr=pair.server_mr))
         (rwc,) = yield from wait_for(pair.server_cq, 1)
         assert rwc.ok
@@ -275,8 +276,8 @@ def test_unsignaled_write_produces_no_completion():
         pair.qp.post_send(write_wr(pair, 0, 64, remote_offset=64, wr_id="last"))
         (wc,) = yield from wait_for(pair.client_cq, 1)
         assert wc.wr_id == "last"
-        assert len(pair.client_cq) == 0
-        assert pair.qp.inflight == 0  # unsignaled WR still retired
+        assert queued(pair.client_cq) == 0
+        assert pair.qp._inflight == 0  # unsignaled WR still retired
 
     run(world, scenario())
 

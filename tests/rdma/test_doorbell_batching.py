@@ -4,6 +4,7 @@ import pytest
 
 from repro.rdma.types import Opcode, QpError, QpState, RdmaError
 from repro.rdma.wr import SendWR
+from tests.probes import queued
 
 from tests.rdma.helpers import connected_pair, make_world, run, wait_for
 
@@ -58,7 +59,7 @@ def test_unsignaled_successes_never_reach_the_cq():
         assert wc.wr_id == 5
         # let any stragglers land: still nothing besides the tail
         yield world.sim.timeout(1.0)
-        assert len(pair.client_cq) == 0
+        assert queued(pair.client_cq) == 0
         # the send queue fully drained — all six slots free again
         for i in range(6):
             pair.qp.post_send(write_wr(pair, 0, 8, remote_offset=0,
@@ -138,7 +139,7 @@ def test_cq_overrun_moves_qp_to_error():
         yield world.sim.timeout(1.0)
         assert small_cq.overflowed
         assert small_cq.dropped >= 1
-        assert len(small_cq) <= 2
+        assert queued(small_cq) <= 2
         assert qp2.state is QpState.ERROR
         with pytest.raises(QpError, match="CQ overrun"):
             qp2.post_send(write_wr(pair, 0, 8, remote_offset=0))

@@ -10,6 +10,7 @@ from repro.rpc.endpoint import (
     RpcTimeout,
 )
 
+from tests.probes import rpc_connected
 from tests.rdma.helpers import make_world, run
 
 
@@ -75,7 +76,7 @@ def test_timeout_fires_and_late_response_is_dropped():
         # let the late response arrive; it must be ignored quietly and
         # the connection must remain usable
         yield sim.timeout(10e-3)
-        assert client.connected
+        assert rpc_connected(client)
         result = yield from client.call("dawdle", timeout=1.0)
         return result
 

@@ -16,7 +16,7 @@ from repro.simnet.config import KiB, NetworkConfig
 from repro.simnet.cpu import Cpu
 from repro.simnet.kernel import SimulationError, Simulator
 from repro.simnet.topology import Network
-from tests.probes import next_event_at, runnable_backlog, scheduled
+from tests.probes import busy_cores, next_event_at, runnable_backlog, scheduled
 
 
 class TestCallLater:
@@ -355,12 +355,12 @@ class TestCpuGrant:
         def observer():
             # same instant, after both workers started: both cores are
             # taken and nobody is queued
-            samples.append((sim.now, cpu.active, runnable_backlog(cpu)))
+            samples.append((sim.now, busy_cores(cpu), runnable_backlog(cpu)))
             yield sim.timeout(0.5)
-            samples.append((sim.now, cpu.active, runnable_backlog(cpu),
+            samples.append((sim.now, busy_cores(cpu), runnable_backlog(cpu),
                             cpu.busy_seconds))
             yield sim.timeout(1.0)
-            samples.append((sim.now, cpu.active, runnable_backlog(cpu),
+            samples.append((sim.now, busy_cores(cpu), runnable_backlog(cpu),
                             cpu.busy_seconds))
 
         sim.process(worker())
@@ -384,9 +384,9 @@ class TestCpuGrant:
             finished.append((tag, sim.now))
 
         def observer():
-            samples.append((cpu.active, runnable_backlog(cpu)))
+            samples.append((busy_cores(cpu), runnable_backlog(cpu)))
             yield sim.timeout(1.5)
-            samples.append((cpu.active, runnable_backlog(cpu),
+            samples.append((busy_cores(cpu), runnable_backlog(cpu),
                             cpu.busy_seconds))
 
         for tag, seconds in (("a", 1.0), ("b", 1.0), ("c", 0.25), ("d", 0.5)):
@@ -397,7 +397,7 @@ class TestCpuGrant:
         assert finished == [("a", 1.0), ("b", 2.0), ("c", 2.25), ("d", 2.75)]
         assert samples == [(1, 3), (1, 2, 1.0)]
         assert cpu.busy_seconds == 2.75
-        assert (cpu.active, runnable_backlog(cpu)) == (0, 0)
+        assert (busy_cores(cpu), runnable_backlog(cpu)) == (0, 0)
 
     def test_a_freed_core_goes_to_the_waiter_not_to_a_newcomer(self):
         sim = Simulator()

@@ -5,7 +5,7 @@ import pytest
 from repro.simnet.cpu import Cpu
 from repro.simnet.kernel import Simulator
 from repro.simnet.rand import derive_rng, derive_seed
-from tests.probes import runnable_backlog
+from tests.probes import busy_cores, runnable_backlog
 
 
 class TestCpu:
@@ -77,7 +77,7 @@ class TestCpu:
         sim.process(worker())
         sim.process(worker())
         sim.run(until=0.5)
-        assert cpu.active == 1
+        assert busy_cores(cpu) == 1
         assert runnable_backlog(cpu) == 1
 
 

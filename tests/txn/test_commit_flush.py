@@ -129,7 +129,7 @@ def test_crossed_intents_abort_both_and_leave_every_word_even():
     assert balances == [100 - 8, 100 + 8]
     assert [rt.commits for rt in runtimes] == [1, 1]
     # each lost exactly one of its two intents in the lockstep attempt
-    assert all(rt.conflicts >= 1 for rt in runtimes)
+    assert all(rt._m_conflicts.value >= 1 for rt in runtimes)
     assert obs_for(cluster.sim).metrics.total(
         "coord.seqlock.lock_failures") >= 2
 

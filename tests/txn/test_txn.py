@@ -174,7 +174,7 @@ def test_lost_write_intent_conflicts(cluster):
         yield from store.put(b"k", b"raced")  # bump the version first
         with pytest.raises(TxnConflictError, match="write intent"):
             yield from txn.commit()
-        return (yield from store.get(b"k")), runtime.conflicts
+        return (yield from store.get(b"k")), runtime._m_conflicts.value
 
     assert cluster.run_app(app()) == (b"raced", 1)
 
