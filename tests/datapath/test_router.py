@@ -148,7 +148,7 @@ def test_probe_runs_cover_the_window_in_order_and_split_by_host():
         desc = store.mapping.desc
         multi = 0
         for base in range(0, 400, 7):
-            runs = router._probe_runs(desc, store, base)
+            runs = list(router._probe_runs(desc, store, base))
             flat = [off for _host, slots in runs for off, _addr in slots]
             expected = [((base + p) % store.slots) * store.slot_size
                         for p in range(store.probe_limit)]
@@ -201,8 +201,8 @@ def test_store_with_a_tombstone_on_an_earlier_host_finds_the_key_behind_it():
         key, first_run = next(
             (key, runs[0][1])
             for key in (b"k%d" % i for i in range(10_000))
-            for runs in [router._probe_runs(store.mapping.desc, store,
-                                            ops.hash64(key))]
+            for runs in [list(router._probe_runs(store.mapping.desc, store,
+                                                 ops.hash64(key)))]
             if len(runs) > 1
         )
         fillers = [home_key(slot_off // store.slot_size, store.slots)
