@@ -102,6 +102,11 @@ class RStoreClient:
         #: channel dial, fetch-buffer allocation) so the adaptive
         #: selector can discard latency samples that paid setup costs
         self.setup_events = 0
+        #: region name -> ``(region id, {key: (slot index, version)})``:
+        #: where this client last saw each key of each hash table it
+        #: opened (``kv.hashkv``), one table shared by all its handles;
+        #: a re-created region (a new id) starts cold
+        self.location_hints: dict[str, tuple[int, dict]] = {}
         #: lock tokens minted on this client (``coord.seqlock.mint_token``,
         #: its only writer): one sequence under every protocol that names
         #: a holder, so no two tokens of one host ever coincide

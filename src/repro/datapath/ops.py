@@ -40,6 +40,9 @@ searched, or a key living behind it would be stored twice.  So a
 writer may lock a slot *while* it walks (the one-sided ``put`` CASes
 each hop from 0) only up to the first tombstone: a never-used slot
 reached with no tombstone crossed is exactly the one the rule claims.
+The rule also leaves at most one live slot per key, so a prober that
+remembers where it last saw a key reads that slot first (:func:`walk`'s
+*hint*): a hit there is the walk's answer, and anything else walks.
 """
 
 from __future__ import annotations
@@ -142,7 +145,7 @@ def classify(key_len: int, slot_key: bytes, key: bytes) -> str:
     return HIT if slot_key == key else OTHER
 
 
-def walk(key: bytes, handles, reader):
+def walk(key: bytes, handles, reader, hint=None):
     """Probe *handles* in order for *key* (generator).
 
     *handles* are opaque slot names in chain order — a whole chain or
@@ -150,12 +153,24 @@ def walk(key: bytes, handles, reader):
     that starts ``(version, key_len, slot_key)``.  Whatever the reader
     raises (a busy slot, an exhausted retry budget) ends the walk.
 
+    A *hint* — the handle where the prober last saw *key* — is read
+    first, and a :data:`HIT` there is the walk's answer: the store rule
+    leaves at most one live slot per key, so the hinted slot holding
+    the key *is* the slot the walk would have settled on.  Any other
+    class says nothing about the chain (the key moved, or was deleted),
+    so the walk then starts from the first of *handles* as if unhinted.
+
     Returns ``(outcome, handle, snapshot, reusable)``: :data:`HIT` or
     :data:`FREE` with the slot that settled it and the reader's tuple
     for it, or :data:`CONTINUE` with two ``None``; *reusable* lists
     ``(handle, version)`` for every claimable slot crossed, in chain
-    order — tombstones, then the never-used slot that ended the chain.
+    order — tombstones, then the never-used slot that ended the chain
+    (never the hinted slot, which the store rule does not rank).
     """
+    if hint is not None:
+        snapshot = yield from reader(hint)
+        if classify(snapshot[1], snapshot[2], key) == HIT:
+            return HIT, hint, snapshot, []
     reusable = []
     for handle in handles:
         snapshot = yield from reader(handle)

@@ -144,14 +144,18 @@ class ServerOpExecutor:
         return read
 
     def _kv_get(self, req: dict):
-        """One probe run of a lookup: ``("hit", value)``, ``("busy",)``
-        or the walk's bare outcome."""
+        """One probe run of a lookup: ``("hit", value, version,
+        slot_off)`` — the version read and the slot's region offset,
+        which the client keeps as the key's location hint —
+        ``("busy",)`` or the walk's bare outcome.  A request's ``hint``
+        slot is tried first and answers only on a hit (``ops.walk``)."""
         key_size = req["key_size"]
         head = ops.WORD + ops.WORD + ops.pad(key_size)
         size = ops.slot_size(key_size, req["value_size"])
         try:
             outcome, slot, snapshot, _reusable = yield from ops.walk(
-                req["key"], req["slots"], self._reader(req, head))
+                req["key"], req["slots"], self._reader(req, head),
+                hint=req.get("hint"))
         except _BusySlot:
             return ("busy",)
         if outcome != ops.HIT:
@@ -164,7 +168,7 @@ class ServerOpExecutor:
         if version != snapshot[0]:
             return ("busy",)  # racing writer: caller re-drives
         _len, _key, value = ops.parse_body(body, key_size)
-        return (ops.HIT, value)
+        return (ops.HIT, value, version, slot[0])
 
     def _kv_put(self, req: dict):
         """One probe run of a store.
@@ -172,18 +176,20 @@ class ServerOpExecutor:
         ``("stored", version, slot_off)`` when the run settles it — the
         key is here, or the chain ends here and the first reusable slot
         is claimed — naming the version published and the slot's region
-        offset, which the client keeps as the key's write hint.
+        offset, which the client keeps as the key's location hint.
         ``("reusable",)`` when the run is exhausted but crossed a
         tombstone: the key may still live further down the chain, on
         another host, so the store cannot be decided here.  Otherwise
-        ``("busy",)`` or ``("continue",)``.
+        ``("busy",)`` or ``("continue",)``.  A request's ``hint`` slot is
+        tried first and settles the store only on a hit (``ops.walk``).
         """
         key = req["key"]
         key_size, value_size = req["key_size"], req["value_size"]
         size = ops.slot_size(key_size, value_size)
         try:
             outcome, slot, _snapshot, reusable = yield from ops.walk(
-                key, req["slots"], self._reader(req, size))
+                key, req["slots"], self._reader(req, size),
+                hint=req.get("hint"))
         except _BusySlot:
             return ("busy",)
         if outcome == ops.CONTINUE:

@@ -9,9 +9,11 @@ word carries the writer lock (odd = a writer's token) and the
 optimistic-read validation (``seqlock.snapshots``: snapshot and
 re-check ride one doorbell, one round trip) — a SeqLock view per slot
 a writer locks, writer contention paced by the shared
-:class:`~repro.coord.Backoff` discipline.  A handle remembers where it
-last saw each key — a slot and a version, never a value — so a write
-to a known key locks in its first round trip; a put of a fresh key
+:class:`~repro.coord.Backoff` discipline.  A client remembers where it
+last saw each key of a table — a slot and a version, never a value —
+in one hint table its handles share, so a get of a known key reads its
+slot in one round trip and a write to it locks in its first; a put of
+a fresh key
 CASes each slot of its walk from 0 and locks the never-used one that
 ends the chain in the same round trip.  Deletes leave a tombstone
 (``key_len`` of ``2**63-1``) so linear probing keeps finding later
@@ -78,8 +80,13 @@ class RKVStore:
         #: one-sided access (a table served only server-side makes none)
         self._slot_counters = None
         #: key -> ``(slot index, version)`` of its last validated
-        #: sighting: where a write of the key tries its lock CAS first
-        self._hints: dict[bytes, tuple[int, int]] = {}
+        #: sighting on this client, whichever handle or data path made
+        #: it: where a get reads, and a write tries its lock CAS, first
+        region_id = mapping.desc.region_id
+        held = client.location_hints.get(mapping.name)
+        if held is None or held[0] != region_id:
+            held = client.location_hints[mapping.name] = (region_id, {})
+        self._hints: dict[bytes, tuple[int, int]] = held[1]
 
     # -- construction ----------------------------------------------------------
 
@@ -175,11 +182,24 @@ class RKVStore:
     def _hint(self, key: bytes, index: int, version: int) -> None:
         """Remember that *key* was seen published at slot *index* under
         *version*.  Never more entries than slots: past that the oldest
-        goes (a stale hint costs a lost CAS, never a wrong answer)."""
+        goes (a stale hint costs a round trip, never a wrong answer)."""
         hints = self._hints
         if key not in hints and len(hints) >= self.slots:
             del hints[next(iter(hints))]
         hints[key] = (index, version)
+
+    def _hinted(self, key: bytes):
+        """The slot index *key*'s hint names, or ``None``."""
+        hint = self._hints.get(key)
+        return None if hint is None else hint[0]
+
+    def _found(self, key: bytes, outcome: str, index, version) -> None:
+        """Keep what a lookup of *key* settled on: a hit hints its slot
+        and version, anything else drops the key's hint."""
+        if outcome == ops.HIT:
+            self._hint(key, index, version)
+        else:
+            self._hints.pop(key, None)
 
     def _read_slot(self, index: int):
         """Optimistically read one consistent slot snapshot (generator):
@@ -367,12 +387,14 @@ class RKVStore:
         self._check_key(key)
         mode, token = self._selector.pick("get")
         if mode == PathPolicy.ONE_SIDED:
+            # a hinted key reads its slot first: one round trip
             outcome, index, snapshot, _reusable = yield from ops.walk(
-                key, self.chain(key), self._read_slot)
+                key, self.chain(key), self._read_slot,
+                hint=self._hinted(key))
             value = None
             if outcome == ops.HIT:
                 value = snapshot[3]
-                self._hint(key, index, snapshot[0])
+            self._found(key, outcome, index, snapshot and snapshot[0])
         else:
             value = yield from self.client.datapath.kv_get(
                 self, key, fetch=(mode == PathPolicy.REMOTE_FETCH)
@@ -385,10 +407,11 @@ class RKVStore:
 
         One-sided under every path policy (``policy.ALLOWED_MODES``).
         Drives one ``ops.walk`` per key in lockstep: each walk yields
-        the slot it wants, one batched read serves every pending walk
-        per round (:meth:`_read_slots` — shared :class:`IoBatch`
-        flushes instead of a blocking read per slot), and the answer is
-        sent back in, under :meth:`get`'s per-slot retry budget.
+        the slot it wants — a hinted key's slot on the first flush —
+        one batched read serves every pending walk per round
+        (:meth:`_read_slots` — shared :class:`IoBatch` flushes instead
+        of a blocking read per slot), and the answer is sent back in,
+        under :meth:`get`'s per-slot retry budget.
         """
         for key in keys:
             self._check_key(key)
@@ -405,7 +428,8 @@ class RKVStore:
                 f"slot {index} kept changing under {_READ_RETRIES} reads")
 
         results: list = [None] * len(keys)
-        walks = [ops.walk(key, self.chain(key), ask) for key in keys]
+        walks = [ops.walk(key, self.chain(key), ask, hint=self._hinted(key))
+                 for key in keys]
         wanted = {i: next(walk) for i, walk in enumerate(walks)}
         while wanted:
             snapshots = yield from self._read_slots(list(wanted.values()))
@@ -417,7 +441,7 @@ class RKVStore:
                     outcome, index, hit, _reusable = done.value
                     if outcome == ops.HIT:
                         results[i] = hit[3]
-                        self._hint(keys[i], index, hit[0])
+                    self._found(keys[i], outcome, index, hit and hit[0])
         return results
 
     def delete(self, key: bytes):

@@ -1,6 +1,6 @@
 """The per-verb kernel event budget.
 
-One blocking 128 B remote op on an idle two-host cluster costs an exact
+One blocking 128 B remote op on an idle one-server cluster costs an exact
 number of kernel queue entries; DESIGN.md's budget table lists what each
 one is.  A relay hop that creeps back in (an event that only forwards
 to the next callback at the same simulated instant) fails here, not in
@@ -8,7 +8,9 @@ a benchmark three PRs later.  The same goes for the protocols built on
 the verbs: a validated SeqLock read is one doorbell and one round trip,
 a publish is one ordered ``[body, version]`` pair on one doorbell, a
 transaction commit is an intent flush and a publish flush — and a
-per-write doorbell creeping back fails here too.
+per-write doorbell creeping back fails here too.  Each hash-table op is
+held to a (doorbells, WRs, round trips) floor by what its client knows
+of the key's slot: a hinted get is one round trip at any chain depth.
 """
 
 import functools
@@ -21,7 +23,7 @@ from repro.kv import RKVStore
 from repro.simnet.config import GiB, KiB, MiB
 from repro.sort import RSort
 from tests.probes import (
-    materialized_bytes, read_record, record, write_record,
+    materialized_bytes, read_record, record, same_home, write_record,
 )
 
 #: NIC and wire entries every one-sided verb pays: launch, the request's
@@ -35,18 +37,23 @@ _CLIENT_WAKEUPS = 2
 
 @functools.cache
 def _costs():
-    cluster = build_cluster(num_machines=2, server_hosts=[0])
-    client = cluster.client(1)  # host 1 holds no memory: every op is remote
+    cluster = build_cluster(num_machines=3, server_hosts=[0])
+    # hosts 1 and 2 hold no memory: every op is remote.  Host 2 is the
+    # rival: its own hint table, so what it writes leaves host 1's
+    # hints stale and what it reads it reads cold
+    client, other = cluster.client(1), cluster.client(2)
     sim = cluster.sim
     costs, posted = {}, {}
 
-    def measured(name, op, round_trips=1):
+    def measured(name, op, round_trips=1, by=client):
+        nic = by.nic
         before, started = sim.events_processed, sim.now
-        bells, wrs = client.nic.doorbells_rung, client.nic.ops_posted
+        bells, wrs = nic.doorbells_rung, nic.ops_posted
         yield from op
         costs[name] = sim.events_processed - before
-        posted[name] = (client.nic.doorbells_rung - bells,
-                        client.nic.ops_posted - wrs)
+        # (doorbells, WRs, round trips)
+        posted[name] = (nic.doorbells_rung - bells, nic.ops_posted - wrs,
+                        round_trips)
         # that many round trips, no queueing
         assert 2e-6 < (sim.now - started) / round_trips < 5e-6
 
@@ -67,30 +74,45 @@ def _costs():
         yield from measured("validated read", snapshots(
             rec.mapping, (rec.offset,), rec.record_size))
         table = yield from RKVStore.create(client, "budget-table", slots=64)
+        # the rival's handle: warm its QP and staging buffers first
+        rival = yield from RKVStore.open(other, "budget-table")
+        yield from rival.snapshot_slot(0)
         # a fresh key into an empty chain: the walk's first hop CASes
         # the never-used slot from 0 beside its READ, then the pair
         yield from measured("insert", table.put(b"key", b"v" * 64),
                             round_trips=2)
         yield from table.put(b"key", b"w" * 64)
-        # the handle knows the slot: [READ, lock CAS] on one doorbell,
+        # the client knows the slot: [READ, lock CAS] on one doorbell,
         # then body and version as one ordered pair
         yield from measured("put overwrite", table.put(b"key", b"x" * 64),
                             round_trips=2)
-        # a fresh handle knows nothing: walk, lock CAS, the pair
-        fresh = yield from RKVStore.open(client, "budget-table")
-        yield from measured("cold put", fresh.put(b"key", b"y" * 64),
-                            round_trips=3)
-        # ... and its publish left the first handle's hint stale: the
-        # lost CAS validates the READ beside it, which still holds the
-        # key, so one more CAS from there — never a walk
+        # another client knows nothing: walk, lock CAS, the pair
+        yield from measured("cold put", rival.put(b"key", b"y" * 64),
+                            round_trips=3, by=other)
+        # ... and its publish left this client's hint stale: the lost
+        # CAS validates the READ beside it, which still holds the key,
+        # so one more CAS from there — never a walk
         yield from measured("stale-hint put", table.put(b"key", b"z" * 64),
                             round_trips=3)
-        # a hint whose slot moved on: the other handle deletes the key,
+        # a hint whose slot moved on: the other client deletes the key,
         # so the lost CAS's READ shows a tombstone and the put walks as
         # a cold one would — one round trip more than the walk alone
-        yield from fresh.delete(b"key")
+        yield from rival.delete(b"key")
         yield from measured("moved-hint put", table.put(b"key", b"k" * 64),
                             round_trips=5)
+        # a chain three deep: a get of its last key reads its slot
+        # first where the client saw it, and walks the chain where not
+        chained = same_home(table.slots, 4)
+        for key in chained[:3]:
+            yield from table.put(key, b"c" * 64)
+        yield from measured("hinted get", table.get(chained[2]))
+        yield from measured("cold get", rival.get(chained[2]),
+                            round_trips=3, by=other)
+        # a delete locks as a put does, then publishes the tombstone
+        yield from measured("hinted delete", table.delete(chained[1]),
+                            round_trips=2)
+        yield from measured("cold delete", rival.delete(chained[0]),
+                            round_trips=3, by=other)
         yield from table.put(b"other", b"v" * 64)
         runtime = table.txn()
 
@@ -123,8 +145,9 @@ def test_one_blocking_remote_op_costs_a_pinned_number_of_kernel_events():
 
 def test_a_validated_read_is_one_doorbell_and_one_round_trip():
     costs, posted = _costs()
-    # [READ record, READ word] on one doorbell: (doorbells, WRs)
-    assert posted["validated read"] == (1, 2)
+    # [READ record, READ word] on one doorbell: (doorbells, WRs,
+    # round trips)
+    assert posted["validated read"] == (1, 2, 1)
     # one issue overhead for the doorbell and a NIC path per READ; only
     # the signaled tail reaches the CQ consumer, which resolves both
     # futures at once — the waiter wakes once
@@ -134,23 +157,51 @@ def test_a_validated_read_is_one_doorbell_and_one_round_trip():
 def test_a_put_to_a_known_slot_locks_in_its_first_round_trip():
     _kernel_entries, posted = _costs()
     # [READ slot, lock CAS], then [body, version]: no walk
-    assert posted["put overwrite"] == (2, 4)
+    assert posted["put overwrite"] == (2, 4, 2)
     # a fresh key: [READ slot, CAS 0 → token] wins the never-used
     # slot that ends the chain, then [body, version]
-    assert posted["insert"] == (2, 4)
+    assert posted["insert"] == (2, 4, 2)
     # no hint: the walk's [READ slot, CAS 0 → token] finds the key (the
     # lost CAS's word validates the READ), the CAS from its version,
     # then [body, version] on one doorbell — no guard READ between the
     # lock and the publish
-    assert posted["cold put"] == (3, 5)
+    assert posted["cold put"] == (3, 5, 3)
     # a stale hint whose slot still holds the key costs what the walk
     # did: the lost CAS's READ is the walk
-    assert posted["stale-hint put"] == (3, 5)
+    assert posted["stale-hint put"] == (3, 5, 3)
     # a hint whose slot moved on costs one round trip more than the
     # walk: [READ, CAS], then the walk past the tombstone (two pairs:
     # the tombstone's CAS from 0 loses to its word, and the hop behind
     # it posts none), the CAS and the publish
-    assert posted["moved-hint put"] == (5, 9)
+    assert posted["moved-hint put"] == (5, 9, 5)
+
+
+#: (doorbells, WRs, round trips) of each kv op by what its client knows
+#: of the key's slot — the floor each op of the table is held to
+_KV_FLOOR = {
+    # [READ slot, READ word] at the hinted slot, at any chain depth
+    "hinted get": (1, 2, 1),
+    # the same pair per hop, for a key at depth 3
+    "cold get": (3, 6, 3),
+    # the walk's [READ, CAS 0 → token] wins the never-used slot, then
+    # [body, version]
+    "insert": (2, 4, 2),
+    # [READ, lock CAS] at the hinted slot, then [body, version]
+    "put overwrite": (2, 4, 2),
+    # the walk's lost CAS validates its READ, a CAS from that version,
+    # then [body, version]
+    "cold put": (3, 5, 3),
+    # as a hinted put, publishing a tombstone
+    "hinted delete": (2, 4, 2),
+    # a delete walks with plain validated reads: [READ, READ], the
+    # lock CAS, then [body, version]
+    "cold delete": (3, 5, 3),
+}
+
+
+def test_each_kv_op_costs_its_floor_by_hint_state():
+    _kernel_entries, posted = _costs()
+    assert {row: posted[row] for row in _KV_FLOOR} == _KV_FLOOR
 
 
 @functools.cache
@@ -251,7 +302,7 @@ def test_a_commit_is_an_intent_flush_and_a_publish_flush():
     # READ, READ, [CAS, CAS], [body, version, body, version]: the same
     # eight work requests the parent posted on eight doorbells, one
     # dependent round trip each
-    assert posted["two-key transfer"] == (4, 8)
+    assert posted["two-key transfer"] == (4, 8, 4)
 
 
 @functools.cache

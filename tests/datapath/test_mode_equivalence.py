@@ -11,9 +11,12 @@ happens-before edges are exactly the ones the one-sided protocol
 produces.
 
 Every key is overwritten, deleted and re-inserted, then overwritten
-again, so a write that starts from the handle's hint of the key's slot
+again, so a write that starts from the client's hint of the key's slot
 runs under every policy, across the crash: under ``server_op`` the
-stores leave the hints that the one-sided ``delete`` starts from.
+stores leave the hints that the one-sided ``delete`` starts from.  Each
+store is read back at once through the mode under test, from the hint
+the store left: a hinted get, one-sided or shipped to the server, runs
+under every policy across the crash too.
 """
 
 import hashlib
@@ -77,6 +80,9 @@ def _run_mode(mode: str, seed: int) -> str:
                     assert write_hint(store, key) is not None
                     assert (yield from store.delete(key)) is True
                 yield from store.put(key, _value(key, round_no, seed))
+                assert write_hint(store, key) is not None
+                assert (yield from store.get(key)) == _value(key, round_no,
+                                                             seed)
                 yield cluster.sim.timeout(rng.uniform(0.0005, 0.002))
                 if rng.random() < 0.4:
                     probe = keys[rng.randrange(KEYS)]

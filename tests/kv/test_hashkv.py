@@ -337,20 +337,13 @@ def test_a_lost_ack_on_the_hinted_doorbell_never_wedges_the_slot(opcode):
     _assert_race_free(cluster)
 
 
-def _same_home(slots, count):
-    """*count* keys whose chains start at one slot of a *slots* table."""
-    home = ops.hash64(b"key-0") % slots
-    keys = (b"key-%d" % i for i in range(10_000))
-    return [key for key in keys if ops.hash64(key) % slots == home][:count]
-
-
 def test_an_insert_behind_a_tombstone_claims_it_and_casts_nothing_past_it():
     # hop 0 holds a, hop 1 is b's tombstone, hop 2 was never used: the
     # store rule puts c in the tombstone, and the walk posts no CAS past
     # it — a CAS from 0 on hop 2 would have won a slot the rule skips
     cluster = _sanitized_cluster()
     slots = 64
-    a, b, c = _same_home(slots, 3)
+    a, b, c = probes.same_home(slots, 3)
 
     def app():
         mine, theirs = yield from _two_handles(cluster, "insert-tomb", slots)
@@ -427,6 +420,129 @@ def test_a_lost_ack_on_an_inserts_walk_never_wedges_the_slot(opcode):
     assert faults.injected["wire"] == 1
     assert slot == (2, b"v")
     assert all(word % 2 == 0 for word in words)
+    _assert_race_free(cluster)
+
+
+def test_a_hinted_get_of_a_key_another_client_deleted_returns_none():
+    # the hinted slot holds a tombstone: not a hit, so the get walks the
+    # chain from its start, finds the key nowhere, and drops the hint
+    cluster = _sanitized_cluster()
+
+    def app():
+        mine, theirs = yield from _two_handles(cluster, "hint-deleted")
+        yield from mine.put(b"k", b"v")
+        assert (yield from mine.get(b"k")) == b"v"
+        assert probes.write_hint(mine, b"k") is not None
+        assert (yield from theirs.delete(b"k")) is True
+        return (yield from mine.get(b"k")), probes.write_hint(mine, b"k")
+
+    assert cluster.run_app(app()) == (None, None)
+    _assert_race_free(cluster)
+
+
+def test_a_hinted_get_of_a_key_reinserted_at_an_earlier_tombstone_finds_it():
+    # a at the chain's home, b behind it; the other client deletes both
+    # and re-inserts b, which the store rule puts in the first
+    # tombstone — a's old slot.  b's hint names its old slot, now a
+    # tombstone: the get walks from the chain's start and finds b home
+    cluster = _sanitized_cluster()
+    slots = 64
+    a, b = probes.same_home(slots, 2)
+
+    def app():
+        mine, theirs = yield from _two_handles(cluster, "hint-moved", slots)
+        yield from mine.put(a, b"A")
+        yield from mine.put(b, b"B1")
+        stale, _version = probes.write_hint(mine, b)
+        for key in (a, b):
+            assert (yield from theirs.delete(key)) is True
+        yield from theirs.put(b, b"B2")
+        value = yield from mine.get(b)
+        return stale, value, probes.write_hint(mine, b)
+
+    stale, value, hint = cluster.run_app(app())
+    home = ops.hash64(a) % slots
+    assert stale == (home + 1) % slots
+    assert value == b"B2"
+    assert hint[0] == home
+    _assert_race_free(cluster)
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["slot-read", "word-read"])
+def test_a_hinted_get_under_a_lost_ack_returns_the_value(which):
+    # the hinted get posts [READ slot, READ word] on one doorbell; either
+    # READ loses its ack.  The pipeline replays it, the pair's order is
+    # no longer proven, so the word is read once more: the answer is
+    # the slot's value, validated, in whatever round trips that takes
+    faults = FaultInjector(seed=3).fail_wire(1, start=0.0, duration=1e9,
+                                             times=1, where="ack")
+    cluster = _sanitized_cluster(faults)
+    nic = cluster.nic(1)
+    inject, reads = nic.ack_fault_hook, []
+
+    def only_the_armed_read(host, wr):
+        if not reads or wr.opcode is not Opcode.RDMA_READ:
+            return ""
+        reads.append(wr)
+        if len(reads) - 2 != which:
+            return ""
+        return inject(host, wr)
+
+    nic.ack_fault_hook = only_the_armed_read
+
+    def app():
+        mine, theirs = yield from _two_handles(cluster, "hint-get-ack")
+        yield from mine.put(b"k", b"v1")
+        yield from theirs.put(b"k", b"v2")
+        assert (yield from mine.get(b"k")) == b"v2"
+        reads.append("armed")
+        value = yield from mine.get(b"k")
+        return value, probes.write_hint(mine, b"k")
+
+    value, hint = cluster.run_app(app())
+    assert faults.injected["wire"] == 1
+    assert value == b"v2"
+    assert hint[1] == 4
+    # the replay left the pair's order unproven: the word was re-read
+    assert probes.count_all(cluster, "coord.seqlock.reads_revalidated") == 1
+    _assert_race_free(cluster)
+
+
+def test_one_client_keeps_one_bounded_hint_table_per_table():
+    # every handle of a table on one client shares its hints; they never
+    # outnumber the table's slots; a freed and re-created table of the
+    # same name starts cold
+    cluster = _sanitized_cluster()
+    slots = 4
+    old = [b"old-%d" % i for i in range(slots)]
+    new = [b"new-%d" % i for i in range(slots)]
+
+    def app():
+        mine, theirs = yield from _two_handles(cluster, "hint-bounds", slots)
+        for key in old:
+            yield from mine.put(key, b"o")
+        for key in old:
+            assert (yield from theirs.delete(key)) is True
+        for key in new:
+            yield from theirs.put(key, b"n")
+        # a second handle on the same client learns what the first reads
+        twin = yield from RKVStore.open(cluster.client(1), "hint-bounds")
+        for key in new:
+            assert (yield from twin.get(key)) == b"n"
+        hinted = [key for key in old + new
+                  if probes.write_hint(mine, key) is not None]
+        mine.mapping.unmap()
+        twin.mapping.unmap()
+        yield from cluster.client(1).free(mine.mapping.name)
+        again = yield from RKVStore.create(cluster.client(1), "hint-bounds",
+                                           slots)
+        cold = [key for key in old + new
+                if probes.write_hint(again, key) is not None]
+        return hinted, cold
+
+    hinted, cold = cluster.run_app(app())
+    assert hinted == new
+    assert cold == []
     _assert_race_free(cluster)
 
 

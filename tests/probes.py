@@ -14,7 +14,7 @@ nothing in ``src/repro`` exists for tests alone
 from repro.core.errors import RStoreError
 from repro.coord import Backoff, SeqLock
 from repro.coord.seqlock import mint_token, snapshots
-from repro.datapath.ops import WORD
+from repro.datapath.ops import WORD, hash64
 from repro.obs import obs_for
 
 
@@ -123,9 +123,17 @@ def materialized_bytes(buffer):
     return sum(map(len, buffer._blocks.values()))
 
 
+def same_home(slots, count):
+    """*count* keys whose chains start at one slot of a *slots* table."""
+    home = hash64(b"key-0") % slots
+    keys = (b"key-%d" % i for i in range(10_000))
+    return [key for key in keys if hash64(key) % slots == home][:count]
+
+
 def write_hint(store, key):
-    """The ``(slot index, version)`` an ``RKVStore`` handle will try
-    *key*'s next write at first, ``None`` when it has none."""
+    """The ``(slot index, version)`` an ``RKVStore`` handle's client
+    will try *key*'s next get or write at first, ``None`` when it has
+    none."""
     return store._hints.get(key)
 
 
