@@ -24,12 +24,11 @@ from repro.workloads.graphs import rmat_edges
 from benchmarks.conftest import fmt_ms, print_table
 
 SCALE = 15
-EDGE_FACTOR = 16
 MACHINES = 12
 
 
 def build_graph():
-    src, dst = rmat_edges(scale=SCALE, edge_factor=EDGE_FACTOR, seed=11)
+    src, dst = rmat_edges(scale=SCALE, seed=11)
     # symmetrize: traversal algorithms want an undirected view
     n = 1 << SCALE
     rng = np.random.default_rng(5)
@@ -50,8 +49,8 @@ def run_experiment():
         server_capacity=1 * GiB,
     )
     programs = [
-        ("BFS", BfsProgram(source=0)),
-        ("SSSP", SsspProgram(source=0)),
+        ("BFS", BfsProgram()),
+        ("SSSP", SsspProgram()),
         ("WCC", WccProgram()),
     ]
     rows = []

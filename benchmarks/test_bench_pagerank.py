@@ -23,20 +23,18 @@ from repro.workloads.graphs import rmat_edges
 from benchmarks.conftest import claim, fmt_ms, print_table
 
 SCALE = 17          # 131k vertices
-EDGE_FACTOR = 16    # ~2.1M edges
-ITERATIONS = 10
 MACHINES = 12
 
 
 def run_experiment():
-    src, dst = rmat_edges(scale=SCALE, edge_factor=EDGE_FACTOR, seed=42)
+    src, dst = rmat_edges(scale=SCALE, seed=42)
     graph = Graph.from_edges(1 << SCALE, src, dst)
     cluster = build_cluster(
         num_machines=MACHINES,
         config=RStoreConfig(stripe_size=512 * KiB),
         server_capacity=1 * GiB,
     )
-    program = PageRankProgram(damping=0.85, iterations=ITERATIONS)
+    program = PageRankProgram()
     rstore = RStoreGraphEngine(cluster, graph, tag="e5")
     r_stats = cluster.run_app(rstore.run(program))
     baseline = MessagePassingEngine(cluster, graph, tag="e5m")
@@ -57,14 +55,14 @@ def test_e5_pagerank(benchmark):
     speedup = r["baseline_s"] / r["rstore_s"]
     print_table(
         benchmark,
-        f"E5: PageRank, RMAT n={n} m={m}, {ITERATIONS} iters, "
+        f"E5: PageRank, RMAT n={n} m={m}, {PageRankProgram.iterations} iters, "
         f"{MACHINES} machines (paper: 2.6-4.2x)",
         ["system", "total (ms)", "per-iter (ms)"],
         [
             ["RStore framework", fmt_ms(r["rstore_s"]),
-             fmt_ms(r["rstore_s"] / ITERATIONS)],
+             fmt_ms(r["rstore_s"] / PageRankProgram.iterations)],
             ["message passing", fmt_ms(r["baseline_s"]),
-             fmt_ms(r["baseline_s"] / ITERATIONS)],
+             fmt_ms(r["baseline_s"] / PageRankProgram.iterations)],
             ["speedup", f"{speedup:.2f}x", ""],
         ],
     )

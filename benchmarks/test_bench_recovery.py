@@ -53,7 +53,7 @@ def run_one(n_regions: int) -> dict:
             yield from writer.alloc(f"r{i}", 64 * KiB, replication=2)
         mapping = yield from writer.map("r0")
         yield from mapping.write(0, PAYLOAD)
-        out["metalog_appends_at_crash"] = cluster.metalog.appends
+        out["metalog_appends_at_crash"] = cluster.metalogs[0].appends
 
         t_crash = cluster.boot_time + CRASH_AT
         yield sim.timeout(max(0.0, t_crash - sim.now) + 1e-4)

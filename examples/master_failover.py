@@ -52,7 +52,7 @@ def main():
         mapping = yield from client.map("ledger")
         yield from mapping.write(0, PAYLOAD)
         stamp(f"'ledger' committed (WAL appends so far: "
-              f"{cluster.metalog.appends})")
+              f"{cluster.metalogs[0].appends})")
 
         # -- during the outage: allocations fail fast --------------------
         t_crash = cluster.boot_time + CRASH_AT

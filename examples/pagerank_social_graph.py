@@ -20,18 +20,16 @@ from repro.graph import (
 )
 from repro.graph.loader import Graph
 from repro.simnet.config import KiB, MiB
-from repro.workloads.graphs import rmat_edges
+from repro.workloads.graphs import EDGE_FACTOR, rmat_edges
 
 SCALE = 15  # 32k vertices
-EDGE_FACTOR = 16
 MACHINES = 8
-ITERATIONS = 10
 
 
 def main():
     print(f"generating RMAT graph: 2^{SCALE} vertices, "
           f"{EDGE_FACTOR << SCALE} edges")
-    src, dst = rmat_edges(scale=SCALE, edge_factor=EDGE_FACTOR, seed=7)
+    src, dst = rmat_edges(scale=SCALE, seed=7)
     graph = Graph.from_edges(1 << SCALE, src, dst)
 
     cluster = build_cluster(
@@ -39,20 +37,20 @@ def main():
         config=RStoreConfig(stripe_size=512 * KiB),
         server_capacity=512 * MiB,
     )
-    program = PageRankProgram(damping=0.85, iterations=ITERATIONS)
+    program = PageRankProgram()
 
     rstore = RStoreGraphEngine(cluster, graph, tag="pr")
     r_stats = cluster.run_app(rstore.run(program))
     print(f"\nRStore engine : {r_stats.elapsed * 1e3:8.2f} ms "
-          f"({ITERATIONS} iterations, "
-          f"{r_stats.elapsed / ITERATIONS * 1e3:.2f} ms/iter; "
+          f"({program.iterations} iterations, "
+          f"{r_stats.elapsed / program.iterations * 1e3:.2f} ms/iter; "
           f"setup {r_stats.setup_elapsed * 1e3:.2f} ms, "
           f"load {rstore.load_elapsed * 1e3:.2f} ms)")
 
     baseline = MessagePassingEngine(cluster, graph, tag="mp")
     m_stats = cluster.run_app(baseline.run(program))
     print(f"baseline      : {m_stats.elapsed * 1e3:8.2f} ms "
-          f"({m_stats.elapsed / ITERATIONS * 1e3:.2f} ms/iter)")
+          f"({m_stats.elapsed / program.iterations * 1e3:.2f} ms/iter)")
     print(f"speedup       : {m_stats.elapsed / r_stats.elapsed:8.2f}x "
           f"(paper reports 2.6-4.2x at testbed scale)")
 

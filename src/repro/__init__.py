@@ -24,6 +24,6 @@ See ``DESIGN.md`` for the full inventory and the experiment index.
 
 __version__ = "0.1.0"
 
-from repro.simnet.config import GiB, Gbps, KiB, MiB, ms, us
+from repro.simnet.config import GiB, Gbps, KiB, MiB, us
 
-__all__ = ["KiB", "MiB", "GiB", "Gbps", "us", "ms", "__version__"]
+__all__ = ["KiB", "MiB", "GiB", "Gbps", "us", "__version__"]

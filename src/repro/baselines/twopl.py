@@ -28,7 +28,7 @@ from repro.kv.hashkv import KvError
 __all__ = ["TwoPhaseLocking", "TwoPLError"]
 
 #: per-slot lock acquisition attempts before giving up (each waits on
-#: the shared backoff, which also enforces the caller's deadline)
+#: the shared backoff)
 _LOCK_ATTEMPTS = 4096
 
 
@@ -39,10 +39,9 @@ class TwoPLError(KvError):
 class TwoPhaseLocking:
     """Pessimistic multi-key transactions over hashkv tables."""
 
-    def __init__(self, client, label: str = "2pl", deadline: float = None):
+    def __init__(self, client, label: str = "2pl"):
         self.client = client
         self.label = label
-        self.deadline = deadline
         #: jitter streams derived once, not restarted by every run
         self._rng, self._apply_rng = (
             Backoff.for_client(client, f"twopl-{kind}{label}").rng
@@ -70,7 +69,7 @@ class TwoPhaseLocking:
             "only updates existing keys"
         )
 
-    def run(self, store, keys, fn, deadline: float = None):
+    def run(self, store, keys, fn):
         """One pessimistic transaction (generator).
 
         Locks every declared key's slot in global order, reads the
@@ -81,9 +80,8 @@ class TwoPhaseLocking:
         """
         client = self.client
         sim = client.sim
-        deadline = self.deadline if deadline is None else deadline
         token = mint_token(client, space=1)  # disjoint from the OCC runtime's
-        backoff = Backoff(sim, self._rng, deadline=deadline)
+        backoff = Backoff(sim, self._rng)
         replay = Backoff(sim, self._apply_rng, base_s=1e-3, max_s=50e-3)
         start = sim.now
         # -- growing phase: resolve slots, lock them in global order

@@ -60,11 +60,6 @@ class Cluster:
         """Shard 0's master — *the* master when ``control_shards == 1``."""
         return self.masters[0] if self.masters else None
 
-    @property
-    def metalog(self) -> MetaLog:
-        """Shard 0's metadata WAL (single-shard compatibility alias)."""
-        return self.metalogs[0]
-
     def nic(self, host_id: int) -> RNic:
         return self.nics[host_id]
 
@@ -72,17 +67,17 @@ class Cluster:
         """The (already started) RStore client on *host_id*."""
         return self.clients[host_id]
 
-    def spawn(self, generator, name: str = ""):
+    def spawn(self, generator):
         """Run an application generator as a simulated process."""
-        return self.sim.process(generator, name=name)
+        return self.sim.process(generator)
 
     def run(self, until=None):
         """Advance the simulation (to an event, a time, or quiescence)."""
         return self.sim.run(until=until)
 
-    def run_app(self, generator, name: str = "app"):
+    def run_app(self, generator):
         """Spawn *generator* and run until it finishes; returns its value."""
-        return self.sim.run(until=self.sim.process(generator, name=name))
+        return self.sim.run(until=self.sim.process(generator, name="app"))
 
     def kill_server(self, host_id: int) -> None:
         """Fail a memory server's host (NIC down, heartbeats stop)."""

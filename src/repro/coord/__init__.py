@@ -18,10 +18,10 @@ primitive          protocol
 
 All coordination regions are unreplicated (``replication=1``): NIC
 atomics cannot be mirrored, so coordination state dies with its server
-and is re-created, never repaired.  Atomics in this package use the
-non-retryable default of ``Mapping.faa``/``cas`` — a completion error
-surfaces instead of risking a double-applied FAA (see DESIGN.md,
-"Coordination subsystem").
+and is re-created, never repaired.  An atomic that reached the NIC is
+never replayed (``Mapping.faa``/``cas``) — a completion error surfaces
+instead of risking a double-applied FAA (see DESIGN.md, "Coordination
+subsystem").
 """
 
 from repro.coord.barrier import SenseBarrier

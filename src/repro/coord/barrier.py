@@ -25,9 +25,9 @@ __all__ = ["SenseBarrier"]
 
 _COUNT = 0
 _SENSE = 8
-#: the first pause between two polls of the sense word (backoff doubles
-#: it up to eight times as long)
-_POLL_S = 2e-6
+#: the longest pause between two polls of the sense word (the backoff
+#: starts at its 2 µs base and doubles up to this)
+_POLL_MAX_S = 16e-6
 
 
 class SenseBarrier:
@@ -47,7 +47,7 @@ class SenseBarrier:
         #: completed rounds, from this handle's perspective
         self.generation = 0
         self._poll = Backoff.for_client(client, f"barrier-{name}",
-                                        base_s=_POLL_S, max_s=8 * _POLL_S)
+                                        max_s=_POLL_MAX_S)
         # -- metrics
         self._m_spins = client.obs.metrics.counter(
             "coord.barrier.spins", name=name,
@@ -56,11 +56,10 @@ class SenseBarrier:
     # -- setup (control path) ------------------------------------------------
 
     @classmethod
-    def create(cls, client, name: str, parties: int, preferred_host=None):
+    def create(cls, client, name: str, parties: int):
         """Allocate and map a fresh barrier region (generator)."""
         region = region_name(name)
-        yield from client.alloc(region, cls.REGION_SIZE, replication=1,
-                                preferred_host=preferred_host)
+        yield from client.alloc(region, cls.REGION_SIZE, replication=1)
         mapping = yield from client.map(region)
         return cls(client, name, mapping, parties)
 

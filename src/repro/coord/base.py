@@ -115,16 +115,14 @@ class Backoff:
         self.attempt = 0
 
     @classmethod
-    def for_client(cls, client, label: str, base_s: float = 2e-6,
-                   max_s: float = 200e-6, deadline: float | None = None,
+    def for_client(cls, client, label: str, max_s: float = 200e-6,
                    budget: int | None = None) -> "Backoff":
         """A backoff with a private jitter stream for *label*."""
         rng = derive_rng(
             client.config.seed,
             f"coord-{label}-host-{client.nic.host.host_id}",
         )
-        return cls(client.sim, rng, base_s=base_s, max_s=max_s,
-                   deadline=deadline, budget=budget)
+        return cls(client.sim, rng, max_s=max_s, budget=budget)
 
     def reset(self) -> None:
         self.attempt = 0

@@ -24,7 +24,6 @@ steady-state data structures here do not need.
 
 from __future__ import annotations
 
-from typing import Optional
 
 from repro.coord.base import Backoff, CoordError, cas_result, region_name
 from repro.core.pipeline import DATA_RETRY_LIMIT
@@ -37,17 +36,12 @@ class RemoteLock:
 
     REGION_SIZE = 8
 
-    def __init__(self, client, name: str, mapping, offset: int = 0,
-                 token: Optional[int] = None):
+    def __init__(self, client, name: str, mapping):
         self.client = client
         self.name = name
         self.mapping = mapping
-        self.offset = offset
-        #: must be unique among concurrent holders; one handle per
-        #: actor keeps the default (host id + 1) sufficient
-        self.token = token if token is not None else (
-            client.nic.host.host_id + 1
-        )
+        #: must be unique among concurrent holders: one handle per host
+        self.token = client.nic.host.host_id + 1
         self.held = False
         self._backoff = Backoff.for_client(client, f"lock-{name}")
         # -- metrics
@@ -66,19 +60,18 @@ class RemoteLock:
     # -- setup (control path) ------------------------------------------------
 
     @classmethod
-    def create(cls, client, name: str, preferred_host=None):
+    def create(cls, client, name: str):
         """Allocate and map a fresh (free) lock region (generator)."""
         region = region_name(name)
-        yield from client.alloc(region, cls.REGION_SIZE, replication=1,
-                                preferred_host=preferred_host)
+        yield from client.alloc(region, cls.REGION_SIZE, replication=1)
         mapping = yield from client.map(region)
         return cls(client, name, mapping)
 
     @classmethod
-    def open(cls, client, name: str, token: Optional[int] = None):
+    def open(cls, client, name: str):
         """Map an existing lock from another client (generator)."""
         mapping = yield from client.map(region_name(name))
-        return cls(client, name, mapping, token=token)
+        return cls(client, name, mapping)
 
     # -- steady state (data path) --------------------------------------------
 
@@ -145,6 +138,5 @@ class RemoteLock:
         """One CAS of the lock word, settled (generator)."""
         client = self.client
         with client.rsan.exempt(client._rsan_actor):
-            cas = yield from self.mapping.cas_async(self.offset, expected,
-                                                    new)
+            cas = yield from self.mapping.cas_async(0, expected, new)
             return (yield from cas_result(cas, self.token))

@@ -20,20 +20,22 @@ __all__ = ["Arena"]
 class Arena:
     """First-fit allocator over ``[base, base+capacity)``.
 
-    Reservation lengths are rounded up to ``alignment`` so every
+    Reservation lengths are rounded up to :attr:`ALIGNMENT` so every
     reservation starts aligned (RDMA atomics need 8-byte alignment;
-    the default of 64 also keeps stripes cacheline-aligned).  ``base``
-    itself must be aligned — MR addresses are page-aligned, so it is.
+    64 also keeps stripes cacheline-aligned).  ``base`` itself must be
+    aligned — MR addresses are page-aligned, so it is.
     """
 
-    def __init__(self, base: int, capacity: int, alignment: int = 64):
+    ALIGNMENT = 64
+
+    def __init__(self, base: int, capacity: int):
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
-        if alignment < 1 or base % alignment:
-            raise ValueError(f"base {base:#x} not {alignment}-byte aligned")
+        if base % self.ALIGNMENT:
+            raise ValueError(
+                f"base {base:#x} not {self.ALIGNMENT}-byte aligned")
         self.base = base
         self.capacity = capacity
-        self.alignment = alignment
         #: sorted list of (offset, length) free extents
         self._free: list[tuple[int, int]] = [(0, capacity)]
         self._live: dict[int, int] = {}  # offset -> length
@@ -83,7 +85,7 @@ class Arena:
         )
 
     def _aligned(self, length: int) -> int:
-        return -(-length // self.alignment) * self.alignment
+        return -(-length // self.ALIGNMENT) * self.ALIGNMENT
 
     def release(self, addr: int) -> int:
         """Free a reservation by address; returns its length."""

@@ -35,7 +35,7 @@ from repro.core.errors import (
     StaleEpochError,
     translated,
 )
-from repro.core.mapping import Mapping
+from repro.core.mapping import mapping_class
 from repro.core.metacache import MetadataCache
 from repro.core.pipeline import DATA_SQ_DEPTH, IoBatch, OpPipeline
 from repro.core.pool import LocalBufferPool
@@ -287,7 +287,7 @@ class RStoreClient:
                 continue
             return result
 
-    def _redial_master(self, deadline, shard: int = 0):
+    def _redial_master(self, deadline, shard: int):
         """Re-dial one shard's control service (generator).
 
         Bounded even for deadline-less (blocking) calls — they get a
@@ -409,7 +409,8 @@ class RStoreClient:
                                       self._router.shard_of(desc.name))
                 if not desc.available:
                     raise RegionUnavailableError(desc.unavailable_reason)
-                mapping = Mapping(self, desc, wire_scale)
+                mapping = mapping_class(self.config)(self, desc,
+                                                     wire_scale)
                 try:
                     yield from self._ensure_qps(desc)
                 except RdmaError:

@@ -117,21 +117,18 @@ class Mapping:
                                      local_mr, local_addr)
         yield from fut.wait()
 
-    def faa(self, offset: int, delta: int, idempotent: bool = False):
+    def faa(self, offset: int, delta: int):
         """Remote fetch-and-add on an 8-byte counter (generator).
 
-        Atomics are **not retryable by default**: a completion error on
-        an op that reached the NIC raises ``RegionUnavailableError``
+        Atomics are **never replayed** once they reach the NIC: a
+        completion error on such an op raises ``RegionUnavailableError``
         immediately, because the remote side may already have applied
         it — a blind replay could add *delta* twice.  Failures before
-        anything hit the wire (dead QP, post rejection) still remap and
-        retry transparently; they cannot have side effects.  Pass
-        ``idempotent=True`` only when a double-applied op is harmless
-        (monotonic flags, advisory stats) to opt back into full
-        remap-and-replay.
+        anything hit the wire (dead QP, post rejection, a fence NAK)
+        still remap and retry transparently; they cannot have side
+        effects.
         """
-        fut = yield from self._start("faa", offset, 8,
-                                     idempotent=idempotent, compare=delta)
+        fut = yield from self._start("faa", offset, 8, compare=delta)
         old = yield from fut.wait()
         return old
 
@@ -154,8 +151,8 @@ class Mapping:
 
     def _begin(self, kind: str, offset: int, length: int,
                local_mr: Optional[MemoryRegion] = None,
-               local_addr: int = 0, idempotent: bool = False,
-               compare: int = 0, swap: int = 0, batch=None,
+               local_addr: int = 0, compare: int = 0, swap: int = 0,
+               batch=None,
                after: Optional[OpFuture] = None) -> OpFuture:
         """Create the future of one op — the only place one is made.
 
@@ -167,7 +164,7 @@ class Mapping:
         if op.access == "atomic" and offset % 8 != 0:
             raise BoundsError(f"atomic offset {offset} not 8-byte aligned")
         fut = OpFuture(self.client, self, op.opcode, kind, offset, length,
-                       idempotent, compare, swap)
+                       compare, swap)
         fut.local_mr = local_mr
         fut.local_addr = local_addr
         fut.after = after
@@ -198,13 +195,13 @@ class Mapping:
         if batch is not None:
             return batch._ready(fut)
         try:
-            yield from self._submit(fut)
+            yield from self._submit(fut, None)
         except Exception as exc:
             fut._fail(exc)
             raise
         return fut
 
-    def _submit(self, fut: OpFuture, batch=None):
+    def _submit(self, fut: OpFuture, batch):
         """Plan and post one future (generator).
 
         Synchronous reads and writes (``batch is None``) pay the per-op
@@ -213,30 +210,25 @@ class Mapping:
         per doorbell instead.  A synchronous atomic carries no payload
         to set up and pays no issue overhead at all.
         """
-        self._check_usable()
-        client = self.client
-        config = client.config
-        tracer = client.obs.tracer
-        # tracing off builds no span and no finish() keywords
-        span = (tracer.span("data.client.submit", trace_id=fut.trace_id,
-                            op=fut.kind) if tracer.enabled else None)
+        span = self._open_span(fut)
         if batch is None and not fut.is_atomic:
-            yield from client.nic.host.cpu.run(ISSUE_OVERHEAD_S)
-        desc = self.desc
-        if config.resolve_per_io:
-            # ablation: a fresh descriptor for every IO
-            desc = yield from client._master_call("lookup", self.name)
+            yield from self.client.nic.host.cpu.run(ISSUE_OVERHEAD_S)
+        self._dispatch(fut, self.desc, batch, span)
+
+    def _open_span(self, fut: OpFuture):
+        self._check_usable()
+        tracer = self.client.obs.tracer
+        # tracing off builds no span and no finish() keywords
+        return (tracer.span("data.client.submit", trace_id=fut.trace_id,
+                            op=fut.kind) if tracer.enabled else None)
+
+    def _dispatch(self, fut: OpFuture, desc: RegionDesc, batch, span):
+        """Post *fut* against *desc* over one-sided RDMA."""
         if not desc.available:
             if span is not None:
                 span.finish(ok=False)
             raise RegionUnavailableError(desc.unavailable_reason)
         self._inflight.add(fut)
-        if config.two_sided_data_path and not fut.is_atomic:
-            client.sim.process(self._two_sided(fut, desc),
-                               name="two-sided-io")
-            if span is not None:
-                span.finish()
-            return
         pieces = self._plan_pieces(desc, fut)
         self._post_pieces(fut, desc, pieces, batch=batch)
         if span is not None:
@@ -318,35 +310,6 @@ class Mapping:
                 else:
                     batch._stage(qp, wr)
 
-    def _two_sided(self, fut: OpFuture, desc: RegionDesc):
-        """Ablation: drive one read/write future through the server CPU
-        over messaging instead of one-sided RDMA (a process)."""
-        client = self.client
-        local_mr = fut.local_mr
-        chunk_limit = max(1024, MSG_SIZE // 2)
-        cursor = fut.local_addr
-        try:
-            for stripe, stripe_off, take in desc.locate(fut.offset,
-                                                        fut.length):
-                rpc = yield from client._mem_channel(stripe.host_id)
-                pos = 0
-                while pos < take:
-                    piece = min(chunk_limit, take - pos)
-                    remote = stripe.addr + stripe_off + pos
-                    local = local_mr.offset_of(cursor + pos)
-                    if fut.opcode is Opcode.RDMA_READ:
-                        data = yield from rpc.call("ts_read", remote, piece)
-                        local_mr.buffer.write(local, data)
-                    else:
-                        payload = local_mr.buffer.read(local, piece)
-                        yield from rpc.call("ts_write", remote, payload)
-                    pos += piece
-                cursor += take
-        except Exception as exc:
-            fut._fail(exc)
-            return
-        client._io.settle(fut, fut.length)
-
     def _remap_with_backoff(self, attempt: int, immediate: bool = False):
         """Back off, re-``lookup``, rebuild QP tables (generator).
 
@@ -384,3 +347,72 @@ class Mapping:
             return self.desc
         self.desc = desc
         return desc
+
+
+class _ResolvingMapping(Mapping):
+    """Ablation (E9): resolve the descriptor at the master on every IO
+    instead of caching it in the mapping."""
+
+    def _submit(self, fut: OpFuture, batch):
+        span = self._open_span(fut)
+        if batch is None and not fut.is_atomic:
+            yield from self.client.nic.host.cpu.run(ISSUE_OVERHEAD_S)
+        desc = yield from self.client._master_call("lookup", self.name)
+        self._dispatch(fut, desc, batch, span)
+
+
+class _TwoSidedMapping(Mapping):
+    """Ablation (E2, E4, E9): reads and writes go through the server CPU
+    over two-sided messaging; atomics stay one-sided."""
+
+    def _dispatch(self, fut: OpFuture, desc: RegionDesc, batch, span):
+        if fut.is_atomic or not desc.available:
+            return super()._dispatch(fut, desc, batch, span)
+        self._inflight.add(fut)
+        self.client.sim.process(self._two_sided(fut, desc),
+                                name="two-sided-io")
+        if span is not None:
+            span.finish()
+
+    def _two_sided(self, fut: OpFuture, desc: RegionDesc):
+        """Drive one read or write future through the server CPU (a
+        process)."""
+        client = self.client
+        local_mr = fut.local_mr
+        chunk_limit = max(1024, MSG_SIZE // 2)
+        cursor = fut.local_addr
+        try:
+            for stripe, stripe_off, take in desc.locate(fut.offset,
+                                                        fut.length):
+                rpc = yield from client._mem_channel(stripe.host_id)
+                pos = 0
+                while pos < take:
+                    piece = min(chunk_limit, take - pos)
+                    remote = stripe.addr + stripe_off + pos
+                    local = local_mr.offset_of(cursor + pos)
+                    if fut.opcode is Opcode.RDMA_READ:
+                        data = yield from rpc.call("ts_read", remote, piece)
+                        local_mr.buffer.write(local, data)
+                    else:
+                        payload = local_mr.buffer.read(local, piece)
+                        yield from rpc.call("ts_write", remote, payload)
+                    pos += piece
+                cursor += take
+        except Exception as exc:
+            fut._fail(exc)
+            return
+        client._io.settle(fut, fut.length)
+
+
+class _ResolvingTwoSidedMapping(_ResolvingMapping, _TwoSidedMapping):
+    """Both ablations at once."""
+
+
+def mapping_class(config) -> type:
+    """The :class:`Mapping` class *config* asks for: the one-sided data
+    path, or an ablation of it chosen once, at map time."""
+    return {(False, False): Mapping,
+            (True, False): _ResolvingMapping,
+            (False, True): _TwoSidedMapping,
+            (True, True): _ResolvingTwoSidedMapping,
+            }[config.resolve_per_io, config.two_sided_data_path]

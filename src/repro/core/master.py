@@ -563,7 +563,7 @@ class Master:
             # the bytes are back in the arena allocator: drop every
             # shadow interval so accesses to a recycled range are never
             # matched against the dead region's history
-            rsan.clear_region(region)
+            rsan.clear_region(region, None)
         return True
 
     def _lookup(self, name):

@@ -102,8 +102,7 @@ class MetadataCache:
             desc, shard, self.epochs.get(shard, 0),
             self._sim.now + META_LEASE_S)
 
-    def store_negative(self, name: str, shard: int,
-                       as_of: Optional[int] = None) -> None:
+    def store_negative(self, name: str, shard: int, as_of: int) -> None:
         """Cache a miss.  *as_of* is the shard epoch observed when the
         lookup was *issued*, not when it completed: a lookup in flight
         across an epoch bump must be stamped with the old era so the
@@ -111,9 +110,8 @@ class MetadataCache:
         it like any other stale lease — otherwise a region created
         under the new era hides behind a cached refusal for the whole
         negative TTL."""
-        epoch = self.epochs.get(shard, 0) if as_of is None else as_of
         self._leases[name] = _MetaEntry(
-            None, shard, epoch, self._sim.now + META_NEGATIVE_TTL_S,
+            None, shard, as_of, self._sim.now + META_NEGATIVE_TTL_S,
             RegionNotFoundError(f"no region named {name!r}"))
 
     def evict(self, name: str) -> None:

@@ -121,7 +121,7 @@ class OpFuture:
 
     __slots__ = (
         "client", "mapping", "opcode", "kind", "offset", "length",
-        "fan_out", "is_atomic", "idempotent", "compare", "swap",
+        "fan_out", "is_atomic", "compare", "swap",
         "local_mr", "local_addr", "done", "value", "error", "_event",
         "_chunk",
         "_remaining", "_failure", "_failed", "_last_wc",
@@ -130,8 +130,7 @@ class OpFuture:
     )
 
     def __init__(self, client, mapping, opcode: Opcode, kind: str,
-                 offset: int, length: int, idempotent: bool = False,
-                 compare: int = 0, swap: int = 0):
+                 offset: int, length: int, compare: int, swap: int):
         self.client = client
         self.mapping = mapping
         self.opcode = opcode
@@ -142,7 +141,6 @@ class OpFuture:
         #: writes land on every replica; reads hit only the primary
         self.fan_out = opcode is Opcode.RDMA_WRITE
         self.is_atomic = opcode in _ATOMIC_OPS
-        self.idempotent = idempotent
         self.compare = compare
         self.swap = swap
         #: where the op's bytes live locally (none for atomics)
@@ -465,19 +463,16 @@ class IoBatch:
         return self._ready(mapping._begin(
             "write_from", offset, length, local_mr, local_addr, batch=self))
 
-    def faa(self, mapping, offset: int, delta: int,
-            idempotent: bool = False) -> OpFuture:
+    def faa(self, mapping, offset: int, delta: int) -> OpFuture:
         """Queue a fetch-and-add; see :meth:`Mapping.faa` for semantics."""
         return self._ready(mapping._begin(
-            "faa", offset, 8, idempotent=idempotent, compare=delta,
-            batch=self))
+            "faa", offset, 8, compare=delta, batch=self))
 
-    def cas(self, mapping, offset: int, expected: int, desired: int,
-            idempotent: bool = False) -> OpFuture:
+    def cas(self, mapping, offset: int, expected: int,
+            desired: int) -> OpFuture:
         """Queue a compare-and-swap; returns its future."""
         return self._ready(mapping._begin(
-            "cas", offset, 8, idempotent=idempotent, compare=expected,
-            swap=desired, batch=self))
+            "cas", offset, 8, compare=expected, swap=desired, batch=self))
 
     def _ready(self, fut: OpFuture) -> OpFuture:
         """*fut*'s local buffer is in place: it joins the next flush."""
@@ -731,14 +726,13 @@ class OpPipeline:
         # atomic is just as ambiguous
         # a fence NAK means the server refused *before* executing, so a
         # fenced atomic is unambiguous and safe to replay
-        if fut.is_atomic and not fut.idempotent and (
+        if fut.is_atomic and (
                 fut._last_wc is not None or fut._flush_ambiguous) and (
                 not isinstance(fut._failure, StaleEpochError)):
             err = RegionUnavailableError(
                 f"atomic on {mapping.name!r} failed after reaching the "
                 f"NIC ({fut._failure}); the remote side may have "
-                "applied it, so it is not replayed — pass "
-                "idempotent=True to opt into replay"
+                "applied it, so it is not replayed"
             )
             err.__cause__ = fut._failure
             fut._fail(err)

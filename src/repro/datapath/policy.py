@@ -109,27 +109,21 @@ class AdaptiveSelector:
     once (in a fixed order); afterwards the current best-by-EWMA mode
     serves, with every ``probe_every``-th op per class re-sampling a
     non-current mode round-robin so a regime shift is eventually seen.
-    A switch requires ``patience`` consecutive observations in which
-    some other mode beats the current one by more than ``hysteresis``
-    (relative) — flapping between near-equal modes is impossible.
+    A switch requires :attr:`PATIENCE` consecutive observations in which
+    some other mode beats the current one by more than
+    :attr:`HYSTERESIS` (relative) — flapping between near-equal modes
+    is impossible.
     """
 
-    def __init__(self, modes=PathPolicy.MODES, probe_every: int = 32,
-                 hysteresis: float = 0.2, patience: int = 3,
-                 alpha: float = 0.3):
-        if probe_every < 2:
-            raise ValueError("probe_every must be at least 2")
-        if not 0 <= hysteresis < 1:
-            raise ValueError("hysteresis must be in [0, 1)")
-        if patience < 1:
-            raise ValueError("patience must be at least 1")
-        if not 0 < alpha <= 1:
-            raise ValueError("alpha must be in (0, 1]")
-        self.modes = tuple(modes)
+    #: a challenger must beat the current mode by this fraction ...
+    HYSTERESIS = 0.2
+    #: ... on this many observations in a row before the mode switches
+    PATIENCE = 3
+    #: EWMA weight of a new sample once a mode has more than 1/ALPHA
+    ALPHA = 0.3
+
+    def __init__(self, probe_every: int):
         self.probe_every = probe_every
-        self.hysteresis = hysteresis
-        self.patience = patience
-        self.alpha = alpha
         self.switches = 0
         self._classes: dict[str, _ClassState] = {}
 
@@ -139,9 +133,8 @@ class AdaptiveSelector:
             st = self._classes[op_class] = _ClassState()
         return st
 
-    def choose(self, op_class: str, modes=None) -> str:
-        """The mode the next *op_class* operation should run on."""
-        allowed = tuple(modes) if modes is not None else self.modes
+    def choose(self, op_class: str, allowed: tuple) -> str:
+        """The mode of *allowed* the next *op_class* operation runs on."""
         st = self._state(op_class)
         st.count += 1
         for mode in allowed:
@@ -157,7 +150,7 @@ class AdaptiveSelector:
         return st.current
 
     def observe(self, op_class: str, mode: str, latency_s: float,
-                cold: bool = False) -> None:
+                cold: bool) -> None:
         """Feed one observed end-to-end latency back into the EWMA.
 
         A *cold* observation — the op paid a one-time setup cost such
@@ -177,19 +170,19 @@ class AdaptiveSelector:
         # true mean (1/n weight) instead of letting sample #1 dominate
         # the estimate — a single deep-chain or contended op must not
         # misrank a mode for hundreds of operations
-        alpha = max(self.alpha, 1.0 / n)
+        alpha = max(self.ALPHA, 1.0 / n)
         st.ewma[mode] = (latency_s if prev is None
                          else prev + alpha * (latency_s - prev))
         if st.current is None:
-            if all(m in st.ewma for m in self.modes):
-                st.current = min(self.modes, key=lambda m: st.ewma[m])
+            if all(m in st.ewma for m in PathPolicy.MODES):
+                st.current = min(PathPolicy.MODES, key=lambda m: st.ewma[m])
             return
         best = min(st.ewma, key=lambda m: st.ewma[m])
         cur = st.ewma.get(st.current)
         if (best != st.current and cur is not None
-                and st.ewma[best] < cur * (1 - self.hysteresis)):
+                and st.ewma[best] < cur * (1 - self.HYSTERESIS)):
             st.streak += 1
-            if st.streak >= self.patience:
+            if st.streak >= self.PATIENCE:
                 st.current = best
                 st.streak = 0
                 self.switches += 1
@@ -217,7 +210,7 @@ class ModeChooser(AdaptiveSelector):
     """
 
     def __init__(self, client, policy, sizes=None):
-        super().__init__(probe_every=client.config.datapath_probe_every)
+        super().__init__(client.config.datapath_probe_every)
         self.client = client
         self.policy = PathPolicy.validate(
             policy if policy is not None else PathPolicy.ONE_SIDED)

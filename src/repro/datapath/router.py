@@ -342,8 +342,7 @@ class DataPathRouter:
         mapping = counter.mapping
 
         def attempt():
-            host_id, addr = self._locate_slot(mapping.desc, counter.offset,
-                                              ops.WORD)
+            host_id, addr = self._locate_slot(mapping.desc, 0, ops.WORD)
             request = self._request("counter_burst", mapping, addr=addr,
                                     deltas=list(deltas))
             return self._exec(host_id, request, fetch=False)

@@ -1,10 +1,10 @@
-"""A simple spindle model: sequential bandwidth plus seeks.
+"""A simple spindle model: sequential bandwidth.
 
 The TeraSort comparator in the paper runs on HDFS over local disks;
 its runtime is dominated by the multiple passes map-reduce makes over
-the data.  The model therefore needs exactly two behaviours: sustained
-sequential bandwidth, and a seek penalty when an access is random.
-Concurrent requests serialize on the spindle (a capacity-1 resource).
+the data, each a sequential stream.  The model therefore needs exactly
+one behaviour: sustained sequential bandwidth.  Concurrent requests
+serialize on the spindle (a capacity-1 resource).
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.simnet.config import ms
 from repro.simnet.kernel import Simulator
 from repro.simnet.resources import Resource
 
@@ -25,7 +24,6 @@ class DiskModel:
 
     read_bandwidth_Bps: float = 160e6
     write_bandwidth_Bps: float = 140e6
-    seek_s: float = ms(8.0)
 
 
 class Disk:
@@ -39,23 +37,18 @@ class Disk:
         self._spindle = Resource(sim, capacity=1)
         self.bytes_read = 0
         self.bytes_written = 0
-        self.seeks = 0
 
-    def read(self, nbytes: int, sequential: bool = True):
+    def read(self, nbytes: int):
         """Read *nbytes* (generator)."""
-        yield from self._access(nbytes, self.model.read_bandwidth_Bps, sequential)
+        yield from self._access(nbytes, self.model.read_bandwidth_Bps)
         self.bytes_read += nbytes
 
-    def write(self, nbytes: int, sequential: bool = True):
+    def write(self, nbytes: int):
         """Write *nbytes* (generator)."""
-        yield from self._access(nbytes, self.model.write_bandwidth_Bps, sequential)
+        yield from self._access(nbytes, self.model.write_bandwidth_Bps)
         self.bytes_written += nbytes
 
-    def _access(self, nbytes: int, bandwidth: float, sequential: bool):
+    def _access(self, nbytes: int, bandwidth: float):
         if nbytes < 0:
             raise ValueError(f"negative access size {nbytes}")
-        duration = nbytes / bandwidth
-        if not sequential:
-            duration += self.model.seek_s
-            self.seeks += 1
-        yield from self._spindle.occupy(duration)
+        yield from self._spindle.occupy(nbytes / bandwidth)

@@ -39,10 +39,9 @@ class PageRankProgram:
 
     name = "pagerank"
     needs_weights = False
-
-    def __init__(self, damping: float = 0.85, iterations: int = 10):
-        self.damping = damping
-        self.iterations = iterations
+    damping = 0.85
+    #: supersteps run (PageRank is iteration-bounded, not converged)
+    iterations = 10
 
     def initial(self, graph, lo: int, hi: int) -> np.ndarray:
         return np.full(hi - lo, 1.0 / graph.num_vertices)
@@ -70,9 +69,8 @@ class _MinPlusProgram:
 
     needs_weights = False
     max_iterations = 10_000
-
-    def __init__(self, source: int = 0):
-        self.source = source
+    #: the vertex distances are measured from
+    source = 0
 
     def initial(self, graph, lo: int, hi: int) -> np.ndarray:
         values = np.full(hi - lo, UNREACHED)

@@ -38,13 +38,12 @@ class MessagePassingEngine:
         cluster: Cluster,
         graph: Graph,
         worker_hosts: Optional[list[int]] = None,
-        compute: Optional[GraphComputeModel] = None,
         tag: str = "mp",
     ):
         self.cluster = cluster
         self.graph = graph
         self.worker_hosts = worker_hosts or list(range(cluster.num_machines))
-        self.compute = compute or GraphComputeModel()
+        self.compute = GraphComputeModel()
         self.tag = tag
         self.parts = partition_by_edges(graph, len(self.worker_hosts))
         #: rank -> fan-in Store, created on that worker's first receive

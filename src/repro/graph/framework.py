@@ -130,13 +130,12 @@ class RStoreGraphEngine:
         cluster: Cluster,
         graph: Graph,
         worker_hosts: Optional[list[int]] = None,
-        compute: Optional[GraphComputeModel] = None,
         tag: str = "g",
     ):
         self.cluster = cluster
         self.graph = graph
         self.worker_hosts = worker_hosts or list(range(cluster.num_machines))
-        self.compute = compute or GraphComputeModel()
+        self.compute = GraphComputeModel()
         self.tag = tag
         self.parts = partition_by_edges(graph, len(self.worker_hosts))
         self.load_elapsed: Optional[float] = None

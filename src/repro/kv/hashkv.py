@@ -46,9 +46,8 @@ class KvError(RStoreError):
 class KvFullError(KvError):
     """No reusable slot within the probe window for this key."""
 
-    def __init__(self, message: str = (
-            f"no slot for key within {ops.PROBE_LIMIT} probes")):
-        super().__init__(message)
+    def __init__(self):
+        super().__init__(f"no slot for key within {ops.PROBE_LIMIT} probes")
 
 
 class RKVStore:
@@ -106,13 +105,11 @@ class RKVStore:
 
     @classmethod
     def create(cls, client: RStoreClient, name: str, slots: int,
-               key_size: int = 32, value_size: int = 128,
-               path_policy: str = None):
-        """Allocate and map a fresh table (generator)."""
+               key_size: int = 32, value_size: int = 128):
+        """Allocate and map a fresh table (generator); its handle runs
+        one-sided (:meth:`open` takes a path policy)."""
         if slots < 1:
             raise KvError("need at least one slot")
-        # refuse an unfit policy before anything is allocated
-        cls._chooser(client, path_policy, key_size, value_size)
         slot_size = ops.slot_size(key_size, value_size)
         # stripe on a slot boundary so no slot (and no version word)
         # ever straddles two memory servers
@@ -122,8 +119,7 @@ class RKVStore:
         yield from client.alloc(f"kv.{name}", region_size,
                                 stripe_size=stripe_size)
         mapping = yield from client.map(f"kv.{name}")
-        store = cls(client, name, mapping, slots, key_size, value_size,
-                    path_policy)
+        store = cls(client, name, mapping, slots, key_size, value_size)
         yield from client.notify(
             f"kv.{name}.meta",
             {"slots": slots, "key_size": key_size, "value_size": value_size},
@@ -272,8 +268,7 @@ class RKVStore:
 
     # -- the API -------------------------------------------------------------------
 
-    def txn(self, label: str = None, retries: int = None,
-            deadline: float = None):
+    def txn(self, label: str = None, retries: int = None):
         """A transaction runtime bound to this table's client.
 
         Returns a :class:`repro.txn.TxnRuntime`; transactions started
@@ -286,7 +281,6 @@ class RKVStore:
             self.client,
             label=label if label is not None else f"kv-{self.name}",
             retries=retries,
-            deadline=deadline,
         )
 
     def put(self, key: bytes, value: bytes):

@@ -58,12 +58,11 @@ class TcpStack:
         sim: Simulator,
         host: Host,
         network: Network,
-        model: Optional[TcpModel] = None,
     ):
         self.sim = sim
         self.host = host
         self.network = network
-        self.model = model or TcpModel()
+        self.model = TcpModel()
         self.alive = True
         self._listeners: dict[int, Store] = {}
         host.services["tcp"] = self

@@ -88,26 +88,25 @@ class Gauge:
 class Histogram:
     """Log-bucketed histogram of non-negative samples (HDR-style).
 
-    Values at or below ``smallest`` land in bucket 0; above that,
-    bucket ``k`` holds values in ``(smallest * growth**(k-1),
-    smallest * growth**k]``.  With the default 16 sub-buckets per
+    Values at or below :attr:`SMALLEST` land in bucket 0; above that,
+    bucket ``k`` holds values in ``(SMALLEST * growth**(k-1),
+    SMALLEST * growth**k]``.  With the default 16 sub-buckets per
     octave the relative quantile error is bounded by
     ``2**(1/16) - 1`` (~4.4%).  ``min``/``max``/``sum`` are tracked
     exactly, so ``percentile(0)`` and ``percentile(100)`` are exact.
     """
 
-    __slots__ = ("name", "labels", "smallest", "_log_growth", "_growth",
+    __slots__ = ("name", "labels", "_log_growth", "_growth",
                  "count", "total", "minimum", "maximum", "buckets")
 
     #: sub-buckets per doubling of the value range
     SUBBUCKETS = 16
+    #: bucket 0's upper bound: a nanosecond, as samples are seconds
+    SMALLEST = 1e-9
 
-    def __init__(self, name: str, labels: Labels, smallest: float = 1e-9):
-        if smallest <= 0:
-            raise ValueError("smallest bucket bound must be positive")
+    def __init__(self, name: str, labels: Labels):
         self.name = name
         self.labels = labels
-        self.smallest = smallest
         self._log_growth = math.log(2.0) / self.SUBBUCKETS
         self._growth = 2.0 ** (1.0 / self.SUBBUCKETS)
         self.count = 0
@@ -129,12 +128,12 @@ class Histogram:
         self.buckets[index] = self.buckets.get(index, 0) + 1
 
     def _index(self, value: float) -> int:
-        if value <= self.smallest:
+        if value <= self.SMALLEST:
             return 0
-        return 1 + int(math.log(value / self.smallest) / self._log_growth)
+        return 1 + int(math.log(value / self.SMALLEST) / self._log_growth)
 
     def _upper_bound(self, index: int) -> float:
-        return self.smallest * self._growth ** index
+        return self.SMALLEST * self._growth ** index
 
     @property
     def mean(self) -> float:
@@ -174,9 +173,7 @@ class Histogram:
         )
 
     def merge(self, other: "Histogram") -> None:
-        """Fold *other*'s samples into this histogram (same scale)."""
-        if other.smallest != self.smallest:
-            raise ValueError("cannot merge histograms with different scales")
+        """Fold *other*'s samples into this histogram."""
         self.count += other.count
         self.total += other.total
         self.minimum = min(self.minimum, other.minimum)
@@ -207,13 +204,11 @@ class MetricsRegistry:
     def gauge(self, name: str, /, **labels) -> Gauge:
         return self._get_or_make(Gauge, name, labels)
 
-    def histogram(self, name: str, /, smallest: float = 1e-9,
-                  **labels) -> Histogram:
-        hist = self._get_or_make(Histogram, name, labels, smallest=smallest)
-        return hist
+    def histogram(self, name: str, /, **labels) -> Histogram:
+        return self._get_or_make(Histogram, name, labels)
 
-    def _get_or_make(self, cls: type, name: str, labels: dict,
-                     **kwargs) -> Instrument:
+    def _get_or_make(self, cls: type, name: str,
+                     labels: dict) -> Instrument:
         key = (name, _freeze(labels))
         kind = self._kinds.get(name)
         if kind is not None and kind is not cls:
@@ -224,7 +219,7 @@ class MetricsRegistry:
         found = self._instruments.get(key)
         if found is not None:
             return found
-        made = cls(name, key[1], **kwargs)
+        made = cls(name, key[1])
         self._kinds[name] = cls
         self._instruments[key] = made
         return made
@@ -251,7 +246,7 @@ class MetricsRegistry:
         parts = self.series(name)
         if not parts or self._kinds.get(name) is not Histogram:
             raise KeyError(f"no histogram registered under {name!r}")
-        out = Histogram(name, (), smallest=parts[0].smallest)
+        out = Histogram(name, ())
         for part in parts:
             out.merge(part)
         return out

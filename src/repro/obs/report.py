@@ -184,14 +184,11 @@ def format_spans(spans: list[Span], limit: int = 50) -> str:
     return "\n".join(lines)
 
 
-def format_counters(metrics: MetricsRegistry,
-                    prefixes: tuple[str, ...] = ()) -> str:
+def format_counters(metrics: MetricsRegistry) -> str:
     """Counters/gauges totalled by name, one line each."""
     lines = []
     for name in metrics.names():
         if name.startswith("span."):
-            continue
-        if prefixes and not name.startswith(prefixes):
             continue
         try:
             value = metrics.total(name)

@@ -83,13 +83,15 @@ NULL_SPAN = _NullSpan()
 class Tracer:
     """Collects spans for one simulation; off unless enabled."""
 
-    def __init__(self, sim, registry=None, max_spans: int = 200_000):
+    #: spans kept; later ones are dropped (histograms still fed)
+    MAX_SPANS = 200_000
+
+    def __init__(self, sim, registry=None):
         self.sim = sim
         #: fed with ``span.<name>`` duration histograms when present
         self.registry = registry
         self.enabled = False
         self.spans: list[Span] = []
-        self.max_spans = max_spans
         #: spans discarded once the buffer filled (histograms still fed)
         self.dropped = 0
         self._trace_seq = 0
@@ -121,9 +123,10 @@ class Tracer:
             return NULL_SPAN
         return Span(self, name, kind, trace_id, self.sim.now, attrs)
 
-    def record(self, name: str, start: float, kind: str = "data",
+    def record(self, name: str, start: float,
                trace_id: Optional[int] = None, **attrs) -> None:
-        """Record a completed interval ``[start, now]`` in one call.
+        """Record a completed data-path interval ``[start, now]`` in one
+        call.
 
         The instrumentation hot paths use this form: they stash a bare
         ``float`` timestamp while the op is in flight and only build
@@ -131,18 +134,19 @@ class Tracer:
         """
         if not self.enabled:
             return
-        span = Span(self, name, kind, trace_id, start, attrs)
+        span = Span(self, name, "data", trace_id, start, attrs)
         span.end = self.sim.now
         self._record(span)
 
-    def event(self, name: str, kind: str = "data", **attrs) -> None:
-        """A zero-duration marker (fault injected, retry scheduled…)."""
-        self.record(name, self.sim.now, kind=kind, **attrs)
+    def event(self, name: str, **attrs) -> None:
+        """A zero-duration data-path marker (fault injected, retry
+        scheduled…)."""
+        self.record(name, self.sim.now, **attrs)
 
     # -- internals -----------------------------------------------------------
 
     def _record(self, span: Span) -> None:
-        if len(self.spans) < self.max_spans:
+        if len(self.spans) < self.MAX_SPANS:
             self.spans.append(span)
         else:
             self.dropped += 1

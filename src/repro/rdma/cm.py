@@ -38,11 +38,8 @@ class Listener:
     service_id: str
     pd: ProtectionDomain
     send_cq: CompletionQueue
-    recv_cq: CompletionQueue
     #: invoked with each newly connected server-side QP
     on_connect: Optional[Callable[[QueuePair], None]] = None
-    sq_depth: int = 128
-    rq_depth: int = 1024
 
 
 class ConnectionManager:
@@ -61,12 +58,10 @@ class ConnectionManager:
         service_id: str,
         pd: ProtectionDomain,
         send_cq: CompletionQueue,
-        recv_cq: Optional[CompletionQueue] = None,
         on_connect: Optional[Callable[[QueuePair], None]] = None,
-        sq_depth: int = 128,
-        rq_depth: int = 1024,
     ) -> Listener:
-        """Register a passive endpoint on *nic* under *service_id*."""
+        """Register a passive endpoint on *nic* under *service_id*; its
+        QPs complete sends and receives on *send_cq*."""
         key = (nic.host.host_id, service_id)
         if key in self._listeners:
             raise RdmaError(f"{service_id!r} already listening on {nic.host.name}")
@@ -75,10 +70,7 @@ class ConnectionManager:
             service_id=service_id,
             pd=pd,
             send_cq=send_cq,
-            recv_cq=send_cq if recv_cq is None else recv_cq,
             on_connect=on_connect,
-            sq_depth=sq_depth,
-            rq_depth=rq_depth,
         )
         self._listeners[key] = listener
         return listener
@@ -95,7 +87,6 @@ class ConnectionManager:
         send_cq: CompletionQueue,
         recv_cq: Optional[CompletionQueue] = None,
         sq_depth: int = 128,
-        rq_depth: int = 1024,
     ):
         """Connect to a listener (generator); returns the active-side QP.
 
@@ -119,18 +110,12 @@ class ConnectionManager:
             span.finish(ok=False)
             raise ConnectError(f"peer host {remote_host_id} is unreachable")
 
-        client_qp = yield from nic.create_qp(
-            pd, send_cq, recv_cq, sq_depth=sq_depth, rq_depth=rq_depth
-        )
+        client_qp = yield from nic.create_qp(pd, send_cq, recv_cq,
+                                             sq_depth=sq_depth)
         # REQ -> server
         yield from self._handshake(nic, server_nic, span)
-        server_qp = yield from server_nic.create_qp(
-            listener.pd,
-            listener.send_cq,
-            listener.recv_cq,
-            sq_depth=listener.sq_depth,
-            rq_depth=listener.rq_depth,
-        )
+        server_qp = yield from server_nic.create_qp(listener.pd,
+                                                    listener.send_cq)
         # The server finishes its accept-side setup (e.g. posting the
         # receive ring) *before* acknowledging — real rdma_cm servers
         # call accept only once resources are in place.  on_connect may

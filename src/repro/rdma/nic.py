@@ -18,7 +18,7 @@ from typing import Callable, Optional
 from repro.obs import obs_for
 from repro.rdma.cq import CompletionQueue, WorkCompletion
 from repro.rdma.device import NicModel
-from repro.rdma.memory import Buffer, HostMemory, MemoryRegion, Payload
+from repro.rdma.memory import HostMemory, MemoryRegion, Payload
 from repro.rdma.pd import ProtectionDomain
 from repro.rdma.qp import QueuePair
 from repro.rdma.types import Access, Opcode, QpState, RdmaError, WcStatus
@@ -41,12 +41,11 @@ class RNic:
         sim: Simulator,
         host: Host,
         network: Network,
-        model: Optional[NicModel] = None,
     ):
         self.sim = sim
         self.host = host
         self.network = network
-        self.model = model or NicModel()
+        self.model = NicModel()
         self.memory = HostMemory(host.host_id)
         self.alive = True
         #: epoch fences, one per control-plane shard (shards recover
@@ -135,25 +134,20 @@ class RNic:
         self,
         pd: ProtectionDomain,
         length: Optional[int] = None,
-        buffer: Optional[Buffer] = None,
         access: Access = Access.LOCAL_WRITE,
     ):
-        """Register a memory region (generator).
+        """Allocate *length* bytes of host memory and register them
+        (generator).
 
-        Either pass an existing ``buffer`` or a ``length`` to allocate a
-        fresh one.  Registration cost grows with the page count — the
-        dominant control-path cost the paper's design amortises by
-        registering at allocation/mapping time, never per IO.
+        Registration cost grows with the page count — the dominant
+        control-path cost the paper's design amortises by registering
+        at allocation/mapping time, never per IO.
         """
         if pd.nic is not self:
             raise RdmaError("PD belongs to a different device")
-        if buffer is None:
-            if length is None:
-                raise RdmaError("reg_mr needs a buffer or a length")
-            buffer = self.memory.alloc(length)
-        elif buffer.host_id != self.host.host_id:
-            raise RdmaError("cannot register another host's memory")
-        mr = MemoryRegion(buffer, access, pd=pd)
+        if length is None:
+            raise RdmaError("reg_mr needs a length")
+        mr = MemoryRegion(self.memory.alloc(length), access, pd=pd)
         keys = self.sim.sequence("mr-key")
         mr.lkey, mr.rkey = next(keys), next(keys)
         span = self.obs.tracer.span("control.nic.reg_mr", kind="control",
@@ -171,7 +165,6 @@ class RNic:
         send_cq: CompletionQueue,
         recv_cq: Optional[CompletionQueue] = None,
         sq_depth: int = 128,
-        rq_depth: int = 1024,
     ):
         """Create an RC queue pair (generator)."""
         if pd.nic is not self:
@@ -186,7 +179,6 @@ class RNic:
             send_cq,
             send_cq if recv_cq is None else recv_cq,
             sq_depth=sq_depth,
-            rq_depth=rq_depth,
         )
 
     # ------------------------------------------------------------------

@@ -22,6 +22,9 @@ from repro.rdma.cq import CompletionQueue, WorkCompletion
 from repro.rdma.types import Opcode, QpError, QpState, RdmaError, WcStatus
 from repro.rdma.wr import RecvWR, SendWR
 
+#: receive WRs a queue pair holds posted at once
+RQ_DEPTH = 1024
+
 __all__ = ["QueuePair"]
 
 
@@ -35,14 +38,12 @@ class QueuePair:
         send_cq: CompletionQueue,
         recv_cq: CompletionQueue,
         sq_depth: int = 128,
-        rq_depth: int = 1024,
     ):
         self.nic = nic
         self.pd = pd
         self.send_cq = send_cq
         self.recv_cq = recv_cq
         self.sq_depth = sq_depth
-        self.rq_depth = rq_depth
         self.qp_num = next(nic.sim.sequence("qpn", 100))
         self.state = QpState.RESET
         self.remote: Optional["QueuePair"] = None
@@ -112,8 +113,8 @@ class QueuePair:
     def post_recv(self, wr: RecvWR) -> None:
         if self.state is QpState.ERROR:
             raise QpError(f"QP {self.qp_num} is in error state: {self.error_reason}")
-        if len(self._rq) >= self.rq_depth:
-            raise RdmaError(f"receive queue full ({self.rq_depth})")
+        if len(self._rq) >= RQ_DEPTH:
+            raise RdmaError(f"receive queue full ({RQ_DEPTH})")
         if wr.local_mr.pd is not self.pd:
             raise RdmaError("recv MR belongs to a different protection domain")
         self._rq.append(wr)

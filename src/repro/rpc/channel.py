@@ -19,9 +19,10 @@ from repro.simnet.resources import Resource
 
 __all__ = ["MSG_SIZE", "RdmaMsgChannel", "ChannelClosed", "MessageTooLarge"]
 
-#: message size limit of a channel unless its two ends agree on another
-#: (RStore's control plane and memory services all run at this default)
+#: message size limit of every channel
 MSG_SIZE = 64 * KiB
+#: receive buffers each end keeps posted
+CREDITS = 32
 
 
 class ChannelClosed(Exception):
@@ -39,12 +40,9 @@ class RdmaMsgChannel:
     number of processes may :meth:`send` (serialized by a lock).
     """
 
-    def __init__(self, nic: RNic, qp: QueuePair, msg_size: int = MSG_SIZE,
-                 credits: int = 32):
+    def __init__(self, nic: RNic, qp: QueuePair):
         self.nic = nic
         self.qp = qp
-        self.msg_size = msg_size
-        self.credits = credits
         self._send_lock = Resource(nic.sim, capacity=1)
         self._send_mr = None
         self._recv_mr = None
@@ -55,11 +53,10 @@ class RdmaMsgChannel:
     def prepare(self):
         """Register buffers and post the receive ring (generator)."""
         pd = self.qp.pd
-        self._send_mr = yield from self.nic.reg_mr(pd, length=self.msg_size)
-        self._recv_mr = yield from self.nic.reg_mr(
-            pd, length=self.msg_size * self.credits
-        )
-        for i in range(self.credits):
+        self._send_mr = yield from self.nic.reg_mr(pd, length=MSG_SIZE)
+        self._recv_mr = yield from self.nic.reg_mr(pd,
+                                                   length=MSG_SIZE * CREDITS)
+        for i in range(CREDITS):
             self._post_recv_slot(i)
         return self
 
@@ -70,8 +67,6 @@ class RdmaMsgChannel:
         nic: RNic,
         remote_host_id: int,
         service_id: str,
-        msg_size: int = MSG_SIZE,
-        credits: int = 32,
     ):
         """Full client-side setup (generator): PD, CQs, connect, buffers."""
         pd = yield from nic.alloc_pd()
@@ -80,7 +75,7 @@ class RdmaMsgChannel:
         qp = yield from cm.connect(
             nic, remote_host_id, service_id, pd, send_cq, recv_cq
         )
-        channel = cls(nic, qp, msg_size=msg_size, credits=credits)
+        channel = cls(nic, qp)
         yield from channel.prepare()
         return channel
 
@@ -88,8 +83,8 @@ class RdmaMsgChannel:
         self.qp.post_recv(
             RecvWR(
                 local_mr=self._recv_mr,
-                local_addr=self._recv_mr.addr + index * self.msg_size,
-                length=self.msg_size,
+                local_addr=self._recv_mr.addr + index * MSG_SIZE,
+                length=MSG_SIZE,
                 wr_id=index,
             )
         )
@@ -101,10 +96,10 @@ class RdmaMsgChannel:
         if self.closed:
             raise ChannelClosed("channel is closed")
         payload = pickle.dumps(obj)
-        if len(payload) > self.msg_size:
+        if len(payload) > MSG_SIZE:
             raise MessageTooLarge(
                 f"message of {len(payload)} bytes exceeds channel buffer "
-                f"of {self.msg_size}"
+                f"of {MSG_SIZE}"
             )
         req = self._send_lock.try_acquire()
         if req is None:
@@ -146,7 +141,7 @@ class RdmaMsgChannel:
             self.closed = True
             raise ChannelClosed(f"recv failed: {wc.status.value} {wc.detail}")
         index = wc.wr_id
-        offset = index * self.msg_size
+        offset = index * MSG_SIZE
         payload = self._recv_mr.buffer.read(offset, wc.byte_len)
         obj = pickle.loads(payload)
         # Receive-side unmarshalling cost.

@@ -27,12 +27,7 @@ from repro.net.tcp import TcpError
 from repro.rdma.cm import ConnectionManager
 from repro.rdma.nic import RNic
 from repro.rdma.qp import QueuePair
-from repro.rpc.channel import (
-    MSG_SIZE,
-    ChannelClosed,
-    MessageTooLarge,
-    RdmaMsgChannel,
-)
+from repro.rpc.channel import ChannelClosed, MessageTooLarge, RdmaMsgChannel
 from repro.rpc.message import RpcRequest, RpcResponse
 from repro.simnet.config import us
 from repro.simnet.kernel import Event, Simulator
@@ -223,11 +218,10 @@ class RpcServer(_Service):
     """RPC service over RDMA SEND/RECV (the control-plane transport)."""
 
     def __init__(self, sim: Simulator, nic: RNic, cm: ConnectionManager,
-                 service_id: str, msg_size: int = MSG_SIZE):
+                 service_id: str):
         super().__init__(sim, nic.host.cpu, service_id)
         self.nic = nic
         self.cm = cm
-        self.msg_size = msg_size
         #: every accepted connection, so :meth:`stop` can tear them down
         self._accepted: list[RdmaMsgChannel] = []
         self._stopped = False
@@ -270,7 +264,7 @@ class RpcServer(_Service):
     def _accept(self, qp: QueuePair):
         qp.send_cq = yield from self.nic.create_cq()
         qp.recv_cq = yield from self.nic.create_cq()
-        channel = RdmaMsgChannel(self.nic, qp, msg_size=self.msg_size)
+        channel = RdmaMsgChannel(self.nic, qp)
         yield from channel.prepare()
         self._accepted.append(channel)
         self._serve_on(channel)
@@ -284,12 +278,10 @@ class RpcClient(_Caller):
         self.nic = nic
         self.cm = cm
 
-    def connect(self, remote_host_id: int, service_id: str,
-                msg_size: int = MSG_SIZE):
+    def connect(self, remote_host_id: int, service_id: str):
         """Establish the connection (generator)."""
         return self._attach((yield from RdmaMsgChannel.connect(
-            self.cm, self.nic, remote_host_id, service_id, msg_size=msg_size
-        )))
+            self.cm, self.nic, remote_host_id, service_id)))
 
     def abort(self, reason: str = "client aborted") -> None:
         """Tear the connection down without a goodbye (fail-stop).

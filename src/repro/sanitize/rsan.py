@@ -405,11 +405,12 @@ class RaceSanitizer:
 
     # -- teardown -------------------------------------------------------------
 
-    def clear_range(self, host_id: int, lo: int, hi: int, actor=None):
+    def clear_range(self, host_id: int, lo: int, hi: int, actor):
         """Drop shadow records overlapping ``[lo, hi)`` on *host_id*.
 
-        With *actor*, only that actor's records go (a client unmapping);
-        without, every record goes (the master freeing the region).
+        With an *actor*, only that actor's records go (a client
+        unmapping); with ``None``, every record goes (the master freeing
+        the region).
         """
         records = self.shadow.get(host_id)
         if not records:
@@ -420,7 +421,7 @@ class RaceSanitizer:
             or (actor is not None and a.actor != actor)
         ]
 
-    def clear_region(self, desc, actor=None):
+    def clear_region(self, desc, actor):
         """Drop shadow state for every replica byte range of *desc*."""
         for stripe in desc.stripes:
             for replica in stripe.replicas:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["NetworkConfig", "KiB", "MiB", "GiB", "Gbps", "us", "ms"]
+__all__ = ["NetworkConfig", "KiB", "MiB", "GiB", "Gbps", "us"]
 
 KiB = 1024
 MiB = 1024 * KiB
@@ -24,11 +24,6 @@ def Gbps(value: float) -> float:
 def us(value: float) -> float:
     """Convert microseconds to seconds."""
     return value * 1e-6
-
-
-def ms(value: float) -> float:
-    """Convert milliseconds to seconds."""
-    return value * 1e-3
 
 
 @dataclass

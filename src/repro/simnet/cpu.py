@@ -19,12 +19,8 @@ __all__ = ["Cpu"]
 class Cpu:
     """A multi-core CPU charging explicit durations."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        cores: int = 8,
-        copy_bandwidth_Bps: float = 3.2e9,
-    ):
+    def __init__(self, sim: Simulator, cores: int,
+                 copy_bandwidth_Bps: float):
         self.sim = sim
         self.cores = cores
         self.copy_bandwidth_Bps = copy_bandwidth_Bps

@@ -129,14 +129,14 @@ class Timeout(Event):
 
     __slots__ = ()
 
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None):
+    def __init__(self, sim: "Simulator", delay: float):
         if not delay >= 0:  # NaN fails this too
             raise ValueError(f"delay must be >= 0, got {delay}")
         # Event.__init__ and Simulator._schedule, inlined: a timeout is
         # born triggered, and this is the kernel's hottest constructor.
         self.sim = sim
         self.callbacks = []
-        self._value = value
+        self._value = None
         self._ok = True
         self._processed = False
         self.defused = False
@@ -302,8 +302,8 @@ class Simulator:
     def event(self) -> Event:
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        return Timeout(self, delay, value)
+    def timeout(self, delay: float) -> Timeout:
+        return Timeout(self, delay)
 
     def process(self, generator: Generator, name: str = "") -> Process:
         """Start *generator* as a new process."""

@@ -115,7 +115,6 @@ class Network:
         src: Host,
         dst: Host,
         nbytes: int,
-        frame_size: Optional[int] = None,
         header_bytes: int = 0,
         on_delivered: Optional[Callable[..., None]] = None,
         args: tuple = (),
@@ -152,7 +151,7 @@ class Network:
             # caller's (transport's) problem, as on a real network
             self.messages_dropped += 1
             return done
-        frame_size = frame_size or self.config.frame_size
+        frame_size = self.config.frame_size
         nframes = max(1, -(-nbytes // frame_size))
         wire_bytes = nbytes + nframes * header_bytes
         self.bytes_carried += wire_bytes

@@ -91,9 +91,7 @@ class RSort:
         worker_hosts: Optional[list[int]] = None,
         scale: int = 1,
         seed: int = 0,
-        model: Optional[SortComputeModel] = None,
         tag: str = "sort",
-        shuffle_slack: float = 2.0,
     ):
         if records_per_worker < 1:
             raise ValueError("need at least one record per worker")
@@ -104,9 +102,10 @@ class RSort:
         self.worker_hosts = worker_hosts or list(range(cluster.num_machines))
         self.scale = scale
         self.seed = seed
-        self.model = model or SortComputeModel()
+        self.model = SortComputeModel()
         self.tag = tag
-        self.shuffle_slack = shuffle_slack
+        #: shuffle buffers hold this multiple of a balanced split's bytes
+        self.shuffle_slack = 2.0
         self._prepared = False
 
     @property

@@ -81,7 +81,6 @@ class TeraSortBaseline:
         worker_hosts: Optional[list[int]] = None,
         scale: int = 1,
         seed: int = 0,
-        model: Optional[TeraSortModel] = None,
         tag: str = "tera",
     ):
         if records_per_worker < 1:
@@ -91,19 +90,8 @@ class TeraSortBaseline:
         self.worker_hosts = worker_hosts or list(range(cluster.num_machines))
         self.scale = scale
         self.seed = seed
-        self.model = model or TeraSortModel()
+        self.model = TeraSortModel()
         self.tag = tag
-        sim = cluster.sim
-        disk_model = DiskModel(
-            read_bandwidth_Bps=self.model.disk_bandwidth_Bps
-            * self.model.disks_per_node,
-            write_bandwidth_Bps=self.model.disk_bandwidth_Bps
-            * self.model.disks_per_node * 0.9,
-        )
-        self.disks = {
-            rank: Disk(sim, disk_model, name=f"{tag}-disk-{rank}")
-            for rank in range(self.num_workers)
-        }
         self._outputs: dict[int, np.ndarray] = {}
 
     @property
@@ -165,7 +153,13 @@ class TeraSortBaseline:
         model = self.model
         host_id = self.worker_hosts[rank]
         cpu = self.cluster.net.host(host_id).cpu
-        disk = self.disks[rank]
+        # the node's spindles stripe: one disk at their summed bandwidth
+        disk = Disk(self.cluster.sim, DiskModel(
+            read_bandwidth_Bps=model.disk_bandwidth_Bps
+            * model.disks_per_node,
+            write_bandwidth_Bps=model.disk_bandwidth_Bps
+            * model.disks_per_node * 0.9,
+        ), name=f"{self.tag}-disk-{rank}")
         workers = self.num_workers
         logical_records = self.records_per_worker * self.scale
         logical_slice = logical_records * RECORD_BYTES

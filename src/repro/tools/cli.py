@@ -222,11 +222,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def main(argv: list[str]) -> int:
+    """Run ``repro`` with the command line *argv* (``sys.argv[1:]``)."""
     args = build_parser().parse_args(argv)
     handler = globals()[f"cmd_{args.command}"]
     return handler(args)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -33,9 +33,9 @@ faults — so a failed transaction never leaves a slot locked.
 
 Conflicts surface as :class:`TxnConflictError` (a
 :class:`RecoverableError`); :meth:`TxnRuntime.run` retries the whole
-closure on the shared deadline-aware :class:`~repro.coord.Backoff`,
-so exhaustion raises the *typed* ``DeadlineExceededError`` /
-``RetryBudgetExceededError`` like every other retry loop in the tree.
+closure on the shared :class:`~repro.coord.Backoff`, so exhaustion
+raises the *typed* ``RetryBudgetExceededError`` like every other retry
+loop in the tree.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from repro.coord.seqlock import (
     try_locks,
 )
 from repro.core.errors import (
-    DeadlineExceededError,
     FatalError,
     RecoverableError,
     RStoreError,
@@ -107,7 +106,7 @@ class _Item:
     __slots__ = ("lock", "version", "value", "pending", "store", "key",
                  "frees")
 
-    def __init__(self, lock, version, value, store, key, frees=()):
+    def __init__(self, lock, version, value, store, key, frees):
         self.lock = lock
         self.version = version      # the record's snapshot version
         self.value = value
@@ -149,11 +148,10 @@ class Txn:
     :meth:`abort` it refuses further use.
     """
 
-    def __init__(self, runtime: "TxnRuntime", token: int, deadline):
+    def __init__(self, runtime: "TxnRuntime", token: int):
         self.runtime = runtime
         self.client = runtime.client
         self.token = token
-        self.deadline = deadline
         self._phase = "open"
         self._reads: dict = {}      # rkey -> _ReadEntry
         self._items: dict = {}      # (region, key) -> _Item
@@ -219,7 +217,7 @@ class Txn:
             key, store.chain(key), read_slot)
         if outcome == ops.HIT:
             version, _key_len, _key, value, lock = snapshot
-            item = _Item(lock, version, value, store, key)
+            item = _Item(lock, version, value, store, key, ())
         else:
             item = _Item(None, None, None, store, key, frees)
         self._items[ikey] = item
@@ -324,10 +322,6 @@ class Txn:
         won = []  # per write, filled in as each intent is settled
         decided = False
         try:
-            if self.deadline is not None and sim.now >= self.deadline:
-                raise DeadlineExceededError(
-                    "transaction deadline passed before commit"
-                )
             if writes:
                 yield from try_locks(
                     [(w.lock, w.version, self.token) for w in writes], won)
@@ -386,19 +380,15 @@ class TxnRuntime:
     """A transaction factory bound to one client.
 
     ``retries`` bounds :meth:`run`'s whole-transaction retry loop (an
-    attempt budget); ``deadline`` is an absolute simulated time that
-    outranks it.  Both default every transaction this runtime starts
-    and can be overridden per call.
+    attempt budget).
     """
 
     DEFAULT_RETRIES = 64
 
-    def __init__(self, client, label: str = "txn", retries: int = None,
-                 deadline: float = None):
+    def __init__(self, client, label: str = "txn", retries: int = None):
         self.client = client
         self.label = label or "txn"
         self.retries = self.DEFAULT_RETRIES if retries is None else retries
-        self.deadline = deadline
         #: one jitter stream per retry loop, derived once, not per attempt
         self._rngs = {loop: Backoff.for_client(
             client, f"txn-{loop}-{self.label}").rng
@@ -422,38 +412,35 @@ class TxnRuntime:
     def aborts(self) -> int:
         return int(self._m_aborts.value)
 
-    def begin(self, deadline: float = None) -> Txn:
+    def begin(self) -> Txn:
         """One transaction attempt with a cluster-unique odd token."""
-        return Txn(self, mint_token(self.client),
-                   self.deadline if deadline is None else deadline)
+        return Txn(self, mint_token(self.client))
 
-    def run(self, fn, deadline: float = None, retries: int = None):
+    def run(self, fn):
         """Run *fn(txn)* to a committed result (generator).
 
         *fn* is a generator function taking the :class:`Txn`; it must
         be safe to re-run, because conflicts and recoverable faults
         abort the attempt and rerun it on the shared backoff.  The
-        bound is the runtime's ``deadline``/``retries`` unless
-        overridden here; exhaustion raises the typed
-        ``DeadlineExceededError`` / ``RetryBudgetExceededError``.
+        bound is the runtime's ``retries``; exhaustion raises the typed
+        ``RetryBudgetExceededError``.
         """
-        deadline = self.deadline if deadline is None else deadline
-        budget = self.retries if retries is None else retries
-        backoff = Backoff(self.client.sim, self._rngs["run"],
-                          deadline=deadline, budget=budget)
+        # pause() raises once the attempt budget drains
+        budget = Backoff(self.client.sim, self._rngs["run"],
+                         budget=self.retries)
         while True:
-            txn = self.begin(deadline=deadline)
+            txn = self.begin()
             try:
                 result = yield from fn(txn)
             except (TxnConflictError, RecoverableError):
                 txn.abort()
                 self._m_retries.inc()
-                yield from backoff.pause()
+                yield from budget.pause()
                 continue
             try:
                 yield from txn.commit()
             except (TxnConflictError, RecoverableError):
                 self._m_retries.inc()
-                yield from backoff.pause()
+                yield from budget.pause()
                 continue
             return result

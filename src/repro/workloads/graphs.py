@@ -10,26 +10,26 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["rmat_edges"]
+__all__ = ["EDGE_FACTOR", "rmat_edges"]
 
 
-def rmat_edges(
-    scale: int,
-    edge_factor: int = 16,
-    seed: int = 42,
-    a: float = 0.57,
-    b: float = 0.19,
-    c: float = 0.19,
-) -> tuple[np.ndarray, np.ndarray]:
+#: directed edges per vertex (Graph500's default)
+EDGE_FACTOR = 16
+#: the Graph500 quadrant probabilities a, b, c (d is the rest)
+RMAT_A, RMAT_B, RMAT_C = 0.57, 0.19, 0.19
+
+
+def rmat_edges(scale: int, seed: int = 42) -> tuple[np.ndarray, np.ndarray]:
     """Generate a Graph500-style RMAT graph.
 
-    Returns ``(src, dst)`` arrays of ``edge_factor * 2**scale`` directed
+    Returns ``(src, dst)`` arrays of ``EDGE_FACTOR * 2**scale`` directed
     edges over ``2**scale`` vertices, skewed by the (a, b, c, d)
     quadrant probabilities.
     """
     if scale < 1 or scale > 30:
         raise ValueError(f"scale {scale} out of range [1, 30]")
-    n_edges = edge_factor << scale
+    a, b, c = RMAT_A, RMAT_B, RMAT_C
+    n_edges = EDGE_FACTOR << scale
     rng = np.random.default_rng(seed)
     src = np.zeros(n_edges, dtype=np.int64)
     dst = np.zeros(n_edges, dtype=np.int64)

@@ -2,15 +2,12 @@
 
 A completion error on a one-sided atomic is ambiguous — the remote NIC
 may or may not have applied the op — so ``Mapping.faa``/``cas`` raise
-instead of replaying unless the caller opts in with ``idempotent=True``.
-These tests pin the three cases:
+instead of replaying.  These tests pin the two cases:
 
 * *launch*-side wire faults never reach the remote word, so app-level
   retries keep a counter exact (N clients x M increments == N*M);
 * an *ack*-side fault applies the op once and loses the completion —
-  the default raises, and the count stays 1 (no silent double-apply);
-* ``idempotent=True`` on that same fault replays and double-applies —
-  demonstrating exactly why replay is opt-in.
+  the op raises, and the count stays 1 (no silent double-apply).
 """
 
 import pytest
@@ -96,26 +93,6 @@ def test_ack_fault_raises_and_applies_exactly_once():
     assert faults.injected["wire"] == 1
 
 
-def test_idempotent_optin_replays_and_double_applies():
-    """The same ack-side fault with ``idempotent=True``: the client
-    replays blindly and the increment lands twice.  This is the hazard
-    that makes replay opt-in — only callers whose op is genuinely
-    idempotent (or externally deduplicated) may use it."""
-    faults = FaultInjector(seed=5)
-    faults.fail_wire(1, start=0.0, duration=10.0, times=1, where="ack")
-    cluster = fresh_cluster(faults)
-
-    def app():
-        counter = yield from AtomicCounter.create(cluster.client(2), "twice")
-        mine = yield from AtomicCounter.open(cluster.client(1), "twice")
-        value = yield from mine.increment(idempotent=True)
-        return value, (yield from counter.read())
-
-    value, total = cluster.run_app(app())
-    assert total == 2  # applied by the faulted attempt AND the replay
-    assert value == 2  # the replay observed the first application
-
-
 def test_lock_self_verifies_through_wire_faults():
     """A lock op whose CAS completion is lost reads the word back to
     learn the truth (the token names the holder), so mutual exclusion
@@ -159,15 +136,15 @@ def test_lock_self_verifies_through_wire_faults():
 def test_server_death_mid_atomic_raises():
     """Atomic words are unreplicated; losing the hosting server makes
     the primitive unavailable rather than silently wrong."""
-    cluster = fresh_cluster()
+    cluster = build_cluster(
+        num_machines=4, config=RStoreConfig(stripe_size=64 * KiB),
+        server_capacity=16 * MiB, server_hosts=[2, 3])
     client = cluster.client(1)
 
     def app():
-        counter = yield from AtomicCounter.create(
-            client, "doomed", preferred_host=2
-        )
+        counter = yield from AtomicCounter.create(client, "doomed")
         yield from counter.increment()
-        cluster.servers[2].kill()
+        cluster.kill_server(counter.mapping.desc.stripes[0].host_id)
         with pytest.raises(RegionUnavailableError):
             yield from counter.increment()
 

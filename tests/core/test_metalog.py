@@ -198,7 +198,7 @@ def test_checkpoint_at_the_commit_point_loses_no_region():
         client = cluster.client(1)
         for name in names:
             yield from client.alloc(name, 64 * KiB)
-        assert cluster.metalog.checkpoints >= 2  # truncation happened
+        assert cluster.metalogs[0].checkpoints >= 2  # truncation happened
         cluster.master.crash()
         yield from cluster.restart_master()
         survivors = yield from client.list_regions()
@@ -230,7 +230,7 @@ def test_overlapping_checkpoints_lose_no_committed_region(seed):
              for host in (1, 2, 3)]
     for proc in procs:
         cluster.run(until=proc)
-    log = cluster.metalog
+    log = cluster.metalogs[0]
     assert sorted(log.replay().regions) == sorted(cluster.master.regions)
     # no more checkpoints than were due
     assert 0 < log.checkpoints <= log.appends // CHECKPOINT_EVERY
@@ -259,7 +259,7 @@ def test_an_append_between_checkpoints_builds_no_state_snapshot():
 
     cluster.run_app(app())
     every = CHECKPOINT_EVERY
-    assert cluster.metalog.checkpoints >= allocs // every - 1
+    assert cluster.metalogs[0].checkpoints >= allocs // every - 1
     assert len(built) <= allocs // every + 1, len(built)
 
 
@@ -320,7 +320,7 @@ def test_notes_survive_a_master_crash():
         # push the early note through a checkpoint + truncation
         for i in range(CHECKPOINT_EVERY + 8):
             yield from client.alloc(f"r{i}", 64 * KiB)
-        assert cluster.metalog.checkpoints >= 1
+        assert cluster.metalogs[0].checkpoints >= 1
         yield from client.notify("late", {"k": 2})
         cluster.master.crash()
         yield from cluster.restart_master()

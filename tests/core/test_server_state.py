@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import RStoreConfig
 from repro.cluster import build_cluster
-from repro.simnet.config import Gbps, KiB, MiB, ms, us
+from repro.simnet.config import Gbps, KiB, MiB, us
 
 
 @pytest.fixture(scope="module")
@@ -43,5 +43,4 @@ def test_allocation_is_visible_in_server_arenas(cluster):
 def test_unit_helpers():
     assert Gbps(10) == 10e9
     assert us(2) == pytest.approx(2e-6)
-    assert ms(3) == pytest.approx(3e-3)
     assert KiB == 1024 and MiB == 1024 * 1024

@@ -23,6 +23,7 @@ import hashlib
 import random
 
 from repro.cluster import build_cluster
+from repro.coord.base import region_name
 from repro.coord.counter import AtomicCounter
 from repro.core import RStoreConfig
 from repro.kv.hashkv import RKVStore
@@ -31,7 +32,7 @@ from repro.simnet.config import KiB, MiB
 from repro.simnet.faults import FaultInjector
 
 from tests.harness.schedule import harness_seeds
-from tests.probes import write_hint
+from tests.probes import create_table, write_hint
 
 MODES = ("one_sided", "server_op", "remote_fetch", "adaptive")
 KEYS = 32
@@ -70,8 +71,10 @@ def _run_mode(mode: str, seed: int) -> str:
         rng = random.Random((seed << 2) ^ who)
         client = writers[who]
         store = yield from RKVStore.open(client, "eq", path_policy=mode)
-        ctr = yield from AtomicCounter.open(client, "eq-total",
-                                            path_policy=mode)
+        # AtomicCounter.open runs one-sided: build the handle in *mode*
+        ctr = AtomicCounter(client, "eq-total",
+                            (yield from client.map(region_name("eq-total"))),
+                            mode)
         for round_no in range(ROUNDS):
             for i, key in enumerate(keys):
                 if i % 2 != who:
@@ -96,9 +99,9 @@ def _run_mode(mode: str, seed: int) -> str:
 
     def app():
         setup_client = writers[0]
-        yield from RKVStore.create(setup_client, "eq", slots=4 * KEYS,
-                                   key_size=16, value_size=32,
-                                   path_policy=mode)
+        yield from create_table(setup_client, "eq", slots=4 * KEYS,
+                                key_size=16, value_size=32,
+                                path_policy=mode)
         yield from AtomicCounter.create(setup_client, "eq-total",
                                         path_policy=mode)
         procs = [cluster.sim.process(writer_app(who), name=f"writer-{who}")

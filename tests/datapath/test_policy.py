@@ -106,65 +106,65 @@ def test_sizes_narrow_adaptive_and_refuse_a_fixed_policy():
 
 
 def test_selector_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        AdaptiveSelector(probe_every=1)
-    with pytest.raises(ValueError):
-        AdaptiveSelector(hysteresis=1.0)
-    with pytest.raises(ValueError):
-        AdaptiveSelector(patience=0)
-    with pytest.raises(ValueError):
-        AdaptiveSelector(alpha=0.0)
-    with pytest.raises(ValueError):
-        AdaptiveSelector(alpha=1.5)
+    # the probe period is the selector's one parameter; the config that
+    # every handle's selector reads it from refuses one that never serves
+    with pytest.raises(ValueError, match="datapath_probe_every"):
+        RStoreConfig(datapath_probe_every=1)
+    assert _chooser("adaptive", datapath_probe_every=2).probe_every == 2
+
+
+MODES = PathPolicy.MODES
 
 
 def test_cold_start_samples_every_mode_once():
-    sel = AdaptiveSelector()
+    sel = AdaptiveSelector(32)
     seen = []
-    for _ in range(len(PathPolicy.MODES)):
-        mode = sel.choose("get")
+    for _ in range(len(MODES)):
+        mode = sel.choose("get", MODES)
         seen.append(mode)
-        sel.observe("get", mode, 10e-6)
-    assert sorted(seen) == sorted(PathPolicy.MODES)
+        sel.observe("get", mode, 10e-6, cold=False)
+    assert sorted(seen) == sorted(MODES)
     assert preferred_mode(sel, "get") is not None
 
 
 def _warm(sel, op_class, latencies):
     """Sample each mode once with the given per-mode latency."""
-    for _ in PathPolicy.MODES:
-        mode = sel.choose(op_class)
-        sel.observe(op_class, mode, latencies[mode])
+    for _ in MODES:
+        mode = sel.choose(op_class, MODES)
+        sel.observe(op_class, mode, latencies[mode], cold=False)
 
 
 def test_selector_settles_on_the_fastest_mode():
-    sel = AdaptiveSelector()
+    sel = AdaptiveSelector(32)
     _warm(sel, "get", {"one_sided": 30e-6, "server_op": 8e-6,
                        "remote_fetch": 50e-6})
     assert preferred_mode(sel, "get") == "server_op"
-    assert sel.choose("get") == "server_op"
+    assert sel.choose("get", MODES) == "server_op"
 
 
 def test_hysteresis_ignores_marginal_improvements():
-    sel = AdaptiveSelector(hysteresis=0.2, patience=1)
+    sel = AdaptiveSelector(32)
     _warm(sel, "get", {"one_sided": 10e-6, "server_op": 9.5e-6,
                        "remote_fetch": 40e-6})
     # server_op is best but only ~5% better: inside the 20% band
+    assert AdaptiveSelector.HYSTERESIS == 0.2
     current = preferred_mode(sel, "get")
     for _ in range(20):
-        sel.observe("get", "server_op", 9.5e-6)
+        sel.observe("get", "server_op", 9.5e-6, cold=False)
     assert preferred_mode(sel, "get") == current
     assert sel.switches == 0
 
 
 def test_patience_gates_a_genuine_regime_shift():
-    sel = AdaptiveSelector(hysteresis=0.2, patience=3, alpha=1.0)
+    sel = AdaptiveSelector(32)
     _warm(sel, "get", {"one_sided": 10e-6, "server_op": 12e-6,
                        "remote_fetch": 40e-6})
     assert preferred_mode(sel, "get") == "one_sided"
-    # the regime flips: server_op now 5x faster.  alpha=1 makes the
-    # EWMA jump immediately, so only patience delays the switch.
+    # the regime flips: server_op now 6x faster.  Each sample already
+    # puts its EWMA past the 20% band, so only patience delays the switch
+    assert AdaptiveSelector.PATIENCE == 3
     for i in range(3):
-        sel.observe("get", "server_op", 2e-6)
+        sel.observe("get", "server_op", 2e-6, cold=False)
         if i < 2:
             assert preferred_mode(sel, "get") == "one_sided", f"switched at {i}"
     assert preferred_mode(sel, "get") == "server_op"
@@ -172,34 +172,34 @@ def test_patience_gates_a_genuine_regime_shift():
 
 
 def test_interleaved_noise_resets_the_patience_streak():
-    sel = AdaptiveSelector(hysteresis=0.2, patience=3, alpha=1.0)
+    sel = AdaptiveSelector(32)
     _warm(sel, "get", {"one_sided": 10e-6, "server_op": 12e-6,
                        "remote_fetch": 40e-6})
     for _ in range(5):
-        sel.observe("get", "server_op", 2e-6)   # streak builds...
-        sel.observe("get", "server_op", 11e-6)  # ...and collapses
+        sel.observe("get", "server_op", 2e-6, cold=False)   # streak builds...
+        sel.observe("get", "server_op", 16e-6, cold=False)  # ...and collapses
     assert preferred_mode(sel, "get") == "one_sided"
     assert sel.switches == 0
 
 
 def test_probing_resamples_non_current_modes_round_robin():
-    sel = AdaptiveSelector(probe_every=4)
+    sel = AdaptiveSelector(4)
     _warm(sel, "get", {"one_sided": 5e-6, "server_op": 20e-6,
                        "remote_fetch": 30e-6})
     probes = []
     for _ in range(16):
-        mode = sel.choose("get")
+        mode = sel.choose("get", MODES)
         if mode != "one_sided":
             probes.append(mode)
         sel.observe("get", mode, {"one_sided": 5e-6, "server_op": 20e-6,
-                                  "remote_fetch": 30e-6}[mode])
+                                  "remote_fetch": 30e-6}[mode], cold=False)
     # every probe_every-th op samples a non-current mode, alternating
     assert probes, "the selector never probed"
     assert set(probes) == {"server_op", "remote_fetch"}
 
 
 def test_op_classes_are_independent():
-    sel = AdaptiveSelector()
+    sel = AdaptiveSelector(32)
     _warm(sel, "get", {"one_sided": 5e-6, "server_op": 50e-6,
                        "remote_fetch": 60e-6})
     _warm(sel, "burst", {"one_sided": 80e-6, "server_op": 6e-6,
@@ -211,46 +211,44 @@ def test_op_classes_are_independent():
 def test_restricted_mode_set_never_leaves_the_subset():
     # puts and bursts only run one_sided/server_op; the chooser must
     # respect a per-call restriction even while probing
-    sel = AdaptiveSelector(probe_every=2)
+    sel = AdaptiveSelector(2)
     allowed = ("one_sided", "server_op")
     for i in range(40):
-        mode = sel.choose("put", modes=allowed)
+        mode = sel.choose("put", allowed)
         assert mode in allowed
-        sel.observe("put", mode, 10e-6 if mode == "one_sided" else 8e-6)
+        sel.observe("put", mode, 10e-6 if mode == "one_sided" else 8e-6,
+                    cold=False)
 
 
 def test_cold_observations_are_discarded():
     # an op that paid one-time setup (channel dial, fetch-buffer
     # alloc) must not poison the mode's EWMA — the selector drops the
     # sample and keeps the mode in cold-start until a warm sample lands
-    sel = AdaptiveSelector()
-    assert sel.choose("get") == "one_sided"
+    sel = AdaptiveSelector(32)
+    assert sel.choose("get", MODES) == "one_sided"
     sel.observe("get", "one_sided", 500e-6, cold=True)
     st = sel._classes["get"]
     assert "one_sided" not in st.ewma
-    assert sel.choose("get") == "one_sided"  # still cold: re-sampled
-    sel.observe("get", "one_sided", 10e-6)
+    assert sel.choose("get", MODES) == "one_sided"  # still cold: re-sampled
+    sel.observe("get", "one_sided", 10e-6, cold=False)
     assert st.ewma["one_sided"] == pytest.approx(10e-6)
 
 
 def test_early_samples_average_instead_of_anchoring():
     # bias-corrected smoothing: the first samples fold in with 1/n
     # weight, so one unlucky deep-chain op cannot dominate the estimate
-    sel = AdaptiveSelector(alpha=0.3, modes=("one_sided",),
-                           probe_every=2)
+    sel = AdaptiveSelector(32)
     for latency in (90e-6, 10e-6, 20e-6):
-        sel.observe("get", "one_sided", latency)
+        sel.observe("get", "one_sided", latency, cold=False)
     st = sel._classes["get"]
     assert st.ewma["one_sided"] == pytest.approx(40e-6)  # the true mean
-    # from the fourth sample on the configured alpha takes over
-    sel.observe("get", "one_sided", 40e-6)
-    assert st.ewma["one_sided"] == pytest.approx(40e-6)
 
 
 def test_ewma_smoothing_follows_the_alpha():
-    sel = AdaptiveSelector(alpha=0.5, modes=("one_sided",),
-                           probe_every=2)
-    sel.observe("get", "one_sided", 10e-6)
-    sel.observe("get", "one_sided", 20e-6)
+    # from the fourth sample on ALPHA (0.3) outweighs 1/n
+    sel = AdaptiveSelector(32)
+    for latency in (40e-6, 40e-6, 40e-6, 50e-6):
+        sel.observe("get", "one_sided", latency, cold=False)
     st = sel._classes["get"]
-    assert st.ewma["one_sided"] == pytest.approx(15e-6)
+    assert AdaptiveSelector.ALPHA == 0.3
+    assert st.ewma["one_sided"] == pytest.approx(43e-6)

@@ -14,7 +14,13 @@ from repro.rpc.channel import ChannelClosed
 from repro.rpc.endpoint import RpcError
 from repro.simnet.config import KiB, MiB
 from repro.coord.seqlock import mint_token
-from tests.probes import count_all, host_count, preferred_mode, read_record
+from tests.probes import (
+    count_all,
+    create_table,
+    host_count,
+    preferred_mode,
+    read_record,
+)
 
 
 def fresh_cluster(**overrides):
@@ -46,9 +52,9 @@ def test_server_op_policy_ships_and_skips_the_fetch_buffer():
     client = cluster.client(1)
 
     def app():
-        store = yield from RKVStore.create(client, "shipped", slots=64,
-                                           key_size=16, value_size=64,
-                                           path_policy="server_op")
+        store = yield from create_table(client, "shipped", slots=64,
+                                        key_size=16, value_size=64,
+                                        path_policy="server_op")
         yield from store.put(b"k", b"v")
         value = yield from store.get(b"k")
         assert value == b"v"
@@ -63,9 +69,9 @@ def test_remote_fetch_deposits_and_reads_one_sided():
     client = cluster.client(1)
 
     def app():
-        store = yield from RKVStore.create(client, "rfp", slots=64,
-                                           key_size=16, value_size=256,
-                                           path_policy="remote_fetch")
+        store = yield from create_table(client, "rfp", slots=64,
+                                        key_size=16, value_size=256,
+                                        path_policy="remote_fetch")
         payload = b"y" * 256
         yield from store.put(b"k", payload)
         value = yield from store.get(b"k")
@@ -96,7 +102,7 @@ def test_miss_and_full_table_verdicts_match_the_one_sided_path():
 
     def app():
         for policy in ("one_sided", "server_op"):
-            store = yield from RKVStore.create(
+            store = yield from create_table(
                 client, f"full-{policy}", slots=4, key_size=16,
                 value_size=32, path_policy=policy,
             )
@@ -119,7 +125,7 @@ def test_multi_get_returns_values_in_key_order_with_misses():
 
     def app():
         for policy in ("server_op", "remote_fetch"):
-            store = yield from RKVStore.create(
+            store = yield from create_table(
                 client, f"batch-{policy}", slots=128, key_size=16,
                 value_size=64, path_policy=policy,
             )
@@ -167,9 +173,9 @@ def test_chain_straddling_stripes_still_resolves_every_key():
     client = cluster.client(1)
 
     def app():
-        store = yield from RKVStore.create(client, "spill", slots=400,
-                                           key_size=16, value_size=64,
-                                           path_policy="server_op")
+        store = yield from create_table(client, "spill", slots=400,
+                                        key_size=16, value_size=64,
+                                        path_policy="server_op")
         keys = [b"s%d" % i for i in range(120)]
         for key in keys:
             yield from store.put(key, b"v-" + key)
@@ -194,9 +200,9 @@ def test_store_with_a_tombstone_on_an_earlier_host_finds_the_key_behind_it():
                     if ops.hash64(key) % slots == index)
 
     def app():
-        store = yield from RKVStore.create(client, "behind", slots=400,
-                                           key_size=16, value_size=64,
-                                           path_policy="server_op")
+        store = yield from create_table(client, "behind", slots=400,
+                                        key_size=16, value_size=64,
+                                        path_policy="server_op")
         router = client.datapath
         key, first_run = next(
             (key, runs[0][1])
@@ -256,9 +262,9 @@ def test_stale_epoch_refreshes_and_retries():
     holder = {}
 
     def setup():
-        store = yield from RKVStore.create(client, "fenced", slots=64,
-                                           key_size=16, value_size=64,
-                                           path_policy="server_op")
+        store = yield from create_table(client, "fenced", slots=64,
+                                        key_size=16, value_size=64,
+                                        path_policy="server_op")
         yield from store.put(b"k", b"v")
         holder["store"] = store
 
@@ -286,9 +292,9 @@ def test_busy_slot_backs_off_and_wins_once_the_writer_leaves():
     client = cluster.client(1)
 
     def app():
-        store = yield from RKVStore.create(client, "contended", slots=64,
-                                           key_size=16, value_size=64,
-                                           path_policy="server_op")
+        store = yield from create_table(client, "contended", slots=64,
+                                        key_size=16, value_size=64,
+                                        path_policy="server_op")
         yield from store.put(b"k", b"v1")
         index = ops.hash64(b"k") % store.slots
         lock = store.slot_lock(index)
@@ -320,9 +326,9 @@ def test_fetch_buffer_serializes_concurrent_deposits():
     client = cluster.client(1)
 
     def app():
-        store = yield from RKVStore.create(client, "shared-buf", slots=64,
-                                           key_size=16, value_size=128,
-                                           path_policy="remote_fetch")
+        store = yield from create_table(client, "shared-buf", slots=64,
+                                        key_size=16, value_size=128,
+                                        path_policy="remote_fetch")
         yield from store.put(b"a", b"A" * 128)
         yield from store.put(b"b", b"B" * 128)
         results = {}
@@ -351,9 +357,9 @@ def test_concurrent_cold_gets_open_one_fetch_buffer():
     keys = [b"k%d" % i for i in range(6)]
 
     def app():
-        store = yield from RKVStore.create(client, "cold", slots=64,
-                                           key_size=16, value_size=8 * KiB,
-                                           path_policy="remote_fetch")
+        store = yield from create_table(client, "cold", slots=64,
+                                        key_size=16, value_size=8 * KiB,
+                                        path_policy="remote_fetch")
         for key in keys:
             yield from store.put(key, key * (8 * KiB // len(key)))
         router = client.datapath
@@ -386,9 +392,9 @@ def test_unplaceable_fetch_buffer_degrades_to_server_op():
     client = cluster.client(1)
 
     def app():
-        store = yield from RKVStore.create(client, "degrade", slots=64,
-                                           key_size=16, value_size=64,
-                                           path_policy="remote_fetch")
+        store = yield from create_table(client, "degrade", slots=64,
+                                        key_size=16, value_size=64,
+                                        path_policy="remote_fetch")
         yield from store.put(b"k", b"v")
         router = client.datapath
         # force every host's buffer to "placement hint missed": the op
@@ -407,17 +413,18 @@ def test_unplaceable_fetch_buffer_degrades_to_server_op():
 
 
 def test_dead_server_exhausts_the_redial_budget():
-    cluster = fresh_cluster()
+    cluster = build_cluster(
+        num_machines=4, config=RStoreConfig(stripe_size=64 * KiB),
+        server_capacity=64 * MiB, server_hosts=[2, 3])
     client = cluster.client(1)
 
     def app():
         from repro.coord.counter import AtomicCounter
         ctr = yield from AtomicCounter.create(client, "orphan",
-                                              preferred_host=3,
                                               path_policy="server_op")
         values = yield from ctr.add_burst([1, 2])
         assert values == [1, 3]
-        cluster.kill_server(3)
+        cluster.kill_server(ctr.mapping.desc.stripes[0].host_id)
         # the cached channel dies first, then every redial finds the
         # host unreachable until the data retry budget drains
         with pytest.raises((RpcError, ChannelClosed, ConnectError)):
@@ -460,9 +467,9 @@ def test_adaptive_policy_converges_and_stays_correct():
     client = cluster.client(1)
 
     def app():
-        store = yield from RKVStore.create(client, "adaptive", slots=256,
-                                           key_size=16, value_size=64,
-                                           path_policy="adaptive")
+        store = yield from create_table(client, "adaptive", slots=256,
+                                        key_size=16, value_size=64,
+                                        path_policy="adaptive")
         for i in range(60):
             yield from store.put(b"a%d" % i, b"v%d" % i)
         for _round in range(3):
@@ -493,19 +500,13 @@ def test_fixed_policy_whose_slots_outgrow_its_transport_is_refused():
     client = cluster.client(1)
 
     def app():
-        for policy, transport in (("server_op", "channel"),
-                                  ("remote_fetch", "fetch buffer")):
-            with pytest.raises(KvError, match=transport):
-                yield from RKVStore.create(client, "big", slots=8,
-                                           key_size=16, value_size=HUGE,
-                                           path_policy=policy)
-        # nothing was allocated by the refused creates, and one-sided
-        # IO carries any slot
+        # one-sided IO carries any slot
         store = yield from RKVStore.create(client, "big", slots=8,
                                            key_size=16, value_size=HUGE)
         yield from store.put(b"k", b"v" * HUGE)
-        for policy in ("server_op", "remote_fetch"):
-            with pytest.raises(KvError):
+        for policy, transport in (("server_op", "channel"),
+                                  ("remote_fetch", "fetch buffer")):
+            with pytest.raises(KvError, match=transport):
                 yield from RKVStore.open(client, "big", path_policy=policy)
 
     cluster.run_app(app())
@@ -520,9 +521,9 @@ def test_adaptive_only_considers_modes_its_slots_fit(value_size, get_modes):
     client = cluster.client(1)
 
     def app():
-        store = yield from RKVStore.create(client, "big", slots=64,
-                                           key_size=16, value_size=value_size,
-                                           path_policy="adaptive")
+        store = yield from create_table(client, "big", slots=64,
+                                        key_size=16, value_size=value_size,
+                                        path_policy="adaptive")
         model = {}
         for i in range(64):
             key = b"k%d" % (i // 4 % 4)  # put, get, get, multi_get each
@@ -557,9 +558,9 @@ def test_a_refused_fetch_buffer_surfaces_the_real_error():
     client = cluster.client(1)
 
     def app():
-        store = yield from RKVStore.create(client, "tight", slots=1024,
-                                           key_size=16, value_size=64,
-                                           path_policy="remote_fetch")
+        store = yield from create_table(client, "tight", slots=1024,
+                                        key_size=16, value_size=64,
+                                        path_policy="remote_fetch")
         yield from store.put(b"k", b"v")
         with pytest.raises(TenantQuotaExceededError):
             yield from store.get(b"k")

@@ -16,7 +16,7 @@ from repro.datapath import ops
 from repro.datapath.policy import FETCH_BYTES
 from repro.kv.hashkv import RKVStore
 from repro.simnet.config import KiB, MiB
-from tests.probes import read_record
+from tests.probes import create_table, read_record
 
 
 def fresh_cluster(**overrides):
@@ -124,18 +124,19 @@ def test_probe_walks_tombstones_and_free_slots():
 
 
 def test_deposit_overflow_names_the_knob():
-    # a table whose slots outgrow the fetch buffer is refused before
-    # anything is allocated (the name is free for the second create),
-    # and the executor still refuses a deposit that does not fit — a
-    # hand-built request, since the chooser never offers one
+    # a table whose slots outgrow the fetch buffer is refused the
+    # remote_fetch policy, and the executor still refuses a deposit
+    # that does not fit — a hand-built request, since the chooser never
+    # offers one
     cluster = fresh_cluster()
     client = cluster.client(1)
 
     def app():
+        yield from RKVStore.create(client, "huge", slots=1, key_size=16,
+                                   value_size=FETCH_BYTES)
         with pytest.raises(RStoreError, match="fetch buffer"):
-            yield from RKVStore.create(client, "big", slots=64,
-                                       key_size=16, value_size=FETCH_BYTES,
-                                       path_policy="remote_fetch")
+            yield from RKVStore.open(client, "huge",
+                                     path_policy="remote_fetch")
         store = yield from RKVStore.create(client, "big", slots=64,
                                            key_size=16, value_size=512)
         yield from store.put(b"k", b"x" * 512)
@@ -152,9 +153,9 @@ def test_small_results_deposit_fine_in_a_small_buffer():
     client = cluster.client(1)
 
     def app():
-        store = yield from RKVStore.create(client, "small", slots=64,
-                                           key_size=16, value_size=32,
-                                           path_policy="remote_fetch")
+        store = yield from create_table(client, "small", slots=64,
+                                        key_size=16, value_size=32,
+                                        path_policy="remote_fetch")
         yield from store.put(b"k", b"tiny")
         value = yield from store.get(b"k")
         assert value == b"tiny"

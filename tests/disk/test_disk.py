@@ -21,18 +21,6 @@ def test_sequential_read_time_is_bandwidth_bound():
     assert sim.now == pytest.approx(1.0)
 
 
-def test_random_access_pays_seek():
-    sim = Simulator()
-    disk = Disk(sim, DiskModel(read_bandwidth_Bps=100e6, seek_s=0.01))
-
-    def scenario():
-        yield from disk.read(1_000_000, sequential=False)
-
-    run(sim, scenario())
-    assert sim.now == pytest.approx(0.02)
-    assert disk.seeks == 1
-
-
 def test_concurrent_accesses_serialize_on_spindle():
     sim = Simulator()
     disk = Disk(sim, DiskModel(write_bandwidth_Bps=100e6))

@@ -9,11 +9,11 @@ import pytest
 
 from repro.graph.algorithms import (
     BfsProgram,
-    PageRankProgram,
     SsspProgram,
     WccProgram,
 )
 from repro.graph.loader import Graph
+from tests.probes import pagerank
 
 
 def drive(program, graph, max_iters=10_000):
@@ -37,13 +37,13 @@ def line_graph(n=5):
 
 
 def test_bfs_distances_on_line():
-    dist, _iters = drive(BfsProgram(source=0), line_graph(5))
+    dist, _iters = drive(BfsProgram(), line_graph(5))
     assert dist.tolist() == [0, 1, 2, 3, 4]
 
 
 def test_bfs_unreachable_stays_infinite():
     g = Graph.from_edges(4, np.array([0]), np.array([1]))
-    dist, _ = drive(BfsProgram(source=0), g)
+    dist, _ = drive(BfsProgram(), g)
     assert dist[0] == 0 and dist[1] == 1
     assert np.isinf(dist[2]) and np.isinf(dist[3])
 
@@ -54,14 +54,14 @@ def test_sssp_weighted_shortest_path():
     dst = np.array([1, 2, 1])
     w = np.array([5.0, 1.0, 1.0])
     g = Graph.from_edges(3, src, dst, w)
-    dist, _ = drive(SsspProgram(source=0), g)
+    dist, _ = drive(SsspProgram(), g)
     assert dist.tolist() == [0.0, 2.0, 1.0]
 
 
 def test_sssp_requires_weights():
     g = line_graph(3)
     with pytest.raises(ValueError, match="weights"):
-        drive(SsspProgram(source=0), g)
+        drive(SsspProgram(), g)
 
 
 def test_wcc_on_symmetrized_components():
@@ -78,7 +78,7 @@ def test_pagerank_sums_to_one():
     src = np.array([0, 1, 2, 3, 0, 2])
     dst = np.array([1, 2, 3, 0, 2, 0])
     g = Graph.from_edges(4, src, dst)
-    ranks, iters = drive(PageRankProgram(iterations=20), g)
+    ranks, iters = drive(pagerank(20), g)
     assert iters == 20
     assert ranks.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -89,7 +89,7 @@ def test_pagerank_matches_networkx():
     src = rng.integers(0, 50, 400)
     dst = rng.integers(0, 50, 400)
     g = Graph.from_edges(50, src.astype(np.int64), dst.astype(np.int64))
-    ranks, _ = drive(PageRankProgram(damping=0.85, iterations=100), g)
+    ranks, _ = drive(pagerank(100), g)
 
     nxg = networkx.MultiDiGraph()
     nxg.add_nodes_from(range(50))
@@ -102,12 +102,12 @@ def test_pagerank_matches_networkx():
 def test_pagerank_handles_dangling_mass():
     # vertex 1 has no out-edges; total rank must still be 1
     g = Graph.from_edges(3, np.array([0, 2]), np.array([1, 1]))
-    ranks, _ = drive(PageRankProgram(iterations=50), g)
+    ranks, _ = drive(pagerank(50), g)
     assert ranks.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_bfs_converges_and_reports_done():
     g = line_graph(10)
-    program = BfsProgram(source=0)
+    program = BfsProgram()
     _dist, iters = drive(program, g)
     assert iters <= 11  # diameter + settle round

@@ -14,13 +14,13 @@ from repro.core import RStoreConfig
 from repro.graph import (
     BfsProgram,
     MessagePassingEngine,
-    PageRankProgram,
     RStoreGraphEngine,
     WccProgram,
 )
 from repro.graph.loader import Graph
 from repro.simnet.config import KiB, MiB
 from repro.workloads.graphs import rmat_edges
+from tests.probes import pagerank
 
 
 @pytest.fixture(scope="module")
@@ -34,8 +34,8 @@ def cluster():
 
 @pytest.fixture(scope="module")
 def graph():
-    src, dst = rmat_edges(scale=10, edge_factor=8, seed=9)
-    return Graph.from_edges(1 << 10, src, dst)
+    src, dst = rmat_edges(scale=9, seed=9)
+    return Graph.from_edges(1 << 9, src, dst)
 
 
 def sequential(program, graph):
@@ -51,8 +51,8 @@ def sequential(program, graph):
 
 def test_rstore_engine_matches_sequential_pagerank(cluster, graph):
     engine = RStoreGraphEngine(cluster, graph, tag="pr1")
-    stats = cluster.run_app(engine.run(PageRankProgram(iterations=5)))
-    expected = sequential(PageRankProgram(iterations=5), graph)
+    stats = cluster.run_app(engine.run(pagerank(5)))
+    expected = sequential(pagerank(5), graph)
     np.testing.assert_allclose(stats.values, expected, rtol=1e-12)
     assert stats.iterations == 5
     assert stats.elapsed > 0
@@ -60,8 +60,8 @@ def test_rstore_engine_matches_sequential_pagerank(cluster, graph):
 
 def test_rstore_engine_matches_sequential_bfs(cluster, graph):
     engine = RStoreGraphEngine(cluster, graph, tag="bfs1")
-    stats = cluster.run_app(engine.run(BfsProgram(source=0)))
-    expected = sequential(BfsProgram(source=0), graph)
+    stats = cluster.run_app(engine.run(BfsProgram()))
+    expected = sequential(BfsProgram(), graph)
     finite = np.isfinite(expected)
     assert (np.isfinite(stats.values) == finite).all()
     np.testing.assert_array_equal(stats.values[finite], expected[finite])
@@ -69,16 +69,16 @@ def test_rstore_engine_matches_sequential_bfs(cluster, graph):
 
 def test_baseline_engine_matches_sequential_pagerank(cluster, graph):
     engine = MessagePassingEngine(cluster, graph, tag="mp-pr")
-    stats = cluster.run_app(engine.run(PageRankProgram(iterations=5)))
-    expected = sequential(PageRankProgram(iterations=5), graph)
+    stats = cluster.run_app(engine.run(pagerank(5)))
+    expected = sequential(pagerank(5), graph)
     np.testing.assert_allclose(stats.values, expected, rtol=1e-12)
 
 
 def test_engines_agree_with_each_other_wcc(cluster):
     # symmetrized small graph
-    src, dst = rmat_edges(scale=9, edge_factor=4, seed=4)
+    src, dst = rmat_edges(scale=7, seed=4)
     g = Graph.from_edges(
-        1 << 9,
+        1 << 7,
         np.concatenate([src, dst]),
         np.concatenate([dst, src]),
     )
@@ -95,7 +95,7 @@ def test_rstore_engine_outperforms_baseline(cluster, graph):
     at benchmark scale in E5)."""
     r_engine = RStoreGraphEngine(cluster, graph, tag="perf-r")
     m_engine = MessagePassingEngine(cluster, graph, tag="perf-m")
-    program = PageRankProgram(iterations=8)
+    program = pagerank(8)
     r_stats = cluster.run_app(r_engine.run(program))
     m_stats = cluster.run_app(m_engine.run(program))
     assert r_stats.elapsed < m_stats.elapsed
@@ -106,15 +106,15 @@ def test_rstore_engine_steady_state_is_rpc_free(cluster, graph):
     (SenseBarrier + cumulative AtomicCounter): the master serves zero
     RPCs during the whole iteration phase."""
     engine = RStoreGraphEngine(cluster, graph, tag="rpc0")
-    stats = cluster.run_app(engine.run(PageRankProgram(iterations=4)))
+    stats = cluster.run_app(engine.run(pagerank(4)))
     assert stats.iterations == 4
     assert stats.steady_state_master_calls == 0
 
 
 def test_engine_subset_of_hosts(cluster, graph):
     engine = RStoreGraphEngine(cluster, graph, worker_hosts=[1, 2], tag="sub")
-    stats = cluster.run_app(engine.run(PageRankProgram(iterations=3)))
-    expected = sequential(PageRankProgram(iterations=3), graph)
+    stats = cluster.run_app(engine.run(pagerank(3)))
+    expected = sequential(pagerank(3), graph)
     np.testing.assert_allclose(stats.values, expected, rtol=1e-12)
 
 

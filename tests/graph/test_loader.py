@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graph.loader import Graph
-from repro.workloads.graphs import rmat_edges
+from repro.workloads.graphs import EDGE_FACTOR, rmat_edges
 
 
 def small_graph():
@@ -69,17 +69,17 @@ def test_edge_bounds_validated():
 
 
 def test_rmat_shape_and_determinism():
-    s1, d1 = rmat_edges(scale=8, edge_factor=4, seed=1)
-    s2, d2 = rmat_edges(scale=8, edge_factor=4, seed=1)
-    assert len(s1) == 4 * 256
+    s1, d1 = rmat_edges(scale=8, seed=1)
+    s2, d2 = rmat_edges(scale=8, seed=1)
+    assert len(s1) == EDGE_FACTOR * 256
     assert (s1 == s2).all() and (d1 == d2).all()
     assert s1.max() < 256 and d1.max() < 256
 
 
 def test_rmat_is_skewed():
     """Power-law check: the top-1% targets receive far more than 1% of edges."""
-    src, dst = rmat_edges(scale=12, edge_factor=8, seed=3)
-    counts = np.bincount(dst, minlength=1 << 12)
+    src, dst = rmat_edges(scale=11, seed=3)
+    counts = np.bincount(dst, minlength=1 << 11)
     counts.sort()
     top = counts[-(len(counts) // 100):].sum()
     assert top > 0.1 * len(dst)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.cluster import build_cluster
 from repro.core import RStoreConfig
 from repro.simnet.config import KiB, MiB
+from tests.probes import bfs_from, pagerank
 
 
 @settings(max_examples=8, deadline=None)
@@ -37,25 +38,23 @@ def test_rsort_any_shape_sorts_correctly(records, workers, seed, scale):
 
 @settings(max_examples=8, deadline=None)
 @given(
-    scale=st.integers(min_value=7, max_value=11),
-    edge_factor=st.integers(min_value=2, max_value=12),
+    scale=st.integers(min_value=6, max_value=10),
     workers=st.integers(min_value=2, max_value=4),
     seed=st.integers(min_value=0, max_value=1 << 16),
 )
-def test_distributed_pagerank_matches_sequential(scale, edge_factor,
-                                                 workers, seed):
-    from repro.graph import PageRankProgram, RStoreGraphEngine
+def test_distributed_pagerank_matches_sequential(scale, workers, seed):
+    from repro.graph import RStoreGraphEngine
     from repro.graph.loader import Graph
     from repro.workloads.graphs import rmat_edges
 
-    src, dst = rmat_edges(scale=scale, edge_factor=edge_factor, seed=seed)
+    src, dst = rmat_edges(scale=scale, seed=seed)
     graph = Graph.from_edges(1 << scale, src, dst)
     cluster = build_cluster(
         num_machines=workers,
         config=RStoreConfig(stripe_size=64 * KiB),
         server_capacity=128 * MiB,
     )
-    program = PageRankProgram(iterations=4)
+    program = pagerank(4)
     engine = RStoreGraphEngine(cluster, graph, tag="prop")
     stats = cluster.run_app(engine.run(program))
 
@@ -74,7 +73,7 @@ def test_distributed_pagerank_matches_sequential(scale, edge_factor,
 )
 def test_distributed_bfs_matches_networkx(scale, source, seed):
     networkx = pytest.importorskip("networkx")
-    from repro.graph import BfsProgram, RStoreGraphEngine
+    from repro.graph import RStoreGraphEngine
     from repro.graph.loader import Graph
 
     n = 1 << scale
@@ -89,7 +88,7 @@ def test_distributed_bfs_matches_networkx(scale, source, seed):
         server_capacity=64 * MiB,
     )
     engine = RStoreGraphEngine(cluster, graph, tag="prop-bfs")
-    stats = cluster.run_app(engine.run(BfsProgram(source=source)))
+    stats = cluster.run_app(engine.run(bfs_from(source)))
 
     nxg = networkx.DiGraph()
     nxg.add_nodes_from(range(n))

@@ -8,6 +8,7 @@ metrics on every run, regardless of host hash seeds or dict ordering.
 from repro.cluster import build_cluster
 from repro.core import RStoreConfig
 from repro.simnet.config import KiB, MiB
+from tests.probes import pagerank
 
 
 def run_scenario():
@@ -69,7 +70,7 @@ def test_sort_is_deterministic():
 def test_pagerank_is_deterministic():
     import numpy as np
 
-    from repro.graph import PageRankProgram, RStoreGraphEngine
+    from repro.graph import RStoreGraphEngine
     from repro.graph.loader import Graph
     from repro.workloads.graphs import rmat_edges
 
@@ -79,10 +80,10 @@ def test_pagerank_is_deterministic():
             config=RStoreConfig(stripe_size=128 * KiB),
             server_capacity=64 * MiB,
         )
-        src, dst = rmat_edges(scale=10, edge_factor=8, seed=3)
-        graph = Graph.from_edges(1 << 10, src, dst)
+        src, dst = rmat_edges(scale=9, seed=3)
+        graph = Graph.from_edges(1 << 9, src, dst)
         engine = RStoreGraphEngine(cluster, graph, tag="det")
-        stats = cluster.run_app(engine.run(PageRankProgram(iterations=4)))
+        stats = cluster.run_app(engine.run(pagerank(4)))
         return stats.elapsed, stats.values.tobytes()
 
     a = one()

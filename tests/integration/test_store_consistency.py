@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from repro.cluster import build_cluster
 from repro.core import RStoreConfig
 from repro.simnet.config import KiB, MiB
+from tests.probes import pagerank
 
 REGION_SIZE = 256 * KiB
 
@@ -104,7 +105,7 @@ def test_interleaved_writers_to_disjoint_ranges():
 
 def test_graph_and_sort_share_one_cluster():
     """Two full applications coexist on the same deployment."""
-    from repro.graph import PageRankProgram, RStoreGraphEngine
+    from repro.graph import RStoreGraphEngine
     from repro.graph.loader import Graph
     from repro.sort import RSort
     from repro.workloads.graphs import rmat_edges
@@ -115,8 +116,8 @@ def test_graph_and_sort_share_one_cluster():
         config=RStoreConfig(stripe_size=128 * KiB),
         server_capacity=256 * MiB,
     )
-    src, dst = rmat_edges(scale=9, edge_factor=8, seed=2)
-    graph = Graph.from_edges(1 << 9, src, dst)
+    src, dst = rmat_edges(scale=8, seed=2)
+    graph = Graph.from_edges(1 << 8, src, dst)
     engine = RStoreGraphEngine(cluster, graph, tag="coexist-g")
     sorter = RSort(cluster, records_per_worker=1500, seed=6, tag="coexist-s")
 
@@ -124,7 +125,7 @@ def test_graph_and_sort_share_one_cluster():
     results = {}
 
     def run_graph():
-        stats = yield from engine.run(PageRankProgram(iterations=4))
+        stats = yield from engine.run(pagerank(4))
         results["ranks"] = stats.values
 
     def run_sort():

@@ -11,7 +11,7 @@ from repro.kv import KvError, KvFullError, RKVStore
 from repro.rdma.types import Opcode
 from repro.simnet.config import KiB, MiB
 from repro.simnet.faults import FaultInjector
-from tests.probes import instruments
+from tests.probes import create_table, instruments
 from tests import probes
 
 
@@ -24,11 +24,12 @@ def cluster():
     )
 
 
-def make_store(cluster, name, slots=256, **kw):
+def make_store(cluster, name, slots=256, path_policy=None, **kw):
     client = cluster.client(1)
 
     def setup():
-        store = yield from RKVStore.create(client, name, slots, **kw)
+        store = yield from create_table(client, name, slots=slots,
+                                        path_policy=path_policy, **kw)
         return store
 
     return cluster.run_app(setup())
@@ -852,8 +853,8 @@ def test_matches_dict_reference(path_policy, ops):
     reference: dict[bytes, bytes] = {}
 
     def app():
-        store = yield from RKVStore.create(client, "model", slots=24,
-                                           path_policy=path_policy)
+        store = yield from create_table(client, "model", slots=24,
+                                        path_policy=path_policy)
         for op, key_id, value in ops:
             key = f"key-{key_id}".encode()
             if op == "put":

@@ -121,10 +121,3 @@ def test_merged_folds_label_sets():
     assert merged.maximum == 2e-6
     with pytest.raises(KeyError):
         reg.merged("nope")
-
-
-def test_merge_rejects_different_scales():
-    a = Histogram("x", (), smallest=1e-9)
-    b = Histogram("x", (), smallest=1e-6)
-    with pytest.raises(ValueError):
-        a.merge(b)

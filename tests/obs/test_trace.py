@@ -66,8 +66,9 @@ def test_unfinished_span_has_no_duration():
         _ = span.duration
 
 
-def test_buffer_cap_drops_spans_but_keeps_feeding_histograms():
-    tracer = Tracer(Simulator(), registry=MetricsRegistry(), max_spans=3)
+def test_buffer_cap_drops_spans_but_keeps_feeding_histograms(monkeypatch):
+    monkeypatch.setattr(Tracer, "MAX_SPANS", 3)
+    tracer = Tracer(Simulator(), registry=MetricsRegistry())
     tracer.enable()
     for _ in range(5):
         tracer.record("x", start=0.0)

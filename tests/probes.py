@@ -15,6 +15,8 @@ from repro.core.errors import RStoreError
 from repro.coord import Backoff, SeqLock
 from repro.coord.seqlock import mint_token, snapshots
 from repro.datapath.ops import WORD, hash64
+from repro.graph import BfsProgram, PageRankProgram
+from repro.kv.hashkv import RKVStore
 from repro.obs import obs_for
 
 
@@ -195,3 +197,26 @@ def write_record(record, body):
             yield from record.publish(token, body, version + 2)
             return version + 2
         yield from backoff.pause()
+
+
+def pagerank(iterations):
+    """A ``PageRankProgram`` of *iterations* supersteps instead of the
+    ten every production run takes: a test sizes a run to its check."""
+    program = PageRankProgram()
+    program.iterations = iterations
+    return program
+
+
+def bfs_from(source):
+    """A ``BfsProgram`` counting hops from *source* instead of vertex 0."""
+    program = BfsProgram()
+    program.source = source
+    return program
+
+
+def create_table(client, name, *, path_policy, **shape):
+    """``RKVStore.create`` plus a handle of *client* on the new table
+    under *path_policy* (generator): the way production opens a table."""
+    store = yield from RKVStore.create(client, name, **shape)
+    return RKVStore(client, name, store.mapping, store.slots,
+                    store.key_size, store.value_size, path_policy)

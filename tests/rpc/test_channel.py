@@ -2,16 +2,19 @@
 
 import pytest
 
-from repro.rpc.channel import ChannelClosed, MessageTooLarge, RdmaMsgChannel
+from repro.rpc.channel import (
+    MSG_SIZE,
+    ChannelClosed,
+    MessageTooLarge,
+    RdmaMsgChannel,
+)
 from repro.rpc.endpoint import RpcServer
-from repro.simnet.config import KiB
 
 from tests.rdma.helpers import make_world, run
 
 
-def echo_server(world, msg_size=64 * KiB):
-    server = RpcServer(world.sim, world.nics[1], world.cm, "echo",
-                       msg_size=msg_size)
+def echo_server(world):
+    server = RpcServer(world.sim, world.nics[1], world.cm, "echo")
 
     def echo(payload):
         yield world.sim.timeout(0)
@@ -40,12 +43,12 @@ def test_message_too_large_rejected():
     world = make_world()
 
     def scenario():
-        yield from echo_server(world, msg_size=4 * KiB).start()
+        yield from echo_server(world).start()
         channel = yield from RdmaMsgChannel.connect(
-            world.cm, world.nics[0], 1, "echo", msg_size=4 * KiB
+            world.cm, world.nics[0], 1, "echo"
         )
         with pytest.raises(MessageTooLarge):
-            yield from channel.send(b"x" * (8 * KiB))
+            yield from channel.send(b"x" * MSG_SIZE)
 
     run(world, scenario())
 

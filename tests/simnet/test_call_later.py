@@ -346,7 +346,7 @@ class TestDeliveryCallback:
 class TestCpuGrant:
     def test_free_core_goes_straight_to_the_timeout(self):
         sim = Simulator()
-        cpu = Cpu(sim, cores=2)
+        cpu = Cpu(sim, cores=2, copy_bandwidth_Bps=3.2e9)
         samples = []
 
         def worker():
@@ -375,7 +375,7 @@ class TestCpuGrant:
 
     def test_saturated_cpu_still_queues_fifo(self):
         sim = Simulator()
-        cpu = Cpu(sim, cores=1)
+        cpu = Cpu(sim, cores=1, copy_bandwidth_Bps=3.2e9)
         finished = []
         samples = []
 
@@ -401,7 +401,7 @@ class TestCpuGrant:
 
     def test_a_freed_core_goes_to_the_waiter_not_to_a_newcomer(self):
         sim = Simulator()
-        cpu = Cpu(sim, cores=1)
+        cpu = Cpu(sim, cores=1, copy_bandwidth_Bps=3.2e9)
         finished = []
 
         def worker(tag, *delays):

@@ -11,7 +11,7 @@ from tests.probes import busy_cores, runnable_backlog
 class TestCpu:
     def test_run_charges_time(self):
         sim = Simulator()
-        cpu = Cpu(sim, cores=2)
+        cpu = Cpu(sim, cores=2, copy_bandwidth_Bps=3.2e9)
 
         def app():
             yield from cpu.run(1.5)
@@ -22,7 +22,7 @@ class TestCpu:
 
     def test_cores_limit_parallelism(self):
         sim = Simulator()
-        cpu = Cpu(sim, cores=2)
+        cpu = Cpu(sim, cores=2, copy_bandwidth_Bps=3.2e9)
         finished = []
 
         def worker(tag):
@@ -47,7 +47,7 @@ class TestCpu:
 
     def test_negative_time_rejected(self):
         sim = Simulator()
-        cpu = Cpu(sim)
+        cpu = Cpu(sim, cores=8, copy_bandwidth_Bps=3.2e9)
 
         def app():
             yield from cpu.run(-1)
@@ -57,7 +57,7 @@ class TestCpu:
 
     def test_utilization(self):
         sim = Simulator()
-        cpu = Cpu(sim, cores=4)
+        cpu = Cpu(sim, cores=4, copy_bandwidth_Bps=3.2e9)
 
         def app():
             yield from cpu.run(1.0)
@@ -69,7 +69,7 @@ class TestCpu:
 
     def test_active_and_backlog(self):
         sim = Simulator()
-        cpu = Cpu(sim, cores=1)
+        cpu = Cpu(sim, cores=1, copy_bandwidth_Bps=3.2e9)
 
         def worker():
             yield from cpu.run(1.0)

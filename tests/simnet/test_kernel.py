@@ -199,12 +199,18 @@ def test_same_time_events_run_fifo():
     assert order == list("abcde")
 
 
+def _after(sim, delay, value):
+    """A process that returns *value* after *delay*."""
+    yield sim.timeout(delay)
+    return value
+
+
 def test_all_of_waits_for_every_event():
     sim = Simulator()
 
     def proc():
-        t1 = sim.timeout(1.0, value="a")
-        t2 = sim.timeout(3.0, value="b")
+        t1 = sim.process(_after(sim, 1.0, "a"))
+        t2 = sim.process(_after(sim, 3.0, "b"))
         values = yield sim.all_of([t1, t2])
         return (sim.now, values)
 
@@ -217,8 +223,8 @@ def test_any_of_returns_at_first_event():
     sim = Simulator()
 
     def proc():
-        t1 = sim.timeout(5.0, value="slow")
-        t2 = sim.timeout(1.0, value="fast")
+        t1 = sim.process(_after(sim, 5.0, "slow"))
+        t2 = sim.process(_after(sim, 1.0, "fast"))
         values = yield sim.any_of([t1, t2])
         return (sim.now, values)
 

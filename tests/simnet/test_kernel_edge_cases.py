@@ -16,7 +16,7 @@ from repro.simnet.kernel import (
 @pytest.mark.parametrize("schedule", [
     lambda sim: sim.call_later(math.nan, print),
     lambda sim: sim.timeout(math.nan),
-    lambda sim: next(Cpu(sim).run(math.nan)),
+    lambda sim: next(Cpu(sim, 8, 3.2e9).run(math.nan)),
 ], ids=["call_later", "timeout", "cpu.run"])
 def test_a_nan_delay_is_refused(schedule):
     # `nan < 0` is false: a NaN entry at the heap head would end run()
@@ -42,7 +42,7 @@ def test_all_of_fails_fast_on_first_failure():
         raise RuntimeError("early failure")
 
     def proc():
-        slow = sim.timeout(10.0, value="never-needed")
+        slow = sim.timeout(10.0)
         bad = sim.process(failer())
         try:
             yield sim.all_of([bad, slow])

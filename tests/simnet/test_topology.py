@@ -11,15 +11,17 @@ from repro.simnet.topology import Network
 
 
 def make_net(num_hosts=2, **overrides):
+    """A network whose frames hold the 1 MB messages these tests send."""
     sim = Simulator()
+    overrides.setdefault("frame_size", 1_000_000)
     cfg = NetworkConfig(**overrides)
     return sim, Network(sim, num_hosts, cfg)
 
 
 def send_frame(net, src, dst, nbytes, **kw):
     """One unfragmented frame of *nbytes* from host *src* to *dst*."""
-    return net.transmit_message(net.host(src), net.host(dst), nbytes,
-                                frame_size=nbytes, **kw)
+    assert nbytes <= net.config.frame_size
+    return net.transmit_message(net.host(src), net.host(dst), nbytes, **kw)
 
 
 def test_channel_serialization_time():

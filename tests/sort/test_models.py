@@ -22,8 +22,9 @@ def test_more_disks_speed_up_terasort():
         cluster = fresh_cluster()
         sorter = TeraSortBaseline(
             cluster, records_per_worker=1500, seed=2, scale=100,
-            model=TeraSortModel(disks_per_node=disks), tag=f"d{disks}",
+            tag=f"d{disks}",
         )
+        sorter.model = TeraSortModel(disks_per_node=disks)
         return cluster.run_app(sorter.run()).elapsed
 
     slow = run(2)
@@ -35,9 +36,9 @@ def test_slower_cpu_model_slows_rsort():
     def run(per_compare):
         cluster = fresh_cluster()
         sorter = RSort(
-            cluster, records_per_worker=1500, seed=2, scale=100,
-            model=SortComputeModel(per_compare_s=per_compare), tag="cpu",
+            cluster, records_per_worker=1500, seed=2, scale=100, tag="cpu",
         )
+        sorter.model = SortComputeModel(per_compare_s=per_compare)
         return cluster.run_app(sorter.run()).elapsed
 
     base = run(2e-9)
@@ -68,7 +69,8 @@ def test_shuffle_slack_guards_skew():
 
     cluster = fresh_cluster()
     sorter = RSort(cluster, records_per_worker=1500, seed=2,
-                   shuffle_slack=0.05, tag="tiny-slack")
+                   tag="tiny-slack")
+    sorter.shuffle_slack = 0.05
     # client-side bounds checking catches it before any wire traffic;
     # had it slipped through, the remote MR check would NAK the write
     with pytest.raises((BoundsError, RegionUnavailableError)):

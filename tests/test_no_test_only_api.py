@@ -34,9 +34,11 @@ ROOT = Path(__file__).resolve().parent.parent
 DEFINERS = ("src/repro",)
 READERS = ("src", "benchmarks", "examples", "bench")
 
-#: what the execution audit's allow list keeps for tests, with a reason
+#: the definitions the execution audit's allow list keeps for tests,
+#: with a reason (its ``file:qualname(param)`` entries name parameters)
 HAND_EXEMPT = {(f"src/repro/{path}", qualname) for path, _, qualname in
-               (key.partition(":") for key in load_allow())}
+               (key.partition(":") for key in load_allow()
+                if "(" not in key)}
 
 _DEF_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
