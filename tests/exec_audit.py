@@ -30,8 +30,8 @@ it) or that is gone.
 ``pytest benchmarks`` exiting 1 does not stop the trace: an
 experiment's assertion failed after its code ran, so the trace counts.
 
-Run it from the repository root; the traced run takes about twenty
-minutes on two cores::
+Run it from the repository root; the traced run takes about half an
+hour on two cores::
 
     python tests/exec_audit.py                  # trace and check
     python tests/exec_audit.py --keep DIR       # also keep the traces
