@@ -33,9 +33,9 @@ faults — so a failed transaction never leaves a slot locked.
 
 Conflicts surface as :class:`TxnConflictError` (a
 :class:`RecoverableError`); :meth:`TxnRuntime.run` retries the whole
-closure on the shared :class:`~repro.coord.Backoff`, so exhaustion
-raises the *typed* ``RetryBudgetExceededError`` like every other retry
-loop in the tree.
+closure on the shared deadline-aware :class:`~repro.coord.Backoff`,
+so exhaustion raises the *typed* ``DeadlineExceededError`` /
+``RetryBudgetExceededError`` like every other retry loop in the tree.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from repro.coord.seqlock import (
     try_locks,
 )
 from repro.core.errors import (
+    DeadlineExceededError,
     FatalError,
     RecoverableError,
     RStoreError,
@@ -152,6 +153,7 @@ class Txn:
         self.runtime = runtime
         self.client = runtime.client
         self.token = token
+        self.deadline = None        # absolute; :meth:`TxnRuntime.run` sets it
         self._phase = "open"
         self._reads: dict = {}      # rkey -> _ReadEntry
         self._items: dict = {}      # (region, key) -> _Item
@@ -322,6 +324,10 @@ class Txn:
         won = []  # per write, filled in as each intent is settled
         decided = False
         try:
+            if self.deadline is not None and sim.now >= self.deadline:
+                raise DeadlineExceededError(
+                    "transaction deadline passed before commit"
+                )
             if writes:
                 yield from try_locks(
                     [(w.lock, w.version, self.token) for w in writes], won)
@@ -380,7 +386,7 @@ class TxnRuntime:
     """A transaction factory bound to one client.
 
     ``retries`` bounds :meth:`run`'s whole-transaction retry loop (an
-    attempt budget).
+    attempt budget); a ``deadline`` given to :meth:`run` outranks it.
     """
 
     DEFAULT_RETRIES = 64
@@ -416,20 +422,22 @@ class TxnRuntime:
         """One transaction attempt with a cluster-unique odd token."""
         return Txn(self, mint_token(self.client))
 
-    def run(self, fn):
+    def run(self, fn, deadline: float = None):
         """Run *fn(txn)* to a committed result (generator).
 
         *fn* is a generator function taking the :class:`Txn`; it must
         be safe to re-run, because conflicts and recoverable faults
         abort the attempt and rerun it on the shared backoff.  The
-        bound is the runtime's ``retries``; exhaustion raises the typed
-        ``RetryBudgetExceededError``.
+        bound is the runtime's ``retries`` and *deadline*, an absolute
+        simulated time; exhaustion raises the typed
+        ``DeadlineExceededError`` / ``RetryBudgetExceededError``.
         """
-        # pause() raises once the attempt budget drains
+        # pause() raises once the deadline passes or the budget drains
         budget = Backoff(self.client.sim, self._rngs["run"],
-                         budget=self.retries)
+                         deadline=deadline, budget=self.retries)
         while True:
             txn = self.begin()
+            txn.deadline = deadline
             try:
                 result = yield from fn(txn)
             except (TxnConflictError, RecoverableError):

@@ -4,7 +4,10 @@ import pytest
 
 from repro.cluster import build_cluster
 from repro.core import RStoreConfig
-from repro.core.errors import RetryBudgetExceededError
+from repro.core.errors import (
+    DeadlineExceededError,
+    RetryBudgetExceededError,
+)
 from repro.datapath.ops import hash64 as _hash64
 from repro.kv import KvFullError, RKVStore
 from repro.simnet.config import KiB, MiB
@@ -236,6 +239,25 @@ def test_concurrent_transfers_conserve_total(cluster):
 
 
 # -- bounds and misuse --------------------------------------------------------
+
+
+def test_passed_deadline_raises_typed_error(cluster):
+    store = make_store(cluster, "deadline")
+
+    def app():
+        yield from store.put(b"k", b"v")
+        runtime = store.txn()
+
+        def touch(txn):
+            yield from txn.put(store, b"k", b"w")
+
+        with pytest.raises(DeadlineExceededError):
+            yield from runtime.run(touch, deadline=cluster.sim.now)
+        # the aborted attempt left no lock behind
+        yield from store.put(b"k", b"after")
+        return (yield from store.get(b"k"))
+
+    assert cluster.run_app(app()) == b"after"
 
 
 def test_retry_budget_exhaustion_is_typed(cluster):
