@@ -31,18 +31,22 @@ from its hash onward (:func:`chain`).  :func:`classify` sorts a slot
 into one of four classes and :func:`walk` visits slots in chain order
 through a caller-supplied *reader*, so each prober keeps its own cost
 model (validated SeqLock read, raw snapshot, local arena read) while
-the policy is written once.  The store rule every writer follows:
-walk to a hit or to the end of the chain; overwrite on a hit;
-otherwise claim the *first* reusable slot the walk crossed — the
-earliest tombstone, else the never-used slot that ended the chain.  A
-tombstone is never claimed before the rest of the chain has been
-searched, or a key living behind it would be stored twice.  So a
-writer may lock a slot *while* it walks (the one-sided ``put`` CASes
-each hop from 0) only up to the first tombstone: a never-used slot
-reached with no tombstone crossed is exactly the one the rule claims.
-The rule also leaves at most one live slot per key, so a prober that
-remembers where it last saw a key reads that slot first (:func:`walk`'s
-*hint*): a hit there is the walk's answer, and anything else walks.
+the policy is written once.  The store rule, :func:`target`, which
+every writer follows (a delete takes only a hit): walk to a hit or to
+the end of the chain; overwrite on a hit; otherwise claim the *first*
+reusable slot the walk crossed — the earliest tombstone, else the
+never-used slot that ended the chain.  A tombstone claimed before the
+rest of the chain is searched would store a key living behind it
+twice, so a writer may lock a slot *while* it walks (the one-sided
+``put`` CASes each hop from 0) only up to the first tombstone.  The
+rule leaves one live slot per key only among writers that do not race
+across a delete: an insert claiming a deep tombstone a round trip
+after its walk can meet one that walked after a delete opened an
+earlier tombstone, and both publish
+(``test_hashkv.py::test_racing_inserts_across_a_delete_leave_one_live_slot``
+is an expected failure).  A prober that remembers where it last saw a
+key reads that slot first (:func:`walk`'s *hint*): a hit there is the
+walk's answer, and anything else walks.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ __all__ = [
     "TOMBSTONE", "PROBE_LIMIT", "hash64", "pad", "slot_size",
     "parse_key", "parse_body", "encode_body",
     "HIT", "FREE", "DEAD", "OTHER", "CONTINUE", "chain", "classify", "walk",
+    "target",
 ]
 
 WORD = 8
@@ -154,9 +159,9 @@ def walk(key: bytes, handles, reader, hint=None):
     raises (a busy slot, an exhausted retry budget) ends the walk.
 
     A *hint* — the handle where the prober last saw *key* — is read
-    first, and a :data:`HIT` there is the walk's answer: the store rule
-    leaves at most one live slot per key, so the hinted slot holding
-    the key *is* the slot the walk would have settled on.  Any other
+    first, and a :data:`HIT` there is the walk's answer: with one live
+    slot per key (see above), the hinted slot holding the key *is* the
+    slot the walk would have settled on.  Any other
     class says nothing about the chain (the key moved, or was deleted),
     so the walk then starts from the first of *handles* as if unhinted.
 
@@ -182,3 +187,15 @@ def walk(key: bytes, handles, reader, hint=None):
             if found == FREE:
                 return FREE, handle, snapshot, reusable
     return CONTINUE, None, None, reusable
+
+
+def target(walked, taken):
+    """The store rule: the ``(handle, version)`` a store of the key
+    :func:`walk` returned *walked* for takes — the hit, else the first
+    reusable slot not in *taken* (a transaction's pending inserts) — or
+    ``None``.  *version* is what the one-sided CAS or the commit intent
+    must still find in the slot."""
+    outcome, handle, snapshot, reusable = walked
+    if outcome == HIT:
+        return handle, snapshot[0]
+    return next((slot for slot in reusable if slot[0] not in taken), None)

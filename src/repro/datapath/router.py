@@ -12,10 +12,9 @@ stripe boundaries; consecutive same-host slots group into *runs* and
 each run is one ``dp_exec`` — the server walks it with the same
 ``ops.walk`` every prober uses and answers with the walk's outcome.
 ``("continue",)`` hands the chain to the next run, exactly as the
-one-sided prober walks slot by slot.  A store that crosses a
-tombstone in a run the chain outlives (``("reusable",)``) cannot be
-decided on one host — overwrite-if-present needs the rest of the
-chain, first-reusable needs this run — and falls back to the
+one-sided prober walks slot by slot.  A store whose run crosses a
+tombstone but not the chain's end (``("reusable",)``) cannot be
+decided on one host (the store rule: ``ops``) and falls back to the
 one-sided store.  A key the client holds a location hint for goes
 first as a one-slot run to the hinted slot's host, which answers it
 only on a hit; the runs follow on a miss.

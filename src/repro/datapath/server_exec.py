@@ -173,30 +173,27 @@ class ServerOpExecutor:
     def _kv_put(self, req: dict):
         """One probe run of a store.
 
-        ``("stored", version, slot_off)`` when the run settles it — the
-        key is here, or the chain ends here and the first reusable slot
-        is claimed — naming the version published and the slot's region
-        offset, which the client keeps as the key's location hint.
-        ``("reusable",)`` when the run is exhausted but crossed a
-        tombstone: the key may still live further down the chain, on
-        another host, so the store cannot be decided here.  Otherwise
-        ``("busy",)`` or ``("continue",)``.  A request's ``hint`` slot is
-        tried first and settles the store only on a hit (``ops.walk``).
+        ``("stored", version, slot_off)`` when the run settles it into
+        the slot ``ops.target`` names: the version published and the
+        slot's region offset, which the client keeps as the key's
+        location hint.  ``("reusable",)`` when the run is exhausted but
+        crossed a tombstone, which this host cannot decide (the store
+        rule: :mod:`repro.datapath.ops`).  Otherwise ``("busy",)`` or
+        ``("continue",)``.  A request's ``hint`` slot is tried first and
+        settles the store only on a hit (``ops.walk``).
         """
         key = req["key"]
         key_size, value_size = req["key_size"], req["value_size"]
         size = ops.slot_size(key_size, value_size)
         try:
-            outcome, slot, _snapshot, reusable = yield from ops.walk(
+            walked = yield from ops.walk(
                 key, req["slots"], self._reader(req, size),
                 hint=req.get("hint"))
         except _BusySlot:
             return ("busy",)
-        if outcome == ops.CONTINUE:
-            return ("reusable",) if reusable else (ops.CONTINUE,)
-        if outcome == ops.FREE:
-            slot = reusable[0][0]
-        slot_off, addr = slot
+        if walked[0] == ops.CONTINUE:
+            return ("reusable",) if walked[3] else (ops.CONTINUE,)
+        (slot_off, addr), _version = ops.target(walked, ())
         # claim this slot.  Charge the publish copy first (it yields),
         # then re-validate + write in one atomic block.
         yield from self.cpu.copy(size)

@@ -1,9 +1,5 @@
 """One-sided distributed hash table over an RStore region.
 
-Slot layout (all fields 8-byte aligned)::
-
-    [ version 8B ][ key_len 8B ][ key ... ][ val_len 8B ][ value ... ]
-
 Each slot is one :class:`~repro.coord.SeqLock` record: the version
 word carries the writer lock (odd = a writer's token) and the
 optimistic-read validation (``seqlock.snapshots``: snapshot and
@@ -13,13 +9,11 @@ a writer locks, writer contention paced by the shared
 last saw each key of a table — a slot and a version, never a value —
 in one hint table its handles share, so a get of a known key reads its
 slot in one round trip and a write to it locks in its first; a put of
-a fresh key
-CASes each slot of its walk from 0 and locks the never-used one that
-ends the chain in the same round trip.  Deletes leave a tombstone
-(``key_len`` of ``2**63-1``) so linear probing keeps finding later
-entries.  The slot codec and the probe protocol — chain order, slot
-classes, the store rule — live in :mod:`repro.datapath.ops`; this
-module supplies the one-sided slot readers and the lock/publish steps.
+a fresh key CASes each slot of its walk from 0 and locks the
+never-used one that ends the chain in the same round trip.  The slot
+layout, tombstones and the probe protocol — chain order, slot classes,
+the store rule — live in :mod:`repro.datapath.ops`; this module
+supplies the one-sided slot readers and the lock/publish steps.
 """
 
 from __future__ import annotations
@@ -52,9 +46,6 @@ class KvFullError(KvError):
 
 class RKVStore:
     """A fixed-capacity hash table shared by any number of clients."""
-
-    #: the linear-probe window (``ops.PROBE_LIMIT``), readable off a table
-    probe_limit = ops.PROBE_LIMIT
 
     def __init__(self, client: RStoreClient, name: str, mapping: Mapping,
                  slots: int, key_size: int, value_size: int,
@@ -219,14 +210,13 @@ class RKVStore:
         (:func:`try_lock_or_snapshot`) where :meth:`_read_slot` posts
         ``[READ slot, READ word]`` — one doorbell and two WRs either way.
 
-        A CAS from 0 wins only on a never-used slot, which ends the
-        chain; with no tombstone crossed it is the slot the store rule
-        claims, so the hop appends its index to *held* and the put
-        publishes next.  A lost CAS returns the word, which validates
-        the READ as the second READ would have.  Where it cannot — a
-        writer's odd token, a fault, an unproven order — the hop falls
-        back to :meth:`_read_slot`.  Past a tombstone the store rule
-        claims the tombstone, so no CAS is posted there.
+        A won CAS holds a never-used slot ending a chain with no
+        tombstone crossed, the slot ``ops.target`` would name, so the
+        hop appends its index to *held* and the put publishes next.  A
+        lost CAS returns the word, which validates the READ as the
+        second READ would have.  Where it cannot — a writer's odd token,
+        a fault, an unproven order — the hop falls back to
+        :meth:`_read_slot`.
         """
         speculating = True
 
@@ -323,8 +313,8 @@ class RKVStore:
         walks with :meth:`_claiming_reader`, whose hops CAS from 0 up to
         the first tombstone: a fresh key whose chain ends before one is
         locked by the walk itself, so its put takes two round trips.
-        Otherwise the slot the walk settled on is CAS'd from the version
-        seen, and a CAS lost to a racer backs off and walks again.
+        Otherwise the slot ``ops.target`` names is CAS'd from its
+        version, and a CAS lost to a racer backs off and walks again.
 
         No re-read under the lock: the CAS moved the word *from* a
         version seen holding *key* (or claimable), and versions only
@@ -354,20 +344,18 @@ class RKVStore:
                     won = yield from lock.try_lock(version, token)
             else:
                 held = []
-                outcome, index, snapshot, reusable = yield from ops.walk(
+                walked = yield from ops.walk(
                     key, self.chain(key),
                     self._claiming_reader(token, held) if claim
                     else self._read_slot)
                 if held:  # the never-used slot that ended the chain
-                    return index, 0, token
-                if outcome == ops.HIT:
-                    version = snapshot[0]
-                elif not claim:
+                    return held[0], 0, token
+                if not claim and walked[0] != ops.HIT:
                     return None
-                elif reusable:
-                    index, version = reusable[0]
-                else:
+                found = ops.target(walked, ())
+                if found is None:
                     raise KvFullError()
+                index, version = found
                 won = yield from self.slot_lock(index).try_lock(
                     version, token)
             if won:

@@ -12,7 +12,7 @@ import pickle
 from repro.rdma.cm import ConnectionManager
 from repro.rdma.nic import RNic
 from repro.rdma.qp import QueuePair
-from repro.rdma.types import Access, Opcode, QpError, RdmaError, WcStatus
+from repro.rdma.types import Opcode, QpError
 from repro.rdma.wr import RecvWR, SendWR
 from repro.simnet.config import KiB
 from repro.simnet.resources import Resource

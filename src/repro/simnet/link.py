@@ -15,7 +15,7 @@ approximates fair sharing at frame granularity.
 
 from __future__ import annotations
 
-from repro.simnet.kernel import Simulator, Timeout
+from repro.simnet.kernel import Simulator
 
 __all__ = ["Channel"]
 

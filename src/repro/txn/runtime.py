@@ -40,6 +40,7 @@ so exhaustion raises the *typed* ``DeadlineExceededError`` /
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import NamedTuple
 
 from repro.coord import Backoff, SeqLock
@@ -99,22 +100,22 @@ class _Item:
 
     The application sees *value* — the key's value, ``None`` while the
     key is absent — or its own buffered *pending*.  The slot codec is
-    *store* and *key*; an absent key's insert candidates are *frees*
-    (``[(index, version)]``), and *lock* and *version* stay ``None``
-    until it claims one of them.
+    *store* and *key*; *walked* is the key's ``ops.walk``, and an
+    absent key's *lock* and *version* stay ``None`` until it claims
+    the slot ``ops.target`` names.
     """
 
     __slots__ = ("lock", "version", "value", "pending", "store", "key",
-                 "frees")
+                 "walked")
 
-    def __init__(self, lock, version, value, store, key, frees):
+    def __init__(self, lock, version, value, store, key, walked):
         self.lock = lock
         self.version = version      # the record's snapshot version
         self.value = value
         self.pending = _UNWRITTEN
         self.store = store
         self.key = key
-        self.frees = frees
+        self.walked = walked
 
     @property
     def visible(self):
@@ -157,7 +158,7 @@ class Txn:
         self._phase = "open"
         self._reads: dict = {}      # rkey -> _ReadEntry
         self._items: dict = {}      # (region, key) -> _Item
-        self._insert_taken: set = set()
+        self._insert_taken = defaultdict(set)  # region -> slot indices
         self._read_backoff = Backoff(self.client.sim, runtime._rngs["read"])
 
     def _ensure_open(self):
@@ -212,16 +213,13 @@ class Txn:
             version, body = yield from self._snapshot(lock)
             return (version, *ops.parse_body(body, store.key_size), lock)
 
-        # the chain's reusable slots are the insert candidates; every
-        # slot crossed is in the read-set, so a racing insert anywhere
-        # on the chain invalidates this lookup at commit
-        outcome, _index, snapshot, frees = yield from ops.walk(
-            key, store.chain(key), read_slot)
-        if outcome == ops.HIT:
-            version, _key_len, _key, value, lock = snapshot
-            item = _Item(lock, version, value, store, key, ())
-        else:
-            item = _Item(None, None, None, store, key, frees)
+        # every slot crossed is in the read-set, so a racing insert
+        # anywhere on the chain invalidates this lookup at commit
+        walked = yield from ops.walk(key, store.chain(key), read_slot)
+        lock = version = value = None
+        if walked[0] == ops.HIT:
+            version, _key_len, _key, value, lock = walked[2]
+        item = _Item(lock, version, value, store, key, walked)
         self._items[ikey] = item
         return item
 
@@ -245,13 +243,13 @@ class Txn:
         if item.lock is None:
             # an absent key claims an insert slot now, so two inserts
             # in one transaction never target the same free slot
-            for index, version in item.frees:
-                if (store.mapping.name, index) not in self._insert_taken:
-                    item.lock, item.version = store.slot_lock(index), version
-                    self._insert_taken.add((store.mapping.name, index))
-                    break
-            else:
+            taken = self._insert_taken[store.mapping.name]
+            found = ops.target(item.walked, taken)
+            if found is None:
                 raise KvFullError()
+            index, item.version = found
+            item.lock = store.slot_lock(index)
+            taken.add(index)
         item.pending = bytes(value)
 
     def delete(self, store, key: bytes):

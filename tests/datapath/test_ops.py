@@ -128,6 +128,26 @@ def test_walk_outcomes(slots, outcome, handle, reusable, reads):
     assert read == list(range(reads))
 
 
+@pytest.mark.parametrize("slots,taken,target", [
+    # a hit is the key's own slot, at the version read there
+    ([_DEAD, _MINE], (), (1, 2)),
+    # a hit is taken even when a transaction holds it for an insert
+    ([_MINE], {0}, (0, 2)),
+    # otherwise the first reusable slot: the earliest tombstone ...
+    ([_THEIRS, _DEAD, _DEAD, _FREE], (), (1, 4)),
+    # ... past the ones this writer's pending inserts hold
+    ([_THEIRS, _DEAD, _DEAD, _FREE], {1}, (2, 4)),
+    ([_THEIRS, _DEAD, _DEAD, _FREE], {1, 2}, (3, 0)),
+    # nothing left to take
+    ([_THEIRS, _DEAD, _FREE], {1, 2}, None),
+    ([_THEIRS, _THEIRS], (), None),
+])
+def test_target_takes_a_hit_else_the_first_reusable_slot_not_taken(
+        slots, taken, target):
+    walked, _read = _walk(slots)
+    assert ops.target(walked, taken) == target
+
+
 def test_walk_follows_the_handles_it_is_given_not_slot_order():
     slots = [_MINE, _THEIRS, _FREE]
     (outcome, handle, _snap, _reusable), read = _walk(slots,

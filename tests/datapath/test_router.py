@@ -157,7 +157,7 @@ def test_probe_runs_cover_the_window_in_order_and_split_by_host():
             runs = list(router._probe_runs(desc, store, base))
             flat = [off for _host, slots in runs for off, _addr in slots]
             expected = [((base + p) % store.slots) * store.slot_size
-                        for p in range(store.probe_limit)]
+                        for p in range(ops.PROBE_LIMIT)]
             assert flat == expected
             for (host_a, _), (host_b, _) in zip(runs, runs[1:]):
                 assert host_a != host_b  # runs are maximal

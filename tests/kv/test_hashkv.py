@@ -396,6 +396,86 @@ def test_two_handles_inserting_one_absent_key_leave_one_live_slot():
     _assert_race_free(cluster)
 
 
+def _inserts_across_a_delete(a_writer, b_writer):
+    """Two inserts of k racing a delete: x sits at the chain's home with
+    y's tombstone behind it; A inserts k at t=0 while C deletes x, and
+    B inserts k 2 µs later.  A one-sided A walks to y's tombstone and
+    CASes it a round trip later; B may walk after x's delete published
+    and claim x's slot, ahead of A's.  *a_writer* and *b_writer* are how
+    A and B insert: ``"one_sided"``, ``"server_op"`` (a handle under
+    that policy) or ``"txn"`` (a ``TxnRuntime.run`` insert).  Returns
+    ``(cluster, live)``, *live* the ``(slot, value)`` of every slot
+    holding k."""
+    cluster = _sanitized_cluster()
+    sim = cluster.sim
+    slots = 64
+    x, y, k = probes.same_home(slots, 3)
+    policy = {"one_sided": None, "txn": None, "server_op": "server_op"}
+
+    def insert(store, writer, value):
+        if writer == "txn":
+            def put(txn):
+                yield from txn.put(store, k, value)
+            yield from store.txn().run(put)
+        else:
+            yield from store.put(k, value)
+
+    def after(delay, insertion):
+        yield sim.timeout(delay)
+        yield from insertion
+
+    def app():
+        c = yield from RKVStore.create(cluster.client(1), "race", slots)
+        a = yield from RKVStore.open(cluster.client(2), "race",
+                                     policy[a_writer])
+        b = yield from RKVStore.open(cluster.client(3), "race",
+                                     policy[b_writer])
+        yield from c.put(x, b"X")
+        yield from c.put(y, b"Y")
+        assert (yield from c.delete(y)) is True
+        yield sim.all_of([
+            sim.process(insert(a, a_writer, b"A")),
+            sim.process(c.delete(x)),
+            sim.process(after(2e-6, insert(b, b_writer, b"B"))),
+        ])
+        live = []
+        for index in range(slots):
+            _version, _len, key, value = yield from c.snapshot_slot(index)
+            if key == k:
+                live.append((index, value))
+        return live
+
+    return cluster, cluster.run_app(app())
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 15: an insert that claims a deep tombstone a round "
+    "trip after its walk can meet one that claimed the tombstone a "
+    "delete opened ahead of it"))
+def test_racing_inserts_across_a_delete_leave_one_live_slot():
+    # the one-sided pair leaves k at home (B's) and home + 1 (A's).
+    # Strict: the test must start passing, and lose its mark, when the
+    # store rule is made to hold under this race
+    _cluster, live = _inserts_across_a_delete("one_sided", "one_sided")
+    assert len(live) <= 1, live
+
+
+@pytest.mark.parametrize("a_writer,b_writer", [
+    ("txn", "one_sided"), ("one_sided", "txn"),
+    ("server_op", "one_sided"), ("one_sided", "server_op"),
+])
+def test_other_writers_racing_across_a_delete_leave_one_live_slot(
+        a_writer, b_writer):
+    """The race above with a transaction or a server-op store in A's or
+    B's role leaves one live slot.  One schedule per pair: a sample,
+    not a proof that these writers are safe — it says the transaction's
+    read-set validation, and the server's walk and store in one host
+    visit, did not let this schedule store k twice."""
+    cluster, live = _inserts_across_a_delete(a_writer, b_writer)
+    assert len(live) == 1, live
+    _assert_race_free(cluster)
+
+
 @pytest.mark.parametrize("opcode", [Opcode.RDMA_READ, Opcode.ATOMIC_CAS],
                          ids=["read", "cas"])
 def test_a_lost_ack_on_an_inserts_walk_never_wedges_the_slot(opcode):
