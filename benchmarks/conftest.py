@@ -19,6 +19,7 @@ import json
 import re
 import resource
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -73,6 +74,20 @@ def claim(benchmark, text: str, *, paper, measured: float,
     })
     assert low < measured < high, (
         f"{text}: measured {measured:.4g}{unit}, band {low}-{high}{unit}")
+
+
+@contextmanager
+def no_setup(*clients):
+    """Guard a timed window: assert that none of *clients* did set-up
+    work inside the ``with`` block — no QP or memory-service channel
+    dial, no fetch-buffer open (``RStoreClient.setup_events``).  The
+    paper's data path pays set-up at ``map`` and open, never in the
+    steady state a rate or latency row claims to time."""
+    before = [client.setup_events for client in clients]
+    yield
+    after = [client.setup_events for client in clients]
+    assert after == before, (
+        f"set-up inside a timed window: setup_events {before} -> {after}")
 
 
 def fmt_us(seconds: float) -> str:

@@ -15,7 +15,7 @@ from repro.cluster import build_cluster
 from repro.core import RStoreConfig
 from repro.simnet.config import KiB, MiB, us
 
-from benchmarks.conftest import fmt_us, print_table
+from benchmarks.conftest import fmt_us, no_setup, print_table
 
 OPS = 100
 OP_SIZE = 4 * KiB
@@ -37,15 +37,18 @@ def run_variant(name, **config_kwargs):
         local = yield from client.alloc_local(SCAN_SIZE)
         yield from mapping.read_into(local, local.addr, 0, OP_SIZE)  # warm
 
-        t0 = sim.now
-        for i in range(OPS):
-            offset = (i * 37 * OP_SIZE) % (SCAN_SIZE - OP_SIZE)
-            yield from mapping.read_into(local, local.addr, offset, OP_SIZE)
-        small_lat = (sim.now - t0) / OPS
+        with no_setup(client):
+            t0 = sim.now
+            for i in range(OPS):
+                offset = (i * 37 * OP_SIZE) % (SCAN_SIZE - OP_SIZE)
+                yield from mapping.read_into(local, local.addr, offset,
+                                             OP_SIZE)
+            small_lat = (sim.now - t0) / OPS
 
-        t0 = sim.now
-        yield from mapping.read_into(local, local.addr, 0, SCAN_SIZE)
-        scan_s = sim.now - t0
+        with no_setup(client):
+            t0 = sim.now
+            yield from mapping.read_into(local, local.addr, 0, SCAN_SIZE)
+            scan_s = sim.now - t0
         return small_lat, scan_s
 
     small_lat, scan_s = cluster.run_app(app())

@@ -37,7 +37,7 @@ from repro.kv.hashkv import RKVStore
 from repro.simnet.config import KiB, MiB
 from repro.workloads.access import zipfian_keys
 
-from benchmarks.conftest import fmt_us, print_table
+from benchmarks.conftest import fmt_us, no_setup, print_table
 
 VALUE_SIZES = [64, 8 * KiB, 32 * KiB]
 THETAS = [0.0, 0.9, 1.2]
@@ -81,9 +81,9 @@ def run_get_cell(policy: str, value_size: int, theta: float) -> dict:
                 absent += 1
         reader = yield from RKVStore.open(cluster.client(2), "xover",
                                           path_policy=policy)
-        # warm-up: touch every key once (channels, QPs, fetch buffers),
-        # then run the measured distribution so the adaptive selector
-        # meets the regime before the clock starts
+        # warm-up: touch every key once (the open connected every
+        # path already), then run the measured distribution so the
+        # adaptive selector meets the regime before the clock starts
         for i in range(KEYS):
             yield from reader.get(b"k%05d" % i)
         for idx in zipfian_keys(WARM_GETS, KEYS, theta=theta,
@@ -92,11 +92,12 @@ def run_get_cell(policy: str, value_size: int, theta: float) -> dict:
 
         draws = zipfian_keys(GETS, KEYS, theta=theta, seed=SEED)
         hits = 0
-        t0 = sim.now
-        for idx in draws:
-            value = yield from reader.get(b"k%05d" % idx)
-            hits += value is not None
-        elapsed = sim.now - t0
+        with no_setup(reader.client):
+            t0 = sim.now
+            for idx in draws:
+                value = yield from reader.get(b"k%05d" % idx)
+                hits += value is not None
+            elapsed = sim.now - t0
         out["latency_s"] = elapsed / GETS
         out["gets_per_s"] = GETS / elapsed
         out["hit_rate"] = hits / GETS
@@ -119,11 +120,12 @@ def run_burst_row(burst: int) -> dict:
             ctr = yield from AtomicCounter.create(client, "e17",
                                                   path_policy=policy)
             deltas = list(range(1, burst + 1))
-            yield from ctr.add_burst(deltas)  # warm the channel
-            t0 = sim.now
-            for _ in range(BURSTS):
-                yield from ctr.add_burst(deltas)
-            out["latency_s"] = (sim.now - t0) / BURSTS
+            yield from ctr.add_burst(deltas)  # warm-up
+            with no_setup(client):
+                t0 = sim.now
+                for _ in range(BURSTS):
+                    yield from ctr.add_burst(deltas)
+                out["latency_s"] = (sim.now - t0) / BURSTS
 
         cluster.run_app(app())
         row[policy] = out["latency_s"]
@@ -193,7 +195,7 @@ def test_e17_datapath_crossover(benchmark):
     # -- the crossover is real: every substrate owns at least one regime
     winners = {r["winner"] for r in rows}
     assert winners == set(PathPolicy.MODES), (
-        f"expected every mode to win somewhere, winners: {winners}"
+        f"expected every mode to win somewhere, winners: {sorted(winners)}"
     )
     # small values: the single RPC beats the probe-chain conversation
     # in every theta regime

@@ -32,11 +32,15 @@ class AtomicCounter:
 
     @classmethod
     def create(cls, client, name: str, path_policy=None):
-        """Allocate and map a fresh counter region at 0 (generator)."""
+        """Allocate and map a fresh counter region at 0 (generator); a
+        server-side burst path is connected here, before the first
+        burst."""
         region = region_name(name)
         yield from client.alloc(region, cls.REGION_SIZE, replication=1)
         mapping = yield from client.map(region)
-        return cls(client, name, mapping, path_policy)
+        counter = cls(client, name, mapping, path_policy)
+        yield from counter._selector.connect(mapping, ("burst",))
+        return counter
 
     @classmethod
     def open(cls, client, name: str):

@@ -98,9 +98,10 @@ class RStoreClient:
         self._mem_rpc = RpcClientPool(sim, nic, cm)
         #: lazily built DataPathRouter (see the ``datapath`` property)
         self._datapath = None
-        #: bumped on every lazy one-time setup (QP dial, memory-service
-        #: channel dial, fetch-buffer allocation) so the adaptive
-        #: selector can discard latency samples that paid setup costs
+        #: bumped on every set-up (QP dial, memory-service channel
+        #: dial, fetch-buffer allocation): ``map`` and a handle's open
+        #: do it, so inside an op it means a redial or a host a remap
+        #: added, and the adaptive selector discards that sample
         self.setup_events = 0
         #: region name -> ``(region id, {key: (slot index, version)})``:
         #: where this client last saw each key of each hash table it
@@ -389,11 +390,12 @@ class RStoreClient:
         Resolves the descriptor (if given a name) — through the leased
         metadata cache, so a warm re-map costs **zero** control RPCs
         until the owning shard's epoch moves — then ensures a connected
-        data QP to every hosting server.  QPs are cached across
-        mappings, so only first contact with a server pays the
-        connection cost.  Every read and write through the mapping
-        stands for *wire_scale* times its bytes on the wire (scaled
-        experiments); its atomics are never scaled.
+        data QP to every hosting server (and, for the two-sided
+        ablation, a memory-service channel to each, all at once).  QPs
+        and channels are cached across mappings, so only first contact
+        with a server pays the connection cost.  Every read and write
+        through the mapping stands for *wire_scale* times its bytes on
+        the wire (scaled experiments); its atomics are never scaled.
         """
         if wire_scale < 1:
             raise RStoreError(f"wire_scale must be >= 1, got {wire_scale}")
@@ -413,6 +415,7 @@ class RStoreClient:
                                                      wire_scale)
                 try:
                     yield from self._ensure_qps(desc)
+                    yield from mapping._connect()
                 except RdmaError:
                     # a hosting server is unreachable; if the descriptor
                     # came from the cache it may simply be a stale lease

@@ -88,6 +88,11 @@ class Mapping:
             # intervals so a recycled range is never attributed to it
             rsan.clear_region(self.desc, actor=self.client._rsan_actor)
 
+    def _connect(self):
+        """Connect what this mapping's data path needs beyond the data
+        QPs ``map`` dials (generator): nothing, one-sided."""
+        yield from ()
+
     # -- blocking data path (submit + wait) ---------------------------------
 
     def read(self, offset: int, length: int):
@@ -364,6 +369,12 @@ class _ResolvingMapping(Mapping):
 class _TwoSidedMapping(Mapping):
     """Ablation (E2, E4, E9): reads and writes go through the server CPU
     over two-sided messaging; atomics stay one-sided."""
+
+    def _connect(self):
+        """Dial the memory-service channel to every host at map time,
+        all hosts at once; ``_two_sided`` dials only after a channel
+        died or for a host a remap added."""
+        yield from self.client.datapath.connect(self, fetch=False)
 
     def _dispatch(self, fut: OpFuture, desc: RegionDesc, batch, span):
         if fut.is_atomic or not desc.available:

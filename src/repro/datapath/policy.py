@@ -153,12 +153,14 @@ class AdaptiveSelector:
                 cold: bool) -> None:
         """Feed one observed end-to-end latency back into the EWMA.
 
-        A *cold* observation — the op paid a one-time setup cost such
-        as a channel dial or a fetch-buffer allocation — is discarded:
-        the selector ranks steady-state data-path cost, and a sample
-        inflated by amortizable setup would poison a mode's EWMA for
-        hundreds of operations.  A mode whose cold-start sample is
-        dropped simply stays unsampled and is chosen again.
+        A *cold* observation — the op paid set-up: a redial after a
+        channel died, or a channel or fetch buffer for a host a remap
+        added (a handle connects its hosts at open,
+        :meth:`ModeChooser.connect`) — is discarded: the selector ranks
+        steady-state data-path cost, and a sample inflated by set-up
+        would poison a mode's EWMA for hundreds of operations.  A mode
+        whose cold-start sample is dropped simply stays unsampled and
+        is chosen again.
         """
         if cold:
             return
@@ -205,8 +207,9 @@ class ModeChooser(AdaptiveSelector):
     A row of one is returned as is and never timed.  Otherwise the
     selector picks, and ``pick`` hands out a ``(now, setup_events)``
     token that ``done`` turns into the observed latency — cold when the
-    client did set-up work (a dial, a fetch-buffer allocation) in
-    between.
+    client did set-up work in between.  :meth:`connect` sets up every
+    host at open, so a cold sample means a redial or a host a remap
+    added, not a first contact.
     """
 
     def __init__(self, client, policy, sizes=None):
@@ -235,6 +238,16 @@ class ModeChooser(AdaptiveSelector):
                         f"{FETCH_BYTES}-byte fetch buffer)")
                 fits = (mode,)
             self._candidates[op] = fits
+
+    def connect(self, mapping, ops):
+        """Connect every server-side path the handle's *ops* may run on
+        to each host of *mapping*, all hosts at once (generator): set-up
+        belongs to the open, not to the first op that reaches a server.
+        A handle whose *ops* all run one-sided connects nothing."""
+        modes = {mode for op in ops for mode in self._candidates[op]}
+        if modes - {PathPolicy.ONE_SIDED}:
+            yield from self.client.datapath.connect(
+                mapping, fetch=PathPolicy.REMOTE_FETCH in modes)
 
     def pick(self, op: str):
         """``(mode, token)`` for the next *op* operation."""

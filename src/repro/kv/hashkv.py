@@ -119,11 +119,15 @@ class RKVStore:
 
     @classmethod
     def open(cls, client: RStoreClient, name: str, path_policy: str = None):
-        """Map an existing table from another client (generator)."""
+        """Map an existing table from another client (generator); a
+        handle that may run server-side connects those paths to every
+        host of the table here, before its first op."""
         meta = yield from client.wait_note(f"kv.{name}.meta")
         mapping = yield from client.map(f"kv.{name}")
-        return cls(client, name, mapping, meta["slots"], meta["key_size"],
-                   meta["value_size"], path_policy)
+        store = cls(client, name, mapping, meta["slots"], meta["key_size"],
+                    meta["value_size"], path_policy)
+        yield from store._selector.connect(mapping, ("get", "put"))
+        return store
 
     # -- helpers -----------------------------------------------------------------
 
