@@ -10,7 +10,7 @@ the lock manager, the barrier tree, and the mailbox.
 =================  =====================================================
 primitive          protocol
 =================  =====================================================
-`AtomicCounter`    FAA word with client-side cached reads
+`AtomicCounter`    FAA word; a burst runs server-side under a path policy
 `RemoteLock`       CAS spinlock, capped exponential backoff + jitter
 `SeqLock`          a record view: validated reads, token-CAS'd publishes
 `SenseBarrier`     sense-reversing FAA barrier for N parties

@@ -12,9 +12,10 @@ discipline as the store itself:
   server CPU, no master, no messages.
 
 Coordination regions are allocated with ``replication=1`` because
-NIC-side atomics cannot be mirrored consistently across replicas (see
-``Mapping._atomic``); a coordination word that outlives its server must
-be re-created, not repaired.
+NIC-side atomics cannot be mirrored consistently across replicas
+(``Mapping._plan_pieces`` refuses an atomic on a replicated stripe); a
+coordination word that outlives its server must be re-created, not
+repaired.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ Region layout (8 bytes)::
 from __future__ import annotations
 
 from repro.coord.base import read_word, region_name
+from repro.datapath.ops import WORD
 from repro.datapath.policy import ModeChooser, PathPolicy
 
 __all__ = ["AtomicCounter"]
@@ -86,9 +87,18 @@ class AtomicCounter:
                 value = yield from self.add(delta)
                 values.append(value)
         else:
-            values = yield from self.client.datapath.counter_burst(
-                self, deltas
-            )
+            router = self.client.datapath
+            mapping = self.mapping
+
+            def attempt():
+                host_id, addr = router.locate(mapping.desc, 0, WORD)
+                request = router.request("counter_burst", mapping,
+                                         addr=addr, deltas=deltas)
+                return router.exec(host_id, request, fetch=False)
+
+            reply = yield from router.drive(
+                mapping, attempt, f"counter burst on {mapping.name!r}")
+            values = reply[1]
         self._selector.done("burst", mode, token)
         return values
 

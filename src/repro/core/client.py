@@ -96,6 +96,8 @@ class RStoreClient:
         #: server host -> the one QP dial in flight (``single_flight``)
         self._qp_dials: dict = {}
         self._mem_rpc = RpcClientPool(sim, nic, cm)
+        #: server host -> the one channel dial in flight (``single_flight``)
+        self._mem_dials: dict = {}
         #: lazily built DataPathRouter (see the ``datapath`` property)
         self._datapath = None
         #: bumped on every set-up (QP dial, memory-service channel
@@ -196,12 +198,20 @@ class RStoreClient:
     def _mem_channel(self, host_id: int):
         """A connected RPC channel to *host_id*'s memory service
         (generator); cached per host, shared by the two-sided ablation
-        and the server-op data path."""
+        and the server-op data path.  Concurrent first uses share one
+        dial (``single_flight``), which counts one set-up."""
         rpc = self._mem_rpc.clients.get(host_id)
         if rpc is None:
-            rpc = yield from self._mem_rpc.get(host_id, host_id,
-                                               self.config.mem_service)
-            self.setup_events += 1
+            rpc = yield from self.sim.single_flight(
+                self._mem_dials, host_id, partial(self._dial_mem, host_id))
+        return rpc
+
+    def _dial_mem(self, host_id: int):
+        """Connect and cache the memory-service channel to *host_id*
+        (generator)."""
+        rpc = yield from self._mem_rpc.get(host_id, host_id,
+                                           self.config.mem_service)
+        self.setup_events += 1
         return rpc
 
     def _mem_channel_drop(self, host_id: int) -> None:

@@ -11,8 +11,9 @@ per-mapping policy that picks between them:
 * :mod:`repro.datapath.ops` — the slot codec shared with ``repro.kv``.
 * :mod:`repro.datapath.server_exec` — the server-side executor
   (``dp_exec`` handler); imported by :mod:`repro.core.server` only.
-* :mod:`repro.datapath.router` — the client side: probe-run planning,
-  fetch buffers, retry/fencing; imported lazily by the client.
+* :mod:`repro.datapath.router` — the client-side transport the kv and
+  coord structures ship their composite ops over: ``dp_exec``, redial,
+  re-drive, fetch buffers; imported lazily by the client.
 
 This module re-exports only the dependency-free pieces so importing
 ``repro.datapath`` never drags in the RPC or client machinery.

@@ -57,8 +57,8 @@ __all__ = [
     "WORD", "split", "sync_key",
     "TOMBSTONE", "PROBE_LIMIT", "hash64", "pad", "slot_size",
     "parse_key", "parse_body", "encode_body",
-    "HIT", "FREE", "DEAD", "OTHER", "CONTINUE", "chain", "classify", "walk",
-    "target",
+    "HIT", "FREE", "DEAD", "OTHER", "CONTINUE", "BUSY", "STORED", "REUSABLE",
+    "chain", "classify", "walk", "target",
 ]
 
 WORD = 8
@@ -74,6 +74,11 @@ OTHER = "other"        # holds another key: the chain goes on
 #: walk outcome: handles exhausted without a hit or a chain end.  The
 #: three outcomes double as the ``dp_exec`` reply tags of a probe run.
 CONTINUE = "continue"
+
+# the other ``dp_exec`` reply tags of a probe run
+BUSY = "busy"          # a writer holds a slot: the client re-drives
+STORED = "stored"      # a store settled: the version and slot it took
+REUSABLE = "reusable"  # a store's run crossed a tombstone, not the end
 
 
 def split(blob: bytes):

@@ -1,23 +1,14 @@
 """Client side of the server-op and remote-fetch data paths.
 
-The :class:`DataPathRouter` plans a composite op (a kv probe chain, a
-counter burst) against the current region descriptor, ships it to the
-owning memory server(s) as ``dp_exec`` RPCs, and classifies the
-outcome: busy slots back off and re-drive, stale epochs refresh the
-descriptor and retry, dead channels redial — all bounded by the same
+The :class:`DataPathRouter` is a transport that knows no data
+structure: a structure (the hash table's probe runs, the counter's
+burst) builds its composite op's requests (:meth:`~DataPathRouter.request`),
+ships each to the memory server owning its slots as a ``dp_exec`` RPC
+(:meth:`~DataPathRouter.exec`), and hands the attempt to
+:meth:`~DataPathRouter.drive`, which classifies the outcome: busy
+slots back off and re-drive, stale epochs refresh the descriptor and
+retry, dead channels redial — all bounded by the same
 ``DATA_RETRY_LIMIT`` the one-sided path honours.
-
-**Probe-run segmentation.**  A probe chain (``ops.chain``) may span
-stripe boundaries; consecutive same-host slots group into *runs* and
-each run is one ``dp_exec`` — the server walks it with the same
-``ops.walk`` every prober uses and answers with the walk's outcome.
-``("continue",)`` hands the chain to the next run, exactly as the
-one-sided prober walks slot by slot.  A store whose run crosses a
-tombstone but not the chain's end (``("reusable",)``) cannot be
-decided on one host (the store rule: ``ops``) and falls back to the
-one-sided store.  A key the client holds a location hint for goes
-first as a one-slot run to the hinted slot's host, which answers it
-only on a hit; the runs follow on a miss.
 
 **Connection set-up.**  A handle that may run server-side connects
 at open (:meth:`DataPathRouter.connect`): every host's channel, and
@@ -75,7 +66,7 @@ class _FetchBuffer:
 
 
 class DataPathRouter:
-    """Plans and drives server-op / remote-fetch executions."""
+    """The server-op / remote-fetch transport of one client."""
 
     def __init__(self, client):
         self.client = client
@@ -96,11 +87,12 @@ class DataPathRouter:
         self._m_bytes_fetched = _m.counter("datapath.bytes_fetched",
                                            host=_host)
 
-    # -- metrics -------------------------------------------------------------
+    # -- transport -----------------------------------------------------------
 
-    # -- plumbing ------------------------------------------------------------
-
-    def _request(self, op: str, mapping, **fields) -> dict:
+    def request(self, op: str, mapping, **fields) -> dict:
+        """The ``dp_exec`` request for *op* on *mapping*'s region: the
+        envelope (region, shard, the shard epoch this client observed,
+        its RSan actor, no deposit) followed by the op's *fields*."""
         client = self.client
         req = {
             "op": op,
@@ -133,6 +125,41 @@ class DataPathRouter:
             return reply
         raise RStoreError("unreachable")  # pragma: no cover
 
+    def exec(self, host_id: int, request: dict, fetch: bool):
+        """One composite op against one host (generator), with the
+        optional deposit round trip folded in: with *fetch* the reply
+        comes back through the host's fetch buffer when it is usable."""
+        buf = None
+        if fetch:
+            buf = yield from self._fetch_acquire(host_id)
+            if buf is not None:
+                request = dict(request, deposit=(buf.addr, buf.capacity))
+        try:
+            reply = yield from self._call(host_id, request)
+            result = yield from self._collect(buf, reply)
+        finally:
+            self._fetch_release(buf)
+        return result
+
+    def drive(self, mapping, attempt, what: str):
+        """Run ``attempt()`` (a generator returning a reply) to a
+        settled reply (generator): a stale epoch refreshes the
+        descriptor and re-drives, a ``BUSY`` reply (a locked slot)
+        backs off and re-drives, both within the retry budget."""
+        self._busy_backoff.reset()
+        for _attempt in range(DATA_RETRY_LIMIT + _BUSY_BUDGET):
+            try:
+                reply = yield from attempt()
+            except StaleEpochError:
+                yield from self._refresh(mapping)
+                continue
+            if reply[0] != ops.BUSY:
+                return reply
+            self._m_busy_retries.inc()
+            yield from self._busy_backoff.pause()
+        raise RetryBudgetExceededError(
+            f"{what} kept racing writers or stale epochs")
+
     def _refresh(self, mapping):
         """Stale-epoch recovery (generator): learn the shard's current
         epoch, refetch the descriptor, and retarget the mapping."""
@@ -141,34 +168,11 @@ class DataPathRouter:
         meta.evict(mapping.name)
         mapping.desc = yield from self.client.lookup(mapping.name)
 
-    def _locate_slot(self, desc, slot_off: int, slot_size: int):
+    def locate(self, desc, slot_off: int, slot_size: int):
         """``(host_id, arena_addr)`` of one slot (never straddles)."""
         for stripe, within, _take in desc.locate(slot_off, slot_size):
             return stripe.host_id, stripe.addr + within
         raise RStoreError(f"offset {slot_off} outside region {desc.name!r}")
-
-    def _probe_runs(self, desc, store, base: int):
-        """The probe chain as maximal same-host runs ``(host_id, [(slot
-        offset, arena address), ...])``, in probe order — yielded
-        lazily, so a chain settled in its first run never locates the
-        slots past the next host change.  A slot never straddles a
-        stripe, so each stripe the chain enters is located once and its
-        slots' addresses follow by arithmetic."""
-        host_id, run = None, []
-        start = end = 0  # the located stripe's region offsets
-        for index in ops.chain(base, store.slots):
-            slot_off = index * store.slot_size
-            if not start <= slot_off < end:
-                stripe = desc.stripes[slot_off // desc.stripe_size]
-                start = stripe.index * desc.stripe_size
-                end = start + stripe.length
-                slot_host, shift = stripe.host_id, stripe.addr - start
-            if run and slot_host != host_id:
-                yield host_id, run
-                run = []
-            host_id = slot_host
-            run.append((slot_off, slot_off + shift))
-        yield host_id, run
 
     # -- connection set-up ---------------------------------------------------
 
@@ -207,7 +211,7 @@ class DataPathRouter:
             # Any other refusal (quota, capacity) is the real error.
             pass
         mapping = yield from client.map(name)
-        host_id, addr = self._locate_slot(mapping.desc, 0, size)
+        host_id, addr = self.locate(mapping.desc, 0, size)
         client.setup_events += 1
         buf = self._fetch_bufs[server_host] = _FetchBuffer(
             mapping, addr, size, usable=(host_id == server_host))
@@ -257,124 +261,3 @@ class DataPathRouter:
         self._m_remote_fetches.inc()
         self._m_bytes_fetched.inc(nbytes)
         return pickle.loads(bytes(blob))
-
-    def _exec(self, host_id: int, request: dict, fetch: bool):
-        """One composite op against one host (generator), with the
-        optional deposit round trip folded in."""
-        buf = None
-        if fetch:
-            buf = yield from self._fetch_acquire(host_id)
-            if buf is not None:
-                request = dict(request, deposit=(buf.addr, buf.capacity))
-        try:
-            reply = yield from self._call(host_id, request)
-            result = yield from self._collect(buf, reply)
-        finally:
-            self._fetch_release(buf)
-        return result
-
-    # -- kv operations -------------------------------------------------------
-
-    def _kv_runs(self, op: str, store, base: int, key: bytes, fetch: bool,
-                 fields: dict):
-        """Ship *op* to the key's hinted slot, if the client has one, as
-        a one-slot run to the host holding it, then — unless that
-        settled it — to the chain's runs in probe order (generator)
-        until one settles it; returns that run's reply, or the last
-        ``("continue",)`` when the probe window is exhausted.  The
-        server answers a hinted run only on a hit (``ops.walk``'s
-        *hint*), so a stale hint costs one round trip, never a wrong
-        answer."""
-        mapping, desc = store.mapping, store.mapping.desc
-
-        def request(slots, **hint):
-            return self._request(
-                op, mapping, key=key, **fields, slots=slots, **hint,
-                key_size=store.key_size, value_size=store.value_size,
-            )
-
-        index = store._hinted(key)
-        if index is not None:
-            slot_off = index * store.slot_size
-            host_id, addr = self._locate_slot(desc, slot_off,
-                                              store.slot_size)
-            reply = yield from self._exec(
-                host_id, request([], hint=(slot_off, addr)), fetch)
-            if reply[0] != ops.CONTINUE:
-                return reply
-        for host_id, slots in self._probe_runs(desc, store, base):
-            reply = yield from self._exec(host_id, request(slots), fetch)
-            if reply[0] != ops.CONTINUE:
-                break
-        return reply
-
-    def _drive(self, mapping, attempt, what: str):
-        """Run ``attempt()`` (a generator returning a reply) to a
-        settled reply (generator): a stale epoch refreshes the
-        descriptor and re-drives, a ``busy`` reply (a locked slot)
-        backs off and re-drives, both within the retry budget."""
-        self._busy_backoff.reset()
-        for _attempt in range(DATA_RETRY_LIMIT + _BUSY_BUDGET):
-            try:
-                reply = yield from attempt()
-            except StaleEpochError:
-                yield from self._refresh(mapping)
-                continue
-            if reply[0] != "busy":
-                return reply
-            self._m_busy_retries.inc()
-            yield from self._busy_backoff.pause()
-        raise RetryBudgetExceededError(
-            f"{what} kept racing writers or stale epochs")
-
-    def _kv_op(self, op: str, store, key: bytes, fetch: bool = False,
-               **fields):
-        """Drive one kv server-op over its probe runs (generator)."""
-        base = ops.hash64(key)
-        return self._drive(
-            store.mapping,
-            lambda: self._kv_runs(op, store, base, key, fetch, fields),
-            f"{op} of {key!r}")
-
-    def kv_get(self, store, key: bytes, fetch: bool = False):
-        """Server-side probe-chain lookup (generator).  A hit leaves the
-        client the key's slot and version, as a store does."""
-        reply = yield from self._kv_op("kv_get", store, key, fetch)
-        if reply[0] != ops.HIT:
-            store._found(key, reply[0], None, None)
-            return None
-        _hit, value, version, slot_off = reply
-        store._found(key, ops.HIT, slot_off // store.slot_size, version)
-        return value
-
-    def kv_put(self, store, key: bytes, value: bytes):
-        """Server-side probe-chain store (generator); ``False`` when the
-        probe window holds no reusable slot.  A store leaves the client
-        the key's slot and version, so its next get or write of the key
-        goes to that slot first."""
-        reply = yield from self._kv_op("kv_put", store, key, value=value)
-        if reply[0] == "reusable":
-            yield from store._put_one_sided(key, value)
-            return True
-        if reply[0] != "stored":
-            return False
-        _stored, version, slot_off = reply
-        store._hint(key, slot_off // store.slot_size, version)
-        return True
-
-    # -- counters ------------------------------------------------------------
-
-    def counter_burst(self, counter, deltas: list):
-        """A burst of FAA deltas applied server-side (generator);
-        returns the post-add values in delta order."""
-        mapping = counter.mapping
-
-        def attempt():
-            host_id, addr = self._locate_slot(mapping.desc, 0, ops.WORD)
-            request = self._request("counter_burst", mapping, addr=addr,
-                                    deltas=list(deltas))
-            return self._exec(host_id, request, fetch=False)
-
-        reply = yield from self._drive(
-            mapping, attempt, f"counter burst on {mapping.name!r}")
-        return reply[1]

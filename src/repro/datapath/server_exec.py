@@ -144,11 +144,12 @@ class ServerOpExecutor:
         return read
 
     def _kv_get(self, req: dict):
-        """One probe run of a lookup: ``("hit", value, version,
+        """One probe run of a lookup: ``(HIT, value, version,
         slot_off)`` — the version read and the slot's region offset,
-        which the client keeps as the key's location hint —
-        ``("busy",)`` or the walk's bare outcome.  A request's ``hint``
-        slot is tried first and answers only on a hit (``ops.walk``)."""
+        which the client keeps as the key's location hint — ``(BUSY,)``
+        or the walk's bare outcome (tags: :mod:`repro.datapath.ops`).
+        A request's ``hint`` slot is tried first and answers only on a
+        hit (``ops.walk``)."""
         key_size = req["key_size"]
         head = ops.WORD + ops.WORD + ops.pad(key_size)
         size = ops.slot_size(key_size, req["value_size"])
@@ -157,7 +158,7 @@ class ServerOpExecutor:
                 req["key"], req["slots"], self._reader(req, head),
                 hint=req.get("hint"))
         except _BusySlot:
-            return ("busy",)
+            return (ops.BUSY,)
         if outcome != ops.HIT:
             return (outcome,)
         # now pay for the value and re-validate — the CPU charge
@@ -166,20 +167,20 @@ class ServerOpExecutor:
         # consistent: no yield
         version, body = ops.split(self._snapshot(slot[1], size))
         if version != snapshot[0]:
-            return ("busy",)  # racing writer: caller re-drives
+            return (ops.BUSY,)  # racing writer: caller re-drives
         _len, _key, value = ops.parse_body(body, key_size)
         return (ops.HIT, value, version, slot[0])
 
     def _kv_put(self, req: dict):
         """One probe run of a store.
 
-        ``("stored", version, slot_off)`` when the run settles it into
+        ``(STORED, version, slot_off)`` when the run settles it into
         the slot ``ops.target`` names: the version published and the
         slot's region offset, which the client keeps as the key's
-        location hint.  ``("reusable",)`` when the run is exhausted but
+        location hint.  ``(REUSABLE,)`` when the run is exhausted but
         crossed a tombstone, which this host cannot decide (the store
-        rule: :mod:`repro.datapath.ops`).  Otherwise ``("busy",)`` or
-        ``("continue",)``.  A request's ``hint`` slot is tried first and
+        rule: :mod:`repro.datapath.ops`).  Otherwise ``(BUSY,)`` or
+        ``(CONTINUE,)``.  A request's ``hint`` slot is tried first and
         settles the store only on a hit (``ops.walk``).
         """
         key = req["key"]
@@ -190,9 +191,9 @@ class ServerOpExecutor:
                 key, req["slots"], self._reader(req, size),
                 hint=req.get("hint"))
         except _BusySlot:
-            return ("busy",)
+            return (ops.BUSY,)
         if walked[0] == ops.CONTINUE:
-            return ("reusable",) if walked[3] else (ops.CONTINUE,)
+            return (ops.REUSABLE,) if walked[3] else (ops.CONTINUE,)
         (slot_off, addr), _version = ops.target(walked, ())
         # claim this slot.  Charge the publish copy first (it yields),
         # then re-validate + write in one atomic block.
@@ -201,7 +202,7 @@ class ServerOpExecutor:
         cur_len, cur_key = ops.parse_key(body)
         if (cur_version % 2 == 1
                 or ops.classify(cur_len, cur_key, key) == ops.OTHER):
-            return ("busy",)  # locked, or a racer claimed it for another key
+            return (ops.BUSY,)  # locked, or a racer claimed it for another key
         new_version = cur_version + 2
         actor, region = req["actor"], req["region"]
         # lock + publish edges at the apply instant — identical to the
@@ -216,7 +217,7 @@ class ServerOpExecutor:
             new_version.to_bytes(ops.WORD, "little")
             + ops.encode_body(key, req["value"], key_size, value_size),
         )
-        return ("stored", new_version, slot_off)
+        return (ops.STORED, new_version, slot_off)
 
     # -- counters ------------------------------------------------------------
 

@@ -14,6 +14,21 @@ never-used one that ends the chain in the same round trip.  The slot
 layout, tombstones and the probe protocol — chain order, slot classes,
 the store rule — live in :mod:`repro.datapath.ops`; this module
 supplies the one-sided slot readers and the lock/publish steps.
+
+**Probe-run segmentation.**  A handle on a server-side path drives
+its own probe over the router's transport
+(:class:`~repro.datapath.router.DataPathRouter`).  A probe chain
+(``ops.chain``) may span stripe boundaries; consecutive same-host
+slots group into *runs* and each run is one ``dp_exec`` — the server
+walks it with the same ``ops.walk`` every prober uses and answers
+with the walk's outcome.  ``ops.CONTINUE`` hands the chain to the
+next run, exactly as the one-sided prober walks slot by slot.  A
+store whose run crosses a tombstone but not the chain's end
+(``ops.REUSABLE``) cannot be decided on one host (the store rule) and
+falls back to the one-sided store.  A key the client holds a location
+hint for goes first as a one-slot run to the hinted slot's host,
+which answers it only on a hit (``ops.walk``'s *hint*: a stale hint
+costs a round trip, never a wrong answer); the runs follow on a miss.
 """
 
 from __future__ import annotations
@@ -260,6 +275,62 @@ class RKVStore:
         return [snap and (snap[0], *ops.parse_body(snap[1], self.key_size))
                 for snap in found]
 
+    def _probe_runs(self, desc, base: int):
+        """The probe chain from hash *base* as maximal same-host runs
+        ``(host_id, [(slot offset, arena address), ...])``, in probe
+        order — yielded lazily, so a chain settled in its first run
+        never locates the slots past the next host change.  A slot
+        never straddles a stripe, so each stripe the chain enters is
+        located once and its slots' addresses follow by arithmetic."""
+        host_id, run = None, []
+        start = end = 0  # the located stripe's region offsets
+        for index in ops.chain(base, self.slots):
+            slot_off = index * self.slot_size
+            if not start <= slot_off < end:
+                stripe = desc.stripes[slot_off // desc.stripe_size]
+                start = stripe.index * desc.stripe_size
+                end = start + stripe.length
+                slot_host, shift = stripe.host_id, stripe.addr - start
+            if run and slot_host != host_id:
+                yield host_id, run
+                run = []
+            host_id = slot_host
+            run.append((slot_off, slot_off + shift))
+        yield host_id, run
+
+    def _server_op(self, op: str, key: bytes, fetch: bool, **fields):
+        """Drive server-side *op* of *key* to a settled reply
+        (generator): the hinted run, then the probe runs until one
+        settles it (the last ``ops.CONTINUE`` when none does).  The
+        router re-drives an attempt a busy slot or a stale epoch ended."""
+        router = self.client.datapath
+        mapping = self.mapping
+        base = ops.hash64(key)
+
+        def request(slots, **hint):
+            return router.request(
+                op, mapping, key=key, **fields, slots=slots, **hint,
+                key_size=self.key_size, value_size=self.value_size,
+            )
+
+        def attempt():
+            desc = mapping.desc
+            index = self._hinted(key)
+            if index is not None:
+                slot_off = index * self.slot_size
+                host_id, addr = router.locate(desc, slot_off, self.slot_size)
+                reply = yield from router.exec(
+                    host_id, request([], hint=(slot_off, addr)), fetch)
+                if reply[0] != ops.CONTINUE:
+                    return reply
+            for host_id, slots in self._probe_runs(desc, base):
+                reply = yield from router.exec(host_id, request(slots), fetch)
+                if reply[0] != ops.CONTINUE:
+                    break
+            return reply
+
+        return router.drive(mapping, attempt, f"{op} of {key!r}")
+
     # -- the API -------------------------------------------------------------------
 
     def txn(self, label: str = None, retries: int = None):
@@ -289,8 +360,14 @@ class RKVStore:
         if mode == PathPolicy.ONE_SIDED:
             yield from self._put_one_sided(key, value)
         else:
-            stored = yield from self.client.datapath.kv_put(self, key, value)
-            if not stored:
+            reply = yield from self._server_op("kv_put", key, False,
+                                               value=value)
+            if reply[0] == ops.REUSABLE:  # no one host can rank it
+                yield from self._put_one_sided(key, value)
+            elif reply[0] == ops.STORED:  # hint the slot it published
+                _stored, version, slot_off = reply
+                self._hint(key, slot_off // self.slot_size, version)
+            else:
                 raise KvFullError()
         self._selector.done("put", mode, token)
 
@@ -382,9 +459,13 @@ class RKVStore:
                 value = snapshot[3]
             self._found(key, outcome, index, snapshot and snapshot[0])
         else:
-            value = yield from self.client.datapath.kv_get(
-                self, key, fetch=(mode == PathPolicy.REMOTE_FETCH)
-            )
+            reply = yield from self._server_op(
+                "kv_get", key, mode == PathPolicy.REMOTE_FETCH)
+            value = index = version = None
+            if reply[0] == ops.HIT:
+                _hit, value, version, slot_off = reply
+                index = slot_off // self.slot_size
+            self._found(key, reply[0], index, version)
         self._selector.done("get", mode, token)
         return value
 

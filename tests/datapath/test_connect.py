@@ -14,7 +14,7 @@ from repro.core import RStoreConfig
 from repro.kv.hashkv import RKVStore
 from repro.rdma.cm import ConnectError
 from repro.simnet.config import KiB, MiB
-from tests.probes import host_count
+from tests.probes import create_table, host_count
 
 SERVERS = [2, 3, 4, 5]
 
@@ -123,5 +123,27 @@ def test_a_dial_to_a_dead_host_fails_the_open():
             yield from RKVStore.open(client, "doomed",
                                      path_policy="server_op")
         assert SERVERS[-1] not in client._mem_rpc.clients
+
+    cluster.run_app(app())
+
+
+def test_concurrent_cold_first_ops_count_one_set_up_per_dial():
+    # a handle built without its open's connect dials at its first op;
+    # three racing gets share that one channel dial, and at the parent
+    # each of them counted it: setup_events moved by 3
+    cluster = build_cluster(num_machines=2,
+                            config=RStoreConfig(stripe_size=64 * KiB),
+                            server_capacity=64 * MiB)
+    client = cluster.client(1)
+
+    def app():
+        store = yield from create_table(client, "cold", slots=64,
+                                        key_size=16, value_size=64,
+                                        path_policy="server_op")
+        dials, setup = cluster.cm.connections, client.setup_events
+        yield cluster.sim.all_of([cluster.sim.process(store.get(b"k%d" % i))
+                                  for i in range(3)])
+        assert cluster.cm.connections - dials == 1
+        assert client.setup_events - setup == 1
 
     cluster.run_app(app())

@@ -150,11 +150,10 @@ def test_probe_runs_cover_the_window_in_order_and_split_by_host():
     def app():
         store = yield from RKVStore.create(client, "striped", slots=400,
                                            key_size=16, value_size=64)
-        router = client.datapath
         desc = store.mapping.desc
         multi = 0
         for base in range(0, 400, 7):
-            runs = list(router._probe_runs(desc, store, base))
+            runs = list(store._probe_runs(desc, base))
             flat = [off for _host, slots in runs for off, _addr in slots]
             expected = [((base + p) % store.slots) * store.slot_size
                         for p in range(ops.PROBE_LIMIT)]
@@ -203,12 +202,11 @@ def test_store_with_a_tombstone_on_an_earlier_host_finds_the_key_behind_it():
         store = yield from create_table(client, "behind", slots=400,
                                         key_size=16, value_size=64,
                                         path_policy="server_op")
-        router = client.datapath
         key, first_run = next(
             (key, runs[0][1])
             for key in (b"k%d" % i for i in range(10_000))
-            for runs in [list(router._probe_runs(store.mapping.desc, store,
-                                                 ops.hash64(key)))]
+            for runs in [list(store._probe_runs(store.mapping.desc,
+                                                ops.hash64(key)))]
             if len(runs) > 1
         )
         fillers = [home_key(slot_off // store.slot_size, store.slots)
@@ -243,8 +241,12 @@ def test_a_server_op_store_leaves_a_one_sided_put_two_round_trips():
         store = yield from RKVStore.create(client, "refreshed", slots=64,
                                            key_size=16, value_size=64)
         yield from store.put(b"warm", b"w")  # dial the QP, stage once
+        # a second handle of this client, on the server-side path: the
+        # two share the client's location hints
+        server_side = yield from RKVStore.open(client, "refreshed",
+                                               path_policy="server_op")
         shipped = count_all(cluster, "datapath.server_ops")
-        assert (yield from client.datapath.kv_put(store, b"k", b"v1"))
+        yield from server_side.put(b"k", b"v1")  # KvFullError unless stored
         assert count_all(cluster, "datapath.server_ops") == shipped + 1
         bells, wrs = nic.doorbells_rung, nic.ops_posted
         yield from store.put(b"k", b"v2")

@@ -28,10 +28,9 @@ def fresh_cluster(**overrides):
 
 def _owner(cluster, client, store, key):
     """The (server, request-skeleton) pair for *key*'s first probe run."""
-    router = client.datapath
-    host_id, slots = next(router._probe_runs(store.mapping.desc, store,
-                                             ops.hash64(key)))
-    request = router._request(
+    host_id, slots = next(store._probe_runs(store.mapping.desc,
+                                            ops.hash64(key)))
+    request = client.datapath.request(
         "kv_get", store.mapping, key=key, slots=slots,
         key_size=store.key_size, value_size=store.value_size,
     )
@@ -171,9 +170,8 @@ def test_counter_burst_applies_in_order_and_wraps():
         from repro.coord.counter import AtomicCounter
         ctr = yield from AtomicCounter.create(client, "wrap",
                                               path_policy="server_op")
-        router = client.datapath
         near_top = (1 << 64) - 3
-        values = yield from router.counter_burst(ctr, [near_top, 5])
+        values = yield from ctr.add_burst([near_top, 5])
         assert values == [near_top, 2]  # wrapped at 2^64 like the FAA unit
         # and the word is durably the wrapped value for one-sided readers
         value = yield from ctr.read()
