@@ -1,8 +1,13 @@
 """Host memory and registered memory regions.
 
-Data is real: buffers hold ``bytearray`` blocks, one-sided operations
+Data is real: buffers hold 64 KiB blocks of bytes, one-sided operations
 move actual bytes between them, and applications above RStore compute
-bit-exact results through the simulated fabric.
+bit-exact results through the simulated fabric.  One sharing rule keeps
+the host from copying what the simulated system never copies: a block
+whose bytes cannot change is shared read-only, not copied — a whole
+block a :class:`Snapshot` takes (its buffer copies it before writing
+to it again), and a whole, aligned block of an immutable ``bytes``
+payload that :meth:`Buffer.write` stores.
 
 Each host owns a :class:`HostMemory` with a page-aligned bump allocator
 handing out *addresses* in a host-private virtual address space; a
@@ -79,10 +84,15 @@ class Buffer:
     never written reads as zeros, like fresh DRAM, so a multi-GiB arena
     costs nothing until it is used.  A block stores its bytes up to the
     highest one written so far and reads as zeros past that, so a 300 B
-    message in a 64 KiB ring slot holds 300 B.  A block a
-    :class:`Snapshot` shares, or one landed from a snapshot, is full
-    length and held read-only: the next write to it replaces it (a
-    whole-block write) or copies it first (a partial one).
+    message in a 64 KiB ring slot holds 300 B.
+
+    A block whose bytes cannot change is shared read-only, always full
+    length: one a :class:`Snapshot` shares or landed, and one adopted
+    from an immutable payload.  The next write to it replaces it (a
+    whole-block write) or copies it first (a partial one).  An adopted
+    block keeps its payload's ``bytes`` object alive only until that
+    block is overwritten, and a payload never pins more than its own
+    length: a view of part of a larger ``bytes`` object is copied.
     """
 
     __slots__ = ("addr", "host_id", "_length", "_blocks")
@@ -91,9 +101,10 @@ class Buffer:
         self.addr = addr
         self.host_id = host_id
         self._length = length
-        #: block number -> view of that block's bytearray, at most BLOCK
-        #: long; read-only, and then BLOCK long, while a snapshot or
-        #: another buffer may share it
+        #: block number -> view of that block's storage, at most BLOCK
+        #: long: its own bytearray, or read-only and BLOCK long while it
+        #: is shared with a snapshot, another buffer or a ``bytes``
+        #: payload
         self._blocks: dict[int, memoryview] = {}
 
     def __len__(self) -> int:
@@ -153,9 +164,12 @@ class Buffer:
         """Store *payload* — bytes-like, or a snapshot to land — at
         *offset*.
 
-        A snapshot's whole block that lands on a whole block is adopted,
-        not copied: it stays read-only on both sides until either one
+        A whole block of an immutable payload, or of a snapshot, that
+        lands on a whole block is adopted, not copied: it stays
+        read-only until this buffer (or, for a snapshot, its source)
         writes to it, and a never-written one leaves no block at all.
+        A mutable payload (``bytearray``, a view of one, an array) and
+        every block edge are copied.
         """
         length = len(payload)
         self._check("write", offset, length)
@@ -187,13 +201,20 @@ class Buffer:
             offset += take
 
     def _copy(self, offset: int, data) -> None:
-        """Copy the bytes-like *data* in at *offset*, block by block."""
+        """Store the bytes-like *data* at *offset*, block by block: a
+        whole block of all of one ``bytes`` object is adopted, the rest
+        copied."""
         blocks = self._blocks
         view = memoryview(data)
+        frozen = (type(view.obj) is bytes and view.c_contiguous
+                  and view.nbytes == len(view.obj))
         start = 0
         for n, o, t in _pieces(offset, len(view)):
             piece = view[start : start + t]
             start += t
+            if t == BLOCK and frozen:  # cannot change: shared, not copied
+                blocks[n] = piece
+                continue
             block = blocks.get(n)
             if block is None or len(block) < o + t or block.readonly:
                 if t == BLOCK:  # the copy is the new block

@@ -13,6 +13,7 @@ held to a (doorbells, WRs, round trips) floor by what its client knows
 of the key's slot: a hinted get is one round trip at any chain depth.
 """
 
+import contextlib
 import functools
 import tracemalloc
 
@@ -204,22 +205,29 @@ def test_each_kv_op_costs_its_floor_by_hint_state():
     assert {row: posted[row] for row in _KV_FLOOR} == _KV_FLOOR
 
 
+@contextlib.contextmanager
+def _peak(peaks, name):
+    """Record in *peaks* the bytes newly held at most inside the block."""
+    tracemalloc.start()
+    try:
+        yield
+        peaks[name] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @functools.cache
 def _copy_peaks():
     """Peak bytes newly held during one warm 1 MiB ``read_into`` and one
-    ``write_from``: QP dialled, every block at both ends written, and
-    the remote blocks still shared with the last READ's snapshot."""
+    ``write_from`` (QP dialled, every block at both ends written, and
+    the remote blocks still shared with the last READ's snapshot), and
+    during one warm 1 MiB ``Mapping.write`` and ``Buffer.write`` of a
+    ``bytes`` and of a ``bytearray`` payload; for the ``bytearray``,
+    also whether both copies kept what it held when written, once it
+    changed."""
     cluster = build_cluster(num_machines=2, server_hosts=[0])
     client = cluster.client(1)
     peaks = {}
-
-    def measured(name, op):
-        tracemalloc.start()
-        try:
-            yield from op
-            peaks[name] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
     def app():
         region = yield from client.alloc("copies", MiB)
@@ -228,10 +236,21 @@ def _copy_peaks():
         local.buffer.write(0, b"c" * MiB)
         yield from mapping.write_from(local, local.addr, 0, MiB)
         yield from mapping.read_into(local, local.addr, 0, MiB)
-        yield from measured("read_into",
-                            mapping.read_into(local, local.addr, 0, MiB))
-        yield from measured("write_from",
-                            mapping.write_from(local, local.addr, 0, MiB))
+        with _peak(peaks, "read_into"):
+            yield from mapping.read_into(local, local.addr, 0, MiB)
+        with _peak(peaks, "write_from"):
+            yield from mapping.write_from(local, local.addr, 0, MiB)
+        for kind in (bytes, bytearray):
+            payload = kind(b"w" * MiB)
+            yield from mapping.write(0, payload)  # the staging blocks too
+            with _peak(peaks, f"Mapping.write {kind.__name__}"):
+                yield from mapping.write(0, payload)
+            with _peak(peaks, f"Buffer.write {kind.__name__}"):
+                local.buffer.write(0, payload)
+        payload[:] = b"v" * MiB
+        peaks["bytearray kept"] = (
+            (yield from mapping.read(0, MiB)) == local.buffer.read(0, MiB)
+            == b"w" * MiB)
 
     cluster.run_app(app())
     return peaks
@@ -245,6 +264,25 @@ def test_a_one_sided_transfer_copies_its_bytes_once():
     # the WRITE's snapshot shares the local blocks and the remote buffer
     # adopts them in turn (copying them there measured 1.01 MiB)
     assert peaks["write_from"] < 64 * KiB, peaks
+
+
+def test_a_bytes_write_copies_none_of_its_bytes():
+    peaks = _copy_peaks()
+    # the staging buffer adopts the payload's blocks and the WRITE
+    # shares them on to the remote buffer (the staging copy measured
+    # 1.01 MiB, and so did a direct write)
+    assert peaks["Mapping.write bytes"] < 64 * KiB, peaks
+    assert peaks["Buffer.write bytes"] < 64 * KiB, peaks
+
+
+def test_a_bytearray_write_copies_its_bytes_once():
+    peaks = _copy_peaks()
+    # the caller may change a bytearray later: one copy, at the first
+    # buffer (into its blocks, or into new ones where they are shared),
+    # and the transfer shares that copy on
+    for name in ("Mapping.write bytearray", "Buffer.write bytearray"):
+        assert peaks[name] < MiB + 64 * KiB, peaks
+    assert peaks["bytearray kept"], peaks
 
 
 def test_an_rpc_ring_holds_what_its_messages_carried():

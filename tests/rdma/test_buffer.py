@@ -1,10 +1,13 @@
-"""Buffer: lazy 64 KiB blocks, and snapshots that share them copy-on-write."""
+"""Buffer: lazy 64 KiB blocks, and snapshots and immutable payloads that
+share them copy-on-write."""
+
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.rdma.memory import BLOCK, Buffer, HostMemory, Snapshot
+from repro.rdma.memory import _ZERO_BLOCK, BLOCK, Buffer, HostMemory, Snapshot
 from repro.rdma.types import RdmaError
 from repro.simnet.config import GiB, MiB
 from tests.probes import materialized_bytes, snapshot_bytes
@@ -216,6 +219,43 @@ def test_a_never_written_part_leaves_no_block():
         b"yy" + bytes(2 * BLOCK + 10) + b"yy")
 
 
+def test_a_bytes_write_adopts_its_whole_blocks_until_they_are_overwritten():
+    buf = Buffer(0, 4 * BLOCK, host_id=0)
+    payload = b"head" + bytes(range(256)) * (3 * BLOCK // 256)
+    pins = sys.getrefcount(payload)
+    buf.write(BLOCK - 4, payload)  # an edge, then blocks 1, 2 and 3 whole
+    adopted = [buf._blocks[n] for n in (1, 2, 3)]
+    assert all(block.obj is payload and block.readonly for block in adopted)
+    assert buf._blocks[0].obj is not payload  # the edge is a copy
+    assert buf.read(BLOCK - 4, len(payload)) == payload
+    snap = buf.snapshot(2 * BLOCK, BLOCK)  # a snapshot shares it as is
+    assert snap.parts[0].obj is payload
+    body = payload[4:]
+    del adopted, snap
+    buf.write(BLOCK + 5, b"x")  # partial: copied first
+    buf.write(2 * BLOCK, b"y" * BLOCK)  # whole: replaced
+    assert sys.getrefcount(payload) > pins  # block 3 still views it
+    buf.write(3 * BLOCK, bytearray(b"z" * BLOCK))
+    assert all(block.obj is not payload for block in buf._blocks.values())
+    assert sys.getrefcount(payload) == pins  # no view of it is left
+    assert buf.read(BLOCK, 3 * BLOCK) == (
+        body[:5] + b"x" + body[6:BLOCK] + b"y" * BLOCK + b"z" * BLOCK)
+
+
+def test_a_mutable_payload_or_part_of_a_larger_bytes_is_copied():
+    mutable = bytearray(b"m" * BLOCK)
+    larger = b"p" * (2 * BLOCK)  # adopting a part would pin all of it
+    payloads = [mutable, memoryview(mutable),
+                memoryview(mutable).toreadonly(), memoryview(larger)[:BLOCK]]
+    buf = Buffer(0, 4 * BLOCK, host_id=0)
+    for n, payload in enumerate(payloads):
+        buf.write(n * BLOCK, payload)
+        assert buf._blocks[n].obj is not mutable
+        assert buf._blocks[n].obj is not larger
+    mutable[:] = b"n" * BLOCK
+    assert buf.read(0, 4 * BLOCK) == b"m" * (3 * BLOCK) + b"p" * BLOCK
+
+
 _SIZE = 5 * BLOCK + 123
 _EDGES = [k * BLOCK for k in range(6)]
 _offsets = st.one_of(st.integers(0, _SIZE), st.sampled_from(_EDGES))
@@ -237,7 +277,15 @@ _ops = st.one_of(
     # land at the snapshot's own alignment, this many blocks away
     st.tuples(st.just("land aligned"), st.integers(0, 1),
               st.integers(-4, 4), st.integers(0, 1000)),
+    # whole blocks of bytes from this block on: adopted, not copied
+    st.tuples(st.just("whole bytes"), st.integers(0, 1), st.integers(0, 4),
+              st.integers(1, 3), st.integers(0, 255)),
+    # a mutable payload the caller changes right after the write
+    st.tuples(st.sampled_from(["bytearray", "read-only view"]),
+              st.integers(0, 1), _offsets, _lengths, st.integers(0, 255)),
 )
+_PATTERN = bytes(range(256))
+_FLIP = bytes(255 - b for b in range(256))
 
 
 @settings(max_examples=150, deadline=None)
@@ -246,7 +294,8 @@ def test_snapshots_hold_their_instant_against_a_bytearray_reference(ops):
     """Property: two buffers behave exactly like two bytearrays, and
     every snapshot keeps the bytes of the instant it was taken, whatever
     is written or landed afterwards — on either buffer, over blocks a
-    landing adopted."""
+    landing or a ``bytes`` write adopted — and a write holds what it
+    was given, whatever the caller does to a mutable payload after."""
     bufs = [Buffer(0, _SIZE, host_id=0), Buffer(0, _SIZE, host_id=1)]
     refs = [bytearray(_SIZE), bytearray(_SIZE)]
     taken = []  # (snapshot, the reference bytes at its instant, offset)
@@ -259,6 +308,25 @@ def test_snapshots_hold_their_instant_against_a_bytearray_reference(ops):
                 continue
             buf.write(offset, payload)
             ref[offset:offset + len(payload)] = payload
+        elif op == "whole bytes":
+            first, (count, turn) = offset, rest
+            if first + count > _SIZE // BLOCK:
+                continue
+            payload = (_PATTERN[turn:] + _PATTERN[:turn]) * (
+                count * BLOCK // len(_PATTERN))
+            buf.write(first * BLOCK, payload)
+            ref[first * BLOCK:(first + count) * BLOCK] = payload
+            for n in range(first, first + count):
+                assert buf._blocks[n].obj is payload
+        elif op in ("bytearray", "read-only view"):
+            length, fill = rest
+            if offset + length > _SIZE:
+                continue
+            payload = bytearray([fill]) * length
+            buf.write(offset, payload if op == "bytearray"
+                      else memoryview(payload).toreadonly())
+            ref[offset:offset + length] = payload
+            payload[:] = payload.translate(_FLIP)  # what was written holds
         elif op == "snapshot":
             length = rest[0]
             if offset + length > _SIZE:
@@ -286,7 +354,7 @@ def test_snapshots_hold_their_instant_against_a_bytearray_reference(ops):
                 for part in snap.parts:
                     if len(part) == BLOCK:  # adopted, or no block at all
                         block = buf._blocks.get(pos // BLOCK)
-                        never_written = type(part.obj) is bytes
+                        never_written = part is _ZERO_BLOCK
                         assert (block is None if never_written
                                 else block.obj is part.obj)
                     pos += len(part)
