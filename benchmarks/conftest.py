@@ -80,14 +80,20 @@ def claim(benchmark, text: str, *, paper, measured: float,
 def no_setup(*clients):
     """Guard a timed window: assert that none of *clients* did set-up
     work inside the ``with`` block — no QP or memory-service channel
-    dial, no fetch-buffer open (``RStoreClient.setup_events``).  The
-    paper's data path pays set-up at ``map`` and open, never in the
-    steady state a rate or latency row claims to time."""
-    before = [client.setup_events for client in clients]
+    dial, no fetch-buffer open (``RStoreClient.setup_events``) — or
+    called the master (``RStoreClient.master_calls``).  The paper's
+    data path pays set-up at ``map`` and open and leaves the master out
+    of the steady state a rate or latency row claims to time."""
+    def held():
+        return [(client.setup_events, client.master_calls)
+                for client in clients]
+
+    before = held()
     yield
-    after = [client.setup_events for client in clients]
+    after = held()
     assert after == before, (
-        f"set-up inside a timed window: setup_events {before} -> {after}")
+        f"set-up or a master call inside a timed window: "
+        f"(setup_events, master_calls) {before} -> {after}")
 
 
 def fmt_us(seconds: float) -> str:

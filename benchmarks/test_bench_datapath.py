@@ -53,10 +53,7 @@ SEED = 7
 
 
 def _config():
-    # probe_every=64 keeps the adaptive tax low once settled: probing a
-    # 6x-slower mode every 32 ops would alone cost ~8% in the cells
-    # with the widest mode spread
-    return RStoreConfig(stripe_size=64 * KiB, datapath_probe_every=64)
+    return RStoreConfig(stripe_size=64 * KiB)
 
 
 def run_get_cell(policy: str, value_size: int, theta: float) -> dict:

@@ -80,7 +80,7 @@ class AtomicCounter:
         deltas = list(deltas)
         if not deltas:
             return []
-        mode, token = self._selector.pick("burst")
+        mode = self._selector.pick("burst", len(deltas), False)
         if mode == PathPolicy.ONE_SIDED:
             values = []
             for delta in deltas:
@@ -99,7 +99,6 @@ class AtomicCounter:
             reply = yield from router.drive(
                 mapping, attempt, f"counter burst on {mapping.name!r}")
             values = reply[1]
-        self._selector.done("burst", mode, token)
         return values
 
     def read(self):

@@ -62,9 +62,6 @@ class RStoreConfig:
     #: arena space; tenants absent from the dict are unlimited.  Each
     #: shard enforces an even share (see ``core/shard.py``).
     tenant_quota_bytes: Optional[dict[str, int]] = field(default=None)
-    #: adaptive selector: every Nth op per class re-samples a
-    #: non-current mode so regime shifts are eventually observed
-    datapath_probe_every: int = 32
 
     #: service ids on the fabric
     master_service: str = "rstore-master"
@@ -80,8 +77,6 @@ class RStoreConfig:
             raise ValueError("recovery_grace_s cannot be negative")
         if self.control_shards < 1:
             raise ValueError("control_shards must be at least 1")
-        if self.datapath_probe_every < 2:
-            raise ValueError("datapath_probe_every must be at least 2")
         if self.tenant_quota_bytes is not None:
             for tenant, quota in self.tenant_quota_bytes.items():
                 if not tenant or "/" in tenant:

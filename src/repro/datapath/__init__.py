@@ -6,8 +6,8 @@ contention, and RFP shows server-computes/client-fetches beats both
 for some shapes.  This package adds the two missing substrates and the
 per-mapping policy that picks between them:
 
-* :mod:`repro.datapath.policy` — :class:`PathPolicy` and the
-  deterministic :class:`AdaptiveSelector`.
+* :mod:`repro.datapath.policy` — :class:`PathPolicy`, the op × mode
+  matrix and the :class:`ModeChooser` that predicts each op's mode.
 * :mod:`repro.datapath.ops` — the slot codec shared with ``repro.kv``.
 * :mod:`repro.datapath.server_exec` — the server-side executor
   (``dp_exec`` handler); imported by :mod:`repro.core.server` only.
@@ -20,6 +20,6 @@ This module re-exports only the dependency-free pieces so importing
 """
 
 from repro.datapath.ops import slot_size
-from repro.datapath.policy import AdaptiveSelector, PathPolicy
+from repro.datapath.policy import PathPolicy
 
-__all__ = ["PathPolicy", "AdaptiveSelector", "slot_size"]
+__all__ = ["PathPolicy", "slot_size"]

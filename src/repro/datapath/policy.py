@@ -15,21 +15,26 @@ Three concrete modes plus the adaptive chooser:
   CPU-charged) message channel.
 
 :data:`ALLOWED_MODES` is the op × mode matrix, declared here and
-nowhere else.  :class:`AdaptiveSelector` implements ``adaptive``: a
-per-op-class EWMA of observed latency per mode, with deterministic
-round-robin probing and hysteresis + patience so the choice cannot
-flap on noise.  It draws no randomness (repro-lint RL002: seeded
-replay must hold).  :class:`ModeChooser` is what a data structure
-holds: the selector bound to one handle's client, policy and payload
-sizes, which also takes the measurement.
+nowhere else.  :class:`ModeChooser` is what a data structure holds:
+one handle's candidate modes per op and, under ``adaptive``, the
+choice among them.  It predicts instead of measuring: each op runs on
+the mode whose idle latency :meth:`ModeChooser.estimate` puts lowest,
+given what the client knows before it sends — the op, the slots its
+walk expects to read, whether the key's last lookup missed, and the
+handle's sizes — and the declared cost constants (``NicModel``, the
+fabric's link and switch delays and link rate, RPC dispatch, CPU
+copies).  It keeps no statistics and draws no randomness (repro-lint
+RL002).
 """
 
 from __future__ import annotations
 
+from repro.datapath.ops import WORD, pad
 from repro.rpc.channel import MSG_SIZE
+from repro.rpc.endpoint import DISPATCH_CPU_S
 from repro.simnet.config import KiB
 
-__all__ = ["PathPolicy", "ALLOWED_MODES", "AdaptiveSelector", "ModeChooser"]
+__all__ = ["PathPolicy", "ALLOWED_MODES", "ModeChooser"]
 
 
 class PathPolicy:
@@ -78,149 +83,38 @@ ALLOWED_MODES = {
 #: what the pickled ``dp_exec`` request adds around an op's payload —
 #: op fields, region name, a full 16-slot probe run; ~0.4 KiB measured
 _ENVELOPE = 1 * KiB
+#: what a pickled ``dp_exec`` request or reply carries around its
+#: payload as the estimate counts it — call id, op fields, region name:
+#: 0.12 KiB for a reply, 0.26-0.45 KiB for a request, measured
+_MESSAGE = KiB // 4
 #: size of each per-(client, server) remote-fetch deposit buffer; a
 #: table whose slots outgrow it is refused the ``remote_fetch`` policy,
 #: and ``adaptive`` stops considering that mode for it
 FETCH_BYTES = 256 * KiB
 
 
-class _ClassState:
-    """Selector state for one op class (a row of the matrix)."""
-
-    __slots__ = ("ewma", "samples", "current", "streak", "count",
-                 "probe_cursor")
-
-    def __init__(self):
-        #: mode -> smoothed latency (seconds); absent = never sampled
-        self.ewma: dict[str, float] = {}
-        #: mode -> warm samples folded in (drives bias correction)
-        self.samples: dict[str, int] = {}
-        self.current: str | None = None
-        self.streak = 0
-        self.count = 0
-        self.probe_cursor = 0
-
-
-class AdaptiveSelector:
-    """Deterministic per-op-class mode chooser with hysteresis.
-
-    ``choose`` returns the mode to run the next op on; ``observe``
-    feeds the measured latency back.  Cold start samples every mode
-    once (in a fixed order); afterwards the current best-by-EWMA mode
-    serves, with every ``probe_every``-th op per class re-sampling a
-    non-current mode round-robin so a regime shift is eventually seen.
-    A switch requires :attr:`PATIENCE` consecutive observations in which
-    some other mode beats the current one by more than
-    :attr:`HYSTERESIS` (relative) — flapping between near-equal modes
-    is impossible.
-    """
-
-    #: a challenger must beat the current mode by this fraction ...
-    HYSTERESIS = 0.2
-    #: ... on this many observations in a row before the mode switches
-    PATIENCE = 3
-    #: EWMA weight of a new sample once a mode has more than 1/ALPHA
-    ALPHA = 0.3
-
-    def __init__(self, probe_every: int):
-        self.probe_every = probe_every
-        self.switches = 0
-        self._classes: dict[str, _ClassState] = {}
-
-    def _state(self, op_class: str) -> _ClassState:
-        st = self._classes.get(op_class)
-        if st is None:
-            st = self._classes[op_class] = _ClassState()
-        return st
-
-    def choose(self, op_class: str, allowed: tuple) -> str:
-        """The mode of *allowed* the next *op_class* operation runs on."""
-        st = self._state(op_class)
-        st.count += 1
-        for mode in allowed:
-            if mode not in st.ewma:
-                return mode  # cold start: sample each mode once
-        if st.current is None or st.current not in allowed:
-            st.current = min(allowed, key=lambda m: st.ewma[m])
-        if st.count % self.probe_every == 0 and len(allowed) > 1:
-            others = [m for m in allowed if m != st.current]
-            probe = others[st.probe_cursor % len(others)]
-            st.probe_cursor += 1
-            return probe
-        return st.current
-
-    def observe(self, op_class: str, mode: str, latency_s: float,
-                cold: bool) -> None:
-        """Feed one observed end-to-end latency back into the EWMA.
-
-        A *cold* observation — the op paid set-up: a redial after a
-        channel died, or a channel or fetch buffer for a host a remap
-        added (a handle connects its hosts at open,
-        :meth:`ModeChooser.connect`) — is discarded: the selector ranks
-        steady-state data-path cost, and a sample inflated by set-up
-        would poison a mode's EWMA for hundreds of operations.  A mode
-        whose cold-start sample is dropped simply stays unsampled and
-        is chosen again.
-        """
-        if cold:
-            return
-        st = self._state(op_class)
-        prev = st.ewma.get(mode)
-        n = st.samples.get(mode, 0) + 1
-        st.samples[mode] = n
-        # bias-corrected smoothing: the first few samples average as a
-        # true mean (1/n weight) instead of letting sample #1 dominate
-        # the estimate — a single deep-chain or contended op must not
-        # misrank a mode for hundreds of operations
-        alpha = max(self.ALPHA, 1.0 / n)
-        st.ewma[mode] = (latency_s if prev is None
-                         else prev + alpha * (latency_s - prev))
-        if st.current is None:
-            if all(m in st.ewma for m in PathPolicy.MODES):
-                st.current = min(PathPolicy.MODES, key=lambda m: st.ewma[m])
-            return
-        best = min(st.ewma, key=lambda m: st.ewma[m])
-        cur = st.ewma.get(st.current)
-        if (best != st.current and cur is not None
-                and st.ewma[best] < cur * (1 - self.HYSTERESIS)):
-            st.streak += 1
-            if st.streak >= self.PATIENCE:
-                st.current = best
-                st.streak = 0
-                self.switches += 1
-        else:
-            st.streak = 0
-
-
-class ModeChooser(AdaptiveSelector):
+class ModeChooser:
     """The per-op mode choice of one client handle (a table, a counter).
 
     *sizes* maps an op to the largest ``(request, reply)`` payload
-    bytes the handle sends and gets back (absent: negligible).  Of each
-    row of :data:`ALLOWED_MODES` only the modes whose transport fits
-    are kept: a server-side request rides the RPC channel, the reply
-    rides it too (``server_op``) or the fetch buffer
-    (``remote_fetch``); one-sided IO carries anything.  A fixed policy
-    one of whose ops does not fit raises ``ValueError`` here, before
-    the first op; ``adaptive`` chooses among what is left.
-
-    A row of one is returned as is and never timed.  Otherwise the
-    selector picks, and ``pick`` hands out a ``(now, setup_events)``
-    token that ``done`` turns into the observed latency — cold when the
-    client did set-up work in between.  :meth:`connect` sets up every
-    host at open, so a cold sample means a redial or a host a remap
-    added, not a first contact.
+    bytes the handle sends and gets back (absent: negligible); a
+    table's ``get`` is ``(key size, slot size)`` and its ``put``
+    ``(slot size, 0)``.  Of each row of :data:`ALLOWED_MODES` only the
+    modes whose transport fits are kept: a server-side request rides
+    the RPC channel, the reply rides it too (``server_op``) or the
+    fetch buffer (``remote_fetch``); one-sided IO carries anything.  A
+    fixed policy one of whose ops does not fit raises ``ValueError``
+    here, before the first op; ``adaptive`` chooses among what is left.
     """
 
     def __init__(self, client, policy, sizes=None):
-        super().__init__(client.config.datapath_probe_every)
         self.client = client
         self.policy = PathPolicy.validate(
             policy if policy is not None else PathPolicy.ONE_SIDED)
         channel = MSG_SIZE - _ENVELOPE
         reply_room = {PathPolicy.SERVER_OP: channel,
                       PathPolicy.REMOTE_FETCH: FETCH_BYTES}
-        sizes = sizes or {}
+        self._sizes = sizes = sizes or {}
         #: op -> the modes its next call may run on
         self._candidates: dict[str, tuple] = {}
         for op, allowed in ALLOWED_MODES.items():
@@ -238,6 +132,18 @@ class ModeChooser(AdaptiveSelector):
                         f"{FETCH_BYTES}-byte fetch buffer)")
                 fits = (mode,)
             self._candidates[op] = fits
+        #: ``(op, hops, miss)`` -> the mode :meth:`pick` settled on
+        self._picked: dict[tuple, str] = {}
+        # deferred: repro.core imports this module (through repro.coord)
+        from repro.core.pipeline import ISSUE_OVERHEAD_S
+
+        #: what the client pays to issue one doorbell of one-sided WRs
+        self._issue = ISSUE_OVERHEAD_S
+        nic = client.nic
+        self._nic = nic.model
+        self._base = nic.network.one_way_base_delay
+        self._bit = 8 / nic.network.config.link_rate_bps
+        self._copy = 1 / nic.host.cpu.copy_bandwidth_Bps
 
     def connect(self, mapping, ops):
         """Connect every server-side path the handle's *ops* may run on
@@ -249,19 +155,80 @@ class ModeChooser(AdaptiveSelector):
             yield from self.client.datapath.connect(
                 mapping, fetch=PathPolicy.REMOTE_FETCH in modes)
 
-    def pick(self, op: str):
-        """``(mode, token)`` for the next *op* operation."""
+    def pick(self, op: str, hops: int, miss: bool) -> str:
+        """The mode the next *op* runs on: the candidate :meth:`estimate`
+        puts cheapest, the earlier in :data:`ALLOWED_MODES` on a tie —
+        worked out once per ``(op, hops, miss)``."""
         modes = self._candidates[op]
         if len(modes) == 1:
-            return modes[0], None
-        return (self.choose(op, modes),
-                (self.client.sim.now, self.client.setup_events))
+            return modes[0]
+        key = (op, hops, miss)
+        mode = self._picked.get(key)
+        if mode is None:
+            mode = self._picked[key] = min(
+                modes, key=lambda m: self.estimate(op, m, hops, miss))
+        return mode
 
-    def done(self, op: str, mode: str, token) -> None:
-        """Close the measurement ``pick`` opened (no-op without one)."""
-        if token is not None:
-            started_at, setup_before = token
-            self.observe(
-                op, mode, self.client.sim.now - started_at,
-                cold=self.client.setup_events != setup_before,
-            )
+    def estimate(self, op: str, mode: str, hops: int, miss: bool) -> float:
+        """Idle latency (s) of one *op* on *mode*: its dependent round
+        trips, each the sum of the declared costs it pays, no queueing.
+
+        *hops* counts what the one-sided form pays a round trip each
+        for: the slots a ``get`` or ``put`` walk expects to read (one
+        for a hinted or never-seen key), a ``burst``'s FAAs.  A
+        server-side walk reads the same slots in one round trip, only
+        their headers for a lookup (``server_exec``).  *miss*: the
+        key's last lookup found it absent, so no value comes back.
+        """
+        one_sided = mode == PathPolicy.ONE_SIDED
+        if op == "burst":  # a lone FAA pays no issue overhead
+            if one_sided:
+                return hops * self._doorbell(1, 0, 0, True)
+            return self._rpc(hops * WORD, hops * WORD, max(1, hops) * WORD)
+        if op == "put":
+            slot = self._sizes[op][0]
+            if one_sided:  # [READ, CAS] per hop, then [WRITE body, word]
+                return (hops * (self._issue
+                                + self._doorbell(2, 0, slot, True))
+                        + slot * self._copy + self._issue
+                        + self._doorbell(2, slot, 0, False))
+            return self._rpc(slot, 0, (hops + 1) * slot)
+        key, slot = self._sizes[op]
+        if one_sided:  # a validated read per hop: [READ slot, READ word]
+            return hops * (self._issue
+                           + self._doorbell(2, 0, slot + WORD, False))
+        head = 2 * WORD + pad(key)
+        if miss:
+            return self._rpc(key, 0, hops * head)
+        walk = (hops - 1) * head + slot
+        if mode == PathPolicy.SERVER_OP:
+            return self._rpc(key, slot, walk)
+        # the hit is deposited, and a one-sided READ picks it up
+        return (self._rpc(key, 0, walk + slot) + self._issue
+                + self._doorbell(1, 0, slot, False))
+
+    def _way(self, nbytes: int) -> float:
+        """One way across the fabric: the switch path, then a message of
+        *nbytes* (a control message at least) serialized at the
+        sender's egress and again at the receiver's ingress."""
+        nic = self._nic
+        size = max(nbytes, nic.control_message_bytes) + nic.frame_header_bytes
+        return self._base + 2 * size * self._bit
+
+    def _doorbell(self, wrs: int, out: int, back: int, atomic: bool):
+        """One doorbell of *wrs* one-sided WRs carrying *out* bytes to
+        the server and *back* bytes from it, posted to completion."""
+        nic = self._nic
+        return (nic.doorbell_s + wrs * nic.wqe_processing_s + self._way(out)
+                + nic.remote_dma_s + atomic * nic.atomic_extra_s
+                + self._way(back) + nic.completion_s)
+
+    def _rpc(self, out: int, back: int, server: int) -> float:
+        """One ``dp_exec`` round trip with *out* payload bytes out and
+        *back* back, the server copying *server* bytes: each message is
+        copied into its channel and out of it, and posted as a SEND."""
+        nic = self._nic
+        out, back = out + _MESSAGE, back + _MESSAGE
+        post = nic.doorbell_s + nic.wqe_processing_s + nic.completion_s
+        return (2 * post + self._way(out) + self._way(back) + DISPATCH_CPU_S
+                + (2 * out + 2 * back + server) * self._copy)

@@ -86,7 +86,9 @@ class RKVStore:
         self._slot_counters = None
         #: key -> ``(slot index, version)`` of its last validated
         #: sighting on this client, whichever handle or data path made
-        #: it: where a get reads, and a write tries its lock CAS, first
+        #: it: where a get reads, and a write tries its lock CAS, first;
+        #: ``(None, depth)`` when its last lookup missed after walking
+        #: *depth* slots, which the mode choice reads
         region_id = mapping.desc.region_id
         held = client.location_hints.get(mapping.name)
         if held is None or held[0] != region_id:
@@ -185,10 +187,12 @@ class RKVStore:
         version, body = yield from self.slot_lock(index).snapshot()
         return (version, *ops.parse_body(body, self.key_size))
 
-    def _hint(self, key: bytes, index: int, version: int) -> None:
+    def _hint(self, key: bytes, index, version: int) -> None:
         """Remember that *key* was seen published at slot *index* under
-        *version*.  Never more entries than slots: past that the oldest
-        goes (a stale hint costs a round trip, never a wrong answer)."""
+        *version* — or, *index* ``None``, that its last lookup missed
+        after walking *version* slots.  Never more entries than slots:
+        past that the oldest goes (a stale hint costs a round trip,
+        never a wrong answer)."""
         hints = self._hints
         if key not in hints and len(hints) >= self.slots:
             del hints[next(iter(hints))]
@@ -201,11 +205,25 @@ class RKVStore:
 
     def _found(self, key: bytes, outcome: str, index, version) -> None:
         """Keep what a lookup of *key* settled on: a hit hints its slot
-        and version, anything else drops the key's hint."""
+        and version; a miss replaces the hint with the depth it walked —
+        to the never-used slot *index* that ended the chain, or the
+        whole window when none did or the server walked it (its reply
+        does not say where the chain ended)."""
         if outcome == ops.HIT:
             self._hint(key, index, version)
         else:
-            self._hints.pop(key, None)
+            self._hint(key, None, ops.PROBE_LIMIT if index is None
+                       else (index - ops.hash64(key)) % self.slots + 1)
+
+    def _pick(self, op: str, key: bytes) -> str:
+        """The mode *op* of *key* runs on, from what this client last
+        saw of *key*: a hinted or never-seen key expects its walk to
+        read one slot, one whose last lookup missed the depth that
+        miss walked."""
+        seen = self._hints.get(key)
+        if seen is None or seen[0] is not None:
+            return self._selector.pick(op, 1, False)
+        return self._selector.pick(op, seen[1], True)
 
     def _read_slot(self, index: int):
         """Optimistically read one consistent slot snapshot (generator):
@@ -356,8 +374,7 @@ class RKVStore:
                 f"value of {len(value)} bytes exceeds slot value size "
                 f"{self.value_size}"
             )
-        mode, token = self._selector.pick("put")
-        if mode == PathPolicy.ONE_SIDED:
+        if self._pick("put", key) == PathPolicy.ONE_SIDED:
             yield from self._put_one_sided(key, value)
         else:
             reply = yield from self._server_op("kv_put", key, False,
@@ -369,7 +386,6 @@ class RKVStore:
                 self._hint(key, slot_off // self.slot_size, version)
             else:
                 raise KvFullError()
-        self._selector.done("put", mode, token)
 
     def _put_one_sided(self, key: bytes, value: bytes):
         index, version, token = yield from self._lock_slot(key, claim=True)
@@ -408,6 +424,8 @@ class RKVStore:
         """
         self._backoff.reset()
         hint = self._hints.pop(key, None)
+        if hint is not None and hint[0] is None:
+            hint = None  # a remembered miss locates no slot
         while True:
             token = mint_token(self.client)
             if hint is not None:
@@ -448,7 +466,7 @@ class RKVStore:
     def get(self, key: bytes):
         """Lookup (generator); returns the value or ``None``."""
         self._check_key(key)
-        mode, token = self._selector.pick("get")
+        mode = self._pick("get", key)
         if mode == PathPolicy.ONE_SIDED:
             # a hinted key reads its slot first: one round trip
             outcome, index, snapshot, _reusable = yield from ops.walk(
@@ -466,7 +484,6 @@ class RKVStore:
                 _hit, value, version, slot_off = reply
                 index = slot_off // self.slot_size
             self._found(key, reply[0], index, version)
-        self._selector.done("get", mode, token)
         return value
 
     def multi_get(self, keys: list):

@@ -54,7 +54,7 @@ def test_every_knob_has_a_mover():
                     passed.update(kw.arg for kw in node.keywords)
     knobs = {f.name for f in dataclasses.fields(RStoreConfig)}
     assert knobs - DEPLOYMENT_IDENTIFIERS - passed == set()
-    assert len(knobs) <= 17
+    assert len(knobs) <= 16
 
 
 def test_no_private_state_is_conjured_by_a_getattr_default():

@@ -65,8 +65,8 @@ def test_a_server_side_open_dials_every_host_once_and_at_once(policy):
         # the first server-side ops found every path connected
         assert client.setup_events == setup_before
         assert host_count(client, "datapath.server_ops") > 0
-        if policy == "adaptive":
-            assert host_count(client, "datapath.remote_fetches") > 0
+        if policy == "adaptive":  # the deposit path is ready too
+            assert sorted(client.datapath._fetch_bufs) == SERVERS
         return opened_in
 
     opened_in = cluster.run_app(app())

@@ -1,20 +1,21 @@
 """PathPolicy vocabulary, the op × mode matrix and the adaptive
-selector's control law."""
-
-from types import SimpleNamespace
+chooser's prediction, checked against what the simulator measures."""
 
 import pytest
 
+from repro.cluster import build_cluster
+from repro.coord.counter import AtomicCounter
 from repro.core import RStoreConfig
+from repro.datapath import ops
 from repro.datapath.policy import (
     ALLOWED_MODES,
     FETCH_BYTES,
-    AdaptiveSelector,
     ModeChooser,
     PathPolicy,
 )
-from repro.simnet.config import KiB
-from tests.probes import preferred_mode
+from repro.kv.hashkv import RKVStore
+from repro.simnet.config import KiB, MiB
+from tests.probes import miss_depth, same_home
 
 
 def test_policy_vocabulary():
@@ -28,10 +29,22 @@ def test_policy_vocabulary():
         PathPolicy.validate(None)
 
 
-def _chooser(policy, sizes=None, **config):
-    client = SimpleNamespace(config=RStoreConfig(**config),
-                             sim=SimpleNamespace(now=0.0), setup_events=0)
-    return ModeChooser(client, policy, sizes)
+def _remote_cluster():
+    """An idle 4-machine cluster whose client host 1 serves no memory,
+    so every op it runs crosses the fabric: the path the estimate
+    prices."""
+    return build_cluster(num_machines=4, server_hosts=[0, 2, 3],
+                         config=RStoreConfig(stripe_size=64 * KiB),
+                         server_capacity=64 * MiB)
+
+
+def _chooser(policy, sizes=None):
+    return ModeChooser(_remote_cluster().client(1), policy, sizes)
+
+
+def _table_sizes(value_size, key_size=16):
+    slot = ops.slot_size(key_size, value_size)
+    return {"get": (key_size, slot), "put": (slot, 0)}
 
 
 def test_a_handle_validates_its_policy():
@@ -63,37 +76,34 @@ def test_the_matrix_is_what_the_design_says():
 ])
 def test_a_fixed_policy_runs_each_op_in_its_nearest_allowed_mode(policy,
                                                                  ran_as):
-    chooser = _chooser(policy)
-    # never timed: a fixed policy has nothing to learn
-    assert {op: chooser.pick(op) for op in ALLOWED_MODES} == {
-        op: (mode, None) for op, mode in ran_as.items()}
+    chooser = _chooser(policy, _table_sizes(64))
+    # whatever the walk expects: a fixed policy has nothing to choose
+    for hops, miss in ((1, False), (16, True)):
+        assert {op: chooser.pick(op, hops, miss)
+                for op in ALLOWED_MODES} == ran_as
 
 
-def test_adaptive_chooses_within_the_row_and_times_only_a_choice():
-    chooser = _chooser("adaptive")
+def test_adaptive_chooses_within_the_row():
+    chooser = _chooser("adaptive", _table_sizes(8 * KiB))
     for op, allowed in ALLOWED_MODES.items():
-        for _ in range(3 * len(allowed)):
-            mode, token = chooser.pick(op)
-            assert mode in allowed
-            assert (token is None) == (len(allowed) == 1)
-            chooser.done(op, mode, token)
+        for hops in (1, 2, 16):
+            for miss in (False, True):
+                assert chooser.pick(op, hops, miss) in allowed
 
 
 def test_sizes_narrow_adaptive_and_refuse_a_fixed_policy():
     slot = 96 * KiB  # over the 64 KiB channel, under the fetch buffer
     sizes = {"get": (16, slot), "put": (slot, 0)}
     chooser = _chooser("adaptive", sizes)
-    assert chooser.pick("put") == ("one_sided", None)
-    seen = set()
-    for _ in range(8):
-        mode, token = chooser.pick("get")
-        seen.add(mode)
-        chooser.done("get", mode, token)
-    assert seen == {"one_sided", "remote_fetch"}
+    assert chooser.pick("put", 1, False) == "one_sided"
+    # a deep miss would rather not read 96 KiB slots one by one: the
+    # fetch buffer is the server-side path left to it
+    assert chooser.pick("get", 1, False) == "one_sided"
+    assert chooser.pick("get", 4, True) == "remote_fetch"
     # a slot over the fetch buffer too leaves a lookup one candidate
     huge = FETCH_BYTES + 1
     over = _chooser("adaptive", {"get": (16, huge), "put": (huge, 0)})
-    assert over.pick("get") == ("one_sided", None)
+    assert over.pick("get", 16, True) == "one_sided"
     with pytest.raises(ValueError, match="get as server_op"):
         _chooser("server_op", sizes)
     # remote_fetch stores as a server-op, which cannot carry the slot
@@ -102,153 +112,147 @@ def test_sizes_narrow_adaptive_and_refuse_a_fixed_policy():
     # a big key is a big *request* in every server-side mode
     with pytest.raises(ValueError, match="get as remote_fetch"):
         _chooser("remote_fetch", {"get": (slot, 64)})
-    assert _chooser("one_sided", sizes).pick("put") == ("one_sided", None)
-
-
-def test_selector_rejects_bad_parameters():
-    # the probe period is the selector's one parameter; the config that
-    # every handle's selector reads it from refuses one that never serves
-    with pytest.raises(ValueError, match="datapath_probe_every"):
-        RStoreConfig(datapath_probe_every=1)
-    assert _chooser("adaptive", datapath_probe_every=2).probe_every == 2
-
-
-MODES = PathPolicy.MODES
-
-
-def test_cold_start_samples_every_mode_once():
-    sel = AdaptiveSelector(32)
-    seen = []
-    for _ in range(len(MODES)):
-        mode = sel.choose("get", MODES)
-        seen.append(mode)
-        sel.observe("get", mode, 10e-6, cold=False)
-    assert sorted(seen) == sorted(MODES)
-    assert preferred_mode(sel, "get") is not None
-
-
-def _warm(sel, op_class, latencies):
-    """Sample each mode once with the given per-mode latency."""
-    for _ in MODES:
-        mode = sel.choose(op_class, MODES)
-        sel.observe(op_class, mode, latencies[mode], cold=False)
+    assert _chooser("one_sided", sizes).pick("put", 1, False) == "one_sided"
 
 
 def test_selector_settles_on_the_fastest_mode():
-    sel = AdaptiveSelector(32)
-    _warm(sel, "get", {"one_sided": 30e-6, "server_op": 8e-6,
-                       "remote_fetch": 50e-6})
-    assert preferred_mode(sel, "get") == "server_op"
-    assert sel.choose("get", MODES) == "server_op"
-
-
-def test_hysteresis_ignores_marginal_improvements():
-    sel = AdaptiveSelector(32)
-    _warm(sel, "get", {"one_sided": 10e-6, "server_op": 9.5e-6,
-                       "remote_fetch": 40e-6})
-    # server_op is best but only ~5% better: inside the 20% band
-    assert AdaptiveSelector.HYSTERESIS == 0.2
-    current = preferred_mode(sel, "get")
-    for _ in range(20):
-        sel.observe("get", "server_op", 9.5e-6, cold=False)
-    assert preferred_mode(sel, "get") == current
-    assert sel.switches == 0
-
-
-def test_patience_gates_a_genuine_regime_shift():
-    sel = AdaptiveSelector(32)
-    _warm(sel, "get", {"one_sided": 10e-6, "server_op": 12e-6,
-                       "remote_fetch": 40e-6})
-    assert preferred_mode(sel, "get") == "one_sided"
-    # the regime flips: server_op now 6x faster.  Each sample already
-    # puts its EWMA past the 20% band, so only patience delays the switch
-    assert AdaptiveSelector.PATIENCE == 3
-    for i in range(3):
-        sel.observe("get", "server_op", 2e-6, cold=False)
-        if i < 2:
-            assert preferred_mode(sel, "get") == "one_sided", f"switched at {i}"
-    assert preferred_mode(sel, "get") == "server_op"
-    assert sel.switches == 1
-
-
-def test_interleaved_noise_resets_the_patience_streak():
-    sel = AdaptiveSelector(32)
-    _warm(sel, "get", {"one_sided": 10e-6, "server_op": 12e-6,
-                       "remote_fetch": 40e-6})
-    for _ in range(5):
-        sel.observe("get", "server_op", 2e-6, cold=False)   # streak builds...
-        sel.observe("get", "server_op", 16e-6, cold=False)  # ...and collapses
-    assert preferred_mode(sel, "get") == "one_sided"
-    assert sel.switches == 0
-
-
-def test_probing_resamples_non_current_modes_round_robin():
-    sel = AdaptiveSelector(4)
-    _warm(sel, "get", {"one_sided": 5e-6, "server_op": 20e-6,
-                       "remote_fetch": 30e-6})
-    probes = []
-    for _ in range(16):
-        mode = sel.choose("get", MODES)
-        if mode != "one_sided":
-            probes.append(mode)
-        sel.observe("get", mode, {"one_sided": 5e-6, "server_op": 20e-6,
-                                  "remote_fetch": 30e-6}[mode], cold=False)
-    # every probe_every-th op samples a non-current mode, alternating
-    assert probes, "the selector never probed"
-    assert set(probes) == {"server_op", "remote_fetch"}
+    # the pick is the estimate's cheapest candidate, the earlier in the
+    # row on a tie (a miss deposits nothing: remote fetch costs what a
+    # server-op does, and the server-op comes first)
+    chooser = _chooser("adaptive", _table_sizes(64))
+    for op in ("get", "put", "burst"):
+        for hops, miss in ((1, False), (2, False), (16, True)):
+            costs = [chooser.estimate(op, mode, hops, miss)
+                     for mode in ALLOWED_MODES[op]]
+            best = ALLOWED_MODES[op][costs.index(min(costs))]
+            assert chooser.pick(op, hops, miss) == best
+    assert (chooser.estimate("get", "server_op", 16, True)
+            == chooser.estimate("get", "remote_fetch", 16, True))
 
 
 def test_op_classes_are_independent():
-    sel = AdaptiveSelector(32)
-    _warm(sel, "get", {"one_sided": 5e-6, "server_op": 50e-6,
-                       "remote_fetch": 60e-6})
-    _warm(sel, "burst", {"one_sided": 80e-6, "server_op": 6e-6,
-                         "remote_fetch": 70e-6})
-    assert preferred_mode(sel, "get") == "one_sided"
-    assert preferred_mode(sel, "burst") == "server_op"
+    # one handle, one walk depth: a lookup reads its slot one-sided, a
+    # burst of as many FAAs ships
+    chooser = _chooser("adaptive", _table_sizes(64))
+    assert chooser.pick("get", 1, False) == "one_sided"
+    assert chooser.pick("burst", 8, False) == "server_op"
+    assert chooser.pick("get", 1, False) == "one_sided"
 
 
 def test_restricted_mode_set_never_leaves_the_subset():
-    # puts and bursts only run one_sided/server_op; the chooser must
-    # respect a per-call restriction even while probing
-    sel = AdaptiveSelector(2)
-    allowed = ("one_sided", "server_op")
-    for i in range(40):
-        mode = sel.choose("put", allowed)
-        assert mode in allowed
-        sel.observe("put", mode, 10e-6 if mode == "one_sided" else 8e-6,
-                    cold=False)
+    # puts and bursts only run one_sided/server_op, however costly a
+    # walk the put expects
+    chooser = _chooser("adaptive", _table_sizes(32 * KiB))
+    for hops in range(1, ops.PROBE_LIMIT + 1):
+        for miss in (False, True):
+            assert chooser.pick("put", hops, miss) in ALLOWED_MODES["put"]
+            assert (chooser.pick("burst", hops, miss)
+                    in ALLOWED_MODES["burst"])
 
 
-def test_cold_observations_are_discarded():
-    # an op that paid one-time setup (channel dial, fetch-buffer
-    # alloc) must not poison the mode's EWMA — the selector drops the
-    # sample and keeps the mode in cold-start until a warm sample lands
-    sel = AdaptiveSelector(32)
-    assert sel.choose("get", MODES) == "one_sided"
-    sel.observe("get", "one_sided", 500e-6, cold=True)
-    st = sel._classes["get"]
-    assert "one_sided" not in st.ewma
-    assert sel.choose("get", MODES) == "one_sided"  # still cold: re-sampled
-    sel.observe("get", "one_sided", 10e-6, cold=False)
-    assert st.ewma["one_sided"] == pytest.approx(10e-6)
+# -- the estimate against the simulator ----------------------------------------
+#
+# Each case runs once per mode under that fixed policy; an adaptive
+# handle on the same client, which shares its hints, says what it
+# would pick.
+
+SLOTS = 64
 
 
-def test_early_samples_average_instead_of_anchoring():
-    # bias-corrected smoothing: the first samples fold in with 1/n
-    # weight, so one unlucky deep-chain op cannot dominate the estimate
-    sel = AdaptiveSelector(32)
-    for latency in (90e-6, 10e-6, 20e-6):
-        sel.observe("get", "one_sided", latency, cold=False)
-    st = sel._classes["get"]
-    assert st.ewma["one_sided"] == pytest.approx(40e-6)  # the true mean
+def _measure_kv(mode, case, value_size):
+    """``(latency, pick, remembered miss depth)`` of one *case* op run
+    under *mode*, the last two as the adaptive handle sees the key
+    just before the op."""
+    cluster = _remote_cluster()
+    client, sim = cluster.client(1), cluster.sim
+    # one home slot for all: the last key's window is the others'
+    keys = same_home(SLOTS, ops.PROBE_LIMIT + 1)
+    key = keys[-1] if case == "get-miss" else keys[0]
+    op = case.split("-")[0]
+
+    def app():
+        writer = yield from RKVStore.create(client, "t", slots=SLOTS,
+                                            key_size=16,
+                                            value_size=value_size)
+        if case == "get-miss":
+            for other in keys[:-1]:
+                yield from writer.put(other, b"v")
+        elif case != "put-fresh":
+            yield from writer.put(key, b"v" * value_size)
+        store = yield from RKVStore.open(client, "t", path_policy=mode)
+        adaptive = yield from RKVStore.open(client, "t",
+                                            path_policy="adaptive")
+        if case != "put-fresh":  # hint the key, or remember its miss
+            yield from store.get(key)
+        picked, depth = adaptive._pick(op, key), miss_depth(adaptive, key)
+        started = sim.now
+        if op == "get":
+            yield from store.get(key)
+        else:
+            yield from store.put(key, b"w" * value_size)
+        return sim.now - started, picked, depth
+
+    return cluster.run_app(app())
 
 
-def test_ewma_smoothing_follows_the_alpha():
-    # from the fourth sample on ALPHA (0.3) outweighs 1/n
-    sel = AdaptiveSelector(32)
-    for latency in (40e-6, 40e-6, 40e-6, 50e-6):
-        sel.observe("get", "one_sided", latency, cold=False)
-    st = sel._classes["get"]
-    assert AdaptiveSelector.ALPHA == 0.3
-    assert st.ewma["one_sided"] == pytest.approx(43e-6)
+def _measure_burst(mode, burst):
+    cluster = _remote_cluster()
+    sim = cluster.sim
+
+    def app():
+        counter = yield from AtomicCounter.create(cluster.client(1), "c",
+                                                  path_policy=mode)
+        deltas = list(range(1, burst + 1))
+        yield from counter.add_burst(deltas)
+        started = sim.now
+        yield from counter.add_burst(deltas)
+        return sim.now - started
+
+    return cluster.run_app(app())
+
+
+def _ranked(costs):
+    """Modes cheapest first, the earlier in the row on a tie."""
+    return sorted(costs, key=costs.get)
+
+
+@pytest.mark.parametrize("case, value_size, hops, miss", [
+    ("get-hinted", 64, 1, False),
+    ("get-hinted", 32 * KiB, 1, False),
+    ("get-miss", 64, ops.PROBE_LIMIT, True),
+    ("put-hinted", 64, 1, False),
+    ("put-fresh", 64, 1, False),
+])
+def test_the_estimate_ranks_kv_modes_as_the_simulator_does(case, value_size,
+                                                          hops, miss):
+    op = case.split("-")[0]
+    measured, picks = {}, set()
+    for mode in ALLOWED_MODES[op]:
+        measured[mode], picked, depth = _measure_kv(mode, case, value_size)
+        picks.add(picked)
+        # a remembered miss is remembered with the depth it walked
+        assert depth == (hops if miss else None)
+    chooser = _chooser("adaptive", _table_sizes(value_size))
+    estimated = {mode: chooser.estimate(op, mode, hops, miss)
+                 for mode in measured}
+    assert _ranked(estimated) == _ranked(measured), (
+        f"{case} at {value_size} B: the estimate ranks "
+        f"{_ranked(estimated)}, the simulator {_ranked(measured)}")
+    assert picks == {_ranked(measured)[0]}, (
+        f"{case} at {value_size} B: picked {picks}, the simulator's best "
+        f"is {_ranked(measured)[0]}")
+
+
+@pytest.mark.parametrize("burst", [1, 2, 8])
+def test_the_estimate_ranks_burst_modes_as_the_simulator_does(burst):
+    measured = {mode: _measure_burst(mode, burst)
+                for mode in ALLOWED_MODES["burst"]}
+    chooser = _chooser("adaptive")
+    estimated = {mode: chooser.estimate("burst", mode, burst, False)
+                 for mode in measured}
+    assert _ranked(estimated) == _ranked(measured), (
+        f"burst of {burst}: the estimate ranks {_ranked(estimated)}, the "
+        f"simulator {_ranked(measured)}")
+    assert chooser.pick("burst", burst, False) == _ranked(measured)[0], (
+        f"burst of {burst}: picked {chooser.pick('burst', burst, False)}, "
+        f"the simulator's best is {_ranked(measured)[0]}")

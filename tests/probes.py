@@ -49,13 +49,6 @@ def live_allocations(arena):
     return len(arena._live)
 
 
-def preferred_mode(selector, op_class):
-    """An ``AdaptiveSelector``'s current mode for *op_class*, ``None``
-    while the class is still cold."""
-    state = selector._classes.get(op_class)
-    return None if state is None else state.current
-
-
 def names_owned(shard_map, names, shard_id):
     """The *names* that *shard_id* owns under *shard_map*, sorted."""
     return sorted(n for n in names if shard_map.shard_of(n) == shard_id)
@@ -135,8 +128,16 @@ def same_home(slots, count):
 def write_hint(store, key):
     """The ``(slot index, version)`` an ``RKVStore`` handle's client
     will try *key*'s next get or write at first, ``None`` when it has
-    none."""
-    return store._hints.get(key)
+    none (a remembered miss names no slot: :func:`miss_depth`)."""
+    hint = store._hints.get(key)
+    return None if hint is None or hint[0] is None else hint
+
+
+def miss_depth(store, key):
+    """How many slots the last lookup of *key* by an ``RKVStore``
+    handle's client walked before it missed, ``None`` unless it did."""
+    hint = store._hints.get(key)
+    return None if hint is None or hint[0] is not None else hint[1]
 
 
 def resolution_order(cluster, futures):
