@@ -17,7 +17,7 @@ from repro.graph import (
     RStoreGraphEngine,
 )
 from repro.graph.loader import Graph
-from repro.simnet.config import GiB, KiB, MiB
+from repro.simnet.config import GiB, KiB
 from repro.workloads.graphs import rmat_edges
 
 from benchmarks.conftest import claim, fmt_ms, print_table

@@ -11,7 +11,7 @@ Run:  python examples/quickstart.py
 
 from repro.cluster import build_cluster
 from repro.core import RStoreConfig
-from repro.simnet.config import KiB, MiB
+from repro.simnet.config import MiB
 
 
 def main():

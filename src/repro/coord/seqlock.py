@@ -68,17 +68,20 @@ def mint_token(client, space: int = 0) -> int:
             | ((client.token_seq % (1 << 23)) << 1) | 1)
 
 
-def snapshots(mapping, offsets, record_size: int):
+def snapshots(mapping, offsets, record_size: int, run: int = 1):
     """The optimistic validated read of the records at *offsets*, in
     one flush and one round trip (generator) — its only implementation.
 
-    Queues ``[READ record, READ version word]`` per record on one
-    :class:`~repro.core.pipeline.IoBatch`.  Where the batch vouches for
-    the pair's order (``IoBatch.in_order``) the second READ *is* the
-    validation; where it cannot — a record spanning servers, a replayed
-    READ, the two-sided ablation — the word is read once more, so the
-    answer never rests on an unproven order.  Answers ``(version,
-    body)`` per record, or ``None`` where a writer raced the read (odd
+    Each offset starts a *run* of records laid end to end.  Queues
+    ``[READ run, READ words]`` per offset on one
+    :class:`~repro.core.pipeline.IoBatch`, the second READ spanning the
+    run from its first version word to its last — for a lone record,
+    that word alone.  Where the batch vouches for the pair's order
+    (``IoBatch.in_order``) the second READ *is* the validation; where
+    it cannot — a run spanning servers, a replayed READ, the two-sided
+    ablation — each record's word is read once more, so the answer
+    never rests on an unproven order.  Answers ``(version, body)`` per
+    record, run by run, or ``None`` where a writer raced the read (odd
     version, or the word moved).  Protocol traffic, hence RSan-exempt;
     a validated snapshot joins the clock its version was published under.
     """
@@ -89,24 +92,33 @@ def snapshots(mapping, offsets, record_size: int):
     with rsan.exempt(actor):
         pairs = []
         for offset in offsets:
-            record = yield from batch.read(mapping, offset, record_size)
-            word = yield from batch.read(mapping, offset, _WORD)
-            pairs.append((record, word))
+            records = yield from batch.read(mapping, offset,
+                                            run * record_size)
+            words = yield from batch.read(
+                mapping, offset, (run - 1) * record_size + _WORD)
+            pairs.append((records, words))
         yield from batch.flush()
         yield from batch.wait_all()  # a failed READ leaves none dangling
-        for offset, (record, word) in zip(offsets, pairs):
-            (version, body), check = split(record.value), word.value
-            if version % 2 == 0 and not batch.in_order(record, word):
-                # registered on first use: the proven path pays no lookup
-                client.obs.metrics.counter(
-                    "coord.seqlock.reads_revalidated", region=mapping.name,
-                    host=client.nic.host.host_id).inc()
-                check = yield from mapping.read(offset, _WORD)
-            if version % 2 or int.from_bytes(check, "little") != version:
-                found.append(None)
-                continue
-            rsan.sync_acquire(actor, sync_key(mapping.name, offset, version))
-            found.append((version, body))
+        for offset, (records, words) in zip(offsets, pairs):
+            blob, checks = records.value, words.value
+            ordered = batch.in_order(records, words)
+            for at in range(0, run * record_size, record_size):
+                version, body = split(blob[at:at + record_size])
+                check = checks[at:at + _WORD]
+                if version % 2 == 0 and not ordered:
+                    # registered on first use: the proven path pays no
+                    # lookup
+                    client.obs.metrics.counter(
+                        "coord.seqlock.reads_revalidated",
+                        region=mapping.name,
+                        host=client.nic.host.host_id).inc()
+                    check = yield from mapping.read(offset + at, _WORD)
+                if version % 2 or int.from_bytes(check, "little") != version:
+                    found.append(None)
+                    continue
+                rsan.sync_acquire(actor, sync_key(mapping.name, offset + at,
+                                                  version))
+                found.append((version, body))
     return found
 
 

@@ -20,8 +20,9 @@ one handle's candidate modes per op and, under ``adaptive``, the
 choice among them.  It predicts instead of measuring: each op runs on
 the mode whose idle latency :meth:`ModeChooser.estimate` puts lowest,
 given what the client knows before it sends — the op, the slots its
-walk expects to read, whether the key's last lookup missed, and the
-handle's sizes — and the declared cost constants (``NicModel``, the
+walk expects to read, whether the key's last lookup missed, how many
+slots a one-sided get reads in its first round trip, and the handle's
+sizes — and the declared cost constants (``NicModel``, the
 fabric's link and switch delays and link rate, RPC dispatch, CPU
 copies).  It keeps no statistics and draws no randomness (repro-lint
 RL002).
@@ -132,8 +133,12 @@ class ModeChooser:
                         f"{FETCH_BYTES}-byte fetch buffer)")
                 fits = (mode,)
             self._candidates[op] = fits
-        #: ``(op, hops, miss)`` -> the mode :meth:`pick` settled on
+        #: ``(op, hops, miss, window)`` -> the mode :meth:`pick`
+        #: settled on
         self._picked: dict[tuple, str] = {}
+        #: ``(hops, window)`` -> the one-sided get's estimate, which
+        #: :meth:`window` weighs
+        self._gets: dict[tuple, float] = {}
         # deferred: repro.core imports this module (through repro.coord)
         from repro.core.pipeline import ISSUE_OVERHEAD_S
 
@@ -155,30 +160,60 @@ class ModeChooser:
             yield from self.client.datapath.connect(
                 mapping, fetch=PathPolicy.REMOTE_FETCH in modes)
 
-    def pick(self, op: str, hops: int, miss: bool) -> str:
+    def pick(self, op: str, hops: int, miss: bool, window: int = 1) -> str:
         """The mode the next *op* runs on: the candidate :meth:`estimate`
         puts cheapest, the earlier in :data:`ALLOWED_MODES` on a tie —
-        worked out once per ``(op, hops, miss)``."""
+        worked out once per ``(op, hops, miss, window)``."""
         modes = self._candidates[op]
         if len(modes) == 1:
             return modes[0]
-        key = (op, hops, miss)
+        key = (op, hops, miss, window)
         mode = self._picked.get(key)
         if mode is None:
             mode = self._picked[key] = min(
-                modes, key=lambda m: self.estimate(op, m, hops, miss))
+                modes, key=lambda m: self.estimate(op, m, hops, miss, window))
         return mode
 
-    def estimate(self, op: str, mode: str, hops: int, miss: bool) -> float:
+    def window(self, depths) -> int:
+        """How many slots from its home a one-sided ``get`` of a key the
+        client never located reads in its first round trip: the window
+        :meth:`estimate` prices cheapest in expectation over *depths*,
+        the count of keys the client has located at each chain depth
+        (``depths[0]``: at their home slot).  The narrower on a tie,
+        and 1 when the client has located none."""
+        located = [(hops, count) for hops, count in enumerate(depths, 1)
+                   if count]
+        if not located:
+            return 1
+        gets = self._gets
+
+        def expected(window):
+            total = 0.0
+            for hops, count in located:
+                cost = gets.get((hops, window))
+                if cost is None:
+                    cost = gets[hops, window] = self.estimate(
+                        "get", PathPolicy.ONE_SIDED, hops, False, window)
+                total += count * cost
+            return total
+
+        # a window past the deepest key located only adds bytes
+        return min(range(1, located[-1][0] + 1), key=expected)
+
+    def estimate(self, op: str, mode: str, hops: int, miss: bool,
+                 window: int = 1) -> float:
         """Idle latency (s) of one *op* on *mode*: its dependent round
         trips, each the sum of the declared costs it pays, no queueing.
 
         *hops* counts what the one-sided form pays a round trip each
         for: the slots a ``get`` or ``put`` walk expects to read (one
-        for a hinted or never-seen key), a ``burst``'s FAAs.  A
-        server-side walk reads the same slots in one round trip, only
-        their headers for a lookup (``server_exec``).  *miss*: the
-        key's last lookup found it absent, so no value comes back.
+        for a hinted key), a ``burst``'s FAAs.  A server-side walk
+        reads the same slots in one round trip, only their headers for
+        a lookup (``server_exec``).  *miss*: the key's last lookup found
+        it absent, so no value comes back.  *window*: the slots a
+        one-sided ``get`` reads from its home in its first round trip,
+        each one's bytes twice (the run, then its words); each slot its
+        walk reads past them costs a round trip of its own.
         """
         one_sided = mode == PathPolicy.ONE_SIDED
         if op == "burst":  # a lone FAA pays no issue overhead
@@ -194,9 +229,11 @@ class ModeChooser:
                         + self._doorbell(2, slot, 0, False))
             return self._rpc(slot, 0, (hops + 1) * slot)
         key, slot = self._sizes[op]
-        if one_sided:  # a validated read per hop: [READ slot, READ word]
-            return hops * (self._issue
-                           + self._doorbell(2, 0, slot + WORD, False))
+        if one_sided:  # [READ run, READ words], then [READ slot, READ word]
+            run = (2 * window - 1) * slot + WORD
+            return (self._issue + self._doorbell(2, 0, run, False)
+                    + max(0, hops - window)
+                    * (self._issue + self._doorbell(2, 0, slot + WORD, False)))
         head = 2 * WORD + pad(key)
         if miss:
             return self._rpc(key, 0, hops * head)

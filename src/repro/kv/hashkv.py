@@ -10,10 +10,14 @@ last saw each key of a table — a slot and a version, never a value —
 in one hint table its handles share, so a get of a known key reads its
 slot in one round trip and a write to it locks in its first; a put of
 a fresh key CASes each slot of its walk from 0 and locks the
-never-used one that ends the chain in the same round trip.  The slot
-layout, tombstones and the probe protocol — chain order, slot classes,
-the store rule — live in :mod:`repro.datapath.ops`; this module
-supplies the one-sided slot readers and the lock/publish steps.
+never-used one that ends the chain in the same round trip.  A get of
+a key the client never located reads the first slots of its chain —
+as many as the depths its hints locate other keys at make cheapest
+(``ModeChooser.window``) — in one validated READ pair, since linear
+probing lays them side by side.  The slot layout, tombstones and the
+probe protocol — chain order, slot classes, the store rule — live in
+:mod:`repro.datapath.ops`; this module supplies the one-sided slot
+readers and the lock/publish steps.
 
 **Probe-run segmentation.**  A handle on a server-side path drives
 its own probe over the router's transport
@@ -84,16 +88,24 @@ class RKVStore:
         #: the SeqLock counters the slots feed, resolved by the first
         #: one-sided access (a table served only server-side makes none)
         self._slot_counters = None
-        #: key -> ``(slot index, version)`` of its last validated
+        #: key -> ``(slot index, version, hash)`` of its last validated
         #: sighting on this client, whichever handle or data path made
         #: it: where a get reads, and a write tries its lock CAS, first;
-        #: ``(None, depth)`` when its last lookup missed after walking
-        #: *depth* slots, which the mode choice reads
+        #: ``(None, depth, hash)`` when its last lookup missed after
+        #: walking *depth* slots, which the mode choice reads.  The
+        #: key's ``ops.hash64`` rides along, so no op hashes a key its
+        #: client has seen
         region_id = mapping.desc.region_id
         held = client.location_hints.get(mapping.name)
         if held is None or held[0] != region_id:
-            held = client.location_hints[mapping.name] = (region_id, {})
-        self._hints: dict[bytes, tuple[int, int]] = held[1]
+            held = client.location_hints[mapping.name] = (
+                region_id, {}, [0] * ops.PROBE_LIMIT)
+        self._hints: dict[bytes, tuple] = held[1]
+        #: how many of those hints locate their key at each chain depth
+        #: (``[0]``: at its home slot), in step with every hint set,
+        #: replaced, evicted or dropped: the window an unhinted get
+        #: reads (``ModeChooser.window``)
+        self._depths: list[int] = held[2]
 
     # -- construction ----------------------------------------------------------
 
@@ -187,43 +199,76 @@ class RKVStore:
         version, body = yield from self.slot_lock(index).snapshot()
         return (version, *ops.parse_body(body, self.key_size))
 
-    def _hint(self, key: bytes, index, version: int) -> None:
-        """Remember that *key* was seen published at slot *index* under
-        *version* — or, *index* ``None``, that its last lookup missed
-        after walking *version* slots.  Never more entries than slots:
-        past that the oldest goes (a stale hint costs a round trip,
-        never a wrong answer)."""
+    def _hint(self, key: bytes, index, version: int, base: int) -> None:
+        """Remember that *key*, of hash *base*, was seen published at
+        slot *index* under *version* — or, *index* ``None``, that its
+        last lookup missed after walking *version* slots.  Never more
+        entries than slots: past that the oldest goes (a stale hint
+        costs a round trip, never a wrong answer)."""
         hints = self._hints
-        if key not in hints and len(hints) >= self.slots:
-            del hints[next(iter(hints))]
-        hints[key] = (index, version)
+        old = hints.get(key)
+        hints[key] = hint = (index, version, base)
+        if old is not None and old[0] == index:
+            return  # the same slot, or another miss: the same depth
+        if old is not None:
+            self._count(old, -1)
+        elif len(hints) > self.slots:
+            self._count(hints.pop(next(iter(hints))), -1)
+        self._count(hint, 1)
+
+    def _forget(self, key: bytes):
+        """Drop *key*'s hint; returns it, or ``None``."""
+        hint = self._hints.pop(key, None)
+        if hint is not None:
+            self._count(hint, -1)
+        return hint
+
+    def _count(self, hint: tuple, step: int) -> None:
+        """Move the depth histogram by *step* for *hint*, if it locates
+        its key."""
+        index, _version, base = hint
+        if index is not None:
+            self._depths[(index - base) % self.slots] += step
+
+    def _base(self, key: bytes) -> int:
+        """*key*'s ``ops.hash64``: its hint's, else hashed."""
+        hint = self._hints.get(key)
+        return ops.hash64(key) if hint is None else hint[2]
 
     def _hinted(self, key: bytes):
         """The slot index *key*'s hint names, or ``None``."""
         hint = self._hints.get(key)
         return None if hint is None else hint[0]
 
-    def _found(self, key: bytes, outcome: str, index, version) -> None:
-        """Keep what a lookup of *key* settled on: a hit hints its slot
-        and version; a miss replaces the hint with the depth it walked —
-        to the never-used slot *index* that ended the chain, or the
-        whole window when none did or the server walked it (its reply
-        does not say where the chain ended)."""
+    def _found(self, key: bytes, outcome: str, index, version,
+               base: int) -> None:
+        """Keep what a lookup of *key* (of hash *base*) settled on: a
+        hit hints its slot and version; a miss replaces the hint with
+        the depth it walked — to the never-used slot *index* that ended
+        the chain, or the whole window when none did or the server
+        walked it (its reply does not say where the chain ended)."""
         if outcome == ops.HIT:
-            self._hint(key, index, version)
+            self._hint(key, index, version, base)
         else:
             self._hint(key, None, ops.PROBE_LIMIT if index is None
-                       else (index - ops.hash64(key)) % self.slots + 1)
+                       else (index - base) % self.slots + 1, base)
 
-    def _pick(self, op: str, key: bytes) -> str:
-        """The mode *op* of *key* runs on, from what this client last
-        saw of *key*: a hinted or never-seen key expects its walk to
-        read one slot, one whose last lookup missed the depth that
-        miss walked."""
-        seen = self._hints.get(key)
-        if seen is None or seen[0] is not None:
-            return self._selector.pick(op, 1, False)
-        return self._selector.pick(op, seen[1], True)
+    def _pick(self, op: str, seen):
+        """``(mode, window)`` of the next *op* of a key whose hint is
+        *seen* (``None``: the client never saw it); *window* is how many
+        slots from its home a one-sided ``get`` reads in its first round
+        trip.  A hinted key expects its walk to read one slot; one whose
+        last lookup missed, the depth that miss walked, all in its
+        window; a never-seen one, that a get's window
+        (``ModeChooser.window``) holds it, and a write, one slot."""
+        if seen is not None:
+            if seen[0] is not None:
+                return self._selector.pick(op, 1, False), 1
+            return self._selector.pick(op, seen[1], True, seen[1]), seen[1]
+        if op != "get":
+            return self._selector.pick(op, 1, False), 1
+        window = self._selector.window(self._depths)
+        return self._selector.pick(op, window, False, window), window
 
     def _read_slot(self, index: int):
         """Optimistically read one consistent slot snapshot (generator):
@@ -240,6 +285,37 @@ class RKVStore:
             self._raced()
         raise KvError(
             f"slot {index} kept changing under {_READ_RETRIES} reads")
+
+    def _window_reader(self, home: int, width: int):
+        """The slot reader of an unhinted get's walk, which starts at
+        *home*: its first hop reads the *width* slots from *home* on —
+        clipped at the table's end and at *home*'s stripe — as one
+        validated pair (``seqlock.snapshots`` over a run), and each hop
+        the window answers costs nothing more.  A slot the pair could
+        not validate, and each slot past the window, is read on its own
+        (:meth:`_read_slot`); a raced one counts as a retry."""
+        stripe = self.mapping.desc.stripe_size // self.slot_size
+        width = min(width, self.slots - home, stripe - home % stripe)
+        if width == 1:
+            return self._read_slot
+        window = None
+
+        def read(index):
+            nonlocal window
+            if window is None:
+                found = yield from snapshots(
+                    self.mapping, (self._slot_offset(home),),
+                    self.slot_size, width)
+                window = dict(zip(range(home, home + width), found))
+            if index in window:
+                snapshot = window.pop(index)
+                if snapshot is not None:
+                    return snapshot[0], *ops.parse_body(snapshot[1],
+                                                        self.key_size)
+                self._raced()
+            return (yield from self._read_slot(index))
+
+        return read
 
     def _claiming_reader(self, token: int, held: list):
         """The slot reader of a ``put``'s walk: up to the first
@@ -316,14 +392,14 @@ class RKVStore:
             run.append((slot_off, slot_off + shift))
         yield host_id, run
 
-    def _server_op(self, op: str, key: bytes, fetch: bool, **fields):
-        """Drive server-side *op* of *key* to a settled reply
-        (generator): the hinted run, then the probe runs until one
+    def _server_op(self, op: str, key: bytes, base: int, fetch: bool,
+                   **fields):
+        """Drive server-side *op* of *key*, of hash *base*, to a settled
+        reply (generator): the hinted run, then the probe runs until one
         settles it (the last ``ops.CONTINUE`` when none does).  The
         router re-drives an attempt a busy slot or a stale epoch ended."""
         router = self.client.datapath
         mapping = self.mapping
-        base = ops.hash64(key)
 
         def request(slots, **hint):
             return router.request(
@@ -374,34 +450,38 @@ class RKVStore:
                 f"value of {len(value)} bytes exceeds slot value size "
                 f"{self.value_size}"
             )
-        if self._pick("put", key) == PathPolicy.ONE_SIDED:
-            yield from self._put_one_sided(key, value)
+        seen = self._hints.get(key)
+        base = ops.hash64(key) if seen is None else seen[2]
+        if self._pick("put", seen)[0] == PathPolicy.ONE_SIDED:
+            yield from self._put_one_sided(key, value, base)
         else:
-            reply = yield from self._server_op("kv_put", key, False,
+            reply = yield from self._server_op("kv_put", key, base, False,
                                                value=value)
             if reply[0] == ops.REUSABLE:  # no one host can rank it
-                yield from self._put_one_sided(key, value)
+                yield from self._put_one_sided(key, value, base)
             elif reply[0] == ops.STORED:  # hint the slot it published
                 _stored, version, slot_off = reply
-                self._hint(key, slot_off // self.slot_size, version)
+                self._hint(key, slot_off // self.slot_size, version, base)
             else:
                 raise KvFullError()
 
-    def _put_one_sided(self, key: bytes, value: bytes):
-        index, version, token = yield from self._lock_slot(key, claim=True)
+    def _put_one_sided(self, key: bytes, value: bytes, base: int):
+        index, version, token = yield from self._lock_slot(key, base,
+                                                           claim=True)
         yield from self.slot_lock(index).publish(
             token, ops.encode_body(key, value, self.key_size, self.value_size),
             new_version=version + 2)
-        self._hint(key, index, version + 2)
+        self._hint(key, index, version + 2, base)
 
-    def _lock_slot(self, key: bytes, claim: bool):
-        """Lock the slot a write of *key* goes to (generator): returns
-        ``(index, version, token)``, the word CAS'd from *version* to
-        the unique odd *token* — or ``None`` when *key* is absent and
-        not to be *claim*ed (``KvFullError`` when there is no slot to
-        claim).  The token settles an ambiguous CAS completion with one
-        read of the word (``seqlock.try_locks``), so a lost completion
-        never leaves the handle unsure whether it holds the slot.
+    def _lock_slot(self, key: bytes, base: int, claim: bool):
+        """Lock the slot a write of *key*, of hash *base*, goes to
+        (generator): returns ``(index, version, token)``, the word CAS'd
+        from *version* to the unique odd *token* — or ``None`` when
+        *key* is absent and not to be *claim*ed (``KvFullError`` when
+        there is no slot to claim).  The token settles an ambiguous CAS
+        completion with one read of the word (``seqlock.try_locks``), so
+        a lost completion never leaves the handle unsure whether it
+        holds the slot.
 
         A hinted key tries its hint first: :func:`try_lock_or_snapshot`,
         one round trip.  A lost CAS whose READ validated still holding
@@ -423,13 +503,13 @@ class RKVStore:
         ``put``, ``delete`` and the txn runtime rest on it.
         """
         self._backoff.reset()
-        hint = self._hints.pop(key, None)
+        hint = self._forget(key)
         if hint is not None and hint[0] is None:
             hint = None  # a remembered miss locates no slot
         while True:
             token = mint_token(self.client)
             if hint is not None:
-                index, version = hint
+                index, version, _hash = hint
                 hint = None
                 lock = self.slot_lock(index)
                 won, snapshot = yield from try_lock_or_snapshot(
@@ -444,7 +524,7 @@ class RKVStore:
             else:
                 held = []
                 walked = yield from ops.walk(
-                    key, self.chain(key),
+                    key, ops.chain(base, self.slots),
                     self._claiming_reader(token, held) if claim
                     else self._read_slot)
                 if held:  # the never-used slot that ended the chain
@@ -466,24 +546,30 @@ class RKVStore:
     def get(self, key: bytes):
         """Lookup (generator); returns the value or ``None``."""
         self._check_key(key)
-        mode = self._pick("get", key)
+        seen = self._hints.get(key)
+        base = ops.hash64(key) if seen is None else seen[2]
+        mode, window = self._pick("get", seen)
         if mode == PathPolicy.ONE_SIDED:
-            # a hinted key reads its slot first: one round trip
+            # a hinted key reads its slot first: one round trip; any
+            # other reads its window of the chain in its first
+            hinted = None if seen is None else seen[0]
             outcome, index, snapshot, _reusable = yield from ops.walk(
-                key, self.chain(key), self._read_slot,
-                hint=self._hinted(key))
+                key, ops.chain(base, self.slots),
+                self._read_slot if hinted is not None
+                else self._window_reader(base % self.slots, window),
+                hint=hinted)
             value = None
             if outcome == ops.HIT:
                 value = snapshot[3]
-            self._found(key, outcome, index, snapshot and snapshot[0])
+            self._found(key, outcome, index, snapshot and snapshot[0], base)
         else:
             reply = yield from self._server_op(
-                "kv_get", key, mode == PathPolicy.REMOTE_FETCH)
+                "kv_get", key, base, mode == PathPolicy.REMOTE_FETCH)
             value = index = version = None
             if reply[0] == ops.HIT:
                 _hit, value, version, slot_off = reply
                 index = slot_off // self.slot_size
-            self._found(key, reply[0], index, version)
+            self._found(key, reply[0], index, version, base)
         return value
 
     def multi_get(self, keys: list):
@@ -512,8 +598,10 @@ class RKVStore:
                 f"slot {index} kept changing under {_READ_RETRIES} reads")
 
         results: list = [None] * len(keys)
-        walks = [ops.walk(key, self.chain(key), ask, hint=self._hinted(key))
-                 for key in keys]
+        bases = [self._base(key) for key in keys]
+        walks = [ops.walk(key, ops.chain(base, self.slots), ask,
+                          hint=self._hinted(key))
+                 for key, base in zip(keys, bases)]
         wanted = {i: next(walk) for i, walk in enumerate(walks)}
         while wanted:
             snapshots = yield from self._read_slots(list(wanted.values()))
@@ -525,7 +613,8 @@ class RKVStore:
                     outcome, index, hit, _reusable = done.value
                     if outcome == ops.HIT:
                         results[i] = hit[3]
-                    self._found(keys[i], outcome, index, hit and hit[0])
+                    self._found(keys[i], outcome, index, hit and hit[0],
+                                bases[i])
         return results
 
     def delete(self, key: bytes):
@@ -536,7 +625,8 @@ class RKVStore:
         none behind.
         """
         self._check_key(key)
-        locked = yield from self._lock_slot(key, claim=False)
+        locked = yield from self._lock_slot(key, self._base(key),
+                                            claim=False)
         if locked is None:
             return False
         index, version, token = locked

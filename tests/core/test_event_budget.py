@@ -10,7 +10,8 @@ a publish is one ordered ``[body, version]`` pair on one doorbell, a
 transaction commit is an intent flush and a publish flush — and a
 per-write doorbell creeping back fails here too.  Each hash-table op is
 held to a (doorbells, WRs, round trips) floor by what its client knows
-of the key's slot: a hinted get is one round trip at any chain depth.
+of the key's slot: a hinted get is one round trip at any chain depth,
+and so is a cold get within the window its client's hints price.
 """
 
 import contextlib
@@ -109,6 +110,13 @@ def _costs():
         yield from measured("hinted get", table.get(chained[2]))
         yield from measured("cold get", rival.get(chained[2]),
                             round_trips=3, by=other)
+        # ... which located a key three deep: the rival's next get of a
+        # key it never saw reads three slots from the key's home at once
+        deep = same_home(table.slots, 3, home=table.slots - 24)
+        for key in deep:
+            yield from table.put(key, b"d" * 64)
+        yield from measured("windowed cold get", rival.get(deep[2]),
+                            by=other)
         # a delete locks as a put does, then publishes the tombstone
         yield from measured("hinted delete", table.delete(chained[1]),
                             round_trips=2)
@@ -182,8 +190,12 @@ def test_a_put_to_a_known_slot_locks_in_its_first_round_trip():
 _KV_FLOOR = {
     # [READ slot, READ word] at the hinted slot, at any chain depth
     "hinted get": (1, 2, 1),
-    # the same pair per hop, for a key at depth 3
+    # the same pair per hop, for a key at depth 3, from a client that
+    # has located no key deeper than its home
     "cold get": (3, 6, 3),
+    # [READ 3 slots, READ their words], for a key at depth 3, from a
+    # client that has located keys that deep
+    "windowed cold get": (1, 2, 1),
     # the walk's [READ, CAS 0 → token] wins the never-used slot, then
     # [body, version]
     "insert": (2, 4, 2),

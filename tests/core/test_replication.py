@@ -12,7 +12,7 @@ store is volatile, single-copy).  Semantics pinned here:
 
 import pytest
 
-from repro.core import RegionUnavailableError, RStoreConfig, RStoreError
+from repro.core import RStoreConfig, RStoreError
 from repro.cluster import build_cluster
 from repro.simnet.config import KiB, MiB
 

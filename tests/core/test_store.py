@@ -10,7 +10,6 @@ from repro.core import (
     OutOfMemoryError,
     RegionExistsError,
     RegionNotFoundError,
-    RegionUnavailableError,
     RStoreConfig,
     RStoreError,
 )

@@ -160,14 +160,14 @@ SLOTS = 64
 
 
 def _measure_kv(mode, case, value_size):
-    """``(latency, pick, remembered miss depth)`` of one *case* op run
-    under *mode*, the last two as the adaptive handle sees the key
-    just before the op."""
+    """``(latency, (pick, window), remembered miss depth)`` of one
+    *case* op run under *mode*, the last two as the adaptive handle
+    sees the key just before the op."""
     cluster = _remote_cluster()
     client, sim = cluster.client(1), cluster.sim
     # one home slot for all: the last key's window is the others'
     keys = same_home(SLOTS, ops.PROBE_LIMIT + 1)
-    key = keys[-1] if case == "get-miss" else keys[0]
+    key = {"get-miss": keys[-1], "get-cold": keys[2]}.get(case, keys[0])
     op = case.split("-")[0]
 
     def app():
@@ -177,14 +177,23 @@ def _measure_kv(mode, case, value_size):
         if case == "get-miss":
             for other in keys[:-1]:
                 yield from writer.put(other, b"v")
+        elif case == "get-cold":
+            # another client writes the chain; this one has located keys
+            # three deep on a chain of its own
+            rival = yield from RKVStore.open(cluster.client(2), "t")
+            for other in keys[:3]:
+                yield from rival.put(other, b"v" * value_size)
+            for other in same_home(SLOTS, 3, home=SLOTS // 2):
+                yield from writer.put(other, b"v")
         elif case != "put-fresh":
             yield from writer.put(key, b"v" * value_size)
         store = yield from RKVStore.open(client, "t", path_policy=mode)
         adaptive = yield from RKVStore.open(client, "t",
                                             path_policy="adaptive")
-        if case != "put-fresh":  # hint the key, or remember its miss
-            yield from store.get(key)
-        picked, depth = adaptive._pick(op, key), miss_depth(adaptive, key)
+        if case not in ("put-fresh", "get-cold"):
+            yield from store.get(key)  # hint the key, or remember its miss
+        picked = adaptive._pick(op, adaptive._hints.get(key))
+        depth = miss_depth(adaptive, key)
         started = sim.now
         if op == "get":
             yield from store.get(key)
@@ -220,20 +229,26 @@ def _ranked(costs):
     ("get-hinted", 64, 1, False),
     ("get-hinted", 32 * KiB, 1, False),
     ("get-miss", 64, ops.PROBE_LIMIT, True),
+    # a key this client never located, three deep
+    ("get-cold", 64, 3, False),
     ("put-hinted", 64, 1, False),
     ("put-fresh", 64, 1, False),
 ])
 def test_the_estimate_ranks_kv_modes_as_the_simulator_does(case, value_size,
                                                           hops, miss):
     op = case.split("-")[0]
-    measured, picks = {}, set()
+    measured, picks, windows = {}, set(), set()
     for mode in ALLOWED_MODES[op]:
-        measured[mode], picked, depth = _measure_kv(mode, case, value_size)
+        measured[mode], (picked, window), depth = _measure_kv(
+            mode, case, value_size)
         picks.add(picked)
+        windows.add(window)
         # a remembered miss is remembered with the depth it walked
         assert depth == (hops if miss else None)
+    # one set-up, one window, whichever mode the op then ran on
+    (window,) = windows
     chooser = _chooser("adaptive", _table_sizes(value_size))
-    estimated = {mode: chooser.estimate(op, mode, hops, miss)
+    estimated = {mode: chooser.estimate(op, mode, hops, miss, window)
                  for mode in measured}
     assert _ranked(estimated) == _ranked(measured), (
         f"{case} at {value_size} B: the estimate ranks "

@@ -483,8 +483,9 @@ def test_adaptive_policy_converges_and_stays_correct():
         # stayed one-sided, and no op was spent trying the other mode
         assert shipped == 60
         assert count_all(cluster, "datapath.server_ops") == shipped
-        assert store._selector._picked == {("put", 1, False): "server_op",
-                                           ("get", 1, False): "one_sided"}
+        assert store._selector._picked == {
+            ("put", 1, False, 1): "server_op",
+            ("get", 1, False, 1): "one_sided"}
 
     cluster.run_app(app())
 

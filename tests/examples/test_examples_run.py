@@ -8,8 +8,6 @@ import pathlib
 import subprocess
 import sys
 
-import pytest
-
 EXAMPLES = pathlib.Path(__file__).resolve().parents[2] / "examples"
 
 

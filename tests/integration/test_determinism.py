@@ -68,8 +68,6 @@ def test_sort_is_deterministic():
 
 
 def test_pagerank_is_deterministic():
-    import numpy as np
-
     from repro.graph import RStoreGraphEngine
     from repro.graph.loader import Graph
     from repro.workloads.graphs import rmat_edges

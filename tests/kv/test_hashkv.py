@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import build_cluster
 from repro.core import RStoreConfig
+from repro.coord.seqlock import mint_token
 from repro.datapath import ops
 from repro.kv import KvError, KvFullError, RKVStore
 from repro.rdma.types import Opcode
@@ -624,6 +625,152 @@ def test_one_client_keeps_one_bounded_hint_table_per_table():
     hinted, cold = cluster.run_app(app())
     assert hinted == new
     assert cold == []
+    _assert_race_free(cluster)
+
+
+def _locate_deep(store, home):
+    """Put three keys of the chain at *home* through *store* (generator):
+    its client has then located keys three deep, so its next get of a
+    key it never saw reads three slots from that key's home at once."""
+    for key in probes.same_home(store.slots, 3, home=home):
+        yield from store.put(key, b"d")
+
+
+def _posted(cluster, host):
+    """``(doorbells, WRs)`` host *host*'s NIC has posted so far."""
+    nic = cluster.nic(host)
+    return nic.doorbells_rung, nic.ops_posted
+
+
+def test_a_writer_racing_one_window_slot_costs_that_slot_a_re_read():
+    # the rival holds the third slot of the reader's window locked, as
+    # a put between its CAS and its publish does: the window's pair
+    # validates the first two, and only the third is read again — raced
+    # until the rival publishes, then validated
+    cluster = _sanitized_cluster()
+    sim = cluster.sim
+    slots = 64
+    chain = probes.same_home(slots, 3)
+
+    def app():
+        mine, theirs = yield from _two_handles(cluster, "window-race", slots)
+        for key in chain:
+            yield from theirs.put(key, b"old")
+        yield from _locate_deep(mine, home=slots // 2)
+        index = ops.hash64(chain[0]) % slots + 2
+        lock = theirs.slot_lock(index)
+        version, _len, key, _value = yield from theirs.snapshot_slot(index)
+        assert key == chain[2]
+        token = mint_token(theirs.client)
+        assert (yield from lock.try_lock(version, token))
+        retries = probes.count(cluster, "kv.read_retries",
+                               table="window-race", host=1)
+        bells, wrs = _posted(cluster, 1)
+        reader = cluster.spawn(mine.get(chain[2]))
+        yield sim.timeout(10e-6)
+        yield from lock.publish(token, ops.encode_body(
+            chain[2], b"new", mine.key_size, mine.value_size),
+            new_version=version + 2)
+        yield sim.all_of([reader])
+        raced = probes.count(cluster, "kv.read_retries",
+                             table="window-race", host=1) - retries
+        posted = [now - then for now, then
+                  in zip(_posted(cluster, 1), (bells, wrs))]
+        return reader.value, raced, posted, probes.write_hint(
+            mine, chain[2]), (index, version + 2)
+
+    value, raced, (bells, wrs), hint, published = cluster.run_app(app())
+    assert value == b"new"
+    # the window's own race, then each re-read the lock turned away
+    assert raced >= 2
+    # one pair for the window, then one [READ slot, READ word] per
+    # re-read of the raced slot alone: raced - 1 turned away, the last
+    # validated
+    assert (bells, wrs) == (1 + raced, 2 * (1 + raced))
+    assert hint == published
+    _assert_race_free(cluster)
+
+
+@pytest.mark.parametrize("slots, home", [
+    # a slot is 104 B and a stripe 64 KiB: slot 630 starts the second
+    (1024, 628),
+    (64, 62),
+], ids=["stripe", "table-end"])
+def test_a_window_stops_at_its_homes_stripe_and_at_the_tables_end(slots,
+                                                                  home):
+    # home two slots before the edge: the window reads those two in one
+    # pair, and the walk reads the third, past the edge, on its own
+    cluster = _sanitized_cluster()
+    chain = probes.same_home(slots, 3, home=home)
+
+    def app():
+        mine = yield from RKVStore.create(cluster.client(1), "window-edge",
+                                          slots, key_size=16, value_size=64)
+        theirs = yield from RKVStore.open(cluster.client(2), "window-edge")
+        assert mine.mapping.desc.stripe_size == 630 * mine.slot_size
+        for key in chain:
+            yield from theirs.put(key, key)
+        yield from _locate_deep(mine, home=10)
+        before = _posted(cluster, 1)
+        value = yield from mine.get(chain[2])
+        posted = tuple(now - then
+                       for now, then in zip(_posted(cluster, 1), before))
+        return value, posted, probes.write_hint(mine, chain[2])
+
+    value, posted, hint = cluster.run_app(app())
+    assert value == chain[2]
+    assert hint[0] == (home + 2) % slots
+    assert posted == (2, 4)
+    _assert_race_free(cluster)
+
+
+def test_the_depth_histogram_counts_what_the_hints_locate():
+    # every hint set, moved, dropped or evicted moves the histogram of
+    # the depths the client's hints locate keys at, which a recount from
+    # the hints themselves must match after every step
+    cluster = _sanitized_cluster()
+    slots = 8
+    chain = probes.same_home(slots, 4)
+
+    def recount(store):
+        depths = [0] * ops.PROBE_LIMIT
+        for key, (index, _version, _base) in store._hints.items():
+            if index is not None:
+                depths[(index - ops.hash64(key)) % slots] += 1
+        return depths
+
+    def app():
+        mine, theirs = yield from _two_handles(cluster, "hint-depths", slots)
+        steps = []
+
+        def step(label):
+            steps.append((label, list(mine._depths), recount(mine)))
+
+        for key in chain:
+            yield from mine.put(key, b"v")
+        step("four keys, one to four deep")
+        # the rival moves the deepest key to the chain's home: a get
+        # follows it there, from four deep to one
+        assert (yield from theirs.delete(chain[0])) is True
+        assert (yield from theirs.delete(chain[3])) is True
+        yield from theirs.put(chain[3], b"moved")
+        assert (yield from mine.get(chain[3])) == b"moved"
+        step("one key moved")
+        assert (yield from mine.delete(chain[1])) is True
+        step("one dropped by a delete")
+        # misses fill the hint table past its bound: the oldest go
+        for i in range(slots):
+            assert (yield from mine.get(b"absent-%d" % i)) is None
+            step(f"{i + 1} misses")
+        return steps
+
+    steps = cluster.run_app(app())
+    for label, kept, recounted in steps:
+        assert kept == recounted, label
+    assert steps[0][1][:4] == [1, 1, 1, 1]
+    assert steps[1][1][:4] == [2, 1, 1, 0]
+    assert steps[2][1][:4] == [2, 0, 1, 0]
+    assert sum(steps[-1][1]) == 0
     _assert_race_free(cluster)
 
 

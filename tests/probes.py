@@ -118,9 +118,11 @@ def materialized_bytes(buffer):
     return sum(map(len, buffer._blocks.values()))
 
 
-def same_home(slots, count):
-    """*count* keys whose chains start at one slot of a *slots* table."""
-    home = hash64(b"key-0") % slots
+def same_home(slots, count, home=None):
+    """*count* keys whose chains start at one slot of a *slots* table:
+    *home*, else the one ``b"key-0"`` starts at."""
+    if home is None:
+        home = hash64(b"key-0") % slots
     keys = (b"key-%d" % i for i in range(10_000))
     return [key for key in keys if hash64(key) % slots == home][:count]
 
@@ -130,7 +132,7 @@ def write_hint(store, key):
     will try *key*'s next get or write at first, ``None`` when it has
     none (a remembered miss names no slot: :func:`miss_depth`)."""
     hint = store._hints.get(key)
-    return None if hint is None or hint[0] is None else hint
+    return None if hint is None or hint[0] is None else hint[:2]
 
 
 def miss_depth(store, key):

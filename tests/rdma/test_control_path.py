@@ -8,7 +8,7 @@ import pytest
 
 from repro.rdma.cm import ConnectError
 from repro.rdma.device import PAGE_SIZE
-from repro.rdma.types import Access, Opcode, RdmaError
+from repro.rdma.types import Opcode, RdmaError
 from repro.rdma.wr import SendWR
 from repro.simnet.config import MiB, us
 

@@ -6,8 +6,6 @@ import pytest
 
 from repro.simnet.cpu import Cpu
 from repro.simnet.kernel import (
-    AllOf,
-    AnyOf,
     SimulationError,
     Simulator,
 )

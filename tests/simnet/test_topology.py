@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simnet.config import Gbps, KiB, MiB, NetworkConfig
+from repro.simnet.config import Gbps, KiB, NetworkConfig
 from repro.simnet.kernel import Simulator
 from repro.simnet.link import Channel
 from repro.simnet.topology import Network

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.sort.rsort import key_prefix_u64, sort_order
 from repro.workloads.kv import (
-    KEY_BYTES,
     RECORD_BYTES,
     generate_records,
     is_sorted,
